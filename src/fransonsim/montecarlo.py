@@ -376,10 +376,15 @@ def dispersive_spread(arrivals: np.ndarray, fwhm_in_ps: float,
 def _dedupe_sorted_merge(times: np.ndarray,
                          is_dark: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Time-sort labeled clicks; on equal-ps collisions (digitizer
-    resolution) keep a single click, photon label winning."""
-    order = np.lexsort((is_dark, times))
-    t = times[order]
-    d = is_dark[order]
+    resolution) keep a single click, photon label winning.
+
+    One value sort of the packed key (t << 1) | is_dark orders by time
+    and, within a picosecond, photon (0) before dark (1); |t| < 2**62.
+    """
+    key = (times << 1) | is_dark
+    key.sort()
+    t = key >> 1
+    d = (key & 1).astype(bool)
     if t.size:
         keep = np.empty(t.size, dtype=bool)
         keep[0] = True
@@ -392,19 +397,36 @@ def _dead_time_filter(times: np.ndarray, is_dark: np.ndarray,
                       dead_ps: int, carry_last: int
                       ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Non-paralyzable dead time: drop clicks within dead_ps after an
-    accepted click.  carry_last is the previous accepted timestamp
-    (or a large negative sentinel)."""
+    accepted click.  times is sorted and carry_last (the previous
+    accepted timestamp, or a large negative sentinel) is <= times[0].
+
+    The last accepted click is then never later than a click's
+    predecessor, so a click dead_ps or more after its predecessor is
+    always kept.  Only the clicks closer than that to their
+    predecessor take the sequential rule, each run of them starting
+    from the kept click just before it (or from carry_last).
+    """
     if dead_ps <= 0 or times.size == 0:
         last = int(times[-1]) if times.size else carry_last
         return times, is_dark, last
-    keep = np.zeros(times.size, dtype=bool)
+    keep = np.empty(times.size, dtype=bool)
+    keep[0] = int(times[0]) - carry_last >= dead_ps
+    np.greater_equal(np.diff(times), dead_ps, out=keep[1:])
+    close = np.flatnonzero(~keep)
+    accepted = []
     last = carry_last
-    tl = times.tolist()
-    for i, t in enumerate(tl):
+    prev = -2
+    for i, t in zip(close.tolist(), times[close].tolist()):
+        if i != prev + 1 and i > 0:
+            last = int(times[i - 1])
         if t - last >= dead_ps:
-            keep[i] = True
+            accepted.append(i)
             last = t
-    return times[keep], is_dark[keep], last
+        prev = i
+    keep[accepted] = True
+    kept = times[keep]
+    last = int(kept[-1]) if kept.size else carry_last
+    return kept, is_dark[keep], last
 
 
 def detect(arrivals: np.ndarray, spec: DetectorSpec, span_ps: float,
@@ -778,6 +800,8 @@ def run_simulation(config: SimulationConfig,
 # ---------------------------------------------------------------------------
 
 _EXPORT_MAGIC = "# fransonsim clicks v1"
+# rows formatted per write: bounds the text held in memory at once
+_WRITE_CHUNK_ROWS = 65_536
 
 
 def write_click_stream(stream: ClickStream, path, seed: Optional[int] = None,
@@ -793,7 +817,11 @@ def write_click_stream(stream: ClickStream, path, seed: Optional[int] = None,
         fh.write(f"# config_hash: {config_hash}\n")
         fh.write(f"# true_count: {stream.true_count}\n")
         fh.write(f"# dark_count: {stream.dark_count}\n")
-        np.savetxt(fh, stream.times_ps, fmt="%d")
+        times = stream.times_ps
+        for lo in range(0, times.size, _WRITE_CHUNK_ROWS):
+            rows = times[lo:lo + _WRITE_CHUNK_ROWS].tolist()
+            fh.write("\n".join(map(str, rows)))
+            fh.write("\n")
 
 
 def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:

@@ -256,6 +256,7 @@ def test_acceptance_05_analytic_mc_equivalence():
 # 6. 100 km visibility band
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_06_hundred_km_band(hundred_km_report):
     report = hundred_km_report
     scenario = preset("paper-100km", master_seed=HUNDRED_KM_SEED)
@@ -318,6 +319,7 @@ def _lossless_visibility(base: Scenario, name: str, seed: int) -> float:
     return report.estimate.visibility
 
 
+@pytest.mark.slow
 def test_acceptance_07_back_to_back_calibration_and_ordering(b2b_report):
     predicted = predict_visibility(preset("back-to-back").config).visibility
     est = b2b_report.estimate

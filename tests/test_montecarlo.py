@@ -5,24 +5,26 @@ are deterministic; exact assertions (determinism, stream
 independence, dead time, dedupe) are bitwise.
 """
 
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fransonsim import (AnalyzerSpec, CENTRAL, ChannelSpec, ClickStream,
                         DetectorSpec, NO_JOINT_CLICK, PathOutcome, SIDE_EARLY,
-                        SIDE_LATE, SimulationConfig, SourceSpec,
-                        TimingDriftSpec, ValidationError, derive_seed, detect,
-                        dispersive_spread, generate_emissions,
-                        iter_click_buckets, read_click_stream,
-                        reference_pair_table, resolve_central_paths,
-                        run_simulation, sample_pair_paths, thin_by_loss,
-                        write_click_stream)
-from fransonsim.montecarlo import _dedupe_sorted_merge, _dead_time_filter
+                        SIDE_LATE, SimDiagnostics, SimulationConfig,
+                        SourceSpec, TimingDriftSpec, ValidationError,
+                        derive_seed, detect, dispersive_spread,
+                        generate_emissions, iter_click_buckets,
+                        read_click_stream, reference_pair_table,
+                        resolve_central_paths, run_simulation,
+                        sample_pair_paths, thin_by_loss, write_click_stream)
+from fransonsim.montecarlo import (_WRITE_CHUNK_ROWS, _dedupe_sorted_merge,
+                                   _dead_time_filter)
 
 SIGMA_G = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -249,6 +251,84 @@ def test_dead_time_carry_across_calls():
     assert kept.tolist() == [400]  # 250 falls in 200's dead window
 
 
+def _lexsort_merge(times, is_dark):
+    """Reference merge: lexsort by (time, label), keep the first click
+    of each picosecond."""
+    order = np.lexsort((is_dark, times))
+    t, d = times[order], is_dark[order]
+    if t.size:
+        keep = np.concatenate([[True], t[1:] != t[:-1]])
+        t, d = t[keep], d[keep]
+    return t, d
+
+
+def _dead_time_loop(times, is_dark, dead_ps, carry_last):
+    """Reference dead time: the per-click sequential rule."""
+    if dead_ps <= 0 or times.size == 0:
+        return times, is_dark, int(times[-1]) if times.size else carry_last
+    keep = np.zeros(times.size, dtype=bool)
+    last = carry_last
+    for i, t in enumerate(times.tolist()):
+        if t - last >= dead_ps:
+            keep[i] = True
+            last = t
+    return times[keep], is_dark[keep], last
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(st.integers(0, 300), max_size=150),
+       collide=st.lists(st.integers(0, 149), max_size=30),
+       base=st.sampled_from([0, 25 * 10**12]),
+       seed=st.integers(0, 2**32 - 1))
+@example(times=[], collide=[], base=0, seed=0)
+@example(times=[7, 7, 3], collide=[0, 2], base=0, seed=1)
+def test_dedupe_sorted_merge_matches_lexsort(times, collide, base, seed):
+    rng = np.random.default_rng(seed)
+    t = base + np.asarray(times, dtype=np.int64)
+    d = rng.random(t.size) < 0.5
+    # force equal-picosecond photon/dark pairs
+    twins = [i for i in collide if i < t.size]
+    t = np.concatenate([t, t[twins]])
+    d = np.concatenate([d, ~d[twins]])
+    order = rng.permutation(t.size)
+    t, d = t[order], d[order]
+    got_t, got_d = _dedupe_sorted_merge(t, d)
+    want_t, want_d = _lexsort_merge(t, d)
+    assert got_t.dtype == np.int64 and got_d.dtype == bool
+    assert np.array_equal(got_t, want_t)
+    assert np.array_equal(got_d, want_d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.one_of(st.integers(1, 30), st.integers(1, 3000)),
+                     max_size=150),
+       carry_back=st.integers(0, 2000), dead_ps=st.integers(0, 500),
+       split=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
+@example(gaps=[], carry_back=0, dead_ps=100, split=0, seed=0)
+@example(gaps=[5, 7, 9], carry_back=3, dead_ps=0, split=1, seed=0)
+@example(gaps=[50, 50, 150], carry_back=0, dead_ps=100, split=0, seed=0)
+@example(gaps=[1] * 100 + [500] + [3] * 50, carry_back=10, dead_ps=40,
+         split=60, seed=0)
+def test_dead_time_filter_matches_per_click_loop(gaps, carry_back, dead_ps,
+                                                 split, seed):
+    times = 10**12 + np.cumsum(np.asarray(gaps, dtype=np.int64))
+    is_dark = np.random.default_rng(seed).random(times.size) < 0.3
+    carry = int(times[0]) - carry_back if times.size else -2**62
+    want_t, want_d, want_last = _dead_time_loop(times, is_dark, dead_ps,
+                                                carry)
+    got_t, got_d, got_last = _dead_time_filter(times, is_dark, dead_ps, carry)
+    assert np.array_equal(got_t, want_t)
+    assert np.array_equal(got_d, want_d)
+    assert got_last == want_last
+    # carry chained over two calls equals one call on the whole stream
+    k = min(split, times.size)
+    t1, d1, last = _dead_time_filter(times[:k], is_dark[:k], dead_ps, carry)
+    t2, d2, last = _dead_time_filter(times[k:], is_dark[k:], dead_ps, last)
+    assert np.array_equal(np.concatenate([t1, t2]), want_t)
+    assert np.array_equal(np.concatenate([d1, d2]), want_d)
+    assert last == want_last
+
+
 # ---------------------------------------------------------------------------
 # dispersive_spread
 # ---------------------------------------------------------------------------
@@ -354,6 +434,53 @@ def test_buckets_concatenate_to_full_run():
     assert np.array_equal(idl_cat, idl.times_ps)
     sig.assert_valid()
     idl.assert_valid()
+
+
+def test_dead_time_across_bucket_edges():
+    dead = {"signal": 150_000_000, "idler": 60_000_000}
+    base = lossy_config(acquisition_time_s=25.0, master_seed=9)
+    cfg = replace(
+        base,
+        detector_signal=replace(base.detector_signal,
+                                dead_time_ps=float(dead["signal"])),
+        detector_idler=replace(base.detector_idler,
+                               dead_time_ps=float(dead["idler"])))
+    free_diag, dead_diag = SimDiagnostics(), SimDiagnostics()
+    free = list(iter_click_buckets(base, free_diag))
+    held = list(iter_click_buckets(cfg, dead_diag))
+    assert len(held) == 3
+    edges = [b[0] for b in held[:-1]]
+    carried = 0
+    for ch, col in (("signal", 1), ("idler", 3)):
+        t_free = np.concatenate([b[col] for b in free])
+        d_free = np.concatenate([b[col + 1] for b in free])
+        t = np.concatenate([b[col] for b in held])
+        d = np.concatenate([b[col + 1] for b in held])
+        # a subset of the zero-dead-time stream, labels included
+        idx = np.searchsorted(t_free, t)
+        assert np.array_equal(t_free[idx], t)
+        assert np.array_equal(d_free[idx], d)
+        assert t.size < t_free.size
+        # kept clicks spaced by at least the dead time, across edges too
+        assert np.all(np.diff(t) >= dead[ch])
+        # every dropped click lies in the dead window of the last kept one
+        dropped = np.setdiff1d(t_free, t)
+        pos = np.searchsorted(t, dropped)
+        assert np.all(pos > 0)
+        assert np.all(dropped - t[pos - 1] < dead[ch])
+        # counters match the kept labels
+        photons = getattr(dead_diag, f"photon_clicks_{ch}")
+        darks = getattr(dead_diag, f"dark_clicks_{ch}")
+        assert (photons, darks) == (int((~d).sum()), int(d.sum()))
+        assert photons <= getattr(free_diag, f"photon_clicks_{ch}")
+        assert darks <= getattr(free_diag, f"dark_clicks_{ch}")
+        # clicks dropped because of a kept click in the previous bucket
+        for edge in edges:
+            last_kept = t[t < edge][-1]
+            carried += int(((dropped >= edge)
+                            & (dropped < last_kept + dead[ch])).sum())
+    assert carried > 0
+    assert dead_diag.pairs_generated == free_diag.pairs_generated
 
 
 def test_drift_offset_displaces_one_channel_exactly():
@@ -497,6 +624,22 @@ def test_click_stream_round_trip(tmp_path):
     assert back.dark_count == sig.dark_count
     assert meta["seed"] == str(cfg.master_seed)
     assert meta["config_hash"] == "cafe01"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * _WRITE_CHUNK_ROWS + 1])
+def test_click_file_body_matches_savetxt(tmp_path, rows):
+    times = np.cumsum(np.random.default_rng(rows).integers(
+        1, 10**7, rows)).astype(np.int64)
+    span = int(times[-1]) if rows else 0
+    stream = ClickStream(channel="idler", times_ps=times, span_ps=span,
+                         true_count=rows)
+    path = tmp_path / "idler.clicks"
+    write_click_stream(stream, path, seed=3)
+    lines = path.read_bytes().split(b"\n", 7)
+    assert all(line.startswith(b"#") for line in lines[:7])
+    body = io.BytesIO()
+    np.savetxt(body, times, fmt="%d")
+    assert lines[7] == body.getvalue()
 
 
 def test_click_stream_rejects_foreign_file(tmp_path):
