@@ -37,6 +37,11 @@ because port selection is independent of survival.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
+Each slice packs its clicks per channel into int64 keys
+(t << 1) | is_dark and sorts them once, when it is generated.  A
+streaming bucket is then a searchsorted cut of the (at most three)
+slices whose clicks can reach it; when more than one contributes, a
+stable sort merges the sorted pieces in linear time.
 """
 
 from __future__ import annotations
@@ -383,13 +388,20 @@ def _dedupe_sorted_merge(times: np.ndarray,
     """
     key = (times << 1) | is_dark
     key.sort()
+    return _unpack_dedupe(key)
+
+
+def _unpack_dedupe(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Unpack sorted packed keys into (times, is_dark), keeping the
+    first (photon-labelled, if any) click of each picosecond."""
     t = key >> 1
     d = (key & 1).astype(bool)
-    if t.size:
+    if t.size > 1:
         keep = np.empty(t.size, dtype=bool)
         keep[0] = True
         np.not_equal(t[1:], t[:-1], out=keep[1:])
-        t, d = t[keep], d[keep]
+        if not keep.all():
+            t, d = t[keep], d[keep]
     return t, d
 
 
@@ -540,18 +552,20 @@ class _DriftWalk:
         self._values = self._carry + np.cumsum(inc)
         self._m_start = m_start
 
-    def apply(self, channel: str, emission_ps: np.ndarray,
-              arrivals: np.ndarray) -> np.ndarray:
+    def apply(self, channel: str, arrivals: np.ndarray,
+              *emission_parts: np.ndarray) -> None:
+        """Shift arrivals in place; the emission_parts, concatenated,
+        are the arrivals' emission times."""
         if not self.active or channel != self.channel:
-            return arrivals
-        shifted = arrivals + self.offset
-        if self.step > 0.0 and emission_ps.size:
+            return
+        arrivals += self.offset
+        if self.step > 0.0 and arrivals.size:
+            emission_ps = np.concatenate(emission_parts)
             pos = (emission_ps.astype(np.int64) // self.itv) - self._m_start
             vals = np.where(pos < 0, self._carry,
                             self._values[np.clip(pos, 0, None)]
                             if self._values.size else self._carry)
-            shifted = shifted + vals
-        return shifted
+            arrivals += vals
 
 
 def _require_slice_budget(config: SimulationConfig, dt_s: float) -> None:
@@ -567,15 +581,17 @@ def _require_slice_budget(config: SimulationConfig, dt_s: float) -> None:
 
 def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
                drift: _DriftWalk, diag: SimDiagnostics,
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+               ) -> Tuple[np.ndarray, np.ndarray]:
     """All click candidates whose generating process lives in
-    [lo, hi): returns (sig_times, sig_dark, idl_times, idl_dark),
-    int64, unsorted."""
-    dt_s = (hi - lo) * 1e-12
+    [lo, hi), per channel as one sorted int64 array of packed keys
+    (t << 1) | is_dark: returns (sig_keys, idl_keys)."""
+    width = hi - lo
+    dt_s = width * 1e-12
     rate = config.generated_pair_rate_hz()
     q_s, q_i = config.arm_q("signal"), config.arm_q("idler")
     x = config.interference_x()
-    tau4 = config.analyzer_signal.delay_ps
+    # float: uint8 branch codes times an int delay would stay uint8
+    tau4 = float(config.analyzer_signal.delay_ps)
     sig_int = sigma_from_fwhm(config.source.photon_fwhm_ps)
     drift.advance(slice_idx, lo, hi)
 
@@ -589,89 +605,108 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     exc_s = excess_sigma(config.channel_signal)
     exc_i = excess_sigma(config.channel_idler)
 
+    def uniform_times(rng: np.random.Generator, n: int) -> np.ndarray:
+        u = rng.random(n)
+        u *= width
+        u += lo
+        return u
+
+    def add_spread(rng: np.random.Generator, exc: float,
+                   arr: np.ndarray) -> None:
+        # arr += (intrinsic + dispersion), the spreads summed first:
+        # this float order is part of the drawn numbers
+        n = arr.size
+        if sig_int > 0.0:
+            eps = rng.normal(0.0, sig_int, n)
+            if exc > 0.0:
+                eps += rng.normal(0.0, exc, n)
+            arr += eps
+        elif exc > 0.0:
+            arr += rng.normal(0.0, exc, n)
+
     # --- stage: signal-detectable class ---------------------------------
+    # Random-mask selections go through index lists (flatnonzero, then
+    # a gather): numpy compacts by a boolean mask several times slower.
     rng = _stream(config.master_seed, _ST_SIGNAL, slice_idx)
     n_s = int(rng.poisson(rate * q_s * dt_s))
     pb_s = rng.integers(0, 4, size=n_s, dtype=np.uint8)
     port_m_s = (pb_s & 1) == 0
-    branch_s = (pb_s >> 1).astype(np.float64)     # 0 short, 1 long
-    n_m = int(port_m_s.sum())
+    branch_s = pb_s >> 1                          # 0 short, 1 long
+    i_m = np.flatnonzero(port_m_s)
     # emission times only where a signal click can exist; the
     # idler-conditional stage draws times for its own orphans
-    t0_m = lo + rng.random(n_m) * (hi - lo)
-    eps = rng.normal(0.0, sig_int, n_m) if sig_int > 0.0 else 0.0
-    if exc_s > 0.0:
-        eps = eps + rng.normal(0.0, exc_s, n_m)
-    arr_sig = t0_m + branch_s[port_m_s] * tau4 + eps
+    t0_m = uniform_times(rng, i_m.size)
+    arr_sig = branch_s[i_m] * tau4
+    arr_sig += t0_m
+    add_spread(rng, exc_s, arr_sig)
 
     # --- stage: idler side of signal-class pairs ------------------------
-    rng = _stream(config.master_seed, _ST_IDLER_COND, slice_idx)
-    both = rng.random(n_s) < q_i
-    n_b = int(both.sum())
+    rng_ic = _stream(config.master_seed, _ST_IDLER_COND, slice_idx)
+    both = rng_ic.random(n_s) < q_i
+    i_b = np.flatnonzero(both)
+    n_b = i_b.size
+    b_monitored = port_m_s[i_b]
+    i_bm = np.flatnonzero(b_monitored)
+    i_bo = np.flatnonzero(~b_monitored)
     # emission times for both-pairs whose signal went to the
     # unmonitored port (no signal click exists to anchor them)
-    orphan = both & ~port_m_s
-    t0_orphan = lo + rng.random(int(orphan.sum())) * (hi - lo)
+    t0_orphan = uniform_times(rng_ic, i_bo.size)
     # conditional idler outcome given the signal's (port, branch):
     # same branch with prob 1/2; if same, idler takes the monitored
     # port with prob (1 +/- x)/2 (+ iff signal was monitored); if
     # opposite, ports are uncorrelated.
-    same = rng.random(n_b) < 0.5
-    pm = np.where(port_m_s[both], (1.0 + x) / 2.0, (1.0 - x) / 2.0)
-    u_port = rng.random(n_b)
-    idl_port_m = np.where(same, u_port < pm, u_port < 0.5)
-    sig_branch_b = branch_s[both]
-    idl_branch = np.where(same, sig_branch_b, 1.0 - sig_branch_b)
+    same = rng_ic.random(n_b) < 0.5
+    pm = np.where(b_monitored, (1.0 + x) / 2.0, (1.0 - x) / 2.0)
+    u_port = rng_ic.random(n_b)
+    i_k = np.flatnonzero(np.where(same, u_port < pm, u_port < 0.5))
+    sig_branch_b = branch_s[i_b]
+    idl_branch = np.where(same, sig_branch_b, 1 - sig_branch_b)
     # emission times of both-pairs: monitored-signal ones were drawn
     # in the signal stage (in signal-index order), orphans here
     t0_b = np.empty(n_b)
-    pos_in_m = np.cumsum(port_m_s) - 1          # index into t0_m
-    b_monitored = port_m_s[both]
-    t0_b[b_monitored] = t0_m[pos_in_m[both & port_m_s]]
-    t0_b[~b_monitored] = t0_orphan
-    keep = idl_port_m
-    n_ib = int(keep.sum())
-    eps_i = rng.normal(0.0, sig_int, n_ib) if sig_int > 0.0 else 0.0
-    if exc_i > 0.0:
-        eps_i = eps_i + rng.normal(0.0, exc_i, n_ib)
-    arr_idl_pair = t0_b[keep] + idl_branch[keep] * tau4 + eps_i
-    t0_idl_pair = t0_b[keep]
+    t0_b[i_bm] = t0_m[np.flatnonzero(both[i_m])]
+    t0_b[i_bo] = t0_orphan
+    t0_idl_pair = t0_b[i_k]
+    n_ib = i_k.size
 
     # --- stage: idler-only class ----------------------------------------
-    rng = _stream(config.master_seed, _ST_IDLER_ONLY, slice_idx)
-    n_io = int(rng.poisson(rate * q_i * (1.0 - q_s) * dt_s))
-    pb_io = rng.integers(0, 4, size=n_io, dtype=np.uint8)
-    port_m_io = (pb_io & 1) == 0
-    n_iom = int(port_m_io.sum())
-    t0_io = lo + rng.random(n_iom) * (hi - lo)
-    eps_io = rng.normal(0.0, sig_int, n_iom) if sig_int > 0.0 else 0.0
-    if exc_i > 0.0:
-        eps_io = eps_io + rng.normal(0.0, exc_i, n_iom)
-    arr_idl_only = t0_io + (pb_io >> 1)[port_m_io] * tau4 + eps_io
+    rng_io = _stream(config.master_seed, _ST_IDLER_ONLY, slice_idx)
+    n_io = int(rng_io.poisson(rate * q_i * (1.0 - q_s) * dt_s))
+    pb_io = rng_io.integers(0, 4, size=n_io, dtype=np.uint8)
+    i_iom = np.flatnonzero((pb_io & 1) == 0)
+
+    # idler arrivals, pair class then idler-only class, in one array;
+    # each class draws its spreads from its own stream
+    arr_idl = np.empty(n_ib + i_iom.size)
+    arr_pair, arr_only = arr_idl[:n_ib], arr_idl[n_ib:]
+    np.multiply(idl_branch[i_k], tau4, out=arr_pair)
+    arr_pair += t0_idl_pair
+    add_spread(rng_ic, exc_i, arr_pair)
+    t0_io = uniform_times(rng_io, i_iom.size)
+    np.multiply(pb_io[i_iom] >> 1, tau4, out=arr_only)
+    arr_only += t0_io
+    add_spread(rng_io, exc_i, arr_only)
 
     # --- drift (photon arrivals of one channel, darks untouched) --------
-    arr_sig = drift.apply("signal", t0_m, arr_sig)
-    idl_t0 = np.concatenate([t0_idl_pair, t0_io])
-    arr_idl = drift.apply("idler", idl_t0,
-                          np.concatenate([arr_idl_pair, arr_idl_only]))
+    drift.apply("signal", arr_sig, t0_m)
+    drift.apply("idler", arr_idl, t0_idl_pair, t0_io)
 
     # --- detector jitter --------------------------------------------------
     jit_s = sigma_from_fwhm(config.detector_signal.jitter_fwhm_ps)
     if jit_s > 0.0 and arr_sig.size:
         rng = _stream(config.master_seed, _ST_SIGNAL_JITTER, slice_idx)
-        arr_sig = arr_sig + rng.normal(0.0, jit_s, arr_sig.size)
+        arr_sig += rng.normal(0.0, jit_s, arr_sig.size)
     jit_i = sigma_from_fwhm(config.detector_idler.jitter_fwhm_ps)
     if jit_i > 0.0 and arr_idl.size:
         rng = _stream(config.master_seed, _ST_IDLER_JITTER, slice_idx)
-        arr_idl = arr_idl + rng.normal(0.0, jit_i, arr_idl.size)
+        arr_idl += rng.normal(0.0, jit_i, arr_idl.size)
 
     # --- dark counts -------------------------------------------------------
     def darks(stage: int, rate_hz: float) -> np.ndarray:
         if rate_hz <= 0.0:
             return np.empty(0)
         rng = _stream(config.master_seed, stage, slice_idx)
-        n = rng.poisson(rate_hz * dt_s)
-        return lo + rng.random(n) * (hi - lo)
+        return uniform_times(rng, rng.poisson(rate_hz * dt_s))
 
     dk_s = darks(_ST_SIGNAL_DARKS, config.detector_signal.dark_rate_hz)
     dk_i = darks(_ST_IDLER_DARKS, config.detector_idler.dark_rate_hz)
@@ -684,22 +719,23 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     diag.pairs_idler_only_detectable += n_io
     diag.pairs_both_detectable += n_b
 
-    sig_times = np.concatenate([np.rint(arr_sig),
-                                np.rint(dk_s)]).astype(np.int64)
-    sig_dark = np.zeros(sig_times.size, dtype=bool)
-    sig_dark[arr_sig.size:] = True
-    idl_times = np.concatenate([np.rint(arr_idl),
-                                np.rint(dk_i)]).astype(np.int64)
-    idl_dark = np.zeros(idl_times.size, dtype=bool)
-    idl_dark[arr_idl.size:] = True
-
-    for t, label in ((sig_times, "signal"), (idl_times, "idler")):
-        if t.size and (int(t.min()) < lo - _MAX_SPILL_PS
-                       or int(t.max()) >= hi + _MAX_SPILL_PS):
+    def packed_keys(label: str, photons: np.ndarray,
+                    dark: np.ndarray) -> np.ndarray:
+        key = np.empty(photons.size + dark.size, dtype=np.int64)
+        np.rint(photons, out=key[:photons.size], casting="unsafe")
+        np.rint(dark, out=key[photons.size:], casting="unsafe")
+        key <<= 1
+        key[photons.size:] |= 1
+        key.sort()
+        if key.size and (int(key[0] >> 1) < lo - _MAX_SPILL_PS
+                         or int(key[-1] >> 1) >= hi + _MAX_SPILL_PS):
             raise ValidationError(
                 f"{label} clicks spilled more than {_MAX_SPILL_PS} ps "
                 "out of their generation slice (drift too large?)")
-    return sig_times, sig_dark, idl_times, idl_dark
+        return key
+
+    return (packed_keys("signal", arr_sig, dk_s),
+            packed_keys("idler", arr_idl, dk_i))
 
 
 def iter_click_buckets(config: SimulationConfig,
@@ -713,7 +749,10 @@ def iter_click_buckets(config: SimulationConfig,
 
     Buckets partition the acquisition on SLICE_PS boundaries (the
     last one keeps its closed upper edge at the span); concatenating
-    them reproduces run_simulation's streams bit for bit.
+    them reproduces run_simulation's streams bit for bit.  Each slice
+    is sorted once, when generated; a bucket is the searchsorted cut
+    of the slices whose clicks can reach it (its own and the two
+    neighbours), merged when more than one contributes.
     """
     if diag is None:
         diag = SimDiagnostics()
@@ -721,51 +760,54 @@ def iter_click_buckets(config: SimulationConfig,
     _require_slice_budget(config, min(span, SLICE_PS) * 1e-12)
     n_slices = max(1, -(-span // SLICE_PS))
     drift = _DriftWalk(config)
-    pools: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    pools: List[Tuple[np.ndarray, np.ndarray]] = []
     dead_s = int(round(config.detector_signal.dead_time_ps))
     dead_i = int(round(config.detector_idler.dead_time_ps))
     carry = {"signal": -2 ** 62, "idler": -2 ** 62}
-    empty = (np.empty(0, np.int64), np.empty(0, bool),
-             np.empty(0, np.int64), np.empty(0, bool))
+    empty = np.empty(0, np.int64)
 
     for k in range(n_slices + 1):
         if k < n_slices:
             lo, hi = k * SLICE_PS, min(span, (k + 1) * SLICE_PS)
             pools.append(_gen_slice(config, k, lo, hi, drift, diag))
         else:
-            pools.append(empty)
+            pools.append((empty, empty))
         if len(pools) > 3:
             pools.pop(0)
         b = k - 1
         if b < 0:
             continue
-        blo = b * SLICE_PS
         # last bucket takes a closed upper edge so t == span survives
         bhi = (b + 1) * SLICE_PS if b < n_slices - 1 else span + 1
+        cuts = (max(b * SLICE_PS, 0) << 1, bhi << 1)
         out: List[np.ndarray] = []
-        for ch_off, channel, dead in ((0, "signal", dead_s),
-                                      (2, "idler", dead_i)):
-            t = np.concatenate([p[ch_off] for p in pools])
-            d = np.concatenate([p[ch_off + 1] for p in pools])
-            sel = (t >= max(blo, 0)) & (t < bhi)
-            if b == 0:
-                dropped_low = int((t < 0).sum())
+        for ch, channel, dead in ((0, "signal", dead_s),
+                                  (1, "idler", dead_i)):
+            pieces = []
+            for pool in pools:
+                key = pool[ch]
+                i, j = (int(c) for c in key.searchsorted(cuts))
+                if b == 0:                      # t < 0
+                    diag.clicks_dropped_out_of_span += i
+                if b == n_slices - 1:           # t > span
+                    diag.clicks_dropped_out_of_span += key.size - j
+                if j > i:
+                    pieces.append(key[i:j])
+            if len(pieces) > 1:
+                key = np.concatenate(pieces)
+                key.sort(kind="stable")         # merges the sorted runs
             else:
-                dropped_low = 0
-            if b == n_slices - 1:
-                dropped_high = int((t > span).sum())
-            else:
-                dropped_high = 0
-            diag.clicks_dropped_out_of_span += dropped_low + dropped_high
-            tt, dd = _dedupe_sorted_merge(t[sel], d[sel])
+                key = pieces[0] if pieces else empty
+            tt, dd = _unpack_dedupe(key)
             tt, dd, carry[channel] = _dead_time_filter(tt, dd, dead,
                                                        carry[channel])
+            n_dark = int(np.count_nonzero(dd))
             if channel == "signal":
-                diag.photon_clicks_signal += int((~dd).sum())
-                diag.dark_clicks_signal += int(dd.sum())
+                diag.photon_clicks_signal += dd.size - n_dark
+                diag.dark_clicks_signal += n_dark
             else:
-                diag.photon_clicks_idler += int((~dd).sum())
-                diag.dark_clicks_idler += int(dd.sum())
+                diag.photon_clicks_idler += dd.size - n_dark
+                diag.dark_clicks_idler += n_dark
             out.extend((tt, dd))
         yield (bhi, out[0], out[1], out[2], out[3])
 

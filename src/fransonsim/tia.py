@@ -58,7 +58,7 @@ def _as_sorted_int64(arr, name: str) -> np.ndarray:
         if not np.issubdtype(out.dtype, np.integer):
             raise ValidationError(f"{name} must be integer picoseconds")
         out = out.astype(np.int64)
-    if out.size > 1 and np.any(np.diff(out) < 0):
+    if out.size > 1 and np.any(out[1:] < out[:-1]):
         raise ValidationError(f"{name} must be sorted ascending")
     return out
 
@@ -79,9 +79,17 @@ def _normalize_binning(bin_ps, range_ps) -> Tuple[int, int]:
 
 def _pair_deltas(starts: np.ndarray, stops: np.ndarray,
                  range_ps: int) -> np.ndarray:
-    """stop - start for every pair within [-range, +range), vectorized."""
-    lo = np.searchsorted(stops, starts - range_ps, side="left")
+    """stop - start for every pair within [-range, +range), vectorized.
+
+    The lower bound is searched only for the starts whose last stop
+    before start + range lies in range; for all others it equals the
+    upper bound, so sparse streams pay about one binary search.
+    """
     hi = np.searchsorted(stops, starts + range_ps, side="left")
+    live = np.flatnonzero(hi)
+    live = live[stops[hi[live] - 1] >= starts[live] - range_ps]
+    starts, hi = starts[live], hi[live]
+    lo = np.searchsorted(stops, starts - range_ps, side="left")
     lengths = hi - lo
     total = int(lengths.sum())
     if total > _MAX_PAIRS:

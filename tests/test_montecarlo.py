@@ -23,8 +23,9 @@ from fransonsim import (AnalyzerSpec, CENTRAL, ChannelSpec, ClickStream,
                         read_click_stream, reference_pair_table,
                         resolve_central_paths, run_simulation,
                         sample_pair_paths, thin_by_loss, write_click_stream)
-from fransonsim.montecarlo import (_WRITE_CHUNK_ROWS, _dedupe_sorted_merge,
-                                   _dead_time_filter)
+from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
+                                   _dedupe_sorted_merge, _dead_time_filter,
+                                   _gen_slice)
 
 SIGMA_G = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -436,6 +437,77 @@ def test_buckets_concatenate_to_full_run():
     idl.assert_valid()
 
 
+def _whole_run_reference(cfg):
+    """Oracle for the bucket path: every slice's packed keys unpacked
+    and merged at once with the lexsort reference, clipped to
+    [0, span], then the per-click dead-time loop over the whole run."""
+    span = cfg.span_ps()
+    n_slices = max(1, -(-span // SLICE_PS))
+    drift, diag = _DriftWalk(cfg), SimDiagnostics()
+    slices = [_gen_slice(cfg, k, k * SLICE_PS,
+                         min(span, (k + 1) * SLICE_PS), drift, diag)
+              for k in range(n_slices)]
+    streams = {}
+    for col, ch, det in ((0, "signal", cfg.detector_signal),
+                         (1, "idler", cfg.detector_idler)):
+        key = np.concatenate([s[col] for s in slices])
+        t, d = key >> 1, (key & 1).astype(bool)
+        inside = (t >= 0) & (t <= span)
+        diag.clicks_dropped_out_of_span += int((~inside).sum())
+        t, d = _lexsort_merge(t[inside], d[inside])
+        t, d, _ = _dead_time_loop(t, d, int(round(det.dead_time_ps)),
+                                  -2 ** 62)
+        setattr(diag, f"photon_clicks_{ch}", int((~d).sum()))
+        setattr(diag, f"dark_clicks_{ch}", int(d.sum()))
+        streams[ch] = (t, d)
+    return streams, diag
+
+
+def _with_dead_time(cfg, signal_ps, idler_ps):
+    return replace(
+        cfg,
+        detector_signal=replace(cfg.detector_signal, dead_time_ps=signal_ps),
+        detector_idler=replace(cfg.detector_idler, dead_time_ps=idler_ps))
+
+
+@pytest.mark.parametrize("cfg", [
+    _with_dead_time(lossy_config(acquisition_time_s=25.0, master_seed=9),
+                    1.5e8, 6.0e7),
+    lossy_config(acquisition_time_s=25.0, master_seed=31,
+                 drift=TimingDriftSpec(enabled=True, channel="idler",
+                                       offset_ps=40.0, walk_step_ps=5.0,
+                                       walk_interval_ps=1.0e9)),
+    # clicks pushed below t = 0 are dropped
+    lossy_config(acquisition_time_s=25.0, master_seed=7,
+                 drift=TimingDriftSpec(enabled=True, channel="signal",
+                                       offset_ps=-3.0e11)),
+    # clicks of the second-to-last slice pushed past the span are dropped
+    lossy_config(acquisition_time_s=20.1, master_seed=12,
+                 drift=TimingDriftSpec(enabled=True, channel="signal",
+                                       offset_ps=2.0e11)),
+], ids=["darks-dead-time", "idler-walk", "signal-early", "signal-late"])
+def test_buckets_match_whole_run_reference(cfg):
+    diag = SimDiagnostics()
+    buckets = list(iter_click_buckets(cfg, diag))
+    span = cfg.span_ps()
+    assert len(buckets) == -(-span // SLICE_PS)
+    for b, (hi, ts, ds, ti, di) in enumerate(buckets):
+        assert hi == (span + 1 if b == len(buckets) - 1
+                      else (b + 1) * SLICE_PS)
+        for t, d in ((ts, ds), (ti, di)):
+            assert t.dtype == np.int64 and d.dtype == bool
+            assert t.size == 0 or (t[0] >= b * SLICE_PS and t[-1] < hi)
+    want, want_diag = _whole_run_reference(cfg)
+    for col, ch in ((1, "signal"), (3, "idler")):
+        t = np.concatenate([b[col] for b in buckets])
+        d = np.concatenate([b[col + 1] for b in buckets])
+        assert np.array_equal(t, want[ch][0])
+        assert np.array_equal(d, want[ch][1])
+    assert diag == want_diag
+    if cfg.drift.enabled and cfg.drift.channel == "signal":
+        assert diag.clicks_dropped_out_of_span > 0
+
+
 def test_dead_time_across_bucket_edges():
     dead = {"signal": 150_000_000, "idler": 60_000_000}
     base = lossy_config(acquisition_time_s=25.0, master_seed=9)
@@ -506,6 +578,23 @@ def test_drift_walk_is_deterministic_and_one_sided():
     no_drift_sig, _, _ = run_simulation(lossy_config(master_seed=31))
     assert np.array_equal(a_sig.times_ps, no_drift_sig.times_ps)
     a_idl.assert_valid()
+
+
+def test_integer_analyzer_delay_matches_float():
+    # the branch codes are uint8: an int delay must not keep them uint8
+    def run(delay):
+        cfg = lossy_config(
+            acquisition_time_s=0.05,
+            analyzer_signal=AnalyzerSpec(insertion_loss_db=5.0,
+                                         phase_rad=0.4, delay_ps=delay),
+            analyzer_idler=AnalyzerSpec(insertion_loss_db=5.0,
+                                        phase_rad=0.0, delay_ps=delay))
+        return run_simulation(cfg)
+
+    (a_sig, a_idl, _), (b_sig, b_idl, _) = run(1000), run(1000.0)
+    assert np.array_equal(a_sig.times_ps, b_sig.times_ps)
+    assert np.array_equal(a_idl.times_ps, b_idl.times_ps)
+    assert a_idl.times_ps.size > 0
 
 
 # ---------------------------------------------------------------------------

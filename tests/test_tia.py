@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fransonsim import (AnalyzerSpec, ChannelSpec, DetectorSpec,
                         FitDegenerate, FringeScan, HistogramAccumulator,
@@ -16,6 +18,7 @@ from fransonsim import (AnalyzerSpec, ChannelSpec, DetectorSpec,
                         build_histogram, count_in_window, fit_fringe,
                         iter_click_buckets, read_scan_csv, run_simulation,
                         visibility_from_extrema, write_scan_csv)
+from fransonsim.tia import _pair_deltas
 
 
 def brute_histogram(starts, stops, bin_ps, range_ps):
@@ -42,6 +45,54 @@ def test_histogram_matches_brute_force_exactly():
     assert np.array_equal(hist.counts,
                           brute_histogram(starts, stops, 7, 105))
     assert hist.n_starts == 400 and hist.n_stops == 500
+
+
+def _two_search_pair_deltas(starts, stops, range_ps):
+    """Reference: both binary searches for every start."""
+    lo = np.searchsorted(stops, starts - range_ps, side="left")
+    hi = np.searchsorted(stops, starts + range_ps, side="left")
+    lengths = hi - lo
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    start_rep = np.repeat(starts, lengths)
+    first = np.repeat(lo, lengths)
+    offsets = np.arange(total, dtype=np.int64) \
+        - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return stops[first + offsets] - start_rep
+
+
+# gaps of 0 make duplicate times; 0-3 is dense, up to 5000 sparse
+_gaps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 5000)),
+                 max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start_gaps=_gaps, stop_gaps=_gaps, range_ps=st.integers(1, 300),
+       stop_offset=st.integers(-2000, 2000),
+       edges=st.lists(st.tuples(st.integers(0, 79), st.sampled_from([-1, 1])),
+                      max_size=12),
+       base=st.sampled_from([0, 25 * 10**12]))
+@example(start_gaps=[], stop_gaps=[1, 2], range_ps=10, stop_offset=0,
+         edges=[], base=0)
+@example(start_gaps=[1, 2], stop_gaps=[], range_ps=10, stop_offset=0,
+         edges=[], base=0)
+@example(start_gaps=[5, 0, 0, 3000], stop_gaps=[], range_ps=7,
+         stop_offset=0, edges=[(0, -1), (1, 1), (3, 1), (3, -1)], base=0)
+def test_pair_deltas_matches_two_search_reference(start_gaps, stop_gaps,
+                                                  range_ps, stop_offset,
+                                                  edges, base):
+    starts = base + np.cumsum(np.asarray(start_gaps, dtype=np.int64))
+    stops = base + stop_offset \
+        + np.cumsum(np.asarray(stop_gaps, dtype=np.int64))
+    # stops exactly at start - range (in) and start + range (out)
+    extra = [starts[i] + sign * range_ps for i, sign in edges
+             if i < starts.size]
+    stops = np.sort(np.concatenate([stops, np.asarray(extra, np.int64)]))
+    got = _pair_deltas(starts, stops, range_ps)
+    want = _two_search_pair_deltas(starts, stops, range_ps)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_histogram_edges_are_exact():
