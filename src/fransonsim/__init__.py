@@ -9,19 +9,15 @@ verdicts — closed-form where possible, seeded Monte Carlo where not.
 from .errors import (FitDegenerate, FitNotConverged, FransonError,
                      ParseError, ValidationError)
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
-                      DEFAULT_BETA2, DetectorSpec, PathOutcome, SourceSpec,
+                      DEFAULT_BETA2, DetectorSpec, SourceSpec,
                       accidental_rate, chsh_from_visibility, dark_prob,
                       db_to_linear, dispersion_broaden,
-                      franson_bin_probabilities, linear_to_db, mzi_split,
-                      solve_beta2, temp_to_phase, visibility, wrap_phase)
-from .montecarlo import (CENTRAL, ClickStream, NO_JOINT_CLICK, PairEmission,
-                         SIDE_EARLY, SIDE_LATE, SLICE_PS, SimDiagnostics,
+                      franson_bin_probabilities, linear_to_db, solve_beta2,
+                      temp_to_phase, visibility, wrap_phase)
+from .montecarlo import (ClickStream, SLICE_PS, SimDiagnostics,
                          SimulationConfig, TimingDriftSpec, derive_seed,
-                         detect, dispersive_spread, generate_emissions,
                          iter_click_buckets, read_click_stream,
-                         reference_pair_table, resolve_central_paths,
-                         run_simulation, sample_pair_paths, thin_by_loss,
-                         write_click_stream)
+                         run_simulation, write_click_stream)
 from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
                   VisibilityEstimate, build_histogram, count_in_window,
                   fit_fringe, read_scan_csv, visibility_from_extrema,
@@ -41,28 +37,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyzerSpec", "BellVerdict", "CALIBRATION_TARGET_VISIBILITY",
-    "CENTRAL", "ChannelSpec", "ClickStream", "CoincidencePeakModel",
+    "ChannelSpec", "ClickStream", "CoincidencePeakModel",
     "CoincidenceWindowSpec", "DEFAULT_BETA2", "DelayHistogram",
     "DetectorSpec", "FitDegenerate", "FitNotConverged", "FransonError",
-    "FringePointResult", "FringeScan", "HistogramAccumulator",
-    "LedgerEntry", "LossLedger", "MuScanRow", "NO_JOINT_CLICK",
-    "PRESET_NAMES", "PairEmission", "ParseError", "PathOutcome",
-    "RatePrediction", "RunReport", "SIDE_EARLY", "SIDE_LATE", "SLICE_PS",
-    "ScanPlan", "Scenario", "SimDiagnostics", "SimulationConfig",
-    "SourceSpec", "TimingDriftSpec", "ValidationError",
+    "FringePointResult", "FringeScan", "HistogramAccumulator", "LedgerEntry",
+    "LossLedger", "MuScanRow", "PRESET_NAMES", "ParseError", "RatePrediction",
+    "RunReport", "SLICE_PS", "ScanPlan", "Scenario", "SimDiagnostics",
+    "SimulationConfig", "SourceSpec", "TimingDriftSpec", "ValidationError",
     "VisibilityEstimate", "VisibilityPrediction", "WindowOptimization",
     "WindowScore", "accidental_rate", "bell_verdict", "build_arm_ledger",
     "build_histogram", "build_ledger", "calibrate_contrast",
     "chsh_from_visibility", "config_hash", "count_in_window", "dark_prob",
-    "db_to_linear", "derive_seed", "detect", "dispersion_broaden",
-    "dispersive_spread", "emit_outputs", "fit_fringe",
-    "franson_bin_probabilities", "generate_emissions",
-    "iter_click_buckets", "linear_to_db", "load_config",
-    "loss_reading_note", "mzi_split", "optimize_window", "phase_grid",
-    "predict_rates", "predict_visibility", "preset", "read_click_stream",
-    "read_scan_csv", "reference_pair_table", "resolve_central_paths",
-    "run_scenario", "run_scenarios", "run_simulation", "sample_pair_paths",
-    "save_config", "solve_beta2", "temp_to_phase", "thin_by_loss",
+    "db_to_linear", "derive_seed", "dispersion_broaden", "emit_outputs",
+    "fit_fringe", "franson_bin_probabilities", "iter_click_buckets",
+    "linear_to_db", "load_config", "loss_reading_note", "optimize_window",
+    "phase_grid", "predict_rates", "predict_visibility", "preset",
+    "read_click_stream", "read_scan_csv", "run_scenario", "run_scenarios",
+    "run_simulation", "save_config", "solve_beta2", "temp_to_phase",
     "visibility", "visibility_from_extrema", "wrap_phase",
     "write_click_stream", "write_scan_csv",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import re
 import sys
@@ -32,13 +31,13 @@ from .budget import bell_verdict, build_ledger, loss_reading_note, \
     optimize_window, predict_rates, predict_visibility
 from .errors import FitDegenerate, FitNotConverged, FransonError, \
     ParseError, ValidationError
-from .montecarlo import SimDiagnostics, SimulationConfig, \
-    iter_click_buckets, read_click_stream, run_simulation, \
-    write_click_stream
+from .montecarlo import SimulationConfig, read_click_stream, \
+    streams_from_buckets, write_click_stream
 from .scenarios import (PRESET_NAMES, ScanPlan, Scenario, config_hash,
-                        emit_outputs, load_config, phase_grid, preset,
-                        run_scenario)
-from .tia import HistogramAccumulator, build_histogram, count_in_window
+                        emit_outputs, load_config, measure_point,
+                        phase_grid, preset, run_scenario, write_json,
+                        write_window_csv)
+from .tia import build_histogram, count_in_window
 
 _EXIT_OK = 0
 _EXIT_INVALID = 2
@@ -58,10 +57,7 @@ def _resolve(args, kind: str) -> Union[SimulationConfig, Scenario]:
             f"give either a {kind} file or --preset, not both/neither")
     if args.preset is not None:
         return preset(args.preset)
-    loaded = load_config(path)
-    if isinstance(loaded, SimulationConfig):
-        return loaded
-    return loaded
+    return load_config(path)
 
 
 def _apply_seed(obj: Union[SimulationConfig, Scenario],
@@ -78,12 +74,6 @@ def _run_name(args, kind: str) -> str:
         return args.preset
     stem = os.path.splitext(os.path.basename(getattr(args, kind)))[0]
     return _sanitize_name(stem)
-
-
-def _write_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _hist_csv(path, hist, stamp: str) -> None:
@@ -110,27 +100,19 @@ def _cmd_simulate(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
 
-    delay = cfg.analyzer_signal.delay_ps
-    w = cfg.tia.window_ps
-    acc = HistogramAccumulator(cfg.tia.histogram_bin_ps, delay + w)
-    diag = SimDiagnostics()
-    if args.dump_clicks:
-        sig, idl, diag = run_simulation(cfg)
-        acc.add_bucket(sig.times_ps, idl.times_ps, cfg.span_ps() + 1)
-        for stream, tag in ((sig, "signal"), (idl, "idler")):
-            p = os.path.join(out, f"{name}_{tag}_clicks.txt")
+    buckets = [] if args.dump_clicks else None
+    point = measure_point(cfg, cfg.analyzer_signal.effective_phase_rad(),
+                          buckets)
+    if buckets is not None:
+        for stream in streams_from_buckets(cfg, buckets):
+            p = os.path.join(out, f"{name}_{stream.channel}_clicks.txt")
             write_click_stream(stream, p, seed=cfg.master_seed,
                                config_hash=chash)
             print(f"wrote {p}")
-    else:
-        for bucket_hi, sig_t, _, idl_t, _ in iter_click_buckets(cfg, diag):
-            acc.add_bucket(sig_t, idl_t, bucket_hi)
-    hist = acc.finalize()
+    hist = point.histogram
 
     t = cfg.acquisition_time_s
-    central = count_in_window(hist, 0.0, w)
-    side_early = count_in_window(hist, -delay, w)
-    side_late = count_in_window(hist, +delay, w)
+    central = point.counts_central
     rates = predict_rates(cfg)
     doc = {
         "name": name,
@@ -138,21 +120,18 @@ def _cmd_simulate(args) -> int:
         "master_seed": cfg.master_seed,
         "acquisition_time_s": t,
         "measured": {
-            "singles_signal_hz":
-                (diag.photon_clicks_signal + diag.dark_clicks_signal) / t,
-            "singles_idler_hz":
-                (diag.photon_clicks_idler + diag.dark_clicks_idler) / t,
+            "singles_signal_hz": point.singles_signal / t,
+            "singles_idler_hz": point.singles_idler / t,
             "central_window_counts": central,
             "central_window_hz": central / t,
-            "side_early_counts": side_early,
-            "side_late_counts": side_late,
-            "pairs_generated": diag.pairs_generated,
+            "side_early_counts": point.counts_side_early,
+            "side_late_counts": point.counts_side_late,
+            "pairs_generated": point.pairs_generated,
         },
         "predicted": dataclasses.asdict(rates),
         "loss_note": loss_reading_note(cfg),
     }
     report_path = os.path.join(out, f"{name}_sim_report.json")
-    _write_json(doc, report_path)
     if args.format == "csv":
         hist_path = os.path.join(out, f"{name}_hist.csv")
         _hist_csv(hist_path, hist, stamp)
@@ -161,7 +140,7 @@ def _cmd_simulate(args) -> int:
         doc["histogram"] = {"bin_ps": hist.bin_ps,
                             "range_ps": hist.range_ps,
                             "counts": [int(v) for v in hist.counts]}
-        _write_json(doc, report_path)
+    write_json(doc, report_path)
     print(f"wrote {report_path}")
     print(f"singles  signal {doc['measured']['singles_signal_hz']:.1f} Hz, "
           f"idler {doc['measured']['singles_idler_hz']:.1f} Hz")
@@ -272,7 +251,7 @@ def _cmd_budget(args) -> int:
             "bell": dataclasses.asdict(verdict),
         }
         path = os.path.join(args.out_dir, f"{name}_budget.json")
-        _write_json(doc, path)
+        write_json(doc, path)
         print(f"wrote {path}")
     return _EXIT_OK
 
@@ -350,14 +329,7 @@ def _cmd_optimize_window(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         name = _run_name(args, "config")
         path = os.path.join(args.out_dir, f"{name}_windows.csv")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# config_hash={config_hash(cfg)}\n")
-            fh.write("window_ps,visibility,s_value,"
-                     "central_max_in_window_hz,score\n")
-            for e in result.entries:
-                fh.write(f"{e.window_ps!r},{e.visibility!r},"
-                         f"{e.s_value!r},{e.central_max_in_window_hz!r},"
-                         f"{e.score!r}\n")
+        write_window_csv(result, path, f"config_hash={config_hash(cfg)}")
         print(f"wrote {path}")
     return _EXIT_OK
 

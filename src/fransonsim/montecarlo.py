@@ -48,15 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
-                      DetectorSpec, PathOutcome, SourceSpec, db_to_linear,
-                      dispersion_broaden, franson_bin_probabilities,
-                      sigma_from_fwhm)
+                      DetectorSpec, SourceSpec, db_to_linear,
+                      dispersion_broaden, sigma_from_fwhm)
 
 # Fixed generation-slice width.  Part of the sampling definition:
 # changing it would change every drawn number, so it is a constant,
@@ -70,6 +69,9 @@ _MAX_SPILL_PS = SLICE_PS // 4
 # Per-slice event budget (memory guard, ~GB scale if exceeded).
 _MAX_EVENTS_PER_SLICE = 1.2e8
 
+# (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
+Bucket = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 # Stage ids for per-(stage, slice) RNG streams.
 _ST_SIGNAL = 0        # signal-class count, outcomes, times, spreads
 _ST_IDLER_COND = 1    # idler-detectable thinning + conditional outcome
@@ -80,12 +82,6 @@ _ST_SIGNAL_DARKS = 5
 _ST_IDLER_DARKS = 6
 _ST_DRIFT = 7
 _ST_REMAINDER = 8
-
-# Joint-outcome codes for sample_pair_paths.
-CENTRAL = 0
-SIDE_EARLY = 1   # signal long, idler short: stop precedes start
-SIDE_LATE = 2    # signal short, idler long
-NO_JOINT_CLICK = 3
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +212,6 @@ class SimulationConfig:
         return c_tot * math.cos(theta)
 
 
-@dataclass(frozen=True)
-class PairEmission:
-    """One pair traced through the link (reference pipeline record)."""
-
-    emission_time_ps: float
-    signal_survived: bool
-    idler_survived: bool
-    outcome: Optional[PathOutcome]      # None if no joint monitored click
-    signal_arrival_ps: Optional[float]  # None if lost / unmonitored port
-    idler_arrival_ps: Optional[float]
-
-
 @dataclass
 class ClickStream:
     """Sorted detector clicks for one channel over the acquisition."""
@@ -285,115 +269,13 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Spec-level operations (also usable standalone / at small scale)
+# Click merge: dedupe and dead time
 # ---------------------------------------------------------------------------
 
-def generate_emissions(rate_hz: float, span_ps: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson emission times (sorted float64 ps)."""
-    if rate_hz < 0.0:
-        raise ValidationError("rate_hz must be >= 0")
-    if not span_ps > 0.0:
-        raise ValidationError("span_ps must be > 0")
-    mean = rate_hz * span_ps * 1e-12
-    if mean > _MAX_EVENTS_PER_SLICE:
-        raise ValidationError(
-            f"expected {mean:.3g} emissions in one call; reduce the span "
-            "or the rate")
-    n = rng.poisson(mean)
-    times = rng.random(n) * span_ps
-    times.sort()
-    return times
-
-
-def thin_by_loss(emissions: np.ndarray, transmission: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Independent survival with the given probability."""
-    if not (0.0 <= transmission <= 1.0):
-        raise ValidationError(
-            f"transmission must lie in [0, 1], got {transmission!r}")
-    if transmission == 1.0:
-        return np.asarray(emissions).copy()
-    if transmission == 0.0:
-        return np.asarray(emissions)[:0].copy()
-    emissions = np.asarray(emissions)
-    return emissions[rng.random(emissions.size) < transmission]
-
-
-def sample_pair_paths(theta_s: float, theta_i: float, pump_phase: float,
-                      contrast: float, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Joint path outcomes for n coincident pairs at the monitored ports.
-
-    Codes: CENTRAL (short-short / long-long, unresolved),
-    SIDE_EARLY (long-short), SIDE_LATE (short-long), NO_JOINT_CLICK.
-    Sampled directly from the analytic distribution — interference
-    lives here, never in per-photon coin flips.
-    """
-    p_c, p_e, p_l = franson_bin_probabilities(theta_s, theta_i,
-                                              pump_phase, contrast)
-    edges = np.cumsum([p_c, p_e, p_l])
-    return np.searchsorted(edges, rng.random(n), side="right").astype(np.int8)
-
-
-def resolve_central_paths(codes: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Assign concrete PathOutcome values to sampled joint codes.
-
-    The central peak's short-short and long-long contributions are
-    indistinguishable in the start-stop difference; for absolute-time
-    bookkeeping they are split 50/50, which leaves every observable
-    statistic of the stationary emission process unchanged.
-    Returns an object array (None where no joint click).
-    """
-    out = np.empty(codes.shape, dtype=object)
-    central = codes == CENTRAL
-    flips = rng.random(int(central.sum())) < 0.5
-    picks = np.empty(flips.size, dtype=object)
-    picks[flips] = PathOutcome.LONG_LONG
-    picks[~flips] = PathOutcome.SHORT_SHORT
-    out[central] = picks
-    out[codes == SIDE_EARLY] = PathOutcome.LONG_SHORT
-    out[codes == SIDE_LATE] = PathOutcome.SHORT_LONG
-    out[codes == NO_JOINT_CLICK] = None
-    return out
-
-
-def dispersive_spread(arrivals: np.ndarray, fwhm_in_ps: float,
-                      beta2_ps2_per_km: float, length_km: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Add the fiber's excess Gaussian timing spread.
-
-    The input is assumed to already carry the intrinsic fwhm_in
-    spread; this op adds zero-mean noise with variance
-    (out^2 - in^2) in 1/e-width terms so the total per-photon FWHM
-    equals dispersion_broaden(fwhm_in, beta2, length).
-    """
-    fwhm_out = dispersion_broaden(fwhm_in_ps, beta2_ps2_per_km, length_km)
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    if fwhm_out == fwhm_in_ps:
-        return arrivals.copy()
-    sigma = math.sqrt(sigma_from_fwhm(fwhm_out) ** 2
-                      - sigma_from_fwhm(fwhm_in_ps) ** 2)
-    return arrivals + rng.normal(0.0, sigma, arrivals.size)
-
-
-def _dedupe_sorted_merge(times: np.ndarray,
-                         is_dark: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Time-sort labeled clicks; on equal-ps collisions (digitizer
-    resolution) keep a single click, photon label winning.
-
-    One value sort of the packed key (t << 1) | is_dark orders by time
-    and, within a picosecond, photon (0) before dark (1); |t| < 2**62.
-    """
-    key = (times << 1) | is_dark
-    key.sort()
-    return _unpack_dedupe(key)
-
-
 def _unpack_dedupe(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unpack sorted packed keys into (times, is_dark), keeping the
-    first (photon-labelled, if any) click of each picosecond."""
+    """Unpack sorted packed keys (t << 1) | is_dark into (times,
+    is_dark), keeping the first click of each picosecond: the photon,
+    when a photon and a dark share one (digitizer resolution)."""
     t = key >> 1
     d = (key & 1).astype(bool)
     if t.size > 1:
@@ -439,84 +321,6 @@ def _dead_time_filter(times: np.ndarray, is_dark: np.ndarray,
     kept = times[keep]
     last = int(kept[-1]) if kept.size else carry_last
     return kept, is_dark[keep], last
-
-
-def detect(arrivals: np.ndarray, spec: DetectorSpec, span_ps: float,
-           rng: np.random.Generator, channel: str = "det") -> ClickStream:
-    """Detector response for a sorted arrival-time array.
-
-    Efficiency thinning, Gaussian jitter of FWHM jitter_fwhm_ps,
-    Poissonian dark clicks over the span, merge/sort, dead-time
-    filtering, and clipping to [0, span].
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    if arrivals.size > 1 and np.any(np.diff(arrivals) < 0):
-        raise ValidationError("detect() requires sorted arrivals")
-    span = int(round(span_ps))
-    kept = thin_by_loss(arrivals, spec.quantum_efficiency, rng)
-    if spec.jitter_fwhm_ps > 0.0 and kept.size:
-        kept = kept + rng.normal(0.0, sigma_from_fwhm(spec.jitter_fwhm_ps),
-                                 kept.size)
-    darks = generate_emissions(spec.dark_rate_hz, span, rng) \
-        if spec.dark_rate_hz > 0.0 else np.empty(0)
-    times = np.concatenate([np.rint(kept), np.rint(darks)]).astype(np.int64)
-    is_dark = np.zeros(times.size, dtype=bool)
-    is_dark[kept.size:] = True
-    inside = (times >= 0) & (times <= span)
-    times, is_dark = times[inside], is_dark[inside]
-    times, is_dark = _dedupe_sorted_merge(times, is_dark)
-    times, is_dark, _ = _dead_time_filter(
-        times, is_dark, int(round(spec.dead_time_ps)), -2 ** 62)
-    stream = ClickStream(channel=channel, times_ps=times, span_ps=span,
-                         true_count=int((~is_dark).sum()),
-                         dark_count=int(is_dark.sum()))
-    stream.assert_valid()
-    return stream
-
-
-def reference_pair_table(config: SimulationConfig, span_ps: float,
-                         rng: np.random.Generator) -> List[PairEmission]:
-    """Literal per-pair pipeline at small scale (debug/cross-check).
-
-    Generates every emission, thins each arm, samples the joint path
-    outcome for doubly-surviving pairs and the uniform marginal for
-    lone survivors.  O(pairs) in Python objects — keep spans tiny.
-    """
-    emissions = generate_emissions(config.generated_pair_rate_hz(),
-                                   span_ps, rng)
-    if emissions.size > 200_000:
-        raise ValidationError("reference_pair_table is for small spans")
-    q_s, q_i = config.arm_q("signal"), config.arm_q("idler")
-    theta_s = config.analyzer_signal.effective_phase_rad()
-    theta_i = config.analyzer_idler.effective_phase_rad()
-    pump = config.source.pump_phase_offset_rad
-    c_tot = config.analyzer_signal.contrast * config.analyzer_idler.contrast
-    tau4 = config.analyzer_signal.delay_ps
-    sig_int = sigma_from_fwhm(config.source.photon_fwhm_ps)
-    out: List[PairEmission] = []
-    for t0 in emissions:
-        s_ok = rng.random() < q_s
-        i_ok = rng.random() < q_i
-        outcome = None
-        t_s = t_i = None
-        if s_ok and i_ok:
-            code = sample_pair_paths(theta_s, theta_i, pump, c_tot, 1, rng)
-            outcome = resolve_central_paths(code, rng)[0]
-            if outcome is not None:
-                t_s = t0 + tau4 * outcome.signal_delay_units \
-                    + rng.normal(0.0, sig_int)
-                t_i = t0 + tau4 * outcome.idler_delay_units \
-                    + rng.normal(0.0, sig_int)
-        elif s_ok:
-            if rng.random() < 0.5:  # monitored port, marginal is uniform
-                t_s = t0 + tau4 * (rng.random() < 0.5) \
-                    + rng.normal(0.0, sig_int)
-        elif i_ok:
-            if rng.random() < 0.5:
-                t_i = t0 + tau4 * (rng.random() < 0.5) \
-                    + rng.normal(0.0, sig_int)
-        out.append(PairEmission(t0, s_ok, i_ok, outcome, t_s, t_i))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +544,7 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
 
 def iter_click_buckets(config: SimulationConfig,
                        diag: Optional[SimDiagnostics] = None,
-                       ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
-                                           np.ndarray, np.ndarray]]:
+                       ) -> Iterator[Bucket]:
     """Yield (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
     per time bucket, in time order, deduped and dead-time filtered.
     Every click of the bucket satisfies t < upper_edge_ps, and later
@@ -812,29 +615,32 @@ def iter_click_buckets(config: SimulationConfig,
         yield (bhi, out[0], out[1], out[2], out[3])
 
 
-def run_simulation(config: SimulationConfig,
-                   ) -> Tuple[ClickStream, ClickStream, SimDiagnostics]:
-    """Materialize both click streams for the whole acquisition."""
-    diag = SimDiagnostics()
-    sig_t, sig_d, idl_t, idl_d = [], [], [], []
-    for _, ts, ds, ti, di in iter_click_buckets(config, diag):
-        sig_t.append(ts)
-        sig_d.append(ds)
-        idl_t.append(ti)
-        idl_d.append(di)
+def streams_from_buckets(config: SimulationConfig,
+                         buckets: Sequence[Bucket],
+                         ) -> Tuple[ClickStream, ClickStream]:
+    """Both channels' click streams from every bucket that
+    iter_click_buckets yielded for config, in order."""
     span = config.span_ps()
 
-    def assemble(channel, chunks_t, chunks_d):
-        t = np.concatenate(chunks_t) if chunks_t else np.empty(0, np.int64)
-        d = np.concatenate(chunks_d) if chunks_d else np.empty(0, bool)
+    def assemble(channel, col):
+        t = np.concatenate([b[col] for b in buckets])
+        d = np.concatenate([b[col + 1] for b in buckets])
         stream = ClickStream(channel=channel, times_ps=t, span_ps=span,
                              true_count=int((~d).sum()),
                              dark_count=int(d.sum()))
         stream.assert_valid()
         return stream
 
-    return (assemble("signal", sig_t, sig_d),
-            assemble("idler", idl_t, idl_d), diag)
+    return assemble("signal", 1), assemble("idler", 3)
+
+
+def run_simulation(config: SimulationConfig,
+                   ) -> Tuple[ClickStream, ClickStream, SimDiagnostics]:
+    """Materialize both click streams for the whole acquisition."""
+    diag = SimDiagnostics()
+    buckets = list(iter_click_buckets(config, diag))
+    sig, idl = streams_from_buckets(config, buckets)
+    return sig, idl, diag
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,8 @@ Conventions used throughout the package
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Tuple
 
 from .errors import ValidationError
@@ -55,10 +53,6 @@ def wrap_phase(phi: float) -> float:
 
 def sigma_from_fwhm(fwhm: float) -> float:
     return fwhm / FWHM_TO_SIGMA
-
-
-def fwhm_from_sigma(sigma: float) -> float:
-    return sigma * FWHM_TO_SIGMA
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +140,7 @@ class ChannelSpec:
 
     fiber_length_km: float = 50.0
     fiber_loss_db_per_km: float = 0.2
-    beta2_ps2_per_km: float = None  # type: ignore[assignment]
+    beta2_ps2_per_km: Optional[float] = None
     pre_fiber_loss_db: float = 0.0
 
     def __post_init__(self):
@@ -251,34 +245,6 @@ class CoincidenceWindowSpec:
             raise ValidationError("histogram_bin_ps must not exceed window_ps")
 
 
-class PathOutcome(Enum):
-    """Joint short/long path assignment of (signal, idler).
-
-    The value packs (signal takes long?, idler takes long?).  The
-    short-short and long-long outcomes are indistinguishable in the
-    start-stop difference (both give zero offset); the mixed ones sit
-    at +/- one analyzer delay.
-    """
-
-    SHORT_SHORT = (0, 0)
-    SHORT_LONG = (0, 1)
-    LONG_SHORT = (1, 0)
-    LONG_LONG = (1, 1)
-
-    @property
-    def signal_delay_units(self) -> int:
-        return self.value[0]
-
-    @property
-    def idler_delay_units(self) -> int:
-        return self.value[1]
-
-    @property
-    def arrival_offset_units(self) -> int:
-        """Idler-minus-signal arrival offset in units of the delay."""
-        return self.value[1] - self.value[0]
-
-
 # ---------------------------------------------------------------------------
 # Two-photon interference
 # ---------------------------------------------------------------------------
@@ -312,40 +278,6 @@ def franson_bin_probabilities(theta_s: float, theta_i: float,
     # cos can overshoot past +/-1 by an ulp; keep probabilities legal
     p_central = min(max(p_central, 0.0), 0.25)
     return p_central, 1.0 / 16.0, 1.0 / 16.0
-
-
-@dataclass(frozen=True)
-class ArrivalBranch:
-    """One weighted output branch of an MZI: arrival time plus the
-    complex amplitude with which it reaches the chosen port."""
-
-    time_ps: float
-    amplitude: complex
-
-
-def mzi_split(arrival_ps: float, theta: float, delay_ps: float,
-              port: str = "monitored") -> Tuple[ArrivalBranch, ArrivalBranch]:
-    """Split one photon across an unbalanced MZI's short/long arms.
-
-    For the monitored output port the branches are (t, 1/2) and
-    (t + delay, (1/2)e^{i theta}); the factor 1/2 rather than the
-    single-coupler 1/sqrt(2) accounts for the second coupler's port
-    selection.  The complementary port carries (t, 1/2) and
-    (t + delay, -(1/2)e^{i theta}) so the four squared amplitudes sum
-    to one.
-    """
-    if not (delay_ps > 0.0):
-        raise ValidationError(f"delay_ps must be > 0, got {delay_ps!r}")
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta must be finite, got {theta!r}")
-    if port not in ("monitored", "complement"):
-        raise ValidationError(f"port must be 'monitored' or 'complement', "
-                              f"got {port!r}")
-    sign = 1.0 if port == "monitored" else -1.0
-    short = ArrivalBranch(arrival_ps, complex(0.5, 0.0))
-    long = ArrivalBranch(arrival_ps + delay_ps,
-                         sign * 0.5 * cmath.exp(1j * theta))
-    return short, long
 
 
 # ---------------------------------------------------------------------------

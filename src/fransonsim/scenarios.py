@@ -19,8 +19,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import time
+import typing
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -30,8 +32,8 @@ from .budget import (RatePrediction, WindowOptimization, predict_rates,
                      predict_visibility, optimize_window)
 from .errors import FitDegenerate, FitNotConverged, ParseError, \
     ValidationError
-from .montecarlo import (SimDiagnostics, SimulationConfig, TimingDriftSpec,
-                         derive_seed, iter_click_buckets)
+from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
+                         TimingDriftSpec, derive_seed, iter_click_buckets)
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
 from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
@@ -42,7 +44,8 @@ __all__ = [
     "CALIBRATION_TARGET_VISIBILITY", "FringePointResult", "MuScanRow",
     "PRESET_NAMES", "RunReport", "ScanPlan", "Scenario",
     "calibrate_contrast", "config_hash", "emit_outputs", "load_config",
-    "phase_grid", "preset", "run_scenario", "run_scenarios", "save_config",
+    "measure_point", "phase_grid", "preset", "run_scenario", "run_scenarios",
+    "save_config", "write_json", "write_window_csv",
 ]
 
 # Stock link parameters shared by the shipped presets: 50 km of 0.2 dB/km
@@ -280,11 +283,20 @@ _SECTION_TYPES = {
     "drift": TimingDriftSpec,
 }
 
-# Fields where JSON null is a meaningful value rather than a mistake.
-_NULLABLE = {"phase_rad", "temperature_c", "phase_per_kelvin_rad",
-             "beta2_ps2_per_km"}
-
 _FIELD_KINDS = {bool: "bool", int: "int", float: "float", str: "str"}
+
+
+def _field_kinds(cls) -> Dict[str, Tuple[str, bool]]:
+    """(kind, nullable) per field of a spec dataclass, from its resolved
+    annotations: Optional[X] is kind X with JSON null allowed."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        nullable = type(None) in args
+        if nullable:
+            (hint,) = [a for a in args if a is not type(None)]
+        kinds[name] = (_FIELD_KINDS[hint], nullable)
+    return kinds
 
 
 def _coerce_scalar(value, kind: str, path: str):
@@ -311,29 +323,21 @@ def _coerce_scalar(value, kind: str, path: str):
 def _build_spec(cls, data, path: str):
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+    kinds = _field_kinds(cls)
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ValidationError(f"{path}.{unknown[0]}: unknown key "
-                              f"(valid keys: {', '.join(sorted(fields))})")
+                              f"(valid keys: {', '.join(sorted(kinds))})")
     kwargs = {}
     for name, value in data.items():
         sub = f"{path}.{name}"
-        if value is None:
-            if name in _NULLABLE:
-                kwargs[name] = None
-                continue
-            raise ValidationError(f"{sub}: null is not a valid value")
-        declared = str(fields[name].type)
-        if "bool" in declared:
-            kind = "bool"
-        elif "int" in declared:
-            kind = "int"
-        elif "str" in declared:
-            kind = "str"
+        kind, nullable = kinds[name]
+        if value is not None:
+            kwargs[name] = _coerce_scalar(value, kind, sub)
+        elif nullable:
+            kwargs[name] = None
         else:
-            kind = "float"
-        kwargs[name] = _coerce_scalar(value, kind, sub)
+            raise ValidationError(f"{sub}: null is not a valid value")
     try:
         return cls(**kwargs)
     except ValidationError as exc:
@@ -457,13 +461,15 @@ def load_config(path) -> Union[SimulationConfig, Scenario]:
 def save_config(obj: Union[SimulationConfig, Scenario], path) -> None:
     """Write a config or scenario as strict JSON; load_config round-trips
     it to an equal object."""
-    if isinstance(obj, Scenario):
-        doc = dataclasses.asdict(obj)
-    elif isinstance(obj, SimulationConfig):
-        doc = dataclasses.asdict(obj)
-    else:
+    if not isinstance(obj, (SimulationConfig, Scenario)):
         raise ValidationError(
             f"can only save SimulationConfig or Scenario, got {type(obj)}")
+    write_json(dataclasses.asdict(obj), path)
+
+
+def write_json(doc, path) -> None:
+    """The one JSON layout of every file written: indented, keys
+    sorted, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -537,29 +543,27 @@ def _histogram_range_ps(config: SimulationConfig) -> float:
     return config.analyzer_signal.delay_ps + config.tia.window_ps
 
 
-def _run_fringe_point(config: SimulationConfig, plan: ScanPlan,
-                      index: int) -> FringePointResult:
-    setting = plan.settings[index]
-    analyzer = getattr(config, f"analyzer_{plan.scanned}")
-    if plan.abscissa == "phase":
-        analyzer = replace(analyzer, phase_rad=setting, temperature_c=None)
-    else:
-        analyzer = replace(analyzer, phase_rad=None, temperature_c=setting)
-    seed = derive_seed(config.master_seed, index)
-    cfg = replace(config, **{f"analyzer_{plan.scanned}": analyzer},
-                  acquisition_time_s=plan.acquisition_s_per_point,
-                  master_seed=seed)
+def measure_point(config: SimulationConfig, setting: float,
+                  buckets: Optional[List[Bucket]] = None,
+                  ) -> FringePointResult:
+    """One acquisition of config, streamed through the delay histogram
+    and reduced to its central and side-peak window counts and its
+    singles.  The point seed is config.master_seed.  If buckets is a
+    list, the engine's click buckets are appended to it as they pass,
+    so a caller can export the clicks of this same run."""
     diag = SimDiagnostics()
-    acc = HistogramAccumulator(cfg.tia.histogram_bin_ps,
-                               _histogram_range_ps(cfg))
-    for bucket_hi, sig_t, _, idl_t, _ in iter_click_buckets(cfg, diag):
-        acc.add_bucket(sig_t, idl_t, bucket_hi)
+    acc = HistogramAccumulator(config.tia.histogram_bin_ps,
+                               _histogram_range_ps(config))
+    for bucket in iter_click_buckets(config, diag):
+        acc.add_bucket(bucket[1], bucket[3], bucket[0])
+        if buckets is not None:
+            buckets.append(bucket)
     hist = acc.finalize()
-    w = cfg.tia.window_ps
-    delay = cfg.analyzer_signal.delay_ps
+    w = config.tia.window_ps
+    delay = config.analyzer_signal.delay_ps
     return FringePointResult(
         setting=setting,
-        point_seed=seed,
+        point_seed=config.master_seed,
         counts_central=count_in_window(hist, 0.0, w),
         counts_side_early=count_in_window(hist, -delay, w),
         counts_side_late=count_in_window(hist, +delay, w),
@@ -568,6 +572,20 @@ def _run_fringe_point(config: SimulationConfig, plan: ScanPlan,
         pairs_generated=diag.pairs_generated,
         histogram=hist,
     )
+
+
+def _run_fringe_point(config: SimulationConfig, plan: ScanPlan,
+                      index: int) -> FringePointResult:
+    setting = plan.settings[index]
+    analyzer = getattr(config, f"analyzer_{plan.scanned}")
+    if plan.abscissa == "phase":
+        analyzer = replace(analyzer, phase_rad=setting, temperature_c=None)
+    else:
+        analyzer = replace(analyzer, phase_rad=None, temperature_c=setting)
+    cfg = replace(config, **{f"analyzer_{plan.scanned}": analyzer},
+                  acquisition_time_s=plan.acquisition_s_per_point,
+                  master_seed=derive_seed(config.master_seed, index))
+    return measure_point(cfg, setting)
 
 
 def run_scenario(scenario: Scenario,
@@ -757,8 +775,6 @@ def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
     companions (scan / window / mu tables, histograms when retained).
     Bytes are a pure function of the report content — wall-clock time
     never enters any file."""
-    import os
-
     if fmt not in ("csv", "json"):
         raise ValidationError(f"fmt must be 'csv' or 'json', got {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
@@ -769,9 +785,7 @@ def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
         return os.path.join(out_dir, f"{base}{suffix}")
 
     path = target("_report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_report_document(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_report_document(report), path)
     written.append(path)
 
     if fmt != "csv":
@@ -797,13 +811,7 @@ def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
             written.append(path)
     elif report.mode == "window-sweep" and report.window_table is not None:
         path = target("_windows.csv")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# {stamp}\n")
-            fh.write("window_ps,visibility,s_value,"
-                     "central_max_in_window_hz,score\n")
-            for e in report.window_table.entries:
-                fh.write(f"{e.window_ps!r},{e.visibility!r},{e.s_value!r},"
-                         f"{e.central_max_in_window_hz!r},{e.score!r}\n")
+        write_window_csv(report.window_table, path, stamp)
         written.append(path)
     elif report.mode == "mu-sweep" and report.mu_table is not None:
         path = target("_mu.csv")
@@ -818,3 +826,15 @@ def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
                          f"{r.accidental_in_window_hz!r}\n")
         written.append(path)
     return written
+
+
+def write_window_csv(table: WindowOptimization, path,
+                     header_comment: str) -> None:
+    """A window-sweep table as CSV, one row per window."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# {header_comment}\n")
+        fh.write("window_ps,visibility,s_value,"
+                 "central_max_in_window_hz,score\n")
+        for e in table.entries:
+            fh.write(f"{e.window_ps!r},{e.visibility!r},{e.s_value!r},"
+                     f"{e.central_max_in_window_hz!r},{e.score!r}\n")

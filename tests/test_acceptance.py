@@ -2,7 +2,8 @@
 
 Ten numbered checks, each printing one ``ACCEPTANCE <n> PASS|FAIL``
 line (run with ``pytest -s tests/test_acceptance.py`` to watch them
-stream).  The two long fringe simulations are shared through
+stream).  Check 2's engine width measurement also pins the
+detector-jitter width (``test_engine_jitter_width``).  The two long fringe simulations are shared through
 module-scoped fixtures so each runs exactly once; everything here is
 seeded, so every number below is bit-reproducible.
 
@@ -28,6 +29,7 @@ buys a ~10^5 speedup at matched statistical power.
 import math
 import time
 from dataclasses import replace
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
@@ -47,7 +49,6 @@ from fransonsim.montecarlo import (
     SourceSpec,
     TimingDriftSpec,
     derive_seed,
-    dispersive_spread,
     iter_click_buckets,
     run_simulation,
 )
@@ -56,7 +57,6 @@ from fransonsim.physics import (
     dark_prob,
     dispersion_broaden,
     franson_bin_probabilities,
-    sigma_from_fwhm,
     solve_beta2,
 )
 from fransonsim.scenarios import (
@@ -70,6 +70,7 @@ from fransonsim.scenarios import (
 from fransonsim.tia import (
     FringeScan,
     HistogramAccumulator,
+    build_histogram,
     count_in_window,
     fit_fringe,
 )
@@ -135,22 +136,62 @@ def test_acceptance_01_dark_window_probability():
 # 2. Dispersion self-consistency (closed form and Monte Carlo)
 # ---------------------------------------------------------------------------
 
+def _timing_config(fiber_km: float, beta2: Optional[float],
+                   jitter_fwhm_ps: float) -> SimulationConfig:
+    """Lossless, dark-free link of two equal arms; the 1000 ps analyzer
+    delay parks the side peaks far from the central one."""
+    channel = ChannelSpec(fiber_length_km=fiber_km, fiber_loss_db_per_km=0.0,
+                          beta2_ps2_per_km=beta2)
+    analyzer = AnalyzerSpec(delay_ps=1000.0, insertion_loss_db=0.0,
+                            phase_rad=0.0)
+    detector = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=0.0,
+                            jitter_fwhm_ps=jitter_fwhm_ps)
+    return SimulationConfig(
+        source=SourceSpec(mean_pairs_per_window=1.0e-4),
+        channel_signal=channel, channel_idler=channel,
+        analyzer_signal=analyzer, analyzer_idler=analyzer,
+        detector_signal=detector, detector_idler=detector,
+        acquisition_time_s=0.3, master_seed=12345)
+
+
+def _per_arm_fwhm(config: SimulationConfig,
+                  half_window_ps: int) -> Tuple[float, int]:
+    """Per-arm timing FWHM the engine produces: the Gaussian FWHM of
+    the central start-stop delay peak over sqrt(2), from the delays
+    within +/- half_window_ps (wider windows let the flat accidental
+    floor inflate the width).  Returns (FWHM, number of delays)."""
+    sig, idl, _ = run_simulation(config)
+    hist = build_histogram(sig.times_ps, idl.times_ps, 1, half_window_ps)
+    n = hist.counts
+    centers = hist.centers()
+    mean = float((centers * n).sum() / n.sum())
+    var = float(((centers - mean) ** 2 * n).sum() / n.sum())
+    return _GAUSS_FWHM * math.sqrt(var / 2.0), int(n.sum())
+
+
 def test_acceptance_02_dispersion_self_consistency():
     beta2 = solve_beta2(4.0, 25.0, 50.0)
     analytic = dispersion_broaden(4.0, beta2, 50.0)
     analytic_err = abs(analytic - 25.0) / 25.0
 
-    rng = np.random.default_rng(12345)
-    arrivals = rng.normal(0.0, sigma_from_fwhm(4.0), 100_000)
-    spread = dispersive_spread(arrivals, 4.0, beta2, 50.0, rng)
-    mc_fwhm = _GAUSS_FWHM * float(spread.std())
+    mc_fwhm, n_delays = _per_arm_fwhm(_timing_config(50.0, beta2, 0.0), 100)
     mc_err = abs(mc_fwhm - 25.0) / 25.0
 
-    ok = analytic_err <= 1.0e-3 and mc_err <= 0.05
+    ok = analytic_err <= 1.0e-3 and mc_err <= 0.05 and n_delays >= 100_000
     assert _verdict(2, ok,
                     f"beta2 pinned from 4 ps -> 25 ps @ 50 km: closed "
-                    f"form off by {analytic_err:.2e}, 1e5-photon Monte "
-                    f"Carlo FWHM {mc_fwhm:.2f} ps (off by {mc_err:.1%})")
+                    f"form off by {analytic_err:.2e}, engine per-arm "
+                    f"FWHM {mc_fwhm:.2f} ps from {n_delays} central-peak "
+                    f"delays over 2 x 50 km (off by {mc_err:.1%})")
+
+
+def test_engine_jitter_width():
+    # no fiber: per-arm width is the 4 ps photon and 65 ps jitter in
+    # quadrature; +/-200 ps is 5 sigma of the central peak
+    fwhm, n_delays = _per_arm_fwhm(_timing_config(0.0, None, 65.0), 200)
+    want = math.hypot(65.0, 4.0)
+    assert n_delays >= 100_000
+    assert abs(fwhm - want) < 0.05 * want, fwhm
 
 
 # ---------------------------------------------------------------------------

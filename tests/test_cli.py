@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from fransonsim import ScanPlan, phase_grid, preset, save_config
+import fransonsim
+from fransonsim import (ScanPlan, derive_seed, emit_outputs, phase_grid,
+                        preset, run_scenario, save_config)
 from fransonsim.cli import main
 
 
@@ -124,6 +126,41 @@ def test_dump_clicks_round_trip_through_histogram(small_config, tmp_path,
     assert (out / "histogram_hist.csv").exists()
 
 
+def test_simulate_matches_fringe_point(tmp_path):
+    master = 41
+    scenario = preset("ideal", master_seed=master)
+    acq = scenario.plan.acquisition_s_per_point
+    point = run_scenario(scenario).points[0]
+    # point 0 is at the preset's own phase: simulate at the point's
+    # seed and acquisition time runs the very same config
+    assert point.setting == scenario.config.analyzer_signal.phase_rad
+    assert run_cli("simulate", "--preset", "ideal",
+                   "--seed", str(derive_seed(master, 0)),
+                   "--acquisition-s", str(acq),
+                   "--out-dir", str(tmp_path)) == 0
+    measured = json.load(open(tmp_path / "ideal_sim_report.json"))["measured"]
+    assert measured["central_window_counts"] == point.counts_central > 0
+    assert measured["side_early_counts"] == point.counts_side_early
+    assert measured["side_late_counts"] == point.counts_side_late
+    assert measured["singles_signal_hz"] == point.singles_signal / acq
+    assert measured["singles_idler_hz"] == point.singles_idler / acq
+    assert measured["pairs_generated"] == point.pairs_generated
+
+
+def test_simulate_json_format_embeds_histogram(small_config, tmp_path):
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    assert run_cli("simulate", small_config, "--out-dir", str(csv_dir)) == 0
+    assert run_cli("simulate", small_config, "--out-dir", str(json_dir),
+                   "--format", "json") == 0
+    assert not (json_dir / "small_hist.csv").exists()
+    doc = json.load(open(json_dir / "small_sim_report.json"))
+    hist = doc.pop("histogram")
+    assert len(hist["counts"]) == 2 * hist["range_ps"] // hist["bin_ps"]
+    rows = open(csv_dir / "small_hist.csv").read().splitlines()[2:]
+    assert hist["counts"] == [int(r.split(",")[1]) for r in rows]
+    assert doc == json.load(open(csv_dir / "small_sim_report.json"))
+
+
 # ---------------------------------------------------------------------------
 # fringe
 # ---------------------------------------------------------------------------
@@ -202,6 +239,15 @@ def test_optimize_window_comma_grid(capsys):
     assert "100" in capsys.readouterr().out
 
 
+def test_optimize_window_csv_matches_scenario_output(tmp_path):
+    cli_dir, scenario_dir = tmp_path / "cli", tmp_path / "scenario"
+    assert run_cli("optimize-window", "--preset", "window-sweep",
+                   "--out-dir", str(cli_dir)) == 0
+    emit_outputs(run_scenario(preset("window-sweep")), scenario_dir)
+    name = "window-sweep_windows.csv"
+    assert (cli_dir / name).read_bytes() == (scenario_dir / name).read_bytes()
+
+
 def test_optimize_window_bad_grid(capsys):
     assert run_cli("optimize-window", "--preset", "window-sweep",
                    "--grid", "banana") == 2
@@ -249,6 +295,13 @@ def test_unwritable_out_dir_names_path(small_config, tmp_path, capsys):
     code = run_cli("simulate", small_config, "--out-dir", str(target))
     assert code == 1
     assert "file.txt" in capsys.readouterr().err
+
+
+def test_package_exports_resolve_once():
+    names = fransonsim.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(fransonsim, name) is not None, name
 
 
 def test_module_entry_point():

@@ -14,20 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fransonsim import (AnalyzerSpec, CENTRAL, ChannelSpec, ClickStream,
-                        DetectorSpec, NO_JOINT_CLICK, PathOutcome, SIDE_EARLY,
-                        SIDE_LATE, SimDiagnostics, SimulationConfig,
+from fransonsim import (AnalyzerSpec, ChannelSpec, ClickStream,
+                        DetectorSpec, SimDiagnostics, SimulationConfig,
                         SourceSpec, TimingDriftSpec, ValidationError,
-                        derive_seed, detect, dispersive_spread,
-                        generate_emissions, iter_click_buckets,
-                        read_click_stream, reference_pair_table,
-                        resolve_central_paths, run_simulation,
-                        sample_pair_paths, thin_by_loss, write_click_stream)
+                        derive_seed, iter_click_buckets, read_click_stream,
+                        run_simulation, write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
-                                   _dedupe_sorted_merge, _dead_time_filter,
-                                   _gen_slice)
-
-SIGMA_G = 2.0 * math.sqrt(2.0 * math.log(2.0))
+                                   _dead_time_filter, _gen_slice,
+                                   _unpack_dedupe)
 
 
 def lossless_config(**kw):
@@ -77,170 +71,113 @@ def window_counts(sig, idl, center, half):
     return int((hi - lo).sum())
 
 
+def packed_keys(times, is_dark):
+    """Sorted engine click keys (t << 1) | is_dark."""
+    key = (np.asarray(times, dtype=np.int64) << 1) | np.asarray(is_dark)
+    key.sort()
+    return key
+
+
 # ---------------------------------------------------------------------------
-# generate / thin
+# emissions, thinning, detector
 # ---------------------------------------------------------------------------
 
 def test_emission_count_matches_rate():
-    rng = np.random.default_rng(7)
-    rate = 0.05 / 60e-12  # mu per base window
-    counts = [generate_emissions(rate, 1e6, rng).size for _ in range(50)]
-    mean = np.mean(counts)
-    assert abs(mean - 833.33) < 4.0 * math.sqrt(833.33 / 50)
+    # the three Poisson classes together generate Poisson(rate * T) pairs
+    cfg = lossy_config(acquisition_time_s=0.05, master_seed=7)
+    _, _, diag = run_simulation(cfg)
+    mean = cfg.generated_pair_rate_hz() * cfg.acquisition_time_s
+    assert abs(diag.pairs_generated - mean) < 4.0 * math.sqrt(mean)
 
 
-@settings(max_examples=40, deadline=None)
-@given(rate=st.floats(0.0, 1e7), span=st.floats(1.0, 1e7),
+@settings(max_examples=25, deadline=None)
+@given(mu=st.floats(1e-6, 1e-3), span_s=st.floats(1e-4, 0.02),
        seed=st.integers(0, 2**32 - 1))
-def test_emissions_sorted_and_in_span(rate, span, seed):
-    times = generate_emissions(rate, span, np.random.default_rng(seed))
-    assert np.all(np.diff(times) >= 0)
-    if times.size:
-        assert times[0] >= 0.0 and times[-1] < span
-
-
-def test_generate_emissions_rejects_bad_args():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError):
-        generate_emissions(-1.0, 100.0, rng)
-    with pytest.raises(ValidationError):
-        generate_emissions(1.0, 0.0, rng)
-
-
-def test_thin_edge_cases_and_subset():
-    rng = np.random.default_rng(3)
-    e = np.sort(rng.random(1000)) * 1e6
-    assert np.array_equal(thin_by_loss(e, 1.0, rng), e)
-    assert thin_by_loss(e, 0.0, rng).size == 0
-    kept = thin_by_loss(e, 0.4, rng)
-    assert np.all(np.diff(kept) > 0)
-    assert np.all(np.isin(kept, e))
-    with pytest.raises(ValidationError):
-        thin_by_loss(e, 1.2, rng)
-    with pytest.raises(ValidationError):
-        thin_by_loss(e, -0.1, rng)
+def test_emissions_sorted_and_in_span(mu, span_s, seed):
+    cfg = lossy_config(source=SourceSpec(mean_pairs_per_window=mu),
+                       acquisition_time_s=span_s, master_seed=seed)
+    sig, idl, _ = run_simulation(cfg)
+    for t in (sig.times_ps, idl.times_ps):
+        assert t.dtype == np.int64 and np.all(np.diff(t) > 0)
+        if t.size:
+            assert t[0] >= 0 and t[-1] <= cfg.span_ps()
 
 
 def test_sequential_thinning_composes():
-    rng = np.random.default_rng(12)
-    e = np.sort(rng.random(100_000)) * 1e9
-    n_two = thin_by_loss(thin_by_loss(e, 0.6, rng), 0.5, rng).size
-    n_one = thin_by_loss(e, 0.3, rng).size
-    sigma = math.sqrt(2 * 100_000 * 0.3 * 0.7)
-    assert abs(n_two - n_one) < 4.0 * sigma
-
-
-# ---------------------------------------------------------------------------
-# joint path sampling
-# ---------------------------------------------------------------------------
-
-def test_joint_outcome_fractions_constructive():
-    rng = np.random.default_rng(21)
-    n = 400_000
-    codes = sample_pair_paths(0.0, 0.0, 0.0, 1.0, n, rng)
-    frac = np.bincount(codes, minlength=4) / n
-    for got, want in zip(frac, (0.25, 1 / 16, 1 / 16, 0.625)):
-        assert abs(got - want) < 4.0 * math.sqrt(want * (1 - want) / n)
-
-
-def test_joint_outcome_destructive_has_no_central():
-    rng = np.random.default_rng(22)
-    codes = sample_pair_paths(math.pi / 2, math.pi / 2, 0.0, 1.0,
-                              200_000, rng)
-    counts = np.bincount(codes, minlength=4)
-    assert counts[CENTRAL] == 0
-    # side peaks keep their phase-free 1/16 weight
-    for k in (SIDE_EARLY, SIDE_LATE):
-        assert abs(counts[k] / 200_000 - 1 / 16) < 4.0 * math.sqrt(
-            (1 / 16) * (15 / 16) / 200_000)
+    # the engine sees arm loss and detector efficiency only through
+    # their product: 10 dB at 50 % efficiency is 5 % efficiency
+    base = lossless_config(acquisition_time_s=0.05)
+    lossy = replace(
+        base,
+        analyzer_idler=replace(base.analyzer_idler, insertion_loss_db=10.0),
+        detector_idler=replace(base.detector_idler, quantum_efficiency=0.5))
+    folded = replace(
+        base,
+        analyzer_idler=replace(base.analyzer_idler, insertion_loss_db=0.0),
+        detector_idler=replace(base.detector_idler, quantum_efficiency=0.05))
+    assert lossy.arm_q("idler") == folded.arm_q("idler")
+    a_sig, a_idl, _ = run_simulation(lossy)
+    b_sig, b_idl, _ = run_simulation(folded)
+    assert np.array_equal(a_sig.times_ps, b_sig.times_ps)
+    assert np.array_equal(a_idl.times_ps, b_idl.times_ps)
+    assert a_idl.times_ps.size > 0
 
 
 def test_joint_outcome_zero_contrast_is_phase_flat():
-    n = 300_000
+    # without contrast the analyzer phase cannot move a single click
+    streams = []
     for theta in (0.0, 1.3, math.pi):
-        rng = np.random.default_rng(23)
-        codes = sample_pair_paths(theta, 0.0, 0.0, 0.0, n, rng)
-        frac_central = np.mean(codes == CENTRAL)
-        assert abs(frac_central - 0.125) < 4.0 * math.sqrt(
-            0.125 * 0.875 / n)
-
-
-def test_resolve_central_splits_evenly_and_maps_sides():
-    rng = np.random.default_rng(31)
-    n = 100_000
-    out = resolve_central_paths(np.full(n, CENTRAL, dtype=np.int8), rng)
-    n_ss = sum(1 for o in out if o is PathOutcome.SHORT_SHORT)
-    assert abs(n_ss - n / 2) < 4.0 * math.sqrt(n * 0.25)
-    mapped = resolve_central_paths(
-        np.array([SIDE_EARLY, SIDE_LATE, NO_JOINT_CLICK], dtype=np.int8), rng)
-    assert mapped[0] is PathOutcome.LONG_SHORT
-    assert mapped[1] is PathOutcome.SHORT_LONG
-    assert mapped[2] is None
-
-
-# ---------------------------------------------------------------------------
-# detect()
-# ---------------------------------------------------------------------------
-
-def test_detect_is_identity_for_perfect_detector():
-    rng = np.random.default_rng(41)
-    arr = np.sort(rng.random(500)) * 1e9
-    spec = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=0.0,
-                        jitter_fwhm_ps=0.0)
-    stream = detect(arr, spec, 1e9, rng)
-    assert np.array_equal(stream.times_ps, np.unique(np.rint(arr)
-                                                     .astype(np.int64)))
-    assert stream.dark_count == 0
+        cfg = lossless_config(
+            acquisition_time_s=0.02,
+            analyzer_signal=AnalyzerSpec(insertion_loss_db=0.0,
+                                         phase_rad=theta, contrast=0.0),
+            analyzer_idler=AnalyzerSpec(insertion_loss_db=0.0,
+                                        phase_rad=0.0, contrast=0.0))
+        sig, idl, _ = run_simulation(cfg)
+        streams.append((sig.times_ps, idl.times_ps))
+    for sig, idl in streams[1:]:
+        assert np.array_equal(sig, streams[0][0])
+        assert np.array_equal(idl, streams[0][1])
 
 
 def test_detect_dark_rate():
-    rng = np.random.default_rng(42)
-    spec = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=1000.0,
-                        jitter_fwhm_ps=0.0)
-    stream = detect(np.empty(0), spec, 1e12, rng)  # 1 s
-    assert stream.true_count == 0
-    assert abs(stream.dark_count - 1000) < 4.0 * math.sqrt(1000)
-
-
-def test_detect_jitter_spread():
-    rng = np.random.default_rng(43)
-    centers = (np.arange(10_000) + 0.5) * 1e6
-    spec = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=0.0,
-                        jitter_fwhm_ps=65.0)
-    stream = detect(centers, spec, 1e10, rng)
-    assert stream.times_ps.size == centers.size  # spacing >> jitter
-    resid = stream.times_ps - np.rint(centers).astype(np.int64)
-    assert abs(np.std(resid) - 65.0 / SIGMA_G) < 0.05 * (65.0 / SIGMA_G)
+    dark = DetectorSpec(quantum_efficiency=0.02, dark_rate_hz=1000.0,
+                        jitter_fwhm_ps=30.0)
+    _, _, diag = run_simulation(lossy_config(detector_signal=dark,
+                                             detector_idler=dark))
+    for n in (diag.dark_clicks_signal, diag.dark_clicks_idler):
+        assert abs(n - 1000) < 4.0 * math.sqrt(1000)
 
 
 def test_detect_dead_time_exact():
-    rng = np.random.default_rng(44)
-    spec = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=0.0,
-                        jitter_fwhm_ps=0.0, dead_time_ps=100.0)
-    stream = detect(np.array([0.0, 50.0, 120.0, 130.0, 200.0]),
-                    spec, 1000.0, rng)
-    assert stream.times_ps.tolist() == [0, 120]
+    times = np.array([0, 50, 120, 130, 200], dtype=np.int64)
+    kept, _, last = _dead_time_filter(times, np.zeros(5, bool), 100,
+                                      -2 ** 62)
+    assert kept.tolist() == [0, 120] and last == 120
 
 
 def test_detect_merges_same_picosecond():
-    rng = np.random.default_rng(45)
-    spec = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=0.0,
-                        jitter_fwhm_ps=0.0)
-    stream = detect(np.array([100.2, 100.4, 300.0]), spec, 1000.0, rng)
-    assert stream.times_ps.tolist() == [100, 300]
-    assert stream.true_count == 2
-
-
-def test_detect_rejects_unsorted():
-    rng = np.random.default_rng(46)
-    with pytest.raises(ValidationError):
-        detect(np.array([5.0, 1.0]), DetectorSpec(), 100.0, rng)
+    t, d = _unpack_dedupe(packed_keys([300, 100, 100], [False] * 3))
+    assert t.tolist() == [100, 300]
+    assert int((~d).sum()) == 2
 
 
 def test_dedupe_prefers_photon_label():
-    t, d = _dedupe_sorted_merge(np.array([5, 5], dtype=np.int64),
-                                np.array([True, False]))
+    t, d = _unpack_dedupe(packed_keys([5, 5], [True, False]))
     assert t.tolist() == [5] and d.tolist() == [False]
+
+
+def test_dispersive_spread_zero_length_is_identity():
+    # no fiber, no dispersion draw: beta2 cannot change a click
+    def run(beta2):
+        ch = ChannelSpec(fiber_length_km=0.0, beta2_ps2_per_km=beta2)
+        return run_simulation(lossy_config(acquisition_time_s=0.1,
+                                           channel_signal=ch,
+                                           channel_idler=ch))
+
+    (a_sig, a_idl, _), (b_sig, b_idl, _) = run(0.7), run(5.0)
+    assert np.array_equal(a_sig.times_ps, b_sig.times_ps)
+    assert np.array_equal(a_idl.times_ps, b_idl.times_ps)
 
 
 def test_dead_time_carry_across_calls():
@@ -293,7 +230,7 @@ def test_dedupe_sorted_merge_matches_lexsort(times, collide, base, seed):
     d = np.concatenate([d, ~d[twins]])
     order = rng.permutation(t.size)
     t, d = t[order], d[order]
-    got_t, got_d = _dedupe_sorted_merge(t, d)
+    got_t, got_d = _unpack_dedupe(packed_keys(t, d))
     want_t, want_d = _lexsort_merge(t, d)
     assert got_t.dtype == np.int64 and got_d.dtype == bool
     assert np.array_equal(got_t, want_t)
@@ -328,25 +265,6 @@ def test_dead_time_filter_matches_per_click_loop(gaps, carry_back, dead_ps,
     assert np.array_equal(np.concatenate([t1, t2]), want_t)
     assert np.array_equal(np.concatenate([d1, d2]), want_d)
     assert last == want_last
-
-
-# ---------------------------------------------------------------------------
-# dispersive_spread
-# ---------------------------------------------------------------------------
-
-def test_dispersive_spread_matches_target_width():
-    rng = np.random.default_rng(51)
-    n = 100_000
-    base = np.zeros(n) + np.random.default_rng(1).normal(
-        0.0, 4.0 / SIGMA_G, n)
-    out = dispersive_spread(base, 4.0, 0.7120544106828958, 50.0, rng)
-    assert abs(np.std(out) * SIGMA_G - 25.0) < 0.05 * 25.0
-
-
-def test_dispersive_spread_zero_length_is_identity():
-    rng = np.random.default_rng(52)
-    base = np.linspace(0.0, 10.0, 17)
-    assert np.array_equal(dispersive_spread(base, 4.0, 0.7, 0.0, rng), base)
 
 
 # ---------------------------------------------------------------------------
@@ -601,40 +519,76 @@ def test_integer_analyzer_delay_matches_float():
 # reference per-pair pipeline
 # ---------------------------------------------------------------------------
 
-def test_reference_pipeline_offsets_and_order():
-    cfg = lossless_config()
-    rng = np.random.default_rng(61)
-    table = reference_pair_table(cfg, 1e10, rng)
-    assert len(table) > 1200  # ~1667 expected
-    sigma_pair = math.sqrt(2.0) * 0.5 / SIGMA_G
-    times = [p.emission_time_ps for p in table]
-    assert all(b >= a for a, b in zip(times, times[1:]))
-    n_joint = 0
-    for p in table:
-        assert p.signal_survived and p.idler_survived
-        if p.outcome is None:
-            assert p.signal_arrival_ps is None and p.idler_arrival_ps is None
-            continue
-        n_joint += 1
-        delta = p.idler_arrival_ps - p.signal_arrival_ps
-        want = 100.0 * p.outcome.arrival_offset_units
-        assert abs(delta - want) < 6.0 * sigma_pair
-    frac = n_joint / len(table)
-    assert abs(frac - 0.375) < 4.0 * math.sqrt(0.375 * 0.625 / len(table))
+def _per_pair_clicks(cfg, rng):
+    """Oracle for the engine's three Poisson classes: the literal link,
+    one pair at a time.
+
+    Each photon survives its arm on its own coin (probability arm_q).
+    A pair where both survive takes the joint law of the two analyzers:
+    port signs (+1 monitored, -1 not) and paths (0 short, 1 long), with
+    the short-short and long-long amplitudes 1/4 and
+    (s_s s_i / 4) e^{i theta} interfering and each mixed path at 1/16
+    (the (+1, +1) row is franson_bin_probabilities).  A lone photon
+    takes the phase-free marginal: uniform port and path.  Only the
+    monitored port clicks; no timing spreads.  Returns (signal times,
+    idler times, pairs where both photons survived)."""
+    tau = cfg.analyzer_signal.delay_ps
+    q_s, q_i = cfg.arm_q("signal"), cfg.arm_q("idler")
+    x = cfg.interference_x()
+    joint, probs = [], []
+    for s_port in (1, -1):
+        for i_port in (1, -1):
+            central = (1.0 + s_port * i_port * x) / 8.0
+            joint += [(s_port, i_port, 0, 0), (s_port, i_port, 1, 1),
+                      (s_port, i_port, 1, 0), (s_port, i_port, 0, 1)]
+            probs += [central / 2.0, central / 2.0, 1 / 16, 1 / 16]
+    cum = np.cumsum(probs)
+    sig, idl, both = [], [], 0
+    n = rng.poisson(cfg.generated_pair_rate_hz() * cfg.acquisition_time_s)
+    for t0 in (rng.random(n) * cfg.span_ps()).tolist():
+        s_ok, i_ok = rng.random() < q_s, rng.random() < q_i
+        if s_ok and i_ok:
+            both += 1
+            k = min(int(np.searchsorted(cum, rng.random(), side="right")),
+                    len(joint) - 1)
+            s_port, i_port, s_path, i_path = joint[k]
+        else:
+            u = rng.random(4)
+            s_port, i_port = (1 if v < 0.5 else -1 for v in u[:2])
+            s_path, i_path = (int(v < 0.5) for v in u[2:])
+        if s_ok and s_port == 1:
+            sig.append(t0 + s_path * tau)
+        if i_ok and i_port == 1:
+            idl.append(t0 + i_path * tau)
+    return (np.sort(np.rint(sig).astype(np.int64)),
+            np.sort(np.rint(idl).astype(np.int64)), both)
 
 
-def test_reference_pipeline_survival_fractions():
-    cfg = lossless_config(
-        detector_signal=DetectorSpec(quantum_efficiency=0.3,
-                                     dark_rate_hz=0.0, jitter_fwhm_ps=0.0),
-        detector_idler=DetectorSpec(quantum_efficiency=0.5,
-                                    dark_rate_hz=0.0, jitter_fwhm_ps=0.0))
-    table = reference_pair_table(cfg, 1e10, np.random.default_rng(62))
-    n = len(table)
-    s_frac = sum(p.signal_survived for p in table) / n
-    i_frac = sum(p.idler_survived for p in table) / n
-    assert abs(s_frac - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / n)
-    assert abs(i_frac - 0.5) < 4.0 * math.sqrt(0.5 * 0.5 / n)
+def test_reference_pipeline_matches_engine():
+    # q_s = 0.3, q_i = 0.5: all three engine classes (signal-detectable,
+    # idler-only, undetectable) are populated
+    for k, theta in enumerate((0.4, 2.0)):
+        cfg = lossless_config(
+            source=SourceSpec(photon_fwhm_ps=0.5, mean_pairs_per_window=2e-4),
+            analyzer_signal=AnalyzerSpec(insertion_loss_db=0.0,
+                                         phase_rad=theta),
+            detector_signal=DetectorSpec(quantum_efficiency=0.3,
+                                         dark_rate_hz=0.0, jitter_fwhm_ps=0.0),
+            detector_idler=DetectorSpec(quantum_efficiency=0.5,
+                                        dark_rate_hz=0.0, jitter_fwhm_ps=0.0),
+            acquisition_time_s=0.01, master_seed=100 + k)
+        sig, idl, diag = run_simulation(cfg)
+        o_sig, o_idl, o_both = _per_pair_clicks(
+            cfg, np.random.default_rng(200 + k))
+        n_both = diag.pairs_both_detectable
+        for a, b in ((sig.true_count, o_sig.size),
+                     (idl.true_count, o_idl.size), (n_both, o_both)):
+            assert abs(a - b) <= 5.0 * math.sqrt(a + b), (theta, a, b)
+        for center in (0, -100, 100):
+            fa = window_counts(sig.times_ps, idl.times_ps, center, 10) / n_both
+            fb = window_counts(o_sig, o_idl, center, 10) / o_both
+            se = math.sqrt(fa * (1 - fa) / n_both + fb * (1 - fb) / o_both)
+            assert abs(fa - fb) <= 5.0 * se, (theta, center, fa, fb)
 
 
 # ---------------------------------------------------------------------------

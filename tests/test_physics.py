@@ -2,7 +2,6 @@
 probabilities, dispersion broadening, visibility/CHSH conversions,
 accidental rates, and the domain-type invariants."""
 
-import cmath
 import math
 
 import pytest
@@ -10,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fransonsim import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
-                        DEFAULT_BETA2, DetectorSpec, PathOutcome, SourceSpec,
+                        DEFAULT_BETA2, DetectorSpec, SourceSpec,
                         ValidationError, accidental_rate,
                         chsh_from_visibility, dark_prob, db_to_linear,
                         dispersion_broaden, franson_bin_probabilities,
-                        linear_to_db, mzi_split, solve_beta2, temp_to_phase,
+                        linear_to_db, solve_beta2, temp_to_phase,
                         visibility, wrap_phase)
 
 TWO_PI = 2.0 * math.pi
@@ -120,44 +119,6 @@ def test_bin_probabilities_rejects_bad_input():
         franson_bin_probabilities(math.inf, 0.0, 0.0, 1.0)
     with pytest.raises(ValidationError):
         franson_bin_probabilities(0.0, 0.0, 0.0, 1.2)
-
-
-# ---------------------------------------------------------------------------
-# mzi_split
-# ---------------------------------------------------------------------------
-
-def test_mzi_split_symmetric():
-    short, long = mzi_split(0.0, 0.0, 100.0)
-    assert (short.time_ps, long.time_ps) == (0.0, 100.0)
-    assert short.amplitude == 0.5
-    assert long.amplitude == pytest.approx(0.5 + 0.0j, abs=1e-15)
-
-
-def test_mzi_split_phase_flip():
-    _, long = mzi_split(0.0, math.pi, 100.0)
-    assert long.amplitude == pytest.approx(-0.5 + 0.0j, abs=1e-15)
-
-
-@pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 2.9, 5.1])
-def test_mzi_split_port_conservation(theta):
-    # all four coupler-port branches carry unit total probability
-    branches = mzi_split(3.0, theta, 100.0) + \
-        mzi_split(3.0, theta, 100.0, port="complement")
-    total = sum(abs(b.amplitude) ** 2 for b in branches)
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mzi_split_monitored_port_half():
-    short, long = mzi_split(0.0, 1.234, 100.0)
-    assert abs(short.amplitude) ** 2 + abs(long.amplitude) ** 2 == \
-        pytest.approx(0.5, abs=1e-12)
-
-
-def test_mzi_split_rejects_bad_delay():
-    with pytest.raises(ValidationError):
-        mzi_split(0.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        mzi_split(0.0, 0.0, -5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +341,3 @@ def test_detector_spec_rejects_bad_qe():
 def test_window_spec_bin_not_larger_than_window():
     with pytest.raises(ValidationError):
         CoincidenceWindowSpec(window_ps=10.0, histogram_bin_ps=20.0)
-
-
-def test_path_outcome_offsets():
-    assert PathOutcome.SHORT_SHORT.arrival_offset_units == 0
-    assert PathOutcome.LONG_LONG.arrival_offset_units == 0
-    assert PathOutcome.SHORT_LONG.arrival_offset_units == 1
-    assert PathOutcome.LONG_SHORT.arrival_offset_units == -1
-    assert PathOutcome.LONG_SHORT.signal_delay_units == 1
-    assert PathOutcome.LONG_SHORT.idler_delay_units == 0

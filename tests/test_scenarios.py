@@ -1,5 +1,6 @@
 """Scenario presets, config I/O, pipeline, and output emission."""
 
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -14,7 +15,7 @@ from fransonsim import (CALIBRATION_TARGET_VISIBILITY, ParseError, ScanPlan,
                         phase_grid, predict_visibility, preset,
                         read_scan_csv, run_scenario, run_scenarios,
                         save_config)
-from fransonsim.scenarios import PRESET_NAMES
+from fransonsim.scenarios import PRESET_NAMES, _SECTION_TYPES, _field_kinds
 
 # back-to-back target divided by the unit-contrast prediction, square
 # root shared between the two analyzers (frozen; matches test_budget)
@@ -247,6 +248,25 @@ def test_scalar_type_checks(tmp_path):
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(ValidationError, match="top level"):
         load_config(p)
+
+
+def test_field_kinds_match_defaults(tmp_path):
+    wrong = {"bool": 1, "int": 1.5, "float": "1", "str": 5}
+    p = tmp_path / "bad.json"
+    for section, cls in _SECTION_TYPES.items():
+        kinds = _field_kinds(cls)
+        assert set(kinds) == {f.name for f in dataclasses.fields(cls)}
+        default = cls()
+        for name, (kind, nullable) in kinds.items():
+            value = getattr(default, name)
+            if value is None:
+                assert nullable, (section, name)
+            else:
+                assert type(value).__name__ == kind, (section, name)
+            p.write_text(json.dumps({section: {name: wrong[kind]}}))
+            with pytest.raises(ValidationError,
+                               match=rf"^config\.{section}\.{name}: "):
+                load_config(p)
 
 
 def test_temperature_driven_analyzer_loads(tmp_path):
