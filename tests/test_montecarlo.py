@@ -564,31 +564,53 @@ def _per_pair_clicks(cfg, rng):
             np.sort(np.rint(idl).astype(np.int64)), both)
 
 
-def test_reference_pipeline_matches_engine():
-    # q_s = 0.3, q_i = 0.5: all three engine classes (signal-detectable,
-    # idler-only, undetectable) are populated
+def _engine_and_oracle(theta, k):
+    """One engine run and one oracle run of the same lossy link.
+
+    q_s = 0.3, q_i = 0.5: all three engine classes (signal-detectable,
+    idler-only, undetectable) are populated."""
+    cfg = lossless_config(
+        source=SourceSpec(photon_fwhm_ps=0.5, mean_pairs_per_window=2e-4),
+        analyzer_signal=AnalyzerSpec(insertion_loss_db=0.0, phase_rad=theta),
+        detector_signal=DetectorSpec(quantum_efficiency=0.3,
+                                     dark_rate_hz=0.0, jitter_fwhm_ps=0.0),
+        detector_idler=DetectorSpec(quantum_efficiency=0.5,
+                                    dark_rate_hz=0.0, jitter_fwhm_ps=0.0),
+        acquisition_time_s=0.01, master_seed=100 + k)
+    return (cfg, run_simulation(cfg),
+            _per_pair_clicks(cfg, np.random.default_rng(200 + k)))
+
+
+def test_reference_pipeline_offsets_and_order():
     for k, theta in enumerate((0.4, 2.0)):
-        cfg = lossless_config(
-            source=SourceSpec(photon_fwhm_ps=0.5, mean_pairs_per_window=2e-4),
-            analyzer_signal=AnalyzerSpec(insertion_loss_db=0.0,
-                                         phase_rad=theta),
-            detector_signal=DetectorSpec(quantum_efficiency=0.3,
-                                         dark_rate_hz=0.0, jitter_fwhm_ps=0.0),
-            detector_idler=DetectorSpec(quantum_efficiency=0.5,
-                                        dark_rate_hz=0.0, jitter_fwhm_ps=0.0),
-            acquisition_time_s=0.01, master_seed=100 + k)
-        sig, idl, diag = run_simulation(cfg)
-        o_sig, o_idl, o_both = _per_pair_clicks(
-            cfg, np.random.default_rng(200 + k))
+        _, (sig, idl, diag), (o_sig, o_idl, o_both) = _engine_and_oracle(
+            theta, k)
+        for times in (sig.times_ps, idl.times_ps, o_sig, o_idl):
+            assert np.all(np.diff(times) >= 0)
         n_both = diag.pairs_both_detectable
-        for a, b in ((sig.true_count, o_sig.size),
-                     (idl.true_count, o_idl.size), (n_both, o_both)):
-            assert abs(a - b) <= 5.0 * math.sqrt(a + b), (theta, a, b)
+        # the central peak and the two side peaks at -tau and +tau
         for center in (0, -100, 100):
             fa = window_counts(sig.times_ps, idl.times_ps, center, 10) / n_both
             fb = window_counts(o_sig, o_idl, center, 10) / o_both
             se = math.sqrt(fa * (1 - fa) / n_both + fb * (1 - fb) / o_both)
             assert abs(fa - fb) <= 5.0 * se, (theta, center, fa, fb)
+
+
+def test_reference_pipeline_survival_fractions():
+    for k, theta in enumerate((0.4, 2.0)):
+        cfg, (sig, idl, diag), (o_sig, o_idl, o_both) = _engine_and_oracle(
+            theta, k)
+        n_both = diag.pairs_both_detectable
+        for a, b in ((sig.true_count, o_sig.size),
+                     (idl.true_count, o_idl.size), (n_both, o_both)):
+            assert abs(a - b) <= 5.0 * math.sqrt(a + b), (theta, a, b)
+        # each arm survives on its own coin, then half reach the monitor
+        n = diag.pairs_generated
+        q_s, q_i = cfg.arm_q("signal"), cfg.arm_q("idler")
+        for count, p in ((sig.true_count, q_s / 2), (idl.true_count, q_i / 2),
+                         (n_both, q_s * q_i)):
+            assert abs(count / n - p) <= 5.0 * math.sqrt(p * (1 - p) / n), (
+                theta, count, p)
 
 
 # ---------------------------------------------------------------------------
