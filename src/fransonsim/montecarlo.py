@@ -114,12 +114,13 @@ class TimingDriftSpec:
                 f"got {self.channel!r}")
         if not math.isfinite(self.offset_ps):
             raise ValidationError("offset_ps must be finite")
-        if not (self.walk_step_ps >= 0.0):
-            raise ValidationError("walk_step_ps must be >= 0")
-        if not (self.walk_interval_ps >= 1.0e6):
+        if not (0.0 <= self.walk_step_ps < math.inf):
+            raise ValidationError("walk_step_ps must be finite and >= 0")
+        if not (1.0e6 <= self.walk_interval_ps < math.inf):
             # the walk is a *slow* drift; tiny intervals would also
             # blow up the per-slice step count
-            raise ValidationError("walk_interval_ps must be >= 1e6 (1 us)")
+            raise ValidationError(
+                "walk_interval_ps must be finite and >= 1e6 (1 us)")
         if float(self.walk_interval_ps) != int(self.walk_interval_ps):
             raise ValidationError("walk_interval_ps must be integer-valued")
 
@@ -143,9 +144,10 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (self.acquisition_time_s > 0.0):
-            raise ValidationError("acquisition_time_s must be > 0")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if not (0.0 < self.acquisition_time_s < math.inf):
+            raise ValidationError("acquisition_time_s must be finite and > 0")
+        if not isinstance(self.master_seed, int) \
+                or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ValidationError("master_seed must be a non-negative int")
         tau1 = self.source.pump_coherence_fwhm_ps
         tau2 = self.source.photon_fwhm_ps

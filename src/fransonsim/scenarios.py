@@ -10,7 +10,8 @@ identical scenario + seed reproduce identical files.  Wall-clock time
 is kept on the report object but never written into output files.
 
 Config files are strict JSON mirroring the dataclass fields (units in
-the key names); unknown keys are rejected with the offending path.
+the key names); unknown keys, missing required keys and non-finite
+numbers are rejected with the offending path.
 """
 
 from __future__ import annotations
@@ -271,166 +272,62 @@ def preset(name: str, master_seed: int = 0) -> Scenario:
 # Config files (strict JSON, units in key names)
 # ---------------------------------------------------------------------------
 
-_SECTION_TYPES = {
-    "source": SourceSpec,
-    "channel_signal": ChannelSpec,
-    "channel_idler": ChannelSpec,
-    "analyzer_signal": AnalyzerSpec,
-    "analyzer_idler": AnalyzerSpec,
-    "detector_signal": DetectorSpec,
-    "detector_idler": DetectorSpec,
-    "tia": CoincidenceWindowSpec,
-    "drift": TimingDriftSpec,
-}
-
-_FIELD_KINDS = {bool: "bool", int: "int", float: "float", str: "str"}
+_KIND_NAMES = {bool: "true/false", int: "an integer", float: "a number",
+               str: "a string"}
 
 
-def _field_kinds(cls) -> Dict[str, Tuple[str, bool]]:
-    """(kind, nullable) per field of a spec dataclass, from its resolved
-    annotations: Optional[X] is kind X with JSON null allowed."""
-    kinds = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        args = typing.get_args(hint)
-        nullable = type(None) in args
-        if nullable:
-            (hint,) = [a for a in args if a is not type(None)]
-        kinds[name] = (_FIELD_KINDS[hint], nullable)
-    return kinds
-
-
-def _coerce_scalar(value, kind: str, path: str):
-    if kind == "bool":
-        if isinstance(value, bool):
+def _coerce_scalar(value, kind: type, path: str):
+    if kind is float and type(value) in (int, float):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond float range
+            value = math.inf
+        if math.isfinite(value):
             return value
-        raise ValidationError(f"{path}: expected true/false, "
-                              f"got {value!r}")
-    if kind == "int":
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    if kind == "float":
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
-    if kind == "str":
-        if isinstance(value, str):
-            return value
-        raise ValidationError(f"{path}: expected a string, got {value!r}")
-    raise AssertionError(kind)
+        raise ValidationError(
+            f"{path}: expected a finite number, got {value!r}")
+    if type(value) is kind:
+        return value
+    raise ValidationError(
+        f"{path}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _build_spec(cls, data, path: str):
+def _build(cls, data, path: str):
+    """The value of type ``cls`` read from its JSON form ``data``.
+
+    A dataclass is an object with one key per field, each read by its
+    resolved annotation; Optional[X] is X or null; Tuple[X, ...] is an
+    array; bool, int, float and str are JSON scalars (floats finite)."""
+    args = typing.get_args(cls)
+    if type(None) in args:
+        if data is None:
+            return None
+        (cls,) = [a for a in args if a is not type(None)]
+    elif data is None:
+        raise ValidationError(f"{path}: null is not a valid value")
+    if typing.get_origin(cls) is tuple:
+        if not isinstance(data, list):
+            raise ValidationError(f"{path}: expected an array")
+        item = typing.get_args(cls)[0]
+        return tuple(_build(item, v, f"{path}[{i}]")
+                     for i, v in enumerate(data))
+    if not dataclasses.is_dataclass(cls):
+        return _coerce_scalar(data, cls, path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
-    kinds = _field_kinds(cls)
-    unknown = sorted(set(data) - set(kinds))
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ValidationError(f"{path}.{unknown[0]}: unknown key "
-                              f"(valid keys: {', '.join(sorted(kinds))})")
-    kwargs = {}
-    for name, value in data.items():
-        sub = f"{path}.{name}"
-        kind, nullable = kinds[name]
-        if value is not None:
-            kwargs[name] = _coerce_scalar(value, kind, sub)
-        elif nullable:
-            kwargs[name] = None
-        else:
-            raise ValidationError(f"{sub}: null is not a valid value")
+                              f"(valid keys: {', '.join(sorted(hints))})")
+    kwargs = {key: _build(hints[key], value, f"{path}.{key}")
+              for key, value in data.items()}
+    for f in dataclasses.fields(cls):
+        if f.name not in data and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise ValidationError(f"{path}.{f.name}: required key missing")
     try:
         return cls(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _build_config(data, path: str = "config") -> SimulationConfig:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected an object")
-    valid = set(_SECTION_TYPES) | {"acquisition_time_s", "master_seed"}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise ValidationError(f"{path}.{unknown[0]}: unknown key "
-                              f"(valid keys: {', '.join(sorted(valid))})")
-    kwargs = {}
-    for key, value in data.items():
-        sub = f"{path}.{key}"
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_spec(_SECTION_TYPES[key], value, sub)
-        elif key == "acquisition_time_s":
-            kwargs[key] = _coerce_scalar(value, "float", sub)
-        else:
-            kwargs[key] = _coerce_scalar(value, "int", sub)
-    try:
-        return SimulationConfig(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _build_plan(data, path: str) -> ScanPlan:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected an object")
-    valid = {"settings", "acquisition_s_per_point", "abscissa", "scanned"}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise ValidationError(f"{path}.{unknown[0]}: unknown key "
-                              f"(valid keys: {', '.join(sorted(valid))})")
-    kwargs = {}
-    for key, value in data.items():
-        sub = f"{path}.{key}"
-        if key == "settings":
-            if not isinstance(value, list):
-                raise ValidationError(f"{sub}: expected an array")
-            kwargs[key] = tuple(
-                _coerce_scalar(v, "float", f"{sub}[{i}]")
-                for i, v in enumerate(value))
-        elif key == "acquisition_s_per_point":
-            kwargs[key] = _coerce_scalar(value, "float", sub)
-        else:
-            kwargs[key] = _coerce_scalar(value, "str", sub)
-    try:
-        return ScanPlan(**kwargs)
-    except TypeError as exc:  # missing required field
-        raise ValidationError(f"{path}: {exc}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _build_scenario(data, path: str = "scenario") -> Scenario:
-    valid = {"name", "config", "plan", "window_grid_ps", "mu_grid",
-             "window_objective", "emit_histograms"}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise ValidationError(f"{path}.{unknown[0]}: unknown key "
-                              f"(valid keys: {', '.join(sorted(valid))})")
-    kwargs: Dict[str, object] = {}
-    for key, value in data.items():
-        sub = f"{path}.{key}"
-        if key == "name":
-            kwargs[key] = _coerce_scalar(value, "str", sub)
-        elif key == "config":
-            kwargs[key] = _build_config(value, sub)
-        elif key == "plan":
-            kwargs[key] = None if value is None else _build_plan(value, sub)
-        elif key in ("window_grid_ps", "mu_grid"):
-            if value is None:
-                kwargs[key] = None
-            elif isinstance(value, list):
-                kwargs[key] = tuple(
-                    _coerce_scalar(v, "float", f"{sub}[{i}]")
-                    for i, v in enumerate(value))
-            else:
-                raise ValidationError(f"{sub}: expected an array or null")
-        elif key == "window_objective":
-            kwargs[key] = _coerce_scalar(value, "str", sub)
-        else:
-            kwargs[key] = _coerce_scalar(value, "bool", sub)
-    if "name" not in kwargs or "config" not in kwargs:
-        missing = {"name", "config"} - set(kwargs)
-        raise ValidationError(
-            f"{path}.{sorted(missing)[0]}: required key missing")
-    try:
-        return Scenario(**kwargs)  # type: ignore[arg-type]
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -454,8 +351,8 @@ def load_config(path) -> Union[SimulationConfig, Scenario]:
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be an object")
     if "config" in data:
-        return _build_scenario(data, path="scenario")
-    return _build_config(data, path="config")
+        return _build(Scenario, data, "scenario")
+    return _build(SimulationConfig, data, "config")
 
 
 def save_config(obj: Union[SimulationConfig, Scenario], path) -> None:

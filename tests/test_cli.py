@@ -58,7 +58,7 @@ def test_budget_preset(capsys):
 def test_budget_writes_report(tmp_path, capsys):
     assert run_cli("budget", "--preset", "ideal",
                    "--out-dir", str(tmp_path)) == 0
-    doc = json.load(open(tmp_path / "ideal_budget.json"))
+    doc = json.loads((tmp_path / "ideal_budget.json").read_text())
     assert doc["bell"]["violates"] is True
     assert len(doc["config_hash"]) == 12
 
@@ -77,10 +77,10 @@ def test_simulate_writes_histogram_and_report(small_config, tmp_path,
                                               capsys):
     out = tmp_path / "out"
     assert run_cli("simulate", small_config, "--out-dir", str(out)) == 0
-    doc = json.load(open(out / "small_sim_report.json"))
+    doc = json.loads((out / "small_sim_report.json").read_text())
     assert doc["measured"]["central_window_counts"] > 0
     assert doc["master_seed"] == 7
-    hist_lines = open(out / "small_hist.csv").read().splitlines()
+    hist_lines = (out / "small_hist.csv").read_text().splitlines()
     assert hist_lines[0].startswith("# config_hash=")
     assert hist_lines[1] == "center_ps,counts"
     # measured central rate should sit near the closed-form prediction
@@ -103,8 +103,8 @@ def test_simulate_seed_changes_counts(small_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli("simulate", small_config, "--out-dir", str(a))
     run_cli("simulate", small_config, "--seed", "8", "--out-dir", str(b))
-    da = json.load(open(a / "small_sim_report.json"))
-    db = json.load(open(b / "small_sim_report.json"))
+    da = json.loads((a / "small_sim_report.json").read_text())
+    db = json.loads((b / "small_sim_report.json").read_text())
     assert da["measured"]["central_window_counts"] != \
         db["measured"]["central_window_counts"]
     assert db["master_seed"] == 8
@@ -115,7 +115,7 @@ def test_dump_clicks_round_trip_through_histogram(small_config, tmp_path,
     out = tmp_path / "out"
     assert run_cli("simulate", small_config, "--out-dir", str(out),
                    "--dump-clicks") == 0
-    report = json.load(open(out / "small_sim_report.json"))
+    report = json.loads((out / "small_sim_report.json").read_text())
     capsys.readouterr()
     assert run_cli("histogram", str(out / "small_signal_clicks.txt"),
                    str(out / "small_idler_clicks.txt"),
@@ -138,7 +138,8 @@ def test_simulate_matches_fringe_point(tmp_path):
                    "--seed", str(derive_seed(master, 0)),
                    "--acquisition-s", str(acq),
                    "--out-dir", str(tmp_path)) == 0
-    measured = json.load(open(tmp_path / "ideal_sim_report.json"))["measured"]
+    measured = json.loads(
+        (tmp_path / "ideal_sim_report.json").read_text())["measured"]
     assert measured["central_window_counts"] == point.counts_central > 0
     assert measured["side_early_counts"] == point.counts_side_early
     assert measured["side_late_counts"] == point.counts_side_late
@@ -153,12 +154,13 @@ def test_simulate_json_format_embeds_histogram(small_config, tmp_path):
     assert run_cli("simulate", small_config, "--out-dir", str(json_dir),
                    "--format", "json") == 0
     assert not (json_dir / "small_hist.csv").exists()
-    doc = json.load(open(json_dir / "small_sim_report.json"))
+    doc = json.loads((json_dir / "small_sim_report.json").read_text())
     hist = doc.pop("histogram")
     assert len(hist["counts"]) == 2 * hist["range_ps"] // hist["bin_ps"]
-    rows = open(csv_dir / "small_hist.csv").read().splitlines()[2:]
+    rows = (csv_dir / "small_hist.csv").read_text().splitlines()[2:]
     assert hist["counts"] == [int(r.split(",")[1]) for r in rows]
-    assert doc == json.load(open(csv_dir / "small_sim_report.json"))
+    assert doc == json.loads(
+        (csv_dir / "small_sim_report.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def test_fringe_scenario_file(quick_scenario, tmp_path, capsys):
     assert run_cli("fringe", quick_scenario, "--out-dir", str(out)) == 0
     stdout = capsys.readouterr().out
     assert "VIOLATES" in stdout
-    doc = json.load(open(out / "quick_report.json"))
+    doc = json.loads((out / "quick_report.json").read_text())
     assert doc["fit"]["visibility"] == pytest.approx(1.0, abs=0.01)
     assert (out / "quick_scan.csv").exists()
 
@@ -180,7 +182,7 @@ def test_fringe_overrides(quick_scenario, tmp_path):
     assert run_cli("fringe", quick_scenario, "--out-dir", str(out),
                    "--points", "5", "--acquisition-s", "0.01",
                    "--seed", "11") == 0
-    doc = json.load(open(out / "quick_report.json"))
+    doc = json.loads((out / "quick_report.json").read_text())
     assert len(doc["points"]) == 5
     assert doc["acquisition_s_per_point"] == 0.01
     assert doc["master_seed"] == 11
@@ -190,7 +192,7 @@ def test_fringe_bare_config_gets_default_plan(small_config, tmp_path):
     out = tmp_path / "out"
     assert run_cli("fringe", small_config, "--out-dir", str(out),
                    "--points", "5", "--acquisition-s", "0.01") == 0
-    doc = json.load(open(out / "small_report.json"))
+    doc = json.loads((out / "small_report.json").read_text())
     assert len(doc["points"]) == 5
 
 
@@ -273,6 +275,14 @@ def test_validation_error_exits_2(tmp_path, capsys):
                              "analyzer_idler": {"delay_ps": 1.0}}))
     assert run_cli("budget", str(p)) == 2
     assert "Franson" in capsys.readouterr().err
+
+
+def test_non_finite_number_exits_2(tmp_path, capsys):
+    p = tmp_path / "inf.json"
+    p.write_text('{"acquisition_time_s": Infinity}')
+    assert run_cli("simulate", str(p), "--out-dir", str(tmp_path)) == 2
+    assert "config.acquisition_time_s: expected a finite number" in \
+        capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

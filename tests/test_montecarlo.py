@@ -653,6 +653,11 @@ def test_config_rejects_bad_scalars():
         lossy_config(master_seed="abc")
     with pytest.raises(ValidationError):
         lossy_config(master_seed=-1)
+    with pytest.raises(ValidationError):
+        lossy_config(master_seed=True)  # equal to 1, but hashes apart
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="acquisition_time_s"):
+            lossy_config(acquisition_time_s=bad)
 
 
 def test_engine_budget_guard():
@@ -670,6 +675,11 @@ def test_drift_spec_validation():
         TimingDriftSpec(walk_step_ps=-1.0)
     with pytest.raises(ValidationError):
         TimingDriftSpec(walk_interval_ps=100.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="walk_interval_ps"):
+            TimingDriftSpec(walk_interval_ps=bad)
+        with pytest.raises(ValidationError, match="walk_step_ps"):
+            TimingDriftSpec(walk_step_ps=bad)
 
 
 # ---------------------------------------------------------------------------

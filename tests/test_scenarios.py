@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import re
+import typing
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from fransonsim import (CALIBRATION_TARGET_VISIBILITY, ParseError, ScanPlan,
                         phase_grid, predict_visibility, preset,
                         read_scan_csv, run_scenario, run_scenarios,
                         save_config)
-from fransonsim.scenarios import PRESET_NAMES, _SECTION_TYPES, _field_kinds
+from fransonsim.scenarios import PRESET_NAMES
 
 # back-to-back target divided by the unit-contrast prediction, square
 # root shared between the two analyzers (frozen; matches test_budget)
@@ -188,8 +191,21 @@ def test_config_round_trip(tmp_path):
     assert loaded == cfg
 
 
-def test_scenario_round_trip(tmp_path):
-    s = preset("window-sweep")
+def temperature_scan():
+    """back-to-back scanned by the signal analyzer's temperature."""
+    s = preset("back-to-back")
+    an = replace(s.config.analyzer_signal, phase_rad=None,
+                 temperature_c=22.5, phase_per_kelvin_rad=0.8)
+    return replace(s, name="temperature-scan",
+                   config=replace(s.config, analyzer_signal=an),
+                   plan=ScanPlan(settings=(21.0, 22.25, 23.5),
+                                 acquisition_s_per_point=1.0,
+                                 abscissa="temperature"))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("temperature-scan",))
+def test_scenario_round_trip(tmp_path, name):
+    s = temperature_scan() if name == "temperature-scan" else preset(name)
     p = tmp_path / "scn.json"
     save_config(s, p)
     loaded = load_config(p)
@@ -227,7 +243,11 @@ def test_franson_hierarchy_rejected_at_load(tmp_path):
         "analyzer_signal": {"delay_ps": 2.0},
         "analyzer_idler": {"delay_ps": 2.0},
     }))
-    with pytest.raises(ValidationError, match="Franson"):
+    with pytest.raises(ValidationError, match="^config: Franson"):
+        load_config(p)
+    p.write_text(json.dumps({"source": {"photon_fwhm_ps": -1}}))
+    with pytest.raises(ValidationError,
+                       match=r"^config\.source: photon_fwhm_ps must be > 0"):
         load_config(p)
 
 
@@ -245,27 +265,70 @@ def test_scalar_type_checks(tmp_path):
     p.write_text(json.dumps({"source": {"photon_fwhm_ps": None}}))
     with pytest.raises(ValidationError, match="null"):
         load_config(p)
+    # strict JSON numbers: Python's json module would accept these
+    for text, path in (('{"source": {"mean_pairs_per_window": Infinity}}',
+                        r"config\.source\.mean_pairs_per_window"),
+                       ('{"drift": {"walk_interval_ps": Infinity}}',
+                        r"config\.drift\.walk_interval_ps"),
+                       ('{"acquisition_time_s": -Infinity}',
+                        r"config\.acquisition_time_s"),
+                       ('{"acquisition_time_s": NaN}',
+                        r"config\.acquisition_time_s"),
+                       ('{"acquisition_time_s": 1e400}',
+                        r"config\.acquisition_time_s"),
+                       ('{"acquisition_time_s": 1%s}' % ("0" * 400),
+                        r"config\.acquisition_time_s")):
+        p.write_text(text)
+        with pytest.raises(ValidationError,
+                           match=rf"^{path}: expected a finite number"):
+            load_config(p)
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(ValidationError, match="top level"):
         load_config(p)
 
 
+def _kind_cases(obj, path):
+    """(dotted path, keys, wrong-kind JSON value) for each field of the
+    dataclass ``obj`` and of the dataclasses nested in it, after
+    checking each field's annotation against the type of its value."""
+    hints = typing.get_type_hints(type(obj))
+    assert set(hints) == {f.name for f in dataclasses.fields(obj)}
+    wrong = {bool: 1, int: 1.5, float: "1", str: 5}
+    for name, hint in hints.items():
+        sub, value = f"{path}.{name}", getattr(obj, name)
+        args = typing.get_args(hint)
+        if type(None) in args:
+            (hint,) = [a for a in args if a is not type(None)]
+        else:
+            assert value is not None, sub
+        if dataclasses.is_dataclass(hint):
+            assert value is None or type(value) is hint, sub
+            yield sub, [name], 5
+            if value is not None:
+                for deeper, keys, bad in _kind_cases(value, sub):
+                    yield deeper, [name] + keys, bad
+        elif typing.get_origin(hint) is tuple:
+            item = typing.get_args(hint)[0]
+            assert value is None or all(type(v) is item for v in value), sub
+            yield sub, [name], 5
+        else:
+            assert value is None or type(value) is hint, sub
+            yield sub, [name], wrong[hint]
+
+
 def test_field_kinds_match_defaults(tmp_path):
-    wrong = {"bool": 1, "int": 1.5, "float": "1", "str": 5}
     p = tmp_path / "bad.json"
-    for section, cls in _SECTION_TYPES.items():
-        kinds = _field_kinds(cls)
-        assert set(kinds) == {f.name for f in dataclasses.fields(cls)}
-        default = cls()
-        for name, (kind, nullable) in kinds.items():
-            value = getattr(default, name)
-            if value is None:
-                assert nullable, (section, name)
-            else:
-                assert type(value).__name__ == kind, (section, name)
-            p.write_text(json.dumps({section: {name: wrong[kind]}}))
+    for root, obj in (("config", SimulationConfig()),
+                      ("scenario", preset("paper-100km"))):
+        for path, keys, bad in _kind_cases(obj, root):
+            doc = dataclasses.asdict(obj)
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = bad
+            p.write_text(json.dumps(doc))
             with pytest.raises(ValidationError,
-                               match=rf"^config\.{section}\.{name}: "):
+                               match=rf"^{re.escape(path)}: "):
                 load_config(p)
 
 
@@ -284,6 +347,24 @@ def test_scenario_file_requires_name(tmp_path):
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"config": {}}))
     with pytest.raises(ValidationError, match="name"):
+        load_config(p)
+    doc = dataclasses.asdict(preset("back-to-back"))
+    del doc["plan"]["settings"]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"^scenario\.plan\.settings: "
+                       r"required key missing"):
+        load_config(p)
+    doc = dataclasses.asdict(preset("back-to-back"))
+    doc["plan"]["abscissa"] = None
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError,
+                       match=r"^scenario\.plan\.abscissa: null is not"):
+        load_config(p)
+    doc = dataclasses.asdict(preset("back-to-back"))
+    p.write_text(json.dumps(doc).replace('"settings": [0.0',
+                                         '"settings": [NaN'))
+    with pytest.raises(ValidationError, match=r"^scenario\.plan\.settings"
+                       r"\[0\]: expected a finite number, got nan"):
         load_config(p)
 
 
@@ -443,15 +524,15 @@ def test_emitted_bytes_are_deterministic(tmp_path):
     assert names == ["ideal_report.json", "ideal_scan.csv",
                      "ideal_hist.csv"]
     for a, b in zip(f1, f2):
-        ba = open(a, "rb").read()
-        assert ba == open(b, "rb").read()
+        ba = Path(a).read_bytes()
+        assert ba == Path(b).read_bytes()
         assert r1.config_hash.encode() in ba
 
 
 def test_report_json_excludes_wall_clock(tmp_path):
     rep = run_scenario(tiny_ideal(n_points=5, acq=0.005))
     (path,) = emit_outputs(rep, tmp_path, fmt="json")
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "wall_clock" not in text
     doc = json.loads(text)
     assert doc["config_hash"] == rep.config_hash
@@ -476,7 +557,7 @@ def test_sweep_emissions(tmp_path):
     rep_m = run_scenario(preset("mu-sweep"))
     paths = emit_outputs(rep_m, tmp_path)
     csv_path = [p for p in paths if p.endswith("_mu.csv")][0]
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert len(lines) == 2 + len(rep_m.mu_table)
 
