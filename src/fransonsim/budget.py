@@ -1,10 +1,11 @@
 """Closed-form link budget: losses, rates, coincidence-peak shape,
 predicted visibility and Bell margin, and coincidence-window choice.
 
-Every quantity here has a Monte Carlo counterpart; the pair is kept
-consistent (see the rate/visibility tests) so the budget can be
-trusted for fast what-if scans and the simulation for everything the
-closed forms cannot capture.
+Every quantity here has a Monte Carlo counterpart.  Both read the
+link (rates, survival, timing widths, interference term) from one
+LinkModel, and the rate/visibility tests keep them consistent, so the
+budget can be trusted for fast what-if scans and the simulation for
+everything the closed forms cannot capture.
 
 Counting conventions used throughout:
 
@@ -22,14 +23,16 @@ Counting conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .montecarlo import SimulationConfig
 from .physics import (AnalyzerSpec, ChannelSpec, accidental_rate,
-                      chsh_from_visibility, dispersion_broaden,
+                      chsh_from_visibility, db_to_linear, dispersion_broaden,
                       sigma_from_fwhm)
+
+if TYPE_CHECKING:   # montecarlo imports LinkModel from here
+    from .montecarlo import SimulationConfig
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -55,13 +58,9 @@ class LossLedger:
     def total_db(self) -> float:
         return math.fsum(e.loss_db for e in self.entries)
 
-    @property
-    def transmission(self) -> float:
-        return 10.0 ** (-self.total_db / 10.0)
 
-
-def build_arm_ledger(arm: str, channel: ChannelSpec,
-                     analyzer: AnalyzerSpec) -> LossLedger:
+def _arm_ledger(arm: str, channel: ChannelSpec,
+                analyzer: AnalyzerSpec) -> LossLedger:
     entries = []
     if channel.pre_fiber_loss_db > 0.0:
         entries.append(LedgerEntry("source coupling + filters",
@@ -78,25 +77,15 @@ def build_arm_ledger(arm: str, channel: ChannelSpec,
 
 
 def build_ledger(config: SimulationConfig) -> Dict[str, LossLedger]:
-    """Per-arm optical loss ledgers (detector efficiency is not a dB
-    entry; it multiplies separately as q = T * eta)."""
+    """Per-arm optical loss ledgers, a breakdown for display (detector
+    efficiency is not a dB entry; LinkModel multiplies it in as
+    q = T * eta)."""
     return {
-        "signal": build_arm_ledger("signal", config.channel_signal,
-                                   config.analyzer_signal),
-        "idler": build_arm_ledger("idler", config.channel_idler,
-                                  config.analyzer_idler),
+        "signal": _arm_ledger("signal", config.channel_signal,
+                              config.analyzer_signal),
+        "idler": _arm_ledger("idler", config.channel_idler,
+                             config.analyzer_idler),
     }
-
-
-def loss_reading_note(config: SimulationConfig) -> str:
-    """How to compare this budget against a quoted link-loss figure."""
-    led = build_ledger(config)
-    s, i = led["signal"].total_db, led["idler"].total_db
-    return (f"per-arm optical losses: signal {s:g} dB, idler {i:g} dB; "
-            f"two-photon (summed) loss {s + i:g} dB. A single quoted "
-            "link figure must be read as the summed two-photon loss "
-            "and split across the arms before building specs; reading "
-            "it as per-arm double-counts it.")
 
 
 # ---------------------------------------------------------------------------
@@ -128,32 +117,6 @@ class CoincidencePeakModel:
     center_ps: float
     analyzer_delay_ps: float
 
-    @classmethod
-    def from_config(cls, config: SimulationConfig) -> "CoincidencePeakModel":
-        def channel_sigma(channel, detector):
-            fwhm = dispersion_broaden(config.source.photon_fwhm_ps,
-                                      channel.beta2_ps2_per_km,
-                                      channel.fiber_length_km)
-            return math.hypot(sigma_from_fwhm(fwhm),
-                              sigma_from_fwhm(detector.jitter_fwhm_ps))
-
-        var = channel_sigma(config.channel_signal,
-                            config.detector_signal) ** 2 \
-            + channel_sigma(config.channel_idler,
-                            config.detector_idler) ** 2
-        center = 0.0
-        if config.drift.enabled:
-            sign = +1.0 if config.drift.channel == "idler" else -1.0
-            center = sign * config.drift.offset_ps
-            if config.drift.walk_step_ps > 0.0:
-                # variance of the walk at a uniformly random time in
-                # the acquisition: step^2 * (T / interval) / 2
-                steps = config.acquisition_time_s * 1e12 \
-                    / config.drift.walk_interval_ps
-                var += config.drift.walk_step_ps ** 2 * steps / 2.0
-        return cls(sigma_delta_ps=math.sqrt(var), center_ps=center,
-                   analyzer_delay_ps=config.analyzer_signal.delay_ps)
-
     def capture_fraction(self, window_ps: float) -> float:
         """Central-peak mass inside the window centered at delay 0."""
         if not (window_ps > 0.0):
@@ -180,6 +143,98 @@ class CoincidencePeakModel:
                             -tau - window_ps / 2.0, -tau + window_ps / 2.0),
                 _gauss_mass(self.center_ps + tau, self.sigma_delta_ps,
                             tau - window_ps / 2.0, tau + window_ps / 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Link model: the one derivation the closed forms and the engine share
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ArmLink:
+    """One arm's survival and timing spreads (standard deviations)."""
+
+    loss_db: float                  # optics: pre-fiber, fiber, analyzer
+    transmission: float             # 10 ** (-loss_db / 10)
+    q: float                        # transmission * quantum efficiency
+    sigma_intrinsic_ps: float       # photon at the source
+    sigma_dispersed_ps: float       # photon after the fiber
+    sigma_excess_ps: float          # what dispersion adds in quadrature
+    sigma_jitter_ps: float          # detector timing jitter
+
+
+@dataclass(frozen=True)
+class LinkModel:
+    """Every link quantity the rates, the peak shape and the Monte
+    Carlo engine read, derived once from a config."""
+
+    pair_rate_hz: float             # generated at the source output
+    signal: ArmLink
+    idler: ArmLink
+    contrast_total: float           # product of the analyzer contrasts
+    x: float                        # contrast_total * cos(summed phase)
+    peak: CoincidencePeakModel
+
+    @classmethod
+    def from_config(cls, config: SimulationConfig) -> "LinkModel":
+        src = config.source
+        sig_int = sigma_from_fwhm(src.photon_fwhm_ps)
+
+        def arm(channel, analyzer, detector):
+            loss_db = (channel.pre_fiber_loss_db + channel.fiber_loss_db
+                       + analyzer.insertion_loss_db)
+            t = db_to_linear(loss_db)
+            fwhm = dispersion_broaden(src.photon_fwhm_ps,
+                                      channel.beta2_ps2_per_km,
+                                      channel.fiber_length_km)
+            sig_disp = sigma_from_fwhm(fwhm)
+            excess = 0.0 if fwhm == src.photon_fwhm_ps \
+                else math.sqrt(sig_disp ** 2 - sig_int ** 2)
+            return ArmLink(loss_db=loss_db, transmission=t,
+                           q=t * detector.quantum_efficiency,
+                           sigma_intrinsic_ps=sig_int,
+                           sigma_dispersed_ps=sig_disp,
+                           sigma_excess_ps=excess,
+                           sigma_jitter_ps=sigma_from_fwhm(
+                               detector.jitter_fwhm_ps))
+
+        signal = arm(config.channel_signal, config.analyzer_signal,
+                     config.detector_signal)
+        idler = arm(config.channel_idler, config.analyzer_idler,
+                    config.detector_idler)
+
+        rate = src.pair_rate_hz
+        if src.mu_measured_after_losses:
+            # mu was quoted downstream of the pre-fiber losses
+            rate /= (db_to_linear(config.channel_signal.pre_fiber_loss_db)
+                     * db_to_linear(config.channel_idler.pre_fiber_loss_db))
+
+        c_tot = (config.analyzer_signal.contrast
+                 * config.analyzer_idler.contrast)
+        theta = (config.analyzer_signal.effective_phase_rad()
+                 + config.analyzer_idler.effective_phase_rad()
+                 + src.pump_phase_offset_rad)
+
+        var = math.hypot(signal.sigma_dispersed_ps,
+                         signal.sigma_jitter_ps) ** 2 \
+            + math.hypot(idler.sigma_dispersed_ps,
+                         idler.sigma_jitter_ps) ** 2
+        center = 0.0
+        drift = config.drift
+        if drift.enabled:
+            center = (+1.0 if drift.channel == "idler" else -1.0) \
+                * drift.offset_ps
+            if drift.walk_step_ps > 0.0:
+                # variance of the walk at a uniformly random time in
+                # the acquisition: step^2 * (T / interval) / 2
+                steps = config.acquisition_time_s * 1e12 \
+                    / drift.walk_interval_ps
+                var += drift.walk_step_ps ** 2 * steps / 2.0
+        peak = CoincidencePeakModel(
+            sigma_delta_ps=math.sqrt(var), center_ps=center,
+            analyzer_delay_ps=config.analyzer_signal.delay_ps)
+        return cls(pair_rate_hz=rate, signal=signal, idler=idler,
+                   contrast_total=c_tot, x=c_tot * math.cos(theta),
+                   peak=peak)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +271,25 @@ class RatePrediction:
                 + self.accidental_in_window_hz)
 
 
+def _loss_note(link: LinkModel) -> str:
+    """How to compare this budget against a quoted link-loss figure."""
+    s, i = link.signal.loss_db, link.idler.loss_db
+    return (f"per-arm optical losses: signal {s:g} dB, idler {i:g} dB; "
+            f"two-photon (summed) loss {s + i:g} dB. A single quoted "
+            "link figure must be read as the summed two-photon loss "
+            "and split across the arms before building specs; reading "
+            "it as per-arm double-counts it.")
+
+
 def predict_rates(config: SimulationConfig,
                   window_ps: Optional[float] = None) -> RatePrediction:
-    rate = config.generated_pair_rate_hz()
-    led = build_ledger(config)
-    t_s, t_i = led["signal"].transmission, led["idler"].transmission
-    q_s, q_i = config.arm_q("signal"), config.arm_q("idler")
+    return _predict_rates(config, LinkModel.from_config(config), window_ps)
+
+
+def _predict_rates(config: SimulationConfig, link: LinkModel,
+                   window_ps: Optional[float]) -> RatePrediction:
+    rate = link.pair_rate_hz
+    q_s, q_i = link.signal.q, link.idler.q
     w = config.tia.window_ps if window_ps is None else window_ps
     if not (w > 0.0):
         raise ValidationError("window_ps must be > 0")
@@ -232,14 +300,10 @@ def predict_rates(config: SimulationConfig,
     singles_i = photon_singles_i + config.detector_idler.dark_rate_hz
 
     both = rate * q_s * q_i
-    peak = CoincidencePeakModel.from_config(config)
-    capture = peak.capture_fraction(w)
-    c_tot = (config.analyzer_signal.contrast
-             * config.analyzer_idler.contrast)
-    x = config.interference_x()
-    central_max = both * (1.0 + c_tot) / 8.0 * capture
-    central_now = both * (1.0 + x) / 8.0 * capture
-    leak_l, leak_r = peak.side_leak_fractions(w)
+    capture = link.peak.capture_fraction(w)
+    central_max = both * (1.0 + link.contrast_total) / 8.0 * capture
+    central_now = both * (1.0 + link.x) / 8.0 * capture
+    leak_l, leak_r = link.peak.side_leak_fractions(w)
     side_leak = both * (leak_l + leak_r) / 16.0
 
     parts = {
@@ -254,7 +318,8 @@ def predict_rates(config: SimulationConfig,
     }
     return RatePrediction(
         generated_pair_rate_hz=rate,
-        transmission_signal=t_s, transmission_idler=t_i,
+        transmission_signal=link.signal.transmission,
+        transmission_idler=link.idler.transmission,
         q_signal=q_s, q_idler=q_i,
         singles_signal_hz=singles_s, singles_idler_hz=singles_i,
         both_rate_hz=both, window_ps=w, capture_fraction=capture,
@@ -263,7 +328,7 @@ def predict_rates(config: SimulationConfig,
         accidental_in_window_hz=math.fsum(parts.values()),
         accidental_parts_hz=parts,
         side_leak_in_window_hz=side_leak,
-        loss_note=loss_reading_note(config),
+        loss_note=_loss_note(link),
     )
 
 
@@ -297,17 +362,15 @@ def predict_visibility(config: SimulationConfig,
     with no side correction — that is what fitting this package's own
     simulated histograms yields.
     """
-    rates = predict_rates(config, window_ps)
-    c_tot = (config.analyzer_signal.contrast
-             * config.analyzer_idler.contrast)
+    link = LinkModel.from_config(config)
+    rates = _predict_rates(config, link, window_ps)
+    c_tot = link.contrast_total
     mean_central = rates.both_rate_hz * rates.capture_fraction / 8.0
     background = rates.accidental_in_window_hz
     if include_side_leak:
         background += rates.side_leak_in_window_hz
-    if mean_central + background <= 0.0:
-        return VisibilityPrediction(0.0, c_tot, mean_central, background,
-                                    rates.capture_fraction)
-    v = c_tot * mean_central / (mean_central + background)
+    total = mean_central + background
+    v = c_tot * mean_central / total if total > 0.0 else 0.0
     return VisibilityPrediction(v, c_tot, mean_central, background,
                                 rates.capture_fraction)
 

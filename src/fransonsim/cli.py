@@ -27,8 +27,8 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Union
 
-from .budget import bell_verdict, build_ledger, loss_reading_note, \
-    optimize_window, predict_rates, predict_visibility
+from .budget import bell_verdict, build_ledger, optimize_window, \
+    predict_rates, predict_visibility
 from .errors import FitDegenerate, FitNotConverged, FransonError, \
     ParseError, ValidationError
 from .montecarlo import SimulationConfig, read_click_stream, \
@@ -129,7 +129,7 @@ def _cmd_simulate(args) -> int:
             "pairs_generated": point.pairs_generated,
         },
         "predicted": dataclasses.asdict(rates),
-        "loss_note": loss_reading_note(cfg),
+        "loss_note": rates.loss_note,
     }
     report_path = os.path.join(out, f"{name}_sim_report.json")
     if args.format == "csv":
@@ -223,8 +223,9 @@ def _cmd_budget(args) -> int:
     vis = predict_visibility(cfg)
     verdict = bell_verdict(cfg)
 
-    print(f"loss ledger ({loss_reading_note(cfg)})")
-    for arm, ledger in build_ledger(cfg).items():
+    ledgers = build_ledger(cfg)
+    print(f"loss ledger ({rates.loss_note})")
+    for arm, ledger in ledgers.items():
         parts = ", ".join(f"{e.label} {e.loss_db:g} dB"
                           for e in ledger.entries)
         print(f"  {arm}: total {ledger.total_db:g} dB  ({parts})")
@@ -245,7 +246,7 @@ def _cmd_budget(args) -> int:
             "name": name,
             "config_hash": config_hash(cfg),
             "ledger": {arm: dataclasses.asdict(led)
-                       for arm, led in build_ledger(cfg).items()},
+                       for arm, led in ledgers.items()},
             "rates": dataclasses.asdict(rates),
             "visibility": dataclasses.asdict(vis),
             "bell": dataclasses.asdict(verdict),

@@ -33,7 +33,9 @@ idler-only-detectable pairs at R*q_i*(1-q_s), and an undetectable
 remainder that is only counted.  Here q = (arm transmission) x
 (quantum efficiency).  This decomposition is distribution-exact for
 independent thinning, and efficiency folding commutes with the MZI
-because port selection is independent of survival.
+because port selection is independent of survival.  q, R and every
+timing width come from budget.LinkModel, the derivation the closed
+forms share.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
@@ -47,15 +49,15 @@ stable sort merges the sorted pieces in linear time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .budget import LinkModel
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
-                      DetectorSpec, SourceSpec, db_to_linear,
-                      dispersion_broaden, sigma_from_fwhm)
+                      DetectorSpec, SourceSpec)
 
 # Fixed generation-slice width.  Part of the sampling definition:
 # changing it would change every drawn number, so it is a constant,
@@ -178,40 +180,8 @@ class SimulationConfig:
                     f"(delay_ps={tau4}, "
                     f"jitter_fwhm_ps={det.jitter_fwhm_ps})")
 
-    # -- derived quantities ------------------------------------------------
-
-    def arm_loss_db(self, arm: str) -> float:
-        ch = self.channel_signal if arm == "signal" else self.channel_idler
-        an = self.analyzer_signal if arm == "signal" else self.analyzer_idler
-        return ch.pre_fiber_loss_db + ch.fiber_loss_db + an.insertion_loss_db
-
-    def arm_q(self, arm: str) -> float:
-        """Per-photon survival: transmission x quantum efficiency."""
-        det = self.detector_signal if arm == "signal" else self.detector_idler
-        return db_to_linear(self.arm_loss_db(arm)) * det.quantum_efficiency
-
-    def generated_pair_rate_hz(self) -> float:
-        """Pairs/s at the source output.
-
-        If mu was quoted downstream of the pre-fiber losses, scale
-        back up by both arms' pre-fiber transmissions.
-        """
-        rate = self.source.pair_rate_hz
-        if self.source.mu_measured_after_losses:
-            rate /= (db_to_linear(self.channel_signal.pre_fiber_loss_db)
-                     * db_to_linear(self.channel_idler.pre_fiber_loss_db))
-        return rate
-
     def span_ps(self) -> int:
         return int(round(self.acquisition_time_s * 1e12))
-
-    def interference_x(self) -> float:
-        """contrast_total * cos(theta_s + theta_i + pump offset)."""
-        theta = (self.analyzer_signal.effective_phase_rad()
-                 + self.analyzer_idler.effective_phase_rad()
-                 + self.source.pump_phase_offset_rad)
-        c_tot = self.analyzer_signal.contrast * self.analyzer_idler.contrast
-        return c_tot * math.cos(theta)
 
 
 @dataclass
@@ -374,10 +344,9 @@ class _DriftWalk:
             arrivals += vals
 
 
-def _require_slice_budget(config: SimulationConfig, dt_s: float) -> None:
-    rate = config.generated_pair_rate_hz()
-    q_s, q_i = config.arm_q("signal"), config.arm_q("idler")
-    expected = rate * dt_s * (q_s + q_i * (1.0 - q_s))
+def _require_slice_budget(link: LinkModel, dt_s: float) -> None:
+    q_s, q_i = link.signal.q, link.idler.q
+    expected = link.pair_rate_hz * dt_s * (q_s + q_i * (1.0 - q_s))
     if expected > _MAX_EVENTS_PER_SLICE:
         raise ValidationError(
             f"~{expected:.3g} detectable pairs per generation slice "
@@ -385,31 +354,22 @@ def _require_slice_budget(config: SimulationConfig, dt_s: float) -> None:
             "the acquisition")
 
 
-def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
-               drift: _DriftWalk, diag: SimDiagnostics,
+def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
+               lo: int, hi: int, drift: _DriftWalk, diag: SimDiagnostics,
                ) -> Tuple[np.ndarray, np.ndarray]:
     """All click candidates whose generating process lives in
     [lo, hi), per channel as one sorted int64 array of packed keys
     (t << 1) | is_dark: returns (sig_keys, idl_keys)."""
     width = hi - lo
     dt_s = width * 1e-12
-    rate = config.generated_pair_rate_hz()
-    q_s, q_i = config.arm_q("signal"), config.arm_q("idler")
-    x = config.interference_x()
+    rate = link.pair_rate_hz
+    q_s, q_i = link.signal.q, link.idler.q
+    x = link.x
     # float: uint8 branch codes times an int delay would stay uint8
     tau4 = float(config.analyzer_signal.delay_ps)
-    sig_int = sigma_from_fwhm(config.source.photon_fwhm_ps)
+    sig_int = link.signal.sigma_intrinsic_ps
+    exc_s, exc_i = link.signal.sigma_excess_ps, link.idler.sigma_excess_ps
     drift.advance(slice_idx, lo, hi)
-
-    def excess_sigma(ch: ChannelSpec) -> float:
-        fwhm_out = dispersion_broaden(config.source.photon_fwhm_ps,
-                                      ch.beta2_ps2_per_km, ch.fiber_length_km)
-        if fwhm_out == config.source.photon_fwhm_ps:
-            return 0.0
-        return math.sqrt(sigma_from_fwhm(fwhm_out) ** 2 - sig_int ** 2)
-
-    exc_s = excess_sigma(config.channel_signal)
-    exc_i = excess_sigma(config.channel_idler)
 
     def uniform_times(rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random(n)
@@ -498,11 +458,11 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     drift.apply("idler", arr_idl, t0_idl_pair, t0_io)
 
     # --- detector jitter --------------------------------------------------
-    jit_s = sigma_from_fwhm(config.detector_signal.jitter_fwhm_ps)
+    jit_s = link.signal.sigma_jitter_ps
     if jit_s > 0.0 and arr_sig.size:
         rng = _stream(config.master_seed, _ST_SIGNAL_JITTER, slice_idx)
         arr_sig += rng.normal(0.0, jit_s, arr_sig.size)
-    jit_i = sigma_from_fwhm(config.detector_idler.jitter_fwhm_ps)
+    jit_i = link.idler.sigma_jitter_ps
     if jit_i > 0.0 and arr_idl.size:
         rng = _stream(config.master_seed, _ST_IDLER_JITTER, slice_idx)
         arr_idl += rng.normal(0.0, jit_i, arr_idl.size)
@@ -562,7 +522,8 @@ def iter_click_buckets(config: SimulationConfig,
     if diag is None:
         diag = SimDiagnostics()
     span = config.span_ps()
-    _require_slice_budget(config, min(span, SLICE_PS) * 1e-12)
+    link = LinkModel.from_config(config)
+    _require_slice_budget(link, min(span, SLICE_PS) * 1e-12)
     n_slices = max(1, -(-span // SLICE_PS))
     drift = _DriftWalk(config)
     pools: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -574,7 +535,8 @@ def iter_click_buckets(config: SimulationConfig,
     for k in range(n_slices + 1):
         if k < n_slices:
             lo, hi = k * SLICE_PS, min(span, (k + 1) * SLICE_PS)
-            pools.append(_gen_slice(config, k, lo, hi, drift, diag))
+            pools.append(_gen_slice(config, link, k, lo, hi, drift,
+                                    diag))
         else:
             pools.append((empty, empty))
         if len(pools) > 3:

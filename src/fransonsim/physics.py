@@ -38,7 +38,6 @@ TWO_PI = 2.0 * math.pi
 # Bell/CHSH with two unbalanced-MZI analyzers: S = 2*sqrt(2)*V,
 # violation requires V strictly above 1/sqrt(2).
 CHSH_SLOPE = 2.0 * math.sqrt(2.0)
-VISIBILITY_BELL_THRESHOLD = 1.0 / math.sqrt(2.0)
 
 
 def wrap_phase(phi: float) -> float:
@@ -69,17 +68,17 @@ def db_to_linear(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def linear_to_db(transmission: float) -> float:
-    """Inverse of :func:`db_to_linear`; round-trips to 1e-12 relative."""
-    if not (transmission > 0.0 and math.isfinite(transmission)):
-        raise ValidationError(
-            f"transmission must be finite and > 0, got {transmission!r}")
-    return -10.0 * math.log10(transmission)
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+def _require_finite(spec) -> None:
+    """Every float field of a spec must be finite: inf and nan pass
+    the one-sided bound checks and surface later as inf or nan rates."""
+    for name, value in vars(spec).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -117,8 +116,7 @@ class SourceSpec:
             raise ValidationError("mean_pairs_per_window must be >= 0")
         if not (self.window_base_ps > 0.0):
             raise ValidationError("window_base_ps must be > 0")
-        if not math.isfinite(self.pump_phase_offset_rad):
-            raise ValidationError("pump_phase_offset_rad must be finite")
+        _require_finite(self)
         if not self.pump_coherence_fwhm_ps > 100.0 * self.photon_fwhm_ps:
             raise ValidationError(
                 "pump coherence must dwarf the photon duration "
@@ -152,8 +150,7 @@ class ChannelSpec:
             raise ValidationError("fiber_loss_db_per_km must be >= 0")
         if not (self.pre_fiber_loss_db >= 0.0):
             raise ValidationError("pre_fiber_loss_db must be >= 0")
-        if not math.isfinite(self.beta2_ps2_per_km):
-            raise ValidationError("beta2_ps2_per_km must be finite")
+        _require_finite(self)
 
     @property
     def fiber_loss_db(self) -> float:
@@ -193,13 +190,11 @@ class AnalyzerSpec:
                 "exactly one of phase_rad / temperature_c must be set "
                 f"(got phase_rad={self.phase_rad!r}, "
                 f"temperature_c={self.temperature_c!r})")
-        if self.phase_rad is not None and not math.isfinite(self.phase_rad):
-            raise ValidationError("phase_rad must be finite")
-        if self.temperature_c is not None:
-            if self.phase_per_kelvin_rad is None or \
-                    not math.isfinite(self.phase_per_kelvin_rad):
-                raise ValidationError(
-                    "temperature drive requires a finite phase_per_kelvin_rad")
+        if self.temperature_c is not None and \
+                self.phase_per_kelvin_rad is None:
+            raise ValidationError(
+                "temperature drive requires a finite phase_per_kelvin_rad")
+        _require_finite(self)
 
     def effective_phase_rad(self) -> float:
         """Analyzer phase in [0, 2*pi), from whichever knob is set."""
@@ -227,6 +222,7 @@ class DetectorSpec:
             raise ValidationError("jitter_fwhm_ps must be >= 0")
         if not (self.dead_time_ps >= 0.0):
             raise ValidationError("dead_time_ps must be >= 0")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -241,6 +237,7 @@ class CoincidenceWindowSpec:
             raise ValidationError("window_ps must be > 0")
         if not (self.histogram_bin_ps > 0.0):
             raise ValidationError("histogram_bin_ps must be > 0")
+        _require_finite(self)
         if self.histogram_bin_ps > self.window_ps:
             raise ValidationError("histogram_bin_ps must not exceed window_ps")
 
@@ -328,16 +325,6 @@ DEFAULT_BETA2 = solve_beta2(4.0, 25.0, 50.0)
 # ---------------------------------------------------------------------------
 # Visibility, Bell, accidentals
 # ---------------------------------------------------------------------------
-
-def visibility(c_max: float, c_min: float) -> float:
-    """Fringe contrast (c_max - c_min) / (c_max + c_min)."""
-    if not (c_max >= c_min >= 0.0):
-        raise ValidationError(
-            f"need c_max >= c_min >= 0, got ({c_max!r}, {c_min!r})")
-    if c_max + c_min == 0.0:
-        raise ValidationError("c_max + c_min must be > 0")
-    return (c_max - c_min) / (c_max + c_min)
-
 
 def chsh_from_visibility(v: float) -> Tuple[float, bool]:
     """CHSH S-value 2*sqrt(2)*V and the (strict) violation verdict.

@@ -41,14 +41,6 @@ from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
                   VisibilityEstimate, count_in_window, fit_fringe,
                   write_scan_csv)
 
-__all__ = [
-    "CALIBRATION_TARGET_VISIBILITY", "FringePointResult", "MuScanRow",
-    "PRESET_NAMES", "RunReport", "ScanPlan", "Scenario",
-    "calibrate_contrast", "config_hash", "emit_outputs", "load_config",
-    "measure_point", "phase_grid", "preset", "run_scenario", "run_scenarios",
-    "save_config", "write_json", "write_window_csv",
-]
-
 # Stock link parameters shared by the shipped presets: 50 km of 0.2 dB/km
 # fiber per arm behind 10 dB of pre-fiber coupling loss, 5 dB analyzers,
 # asymmetric detector efficiencies, 100 Hz dark rates, and a 65 ps FWHM

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -64,6 +64,10 @@ def _as_sorted_int64(arr, name: str) -> np.ndarray:
 
 
 def _normalize_binning(bin_ps, range_ps) -> Tuple[int, int]:
+    if not (math.isfinite(bin_ps) and math.isfinite(range_ps)):
+        raise ValidationError(
+            f"bin_ps and range_ps must be finite, got {bin_ps!r}, "
+            f"{range_ps!r}")
     b = int(bin_ps)
     if b != bin_ps or b < 1:
         raise ValidationError(
@@ -112,25 +116,18 @@ def build_histogram(starts, stops, bin_ps, range_ps) -> DelayHistogram:
     structure choose range_ps of at least twice the analyzer delay so
     both side peaks are visible.
     """
-    starts = _as_sorted_int64(starts, "starts")
-    stops = _as_sorted_int64(stops, "stops")
-    b, r = _normalize_binning(bin_ps, range_ps)
-    deltas = _pair_deltas(starts, stops, r)
-    nbins = 2 * r // b
-    idx = (deltas + r) // b
-    counts = np.bincount(idx, minlength=nbins).astype(np.int64)
-    return DelayHistogram(bin_ps=b, range_ps=r, counts=counts,
-                          n_starts=int(starts.size),
-                          n_stops=int(stops.size))
+    acc = HistogramAccumulator(bin_ps, range_ps)
+    acc.add_bucket(starts, stops, 2 ** 62)   # an edge past every click
+    return acc.finalize()
 
 
 class HistogramAccumulator:
-    """Streaming build_histogram over time-ordered click buckets.
+    """Delay histogram over time-ordered click buckets.
 
-    Feed buckets in order with their upper time edge; the result is
-    bit-identical to build_histogram on the concatenated streams.  A
-    start is binned only once all stops inside its window can have
-    arrived, so bucket boundaries never split or duplicate pairs.
+    Feed buckets in order with their upper time edge; the result does
+    not depend on where the bucket edges fall.  A start is binned only
+    once all stops inside its window can have arrived, so bucket
+    boundaries never split or duplicate pairs.
     """
 
     def __init__(self, bin_ps, range_ps):
@@ -181,6 +178,10 @@ def count_in_window(hist: DelayHistogram, center_ps: float,
                     window_ps: float) -> int:
     """Total counts of bins whose centers lie inside the closed window
     [center - w/2, center + w/2]."""
+    if not (math.isfinite(center_ps) and math.isfinite(window_ps)):
+        raise ValidationError(
+            f"center_ps and window_ps must be finite, got {center_ps!r}, "
+            f"{window_ps!r}")
     if window_ps < hist.bin_ps:
         raise ValidationError(
             f"window_ps={window_ps!r} is narrower than one "
@@ -330,26 +331,6 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     return build(min(v, 1.0), math.sqrt(max(var_v, 0.0)))
 
 
-def visibility_from_extrema(c_max: float, c_min: float,
-                            acquisition_s: float = 1.0) -> VisibilityEstimate:
-    """(max - min)/(max + min) from two count readings, with the
-    Poisson-propagated sigma (counts of 0 contribute unit variance)."""
-    if c_max < 0 or c_min < 0:
-        raise ValidationError("counts must be non-negative")
-    if c_max + c_min <= 0:
-        raise ValidationError("need at least one nonzero count")
-    if not (acquisition_s > 0.0):
-        raise ValidationError("acquisition_s must be > 0")
-    total = c_max + c_min
-    v = (c_max - c_min) / total
-    sigma = (2.0 / total ** 2) * math.sqrt(
-        c_min ** 2 * max(c_max, 1.0) + c_max ** 2 * max(c_min, 1.0))
-    return VisibilityEstimate(
-        visibility=v, sigma_visibility=sigma,
-        amplitude_hz=(c_max - c_min) / (2.0 * acquisition_s),
-        mean_level_hz=total / (2.0 * acquisition_s))
-
-
 # ---------------------------------------------------------------------------
 # Scan CSV
 # ---------------------------------------------------------------------------
@@ -373,32 +354,3 @@ def write_scan_csv(scan: FringeScan, path,
                 "" if scan.singles_a is None else int(scan.singles_a[k]),
                 "" if scan.singles_b is None else int(scan.singles_b[k]),
             ])
-
-
-def read_scan_csv(path) -> FringeScan:
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        while header is not None and header \
-                and header[0].lstrip().startswith("#"):
-            header = next(reader, None)
-        if header != _SCAN_FIELDS:
-            raise ValidationError(
-                f"{path}: unexpected scan CSV header {header!r}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValidationError(f"{path}: scan CSV has no data rows")
-    settings = np.array([float(r[0]) for r in rows])
-    counts = np.array([float(r[1]) for r in rows])
-    acq = {float(r[2]) for r in rows}
-    if len(acq) != 1:
-        raise ValidationError(
-            f"{path}: per-point acquisition times differ: {sorted(acq)}")
-    have_singles = all(r[3] != "" and r[4] != "" for r in rows)
-    singles_a = np.array([float(r[3]) for r in rows]) if have_singles \
-        else None
-    singles_b = np.array([float(r[4]) for r in rows]) if have_singles \
-        else None
-    return FringeScan(settings=settings, counts=counts,
-                      acquisition_s=acq.pop(),
-                      singles_a=singles_a, singles_b=singles_b)

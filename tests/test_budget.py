@@ -12,13 +12,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fransonsim import (AnalyzerSpec, ChannelSpec, CoincidencePeakModel,
-                        CoincidenceWindowSpec, DetectorSpec,
-                        SimulationConfig, SourceSpec, TimingDriftSpec,
-                        ValidationError, accidental_rate, bell_verdict,
-                        build_histogram, build_ledger, count_in_window,
-                        optimize_window, predict_rates, predict_visibility,
-                        run_simulation)
+from fransonsim.errors import ValidationError
+from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
+                                CoincidenceWindowSpec, DetectorSpec,
+                                SourceSpec, accidental_rate)
+from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
+                                   run_simulation)
+from fransonsim.tia import build_histogram, count_in_window
+from fransonsim.budget import (LinkModel, bell_verdict, build_ledger,
+                               optimize_window, predict_rates,
+                               predict_visibility)
+from fransonsim.scenarios import preset
 
 PAIR_JITTER = 65.0 / math.sqrt(2.0)   # per detector; 65 ps at pair level
 CAL_CONTRAST = 0.9756419240289781     # per analyzer; 0.9518772 total
@@ -51,16 +55,34 @@ def paper_link(fiber_km, window_ps, contrast=1.0, **kw):
 def test_ledger_totals_are_exact_sums():
     cfg = paper_link(50.0, 100.0)
     led = build_ledger(cfg)
+    link = LinkModel.from_config(cfg)
     for arm in ("signal", "idler"):
         entries = led[arm].entries
         assert [e.label.split(" ")[0] for e in entries] == \
             ["source", "fiber", "analyzer"]
         assert led[arm].total_db == math.fsum(e.loss_db for e in entries)
         assert abs(led[arm].total_db - 25.0) < 1e-12
-        assert abs(led[arm].transmission - 10.0 ** -2.5) < 1e-15
+        assert abs(getattr(link, arm).transmission - 10.0 ** -2.5) < 1e-15
     b2b = build_ledger(paper_link(0.0, 60.0))
     assert abs(b2b["signal"].total_db - 15.0) < 1e-12
     assert len(b2b["signal"].entries) == 2   # no fiber line at 0 km
+
+
+def test_rates_and_engine_share_one_transmission():
+    # at 5.005 km the fsum of the ledger's dB entries and the plain
+    # sum pre + fiber + insertion differ in the last bit; the rates
+    # must report the transmission the engine draws with
+    base = preset("paper-100km").config
+    cfg = replace(base, channel_signal=replace(base.channel_signal,
+                                               fiber_length_km=5.005))
+    rates = predict_rates(cfg)
+    link = LinkModel.from_config(cfg)
+    eta = cfg.detector_signal.quantum_efficiency
+    assert rates.q_signal == rates.transmission_signal * eta
+    assert rates.transmission_signal == link.signal.transmission
+    assert rates.q_signal == link.signal.q
+    assert (rates.q_idler, rates.transmission_idler) == \
+        (link.idler.q, link.idler.transmission)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +126,15 @@ def test_accidental_breakdown_sums_to_product():
 # ---------------------------------------------------------------------------
 
 def test_peak_widths():
-    b2b = CoincidencePeakModel.from_config(paper_link(0.0, 60.0))
+    b2b = LinkModel.from_config(paper_link(0.0, 60.0)).peak
     assert abs(b2b.sigma_delta_ps - 27.7073) < 1e-3
-    km = CoincidencePeakModel.from_config(paper_link(50.0, 100.0))
+    km = LinkModel.from_config(paper_link(50.0, 100.0)).peak
     assert abs(km.sigma_delta_ps - 31.4220) < 1e-3
     assert b2b.center_ps == 0.0
 
 
 def test_capture_is_monotone_and_bounded():
-    peak = CoincidencePeakModel.from_config(paper_link(0.0, 60.0))
+    peak = LinkModel.from_config(paper_link(0.0, 60.0)).peak
     widths = np.arange(10.0, 200.0, 10.0)
     caps = [peak.capture_fraction(w) for w in widths]
     assert all(0.0 < c <= 1.0 for c in caps)
@@ -125,21 +147,21 @@ def test_capture_is_monotone_and_bounded():
 
 def test_drift_offset_and_walk_reduce_capture():
     base = paper_link(50.0, 100.0)
-    centered = CoincidencePeakModel.from_config(base)
-    offset = CoincidencePeakModel.from_config(replace(
+    centered = LinkModel.from_config(base).peak
+    offset = LinkModel.from_config(replace(
         base, drift=TimingDriftSpec(enabled=True, channel="idler",
-                                    offset_ps=40.0)))
+                                    offset_ps=40.0))).peak
     assert offset.center_ps == 40.0
     assert offset.capture_fraction(100.0) < centered.capture_fraction(100.0)
-    signal_side = CoincidencePeakModel.from_config(replace(
+    signal_side = LinkModel.from_config(replace(
         base, drift=TimingDriftSpec(enabled=True, channel="signal",
-                                    offset_ps=40.0)))
+                                    offset_ps=40.0))).peak
     assert signal_side.center_ps == -40.0
-    walked = CoincidencePeakModel.from_config(replace(
+    walked = LinkModel.from_config(replace(
         base, drift=TimingDriftSpec(enabled=True, channel="idler",
                                     walk_step_ps=10.0,
                                     walk_interval_ps=1e9),
-        acquisition_time_s=100.0))
+        acquisition_time_s=100.0)).peak
     assert walked.sigma_delta_ps > centered.sigma_delta_ps
     assert walked.capture_fraction(100.0) < centered.capture_fraction(100.0)
 
@@ -193,7 +215,8 @@ def test_mu_quoted_after_losses_scales_generation():
     plain = paper_link(0.0, 60.0)
     scaled = replace(plain, source=SourceSpec(
         mu_measured_after_losses=True))
-    ratio = scaled.generated_pair_rate_hz() / plain.generated_pair_rate_hz()
+    ratio = LinkModel.from_config(scaled).pair_rate_hz \
+        / LinkModel.from_config(plain).pair_rate_hz
     assert abs(ratio - 100.0) < 1e-9   # two 10 dB pre-fiber sections
 
 
@@ -305,7 +328,7 @@ def test_predictions_match_simulation():
 
     for sign in (-1.0, +1.0):
         side = count_in_window(hist, sign * 100.0, 60.0)
-        cap_l, cap_r = CoincidencePeakModel.from_config(cfg) \
+        cap_l, cap_r = LinkModel.from_config(cfg).peak \
             .side_capture_fractions(60.0)
         cap = cap_l if sign < 0 else cap_r
         want_side = (rates.both_rate_hz / 16.0 * cap

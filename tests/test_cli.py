@@ -4,12 +4,14 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import fransonsim
-from fransonsim import (ScanPlan, derive_seed, emit_outputs, phase_grid,
-                        preset, run_scenario, save_config)
+from fransonsim.montecarlo import derive_seed
+from fransonsim.scenarios import (ScanPlan, emit_outputs, phase_grid, preset,
+                                  run_scenario, save_config)
 from fransonsim.cli import main
 
 
@@ -285,6 +287,20 @@ def test_non_finite_number_exits_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--bin-ps", "inf"),
+                                        ("--range-ps", "nan"),
+                                        ("--window-ps", "nan")])
+def test_histogram_non_finite_flag_exits_2(small_config, tmp_path, capsys,
+                                           flag, value):
+    out = tmp_path / "out"
+    assert run_cli("simulate", small_config, "--out-dir", str(out),
+                   "--dump-clicks") == 0
+    capsys.readouterr()
+    assert run_cli("histogram", str(out / "small_signal_clicks.txt"),
+                   str(out / "small_idler_clicks.txt"), flag, value) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     assert run_cli("budget", "no_such_file.json") == 2
     assert "no_such_file.json" in capsys.readouterr().err
@@ -308,10 +324,14 @@ def test_unwritable_out_dir_names_path(small_config, tmp_path, capsys):
 
 
 def test_package_exports_resolve_once():
+    # the package namespace is the documented API: every export
+    # resolves and README.md names it in backticks
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
     names = fransonsim.__all__
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(fransonsim, name) is not None, name
+        assert f"`{name}`" in readme, name
 
 
 def test_module_entry_point():

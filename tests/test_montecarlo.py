@@ -14,11 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fransonsim import (AnalyzerSpec, ChannelSpec, ClickStream,
-                        DetectorSpec, SimDiagnostics, SimulationConfig,
-                        SourceSpec, TimingDriftSpec, ValidationError,
-                        derive_seed, iter_click_buckets, read_click_stream,
-                        run_simulation, write_click_stream)
+from fransonsim.budget import LinkModel
+from fransonsim.errors import ValidationError
+from fransonsim.physics import (AnalyzerSpec, ChannelSpec, DetectorSpec,
+                                SourceSpec)
+from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
+                                   SimulationConfig, TimingDriftSpec,
+                                   derive_seed, iter_click_buckets,
+                                   read_click_stream, run_simulation,
+                                   write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
                                    _dead_time_filter, _gen_slice,
                                    _unpack_dedupe)
@@ -86,7 +90,7 @@ def test_emission_count_matches_rate():
     # the three Poisson classes together generate Poisson(rate * T) pairs
     cfg = lossy_config(acquisition_time_s=0.05, master_seed=7)
     _, _, diag = run_simulation(cfg)
-    mean = cfg.generated_pair_rate_hz() * cfg.acquisition_time_s
+    mean = LinkModel.from_config(cfg).pair_rate_hz * cfg.acquisition_time_s
     assert abs(diag.pairs_generated - mean) < 4.0 * math.sqrt(mean)
 
 
@@ -115,7 +119,8 @@ def test_sequential_thinning_composes():
         base,
         analyzer_idler=replace(base.analyzer_idler, insertion_loss_db=0.0),
         detector_idler=replace(base.detector_idler, quantum_efficiency=0.05))
-    assert lossy.arm_q("idler") == folded.arm_q("idler")
+    assert LinkModel.from_config(lossy).idler.q == \
+        LinkModel.from_config(folded).idler.q
     a_sig, a_idl, _ = run_simulation(lossy)
     b_sig, b_idl, _ = run_simulation(folded)
     assert np.array_equal(a_sig.times_ps, b_sig.times_ps)
@@ -332,7 +337,7 @@ def test_fringe_extremes_and_side_peaks():
 def test_singles_rate_is_half_detected_rate():
     cfg = lossless_config(master_seed=13, acquisition_time_s=0.2)
     sig, idl, diag = run_simulation(cfg)
-    expected = cfg.generated_pair_rate_hz() * 0.2 / 2.0
+    expected = LinkModel.from_config(cfg).pair_rate_hz * 0.2 / 2.0
     for stream in (sig, idl):
         assert abs(stream.true_count - expected) < 5.0 * math.sqrt(expected)
 
@@ -361,8 +366,9 @@ def _whole_run_reference(cfg):
     [0, span], then the per-click dead-time loop over the whole run."""
     span = cfg.span_ps()
     n_slices = max(1, -(-span // SLICE_PS))
-    drift, diag = _DriftWalk(cfg), SimDiagnostics()
-    slices = [_gen_slice(cfg, k, k * SLICE_PS,
+    link, drift, diag = LinkModel.from_config(cfg), _DriftWalk(cfg), \
+        SimDiagnostics()
+    slices = [_gen_slice(cfg, link, k, k * SLICE_PS,
                          min(span, (k + 1) * SLICE_PS), drift, diag)
               for k in range(n_slices)]
     streams = {}
@@ -523,7 +529,7 @@ def _per_pair_clicks(cfg, rng):
     """Oracle for the engine's three Poisson classes: the literal link,
     one pair at a time.
 
-    Each photon survives its arm on its own coin (probability arm_q).
+    Each photon survives its arm on its own coin (probability q).
     A pair where both survive takes the joint law of the two analyzers:
     port signs (+1 monitored, -1 not) and paths (0 short, 1 long), with
     the short-short and long-long amplitudes 1/4 and
@@ -533,8 +539,8 @@ def _per_pair_clicks(cfg, rng):
     monitored port clicks; no timing spreads.  Returns (signal times,
     idler times, pairs where both photons survived)."""
     tau = cfg.analyzer_signal.delay_ps
-    q_s, q_i = cfg.arm_q("signal"), cfg.arm_q("idler")
-    x = cfg.interference_x()
+    link = LinkModel.from_config(cfg)
+    q_s, q_i, x = link.signal.q, link.idler.q, link.x
     joint, probs = [], []
     for s_port in (1, -1):
         for i_port in (1, -1):
@@ -544,7 +550,7 @@ def _per_pair_clicks(cfg, rng):
             probs += [central / 2.0, central / 2.0, 1 / 16, 1 / 16]
     cum = np.cumsum(probs)
     sig, idl, both = [], [], 0
-    n = rng.poisson(cfg.generated_pair_rate_hz() * cfg.acquisition_time_s)
+    n = rng.poisson(link.pair_rate_hz * cfg.acquisition_time_s)
     for t0 in (rng.random(n) * cfg.span_ps()).tolist():
         s_ok, i_ok = rng.random() < q_s, rng.random() < q_i
         if s_ok and i_ok:
@@ -606,7 +612,8 @@ def test_reference_pipeline_survival_fractions():
             assert abs(a - b) <= 5.0 * math.sqrt(a + b), (theta, a, b)
         # each arm survives on its own coin, then half reach the monitor
         n = diag.pairs_generated
-        q_s, q_i = cfg.arm_q("signal"), cfg.arm_q("idler")
+        link = LinkModel.from_config(cfg)
+        q_s, q_i = link.signal.q, link.idler.q
         for count, p in ((sig.true_count, q_s / 2), (idl.true_count, q_i / 2),
                          (n_both, q_s * q_i)):
             assert abs(count / n - p) <= 5.0 * math.sqrt(p * (1 - p) / n), (

@@ -2,19 +2,20 @@
 probabilities, dispersion broadening, visibility/CHSH conversions,
 accidental rates, and the domain-type invariants."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fransonsim import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
-                        DEFAULT_BETA2, DetectorSpec, SourceSpec,
-                        ValidationError, accidental_rate,
-                        chsh_from_visibility, dark_prob, db_to_linear,
-                        dispersion_broaden, franson_bin_probabilities,
-                        linear_to_db, solve_beta2, temp_to_phase,
-                        visibility, wrap_phase)
+from fransonsim.errors import ValidationError
+from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
+                                CoincidenceWindowSpec, DEFAULT_BETA2,
+                                DetectorSpec, SourceSpec, accidental_rate,
+                                chsh_from_visibility, dark_prob, db_to_linear,
+                                dispersion_broaden, franson_bin_probabilities,
+                                solve_beta2, temp_to_phase, wrap_phase)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,14 +38,15 @@ def test_negative_db_is_gain():
 @settings(max_examples=200, deadline=None)
 def test_db_round_trip(loss_db):
     t = db_to_linear(loss_db)
-    assert linear_to_db(t) == pytest.approx(loss_db, rel=1e-12, abs=1e-12)
+    assert -10.0 * math.log10(t) == pytest.approx(loss_db, rel=1e-12,
+                                                  abs=1e-12)
 
 
 def test_db_rejects_nonfinite():
     with pytest.raises(ValidationError):
         db_to_linear(math.nan)
     with pytest.raises(ValidationError):
-        linear_to_db(0.0)
+        db_to_linear(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -176,29 +178,8 @@ def test_dispersion_rejects_bad_width():
 
 
 # ---------------------------------------------------------------------------
-# visibility and CHSH
+# CHSH
 # ---------------------------------------------------------------------------
-
-def test_visibility_reference_points():
-    assert visibility(100.0, 0.0) == 1.0
-    assert visibility(100.0, 100.0) == 0.0
-    assert visibility(180.5, 19.5) == pytest.approx(0.805, abs=1e-12)
-
-
-@given(st.floats(1.0, 1e6), st.floats(0.0, 1.0))
-@settings(max_examples=200, deadline=None)
-def test_visibility_extrema_round_trip(mean, v):
-    # counts generated as A(1 +/- V) recover V
-    assert visibility(mean * (1 + v), mean * (1 - v)) == \
-        pytest.approx(v, abs=1e-12)
-
-
-def test_visibility_rejects_bad_counts():
-    with pytest.raises(ValidationError):
-        visibility(0.0, 0.0)
-    with pytest.raises(ValidationError):
-        visibility(10.0, 20.0)
-
 
 def test_chsh_reference_points():
     s, violates = chsh_from_visibility(1.0)
@@ -341,3 +322,26 @@ def test_detector_spec_rejects_bad_qe():
 def test_window_spec_bin_not_larger_than_window():
     with pytest.raises(ValidationError):
         CoincidenceWindowSpec(window_ps=10.0, histogram_bin_ps=20.0)
+
+
+def _float_fields():
+    """(spec, field) for every float field of every spec, once each;
+    the temperature-driven analyzer supplies its two Optional floats."""
+    bases = (SourceSpec(), ChannelSpec(), AnalyzerSpec(),
+             AnalyzerSpec(phase_rad=None, temperature_c=24.5,
+                          phase_per_kelvin_rad=0.8),
+             DetectorSpec(), CoincidenceWindowSpec())
+    seen = {}
+    for spec in bases:
+        for f in dataclasses.fields(spec):
+            key = f"{type(spec).__name__}.{f.name}"
+            if isinstance(getattr(spec, f.name), float) and key not in seen:
+                seen[key] = pytest.param(spec, f.name, id=key)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("spec,name", _float_fields())
+def test_specs_reject_non_finite(spec, name, value):
+    with pytest.raises(ValidationError):
+        dataclasses.replace(spec, **{name: value})

@@ -1,5 +1,6 @@
 """Scenario presets, config I/O, pipeline, and output emission."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -11,14 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fransonsim import (CALIBRATION_TARGET_VISIBILITY, ParseError, ScanPlan,
-                        Scenario, SimulationConfig, ValidationError,
-                        calibrate_contrast, chsh_from_visibility,
-                        config_hash, derive_seed, emit_outputs, load_config,
-                        phase_grid, predict_visibility, preset,
-                        read_scan_csv, run_scenario, run_scenarios,
-                        save_config)
-from fransonsim.scenarios import PRESET_NAMES
+from fransonsim.errors import ParseError, ValidationError
+from fransonsim.physics import chsh_from_visibility
+from fransonsim.montecarlo import SimulationConfig, derive_seed
+from fransonsim.budget import predict_visibility
+from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
+                                  PRESET_NAMES, ScanPlan, Scenario,
+                                  calibrate_contrast, config_hash,
+                                  emit_outputs, load_config, phase_grid,
+                                  preset, run_scenario, run_scenarios,
+                                  save_config)
 
 # back-to-back target divided by the unit-contrast prediction, square
 # root shared between the two analyzers (frozen; matches test_budget)
@@ -545,9 +548,13 @@ def test_emitted_scan_reads_back(tmp_path):
     rep = run_scenario(tiny_ideal(n_points=4, acq=0.01))
     paths = emit_outputs(rep, tmp_path)
     scan_path = [p for p in paths if p.endswith("_scan.csv")][0]
-    scan = read_scan_csv(scan_path)
-    assert np.array_equal(scan.counts, rep.scan.counts)
-    assert np.array_equal(scan.settings, rep.scan.settings)
+    lines = Path(scan_path).read_text().splitlines()
+    assert lines[0] == f"# config_hash={rep.config_hash}"
+    rows = list(csv.DictReader(lines[1:]))
+    assert np.array_equal([float(r["counts"]) for r in rows],
+                          rep.scan.counts)
+    assert np.array_equal([float(r["setting"]) for r in rows],
+                          rep.scan.settings)
 
 
 def test_sweep_emissions(tmp_path):

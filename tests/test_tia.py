@@ -5,6 +5,7 @@ fit behavior against analytically constructed scans and a frozen-seed
 Poisson coverage study.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fransonsim import (AnalyzerSpec, ChannelSpec, DetectorSpec,
-                        FitDegenerate, FringeScan, HistogramAccumulator,
-                        SimulationConfig, SourceSpec, ValidationError,
-                        build_histogram, count_in_window, fit_fringe,
-                        iter_click_buckets, read_scan_csv, run_simulation,
-                        visibility_from_extrema, write_scan_csv)
+from fransonsim.errors import FitDegenerate, ValidationError
+from fransonsim.physics import ChannelSpec, DetectorSpec, SourceSpec
+from fransonsim.montecarlo import (SimulationConfig, iter_click_buckets,
+                                   run_simulation)
+from fransonsim.tia import (FringeScan, HistogramAccumulator, build_histogram,
+                            count_in_window, fit_fringe, write_scan_csv)
 from fransonsim.tia import _pair_deltas
 
 
@@ -115,6 +116,10 @@ def test_histogram_rejects_bad_inputs():
         build_histogram(good, good, 0, 100)
     with pytest.raises(ValidationError):
         build_histogram(good, good, 10, 5)
+    for bin_ps, range_ps in ((math.inf, 100), (10, math.nan),
+                             (math.nan, 100), (10, math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            build_histogram(good, good, bin_ps, range_ps)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +137,11 @@ def test_window_count_uses_closed_center_interval():
     assert count_in_window(hist, -95.0, 10.0) == 1
     with pytest.raises(ValidationError):
         count_in_window(hist, 0.0, 5.0)
+    # a nan window compares false both ways and would count nothing
+    for center, window in ((0.0, math.nan), (math.nan, 10.0),
+                           (0.0, math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            count_in_window(hist, center, window)
 
 
 def test_window_count_is_monotone_in_width():
@@ -284,29 +294,13 @@ def test_fit_rejects_underdetermined_scans():
 
 
 # ---------------------------------------------------------------------------
-# extrema-based visibility
-# ---------------------------------------------------------------------------
-
-def test_extrema_visibility_reference_values():
-    est = visibility_from_extrema(200.0, 20.0)
-    assert abs(est.visibility - 0.8181818181818182) < 1e-12
-    # delta method: sqrt((2b/(a+b)^2)^2 a + (2a/(a+b)^2)^2 b)
-    assert abs(est.sigma_visibility - 0.038763766610111) < 1e-12
-    one = visibility_from_extrema(1.0, 0.0)
-    assert one.visibility == 1.0
-    assert one.sigma_visibility == 2.0
-
-
-def test_extrema_visibility_rejects_bad_counts():
-    with pytest.raises(ValidationError):
-        visibility_from_extrema(-1.0, 5.0)
-    with pytest.raises(ValidationError):
-        visibility_from_extrema(0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # scan CSV round trip
 # ---------------------------------------------------------------------------
+
+def _read_scan_rows(path):
+    with open(path, newline="", encoding="ascii") as fh:
+        return list(csv.reader(fh))
+
 
 def test_scan_csv_round_trip(tmp_path):
     scan = FringeScan(settings=np.linspace(0, 6.2, 8),
@@ -315,13 +309,17 @@ def test_scan_csv_round_trip(tmp_path):
                       singles_a=np.arange(8, dtype=float) * 100,
                       singles_b=np.arange(8, dtype=float) * 50 + 1)
     path = tmp_path / "scan.csv"
-    write_scan_csv(scan, path)
-    back = read_scan_csv(path)
-    assert np.array_equal(back.settings, scan.settings)
-    assert np.array_equal(back.counts, scan.counts)
-    assert back.acquisition_s == 120.0
-    assert np.array_equal(back.singles_a, scan.singles_a)
-    assert np.array_equal(back.singles_b, scan.singles_b)
+    write_scan_csv(scan, path, header_comment="config_hash=abc")
+    comment, header, *rows = _read_scan_rows(path)
+    assert comment == ["# config_hash=abc"]
+    assert header == ["setting", "counts", "acquisition_s", "singles_a",
+                      "singles_b"]
+    back = np.array(rows, dtype=float)
+    assert np.array_equal(back[:, 0], scan.settings)
+    assert np.array_equal(back[:, 1], scan.counts)
+    assert np.all(back[:, 2] == 120.0)
+    assert np.array_equal(back[:, 3], scan.singles_a)
+    assert np.array_equal(back[:, 4], scan.singles_b)
 
 
 def test_scan_csv_without_singles(tmp_path):
@@ -329,12 +327,6 @@ def test_scan_csv_without_singles(tmp_path):
                       counts=np.ones(6) * 4, acquisition_s=1.0)
     path = tmp_path / "scan.csv"
     write_scan_csv(scan, path)
-    back = read_scan_csv(path)
-    assert back.singles_a is None and back.singles_b is None
-
-
-def test_scan_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValidationError):
-        read_scan_csv(path)
+    header, *rows = _read_scan_rows(path)
+    assert len(rows) == 6
+    assert all(row[3:] == ["", ""] for row in rows)

@@ -1,0 +1,51 @@
+"""The benchmark tracer (perfbench/tracing.py) patches fransonsim names
+by hand.  This guard keeps a rename or deletion in the package from
+breaking its per-layer split: every name it patches must exist, the
+closed-form patch points must sit on the live path, and uninstall must
+put every original back."""
+
+import importlib
+from pathlib import Path
+
+from fransonsim import budget, montecarlo, scenarios, tia
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def test_tracer_patches_and_restores_every_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    modules = (budget, montecarlo, scenarios, tia, workloads)
+    before = [dict(vars(m)) for m in modules]
+
+    tracer = tracing.Tracer()
+    tracer.install(workloads)
+    try:
+        patched = {f"{m.__name__}.{name}"
+                   for m, saved in zip(modules, before)
+                   for name, value in vars(m).items()
+                   if saved.get(name) is not value}
+        for name in ("fransonsim.budget.dispersion_broaden",
+                     "fransonsim.budget.sigma_from_fwhm",
+                     "fransonsim.budget.predict_rates",
+                     "fransonsim.tia.build_histogram",
+                     "fransonsim.tia.HistogramAccumulator",
+                     "fransonsim.montecarlo.iter_click_buckets"):
+            assert name in patched, name
+        config = scenarios.preset("paper-100km").config
+        tracer.take()
+        budget.predict_rates(config)
+        _, counts = tracer.take()
+        # four accidental-rate terms plus, per arm, the broadening
+        # that LinkModel derives through the patched names
+        assert counts["budget.calls"] == 1
+        assert counts["physics.calls"] > 4 + 2
+    finally:
+        tracer.uninstall()
+
+    for m, saved in zip(modules, before):
+        now = vars(m)
+        assert now.keys() == saved.keys(), m.__name__
+        for name, value in saved.items():
+            assert now[name] is value, f"{m.__name__}.{name}"
