@@ -25,7 +25,7 @@ import re
 import time
 import typing
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -558,20 +558,6 @@ def run_scenario(scenario: Scenario,
 
     report.wall_clock_s = time.perf_counter() - t_start
     return report
-
-
-def run_scenarios(scenarios: Sequence[Scenario],
-                  progress: Optional[Callable[[int, int], None]] = None,
-                  ) -> List[RunReport]:
-    """Run several scenarios; names must be unique so their output
-    files cannot collide."""
-    names = [s.name for s in scenarios]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
-        raise ValidationError(
-            f"scenario names must be unique within a run; "
-            f"duplicated: {', '.join(dupes)}")
-    return [run_scenario(s, progress=progress) for s in scenarios]
 
 
 # ---------------------------------------------------------------------------

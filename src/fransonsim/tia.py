@@ -9,7 +9,10 @@ Conventions:
   arithmetic and no pair is ever split or double counted;
 * windowed counts include every bin whose *center* falls inside the
   closed window [center - w/2, center + w/2];
-* counts are Poisson-weighted in fits, with sigma = sqrt(max(n, 1)).
+* counts are Poisson-weighted in fits, with sigma = sqrt(max(n, 1));
+* the fringe fit is numpy alone: a linear solve on a frequency grid,
+  then a Levenberg-Marquardt polish with the analytic Jacobian, which
+  also gives the covariance.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitDegenerate, FitNotConverged, ValidationError
 
 _MAX_PAIRS = int(2e8)   # guard for the all-pairs expansion
+_MIN_FREQ = 1e-12       # lower bound on the fitted fringe frequency
+_FIT_TOL = 1e-14        # gradient, chi^2 and step tolerance of the polish
+_FIT_MAX_NFEV = 500     # model evaluations before FitNotConverged
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +179,24 @@ class HistogramAccumulator:
                               n_stops=self._n_stops)
 
 
+def _check_window(window_ps, bin_ps: int) -> None:
+    """A coincidence window must be finite and at least one bin wide."""
+    if not math.isfinite(window_ps):
+        raise ValidationError(
+            f"window_ps must be finite, got {window_ps!r}")
+    if window_ps < bin_ps:
+        raise ValidationError(
+            f"window_ps={window_ps!r} is narrower than one {bin_ps} ps bin")
+
+
 def count_in_window(hist: DelayHistogram, center_ps: float,
                     window_ps: float) -> int:
     """Total counts of bins whose centers lie inside the closed window
     [center - w/2, center + w/2]."""
-    if not (math.isfinite(center_ps) and math.isfinite(window_ps)):
+    if not math.isfinite(center_ps):
         raise ValidationError(
-            f"center_ps and window_ps must be finite, got {center_ps!r}, "
-            f"{window_ps!r}")
-    if window_ps < hist.bin_ps:
-        raise ValidationError(
-            f"window_ps={window_ps!r} is narrower than one "
-            f"{hist.bin_ps} ps bin")
+            f"center_ps must be finite, got {center_ps!r}")
+    _check_window(window_ps, hist.bin_ps)
     centers = hist.centers()
     mask = (centers >= center_ps - window_ps / 2.0) \
         & (centers <= center_ps + window_ps / 2.0)
@@ -255,14 +266,72 @@ def _linear_fringe_solve(x, rates, weights, freq):
     return coef, float(resid @ resid)
 
 
+def _fringe_residuals(p, x, rates, weights):
+    """Weighted residuals of rate = a0 + a1 cos(f x) + a2 sin(f x) and
+    their analytic Jacobian in (a0, a1, a2, f)."""
+    a0, a1, a2, f = p
+    c, s = np.cos(f * x), np.sin(f * x)
+    resid = (a0 + a1 * c + a2 * s - rates) * weights
+    jac = np.column_stack([weights, weights * c, weights * s,
+                           weights * x * (a2 * c - a1 * s)])
+    return resid, jac
+
+
+def _polish_fringe(p, x, rates, weights):
+    """Levenberg-Marquardt on the weighted chi^2 from start p, with
+    f >= _MIN_FREQ.  Stops on a gradient below _FIT_TOL, on a relative
+    chi^2 drop below _FIT_TOL from a step the local model predicted
+    well, or on a step below _FIT_TOL of |p|.  Returns (p, resid, jac)
+    at the optimum; FitNotConverged after _FIT_MAX_NFEV model
+    evaluations, as where the chi^2 keeps falling while f slides to 0."""
+    resid, jac = _fringe_residuals(p, x, rates, weights)
+    cost = float(resid @ resid)
+    scale = np.zeros(4)
+    damping, growth = 1e-3, 2.0
+    for _ in range(_FIT_MAX_NFEV - 1):
+        hess, grad = jac.T @ jac, jac.T @ resid
+        if np.max(np.abs(grad)) < _FIT_TOL:
+            break
+        # Marquardt's diagonal scaling; like MINPACK it never shrinks
+        scale = np.maximum(scale, np.diag(hess))
+        floor = np.where(scale > 0.0, scale, 1.0)
+        step = np.linalg.solve(hess + damping * np.diag(floor), -grad)
+        trial = p + step
+        trial[3] = max(trial[3], _MIN_FREQ)
+        step = trial - p
+        resid_t, jac_t = _fringe_residuals(trial, x, rates, weights)
+        cost_t = float(resid_t @ resid_t)
+        predicted = -float(2.0 * grad @ step + step @ hess @ step)
+        gain = (cost - cost_t) / predicted if predicted > 0.0 else 0.0
+        small_step = math.sqrt(step @ step) \
+            < _FIT_TOL * (_FIT_TOL + math.sqrt(p @ p))
+        if math.isfinite(cost_t) and cost_t < cost:
+            small_drop = cost - cost_t < _FIT_TOL * cost and gain > 0.25
+            p, resid, jac, cost = trial, resid_t, jac_t, cost_t
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+            if small_drop or small_step:
+                break
+        else:
+            if small_step:
+                break
+            damping *= growth
+            growth *= 2.0
+    else:
+        raise FitNotConverged(
+            f"fringe fit stalled after {_FIT_MAX_NFEV} evaluations")
+    return p, resid, jac
+
+
 def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     """Weighted sinusoid fit: rate = a0 + a1 cos(k x) + a2 sin(k x).
 
     The frequency k is scanned on a log grid (capped at the Nyquist
     limit of the setting spacing) for the linear sub-problem, then
-    polished together with the amplitudes.  Visibility is
-    hypot(a1, a2)/a0, clamped to [0, 1]; its sigma comes from the
-    weighted-fit covariance through the delta method.
+    polished together with the amplitudes by Levenberg-Marquardt.
+    Visibility is hypot(a1, a2)/a0, clamped to [0, 1]; its sigma comes
+    from the weighted-fit covariance pinv(J^T J) of the analytic
+    Jacobian through the delta method.
 
     Raises FitDegenerate (estimate attached) when no significant
     modulation exists, FitNotConverged if the polish stalls.
@@ -288,22 +357,11 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
                 for f in grid), key=lambda t: t[1])
     coef0, _, f0 = best
 
-    def residuals(p):
-        a0, a1, a2, f = p
-        model = a0 + a1 * np.cos(f * x) + a2 * np.sin(f * x)
-        return (model - rates) * weights
-
-    res = least_squares(residuals, np.append(coef0, f0),
-                        bounds=([-np.inf, -np.inf, -np.inf, 1e-12],
-                                [np.inf, np.inf, np.inf, np.inf]),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=500)
-    if res.status <= 0:
-        raise FitNotConverged(f"fringe fit stalled: {res.message}")
-    a0, a1, a2, freq = res.x
-    jtj = res.jac.T @ res.jac
-    cov = np.linalg.pinv(jtj)
+    p, resid, jac = _polish_fringe(np.append(coef0, f0), x, rates, weights)
+    a0, a1, a2, freq = (float(v) for v in p)
+    cov = np.linalg.pinv(jac.T @ jac)
     amp = math.hypot(a1, a2)
-    chi2 = float(res.fun @ res.fun)
+    chi2 = float(resid @ resid)
     dof = int(x.size - 4)
 
     if amp > 0.0:

@@ -301,6 +301,21 @@ def test_histogram_non_finite_flag_exits_2(small_config, tmp_path, capsys,
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--bin-ps", "inf"), "bin_ps and range_ps must be finite"),
+    (("--bin-ps", "2.5"), "bin_ps must be a positive integer"),
+    (("--range-ps", "0"), "range_ps must be at least one bin"),
+    (("--window-ps", "nan"), "window_ps must be finite"),
+    (("--bin-ps", "20", "--window-ps", "10"), "narrower than one 20 ps bin"),
+])
+def test_histogram_checks_flags_before_reading_clicks(tmp_path, capsys,
+                                                      flags, message):
+    # the click files do not exist: a read would exit 1, not 2
+    assert run_cli("histogram", str(tmp_path / "a.txt"),
+                   str(tmp_path / "b.txt"), *flags) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     assert run_cli("budget", "no_such_file.json") == 2
     assert "no_such_file.json" in capsys.readouterr().err

@@ -20,8 +20,7 @@ from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   PRESET_NAMES, ScanPlan, Scenario,
                                   calibrate_contrast, config_hash,
                                   emit_outputs, load_config, phase_grid,
-                                  preset, run_scenario, run_scenarios,
-                                  save_config)
+                                  preset, run_scenario, save_config)
 
 # back-to-back target divided by the unit-contrast prediction, square
 # root shared between the two analyzers (frozen; matches test_budget)
@@ -502,14 +501,6 @@ def test_mu_sweep_report():
         CALIBRATION_TARGET_VISIBILITY, abs=1e-12)
     rates = [r.central_max_in_window_hz for r in rows]
     assert all(a < b for a, b in zip(rates, rates[1:]))
-
-
-def test_run_scenarios_rejects_duplicate_names():
-    a = tiny_ideal(n_points=2, acq=0.005)
-    with pytest.raises(ValidationError, match="unique"):
-        run_scenarios([a, a])
-    reports = run_scenarios([a, replace(a, name="other")])
-    assert [r.scenario_name for r in reports] == ["ideal", "other"]
 
 
 # ---------------------------------------------------------------------------
