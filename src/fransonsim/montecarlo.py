@@ -44,6 +44,25 @@ Each slice packs its clicks per channel into int64 keys
 streaming bucket is then a searchsorted cut of the (at most three)
 slices whose clicks can reach it; when more than one contributes, a
 stable sort merges the sorted pieces in linear time.
+
+Memory model
+------------
+A run's working set is a small multiple of one slice's clicks, and
+does not grow with the acquisition time:
+
+* a slice builds each channel's arrivals in one float64 buffer that
+  becomes its int64 key array in place (8 bytes per click): emission
+  times are drawn into it, the branch delay, spreads, drift and
+  jitter are added chunk by chunk (temporaries of _DRAW_CHUNK
+  elements), dark counts fill its tail, and it is rounded and sorted
+  where it lies.  Besides it live one outcome byte per pair of a
+  class and an index per monitored signal photon;
+* once a bucket is cut, only the unconsumed part of each slice is
+  kept: the newest slice as a view, an older slice's spill tail as a
+  copy.  A bucket's key range is its own, so it is unpacked in place;
+* a consumer that drops each bucket before asking for the next (as
+  scenarios.measure_point does) therefore holds about two slices of
+  clicks: the one being drawn and the rest of the one before it.
 """
 
 from __future__ import annotations
@@ -70,6 +89,12 @@ _MAX_SPILL_PS = SLICE_PS // 4
 
 # Per-slice event budget (memory guard, ~GB scale if exceeded).
 _MAX_EVENTS_PER_SLICE = 1.2e8
+
+# Elements per step of the in-place passes over a slice (draws added
+# to arrivals, rounding into keys): bounds every temporary.  Chunked
+# Generator draws reproduce the one-shot stream, so it is not part of
+# the sampling definition.
+_DRAW_CHUNK = 1 << 16
 
 # (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
 Bucket = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -240,6 +265,20 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(2, np.uint64)[0])
 
 
+def _chunks(n: int) -> Iterator[slice]:
+    """[0, n) in consecutive slices of at most _DRAW_CHUNK elements."""
+    step = _DRAW_CHUNK
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def _add_normal(rng: np.random.Generator, sigma: float,
+                arr: np.ndarray) -> None:
+    """arr += Normal(0, sigma) draws, one per element, chunk by chunk."""
+    if sigma > 0.0:
+        for c in _chunks(arr.size):
+            arr[c] += rng.normal(0.0, sigma, c.stop - c.start)
+
+
 # ---------------------------------------------------------------------------
 # Click merge: dedupe and dead time
 # ---------------------------------------------------------------------------
@@ -247,9 +286,13 @@ def derive_seed(master_seed: int, index: int) -> int:
 def _unpack_dedupe(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Unpack sorted packed keys (t << 1) | is_dark into (times,
     is_dark), keeping the first click of each picosecond: the photon,
-    when a photon and a dark share one (digitizer resolution)."""
-    t = key >> 1
-    d = (key & 1).astype(bool)
+    when a photon and a dark share one (digitizer resolution).
+
+    Unpacks in place: key's storage becomes the times."""
+    d = np.empty(key.size, dtype=bool)
+    np.bitwise_and(key, 1, out=d, casting="unsafe")
+    t = key
+    t >>= 1
     if t.size > 1:
         keep = np.empty(t.size, dtype=bool)
         keep[0] = True
@@ -328,20 +371,26 @@ class _DriftWalk:
         self._values = self._carry + np.cumsum(inc)
         self._m_start = m_start
 
+    def walks(self, channel: str) -> bool:
+        """Whether apply needs the channel's emission times."""
+        return self.active and channel == self.channel and self.step > 0.0
+
     def apply(self, channel: str, arrivals: np.ndarray,
-              *emission_parts: np.ndarray) -> None:
-        """Shift arrivals in place; the emission_parts, concatenated,
-        are the arrivals' emission times."""
+              emission_ps: Optional[np.ndarray]) -> None:
+        """Shift arrivals in place; emission_ps holds their emission
+        times (needed only where walks(channel))."""
         if not self.active or channel != self.channel:
             return
         arrivals += self.offset
-        if self.step > 0.0 and arrivals.size:
-            emission_ps = np.concatenate(emission_parts)
-            pos = (emission_ps.astype(np.int64) // self.itv) - self._m_start
+        if not self.walks(channel):
+            return
+        for c in _chunks(arrivals.size):
+            pos = (emission_ps[c].astype(np.int64) // self.itv) \
+                - self._m_start
             vals = np.where(pos < 0, self._carry,
                             self._values[np.clip(pos, 0, None)]
                             if self._values.size else self._carry)
-            arrivals += vals
+            arrivals[c] += vals
 
 
 def _require_slice_budget(link: LinkModel, dt_s: float) -> None:
@@ -354,12 +403,35 @@ def _require_slice_budget(link: LinkModel, dt_s: float) -> None:
             "the acquisition")
 
 
+def _pack_keys(label: str, times: np.ndarray, n_photons: int,
+               lo: int, hi: int) -> np.ndarray:
+    """Round times (photons, then darks) in place into sorted int64
+    packed keys (t << 1) | is_dark, in the same storage."""
+    key = times.view(np.int64)
+    for c in _chunks(times.size):
+        key[c] = np.rint(times[c])
+    key <<= 1
+    key[n_photons:] |= 1
+    key.sort()
+    if key.size and (int(key[0] >> 1) < lo - _MAX_SPILL_PS
+                     or int(key[-1] >> 1) >= hi + _MAX_SPILL_PS):
+        raise ValidationError(
+            f"{label} clicks spilled more than {_MAX_SPILL_PS} ps "
+            "out of their generation slice (drift too large?)")
+    return key
+
+
 def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
                lo: int, hi: int, drift: _DriftWalk, diag: SimDiagnostics,
                ) -> Tuple[np.ndarray, np.ndarray]:
     """All click candidates whose generating process lives in
     [lo, hi), per channel as one sorted int64 array of packed keys
-    (t << 1) | is_dark: returns (sig_keys, idl_keys)."""
+    (t << 1) | is_dark: returns (sig_keys, idl_keys).
+
+    Each channel's arrivals are built in one float buffer that ends
+    as its key array: emission times are drawn into it, then the
+    branch delay, spreads, drift and jitter are added in place, chunk
+    by chunk, and its dark counts fill its tail."""
     width = hi - lo
     dt_s = width * 1e-12
     rate = link.pair_rate_hz
@@ -369,54 +441,87 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
     tau4 = float(config.analyzer_signal.delay_ps)
     sig_int = link.signal.sigma_intrinsic_ps
     exc_s, exc_i = link.signal.sigma_excess_ps, link.idler.sigma_excess_ps
+    seed = config.master_seed
     drift.advance(slice_idx, lo, hi)
 
-    def uniform_times(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        u *= width
-        u += lo
-        return u
+    def uniform_times(rng: np.random.Generator,
+                      out: np.ndarray) -> np.ndarray:
+        rng.random(out=out)
+        out *= width
+        out += lo
+        return out
 
     def add_spread(rng: np.random.Generator, exc: float,
                    arr: np.ndarray) -> None:
         # arr += (intrinsic + dispersion), the spreads summed first:
         # this float order is part of the drawn numbers
-        n = arr.size
-        if sig_int > 0.0:
-            eps = rng.normal(0.0, sig_int, n)
-            if exc > 0.0:
-                eps += rng.normal(0.0, exc, n)
+        if sig_int > 0.0 and exc > 0.0:
+            eps = rng.normal(0.0, sig_int, arr.size)
+            _add_normal(rng, exc, eps)
             arr += eps
-        elif exc > 0.0:
-            arr += rng.normal(0.0, exc, n)
+        else:
+            _add_normal(rng, max(sig_int, exc), arr)
+
+    def add_delay(arr: np.ndarray, codes: np.ndarray) -> None:
+        # + branch * tau4, the branch being bit 1 of the outcome code;
+        # t0 + branch * tau4 in either order is the same float
+        for c in _chunks(arr.size):
+            arr[c] += (codes[c] >> 1) * tau4
+
+    def dark_stream(stage: int, rate_hz: float):
+        # the dark count is drawn first, to size the channel's buffer
+        if rate_hz <= 0.0:
+            return None, 0
+        rng = _stream(seed, stage, slice_idx)
+        return rng, int(rng.poisson(rate_hz * dt_s))
+
+    def finish(channel: str, buf: np.ndarray, n_ph: int,
+               emission: Optional[np.ndarray], jitter_stage: int,
+               jitter_ps: float,
+               dark_rng: Optional[np.random.Generator]) -> np.ndarray:
+        # drift (photon arrivals only), detector jitter, dark counts
+        photons = buf[:n_ph]
+        drift.apply(channel, photons, emission)
+        if jitter_ps > 0.0 and n_ph:
+            _add_normal(_stream(seed, jitter_stage, slice_idx), jitter_ps,
+                        photons)
+        if dark_rng is not None:
+            uniform_times(dark_rng, buf[n_ph:])
+        return _pack_keys(channel, buf, n_ph, lo, hi)
 
     # --- stage: signal-detectable class ---------------------------------
-    # Random-mask selections go through index lists (flatnonzero, then
-    # a gather): numpy compacts by a boolean mask several times slower.
-    rng = _stream(config.master_seed, _ST_SIGNAL, slice_idx)
+    # Large random-mask selections go through index lists (flatnonzero,
+    # then a gather) or np.compress: indexing by a boolean mask is
+    # several times slower.
+    rng = _stream(seed, _ST_SIGNAL, slice_idx)
     n_s = int(rng.poisson(rate * q_s * dt_s))
-    pb_s = rng.integers(0, 4, size=n_s, dtype=np.uint8)
-    port_m_s = (pb_s & 1) == 0
-    branch_s = pb_s >> 1                          # 0 short, 1 long
-    i_m = np.flatnonzero(port_m_s)
+    pb_s = rng.integers(0, 4, size=n_s, dtype=np.uint8)  # port | branch<<1
+    i_m = np.flatnonzero((pb_s & 1) == 0)
+    n_m = i_m.size
+    dark_s, n_dark_s = dark_stream(_ST_SIGNAL_DARKS,
+                                   config.detector_signal.dark_rate_hz)
+    sig = np.empty(n_m + n_dark_s)
     # emission times only where a signal click can exist; the
     # idler-conditional stage draws times for its own orphans
-    t0_m = uniform_times(rng, i_m.size)
-    arr_sig = branch_s[i_m] * tau4
-    arr_sig += t0_m
-    add_spread(rng, exc_s, arr_sig)
+    arr_sig = uniform_times(rng, sig[:n_m])
 
     # --- stage: idler side of signal-class pairs ------------------------
-    rng_ic = _stream(config.master_seed, _ST_IDLER_COND, slice_idx)
-    both = rng_ic.random(n_s) < q_i
+    rng_ic = _stream(seed, _ST_IDLER_COND, slice_idx)
+    both = np.empty(n_s, dtype=bool)
+    for c in _chunks(n_s):
+        np.less(rng_ic.random(c.stop - c.start), q_i, out=both[c])
     i_b = np.flatnonzero(both)
     n_b = i_b.size
-    b_monitored = port_m_s[i_b]
-    i_bm = np.flatnonzero(b_monitored)
-    i_bo = np.flatnonzero(~b_monitored)
-    # emission times for both-pairs whose signal went to the
-    # unmonitored port (no signal click exists to anchor them)
-    t0_orphan = uniform_times(rng_ic, i_bo.size)
+    pb_b = pb_s[i_b]
+    b_monitored = (pb_b & 1) == 0
+    # emission times of both-pairs: monitored-signal ones were drawn
+    # in the signal stage (in signal-index order); those whose signal
+    # went to the unmonitored port have no signal click to anchor them
+    t0_b = np.empty(n_b)
+    t0_b[b_monitored] = arr_sig[np.flatnonzero(both[i_m])]
+    del both
+    t0_b[~b_monitored] = uniform_times(
+        rng_ic, np.empty(n_b - int(np.count_nonzero(b_monitored))))
     # conditional idler outcome given the signal's (port, branch):
     # same branch with prob 1/2; if same, idler takes the monitored
     # port with prob (1 +/- x)/2 (+ iff signal was monitored); if
@@ -425,83 +530,56 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
     pm = np.where(b_monitored, (1.0 + x) / 2.0, (1.0 - x) / 2.0)
     u_port = rng_ic.random(n_b)
     i_k = np.flatnonzero(np.where(same, u_port < pm, u_port < 0.5))
-    sig_branch_b = branch_s[i_b]
-    idl_branch = np.where(same, sig_branch_b, 1 - sig_branch_b)
-    # emission times of both-pairs: monitored-signal ones were drawn
-    # in the signal stage (in signal-index order), orphans here
-    t0_b = np.empty(n_b)
-    t0_b[i_bm] = t0_m[np.flatnonzero(both[i_m])]
-    t0_b[i_bo] = t0_orphan
+    # idler outcome codes: bit 1 is the idler branch
+    idl_codes = np.where(same, pb_b, pb_b ^ 2)[i_k]
     t0_idl_pair = t0_b[i_k]
     n_ib = i_k.size
+    del pb_b, b_monitored, t0_b, same, pm, u_port, i_k
+
+    # signal arrivals: emission + branch delay + spreads
+    emis_sig = arr_sig.copy() if drift.walks("signal") else None
+    add_delay(arr_sig, pb_s[i_m])
+    del pb_s, i_m
+    add_spread(rng, exc_s, arr_sig)
+    sig_keys = finish("signal", sig, n_m, emis_sig, _ST_SIGNAL_JITTER,
+                      link.signal.sigma_jitter_ps, dark_s)
+    del sig, arr_sig, emis_sig
 
     # --- stage: idler-only class ----------------------------------------
-    rng_io = _stream(config.master_seed, _ST_IDLER_ONLY, slice_idx)
+    rng_io = _stream(seed, _ST_IDLER_ONLY, slice_idx)
     n_io = int(rng_io.poisson(rate * q_i * (1.0 - q_s) * dt_s))
     pb_io = rng_io.integers(0, 4, size=n_io, dtype=np.uint8)
-    i_iom = np.flatnonzero((pb_io & 1) == 0)
+    # outcome codes of the idler-only photons at the monitored port
+    io_codes = np.concatenate([np.empty(0, np.uint8)] + [
+        np.compress((pb_io[c] & 1) == 0, pb_io[c]) for c in _chunks(n_io)])
+    del pb_io
+    n_iom = io_codes.size
 
-    # idler arrivals, pair class then idler-only class, in one array;
-    # each class draws its spreads from its own stream
-    arr_idl = np.empty(n_ib + i_iom.size)
-    arr_pair, arr_only = arr_idl[:n_ib], arr_idl[n_ib:]
-    np.multiply(idl_branch[i_k], tau4, out=arr_pair)
-    arr_pair += t0_idl_pair
+    # idler arrivals, pair class then idler-only class, then darks, in
+    # one buffer; each class draws its spreads from its own stream
+    dark_i, n_dark_i = dark_stream(_ST_IDLER_DARKS,
+                                   config.detector_idler.dark_rate_hz)
+    idl = np.empty(n_ib + n_iom + n_dark_i)
+    arr_pair, arr_only = idl[:n_ib], idl[n_ib:n_ib + n_iom]
+    arr_pair[:] = t0_idl_pair
+    uniform_times(rng_io, arr_only)
+    emis_idl = idl[:n_ib + n_iom].copy() if drift.walks("idler") else None
+    add_delay(arr_pair, idl_codes)
     add_spread(rng_ic, exc_i, arr_pair)
-    t0_io = uniform_times(rng_io, i_iom.size)
-    np.multiply(pb_io[i_iom] >> 1, tau4, out=arr_only)
-    arr_only += t0_io
+    add_delay(arr_only, io_codes)
+    del io_codes
     add_spread(rng_io, exc_i, arr_only)
-
-    # --- drift (photon arrivals of one channel, darks untouched) --------
-    drift.apply("signal", arr_sig, t0_m)
-    drift.apply("idler", arr_idl, t0_idl_pair, t0_io)
-
-    # --- detector jitter --------------------------------------------------
-    jit_s = link.signal.sigma_jitter_ps
-    if jit_s > 0.0 and arr_sig.size:
-        rng = _stream(config.master_seed, _ST_SIGNAL_JITTER, slice_idx)
-        arr_sig += rng.normal(0.0, jit_s, arr_sig.size)
-    jit_i = link.idler.sigma_jitter_ps
-    if jit_i > 0.0 and arr_idl.size:
-        rng = _stream(config.master_seed, _ST_IDLER_JITTER, slice_idx)
-        arr_idl += rng.normal(0.0, jit_i, arr_idl.size)
-
-    # --- dark counts -------------------------------------------------------
-    def darks(stage: int, rate_hz: float) -> np.ndarray:
-        if rate_hz <= 0.0:
-            return np.empty(0)
-        rng = _stream(config.master_seed, stage, slice_idx)
-        return uniform_times(rng, rng.poisson(rate_hz * dt_s))
-
-    dk_s = darks(_ST_SIGNAL_DARKS, config.detector_signal.dark_rate_hz)
-    dk_i = darks(_ST_IDLER_DARKS, config.detector_idler.dark_rate_hz)
+    idl_keys = finish("idler", idl, n_ib + n_iom, emis_idl,
+                      _ST_IDLER_JITTER, link.idler.sigma_jitter_ps, dark_i)
 
     # --- diagnostics ---------------------------------------------------------
-    rng = _stream(config.master_seed, _ST_REMAINDER, slice_idx)
+    rng = _stream(seed, _ST_REMAINDER, slice_idx)
     n_rem = int(rng.poisson(rate * (1.0 - q_s) * (1.0 - q_i) * dt_s))
     diag.pairs_generated += n_s + n_io + n_rem
     diag.pairs_signal_detectable += n_s
     diag.pairs_idler_only_detectable += n_io
     diag.pairs_both_detectable += n_b
-
-    def packed_keys(label: str, photons: np.ndarray,
-                    dark: np.ndarray) -> np.ndarray:
-        key = np.empty(photons.size + dark.size, dtype=np.int64)
-        np.rint(photons, out=key[:photons.size], casting="unsafe")
-        np.rint(dark, out=key[photons.size:], casting="unsafe")
-        key <<= 1
-        key[photons.size:] |= 1
-        key.sort()
-        if key.size and (int(key[0] >> 1) < lo - _MAX_SPILL_PS
-                         or int(key[-1] >> 1) >= hi + _MAX_SPILL_PS):
-            raise ValidationError(
-                f"{label} clicks spilled more than {_MAX_SPILL_PS} ps "
-                "out of their generation slice (drift too large?)")
-        return key
-
-    return (packed_keys("signal", arr_sig, dk_s),
-            packed_keys("idler", arr_idl, dk_i))
+    return sig_keys, idl_keys
 
 
 def iter_click_buckets(config: SimulationConfig,
@@ -518,6 +596,12 @@ def iter_click_buckets(config: SimulationConfig,
     is sorted once, when generated; a bucket is the searchsorted cut
     of the slices whose clicks can reach it (its own and the two
     neighbours), merged when more than one contributes.
+
+    Only the unconsumed part of each slice is kept once a bucket is
+    cut: the newest slice as a view, an older slice's spill tail as a
+    copy.  A bucket's arrays may share storage with the slice it came
+    from; a consumer that drops each bucket before asking for the
+    next holds about two slices of clicks at a time.
     """
     if diag is None:
         diag = SimDiagnostics()
@@ -526,48 +610,48 @@ def iter_click_buckets(config: SimulationConfig,
     _require_slice_budget(link, min(span, SLICE_PS) * 1e-12)
     n_slices = max(1, -(-span // SLICE_PS))
     drift = _DriftWalk(config)
-    pools: List[Tuple[np.ndarray, np.ndarray]] = []
-    dead_s = int(round(config.detector_signal.dead_time_ps))
-    dead_i = int(round(config.detector_idler.dead_time_ps))
+    pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
+    dead = {"signal": int(round(config.detector_signal.dead_time_ps)),
+            "idler": int(round(config.detector_idler.dead_time_ps))}
     carry = {"signal": -2 ** 62, "idler": -2 ** 62}
     empty = np.empty(0, np.int64)
 
-    for k in range(n_slices + 1):
-        if k < n_slices:
-            lo, hi = k * SLICE_PS, min(span, (k + 1) * SLICE_PS)
-            pools.append(_gen_slice(config, link, k, lo, hi, drift,
-                                    diag))
-        else:
-            pools.append((empty, empty))
-        if len(pools) > 3:
-            pools.pop(0)
-        b = k - 1
-        if b < 0:
-            continue
+    def cut(b: int) -> Bucket:
         # last bucket takes a closed upper edge so t == span survives
-        bhi = (b + 1) * SLICE_PS if b < n_slices - 1 else span + 1
+        last = b == n_slices - 1
+        bhi = span + 1 if last else (b + 1) * SLICE_PS
         cuts = (max(b * SLICE_PS, 0) << 1, bhi << 1)
         out: List[np.ndarray] = []
-        for ch, channel, dead in ((0, "signal", dead_s),
-                                  (1, "idler", dead_i)):
+        for ch, channel in ((0, "signal"), (1, "idler")):
             pieces = []
-            for pool in pools:
+            for n, pool in enumerate(pools, 1):
                 key = pool[ch]
                 i, j = (int(c) for c in key.searchsorted(cuts))
                 if b == 0:                      # t < 0
                     diag.clicks_dropped_out_of_span += i
-                if b == n_slices - 1:           # t > span
+                if last:                        # t > span
                     diag.clicks_dropped_out_of_span += key.size - j
                 if j > i:
                     pieces.append(key[i:j])
+                # keep what later buckets need: the newest slice as a
+                # view, an older one's spill tail as a copy so that its
+                # storage can go
+                if last:
+                    pool[ch] = empty
+                elif n == len(pools):
+                    pool[ch] = key[j:]
+                else:
+                    pool[ch] = key[j:].copy()
             if len(pieces) > 1:
                 key = np.concatenate(pieces)
                 key.sort(kind="stable")         # merges the sorted runs
             else:
                 key = pieces[0] if pieces else empty
+            del pieces   # a merged bucket needs its slices no more
+            # the bucket's key range is its own: unpack it in place
             tt, dd = _unpack_dedupe(key)
-            tt, dd, carry[channel] = _dead_time_filter(tt, dd, dead,
-                                                       carry[channel])
+            tt, dd, carry[channel] = _dead_time_filter(
+                tt, dd, dead[channel], carry[channel])
             n_dark = int(np.count_nonzero(dd))
             if channel == "signal":
                 diag.photon_clicks_signal += dd.size - n_dark
@@ -576,7 +660,15 @@ def iter_click_buckets(config: SimulationConfig,
                 diag.photon_clicks_idler += dd.size - n_dark
                 diag.dark_clicks_idler += n_dark
             out.extend((tt, dd))
-        yield (bhi, out[0], out[1], out[2], out[3])
+        pools[:] = [p for p in pools if p[0].size or p[1].size]
+        return (bhi, out[0], out[1], out[2], out[3])
+
+    for k in range(n_slices):
+        lo, hi = k * SLICE_PS, min(span, (k + 1) * SLICE_PS)
+        pools.append(list(_gen_slice(config, link, k, lo, hi, drift, diag)))
+        if k > 0:
+            yield cut(k - 1)
+    yield cut(n_slices - 1)
 
 
 def streams_from_buckets(config: SimulationConfig,

@@ -447,6 +447,7 @@ def measure_point(config: SimulationConfig, setting: float,
         acc.add_bucket(bucket[1], bucket[3], bucket[0])
         if buckets is not None:
             buckets.append(bucket)
+        del bucket   # its clicks go before the next slice is drawn
     hist = acc.finalize()
     w = config.tia.window_ps
     delay = config.analyzer_signal.delay_ps
@@ -477,17 +478,74 @@ def _run_fringe_point(config: SimulationConfig, plan: ScanPlan,
     return measure_point(cfg, setting)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # not on every platform
+        return os.cpu_count() or 1
+
+
+def _resolve_jobs(jobs: Optional[int], n_points: int) -> int:
+    """Worker threads for n_points fringe points: jobs, or the usable
+    CPUs when None, capped at the usable CPUs and at n_points."""
+    if jobs is not None and (not isinstance(jobs, int)
+                             or isinstance(jobs, bool) or jobs < 1):
+        raise ValidationError(
+            f"jobs must be a positive integer, got {jobs!r}")
+    cpus = _usable_cpus()
+    return max(1, min(cpus if jobs is None else jobs, cpus, n_points))
+
+
+def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
+                       workers: int,
+                       progress: Optional[Callable[[int, int], None]],
+                       ) -> List[FringePointResult]:
+    """Every point of plan, in point order.  With more than one worker
+    the points run on a thread pool (numpy releases the GIL in the
+    draws, sorts and searches that dominate a point); progress then
+    counts points as they complete.  An exception in a point is
+    raised here, and points not yet started are cancelled."""
+    n = len(plan.settings)
+    if workers == 1:
+        points = []
+        for k in range(n):
+            points.append(_run_fringe_point(config, plan, k))
+            if progress is not None:
+                progress(k + 1, n)
+        return points
+    # imported here: the pool's import costs start-up of every process
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+    results: List[Optional[FringePointResult]] = [None] * n
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_run_fringe_point, config, plan, k): k
+                   for k in range(n)}
+        try:
+            for done, future in enumerate(as_completed(futures), 1):
+                results[futures[future]] = future.result()
+                if progress is not None:
+                    progress(done, n)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return results
+
+
 def run_scenario(scenario: Scenario,
                  progress: Optional[Callable[[int, int], None]] = None,
+                 jobs: Optional[int] = None,
                  ) -> RunReport:
     """Execute a scenario and assemble its report.
 
     Fringe points are simulated with independently derived seeds
     (derive_seed(master, point_index)), so each point's result is the
     same whether points run alone, in order, or in parallel; results
-    are always assembled in point order."""
+    are always assembled in point order.  ``jobs`` is the number of
+    points run at once on a thread pool (see _resolve_jobs); 1 runs
+    them inline.  Each running point holds about two generation
+    slices of clicks."""
     t_start = time.perf_counter()
     cfg = scenario.config
+    n_points = len(scenario.plan.settings) if scenario.plan else 1
+    workers = _resolve_jobs(jobs, n_points)
     rates = predict_rates(cfg)
     v_corr = predict_visibility(cfg).visibility
     v_raw = predict_visibility(cfg, include_side_leak=True).visibility
@@ -504,11 +562,7 @@ def run_scenario(scenario: Scenario,
     if scenario.mode == "fringe":
         plan = scenario.plan
         assert plan is not None
-        points = []
-        for k in range(len(plan.settings)):
-            points.append(_run_fringe_point(cfg, plan, k))
-            if progress is not None:
-                progress(k + 1, len(plan.settings))
+        points = _run_fringe_points(cfg, plan, workers, progress)
         report.abscissa = plan.abscissa
         report.acquisition_s_per_point = plan.acquisition_s_per_point
         report.events_generated = sum(p.pairs_generated for p in points)

@@ -20,16 +20,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from .errors import FitDegenerate, FitNotConverged, ValidationError
 
-_MAX_PAIRS = int(2e8)   # guard for the all-pairs expansion
+_PAIR_CHUNK = 1 << 16   # starts searched, and pairs expanded, at once
 _MIN_FREQ = 1e-12       # lower bound on the fitted fringe frequency
 _FIT_TOL = 1e-14        # gradient, chi^2 and step tolerance of the polish
 _FIT_MAX_NFEV = 500     # model evaluations before FitNotConverged
+_NYQUIST_TOL = 1e-3     # relative distance of a fit "at" the Nyquist limit
 
 
 # ---------------------------------------------------------------------------
@@ -87,30 +88,41 @@ def _normalize_binning(bin_ps, range_ps) -> Tuple[int, int]:
 
 
 def _pair_deltas(starts: np.ndarray, stops: np.ndarray,
-                 range_ps: int) -> np.ndarray:
-    """stop - start for every pair within [-range, +range), vectorized.
+                 range_ps: int) -> Iterator[np.ndarray]:
+    """stop - start for every pair within [-range, +range), in start
+    then stop order, as arrays of at most _PAIR_CHUNK pairs.
 
-    The lower bound is searched only for the starts whose last stop
-    before start + range lies in range; for all others it equals the
-    upper bound, so sparse streams pay about one binary search.
+    Starts are searched _PAIR_CHUNK at a time.  The lower bound is
+    searched only for the starts whose last stop before start + range
+    lies in range; for all others it equals the upper bound, so sparse
+    streams pay about one binary search.  Pairs are expanded in runs
+    of starts whose windows hold at most _PAIR_CHUNK stops together; a
+    start whose window alone holds more is expanded piece by piece.
     """
-    hi = np.searchsorted(stops, starts + range_ps, side="left")
-    live = np.flatnonzero(hi)
-    live = live[stops[hi[live] - 1] >= starts[live] - range_ps]
-    starts, hi = starts[live], hi[live]
-    lo = np.searchsorted(stops, starts - range_ps, side="left")
-    lengths = hi - lo
-    total = int(lengths.sum())
-    if total > _MAX_PAIRS:
-        raise ValidationError(
-            f"{total} start-stop pairs in range; narrow range_ps")
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    start_rep = np.repeat(starts, lengths)
-    first = np.repeat(lo, lengths)
-    offsets = np.arange(total, dtype=np.int64) \
-        - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return stops[first + offsets] - start_rep
+    step = _PAIR_CHUNK
+    for a in range(0, starts.size, step):
+        s = starts[a:a + step]
+        hi = np.searchsorted(stops, s + range_ps, side="left")
+        live = np.flatnonzero(hi)
+        live = live[stops[hi[live] - 1] >= s[live] - range_ps]
+        s, hi = s[live], hi[live]
+        lo = np.searchsorted(stops, s - range_ps, side="left")
+        lengths = hi - lo                  # >= 1 for every live start
+        ends = np.cumsum(lengths)
+        i = 0
+        while i < s.size:
+            base = int(ends[i]) - int(lengths[i])
+            j = int(np.searchsorted(ends, base + step, side="right"))
+            if j == i:                     # one start, > step pairs
+                for q in range(int(lo[i]), int(hi[i]), step):
+                    yield stops[q:min(q + step, int(hi[i]))] - s[i]
+                j = i + 1
+            else:
+                n = lengths[i:j]
+                first = np.repeat(lo[i:j] - (ends[i:j] - n - base), n)
+                first += np.arange(int(ends[j - 1]) - base)
+                yield stops[first] - np.repeat(s[i:j], n)
+            i = j
 
 
 def build_histogram(starts, stops, bin_ps, range_ps) -> DelayHistogram:
@@ -146,12 +158,10 @@ class HistogramAccumulator:
         self._last_hi: Optional[int] = None
 
     def _bin_into(self, starts: np.ndarray, stops: np.ndarray) -> None:
-        if starts.size == 0:
-            return
-        deltas = _pair_deltas(starts, stops, self.range_ps)
-        if deltas.size:
-            idx = (deltas + self.range_ps) // self.bin_ps
-            self._counts += np.bincount(idx, minlength=self._nbins)
+        for deltas in _pair_deltas(starts, stops, self.range_ps):
+            deltas += self.range_ps
+            deltas //= self.bin_ps
+            self._counts += np.bincount(deltas, minlength=self._nbins)
 
     def add_bucket(self, starts, stops, bucket_hi_ps: int) -> None:
         if self._last_hi is not None and bucket_hi_ps <= self._last_hi:
@@ -161,14 +171,19 @@ class HistogramAccumulator:
         stops = _as_sorted_int64(stops, "stops")
         self._n_starts += int(starts.size)
         self._n_stops += int(stops.size)
-        all_starts = np.concatenate([self._pending, starts])
-        all_stops = np.concatenate([self._stop_tail, stops])
-        ready = all_starts + self.range_ps <= bucket_hi_ps
-        self._bin_into(all_starts[ready], all_stops)
-        self._pending = all_starts[~ready]
+        if self._pending.size:
+            starts = np.concatenate([self._pending, starts])
+        if self._stop_tail.size:
+            stops = np.concatenate([self._stop_tail, stops])
+        # starts with start + range <= bucket_hi_ps are ready: a prefix
+        n_ready = int(starts.searchsorted(bucket_hi_ps - self.range_ps,
+                                          side="right"))
+        self._bin_into(starts[:n_ready], stops)
+        # copies: the bucket's arrays must not outlive it
+        self._pending = starts[n_ready:].copy()
         # keep stops any pending or future start could still pair with
-        self._stop_tail = all_stops[all_stops >= bucket_hi_ps
-                                    - 2 * self.range_ps]
+        keep = int(stops.searchsorted(bucket_hi_ps - 2 * self.range_ps))
+        self._stop_tail = stops[keep:].copy()
 
     def finalize(self) -> DelayHistogram:
         self._bin_into(self._pending, self._stop_tail)
@@ -326,7 +341,7 @@ def _polish_fringe(p, x, rates, weights):
 def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     """Weighted sinusoid fit: rate = a0 + a1 cos(k x) + a2 sin(k x).
 
-    The frequency k is scanned on a log grid (capped at the Nyquist
+    The frequency k is scanned on a log grid (strictly below the Nyquist
     limit of the setting spacing) for the linear sub-problem, then
     polished together with the amplitudes by Levenberg-Marquardt.
     Visibility is hypot(a1, a2)/a0, clamped to [0, 1]; its sigma comes
@@ -334,7 +349,9 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     Jacobian through the delta method.
 
     Raises FitDegenerate (estimate attached) when no significant
-    modulation exists, FitNotConverged if the polish stalls.
+    modulation exists or the fit ends at the Nyquist limit (where the
+    sine amplitude is not identified), FitNotConverged if the polish
+    stalls.
     """
     x = scan.settings
     if x.size < 5:
@@ -352,6 +369,11 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     nyquist = math.pi / spacing
     grid = np.geomspace(0.05, max(nyquist, 0.06), 64)
     grid = np.unique(np.append(grid, min(1.0, nyquist)))
+    # at the Nyquist frequency the sine column vanishes and a2 is not
+    # identified: start strictly below it
+    grid = grid[grid < nyquist]
+    if grid.size == 0:   # settings spaced wider than 2 pi / 0.05
+        grid = np.geomspace(0.05 * nyquist, nyquist, 64, endpoint=False)
 
     best = min((_linear_fringe_solve(x, rates, weights, f) + (f,)
                 for f in grid), key=lambda t: t[1])
@@ -382,6 +404,11 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
             "no statistically significant fringe modulation "
             f"(amplitude {amp:.3g} +- {sigma_amp:.3g})",
             estimate=build(0.0, math.inf))
+    if abs(freq - nyquist) <= _NYQUIST_TOL * nyquist:
+        raise FitDegenerate(
+            f"fringe frequency {freq:.6g} at the Nyquist limit "
+            f"{nyquist:.6g} of the settings: the sine amplitude is not "
+            "identified", estimate=build(0.0, math.inf))
 
     g = np.array([-amp / a0 ** 2, a1 / (amp * a0), a2 / (amp * a0)])
     var_v = float(g @ cov[:3, :3] @ g)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fransonsim import montecarlo
 from fransonsim.budget import LinkModel
 from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec, DetectorSpec,
@@ -430,6 +431,44 @@ def test_buckets_match_whole_run_reference(cfg):
     assert diag == want_diag
     if cfg.drift.enabled and cfg.drift.channel == "signal":
         assert diag.clicks_dropped_out_of_span > 0
+
+
+def _dispersive(cfg, km):
+    return replace(cfg, channel_signal=replace(cfg.channel_signal,
+                                               fiber_length_km=km),
+                   channel_idler=replace(cfg.channel_idler,
+                                         fiber_length_km=km))
+
+
+@pytest.mark.parametrize("cfg", [
+    # intrinsic + dispersion spreads, darks, dead time, idler walk
+    _with_dead_time(
+        _dispersive(lossy_config(
+            acquisition_time_s=21.0, master_seed=17,
+            source=SourceSpec(mean_pairs_per_window=5e-4),
+            drift=TimingDriftSpec(enabled=True, channel="idler",
+                                  offset_ps=40.0, walk_step_ps=5.0,
+                                  walk_interval_ps=1.0e9)), 5.0),
+        5.0e4, 5.0e4),
+    # intrinsic spread alone, no jitter, no darks; signal walk
+    lossless_config(source=SourceSpec(photon_fwhm_ps=0.5,
+                                      mean_pairs_per_window=2e-7),
+                    acquisition_time_s=10.5, master_seed=3,
+                    drift=TimingDriftSpec(enabled=True, channel="signal",
+                                          offset_ps=-7.0, walk_step_ps=2.0)),
+], ids=["dispersive-dead-walk", "intrinsic-signal-walk"])
+def test_buckets_do_not_depend_on_the_draw_chunk(cfg, monkeypatch):
+    want_diag, got_diag = SimDiagnostics(), SimDiagnostics()
+    want = list(iter_click_buckets(cfg, want_diag))
+    monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 7)
+    got = list(iter_click_buckets(cfg, got_diag))
+    assert len(got) == len(want) == math.ceil(cfg.acquisition_time_s / 10)
+    assert sum(b[1].size + b[3].size for b in want) > 1000
+    for g, w in zip(got, want):
+        assert g[0] == w[0]
+        for a, b in zip(g[1:], w[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got_diag == want_diag
 
 
 def test_dead_time_across_bucket_edges():

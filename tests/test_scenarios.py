@@ -5,6 +5,9 @@ import dataclasses
 import json
 import math
 import re
+import threading
+import time
+import tracemalloc
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -14,13 +17,16 @@ import pytest
 
 from fransonsim.errors import ParseError, ValidationError
 from fransonsim.physics import chsh_from_visibility
-from fransonsim.montecarlo import SimulationConfig, derive_seed
+from fransonsim import scenarios
+from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
+                                   derive_seed)
 from fransonsim.budget import predict_visibility
 from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   PRESET_NAMES, ScanPlan, Scenario,
                                   calibrate_contrast, config_hash,
-                                  emit_outputs, load_config, phase_grid,
-                                  preset, run_scenario, save_config)
+                                  emit_outputs, load_config,
+                                  measure_point, phase_grid, preset,
+                                  run_scenario, save_config)
 
 # back-to-back target divided by the unit-contrast prediction, square
 # root shared between the two analyzers (frozen; matches test_budget)
@@ -470,6 +476,129 @@ def test_scanned_idler_moves_the_fringe():
     # same physics either way: the fringe depends on the phase sum
     assert r_idl.estimate.visibility == pytest.approx(
         r_sig.estimate.visibility, abs=0.01)
+
+
+# ---------------------------------------------------------------------------
+# point pool and per-point memory
+# ---------------------------------------------------------------------------
+
+def pool_scenario():
+    """Short multi-slice scan: darks, 50 ns dead time, idler drift walk."""
+    cfg = preset("back-to-back", master_seed=21).config
+    detectors = {arm: replace(getattr(cfg, arm), dead_time_ps=5.0e4,
+                              dark_rate_hz=2000.0)
+                 for arm in ("detector_signal", "detector_idler")}
+    cfg = replace(cfg, source=replace(cfg.source, mean_pairs_per_window=(
+        cfg.source.mean_pairs_per_window / 30.0)),
+        drift=TimingDriftSpec(enabled=True, channel="idler", offset_ps=20.0,
+                              walk_step_ps=3.0), **detectors)
+    return Scenario(name="pool", config=cfg, emit_histograms=True,
+                    plan=ScanPlan(settings=phase_grid(6),
+                                  acquisition_s_per_point=12.0))
+
+
+def test_pool_writes_the_serial_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 4)
+    run_point = scenarios._run_fringe_point
+    threads = set()
+
+    def spy(config, plan, index):
+        threads.add(threading.get_ident())
+        return run_point(config, plan, index)
+
+    scenario = pool_scenario()
+    serial = run_scenario(scenario, jobs=1)
+    monkeypatch.setattr(scenarios, "_run_fringe_point", spy)
+    seen = []
+    pooled = run_scenario(scenario, jobs=2,
+                          progress=lambda done, n: seen.append((done, n)))
+    assert threads and threading.get_ident() not in threads
+    assert seen == [(k, 6) for k in range(1, 7)]
+    default = run_scenario(scenario)
+    files = {}
+    for label, report in (("serial", serial), ("pooled", pooled),
+                          ("default", default)):
+        written = emit_outputs(report, tmp_path / label)
+        files[label] = [(Path(p).name, Path(p).read_bytes())
+                        for p in written]
+    assert [name for name, _ in files["serial"]] == [
+        "pool_report.json", "pool_scan.csv", "pool_hist.csv"]
+    assert files["pooled"] == files["serial"] == files["default"]
+    assert sum(p.singles_idler for p in serial.points) > 6 * 10_000
+
+
+class PointFailed(Exception):
+    pass
+
+
+def test_point_error_propagates_from_the_pool(monkeypatch):
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 2)
+    started = []
+
+    def point(config, plan, index):
+        started.append(index)
+        if index == 0:
+            raise PointFailed(index)
+        time.sleep(0.2)
+
+    monkeypatch.setattr(scenarios, "_run_fringe_point", point)
+    with pytest.raises(PointFailed):
+        run_scenario(tiny_ideal(n_points=8), jobs=2)
+    assert len(started) < 8          # points not yet started are cancelled
+    with pytest.raises(PointFailed):
+        run_scenario(tiny_ideal(n_points=8), jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, True, 2.5, "2"])
+def test_bad_jobs_are_rejected_before_any_point(jobs, monkeypatch):
+    def point(config, plan, index):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(scenarios, "_run_fringe_point", point)
+    with pytest.raises(ValidationError, match="jobs must be a positive"):
+        run_scenario(tiny_ideal(), jobs=jobs)
+
+
+def test_jobs_are_capped_at_cpus_and_points(monkeypatch):
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 3)
+    assert scenarios._resolve_jobs(None, 16) == 3
+    assert scenarios._resolve_jobs(None, 2) == 2
+    assert scenarios._resolve_jobs(8, 16) == 3
+    assert scenarios._resolve_jobs(2, 16) == 2
+    assert scenarios._resolve_jobs(1, 16) == 1
+
+
+def km100_link_point():
+    """30 s of the 100 km preset with 50 ns dead time, detector
+    efficiency raised and mu lowered 30-fold: the preset's singles,
+    more coincidences."""
+    cfg = preset("paper-100km", master_seed=3).config
+    detectors = {arm: replace(getattr(cfg, arm), dead_time_ps=5.0e4,
+                              quantum_efficiency=30.0 * getattr(
+                                  cfg, arm).quantum_efficiency)
+                 for arm in ("detector_signal", "detector_idler")}
+    source = replace(cfg.source, mean_pairs_per_window=(
+        cfg.source.mean_pairs_per_window / 30.0))
+    return replace(cfg, source=source, acquisition_time_s=30.0,
+                   **detectors)
+
+
+@pytest.mark.parametrize("config, cap_mb", [
+    # one 10 s slice: ~2.6 M clicks, 21 MB of packed keys
+    (replace(preset("back-to-back", master_seed=3).config,
+             acquisition_time_s=7.0), 40.0),
+    # three slices, merged buckets, dead time: ~1.1 M clicks
+    (km100_link_point(), 16.0),
+], ids=["back-to-back-7s", "km100-link-30s"])
+def test_one_point_holds_about_two_slices(config, cap_mb):
+    tracemalloc.start()
+    try:
+        point = measure_point(config, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert point.singles_signal + point.singles_idler > 1_000_000
+    assert peak <= cap_mb * 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from fransonsim.montecarlo import (SimulationConfig, iter_click_buckets,
 from fransonsim.tia import (FringeScan, HistogramAccumulator,
                             VisibilityEstimate, build_histogram,
                             count_in_window, fit_fringe, write_scan_csv)
+from fransonsim import tia
 from fransonsim.tia import _pair_deltas
 
 
@@ -65,6 +66,16 @@ def _two_search_pair_deltas(starts, stops, range_ps):
     return stops[first + offsets] - start_rep
 
 
+def _chunked_pair_deltas(starts, stops, range_ps, chunk):
+    """_pair_deltas with its chunk bound set to chunk, concatenated;
+    checks every yielded chunk against the bound."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tia, "_PAIR_CHUNK", chunk)
+        parts = list(_pair_deltas(starts, stops, range_ps))
+    assert all(p.dtype == np.int64 and 0 < p.size <= chunk for p in parts)
+    return np.concatenate([np.empty(0, np.int64)] + parts)
+
+
 # gaps of 0 make duplicate times; 0-3 is dense, up to 5000 sparse
 _gaps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 5000)),
                  max_size=80)
@@ -75,16 +86,18 @@ _gaps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 5000)),
        stop_offset=st.integers(-2000, 2000),
        edges=st.lists(st.tuples(st.integers(0, 79), st.sampled_from([-1, 1])),
                       max_size=12),
-       base=st.sampled_from([0, 25 * 10**12]))
+       base=st.sampled_from([0, 25 * 10**12]),
+       chunk=st.sampled_from([1, 2, 3, 7, tia._PAIR_CHUNK]))
 @example(start_gaps=[], stop_gaps=[1, 2], range_ps=10, stop_offset=0,
-         edges=[], base=0)
+         edges=[], base=0, chunk=tia._PAIR_CHUNK)
 @example(start_gaps=[1, 2], stop_gaps=[], range_ps=10, stop_offset=0,
-         edges=[], base=0)
+         edges=[], base=0, chunk=tia._PAIR_CHUNK)
 @example(start_gaps=[5, 0, 0, 3000], stop_gaps=[], range_ps=7,
-         stop_offset=0, edges=[(0, -1), (1, 1), (3, 1), (3, -1)], base=0)
+         stop_offset=0, edges=[(0, -1), (1, 1), (3, 1), (3, -1)], base=0,
+         chunk=tia._PAIR_CHUNK)
 def test_pair_deltas_matches_two_search_reference(start_gaps, stop_gaps,
                                                   range_ps, stop_offset,
-                                                  edges, base):
+                                                  edges, base, chunk):
     starts = base + np.cumsum(np.asarray(start_gaps, dtype=np.int64))
     stops = base + stop_offset \
         + np.cumsum(np.asarray(stop_gaps, dtype=np.int64))
@@ -92,10 +105,27 @@ def test_pair_deltas_matches_two_search_reference(start_gaps, stop_gaps,
     extra = [starts[i] + sign * range_ps for i, sign in edges
              if i < starts.size]
     stops = np.sort(np.concatenate([stops, np.asarray(extra, np.int64)]))
-    got = _pair_deltas(starts, stops, range_ps)
+    got = _chunked_pair_deltas(starts, stops, range_ps, chunk)
     want = _two_search_pair_deltas(starts, stops, range_ps)
-    assert got.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+def test_pair_expansion_is_bounded_on_a_dense_stream(monkeypatch):
+    # every start's window holds more stops than a chunk bound of 16
+    # pairs: one start alone exceeds it, and windows straddle chunks
+    rng = np.random.default_rng(8)
+    starts = np.sort(rng.integers(0, 200, 30)).astype(np.int64)
+    stops = np.sort(rng.integers(0, 200, 400)).astype(np.int64)
+    want = _two_search_pair_deltas(starts, stops, 100)
+    assert np.diff(np.searchsorted(stops, [starts - 100, starts + 100]),
+                   axis=0).min() > 16
+    assert np.array_equal(_chunked_pair_deltas(starts, stops, 100, 16), want)
+    monkeypatch.setattr(tia, "_PAIR_CHUNK", 16)
+    hist = build_histogram(starts, stops, 10, 100)
+    assert np.array_equal(hist.counts,
+                          np.bincount((want + 100) // 10, minlength=20))
+    assert np.array_equal(hist.counts,
+                          brute_histogram(starts, stops, 10, 100))
 
 
 def test_histogram_edges_are_exact():
@@ -243,6 +273,16 @@ def test_fit_recovers_non_unit_frequency():
     # settings in arbitrary units (e.g. kelvin) at 0.35 rad per unit
     est = fit_fringe(scan_from_law(800.0, 0.7, 1.2, n=20, freq=0.35))
     assert abs(est.frequency - 0.35) < 1e-6
+    assert abs(est.visibility - 0.7) < 1e-6
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_fit_below_a_nyquist_limit_under_the_default_grid(n):
+    # settings ~100 units apart put the Nyquist limit below the grid's
+    # 0.05 floor: the start grid then spans the range below the limit
+    # instead of aliases above it
+    est = fit_fringe(scan_from_law(800.0, 0.7, 1.2, n=n, freq=0.01))
+    assert abs(est.frequency - 0.01) < 1e-9
     assert abs(est.visibility - 0.7) < 1e-6
 
 
@@ -448,6 +488,26 @@ def test_fit_degenerate_verdict_matches_scipy_reference():
         verdicts.append(ours[1])
     assert len(verdicts) >= 60
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_fit_at_the_nyquist_limit_is_degenerate():
+    # the start grid stays strictly below the Nyquist frequency, where
+    # the sine column vanishes and a2 is not identified: this weak
+    # fringe used to start there and pass with sigma_amp from the pinv
+    # cut-off applied to rounding noise
+    weak = list(_oracle_scans(4, 80, 0.0, 0.05))[75]
+    with pytest.raises(FitDegenerate, match="no statistically"):
+        fit_fringe(weak)
+    # a polish that still runs to the limit (a2 growing without bound
+    # as sin(f x) vanishes) is degenerate too, estimate attached
+    runaway = list(_oracle_scans(28, 80, 0.0, 0.05))[55]
+    with pytest.raises(FitDegenerate, match="Nyquist") as err:
+        fit_fringe(runaway)
+    est = err.value.estimate
+    assert est.frequency == pytest.approx(runaway.settings.size / 2.0,
+                                          rel=1e-3)
+    assert est.visibility == 0.0 and math.isinf(est.sigma_visibility)
+    assert _outcome(reference_fit_fringe, weak)[1]
 
 
 @pytest.mark.parametrize("curvature", [-0.05, 0.05])
