@@ -13,9 +13,8 @@ Subcommands
     optimize-window <config>   score a coincidence-window grid
 
 Common flags: --preset, --seed, --out-dir, --points, --acquisition-s,
---format {csv,json}; fringe also takes --jobs N (points run at once).
-Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe
-fit.
+--format {csv,json}.  Exit codes: 0 success, 2 validation/parse failure,
+3 degenerate fringe fit.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def _cmd_fringe(args) -> int:
     def progress(done: int, total: int) -> None:
         print(f"  point {done}/{total}", file=sys.stderr, flush=True)
 
-    report = run_scenario(scenario, progress=progress, jobs=args.jobs)
+    report = run_scenario(scenario, progress=progress)
     written = emit_outputs(report, args.out_dir, fmt=args.format)
     for p in written:
         print(f"wrote {p}")
@@ -389,10 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override per-point acquisition time")
     p.add_argument("--histograms", action="store_true",
                    help="retain and emit per-point delay histograms")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="fringe points run at once on a thread pool "
-                        "(default: the usable CPUs; capped at those and "
-                        "at the number of points)")
     p.set_defaults(func=_cmd_fringe, out_dir=".")
 
     p = subs.add_parser("budget",

@@ -56,7 +56,13 @@ does not grow with the acquisition time:
   jitter are added chunk by chunk (temporaries of _DRAW_CHUNK
   elements), dark counts fill its tail, and it is rounded and sorted
   where it lies.  Besides it live one outcome byte per pair of a
-  class and an index per monitored signal photon;
+  class and an index per monitored signal photon.  One temporary is
+  a class's full size: where both the intrinsic and the dispersion
+  spread are non-zero (a dispersive link), their sum is drawn into
+  its own float64 array before it is added, because all intrinsic
+  draws come before the dispersion draws on the same stream and the
+  sum must be formed before the addition (float addition does not
+  associate);
 * once a bucket is cut, only the unconsumed part of each slice is
   kept: the newest slice as a view, an older slice's spill tail as a
   copy.  A bucket's key range is its own, so it is unpacked in place;
@@ -393,9 +399,16 @@ class _DriftWalk:
             arrivals[c] += vals
 
 
-def _require_slice_budget(link: LinkModel, dt_s: float) -> None:
+def slice_pairs(link: LinkModel, span_ps: int) -> float:
+    """Expected detectable pairs in one generation slice of a run of
+    span_ps (a run shorter than a slice is its only slice)."""
     q_s, q_i = link.signal.q, link.idler.q
-    expected = link.pair_rate_hz * dt_s * (q_s + q_i * (1.0 - q_s))
+    dt_s = min(span_ps, SLICE_PS) * 1e-12
+    return link.pair_rate_hz * dt_s * (q_s + q_i * (1.0 - q_s))
+
+
+def _require_slice_budget(link: LinkModel, span_ps: int) -> None:
+    expected = slice_pairs(link, span_ps)
     if expected > _MAX_EVENTS_PER_SLICE:
         raise ValidationError(
             f"~{expected:.3g} detectable pairs per generation slice "
@@ -454,7 +467,9 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
     def add_spread(rng: np.random.Generator, exc: float,
                    arr: np.ndarray) -> None:
         # arr += (intrinsic + dispersion), the spreads summed first:
-        # this float order is part of the drawn numbers
+        # this float order is part of the drawn numbers.  eps cannot be
+        # chunked: every intrinsic draw precedes the dispersion draws
+        # on this stream
         if sig_int > 0.0 and exc > 0.0:
             eps = rng.normal(0.0, sig_int, arr.size)
             _add_normal(rng, exc, eps)
@@ -607,12 +622,12 @@ def iter_click_buckets(config: SimulationConfig,
         diag = SimDiagnostics()
     span = config.span_ps()
     link = LinkModel.from_config(config)
-    _require_slice_budget(link, min(span, SLICE_PS) * 1e-12)
+    _require_slice_budget(link, span)
     n_slices = max(1, -(-span // SLICE_PS))
     drift = _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
-    dead = {"signal": int(round(config.detector_signal.dead_time_ps)),
-            "idler": int(round(config.detector_idler.dead_time_ps))}
+    dead_s = int(round(config.detector_signal.dead_time_ps))
+    dead_i = int(round(config.detector_idler.dead_time_ps))
     carry = {"signal": -2 ** 62, "idler": -2 ** 62}
     empty = np.empty(0, np.int64)
 
@@ -622,7 +637,8 @@ def iter_click_buckets(config: SimulationConfig,
         bhi = span + 1 if last else (b + 1) * SLICE_PS
         cuts = (max(b * SLICE_PS, 0) << 1, bhi << 1)
         out: List[np.ndarray] = []
-        for ch, channel in ((0, "signal"), (1, "idler")):
+        for ch, channel, dead in ((0, "signal", dead_s),
+                                  (1, "idler", dead_i)):
             pieces = []
             for n, pool in enumerate(pools, 1):
                 key = pool[ch]
@@ -650,8 +666,8 @@ def iter_click_buckets(config: SimulationConfig,
             del pieces   # a merged bucket needs its slices no more
             # the bucket's key range is its own: unpack it in place
             tt, dd = _unpack_dedupe(key)
-            tt, dd, carry[channel] = _dead_time_filter(
-                tt, dd, dead[channel], carry[channel])
+            tt, dd, carry[channel] = _dead_time_filter(tt, dd, dead,
+                                                       carry[channel])
             n_dark = int(np.count_nonzero(dd))
             if channel == "signal":
                 diag.photon_clicks_signal += dd.size - n_dark

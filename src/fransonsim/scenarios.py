@@ -29,12 +29,13 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .budget import (RatePrediction, WindowOptimization, predict_rates,
-                     predict_visibility, optimize_window)
+from .budget import (LinkModel, RatePrediction, WindowOptimization,
+                     predict_rates, predict_visibility, optimize_window)
 from .errors import FitDegenerate, FitNotConverged, ParseError, \
     ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
-                         TimingDriftSpec, derive_seed, iter_click_buckets)
+                         TimingDriftSpec, derive_seed, iter_click_buckets,
+                         slice_pairs)
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
 from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
@@ -485,36 +486,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _resolve_jobs(jobs: Optional[int], n_points: int) -> int:
-    """Worker threads for n_points fringe points: jobs, or the usable
-    CPUs when None, capped at the usable CPUs and at n_points."""
-    if jobs is not None and (not isinstance(jobs, int)
-                             or isinstance(jobs, bool) or jobs < 1):
-        raise ValidationError(
-            f"jobs must be a positive integer, got {jobs!r}")
-    cpus = _usable_cpus()
-    return max(1, min(cpus if jobs is None else jobs, cpus, n_points))
+# Expected detectable pairs per generation slice, summed over the
+# running points, up to which more than two fringe points run at once.
+# A running point holds about two slices of clicks, measured at 5-12
+# bytes per expected pair per slice, so a pool past two points stays
+# under ~250 MB.  Two points at once hold no more than one point did
+# when points ran one after another (up to four slices).
+_POOL_PAIRS_PER_SLICE = 2.0e7
+
+
+def _pool_workers(point_config: SimulationConfig, n_points: int) -> int:
+    """Fringe points run at once: the usable CPUs, capped at n_points
+    and, past two, at _POOL_PAIRS_PER_SLICE."""
+    pairs = slice_pairs(LinkModel.from_config(point_config),
+                        point_config.span_ps())
+    by_memory = max(2, int(_POOL_PAIRS_PER_SLICE // max(pairs, 1.0)))
+    return max(1, min(_usable_cpus(), n_points, by_memory))
 
 
 def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
-                       workers: int,
                        progress: Optional[Callable[[int, int], None]],
                        ) -> List[FringePointResult]:
-    """Every point of plan, in point order.  With more than one worker
-    the points run on a thread pool (numpy releases the GIL in the
-    draws, sorts and searches that dominate a point); progress then
+    """Every point of plan, in point order.  The points run on a
+    thread pool of _pool_workers threads (numpy releases the GIL in
+    the draws, sorts and searches that dominate a point); progress
     counts points as they complete.  An exception in a point is
     raised here, and points not yet started are cancelled."""
-    n = len(plan.settings)
-    if workers == 1:
-        points = []
-        for k in range(n):
-            points.append(_run_fringe_point(config, plan, k))
-            if progress is not None:
-                progress(k + 1, n)
-        return points
     # imported here: the pool's import costs start-up of every process
     from concurrent.futures import ThreadPoolExecutor, as_completed
+    n = len(plan.settings)
+    workers = _pool_workers(replace(
+        config, acquisition_time_s=plan.acquisition_s_per_point), n)
     results: List[Optional[FringePointResult]] = [None] * n
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_fringe_point, config, plan, k): k
@@ -531,21 +533,17 @@ def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
 
 def run_scenario(scenario: Scenario,
                  progress: Optional[Callable[[int, int], None]] = None,
-                 jobs: Optional[int] = None,
                  ) -> RunReport:
     """Execute a scenario and assemble its report.
 
     Fringe points are simulated with independently derived seeds
     (derive_seed(master, point_index)), so each point's result is the
     same whether points run alone, in order, or in parallel; results
-    are always assembled in point order.  ``jobs`` is the number of
-    points run at once on a thread pool (see _resolve_jobs); 1 runs
-    them inline.  Each running point holds about two generation
-    slices of clicks."""
+    are always assembled in point order.  The points run on a thread
+    pool (see _pool_workers); each running point holds about two
+    generation slices of clicks."""
     t_start = time.perf_counter()
     cfg = scenario.config
-    n_points = len(scenario.plan.settings) if scenario.plan else 1
-    workers = _resolve_jobs(jobs, n_points)
     rates = predict_rates(cfg)
     v_corr = predict_visibility(cfg).visibility
     v_raw = predict_visibility(cfg, include_side_leak=True).visibility
@@ -562,7 +560,7 @@ def run_scenario(scenario: Scenario,
     if scenario.mode == "fringe":
         plan = scenario.plan
         assert plan is not None
-        points = _run_fringe_points(cfg, plan, workers, progress)
+        points = _run_fringe_points(cfg, plan, progress)
         report.abscissa = plan.abscissa
         report.acquisition_s_per_point = plan.acquisition_s_per_point
         report.events_generated = sum(p.pairs_generated for p in points)

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import fransonsim
-from fransonsim import scenarios
 from fransonsim.montecarlo import derive_seed
 from fransonsim.scenarios import (ScanPlan, emit_outputs, phase_grid, preset,
                                   run_scenario, save_config)
@@ -225,34 +224,6 @@ def test_fringe_json_format_writes_report_only(quick_scenario, tmp_path):
                    "--format", "json") == 0
     assert (out / "quick_report.json").exists()
     assert not (out / "quick_scan.csv").exists()
-
-
-def test_fringe_jobs_write_the_same_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 2)
-    outputs = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert run_cli("fringe", "--preset", "back-to-back", "--points", "6",
-                       "--acquisition-s", "2", "--histograms",
-                       "--jobs", jobs, "--out-dir", str(out)) == 0
-        outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(outputs["1"]) == ["back-to-back_hist.csv",
-                                    "back-to-back_report.json",
-                                    "back-to-back_scan.csv"]
-    assert outputs["1"] == outputs["2"]
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_fringe_bad_jobs_exits_2_before_simulating(jobs, tmp_path, capsys,
-                                                   monkeypatch):
-    def point(config, plan, index):
-        raise AssertionError("a point ran")
-
-    monkeypatch.setattr(scenarios, "_run_fringe_point", point)
-    assert run_cli("fringe", "--preset", "back-to-back", "--jobs", jobs,
-                   "--out-dir", str(tmp_path)) == 2
-    assert "jobs must be a positive integer" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

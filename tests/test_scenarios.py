@@ -498,7 +498,6 @@ def pool_scenario():
 
 
 def test_pool_writes_the_serial_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 4)
     run_point = scenarios._run_fringe_point
     threads = set()
 
@@ -507,13 +506,16 @@ def test_pool_writes_the_serial_bytes(tmp_path, monkeypatch):
         return run_point(config, plan, index)
 
     scenario = pool_scenario()
-    serial = run_scenario(scenario, jobs=1)
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    serial = run_scenario(scenario)
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(scenarios, "_run_fringe_point", spy)
     seen = []
-    pooled = run_scenario(scenario, jobs=2,
+    pooled = run_scenario(scenario,
                           progress=lambda done, n: seen.append((done, n)))
-    assert threads and threading.get_ident() not in threads
+    assert len(threads) == 2 and threading.get_ident() not in threads
     assert seen == [(k, 6) for k in range(1, 7)]
+    monkeypatch.undo()
     default = run_scenario(scenario)
     files = {}
     for label, report in (("serial", serial), ("pooled", pooled),
@@ -531,8 +533,9 @@ class PointFailed(Exception):
     pass
 
 
-def test_point_error_propagates_from_the_pool(monkeypatch):
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 2)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_point_error_propagates_from_the_pool(cpus, monkeypatch):
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: cpus)
     started = []
 
     def point(config, plan, index):
@@ -543,29 +546,26 @@ def test_point_error_propagates_from_the_pool(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_run_fringe_point", point)
     with pytest.raises(PointFailed):
-        run_scenario(tiny_ideal(n_points=8), jobs=2)
+        run_scenario(tiny_ideal(n_points=8))
     assert len(started) < 8          # points not yet started are cancelled
-    with pytest.raises(PointFailed):
-        run_scenario(tiny_ideal(n_points=8), jobs=1)
 
 
-@pytest.mark.parametrize("jobs", [0, -1, True, 2.5, "2"])
-def test_bad_jobs_are_rejected_before_any_point(jobs, monkeypatch):
-    def point(config, plan, index):
-        raise AssertionError("a point ran")
-
-    monkeypatch.setattr(scenarios, "_run_fringe_point", point)
-    with pytest.raises(ValidationError, match="jobs must be a positive"):
-        run_scenario(tiny_ideal(), jobs=jobs)
-
-
-def test_jobs_are_capped_at_cpus_and_points(monkeypatch):
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 3)
-    assert scenarios._resolve_jobs(None, 16) == 3
-    assert scenarios._resolve_jobs(None, 2) == 2
-    assert scenarios._resolve_jobs(8, 16) == 3
-    assert scenarios._resolve_jobs(2, 16) == 2
-    assert scenarios._resolve_jobs(1, 16) == 1
+def test_pool_workers_are_capped_at_cpus_points_and_memory(monkeypatch):
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
+    cfg = preset("back-to-back").config
+    b2b = replace(cfg, acquisition_time_s=30.0)   # ~7.4e6 pairs per slice
+    small = replace(cfg, acquisition_time_s=0.1)  # ~7.4e4
+    assert scenarios._pool_workers(small, 16) == 16
+    assert scenarios._pool_workers(small, 3) == 3
+    assert scenarios._pool_workers(b2b, 16) == 2
+    # past two points, the pool's pairs per slice stay in the budget
+    monkeypatch.setattr(scenarios, "_POOL_PAIRS_PER_SLICE", 3.0e5)
+    assert scenarios._pool_workers(small, 16) == 4
+    monkeypatch.setattr(scenarios, "_POOL_PAIRS_PER_SLICE", 1.0e5)
+    assert scenarios._pool_workers(small, 16) == 2
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    assert scenarios._pool_workers(small, 16) == 1
+    assert scenarios._pool_workers(b2b, 1) == 1
 
 
 def km100_link_point():
