@@ -65,7 +65,8 @@ does not grow with the acquisition time:
   associate);
 * once a bucket is cut, only the unconsumed part of each slice is
   kept: the newest slice as a view, an older slice's spill tail as a
-  copy.  A bucket's key range is its own, so it is unpacked in place;
+  copy.  A bucket's key range is its own, so it is unpacked, and a
+  click sharing a picosecond with the one before it dropped, in place;
 * a consumer that drops each bucket before asking for the next (as
   scenarios.measure_point does) therefore holds about two slices of
   clicks: the one being drawn and the rest of the one before it.
@@ -294,7 +295,9 @@ def _unpack_dedupe(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     is_dark), keeping the first click of each picosecond: the photon,
     when a photon and a dark share one (digitizer resolution).
 
-    Unpacks in place: key's storage becomes the times."""
+    Unpacks in place: key's storage becomes the times, and a dropped
+    click is squeezed out where it lies, so the memory a bucket takes
+    does not depend on whether two of its clicks share a picosecond."""
     d = np.empty(key.size, dtype=bool)
     np.bitwise_and(key, 1, out=d, casting="unsafe")
     t = key
@@ -304,8 +307,24 @@ def _unpack_dedupe(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         keep[0] = True
         np.not_equal(t[1:], t[:-1], out=keep[1:])
         if not keep.all():
-            t, d = t[keep], d[keep]
+            first = int(np.argmin(keep))        # clicks before it stay
+            n = _compact(t, keep, first)
+            _compact(d, keep, first)
+            t, d = t[:n], d[:n]
     return t, d
+
+
+def _compact(arr: np.ndarray, keep: np.ndarray, start: int) -> int:
+    """Move arr's elements from start on where keep is set to
+    arr[start:], in order, _DRAW_CHUNK elements at a time; returns the
+    new length.  A chunk is gathered before it is written, and never
+    past its own end, so no copy of arr is made."""
+    n = start
+    for lo in range(start, arr.size, _DRAW_CHUNK):
+        part = arr[lo:lo + _DRAW_CHUNK][keep[lo:lo + _DRAW_CHUNK]]
+        arr[n:n + part.size] = part
+        n += part.size
+    return n
 
 
 def _dead_time_filter(times: np.ndarray, is_dark: np.ndarray,

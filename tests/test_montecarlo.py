@@ -173,6 +173,19 @@ def test_dedupe_prefers_photon_label():
     assert t.tolist() == [5] and d.tolist() == [False]
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_dedupe_squeezes_in_place_across_chunks(chunk, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    t = rng.integers(0, 60, 200)      # most picoseconds shared
+    d = rng.random(t.size) < 0.5
+    key = packed_keys(t, d)
+    got_t, got_d = _unpack_dedupe(key)
+    want_t, want_d = _lexsort_merge(t, d)
+    assert np.array_equal(got_t, want_t) and np.array_equal(got_d, want_d)
+    assert np.shares_memory(got_t, key)
+
+
 def test_dispersive_spread_zero_length_is_identity():
     # no fiber, no dispersion draw: beta2 cannot change a click
     def run(beta2):
