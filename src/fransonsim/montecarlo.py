@@ -235,9 +235,13 @@ class ClickStream:
                 raise ValidationError(
                     f"clicks outside [0, span]: {t[0]}..{t[-1]} "
                     f"span={self.span_ps}")
-            if np.any(np.diff(t) <= 0):
-                raise ValidationError("click timestamps must be strictly "
-                                      "increasing")
+            # neighbours compared a chunk at a time: no temporary grows
+            # with the stream
+            for lo in range(0, t.size - 1, _DRAW_CHUNK):
+                hi = min(lo + _DRAW_CHUNK, t.size - 1)
+                if np.any(t[lo + 1:hi + 1] <= t[lo:hi]):
+                    raise ValidationError("click timestamps must be "
+                                          "strictly increasing")
 
 
 @dataclass
@@ -739,48 +743,231 @@ def run_simulation(config: SimulationConfig,
 # ---------------------------------------------------------------------------
 
 _EXPORT_MAGIC = "# fransonsim clicks v1"
-# rows formatted per write: bounds the text held in memory at once
+_INT64_MAX = np.iinfo(np.int64).max
+# rows formatted per write: bounds the writer's scratch (44 B per row)
 _WRITE_CHUNK_ROWS = 65_536
+# body bytes parsed per step of the reader: bounds its temporaries
+_READ_BLOCK_BYTES = 1 << 18
+# 10**1 .. 10**18: in an ascending chunk, the rows below each power end
+# one run of equal digit counts
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# "0000" .. "9999" as four-byte units, copied whole into the text, so
+# no byte order is assumed
+_DIGITS4 = np.stack(
+    np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4,
+                indexing="ij"), axis=-1).reshape(-1, 4).view(np.uint32).ravel()
+
+
+def _format_rows(values: np.ndarray, digits: int, scratch,
+                 text: np.ndarray) -> np.ndarray:
+    """Decimal text of non-negative values that all have `digits`
+    digits, one per line, as a view of text: four digits per pass via
+    _DIGITS4 from the right, then one at a time."""
+    m, width = values.size, digits + 1
+    out = text[:m * width]
+
+    def column(offset: int, dtype) -> np.ndarray:
+        return np.ndarray((m,), dtype, buffer=out, offset=offset,
+                          strides=(width,))
+
+    column(digits, np.uint8)[...] = ord("\n")
+    q, quotient, rem = (a[:m] for a in scratch)
+    q[...] = values
+    end = digits
+    while end:
+        base, step = (10_000, 4) if end >= 4 else (10, 1)
+        np.floor_divide(q, base, out=quotient)
+        np.multiply(quotient, base, out=rem)
+        np.subtract(q, rem, out=rem)
+        end -= step
+        if step == 4:
+            np.take(_DIGITS4, rem, out=column(end, np.uint32))
+        else:
+            np.add(rem, ord("0"), out=column(end, np.uint8),
+                   casting="unsafe")
+        q, quotient = quotient, q
+    return out
 
 
 def write_click_stream(stream: ClickStream, path, seed: Optional[int] = None,
                        config_hash: str = "") -> None:
-    """One channel per file: commented header, then ascending integer
-    picosecond timestamps, one per line."""
+    """Write one channel's clicks as a text file.
+
+    Format (ASCII, every line ends in ``\\n``): the line
+    ``# fransonsim clicks v1``, then ``# key: value`` header lines for
+    channel, span_ps, seed, config_hash, true_count and dark_count,
+    then the body: one timestamp in integer picoseconds per line, in
+    plain decimal (digits only, no sign, no leading zero), strictly
+    ascending.  The body is formatted _WRITE_CHUNK_ROWS rows at a
+    time, so the writer's memory does not grow with the stream.
+    """
     stream.assert_valid()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_EXPORT_MAGIC}\n")
-        fh.write(f"# channel: {stream.channel}\n")
-        fh.write(f"# span_ps: {stream.span_ps}\n")
-        fh.write(f"# seed: {'' if seed is None else seed}\n")
-        fh.write(f"# config_hash: {config_hash}\n")
-        fh.write(f"# true_count: {stream.true_count}\n")
-        fh.write(f"# dark_count: {stream.dark_count}\n")
-        times = stream.times_ps
+    header = (f"{_EXPORT_MAGIC}\n"
+              f"# channel: {stream.channel}\n"
+              f"# span_ps: {stream.span_ps}\n"
+              f"# seed: {'' if seed is None else seed}\n"
+              f"# config_hash: {config_hash}\n"
+              f"# true_count: {stream.true_count}\n"
+              f"# dark_count: {stream.dark_count}\n").encode("ascii")
+    times = stream.times_ps
+    rows = min(times.size, _WRITE_CHUNK_ROWS)
+    scratch = [np.empty(rows, np.int64) for _ in range(3)]
+    text = np.empty(rows * 20, np.uint8)   # 19 digits + newline at most
+    with open(path, "wb") as fh:
+        fh.write(header)
         for lo in range(0, times.size, _WRITE_CHUNK_ROWS):
-            rows = times[lo:lo + _WRITE_CHUNK_ROWS].tolist()
-            fh.write("\n".join(map(str, rows)))
-            fh.write("\n")
+            chunk = times[lo:lo + _WRITE_CHUNK_ROWS]
+            # ascending, so each digit count is one run of rows
+            ends = np.searchsorted(chunk, _POW10).tolist() + [chunk.size]
+            start = 0
+            for digits, end in enumerate(ends, 1):
+                if end > start:
+                    fh.write(_format_rows(chunk[start:end], digits,
+                                          scratch, text))
+                    start = end
+
+
+def _line_error(path, lines: bytes, first_line: int
+                ) -> Optional[ValidationError]:
+    """The error for the first malformed line of `lines` (each ending
+    in a newline, the first being line `first_line` of the file), or
+    None when every line holds a plain decimal int64."""
+    for k, line in enumerate(lines.split(b"\n")[:-1]):
+        if not line:
+            problem = "empty line"
+        elif not line.isdigit():
+            text = repr(line[:40])[1:]          # b'...' without the b
+            problem = f"{text} is not a non-negative decimal integer"
+        elif line[0] == ord("0") and len(line) > 1:
+            problem = f"{line[:40].decode()!r} has a leading zero"
+        elif len(line) > 19 or int(line) > _INT64_MAX:
+            problem = f"{line[:40].decode()} is beyond int64"
+        else:
+            continue
+        return ValidationError(f"{path}: line {first_line + k}: {problem}")
+    return None
+
+
+def _parse_lines(path, lines: bytes, first_line: int) -> np.ndarray:
+    """int64 values of newline-terminated body lines, parsed in C by
+    np.fromstring.  Cheap byte tests pass every well-formed block; a
+    block that fails one, or whose parse comes out short or holds the
+    int64 maximum (where fromstring saturates), goes to _line_error
+    for the exact line and reason."""
+    b = np.frombuffer(lines, np.uint8)
+    newline = b == ord("\n")
+    n = int(np.count_nonzero(newline))
+    suspect = (int(b.max()) > ord("9")
+               or np.count_nonzero(b < ord("0")) != n
+               # empty line or leading zero ("0" alone is only valid
+               # as the first line, so any such line is checked)
+               or b[0] <= ord("0")
+               or bool(np.any(newline[:-1] & (b[1:] <= ord("0")))))
+    del newline
+    if suspect:
+        err = _line_error(path, lines, first_line)
+        if err is not None:
+            raise err
+    values = np.fromstring(lines, np.int64, sep="\n")
+    if values.size != n or np.any(values == _INT64_MAX):
+        err = _line_error(path, lines, first_line)
+        if err is not None:
+            raise err
+        if values.size != n:
+            raise ValidationError(f"{path}: unreadable body near line "
+                                  f"{first_line}")
+    return values
+
+
+def _header_int(path, meta: Dict[str, str], key: str,
+                default: Optional[int] = None) -> int:
+    text = meta.get(key)
+    if text is None:
+        if default is None:
+            raise ValidationError(f"{path}: no '# {key}:' header line")
+        return default
+    if not (text.isdigit() and len(text) <= 19 and int(text) <= _INT64_MAX):
+        raise ValidationError(f"{path}: header {key}: {text[:40]!r} is "
+                              f"not a non-negative int64")
+    return int(text)
 
 
 def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
+    """Read a file written by write_click_stream; returns the stream
+    and the header as a dict of strings.
+
+    The first line must be ``# fransonsim clicks v1``; the ``#`` lines
+    after it are the header, of which ``span_ps`` is required and
+    ``span_ps``, ``true_count`` and ``dark_count`` must be plain
+    decimal non-negative int64s.  Every later line is body: one non-negative int64 in
+    plain decimal (ASCII digits, no sign, no leading zero) per
+    ``\\n``-terminated line, strictly ascending and within
+    [0, span_ps]; the last line may lack its ``\\n``.  Anything else
+    (blank, whitespace, ``#`` or CRLF lines in the body, non-ASCII
+    bytes, values beyond int64) raises ValidationError naming the file
+    and, in the body, the line.  The body is read in blocks of
+    _READ_BLOCK_BYTES: past the returned array (8 B per row) the
+    reader holds a few blocks at a time.
+    """
     meta: Dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != _EXPORT_MAGIC:
+    with open(path, "rb") as fh:
+        first = fh.readline(len(_EXPORT_MAGIC) + 1)
+        if first.rstrip(b"\n") != _EXPORT_MAGIC.encode():
             raise ValidationError(f"{path}: not a fransonsim click file")
-        pos = fh.tell()
-        line = fh.readline()
-        while line.startswith("#"):
+        line_no = 1
+        while fh.peek(1)[:1] == b"#":
+            line_no += 1
+            try:
+                line = fh.readline().decode("ascii")
+            except UnicodeDecodeError:
+                raise ValidationError(f"{path}: line {line_no}: header "
+                                      f"is not ASCII") from None
             key, _, value = line[1:].partition(":")
             meta[key.strip()] = value.strip()
-            pos = fh.tell()
-            line = fh.readline()
-        fh.seek(pos)
-        times = np.loadtxt(fh, dtype=np.int64, ndmin=1)
+        span_ps = _header_int(path, meta, "span_ps")
+        true_count = _header_int(path, meta, "true_count", 0)
+        dark_count = _header_int(path, meta, "dark_count", 0)
+
+        # first pass: count the rows, so the result is allocated once
+        body = fh.tell()
+        rows, last = 0, b"\n"
+        for block in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
+            rows += int(np.count_nonzero(
+                np.frombuffer(block, np.uint8) == ord("\n")))
+            last = block[-1:]
+        rows += last != b"\n"           # a last line without its \n
+        times = np.empty(rows, np.int64)
+
+        # second pass: parse whole lines, carrying a cut one over
+        fh.seek(body)
+        filled, carry = 0, b""
+        line_no += 1                    # the next line to parse
+        while True:
+            data = fh.read(_READ_BLOCK_BYTES)
+            block = carry + data
+            if not data:                # the last line may lack its \n
+                if not block:
+                    break
+                block += b"\n"
+            cut = block.rfind(b"\n") + 1
+            block, carry = block[:cut], block[cut:]
+            if block:
+                values = _parse_lines(path, block, line_no)
+                if filled + values.size <= rows:
+                    times[filled:filled + values.size] = values
+                filled += values.size
+                line_no += values.size
+            if len(carry) > 19:         # no int64 needs 20 digits
+                raise _line_error(path, carry + b"\n", line_no)
+            if not data:
+                break
+    if filled != rows:
+        raise ValidationError(f"{path}: file changed while being read")
     stream = ClickStream(channel=meta.get("channel", "?"), times_ps=times,
-                         span_ps=int(meta["span_ps"]),
-                         true_count=int(meta.get("true_count", 0)),
-                         dark_count=int(meta.get("dark_count", 0)))
-    stream.assert_valid()
+                         span_ps=span_ps, true_count=true_count,
+                         dark_count=dark_count)
+    try:
+        stream.assert_valid()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return stream, meta

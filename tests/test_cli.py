@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flags, exit codes, outputs."""
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -314,6 +315,47 @@ def test_histogram_checks_flags_before_reading_clicks(tmp_path, capsys,
     assert run_cli("histogram", str(tmp_path / "a.txt"),
                    str(tmp_path / "b.txt"), *flags) == 2
     assert message in capsys.readouterr().err
+
+
+GOOD_CLICKS = (b"# fransonsim clicks v1\n# channel: signal\n# span_ps: 1000\n"
+               b"# seed: 1\n# config_hash: \n# true_count: 3\n"
+               b"# dark_count: 0\n10\n20\n30\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    (GOOD_CLICKS + b"foo\n", "line 11: 'foo' is not"),
+    (GOOD_CLICKS.replace(b"# span_ps: 1000\n", b""), "no '# span_ps:'"),
+    (GOOD_CLICKS + b"40 41\n", "line 11: '40 41' is not"),
+    (GOOD_CLICKS + b"4\xc2\xb5\n", "line 11: "),
+    (GOOD_CLICKS.replace(b"signal", b"sign\xe4l"), "line 2: header is not"),
+    (GOOD_CLICKS.replace(b"span_ps: 1000", b"span_ps: 1k"), "span_ps: '1k'"),
+    (GOOD_CLICKS.replace(b"true_count: 3", b"true_count: 3.0"),
+     "true_count: '3.0'"),
+    (GOOD_CLICKS.replace(b"dark_count: 0", b"dark_count: none"),
+     "dark_count: 'none'"),
+    (GOOD_CLICKS + b"99999999999999999999\n", "line 11: 9999.* beyond int64"),
+    (GOOD_CLICKS + b"\n40\n", "line 11: empty line"),
+    (GOOD_CLICKS.replace(b"\n30\n", b"\n30\r\n"), "line 10: '30\\\\r' is not"),
+])
+def test_histogram_malformed_click_file_exits_2(tmp_path, capsys, text,
+                                                message):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_bytes(GOOD_CLICKS)
+    bad.write_bytes(text)
+    assert run_cli("histogram", str(good), str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+    assert re.search(message, err), err
+
+
+def test_histogram_reads_a_last_line_without_newline(tmp_path, capsys):
+    good, cut = tmp_path / "good.txt", tmp_path / "cut.txt"
+    good.write_bytes(GOOD_CLICKS)
+    cut.write_bytes(GOOD_CLICKS[:-1])
+    assert run_cli("histogram", str(good), str(good)) == 0
+    want = capsys.readouterr().out
+    assert run_cli("histogram", str(good), str(cut)) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_missing_file_exits_2(capsys):

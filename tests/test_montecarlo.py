@@ -7,7 +7,9 @@ independence, dead time, dedupe) are bitwise.
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -781,6 +783,166 @@ def test_click_stream_rejects_foreign_file(tmp_path):
     p.write_text("1 2 3\n")
     with pytest.raises(ValidationError):
         read_click_stream(p)
+
+
+INT64_MAX = np.iinfo(np.int64).max
+# every digit-count edge: 0, 9, 10, 99, 100, ..., 10**18 - 1, 10**18
+DIGIT_EDGES = sorted({0} | {10**k - 1 for k in range(1, 19)}
+                     | {10**k for k in range(1, 19)} | {INT64_MAX})
+HEADER_LINES = 7
+
+
+def reference_body(times) -> bytes:
+    return "".join(f"{v}\n" for v in np.asarray(times).tolist()).encode()
+
+
+def write_body(path, times) -> bytes:
+    """Write times as a click file; return the bytes after its header."""
+    times = np.asarray(times, dtype=np.int64)
+    stream = ClickStream(channel="signal", times_ps=times,
+                         span_ps=int(times[-1]) if times.size else 0)
+    write_click_stream(stream, path)
+    return path.read_bytes().split(b"\n", HEADER_LINES)[HEADER_LINES]
+
+
+def test_click_file_round_trips_every_digit_width(tmp_path):
+    path = tmp_path / "edges.clicks"
+    assert write_body(path, DIGIT_EDGES) == reference_body(DIGIT_EDGES)
+    assert read_click_stream(path)[0].times_ps.tolist() == DIGIT_EDGES
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.integers(0, INT64_MAX), max_size=60),
+       chunk=st.sampled_from([1, 3, _WRITE_CHUNK_ROWS]),
+       block=st.sampled_from([1, 7, 64, montecarlo._READ_BLOCK_BYTES]))
+def test_click_file_round_trip_property(tmp_path_factory, values, chunk,
+                                        block):
+    times = np.array(sorted(set(values)), dtype=np.int64)
+    path = tmp_path_factory.mktemp("clicks") / "c.clicks"
+    with mock.patch.object(montecarlo, "_WRITE_CHUNK_ROWS", chunk), \
+            mock.patch.object(montecarlo, "_READ_BLOCK_BYTES", block):
+        assert write_body(path, times) == reference_body(times)
+        back = read_click_stream(path)[0].times_ps
+    assert back.dtype == np.int64 and np.array_equal(back, times)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_reader_blocks_split_lines_anywhere(tmp_path, monkeypatch, block):
+    sig, _, _ = run_simulation(lossy_config(acquisition_time_s=0.05))
+    path = tmp_path / "signal.clicks"
+    write_click_stream(sig, path)
+    edges = tmp_path / "edges.clicks"
+    write_body(edges, DIGIT_EDGES)
+    monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
+    assert np.array_equal(read_click_stream(path)[0].times_ps, sig.times_ps)
+    assert read_click_stream(edges)[0].times_ps.tolist() == DIGIT_EDGES
+    # a bad line is named by its line in the file, across block edges
+    lines = path.read_bytes().split(b"\n")
+    lines[HEADER_LINES + 40] = b"12x"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValidationError, match=f"line {HEADER_LINES + 41}:"):
+        read_click_stream(path)
+
+
+HEADER = (b"# fransonsim clicks v1\n# channel: idler\n# span_ps: 100\n"
+          b"# seed: \n# config_hash: \n# true_count: 3\n# dark_count: 0\n")
+
+
+@pytest.mark.parametrize("body,message", [
+    (b"1\n2\n3", None),                 # last line without its newline
+    (b"0\n2\n3\n", None),
+    (b"", None),
+    (b"1\nfoo\n3\n", "line 9: 'foo' is not a non-negative decimal"),
+    (b"1 2\n3\n", "line 8: '1 2' is not"),
+    (b"1\n2\r\n3\n", r"line 9: '2\\r' is not"),
+    (b"1\n 2\n3\n", "line 9: ' 2' is not"),
+    (b"1\n2\n# note\n3\n", "line 10: '# note' is not"),
+    (b"1\n-2\n3\n", "line 9: '-2' is not"),
+    (b"1\n\n3\n", "line 9: empty line"),
+    (b"\n1\n", "line 8: empty line"),
+    (b"1\n2\n\n", "line 10: empty line"),
+    (b"1\n02\n3\n", "line 9: '02' has a leading zero"),
+    (b"1\n\xc2\xb5\n", r"line 9: '\\xc2\\xb5' is not"),
+    (b"1\n9223372036854775808\n", "line 9: 9223372036854775808 is beyond"),
+    (b"1\n" + b"7" * 40, "line 9: 7777777777.* is beyond int64"),
+    pytest.param(b"1\n" + b"7" * 5000 + b"\n", "line 9: 7{20,40} is beyond int64",
+                 id="5000-digit-line"),
+    (b"3\n2\n", "idler.clicks: click timestamps must be strictly"),
+    (b"1\n101\n", r"idler.clicks: clicks outside \[0, span\]"),
+])
+def test_reader_names_the_bad_line(tmp_path, monkeypatch, body, message):
+    path = tmp_path / "idler.clicks"
+    path.write_bytes(HEADER + body)
+    for block in (3, montecarlo._READ_BLOCK_BYTES):
+        monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
+        if message is None:
+            want = [int(v) for v in body.split()]
+            assert read_click_stream(path)[0].times_ps.tolist() == want
+        else:
+            with pytest.raises(ValidationError, match=message):
+                read_click_stream(path)
+
+
+@pytest.mark.parametrize("header,message", [
+    (b"# channel: idler\n", "no '# span_ps:' header line"),
+    (b"# span_ps: 1e3\n", "header span_ps: '1e3' is not a non-negative"),
+    (b"# span_ps: 9223372036854775808\n",
+     "header span_ps: '9223372036854775808' is not a non-negative int64"),
+    pytest.param(b"# span_ps: " + b"9" * 5000 + b"\n",
+                 "header span_ps: '9{40}' is not", id="5000-digit-span"),
+    (b"# span_ps: 10\n# true_count: many\n", "header true_count: 'many'"),
+    (b"# span_ps: 10\n# dark_count: -1\n", "header dark_count: '-1'"),
+    (b"# span_ps: 10\n# channel: \xe9\n", "line 3: header is not ASCII"),
+])
+def test_reader_names_a_bad_header(tmp_path, header, message):
+    path = tmp_path / "bad.clicks"
+    path.write_bytes(b"# fransonsim clicks v1\n" + header + b"1\n")
+    with pytest.raises(ValidationError, match="bad.clicks: " + message):
+        read_click_stream(path)
+
+
+def test_click_file_memory_is_bounded(tmp_path):
+    """The writer's peak does not grow with the rows; the reader's is
+    its result (8 B/row) plus a fixed allowance for its blocks."""
+    allowance = 4 << 20
+    path = tmp_path / "big.clicks"
+    peaks = []
+    for rows in (10**5, 10**6):
+        times = np.cumsum(np.random.default_rng(rows).integers(
+            1, 10**7, rows))
+        stream = ClickStream(channel="signal", times_ps=times,
+                             span_ps=int(times[-1]))
+        tracemalloc.start()
+        try:
+            write_click_stream(stream, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_click_stream(path)[0]
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.times_ps, times)
+        del back
+        assert read_peak <= 8 * rows + allowance, (rows, read_peak)
+        peaks.append(write_peak)
+    # ten times the rows: at 0.3 B per row, growth would show
+    assert max(peaks) <= allowance and peaks[1] <= peaks[0] + (256 << 10), \
+        peaks
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_assert_valid_compares_neighbours_across_chunks(chunk, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", chunk)
+    times = np.arange(0, 400, 3, dtype=np.int64)
+    ClickStream("signal", times, span_ps=400).assert_valid()
+    for k in range(1, times.size):
+        for step in (0, -1):            # a repeat, then a step back
+            bad = times.copy()
+            bad[k] = bad[k - 1] + step
+            if bad[k] < 0:
+                continue
+            with pytest.raises(ValidationError, match="strictly"):
+                ClickStream("signal", bad, span_ps=400).assert_valid()
 
 
 def test_derived_seeds_are_stable_and_distinct():

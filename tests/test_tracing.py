@@ -31,7 +31,9 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
                      "fransonsim.budget.predict_rates",
                      "fransonsim.tia.build_histogram",
                      "fransonsim.tia.HistogramAccumulator",
-                     "fransonsim.montecarlo.iter_click_buckets"):
+                     "fransonsim.montecarlo.iter_click_buckets",
+                     "fransonsim.montecarlo.write_click_stream",
+                     "fransonsim.montecarlo.read_click_stream"):
             assert name in patched, name
         config = scenarios.preset("paper-100km").config
         tracer.take()
