@@ -21,28 +21,32 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
 from dataclasses import replace
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
-from .budget import bell_verdict, build_ledger, optimize_window, \
-    predict_rates, predict_visibility
+from .budget import WindowScore, bell_verdict, build_ledger, \
+    optimize_window, predict_rates, predict_visibility
 from .errors import FitDegenerate, FitNotConverged, FransonError, \
     ParseError, ValidationError
 from .montecarlo import SimulationConfig, read_click_stream, \
     streams_from_buckets, write_click_stream
-from .scenarios import (PRESET_NAMES, ScanPlan, Scenario, config_hash,
-                        emit_outputs, load_config, measure_point,
-                        phase_grid, preset, run_scenario, write_json,
-                        write_window_csv)
+from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, ScanPlan,
+                        Scenario, config_hash, emit_outputs, load_config,
+                        measure_point, phase_grid, preset, run_scenario,
+                        write_csv, write_json)
 from .tia import _check_window, _normalize_binning, build_histogram, \
     count_in_window
 
 _EXIT_OK = 0
 _EXIT_INVALID = 2
 _EXIT_DEGENERATE = 3
+
+# windows an optimize-window --grid start:step:stop may span
+_MAX_GRID_WINDOWS = 10_000
 
 
 def _sanitize_name(stem: str) -> str:
@@ -61,13 +65,15 @@ def _resolve(args, kind: str) -> Union[SimulationConfig, Scenario]:
     return load_config(path)
 
 
-def _apply_seed(obj: Union[SimulationConfig, Scenario],
-                seed: Optional[int]):
-    if seed is None:
-        return obj
-    if isinstance(obj, Scenario):
-        return replace(obj, config=replace(obj.config, master_seed=seed))
-    return replace(obj, master_seed=seed)
+def _resolve_config(args) -> Tuple[SimulationConfig, Optional[Scenario]]:
+    """The config of the config file or --preset (a scenario's own
+    config), with --seed applied, and the scenario if it was one."""
+    obj = _resolve(args, "config")
+    scenario = obj if isinstance(obj, Scenario) else None
+    cfg = obj if scenario is None else scenario.config
+    if args.seed is not None:
+        cfg = replace(cfg, master_seed=args.seed)
+    return cfg, scenario
 
 
 def _run_name(args, kind: str) -> str:
@@ -78,11 +84,8 @@ def _run_name(args, kind: str) -> str:
 
 
 def _hist_csv(path, hist, stamp: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {stamp}\n")
-        fh.write("center_ps,counts\n")
-        for c, n in zip(hist.centers(), hist.counts):
-            fh.write(f"{float(c)!r},{int(n)}\n")
+    write_csv(path, stamp, ("center_ps", "counts"),
+              zip(hist.centers().tolist(), hist.counts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +93,7 @@ def _hist_csv(path, hist, stamp: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    obj = _resolve(args, "config")
-    cfg = obj.config if isinstance(obj, Scenario) else obj
-    cfg = _apply_seed(cfg, args.seed)
+    cfg, _ = _resolve_config(args)
     if args.acquisition_s is not None:
         cfg = replace(cfg, acquisition_time_s=args.acquisition_s)
     name = _run_name(args, "config")
@@ -156,14 +157,15 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_fringe(args) -> int:
-    obj = _resolve(args, "scenario")
-    if isinstance(obj, SimulationConfig):
-        plan = ScanPlan(settings=phase_grid(args.points or 16),
-                        acquisition_s_per_point=(
-                            args.acquisition_s or obj.acquisition_time_s))
-        obj = Scenario(name=_run_name(args, "scenario"), config=obj,
-                       plan=plan)
-    scenario = _apply_seed(obj, args.seed)
+    scenario = _resolve(args, "scenario")
+    if isinstance(scenario, SimulationConfig):
+        plan = ScanPlan(settings=phase_grid(16),
+                        acquisition_s_per_point=scenario.acquisition_time_s)
+        scenario = Scenario(name=_run_name(args, "scenario"),
+                            config=scenario, plan=plan)
+    if args.seed is not None:
+        scenario = replace(scenario, config=replace(
+            scenario.config, master_seed=args.seed))
     if scenario.plan is not None:
         plan = scenario.plan
         if args.points is not None:
@@ -216,9 +218,7 @@ def _cmd_fringe(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_budget(args) -> int:
-    obj = _resolve(args, "config")
-    cfg = obj.config if isinstance(obj, Scenario) else obj
-    cfg = _apply_seed(cfg, args.seed)
+    cfg, _ = _resolve_config(args)
     name = _run_name(args, "config")
     rates = predict_rates(cfg)
     vis = predict_visibility(cfg)
@@ -295,33 +295,37 @@ def _cmd_histogram(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(text: str) -> List[float]:
+    """Windows of a start:step:stop range (stop included, at most
+    _MAX_GRID_WINDOWS of them) or of a comma list; all finite."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(
-                f"grid {text!r} must be start:step:stop or a comma list")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValidationError(f"grid {text!r} is not increasing")
-        grid, w = [], start
-        while w <= stop + 1e-9:
-            grid.append(round(w, 9))
-            w += step
-        return grid
+    ranged = ":" in text
+    parts = text.split(":") if ranged else \
+        [p for p in text.split(",") if p.strip()]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"grid {text!r} must be finite")
+    if not ranged:
+        return values
+    if len(values) != 3:
+        raise ValidationError(
+            f"grid {text!r} must be start:step:stop or a comma list")
+    start, step, stop = values
+    if step <= 0 or stop < start:
+        raise ValidationError(f"grid {text!r} is not increasing")
+    span = (stop + 1e-9 - start) / step
+    if not span < _MAX_GRID_WINDOWS:
+        raise ValidationError(
+            f"grid {text!r} spans more than {_MAX_GRID_WINDOWS} windows")
+    return [round(start + k * step, 9) for k in range(int(span) + 1)]
 
 
 def _cmd_optimize_window(args) -> int:
-    obj = _resolve(args, "config")
-    cfg = obj.config if isinstance(obj, Scenario) else obj
-    cfg = _apply_seed(cfg, args.seed)
+    cfg, scenario = _resolve_config(args)
     grid = _parse_grid(args.grid) if args.grid else \
-        (obj.window_grid_ps if isinstance(obj, Scenario)
-         and obj.window_grid_ps else [float(w) for w in range(60, 150, 10)])
+        getattr(scenario, "window_grid_ps", None) or DEFAULT_WINDOW_GRID_PS
     result = optimize_window(cfg, grid, objective=args.objective)
     print(f"{'window_ps':>10} {'V':>8} {'S':>8} {'rate_hz':>12} "
           f"{'score':>12}")
@@ -335,7 +339,9 @@ def _cmd_optimize_window(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         name = _run_name(args, "config")
         path = os.path.join(args.out_dir, f"{name}_windows.csv")
-        write_window_csv(result, path, f"config_hash={config_hash(cfg)}")
+        write_csv(path, f"config_hash={config_hash(cfg)}",
+                  [f.name for f in dataclasses.fields(WindowScore)],
+                  map(dataclasses.astuple, result.entries))
         print(f"wrote {path}")
     return _EXIT_OK
 

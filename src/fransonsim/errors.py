@@ -15,17 +15,7 @@ class ValidationError(FransonError):
 
 
 class ParseError(FransonError):
-    """A config/scenario file could not be parsed.
-
-    Carries optional line/column info from the underlying decoder.
-    """
-
-    def __init__(self, message, line=None, column=None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """A config/scenario file could not be parsed."""
 
 
 class FitDegenerate(FransonError):

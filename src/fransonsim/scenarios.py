@@ -31,7 +31,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .budget import (LinkModel, RatePrediction, WindowOptimization,
-                     predict_rates, predict_visibility, optimize_window)
+                     WindowScore, predict_rates, predict_visibility,
+                     optimize_window)
 from .errors import FitDegenerate, FitNotConverged, ParseError, \
     ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
@@ -40,8 +41,7 @@ from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
 from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
-                  VisibilityEstimate, count_in_window, fit_fringe,
-                  write_scan_csv)
+                  VisibilityEstimate, count_in_window, fit_fringe)
 
 # Stock link parameters shared by the shipped presets: 50 km of 0.2 dB/km
 # fiber per arm behind 10 dB of pre-fiber coupling loss, 5 dB analyzers,
@@ -60,6 +60,11 @@ CALIBRATION_TARGET_VISIBILITY = 0.8358
 
 PRESET_NAMES = ("paper-100km", "back-to-back", "ideal", "window-sweep",
                 "mu-sweep")
+
+#: Coincidence windows (ps) of the window-sweep preset, and the grid of
+#: ``fransonsim optimize-window`` when neither --grid nor the scenario
+#: gives one.
+DEFAULT_WINDOW_GRID_PS = tuple(float(w) for w in range(60, 150, 10))
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -251,8 +256,7 @@ def preset(name: str, master_seed: int = 0) -> Scenario:
         cfg = _stock_config(_STOCK_FIBER_KM, 100.0, contrast, drift=drift,
                             master_seed=master_seed)
         return Scenario(name="window-sweep", config=cfg,
-                        window_grid_ps=tuple(float(w)
-                                             for w in range(60, 150, 10)))
+                        window_grid_ps=DEFAULT_WINDOW_GRID_PS)
     if name == "mu-sweep":
         cfg = _stock_config(0.0, 60.0, contrast, master_seed=master_seed)
         return Scenario(name="mu-sweep", config=cfg,
@@ -361,9 +365,28 @@ def save_config(obj: Union[SimulationConfig, Scenario], path) -> None:
 def write_json(doc, path) -> None:
     """The one JSON layout of every file written: indented, keys
     sorted, trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(int(value))      # bool and integer cells
+
+
+def write_csv(path, stamp: str, columns, rows) -> None:
+    """The one CSV layout of every table written: a ``# stamp`` line,
+    the column names, then one line per row, each ending in \\n.  A
+    cell is empty for None, repr(float) for a float and the integer
+    for a bool or an int."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"# {stamp}\n{','.join(columns)}\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def config_hash(config: SimulationConfig) -> str:
@@ -608,8 +631,6 @@ def run_scenario(scenario: Scenario,
             settings=np.array([p.setting for p in points]),
             counts=np.array([p.counts_central for p in points]),
             acquisition_s=plan.acquisition_s_per_point,
-            singles_a=np.array([p.singles_signal for p in points]),
-            singles_b=np.array([p.singles_idler for p in points]),
         )
         if len(points) >= 5:  # the 4-parameter fit needs headroom
             try:
@@ -687,29 +708,13 @@ def _report_document(report: RunReport) -> Dict[str, object]:
     if report.mode == "fringe":
         doc["abscissa"] = report.abscissa
         doc["acquisition_s_per_point"] = report.acquisition_s_per_point
-        doc["points"] = [{
-            "setting": p.setting,
-            "point_seed": p.point_seed,
-            "counts_central": p.counts_central,
-            "counts_side_early": p.counts_side_early,
-            "counts_side_late": p.counts_side_late,
-            "singles_signal": p.singles_signal,
-            "singles_idler": p.singles_idler,
-            "pairs_generated": p.pairs_generated,
-        } for p in (report.points or [])]
+        keys = [f.name for f in dataclasses.fields(FringePointResult)
+                if f.name != "histogram"]
+        doc["points"] = [{k: getattr(p, k) for k in keys}
+                         for p in (report.points or [])]
         doc["fit_degenerate"] = report.fit_degenerate
         if report.estimate is not None:
-            est = report.estimate
-            doc["fit"] = {
-                "visibility": est.visibility,
-                "sigma_visibility": est.sigma_visibility,
-                "amplitude_hz": est.amplitude_hz,
-                "mean_level_hz": est.mean_level_hz,
-                "phase_offset_rad": est.phase_offset_rad,
-                "frequency": est.frequency,
-                "chi2": est.chi2,
-                "dof": est.dof,
-            }
+            doc["fit"] = dataclasses.asdict(report.estimate)
             doc["bell"] = {
                 "s_value": report.s_value,
                 "violates": report.violates,
@@ -755,49 +760,32 @@ def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
         return written
 
     stamp = f"config_hash={report.config_hash}"
-    if report.mode == "fringe" and report.scan is not None:
+    if report.mode == "fringe":
+        points = report.points or []
         path = target("_scan.csv")
-        write_scan_csv(report.scan, path, header_comment=stamp)
+        write_csv(path, stamp, ("setting", "counts", "acquisition_s",
+                                "singles_a", "singles_b"),
+                  ((p.setting, p.counts_central,
+                    report.acquisition_s_per_point, p.singles_signal,
+                    p.singles_idler) for p in points))
         written.append(path)
-        if any(p.histogram is not None for p in (report.points or [])):
+        if any(p.histogram is not None for p in points):
             path = target("_hist.csv")
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(f"# {stamp}\n")
-                fh.write("point,setting,center_ps,counts\n")
-                for k, p in enumerate(report.points or []):
-                    if p.histogram is None:
-                        continue
-                    centers = p.histogram.centers()
-                    for c, n in zip(centers, p.histogram.counts):
-                        fh.write(f"{k},{p.setting!r},{float(c)!r},"
-                                 f"{int(n)}\n")
+            write_csv(path, stamp, ("point", "setting", "center_ps", "counts"),
+                      ((k, p.setting, c, n)
+                       for k, p in enumerate(points) if p.histogram is not None
+                       for c, n in zip(p.histogram.centers().tolist(),
+                                       p.histogram.counts.tolist())))
             written.append(path)
-    elif report.mode == "window-sweep" and report.window_table is not None:
+    elif report.mode == "window-sweep":
         path = target("_windows.csv")
-        write_window_csv(report.window_table, path, stamp)
+        write_csv(path, stamp,
+                  [f.name for f in dataclasses.fields(WindowScore)],
+                  map(dataclasses.astuple, report.window_table.entries))
         written.append(path)
-    elif report.mode == "mu-sweep" and report.mu_table is not None:
+    else:
         path = target("_mu.csv")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# {stamp}\n")
-            fh.write("mean_pairs_per_window,visibility,s_value,violates,"
-                     "central_max_in_window_hz,accidental_in_window_hz\n")
-            for r in report.mu_table:
-                fh.write(f"{r.mean_pairs_per_window!r},{r.visibility!r},"
-                         f"{r.s_value!r},{int(r.violates)},"
-                         f"{r.central_max_in_window_hz!r},"
-                         f"{r.accidental_in_window_hz!r}\n")
+        write_csv(path, stamp, [f.name for f in dataclasses.fields(MuScanRow)],
+                  map(dataclasses.astuple, report.mu_table))
         written.append(path)
     return written
-
-
-def write_window_csv(table: WindowOptimization, path,
-                     header_comment: str) -> None:
-    """A window-sweep table as CSV, one row per window."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {header_comment}\n")
-        fh.write("window_ps,visibility,s_value,"
-                 "central_max_in_window_hz,score\n")
-        for e in table.entries:
-            fh.write(f"{e.window_ps!r},{e.visibility!r},{e.s_value!r},"
-                     f"{e.central_max_in_window_hz!r},{e.score!r}\n")

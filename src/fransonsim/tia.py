@@ -17,7 +17,6 @@ Conventions:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
@@ -230,8 +229,6 @@ class FringeScan:
     settings: np.ndarray
     counts: np.ndarray
     acquisition_s: float
-    singles_a: Optional[np.ndarray] = None
-    singles_b: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.settings = np.asarray(self.settings, dtype=np.float64)
@@ -244,13 +241,6 @@ class FringeScan:
             raise ValidationError("counts must be non-negative")
         if not (self.acquisition_s > 0.0):
             raise ValidationError("acquisition_s must be > 0")
-        for name in ("singles_a", "singles_b"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=np.float64)
-                if v.shape != self.settings.shape:
-                    raise ValidationError(f"{name} must match settings")
-                setattr(self, name, v)
 
 
 @dataclass
@@ -415,27 +405,3 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     v = amp / a0
     return build(min(v, 1.0), math.sqrt(max(var_v, 0.0)))
 
-
-# ---------------------------------------------------------------------------
-# Scan CSV
-# ---------------------------------------------------------------------------
-
-_SCAN_FIELDS = ["setting", "counts", "acquisition_s", "singles_a",
-                "singles_b"]
-
-
-def write_scan_csv(scan: FringeScan, path,
-                   header_comment: Optional[str] = None) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_SCAN_FIELDS)
-        for k in range(scan.settings.size):
-            writer.writerow([
-                repr(float(scan.settings[k])),
-                int(scan.counts[k]),
-                repr(float(scan.acquisition_s)),
-                "" if scan.singles_a is None else int(scan.singles_a[k]),
-                "" if scan.singles_b is None else int(scan.singles_b[k]),
-            ])

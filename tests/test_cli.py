@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -193,10 +194,15 @@ def test_fringe_overrides(quick_scenario, tmp_path):
 
 def test_fringe_bare_config_gets_default_plan(small_config, tmp_path):
     out = tmp_path / "out"
+    assert run_cli("fringe", small_config, "--out-dir", str(out)) == 0
+    doc = json.loads((out / "small_report.json").read_text())
+    assert len(doc["points"]) == 16
+    assert doc["acquisition_s_per_point"] == 0.05   # the config's own
     assert run_cli("fringe", small_config, "--out-dir", str(out),
                    "--points", "5", "--acquisition-s", "0.01") == 0
     doc = json.loads((out / "small_report.json").read_text())
     assert len(doc["points"]) == 5
+    assert doc["acquisition_s_per_point"] == 0.01
 
 
 def test_fringe_degenerate_fit_exits_3(tmp_path, capsys):
@@ -253,11 +259,43 @@ def test_optimize_window_csv_matches_scenario_output(tmp_path):
     assert (cli_dir / name).read_bytes() == (scenario_dir / name).read_bytes()
 
 
-def test_optimize_window_bad_grid(capsys):
+@pytest.mark.parametrize("grid", [
+    "banana", "100:10:60", "a:10:140", "60:x:140", "60,abc",
+    "60:1e-7:140", "0:1e-300:1e300", "60:10:inf", "60:nan:140",
+    "nan,100", "60:10", "60:0:140", "60:-10:140"])
+def test_optimize_window_bad_grid(grid, capsys):
+    t0 = time.perf_counter()
     assert run_cli("optimize-window", "--preset", "window-sweep",
-                   "--grid", "banana") == 2
-    assert run_cli("optimize-window", "--preset", "window-sweep",
-                   "--grid", "100:10:60") == 2
+                   "--grid", grid) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "grid" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# newlines
+# ---------------------------------------------------------------------------
+
+def test_every_written_file_ends_lines_in_newline_only(
+        quick_scenario, small_config, tmp_path, capsys):
+    sim = tmp_path / "run3"     # the simulate run's output directory
+    runs = [("fringe", quick_scenario, "--histograms"),
+            ("fringe", "--preset", "window-sweep"),
+            ("fringe", "--preset", "mu-sweep"),
+            ("simulate", small_config, "--dump-clicks"),
+            ("histogram", str(sim / "small_signal_clicks.txt"),
+             str(sim / "small_idler_clicks.txt")),
+            ("optimize-window", "--preset", "window-sweep"),
+            ("budget", "--preset", "ideal")]
+    for k, argv in enumerate(runs):
+        assert run_cli(*argv, "--out-dir", str(tmp_path / f"run{k}")) == 0
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    names = {p.name for p in files}
+    assert {"quick_scan.csv", "quick_hist.csv", "window-sweep_windows.csv",
+            "mu-sweep_mu.csv", "small_hist.csv", "small_idler_clicks.txt",
+            "histogram_hist.csv", "ideal_budget.json"} <= names
+    for path in files:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
 
 
 # ---------------------------------------------------------------------------

@@ -427,7 +427,8 @@ def test_per_point_seeds_are_derived(ideal_report):
 
 def test_report_carries_rates_and_diagnostics(ideal_report):
     assert ideal_report.events_generated > 0
-    assert ideal_report.scan.singles_a is not None
+    assert all(p.singles_signal > 0 and p.singles_idler > 0
+               for p in ideal_report.points)
     assert ideal_report.mode == "fringe"
     assert ideal_report.acquisition_s_per_point == 0.02
     assert ideal_report.config_hash == config_hash(
@@ -664,17 +665,37 @@ def test_report_json_excludes_wall_clock(tmp_path):
     assert doc["fit"]["visibility"] == rep.estimate.visibility
 
 
+def test_report_point_and_fit_keys(ideal_report, tmp_path):
+    # the report writes every field of FringePointResult but its
+    # histogram, and every field of VisibilityEstimate
+    (path,) = emit_outputs(ideal_report, tmp_path, fmt="json")
+    doc = json.loads(Path(path).read_text())
+    assert set(doc["points"][0]) == {
+        "setting", "point_seed", "counts_central", "counts_side_early",
+        "counts_side_late", "singles_signal", "singles_idler",
+        "pairs_generated"}
+    assert set(doc["fit"]) == {
+        "visibility", "sigma_visibility", "amplitude_hz", "mean_level_hz",
+        "phase_offset_rad", "frequency", "chi2", "dof"}
+
+
 def test_emitted_scan_reads_back(tmp_path):
     rep = run_scenario(tiny_ideal(n_points=4, acq=0.01))
     paths = emit_outputs(rep, tmp_path)
     scan_path = [p for p in paths if p.endswith("_scan.csv")][0]
     lines = Path(scan_path).read_text().splitlines()
     assert lines[0] == f"# config_hash={rep.config_hash}"
+    assert lines[1] == "setting,counts,acquisition_s,singles_a,singles_b"
     rows = list(csv.DictReader(lines[1:]))
     assert np.array_equal([float(r["counts"]) for r in rows],
                           rep.scan.counts)
     assert np.array_equal([float(r["setting"]) for r in rows],
                           rep.scan.settings)
+    assert all(float(r["acquisition_s"]) == 0.01 for r in rows)
+    assert [int(r["singles_a"]) for r in rows] == \
+        [p.singles_signal for p in rep.points]
+    assert [int(r["singles_b"]) for r in rows] == \
+        [p.singles_idler for p in rep.points]
 
 
 def test_sweep_emissions(tmp_path):

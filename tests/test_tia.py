@@ -6,7 +6,6 @@ Poisson coverage study and, where scipy is installed, the scipy
 least_squares fit that fit_fringe replaced.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from fransonsim.montecarlo import (SimulationConfig, iter_click_buckets,
                                    run_simulation)
 from fransonsim.tia import (FringeScan, HistogramAccumulator,
                             VisibilityEstimate, build_histogram,
-                            count_in_window, fit_fringe, write_scan_csv)
+                            count_in_window, fit_fringe)
 from fransonsim import tia
 from fransonsim.tia import _pair_deltas
 
@@ -534,41 +533,3 @@ def test_fit_clamp_at_unit_visibility_matches_scipy_reference():
     assert est.amplitude_hz / est.mean_level_hz == pytest.approx(1.02)
     assert 0.0 < est.sigma_visibility < 0.01
 
-
-# ---------------------------------------------------------------------------
-# scan CSV round trip
-# ---------------------------------------------------------------------------
-
-def _read_scan_rows(path):
-    with open(path, newline="", encoding="ascii") as fh:
-        return list(csv.reader(fh))
-
-
-def test_scan_csv_round_trip(tmp_path):
-    scan = FringeScan(settings=np.linspace(0, 6.2, 8),
-                      counts=np.arange(8, dtype=float) * 7 + 3,
-                      acquisition_s=120.0,
-                      singles_a=np.arange(8, dtype=float) * 100,
-                      singles_b=np.arange(8, dtype=float) * 50 + 1)
-    path = tmp_path / "scan.csv"
-    write_scan_csv(scan, path, header_comment="config_hash=abc")
-    comment, header, *rows = _read_scan_rows(path)
-    assert comment == ["# config_hash=abc"]
-    assert header == ["setting", "counts", "acquisition_s", "singles_a",
-                      "singles_b"]
-    back = np.array(rows, dtype=float)
-    assert np.array_equal(back[:, 0], scan.settings)
-    assert np.array_equal(back[:, 1], scan.counts)
-    assert np.all(back[:, 2] == 120.0)
-    assert np.array_equal(back[:, 3], scan.singles_a)
-    assert np.array_equal(back[:, 4], scan.singles_b)
-
-
-def test_scan_csv_without_singles(tmp_path):
-    scan = FringeScan(settings=np.linspace(0, 6.2, 6),
-                      counts=np.ones(6) * 4, acquisition_s=1.0)
-    path = tmp_path / "scan.csv"
-    write_scan_csv(scan, path)
-    header, *rows = _read_scan_rows(path)
-    assert len(rows) == 6
-    assert all(row[3:] == ["", ""] for row in rows)
