@@ -151,15 +151,14 @@ class CoincidencePeakModel:
 
 @dataclass(frozen=True)
 class ArmLink:
-    """One arm's survival and timing spreads (standard deviations)."""
+    """One arm's survival and timing spread (a standard deviation)."""
 
     loss_db: float                  # optics: pre-fiber, fiber, analyzer
     transmission: float             # 10 ** (-loss_db / 10)
     q: float                        # transmission * quantum efficiency
-    sigma_intrinsic_ps: float       # photon at the source
-    sigma_dispersed_ps: float       # photon after the fiber
-    sigma_excess_ps: float          # what dispersion adds in quadrature
-    sigma_jitter_ps: float          # detector timing jitter
+    sigma_arrival_ps: float         # a click about its emission time:
+                                    # dispersed photon and detector
+                                    # jitter in quadrature
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,6 @@ class LinkModel:
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "LinkModel":
         src = config.source
-        sig_int = sigma_from_fwhm(src.photon_fwhm_ps)
 
         def arm(channel, analyzer, detector):
             loss_db = (channel.pre_fiber_loss_db + channel.fiber_loss_db
@@ -186,16 +184,11 @@ class LinkModel:
             fwhm = dispersion_broaden(src.photon_fwhm_ps,
                                       channel.beta2_ps2_per_km,
                                       channel.fiber_length_km)
-            sig_disp = sigma_from_fwhm(fwhm)
-            excess = 0.0 if fwhm == src.photon_fwhm_ps \
-                else math.sqrt(sig_disp ** 2 - sig_int ** 2)
             return ArmLink(loss_db=loss_db, transmission=t,
                            q=t * detector.quantum_efficiency,
-                           sigma_intrinsic_ps=sig_int,
-                           sigma_dispersed_ps=sig_disp,
-                           sigma_excess_ps=excess,
-                           sigma_jitter_ps=sigma_from_fwhm(
-                               detector.jitter_fwhm_ps))
+                           sigma_arrival_ps=math.hypot(
+                               sigma_from_fwhm(fwhm),
+                               sigma_from_fwhm(detector.jitter_fwhm_ps)))
 
         signal = arm(config.channel_signal, config.analyzer_signal,
                      config.detector_signal)
@@ -214,10 +207,7 @@ class LinkModel:
                  + config.analyzer_idler.effective_phase_rad()
                  + src.pump_phase_offset_rad)
 
-        var = math.hypot(signal.sigma_dispersed_ps,
-                         signal.sigma_jitter_ps) ** 2 \
-            + math.hypot(idler.sigma_dispersed_ps,
-                         idler.sigma_jitter_ps) ** 2
+        var = signal.sigma_arrival_ps ** 2 + idler.sigma_arrival_ps ** 2
         center = 0.0
         drift = config.drift
         if drift.enabled:

@@ -25,17 +25,36 @@ derived from the master seed, so
 * the signal stream never consumes idler-stage randomness: changing
   idler-side parameters cannot perturb signal clicks.
 
-To keep the per-event cost sane at ~1e9 pairs/s, pairs are generated
-directly in three exact Poisson classes instead of literally thinning
-every emission: signal-detectable pairs at R*q_s (each one also
-idler-detectable with probability q_i, decided on the idler stream),
-idler-only-detectable pairs at R*q_i*(1-q_s), and an undetectable
-remainder that is only counted.  Here q = (arm transmission) x
-(quantum efficiency).  This decomposition is distribution-exact for
-independent thinning, and efficiency folding commutes with the MZI
-because port selection is independent of survival.  q, R and every
-timing width come from budget.LinkModel, the derivation the closed
-forms share.
+Sampling law
+------------
+Almost every click has no partner in the other channel (~10^4
+clicks per coincidence back-to-back, ~10^5 at 100 km), so a slice
+draws clicks, not pairs.  Pairs are emitted as a Poisson process of
+rate R, and each photon survives its arm with probability
+q = (arm transmission) x (quantum efficiency).  By Poisson thinning
+(Lewis & Shedler, Nav. Res. Log. Q. 26 (1979) 403) the photon
+clicks at the monitored ports split into independent Poisson
+processes, and a homogeneous Poisson process shifted by i.i.d.
+offsets (branch delay, intrinsic, dispersion and jitter spreads) is
+the same process.  Per slice the engine therefore draws:
+
+* signal photon clicks: Poisson at R*q_s/2, as uniform times;
+* idler partners, thinned from the signal clicks: a
+  Binomial(n_sig, q_i*(2+x)/4) count of signal clicks, picked
+  without replacement.  Each partner sits at a relative delay of 0
+  with probability (1+x)/(2+x), else -tau or +tau with equal odds,
+  plus one Normal(0, sigma) draw, sigma^2 the summed arrival spreads
+  (dispersed photon and jitter) of both arms;
+* partner-less idler photon clicks: Poisson at
+  R*q_i*(1/2 - q_s*(2+x)/8), as uniform times;
+
+then drift and dark counts per channel.  This is the joint law of
+the literal per-pair link (its oracle lives in the tests), phase-free
+singles included, up to picosecond-scale edge effects at the ends of
+the span.  Signal clicks read no idler or phase parameter.  The
+pairs that no click shows are drawn as counts alone, for
+SimDiagnostics.  q, R, x and every timing width come from
+budget.LinkModel, the derivation the closed forms share.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
@@ -50,19 +69,14 @@ Memory model
 A run's working set is a small multiple of one slice's clicks, and
 does not grow with the acquisition time:
 
-* a slice builds each channel's arrivals in one float64 buffer that
-  becomes its int64 key array in place (8 bytes per click): emission
-  times are drawn into it, the branch delay, spreads, drift and
-  jitter are added chunk by chunk (temporaries of _DRAW_CHUNK
+* a slice builds each channel's clicks in one float64 buffer that
+  becomes its int64 key array in place (8 bytes per click): uniform
+  times are drawn into it, the partners' delays and spreads and the
+  drift are added chunk by chunk (temporaries of _DRAW_CHUNK
   elements), dark counts fill its tail, and it is rounded and sorted
-  where it lies.  Besides it live one outcome byte per pair of a
-  class and an index per monitored signal photon.  One temporary is
-  a class's full size: where both the intrinsic and the dispersion
-  spread are non-zero (a dispersive link), their sum is drawn into
-  its own float64 array before it is added, because all intrinsic
-  draws come before the dispersion draws on the same stream and the
-  sum must be formed before the addition (float addition does not
-  associate);
+  where it lies.  Picking the partners takes ~25 bytes per partner,
+  or, where partners are more than a few percent of the signal
+  clicks (a near-lossless link), 8 bytes per signal click;
 * once a bucket is cut, only the unconsumed part of each slice is
   kept: the newest slice as a view, an older slice's spill tail as a
   copy.  A bucket's key range is its own, so it is unpacked, and a
@@ -70,6 +84,9 @@ does not grow with the acquisition time:
 * a consumer that drops each bucket before asking for the next (as
   scenarios.measure_point does) therefore holds about two slices of
   clicks: the one being drawn and the rest of the one before it.
+  Measured with tracemalloc: 25 MB for a back-to-back point of 7 s
+  (2.6 M clicks in its one slice), 8.5 MB for a 100 km point of 30 s
+  or of 300 s (0.37 M clicks per slice).
 """
 
 from __future__ import annotations
@@ -107,11 +124,9 @@ _DRAW_CHUNK = 1 << 16
 Bucket = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 # Stage ids for per-(stage, slice) RNG streams.
-_ST_SIGNAL = 0        # signal-class count, outcomes, times, spreads
-_ST_IDLER_COND = 1    # idler-detectable thinning + conditional outcome
-_ST_IDLER_ONLY = 2    # idler-only class
-_ST_SIGNAL_JITTER = 3
-_ST_IDLER_JITTER = 4
+_ST_SIGNAL = 0        # signal photon clicks
+_ST_IDLER_COND = 1    # idler partners of signal clicks
+_ST_IDLER_ONLY = 2    # partner-less idler photon clicks
 _ST_SIGNAL_DARKS = 5
 _ST_IDLER_DARKS = 6
 _ST_DRIFT = 7
@@ -129,10 +144,10 @@ class TimingDriftSpec:
     ``offset_ps`` is a constant displacement (delay accumulated since
     the coincidence window was last centered); the optional random
     walk adds Normal(0, walk_step_ps) to the displacement every
-    ``walk_interval_ps``.  The walk is evaluated at the pair's
-    emission time — it models fiber-delay drift on millisecond and
-    slower scales, static over a photon's flight.  Dark counts are
-    detector-local and are not displaced.
+    ``walk_interval_ps``.  The walk is evaluated at the photon's
+    undrifted arrival time — it models fiber-delay drift on
+    millisecond and slower scales, static over a photon's flight.
+    Dark counts are detector-local and are not displaced.
     """
 
     enabled: bool = False
@@ -372,7 +387,7 @@ def _dead_time_filter(times: np.ndarray, is_dark: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class _DriftWalk:
-    """Evaluates offset + random walk at emission times, slice by
+    """Evaluates offset + random walk at arrival times, slice by
     slice, with deterministic per-slice increments."""
 
     def __init__(self, config: SimulationConfig):
@@ -400,31 +415,30 @@ class _DriftWalk:
         self._values = self._carry + np.cumsum(inc)
         self._m_start = m_start
 
-    def walks(self, channel: str) -> bool:
-        """Whether apply needs the channel's emission times."""
-        return self.active and channel == self.channel and self.step > 0.0
-
-    def apply(self, channel: str, arrivals: np.ndarray,
-              emission_ps: Optional[np.ndarray]) -> None:
-        """Shift arrivals in place; emission_ps holds their emission
-        times (needed only where walks(channel))."""
+    def apply(self, channel: str, arrivals: np.ndarray) -> None:
+        """Shift a channel's photon arrivals in place: the walk is
+        read at each arrival before it is shifted (a click leaving its
+        slice keeps the slice's last value), then the offset."""
         if not self.active or channel != self.channel:
             return
+        if self.step > 0.0:
+            last = self._values.size - 1
+            for c in _chunks(arrivals.size):
+                pos = (arrivals[c].astype(np.int64) // self.itv) \
+                    - self._m_start
+                vals = np.where(pos < 0, self._carry,
+                                self._values[np.clip(pos, 0, last)]
+                                if last >= 0 else self._carry)
+                arrivals[c] += vals
         arrivals += self.offset
-        if not self.walks(channel):
-            return
-        for c in _chunks(arrivals.size):
-            pos = (emission_ps[c].astype(np.int64) // self.itv) \
-                - self._m_start
-            vals = np.where(pos < 0, self._carry,
-                            self._values[np.clip(pos, 0, None)]
-                            if self._values.size else self._carry)
-            arrivals[c] += vals
 
 
 def slice_pairs(link: LinkModel, span_ps: int) -> float:
     """Expected detectable pairs in one generation slice of a run of
-    span_ps (a run shorter than a slice is its only slice)."""
+    span_ps (a run shorter than a slice is its only slice).  A slice
+    draws only the photon clicks, at most half of these pairs per
+    channel, so a guard on this stays a conservative bound on the
+    clicks per slice."""
     q_s, q_i = link.signal.q, link.idler.q
     dt_s = min(span_ps, SLICE_PS) * 1e-12
     return link.pair_rate_hz * dt_s * (q_s + q_i * (1.0 - q_s))
@@ -464,159 +478,76 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
     [lo, hi), per channel as one sorted int64 array of packed keys
     (t << 1) | is_dark: returns (sig_keys, idl_keys).
 
-    Each channel's arrivals are built in one float buffer that ends
-    as its key array: emission times are drawn into it, then the
-    branch delay, spreads, drift and jitter are added in place, chunk
-    by chunk, and its dark counts fill its tail."""
-    width = hi - lo
-    dt_s = width * 1e-12
+    Each channel's clicks are built in one float buffer that ends as
+    its key array: idler partners first, then the channel's
+    partner-less photon clicks, then its darks."""
+    dt_s = (hi - lo) * 1e-12
     rate = link.pair_rate_hz
-    q_s, q_i = link.signal.q, link.idler.q
-    x = link.x
-    # float: uint8 branch codes times an int delay would stay uint8
-    tau4 = float(config.analyzer_signal.delay_ps)
-    sig_int = link.signal.sigma_intrinsic_ps
-    exc_s, exc_i = link.signal.sigma_excess_ps, link.idler.sigma_excess_ps
+    q_s, q_i, x = link.signal.q, link.idler.q, link.x
+    tau = config.analyzer_signal.delay_ps
     seed = config.master_seed
     drift.advance(slice_idx, lo, hi)
 
-    def uniform_times(rng: np.random.Generator,
-                      out: np.ndarray) -> np.ndarray:
+    def uniform_times(rng: np.random.Generator, out: np.ndarray) -> None:
         rng.random(out=out)
-        out *= width
+        out *= hi - lo
         out += lo
-        return out
 
-    def add_spread(rng: np.random.Generator, exc: float,
-                   arr: np.ndarray) -> None:
-        # arr += (intrinsic + dispersion), the spreads summed first:
-        # this float order is part of the drawn numbers.  eps cannot be
-        # chunked: every intrinsic draw precedes the dispersion draws
-        # on this stream
-        if sig_int > 0.0 and exc > 0.0:
-            eps = rng.normal(0.0, sig_int, arr.size)
-            _add_normal(rng, exc, eps)
-            arr += eps
-        else:
-            _add_normal(rng, max(sig_int, exc), arr)
-
-    def add_delay(arr: np.ndarray, codes: np.ndarray) -> None:
-        # + branch * tau4, the branch being bit 1 of the outcome code;
-        # t0 + branch * tau4 in either order is the same float
-        for c in _chunks(arr.size):
-            arr[c] += (codes[c] >> 1) * tau4
-
-    def dark_stream(stage: int, rate_hz: float):
-        # the dark count is drawn first, to size the channel's buffer
-        if rate_hz <= 0.0:
-            return None, 0
+    def channel(stage: int, photon_hz: float, dark_stage: int,
+                dark_hz: float, head: int) -> Tuple[np.ndarray, int]:
+        # Poisson photon clicks and darks, uniform on [lo, hi), after
+        # `head` slots left for partners; returns (buffer, n_photons)
         rng = _stream(seed, stage, slice_idx)
-        return rng, int(rng.poisson(rate_hz * dt_s))
+        n_ph = head + int(rng.poisson(photon_hz * dt_s))
+        dark = _stream(seed, dark_stage, slice_idx) if dark_hz > 0.0 \
+            else None
+        n_dark = int(dark.poisson(dark_hz * dt_s)) if dark else 0
+        buf = np.empty(n_ph + n_dark)
+        uniform_times(rng, buf[head:n_ph])
+        if dark:
+            uniform_times(dark, buf[n_ph:])
+        return buf, n_ph
 
-    def finish(channel: str, buf: np.ndarray, n_ph: int,
-               emission: Optional[np.ndarray], jitter_stage: int,
-               jitter_ps: float,
-               dark_rng: Optional[np.random.Generator]) -> np.ndarray:
-        # drift (photon arrivals only), detector jitter, dark counts
-        photons = buf[:n_ph]
-        drift.apply(channel, photons, emission)
-        if jitter_ps > 0.0 and n_ph:
-            _add_normal(_stream(seed, jitter_stage, slice_idx), jitter_ps,
-                        photons)
-        if dark_rng is not None:
-            uniform_times(dark_rng, buf[n_ph:])
-        return _pack_keys(channel, buf, n_ph, lo, hi)
+    sig, n_sig = channel(_ST_SIGNAL, rate * q_s / 2.0, _ST_SIGNAL_DARKS,
+                         config.detector_signal.dark_rate_hz, 0)
 
-    # --- stage: signal-detectable class ---------------------------------
-    # Large random-mask selections go through index lists (flatnonzero,
-    # then a gather) or np.compress: indexing by a boolean mask is
-    # several times slower.
-    rng = _stream(seed, _ST_SIGNAL, slice_idx)
-    n_s = int(rng.poisson(rate * q_s * dt_s))
-    pb_s = rng.integers(0, 4, size=n_s, dtype=np.uint8)  # port | branch<<1
-    i_m = np.flatnonzero((pb_s & 1) == 0)
-    n_m = i_m.size
-    dark_s, n_dark_s = dark_stream(_ST_SIGNAL_DARKS,
-                                   config.detector_signal.dark_rate_hz)
-    sig = np.empty(n_m + n_dark_s)
-    # emission times only where a signal click can exist; the
-    # idler-conditional stage draws times for its own orphans
-    arr_sig = uniform_times(rng, sig[:n_m])
+    # idler partners, thinned from the signal photon clicks: the idler
+    # reaches its monitored port with probability (2 + x)/4, on the
+    # same path as the signal with probability (1 + x)/(2 + x), else
+    # one delay earlier or later with equal odds
+    rng = _stream(seed, _ST_IDLER_COND, slice_idx)
+    p_b = q_i * (2.0 + x) / 4.0
+    n_b = int(rng.binomial(n_sig, p_b))
+    idl, n_idl = channel(_ST_IDLER_ONLY,
+                         rate * q_i * (0.5 - q_s * (2.0 + x) / 8.0),
+                         _ST_IDLER_DARKS, config.detector_idler.dark_rate_hz,
+                         n_b)
+    pair = idl[:n_b]
+    pair[:] = sig[rng.choice(n_sig, n_b, replace=False, shuffle=False)]
+    p_same = (1.0 + x) / (2.0 + x)
+    for c in _chunks(n_b):
+        u = rng.random(c.stop - c.start)
+        pair[c] += np.where(u < p_same, 0.0,
+                            np.where(u < (1.0 + p_same) / 2.0, -tau, tau))
+    _add_normal(rng, math.hypot(link.signal.sigma_arrival_ps,
+                                link.idler.sigma_arrival_ps), pair)
 
-    # --- stage: idler side of signal-class pairs ------------------------
-    rng_ic = _stream(seed, _ST_IDLER_COND, slice_idx)
-    both = np.empty(n_s, dtype=bool)
-    for c in _chunks(n_s):
-        np.less(rng_ic.random(c.stop - c.start), q_i, out=both[c])
-    i_b = np.flatnonzero(both)
-    n_b = i_b.size
-    pb_b = pb_s[i_b]
-    b_monitored = (pb_b & 1) == 0
-    # emission times of both-pairs: monitored-signal ones were drawn
-    # in the signal stage (in signal-index order); those whose signal
-    # went to the unmonitored port have no signal click to anchor them
-    t0_b = np.empty(n_b)
-    t0_b[b_monitored] = arr_sig[np.flatnonzero(both[i_m])]
-    del both
-    t0_b[~b_monitored] = uniform_times(
-        rng_ic, np.empty(n_b - int(np.count_nonzero(b_monitored))))
-    # conditional idler outcome given the signal's (port, branch):
-    # same branch with prob 1/2; if same, idler takes the monitored
-    # port with prob (1 +/- x)/2 (+ iff signal was monitored); if
-    # opposite, ports are uncorrelated.
-    same = rng_ic.random(n_b) < 0.5
-    pm = np.where(b_monitored, (1.0 + x) / 2.0, (1.0 - x) / 2.0)
-    u_port = rng_ic.random(n_b)
-    i_k = np.flatnonzero(np.where(same, u_port < pm, u_port < 0.5))
-    # idler outcome codes: bit 1 is the idler branch
-    idl_codes = np.where(same, pb_b, pb_b ^ 2)[i_k]
-    t0_idl_pair = t0_b[i_k]
-    n_ib = i_k.size
-    del pb_b, b_monitored, t0_b, same, pm, u_port, i_k
+    drift.apply("signal", sig[:n_sig])
+    drift.apply("idler", idl[:n_idl])
+    sig_keys = _pack_keys("signal", sig, n_sig, lo, hi)
+    idl_keys = _pack_keys("idler", idl, n_idl, lo, hi)
 
-    # signal arrivals: emission + branch delay + spreads
-    emis_sig = arr_sig.copy() if drift.walks("signal") else None
-    add_delay(arr_sig, pb_s[i_m])
-    del pb_s, i_m
-    add_spread(rng, exc_s, arr_sig)
-    sig_keys = finish("signal", sig, n_m, emis_sig, _ST_SIGNAL_JITTER,
-                      link.signal.sigma_jitter_ps, dark_s)
-    del sig, arr_sig, emis_sig
-
-    # --- stage: idler-only class ----------------------------------------
-    rng_io = _stream(seed, _ST_IDLER_ONLY, slice_idx)
-    n_io = int(rng_io.poisson(rate * q_i * (1.0 - q_s) * dt_s))
-    pb_io = rng_io.integers(0, 4, size=n_io, dtype=np.uint8)
-    # outcome codes of the idler-only photons at the monitored port
-    io_codes = np.concatenate([np.empty(0, np.uint8)] + [
-        np.compress((pb_io[c] & 1) == 0, pb_io[c]) for c in _chunks(n_io)])
-    del pb_io
-    n_iom = io_codes.size
-
-    # idler arrivals, pair class then idler-only class, then darks, in
-    # one buffer; each class draws its spreads from its own stream
-    dark_i, n_dark_i = dark_stream(_ST_IDLER_DARKS,
-                                   config.detector_idler.dark_rate_hz)
-    idl = np.empty(n_ib + n_iom + n_dark_i)
-    arr_pair, arr_only = idl[:n_ib], idl[n_ib:n_ib + n_iom]
-    arr_pair[:] = t0_idl_pair
-    uniform_times(rng_io, arr_only)
-    emis_idl = idl[:n_ib + n_iom].copy() if drift.walks("idler") else None
-    add_delay(arr_pair, idl_codes)
-    add_spread(rng_ic, exc_i, arr_pair)
-    add_delay(arr_only, io_codes)
-    del io_codes
-    add_spread(rng_io, exc_i, arr_only)
-    idl_keys = finish("idler", idl, n_ib + n_iom, emis_idl,
-                      _ST_IDLER_JITTER, link.idler.sigma_jitter_ps, dark_i)
-
-    # --- diagnostics ---------------------------------------------------------
+    # diagnostics: the pairs no click shows, as counts alone
     rng = _stream(seed, _ST_REMAINDER, slice_idx)
+    n_su = int(rng.poisson(rate * q_s / 2.0 * dt_s))   # unmonitored port
+    n_both = (n_b + int(rng.binomial(n_sig - n_b, (q_i - p_b) / (1.0 - p_b)))
+              + int(rng.binomial(n_su, q_i)))
+    n_io = int(rng.poisson(rate * q_i * (1.0 - q_s) * dt_s))
     n_rem = int(rng.poisson(rate * (1.0 - q_s) * (1.0 - q_i) * dt_s))
-    diag.pairs_generated += n_s + n_io + n_rem
-    diag.pairs_signal_detectable += n_s
+    diag.pairs_generated += n_sig + n_su + n_io + n_rem
+    diag.pairs_signal_detectable += n_sig + n_su
     diag.pairs_idler_only_detectable += n_io
-    diag.pairs_both_detectable += n_b
+    diag.pairs_both_detectable += n_both
     return sig_keys, idl_keys
 
 

@@ -469,7 +469,7 @@ def measure_point(config: SimulationConfig, setting: float,
     acc = HistogramAccumulator(config.tia.histogram_bin_ps,
                                _histogram_range_ps(config))
     for bucket in iter_click_buckets(config, diag):
-        acc.add_bucket(bucket[1], bucket[3], bucket[0])
+        acc._add_sorted(bucket[1], bucket[3], bucket[0])
         if buckets is not None:
             buckets.append(bucket)
         del bucket   # its clicks go before the next slice is drawn
@@ -513,8 +513,9 @@ def _usable_cpus() -> int:
 # Expected detectable pairs per generation slice, summed over the
 # running points, up to which more than two fringe points run at once.
 # A running point holds about two slices of clicks, measured at 5-12
-# bytes per expected pair per slice, so a pool past two points stays
-# under ~250 MB.  Two points at once hold no more than one point did
+# bytes per expected pair per slice (tracemalloc: back-to-back 7 s and
+# 60 s, 100 km 30 s and 300 s), so a pool past two points stays under
+# ~250 MB.  Two points at once hold no more than one point did
 # when points ran one after another (up to four slices).
 _POOL_PAIRS_PER_SLICE = 2.0e7
 

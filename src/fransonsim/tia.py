@@ -163,11 +163,18 @@ class HistogramAccumulator:
             self._counts += np.bincount(deltas, minlength=self._nbins)
 
     def add_bucket(self, starts, stops, bucket_hi_ps: int) -> None:
+        """Add one bucket of clicks, each an ascending sequence of
+        integer picoseconds below bucket_hi_ps."""
         if self._last_hi is not None and bucket_hi_ps <= self._last_hi:
             raise ValidationError("buckets must arrive in time order")
+        self._add_sorted(_as_sorted_int64(starts, "starts"),
+                         _as_sorted_int64(stops, "stops"), bucket_hi_ps)
+
+    def _add_sorted(self, starts: np.ndarray, stops: np.ndarray,
+                    bucket_hi_ps: int) -> None:
+        """add_bucket without its checks: for int64 buckets already
+        known to be sorted and in time order (the engine's)."""
         self._last_hi = int(bucket_hi_ps)
-        starts = _as_sorted_int64(starts, "starts")
-        stops = _as_sorted_int64(stops, "stops")
         self._n_starts += int(starts.size)
         self._n_stops += int(stops.size)
         if self._pending.size:

@@ -8,13 +8,13 @@ module-scoped fixtures so each runs exactly once; everything here is
 seeded, so every number below is bit-reproducible.
 
 Checks 6 and 7 exercise full Monte Carlo fringe scans at realistic
-link statistics and dominate the runtime (a few minutes total on one
-core).  Their master seeds are frozen alongside the measured values:
+link statistics and dominate the runtime (~15 s together on two
+cores).  Their master seeds are frozen alongside the measured values:
 
 * 100 km preset, 600 s/point, master seed 2
-      -> fitted V = 0.81739 +/- 0.02338
+      -> fitted V = 0.80642 +/- 0.02306
 * back-to-back preset, 60 s/point, master seed 1
-      -> fitted V = 0.83660 +/- 0.00824
+      -> fitted V = 0.84674 +/- 0.00843
 
 The 20-trial visibility-ordering batch in check 7 runs on lossless
 variants (all attenuation and detector-efficiency factors removed;

@@ -20,7 +20,8 @@ from fransonsim import montecarlo
 from fransonsim.budget import LinkModel
 from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec, DetectorSpec,
-                                SourceSpec)
+                                SourceSpec, dispersion_broaden,
+                                sigma_from_fwhm)
 from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    SimulationConfig, TimingDriftSpec,
                                    derive_seed, iter_click_buckets,
@@ -90,7 +91,8 @@ def packed_keys(times, is_dark):
 # ---------------------------------------------------------------------------
 
 def test_emission_count_matches_rate():
-    # the three Poisson classes together generate Poisson(rate * T) pairs
+    # the drawn and the counted classes together make Poisson(rate * T)
+    # pairs
     cfg = lossy_config(acquisition_time_s=0.05, master_seed=7)
     _, _, diag = run_simulation(cfg)
     mean = LinkModel.from_config(cfg).pair_rate_hz * cfg.acquisition_time_s
@@ -580,8 +582,8 @@ def test_integer_analyzer_delay_matches_float():
 # ---------------------------------------------------------------------------
 
 def _per_pair_clicks(cfg, rng):
-    """Oracle for the engine's three Poisson classes: the literal link,
-    one pair at a time.
+    """Oracle for the engine: the literal link, one pair at a time
+    (drawn array-wise, each pair on its own coins and draws).
 
     Each photon survives its arm on its own coin (probability q).
     A pair where both survive takes the joint law of the two analyzers:
@@ -590,8 +592,11 @@ def _per_pair_clicks(cfg, rng):
     (s_s s_i / 4) e^{i theta} interfering and each mixed path at 1/16
     (the (+1, +1) row is franson_bin_probabilities).  A lone photon
     takes the phase-free marginal: uniform port and path.  Only the
-    monitored port clicks; no timing spreads.  Returns (signal times,
-    idler times, pairs where both photons survived)."""
+    monitored port clicks.  Every photon gets its own intrinsic,
+    dispersion and detector-jitter Gaussian, and the drifted channel's
+    photons a constant offset (no walk, no darks, no dead time); clicks
+    outside [0, span] are dropped.  Returns (signal times, idler times,
+    pairs where both photons survived)."""
     tau = cfg.analyzer_signal.delay_ps
     link = LinkModel.from_config(cfg)
     q_s, q_i, x = link.signal.q, link.idler.q, link.x
@@ -603,32 +608,47 @@ def _per_pair_clicks(cfg, rng):
                       (s_port, i_port, 1, 0), (s_port, i_port, 0, 1)]
             probs += [central / 2.0, central / 2.0, 1 / 16, 1 / 16]
     cum = np.cumsum(probs)
-    sig, idl, both = [], [], 0
     n = rng.poisson(link.pair_rate_hz * cfg.acquisition_time_s)
-    for t0 in (rng.random(n) * cfg.span_ps()).tolist():
-        s_ok, i_ok = rng.random() < q_s, rng.random() < q_i
-        if s_ok and i_ok:
-            both += 1
-            k = min(int(np.searchsorted(cum, rng.random(), side="right")),
-                    len(joint) - 1)
-            s_port, i_port, s_path, i_path = joint[k]
-        else:
-            u = rng.random(4)
-            s_port, i_port = (1 if v < 0.5 else -1 for v in u[:2])
-            s_path, i_path = (int(v < 0.5) for v in u[2:])
-        if s_ok and s_port == 1:
-            sig.append(t0 + s_path * tau)
-        if i_ok and i_port == 1:
-            idl.append(t0 + i_path * tau)
-    return (np.sort(np.rint(sig).astype(np.int64)),
-            np.sort(np.rint(idl).astype(np.int64)), both)
+    t0 = rng.random(n) * cfg.span_ps()
+    s_ok, i_ok = rng.random(n) < q_s, rng.random(n) < q_i
+    both = s_ok & i_ok
+    k = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
+                   len(joint) - 1)
+    lone = np.stack([np.where(rng.random(n) < 0.5, 1, -1),
+                     np.where(rng.random(n) < 0.5, 1, -1),
+                     (rng.random(n) < 0.5).astype(int),
+                     (rng.random(n) < 0.5).astype(int)], axis=1)
+    s_port, i_port, s_path, i_path = np.where(
+        both[:, None], np.array(joint)[k], lone).T
+    sigma_int = sigma_from_fwhm(cfg.source.photon_fwhm_ps)
+    drift = cfg.drift
+
+    def clicks(ok, port, path, channel, detector, name):
+        sigma_disp = sigma_from_fwhm(dispersion_broaden(
+            cfg.source.photon_fwhm_ps, channel.beta2_ps2_per_km,
+            channel.fiber_length_km))
+        t = t0 + path * tau
+        for sigma in (sigma_int, math.sqrt(sigma_disp ** 2 - sigma_int ** 2),
+                      sigma_from_fwhm(detector.jitter_fwhm_ps)):
+            t = t + rng.normal(0.0, sigma, n)
+        if drift.enabled and drift.channel == name:
+            t = t + drift.offset_ps
+        t = np.rint(t[ok & (port == 1)]).astype(np.int64)
+        return np.sort(t[(t >= 0) & (t <= cfg.span_ps())])
+
+    return (clicks(s_ok, s_port, s_path, cfg.channel_signal,
+                   cfg.detector_signal, "signal"),
+            clicks(i_ok, i_port, i_path, cfg.channel_idler,
+                   cfg.detector_idler, "idler"),
+            int(both.sum()))
 
 
 def _engine_and_oracle(theta, k):
     """One engine run and one oracle run of the same lossy link.
 
-    q_s = 0.3, q_i = 0.5: all three engine classes (signal-detectable,
-    idler-only, undetectable) are populated."""
+    q_s = 0.3, q_i = 0.5: every class the engine draws (signal clicks,
+    idler partners, partner-less idler clicks) and every pair class
+    it only counts are populated."""
     cfg = lossless_config(
         source=SourceSpec(photon_fwhm_ps=0.5, mean_pairs_per_window=2e-4),
         analyzer_signal=AnalyzerSpec(insertion_loss_db=0.0, phase_rad=theta),
@@ -672,6 +692,61 @@ def test_reference_pipeline_survival_fractions():
                          (n_both, q_s * q_i)):
             assert abs(count / n - p) <= 5.0 * math.sqrt(p * (1 - p) / n), (
                 theta, count, p)
+
+
+def _spread_link(theta, k):
+    """A lossy link with every timing spread the engine draws: an
+    intrinsic photon width, dispersion on both arms, detector jitter
+    on both, and a constant idler drift offset."""
+    return lossless_config(
+        source=SourceSpec(photon_fwhm_ps=4.0, mean_pairs_per_window=2e-4),
+        channel_signal=ChannelSpec(fiber_length_km=0.5,
+                                   beta2_ps2_per_km=-20.0),
+        channel_idler=ChannelSpec(fiber_length_km=0.25,
+                                  beta2_ps2_per_km=-20.0),
+        analyzer_signal=AnalyzerSpec(insertion_loss_db=0.0, phase_rad=theta),
+        detector_signal=DetectorSpec(quantum_efficiency=0.3,
+                                     dark_rate_hz=0.0, jitter_fwhm_ps=6.0),
+        detector_idler=DetectorSpec(quantum_efficiency=0.5,
+                                    dark_rate_hz=0.0, jitter_fwhm_ps=9.0),
+        drift=TimingDriftSpec(enabled=True, channel="idler", offset_ps=7.0),
+        acquisition_time_s=0.01, master_seed=300 + k)
+
+
+@pytest.mark.parametrize("theta", [0.15, 2.0])     # x = 0.99 and -0.42
+def test_engine_matches_per_pair_oracle_over_seeds(theta):
+    # singles, the central and side-peak counts and the central-peak
+    # width, summed over ten seeds of each side, agree within 5 sigma
+    tau, offset, half = 100.0, 7.0, 40.0
+    totals = {"engine": {}, "oracle": {}}
+    deltas = {"engine": [], "oracle": []}
+    for k in range(10):
+        cfg = _spread_link(theta, k)
+        sig, idl, _ = run_simulation(cfg)
+        o_sig, o_idl, _ = _per_pair_clicks(cfg, np.random.default_rng(400 + k))
+        for side, s, i in (("engine", sig.times_ps, idl.times_ps),
+                           ("oracle", o_sig, o_idl)):
+            counts = {"signal singles": s.size, "idler singles": i.size}
+            for name, center in (("central", 0.0), ("early", -tau),
+                                 ("late", tau)):
+                counts[name] = window_counts(s, i, center + offset, half)
+            for name, n in counts.items():
+                totals[side][name] = totals[side].get(name, 0) + n
+            # the first idler in each central window: a second one is
+            # an accidental (~1e-4 per window at these rates)
+            j = np.searchsorted(i, s + (offset - half))
+            d = i[j[j < i.size]] - s[j < i.size]
+            deltas[side].append(d[d <= offset + half])
+    for name, a in totals["engine"].items():
+        b = totals["oracle"][name]
+        assert a > 1000 and abs(a - b) <= 5.0 * math.sqrt(a + b), (
+            theta, name, a, b)
+    d_e, d_o = (np.concatenate(deltas[side]) for side in ("engine", "oracle"))
+    v_e, v_o = d_e.var(), d_o.var()
+    se = math.sqrt(2.0 * v_e ** 2 / d_e.size + 2.0 * v_o ** 2 / d_o.size)
+    assert abs(v_e - v_o) <= 5.0 * se, (theta, v_e, v_o)
+    assert abs(d_e.mean() - d_o.mean()) <= 5.0 * math.sqrt(
+        v_e / d_e.size + v_o / d_o.size), (theta, d_e.mean(), d_o.mean())
 
 
 # ---------------------------------------------------------------------------
