@@ -179,6 +179,10 @@ def _cmd_fringe(args) -> int:
         scenario = replace(scenario, plan=plan)
     if args.histograms:
         scenario = replace(scenario, emit_histograms=True)
+    if scenario.emit_histograms and args.format == "json":
+        raise ValidationError(
+            "--histograms (or the scenario's emit_histograms) writes CSV: "
+            "it cannot be combined with --format json")
 
     def progress(done: int, total: int) -> None:
         print(f"  point {done}/{total}", file=sys.stderr, flush=True)

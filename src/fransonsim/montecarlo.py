@@ -101,6 +101,7 @@ from .budget import LinkModel
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec)
+from .tia import check_ascending
 
 # Fixed generation-slice width.  Part of the sampling definition:
 # changing it would change every drawn number, so it is a constant,
@@ -195,6 +196,10 @@ class SimulationConfig:
     def __post_init__(self):
         if not (0.0 < self.acquisition_time_s < math.inf):
             raise ValidationError("acquisition_time_s must be finite and > 0")
+        if self.span_ps() + _MAX_SPILL_PS >= 2 ** 62:
+            raise ValidationError(
+                f"acquisition_time_s={self.acquisition_time_s!r} is too long: "
+                "its clicks packed as (t << 1) | is_dark would overflow int64")
         if not isinstance(self.master_seed, int) \
                 or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ValidationError("master_seed must be a non-negative int")
@@ -250,13 +255,7 @@ class ClickStream:
                 raise ValidationError(
                     f"clicks outside [0, span]: {t[0]}..{t[-1]} "
                     f"span={self.span_ps}")
-            # neighbours compared a chunk at a time: no temporary grows
-            # with the stream
-            for lo in range(0, t.size - 1, _DRAW_CHUNK):
-                hi = min(lo + _DRAW_CHUNK, t.size - 1)
-                if np.any(t[lo + 1:hi + 1] <= t[lo:hi]):
-                    raise ValidationError("click timestamps must be "
-                                          "strictly increasing")
+            check_ascending(t, "click timestamps", strict=True)
 
 
 @dataclass

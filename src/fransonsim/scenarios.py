@@ -469,7 +469,7 @@ def measure_point(config: SimulationConfig, setting: float,
     acc = HistogramAccumulator(config.tia.histogram_bin_ps,
                                _histogram_range_ps(config))
     for bucket in iter_click_buckets(config, diag):
-        acc._add_sorted(bucket[1], bucket[3], bucket[0])
+        acc.add_bucket(bucket[1], bucket[3], bucket[0])
         if buckets is not None:
             buckets.append(bucket)
         del bucket   # its clicks go before the next slice is drawn

@@ -25,11 +25,15 @@ import numpy as np
 
 from .errors import FitDegenerate, FitNotConverged, ValidationError
 
-_PAIR_CHUNK = 1 << 16   # starts searched, and pairs expanded, at once
+_PAIR_CHUNK = 1 << 16   # starts, pairs or neighbours handled at once
 _MIN_FREQ = 1e-12       # lower bound on the fitted fringe frequency
 _FIT_TOL = 1e-14        # gradient, chi^2 and step tolerance of the polish
 _FIT_MAX_NFEV = 500     # model evaluations before FitNotConverged
 _NYQUIST_TOL = 1e-3     # relative distance of a fit "at" the Nyquist limit
+# Largest delay histogram, in bins (8 MiB of counts): ~10^4 times the 40
+# bins the presets need and the 60 of `fransonsim histogram`'s defaults,
+# yet it refuses a 1e9 ps range at 1 ps bins, which would take 16 GB.
+_MAX_BINS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +61,15 @@ class DelayHistogram:
         return edges + self.bin_ps / 2.0
 
 
-def _as_sorted_int64(arr, name: str) -> np.ndarray:
-    out = np.asarray(arr)
-    if out.dtype != np.int64:
-        if not np.issubdtype(out.dtype, np.integer):
-            raise ValidationError(f"{name} must be integer picoseconds")
-        out = out.astype(np.int64)
-    if out.size > 1 and np.any(out[1:] < out[:-1]):
-        raise ValidationError(f"{name} must be sorted ascending")
-    return out
+def check_ascending(t: np.ndarray, name: str, strict: bool = False) -> None:
+    """ValidationError unless t ascends (strictly, if strict), checked
+    _PAIR_CHUNK neighbours at a time: no temporary grows with t."""
+    behind = np.less_equal if strict else np.less
+    for lo in range(0, t.size - 1, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, t.size - 1)
+        if behind(t[lo + 1:hi + 1], t[lo:hi]).any():
+            raise ValidationError(f"{name} must be " + (
+                "strictly increasing" if strict else "sorted ascending"))
 
 
 def _normalize_binning(bin_ps, range_ps) -> Tuple[int, int]:
@@ -83,6 +87,13 @@ def _normalize_binning(bin_ps, range_ps) -> Tuple[int, int]:
             f"range_ps must be at least one bin, got {range_ps!r}")
     if r % b:
         r += b - r % b   # round up so the bin grid tiles the range
+    if 2 * r // b > _MAX_BINS:
+        raise ValidationError(
+            f"range_ps={range_ps!r} at bin_ps={bin_ps!r} needs "
+            f"{2 * r // b} bins, more than the {_MAX_BINS} allowed")
+    if r >= 2 ** 62:   # with clicks below 2**62, click + range fits int64
+        raise ValidationError(
+            f"range_ps must be below 2**62 ps, got {range_ps!r}")
     return b, r
 
 
@@ -130,7 +141,8 @@ def build_histogram(starts, stops, bin_ps, range_ps) -> DelayHistogram:
     All starts and stops participate (no first-match pairing), which
     keeps the estimator linear in rates.  For a three-peak delay
     structure choose range_ps of at least twice the analyzer delay so
-    both side peaks are visible.
+    both side peaks are visible.  The one bucket's edge is 2**62 ps: a
+    click at or past it is a ValidationError.
     """
     acc = HistogramAccumulator(bin_ps, range_ps)
     acc.add_bucket(starts, stops, 2 ** 62)   # an edge past every click
@@ -148,33 +160,39 @@ class HistogramAccumulator:
 
     def __init__(self, bin_ps, range_ps):
         self.bin_ps, self.range_ps = _normalize_binning(bin_ps, range_ps)
-        self._nbins = 2 * self.range_ps // self.bin_ps
-        self._counts = np.zeros(self._nbins, dtype=np.int64)
-        self._pending = np.empty(0, dtype=np.int64)
-        self._stop_tail = np.empty(0, dtype=np.int64)
-        self._n_starts = 0
-        self._n_stops = 0
-        self._last_hi: Optional[int] = None
+        self._counts = np.zeros(2 * self.range_ps // self.bin_ps, np.int64)
+        self._pending = self._stop_tail = np.empty(0, dtype=np.int64)
+        self._n_starts = self._n_stops = 0
+        self._last_hi = -2 ** 63   # no bucket yet: no click precedes it
 
     def _bin_into(self, starts: np.ndarray, stops: np.ndarray) -> None:
         for deltas in _pair_deltas(starts, stops, self.range_ps):
             deltas += self.range_ps
             deltas //= self.bin_ps
-            self._counts += np.bincount(deltas, minlength=self._nbins)
+            self._counts += np.bincount(deltas, minlength=self._counts.size)
 
     def add_bucket(self, starts, stops, bucket_hi_ps: int) -> None:
-        """Add one bucket of clicks, each an ascending sequence of
-        integer picoseconds below bucket_hi_ps."""
-        if self._last_hi is not None and bucket_hi_ps <= self._last_hi:
+        """Add one bucket of clicks.  Raises ValidationError naming the
+        breach, before any state changes, unless starts and stops are
+        integer picoseconds, each sorted ascending; buckets arrive in
+        time order; and every click lies in [previous edge, bucket_hi_ps)."""
+        hi, last = int(bucket_hi_ps), self._last_hi
+        if hi <= last:
             raise ValidationError("buckets must arrive in time order")
-        self._add_sorted(_as_sorted_int64(starts, "starts"),
-                         _as_sorted_int64(stops, "stops"), bucket_hi_ps)
-
-    def _add_sorted(self, starts: np.ndarray, stops: np.ndarray,
-                    bucket_hi_ps: int) -> None:
-        """add_bucket without its checks: for int64 buckets already
-        known to be sorted and in time order (the engine's)."""
-        self._last_hi = int(bucket_hi_ps)
+        starts, stops = np.asarray(starts), np.asarray(stops)
+        for name, t in (("starts", starts), ("stops", stops)):
+            if not np.issubdtype(t.dtype, np.integer):
+                raise ValidationError(f"{name} must be integer picoseconds")
+            check_ascending(t, name)
+            if t.size and t[-1] >= hi:
+                raise ValidationError(f"{name} must lie below the bucket "
+                                      f"edge {hi} ps, got {t[-1]} ps")
+            if t.size and t[0] < last:
+                raise ValidationError(f"{name} must not precede the previous "
+                                      f"bucket edge {last} ps, got {t[0]} ps")
+        starts, stops = (t.astype(np.int64, copy=False)
+                         for t in (starts, stops))
+        self._last_hi = hi
         self._n_starts += int(starts.size)
         self._n_stops += int(stops.size)
         if self._pending.size:
@@ -182,13 +200,12 @@ class HistogramAccumulator:
         if self._stop_tail.size:
             stops = np.concatenate([self._stop_tail, stops])
         # starts with start + range <= bucket_hi_ps are ready: a prefix
-        n_ready = int(starts.searchsorted(bucket_hi_ps - self.range_ps,
-                                          side="right"))
+        n_ready = int(starts.searchsorted(hi - self.range_ps, side="right"))
         self._bin_into(starts[:n_ready], stops)
         # copies: the bucket's arrays must not outlive it
         self._pending = starts[n_ready:].copy()
         # keep stops any pending or future start could still pair with
-        keep = int(stops.searchsorted(bucket_hi_ps - 2 * self.range_ps))
+        keep = int(stops.searchsorted(hi - 2 * self.range_ps))
         self._stop_tail = stops[keep:].copy()
 
     def finalize(self) -> DelayHistogram:

@@ -225,6 +225,22 @@ def test_fringe_runs_sweep_scenarios(tmp_path, capsys):
     assert (tmp_path / "window-sweep_windows.csv").exists()
 
 
+def test_fringe_histograms_need_csv(quick_scenario, tmp_path, capsys):
+    # the JSON report carries no histograms: refuse before any point runs
+    out = tmp_path / "out"
+    assert run_cli("fringe", quick_scenario, "--out-dir", str(out),
+                   "--histograms", "--format", "json") == 2
+    err = capsys.readouterr().err
+    assert "--histograms" in err and "--format json" in err
+    s = replace(preset("ideal"), name="keep", emit_histograms=True)
+    path = tmp_path / "keep.json"
+    save_config(s, path)
+    assert run_cli("fringe", str(path), "--out-dir", str(out),
+                   "--format", "json") == 2
+    assert "emit_histograms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fringe_json_format_writes_report_only(quick_scenario, tmp_path):
     out = tmp_path / "out"
     assert run_cli("fringe", quick_scenario, "--out-dir", str(out),
@@ -326,6 +342,15 @@ def test_non_finite_number_exits_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_simulate_oversized_histogram_exits_2(tmp_path, capsys):
+    p = tmp_path / "wide.json"
+    p.write_text('{"tia": {"window_ps": 1e30}}')
+    assert run_cli("simulate", str(p), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "bins, more than the 1048576 allowed" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag,value", [("--bin-ps", "inf"),
                                         ("--range-ps", "nan"),
                                         ("--window-ps", "nan")])
@@ -346,6 +371,7 @@ def test_histogram_non_finite_flag_exits_2(small_config, tmp_path, capsys,
     (("--range-ps", "0"), "range_ps must be at least one bin"),
     (("--window-ps", "nan"), "window_ps must be finite"),
     (("--bin-ps", "20", "--window-ps", "10"), "narrower than one 20 ps bin"),
+    (("--range-ps", "1e30"), "bins, more than the 1048576 allowed"),
 ])
 def test_histogram_checks_flags_before_reading_clicks(tmp_path, capsys,
                                                       flags, message):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fransonsim import montecarlo
+from fransonsim import montecarlo, tia
 from fransonsim.budget import LinkModel
 from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec, DetectorSpec,
@@ -796,6 +796,15 @@ def test_config_rejects_bad_scalars():
             lossy_config(acquisition_time_s=bad)
 
 
+def test_config_bounds_the_span_packed_keys_can_hold():
+    # span + _MAX_SPILL_PS must stay below 2**62 ps so that (t << 1)
+    # fits int64; validation only, the engine never runs at either
+    limit_s = (2 ** 62 - montecarlo._MAX_SPILL_PS) / 1e12
+    lossy_config(acquisition_time_s=limit_s * (1 - 1e-9))
+    with pytest.raises(ValidationError, match="acquisition_time_s=.*too long"):
+        lossy_config(acquisition_time_s=limit_s * (1 + 1e-9))
+
+
 def test_engine_budget_guard():
     cfg = lossless_config(
         source=SourceSpec(photon_fwhm_ps=0.5, mean_pairs_per_window=0.05),
@@ -1007,7 +1016,7 @@ def test_click_file_memory_is_bounded(tmp_path):
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_assert_valid_compares_neighbours_across_chunks(chunk, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(tia, "_PAIR_CHUNK", chunk)
     times = np.arange(0, 400, 3, dtype=np.int64)
     ClickStream("signal", times, span_ps=400).assert_valid()
     for k in range(1, times.size):

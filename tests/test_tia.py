@@ -153,6 +153,29 @@ def test_histogram_rejects_bad_inputs():
             build_histogram(good, good, bin_ps, range_ps)
 
 
+def test_histogram_bins_are_bounded_before_allocation():
+    # a 2 * range / bin grid always has an even number of bins, so
+    # the smallest count past the bound is _MAX_BINS + 2
+    assert tia._normalize_binning(1, tia._MAX_BINS // 2) \
+        == (1, tia._MAX_BINS // 2)
+    with pytest.raises(ValidationError,
+                       match=f"needs {tia._MAX_BINS + 2} bins, more than"):
+        tia._normalize_binning(1, tia._MAX_BINS // 2 + 1)
+    with pytest.raises(ValidationError, match="more than"):
+        tia._normalize_binning(10, 1e30)
+    # few bins, but a range whose click + range leaves int64
+    with pytest.raises(ValidationError, match="range_ps must be below 2"):
+        tia._normalize_binning(1e17, 2 ** 62)
+
+
+def test_histogram_rejects_clicks_at_its_edge():
+    edge = np.array([2 ** 62], dtype=np.int64)
+    good = np.array([0], dtype=np.int64)
+    for starts, stops in ((edge, good), (good, edge)):
+        with pytest.raises(ValidationError, match="below the bucket edge"):
+            build_histogram(starts, stops, 10, 100)
+
+
 # ---------------------------------------------------------------------------
 # count_in_window
 # ---------------------------------------------------------------------------
@@ -240,6 +263,69 @@ def test_accumulator_rejects_out_of_order_buckets():
     with pytest.raises(ValidationError):
         acc.add_bucket(np.array([], dtype=np.int64),
                        np.array([], dtype=np.int64), 500)
+
+
+# (earlier buckets, the breaching bucket, what the message names)
+BUCKET_BREACHES = {
+    "float clicks": ([], ([0.5], [1], 100), "starts must be integer"),
+    "unsorted starts": ([], ([5, 3], [1], 100),
+                        "starts must be sorted ascending"),
+    "unsorted stops": ([], ([1], [9, 2], 100),
+                       "stops must be sorted ascending"),
+    "edge not after the last": ([([5], [7], 1000)], ([], [], 1000),
+                                "buckets must arrive in time order"),
+    # a stop past its own edge used to reach np.bincount as a negative
+    # delta, ending in numpy's unnamed ValueError
+    "stop past its edge": ([], ([0], [5, 1500], 500),
+                           "stops must lie below the bucket edge 500"),
+    "start past its edge": ([], ([0, 500], [5], 500),
+                            "starts must lie below the bucket edge 500"),
+    "start before the last edge": ([([0], [5], 500)], ([450], [600], 1000),
+                                   "starts must not precede the previous "
+                                   "bucket edge 500"),
+    "stop before the last edge": ([([0], [5], 500)], ([600], [499], 1000),
+                                  "stops must not precede the previous "
+                                  "bucket edge 500"),
+}
+
+
+@pytest.mark.parametrize("earlier,bad,message", BUCKET_BREACHES.values(),
+                         ids=BUCKET_BREACHES.keys())
+def test_accumulator_names_each_contract_breach(earlier, bad, message):
+    acc, clean = HistogramAccumulator(10, 100), HistogramAccumulator(10, 100)
+    for bucket in earlier:
+        acc.add_bucket(*bucket)
+        clean.add_bucket(*bucket)
+    with pytest.raises(ValidationError, match=message):
+        acc.add_bucket(*bad)
+    # the rejected bucket left no trace
+    later = ([2000], [2005], 3000)
+    acc.add_bucket(*later)
+    clean.add_bucket(*later)
+    got, want = acc.finalize(), clean.finalize()
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.n_starts, got.n_stops) == (want.n_starts, want.n_stops)
+
+
+def test_accumulator_rejects_the_stop_past_its_edge_reproduction():
+    acc = HistogramAccumulator(10, 100)
+    with pytest.raises(ValidationError, match="below the bucket edge"):
+        acc.add_bucket([0], [5, 1500], 500)
+    acc.add_bucket([600, 1450], [605], 2000)
+    assert acc.finalize().total_pairs == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_accumulator_order_check_spans_chunk_boundaries(chunk, monkeypatch):
+    monkeypatch.setattr(tia, "_PAIR_CHUNK", chunk)
+    times = np.arange(0, 400, 3, dtype=np.int64)
+    times[7] = times[6]                 # a repeat is still ascending
+    HistogramAccumulator(10, 100).add_bucket(times, times, 400)
+    for k in range(1, times.size):
+        bad = times.copy()
+        bad[k] = bad[k - 1] - 1
+        with pytest.raises(ValidationError, match="stops must be sorted"):
+            HistogramAccumulator(10, 100).add_bucket(times, bad, 400)
 
 
 # ---------------------------------------------------------------------------

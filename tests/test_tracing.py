@@ -1,21 +1,29 @@
 """The benchmark tracer (perfbench/tracing.py) patches fransonsim names
 by hand.  This guard keeps a rename or deletion in the package from
 breaking its per-layer split: every name it patches must exist, the
-closed-form patch points must sit on the live path, and uninstall must
-put every original back."""
+closed-form and accumulator patch points must sit on the live path,
+and uninstall must put every original back."""
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from fransonsim import budget, montecarlo, scenarios, tia
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def test_tracer_patches_and_restores_every_name(monkeypatch):
+@pytest.fixture()
+def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
-    workloads = importlib.import_module("workloads")
+    return (importlib.import_module("tracing"),
+            importlib.import_module("workloads"))
+
+
+def test_tracer_patches_and_restores_every_name(perfbench):
+    tracing, workloads = perfbench
     modules = (budget, montecarlo, scenarios, tia, workloads)
     before = [dict(vars(m)) for m in modules]
 
@@ -51,3 +59,21 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
         assert now.keys() == saved.keys(), m.__name__
         for name, value in saved.items():
             assert now[name] is value, f"{m.__name__}.{name}"
+
+
+def test_tracer_times_the_accumulator_of_a_fringe_point(perfbench):
+    # a fringe point must feed its buckets through the public
+    # add_bucket, the one accumulator entry the tracer times
+    tracing, workloads = perfbench
+    config = replace(scenarios.preset("back-to-back").config,
+                     acquisition_time_s=0.5, master_seed=3)
+    tracer = tracing.Tracer()
+    tracer.install(workloads)
+    try:
+        tracer.take()
+        point = scenarios.measure_point(config, 0.0)
+        seconds, counts = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert seconds.get("tia.add_bucket_s", 0.0) > 0.0
+    assert counts.get("tia.starts") == point.singles_signal > 0
