@@ -79,14 +79,17 @@ does not grow with the acquisition time:
   clicks (a near-lossless link), 8 bytes per signal click;
 * once a bucket is cut, only the unconsumed part of each slice is
   kept: the newest slice as a view, an older slice's spill tail as a
-  copy.  A bucket's key range is its own, so it is unpacked, and a
-  click sharing a picosecond with the one before it dropped, in place;
+  copy.  A bucket's key range is its own, so it is unpacked and
+  filtered (the detector's dead time, at least the digitizer's 1 ps)
+  in place, _DRAW_CHUNK clicks at a time: past its dark labels (1 byte
+  per click), no temporary grows with the bucket;
 * a consumer that drops each bucket before asking for the next (as
   scenarios.measure_point does) therefore holds about two slices of
   clicks: the one being drawn and the rest of the one before it.
   Measured with tracemalloc: 25 MB for a back-to-back point of 7 s
-  (2.6 M clicks in its one slice), 8.5 MB for a 100 km point of 30 s
-  or of 300 s (0.37 M clicks per slice).
+  (2.6 M clicks in its one slice), with or without a 50 ns dead time,
+  8.5 MB for a 100 km point of 30 s or of 300 s (0.37 M clicks per
+  slice).
 """
 
 from __future__ import annotations
@@ -116,9 +119,9 @@ _MAX_SPILL_PS = SLICE_PS // 4
 _MAX_EVENTS_PER_SLICE = 1.2e8
 
 # Elements per step of the in-place passes over a slice (draws added
-# to arrivals, rounding into keys): bounds every temporary.  Chunked
-# Generator draws reproduce the one-shot stream, so it is not part of
-# the sampling definition.
+# to arrivals, rounding into keys, the click filter): bounds every
+# temporary.  Chunked Generator draws reproduce the one-shot stream,
+# so it is not part of the sampling definition.
 _DRAW_CHUNK = 1 << 16
 
 # (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
@@ -305,80 +308,56 @@ def _add_normal(rng: np.random.Generator, sigma: float,
 
 
 # ---------------------------------------------------------------------------
-# Click merge: dedupe and dead time
+# Click filter: the detector's dead time, at least the digitizer's 1 ps
 # ---------------------------------------------------------------------------
 
-def _unpack_dedupe(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unpack sorted packed keys (t << 1) | is_dark into (times,
-    is_dark), keeping the first click of each picosecond: the photon,
-    when a photon and a dark share one (digitizer resolution).
+def _filter_clicks(key: np.ndarray, dead_ps: int, carry: int
+                   ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Unpack one channel's sorted packed keys (t << 1) | is_dark and
+    apply the detector's non-paralyzable dead time: returns (times,
+    is_dark, last kept time).  carry is the last kept click of an
+    earlier bucket (or a start value), so it lies strictly below the
+    first click.
 
-    Unpacks in place: key's storage becomes the times, and a dropped
-    click is squeezed out where it lies, so the memory a bucket takes
-    does not depend on whether two of its clicks share a picosecond."""
+    The dead time is at least 1 ps: the digitizer stamps integer
+    picoseconds, so of two clicks in one picosecond only the first is
+    kept, the photon when a photon and a dark share it (its key sorts
+    first).  The last kept click is never later than a click's
+    predecessor, so a click dead time or more after its predecessor is
+    always kept; only the closer ones take the sequential rule, each
+    run of them starting from the kept click just before it.
+
+    Works in place, _DRAW_CHUNK clicks at a time: key's storage becomes
+    the times and kept clicks move down over dropped ones, so no
+    temporary grows with the bucket."""
+    # clicks lie in [0, 2**62): a longer dead time acts the same
+    dead = min(max(dead_ps, 1), 2 ** 62)
     d = np.empty(key.size, dtype=bool)
     np.bitwise_and(key, 1, out=d, casting="unsafe")
     t = key
     t >>= 1
-    if t.size > 1:
-        keep = np.empty(t.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(t[1:], t[:-1], out=keep[1:])
-        if not keep.all():
-            first = int(np.argmin(keep))        # clicks before it stay
-            n = _compact(t, keep, first)
-            _compact(d, keep, first)
-            t, d = t[:n], d[:n]
-    return t, d
-
-
-def _compact(arr: np.ndarray, keep: np.ndarray, start: int) -> int:
-    """Move arr's elements from start on where keep is set to
-    arr[start:], in order, _DRAW_CHUNK elements at a time; returns the
-    new length.  A chunk is gathered before it is written, and never
-    past its own end, so no copy of arr is made."""
-    n = start
-    for lo in range(start, arr.size, _DRAW_CHUNK):
-        part = arr[lo:lo + _DRAW_CHUNK][keep[lo:lo + _DRAW_CHUNK]]
-        arr[n:n + part.size] = part
-        n += part.size
-    return n
-
-
-def _dead_time_filter(times: np.ndarray, is_dark: np.ndarray,
-                      dead_ps: int, carry_last: int
-                      ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Non-paralyzable dead time: drop clicks within dead_ps after an
-    accepted click.  times is sorted and carry_last (the previous
-    accepted timestamp, or a large negative sentinel) is <= times[0].
-
-    The last accepted click is then never later than a click's
-    predecessor, so a click dead_ps or more after its predecessor is
-    always kept.  Only the clicks closer than that to their
-    predecessor take the sequential rule, each run of them starting
-    from the kept click just before it (or from carry_last).
-    """
-    if dead_ps <= 0 or times.size == 0:
-        last = int(times[-1]) if times.size else carry_last
-        return times, is_dark, last
-    keep = np.empty(times.size, dtype=bool)
-    keep[0] = int(times[0]) - carry_last >= dead_ps
-    np.greater_equal(np.diff(times), dead_ps, out=keep[1:])
-    close = np.flatnonzero(~keep)
-    accepted = []
-    last = carry_last
-    prev = -2
-    for i, t in zip(close.tolist(), times[close].tolist()):
-        if i != prev + 1 and i > 0:
-            last = int(times[i - 1])
-        if t - last >= dead_ps:
-            accepted.append(i)
-            last = t
-        prev = i
-    keep[accepted] = True
-    kept = times[keep]
-    last = int(kept[-1]) if kept.size else carry_last
-    return kept, is_dark[keep], last
+    # n: clicks kept so far; before: the click before this chunk;
+    # prev: the index of the last close click
+    n, last, before, prev = 0, carry, carry, -2
+    for c in _chunks(t.size):
+        keep = np.empty(c.stop - c.start, dtype=bool)
+        keep[0] = int(t[c.start]) - before >= dead
+        np.greater_equal(np.diff(t[c]), dead, out=keep[1:])
+        for j in np.flatnonzero(~keep).tolist():
+            i = c.start + j
+            if i != prev + 1:                   # its predecessor was kept
+                last = int(t[i - 1]) if j else before
+            if int(t[i]) - last >= dead:
+                keep[j] = True
+                last = int(t[i])
+            prev = i
+        before = int(t[c.stop - 1])
+        k = int(np.count_nonzero(keep))
+        if n < c.start or k < keep.size:      # else it stays where it is
+            t[n:n + k] = t[c][keep]
+            d[n:n + k] = d[c][keep]
+        n += k
+    return t[:n], d[:n], int(t[n - 1]) if n else carry
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +533,21 @@ def iter_click_buckets(config: SimulationConfig,
                        diag: Optional[SimDiagnostics] = None,
                        ) -> Iterator[Bucket]:
     """Yield (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
-    per time bucket, in time order, deduped and dead-time filtered.
-    Every click of the bucket satisfies t < upper_edge_ps, and later
-    buckets hold no earlier clicks — ready for streaming consumers.
+    per time bucket, in time order, dead-time filtered (one click per
+    picosecond at least).  Every click of the bucket satisfies
+    t < upper_edge_ps, and later buckets hold no earlier clicks — ready
+    for streaming consumers.
 
     Buckets partition the acquisition on SLICE_PS boundaries (the
-    last one keeps its closed upper edge at the span); concatenating
-    them reproduces run_simulation's streams bit for bit.  Each slice
-    is sorted once, when generated; a bucket is the searchsorted cut
-    of the slices whose clicks can reach it (its own and the two
-    neighbours), merged when more than one contributes.
+    last one keeps its closed upper edge at the span).  Each slice is
+    sorted once, when generated; a bucket is the searchsorted cut of
+    the slices whose clicks can reach it (its own and the two
+    neighbours), merged when more than one contributes.  Each
+    channel's dead time carries its last kept click from bucket to
+    bucket, so the buckets together hold the clicks that one pass of
+    the per-click dead-time rule over the whole run keeps.  A detector
+    starts ready: its first click at t >= 0 is kept, however long its
+    dead time.
 
     Only the unconsumed part of each slice is kept once a bucket is
     cut: the newest slice as a view, an older slice's spill tail as a
@@ -581,7 +565,8 @@ def iter_click_buckets(config: SimulationConfig,
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
     dead_s = int(round(config.detector_signal.dead_time_ps))
     dead_i = int(round(config.detector_idler.dead_time_ps))
-    carry = {"signal": -2 ** 62, "idler": -2 ** 62}
+    # a detector starts ready: any first click at t >= 0 is kept
+    carry = {"signal": -max(dead_s, 1), "idler": -max(dead_i, 1)}
     empty = np.empty(0, np.int64)
 
     def cut(b: int) -> Bucket:
@@ -617,10 +602,9 @@ def iter_click_buckets(config: SimulationConfig,
             else:
                 key = pieces[0] if pieces else empty
             del pieces   # a merged bucket needs its slices no more
-            # the bucket's key range is its own: unpack it in place
-            tt, dd = _unpack_dedupe(key)
-            tt, dd, carry[channel] = _dead_time_filter(tt, dd, dead,
-                                                       carry[channel])
+            # the bucket's key range is its own: filter it in place
+            tt, dd, carry[channel] = _filter_clicks(key, dead,
+                                                    carry[channel])
             n_dark = int(np.count_nonzero(dd))
             if channel == "signal":
                 diag.photon_clicks_signal += dd.size - n_dark

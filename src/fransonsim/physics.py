@@ -206,7 +206,12 @@ class AnalyzerSpec:
 @dataclass(frozen=True)
 class DetectorSpec:
     """Single-photon detector: efficiency, dark rate, Gaussian timing
-    jitter (FWHM) and an optional non-paralyzable dead time."""
+    jitter (FWHM) and an optional non-paralyzable dead time.
+
+    The engine rounds the dead time to whole picoseconds and applies
+    at least 1 ps: the time-interval analyzer stamps integer
+    picoseconds, so two clicks in one picosecond are one.  A dead time
+    of 0, 0.4 or 1 ps therefore gives the same clicks."""
 
     quantum_efficiency: float = 0.007
     dark_rate_hz: float = 100.0

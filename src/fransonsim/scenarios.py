@@ -742,10 +742,17 @@ def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
 
     Always writes {name}_report.json; fmt="csv" adds the delimited
     companions (scan / window / mu tables, histograms when retained).
+    A report with retained histograms refuses fmt="json", which has no
+    place for them, before any file is written.
     Bytes are a pure function of the report content — wall-clock time
     never enters any file."""
     if fmt not in ("csv", "json"):
         raise ValidationError(f"fmt must be 'csv' or 'json', got {fmt!r}")
+    if fmt == "json" and any(p.histogram is not None
+                             for p in report.points or []):
+        raise ValidationError(
+            "retained histograms are written as CSV: fmt='json' would "
+            "drop them")
     os.makedirs(out_dir, exist_ok=True)
     base = report.scenario_name
     written: List[str] = []

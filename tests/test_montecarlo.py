@@ -2,7 +2,12 @@
 
 Statistical assertions use 4-5 sigma bounds with frozen seeds so they
 are deterministic; exact assertions (determinism, stream
-independence, dead time, dedupe) are bitwise.
+independence, the click filter) are bitwise.  The click filter is one
+pass, the detector's dead time with the digitizer's 1 ps as its floor
+(same-picosecond clicks merge, the photon kept over a dark); its
+references are the lexsort merge followed by the per-click dead-time
+loop, on a carry strictly below the first click, as it is between
+buckets.
 """
 
 import io
@@ -28,8 +33,7 @@ from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    read_click_stream, run_simulation,
                                    write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
-                                   _dead_time_filter, _gen_slice,
-                                   _unpack_dedupe)
+                                   _filter_clicks, _gen_slice)
 
 
 def lossless_config(**kw):
@@ -161,32 +165,36 @@ def test_detect_dark_rate():
 
 def test_detect_dead_time_exact():
     times = np.array([0, 50, 120, 130, 200], dtype=np.int64)
-    kept, _, last = _dead_time_filter(times, np.zeros(5, bool), 100,
-                                      -2 ** 62)
+    kept, _, last = _filter_clicks(packed_keys(times, np.zeros(5, bool)),
+                                   100, -2 ** 62)
     assert kept.tolist() == [0, 120] and last == 120
 
 
 def test_detect_merges_same_picosecond():
-    t, d = _unpack_dedupe(packed_keys([300, 100, 100], [False] * 3))
+    t, d, _ = _filter_clicks(packed_keys([300, 100, 100], [False] * 3), 0,
+                             -1)
     assert t.tolist() == [100, 300]
     assert int((~d).sum()) == 2
 
 
 def test_dedupe_prefers_photon_label():
-    t, d = _unpack_dedupe(packed_keys([5, 5], [True, False]))
+    t, d, _ = _filter_clicks(packed_keys([5, 5], [True, False]), 0, -1)
     assert t.tolist() == [5] and d.tolist() == [False]
 
 
+@pytest.mark.parametrize("dead_ps", [0, 5])
 @pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_dedupe_squeezes_in_place_across_chunks(chunk, monkeypatch):
+def test_dedupe_squeezes_in_place_across_chunks(chunk, dead_ps, monkeypatch):
     monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     t = rng.integers(0, 60, 200)      # most picoseconds shared
     d = rng.random(t.size) < 0.5
     key = packed_keys(t, d)
-    got_t, got_d = _unpack_dedupe(key)
-    want_t, want_d = _lexsort_merge(t, d)
+    got_t, got_d, last = _filter_clicks(key, dead_ps, -1)
+    want_t, want_d, want_last = _dead_time_loop(*_lexsort_merge(t, d),
+                                                dead_ps, -1)
     assert np.array_equal(got_t, want_t) and np.array_equal(got_d, want_d)
+    assert last == want_last
     assert np.shares_memory(got_t, key)
 
 
@@ -206,9 +214,10 @@ def test_dispersive_spread_zero_length_is_identity():
 def test_dead_time_carry_across_calls():
     t1 = np.array([0, 200], dtype=np.int64)
     d1 = np.zeros(2, dtype=bool)
-    _, _, last = _dead_time_filter(t1, d1, 100, -2**62)
+    _, _, last = _filter_clicks(packed_keys(t1, d1), 100, -2**62)
     t2 = np.array([250, 400], dtype=np.int64)
-    kept, _, _ = _dead_time_filter(t2, np.zeros(2, bool), 100, last)
+    kept, _, _ = _filter_clicks(packed_keys(t2, np.zeros(2, bool)), 100,
+                                last)
     assert kept.tolist() == [400]  # 250 falls in 200's dead window
 
 
@@ -253,38 +262,54 @@ def test_dedupe_sorted_merge_matches_lexsort(times, collide, base, seed):
     d = np.concatenate([d, ~d[twins]])
     order = rng.permutation(t.size)
     t, d = t[order], d[order]
-    got_t, got_d = _unpack_dedupe(packed_keys(t, d))
+    got_t, got_d, last = _filter_clicks(packed_keys(t, d), 0, base - 1)
     want_t, want_d = _lexsort_merge(t, d)
     assert got_t.dtype == np.int64 and got_d.dtype == bool
     assert np.array_equal(got_t, want_t)
     assert np.array_equal(got_d, want_d)
+    assert last == (int(want_t[-1]) if want_t.size else base - 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(gaps=st.lists(st.one_of(st.integers(1, 30), st.integers(1, 3000)),
                      max_size=150),
-       carry_back=st.integers(0, 2000), dead_ps=st.integers(0, 500),
-       split=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
-@example(gaps=[], carry_back=0, dead_ps=100, split=0, seed=0)
-@example(gaps=[5, 7, 9], carry_back=3, dead_ps=0, split=1, seed=0)
-@example(gaps=[50, 50, 150], carry_back=0, dead_ps=100, split=0, seed=0)
-@example(gaps=[1] * 100 + [500] + [3] * 50, carry_back=10, dead_ps=40,
-         split=60, seed=0)
-def test_dead_time_filter_matches_per_click_loop(gaps, carry_back, dead_ps,
-                                                 split, seed):
+       collide=st.lists(st.integers(0, 149), max_size=30),
+       carry_back=st.integers(1, 2000), dead_ps=st.integers(0, 500),
+       split=st.integers(0, 150), chunk=st.sampled_from([1, 3, 64, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+@example(gaps=[], collide=[], carry_back=1, dead_ps=100, split=0, chunk=1,
+         seed=0)
+@example(gaps=[5, 7, 9], collide=[0, 1], carry_back=3, dead_ps=0, split=1,
+         chunk=1, seed=0)
+@example(gaps=[50, 50, 150], collide=[], carry_back=1, dead_ps=100,
+         split=0, chunk=1 << 16, seed=0)
+@example(gaps=[1] * 100 + [500] + [3] * 50, collide=[59, 60, 61],
+         carry_back=10, dead_ps=40, split=60, chunk=3, seed=0)
+def test_click_filter_matches_merge_then_per_click_loop(
+        gaps, collide, carry_back, dead_ps, split, chunk, seed):
+    # the carry is the last kept click of an earlier bucket, so it lies
+    # strictly below the first click
     times = 10**12 + np.cumsum(np.asarray(gaps, dtype=np.int64))
     is_dark = np.random.default_rng(seed).random(times.size) < 0.3
     carry = int(times[0]) - carry_back if times.size else -2**62
-    want_t, want_d, want_last = _dead_time_loop(times, is_dark, dead_ps,
-                                                carry)
-    got_t, got_d, got_last = _dead_time_filter(times, is_dark, dead_ps, carry)
+    # force equal-picosecond photon/dark pairs
+    twins = [i for i in collide if i < times.size]
+    times = np.concatenate([times, times[twins]])
+    is_dark = np.concatenate([is_dark, ~is_dark[twins]])
+    want_t, want_d, want_last = _dead_time_loop(
+        *_lexsort_merge(times, is_dark), dead_ps, carry)
+    key = packed_keys(times, is_dark)
+    with mock.patch.object(montecarlo, "_DRAW_CHUNK", chunk):
+        got_t, got_d, got_last = _filter_clicks(key.copy(), dead_ps, carry)
     assert np.array_equal(got_t, want_t)
     assert np.array_equal(got_d, want_d)
     assert got_last == want_last
-    # carry chained over two calls equals one call on the whole stream
-    k = min(split, times.size)
-    t1, d1, last = _dead_time_filter(times[:k], is_dark[:k], dead_ps, carry)
-    t2, d2, last = _dead_time_filter(times[k:], is_dark[k:], dead_ps, last)
+    # carry chained over two calls equals one call on the whole stream;
+    # like a bucket edge, the split falls between picoseconds
+    k = int(np.searchsorted(key, key[split] >> 1 << 1)) \
+        if split < key.size else key.size
+    t1, d1, last = _filter_clicks(key[:k].copy(), dead_ps, carry)
+    t2, d2, last = _filter_clicks(key[k:].copy(), dead_ps, last)
     assert np.array_equal(np.concatenate([t1, t2]), want_t)
     assert np.array_equal(np.concatenate([d1, d2]), want_d)
     assert last == want_last
@@ -533,6 +558,63 @@ def test_dead_time_across_bucket_edges():
                             & (dropped < last_kept + dead[ch])).sum())
     assert carried > 0
     assert dead_diag.pairs_generated == free_diag.pairs_generated
+
+
+def test_dead_time_below_a_picosecond_is_the_digitizer_floor():
+    # keeping the first click of each picosecond is a 1 ps dead time;
+    # darks at 2e8 Hz make same-picosecond twins certain
+    dark = replace(lossy_config().detector_signal, dark_rate_hz=2.0e8)
+    base = lossy_config(acquisition_time_s=0.005, detector_signal=dark,
+                        detector_idler=dark)
+    runs = []
+    for dead_ps in (0.0, 0.4, 1.0):
+        diag = SimDiagnostics()
+        buckets = list(iter_click_buckets(
+            _with_dead_time(base, dead_ps, dead_ps), diag))
+        runs.append((buckets, diag))
+    (want, want_diag), rest = runs[0], runs[1:]
+    for got, got_diag in rest:
+        assert got_diag == want_diag
+        for g, w in zip(got, want, strict=True):
+            assert g[0] == w[0]
+            for a, b in zip(g[1:], w[1:]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    sig, idl = _gen_slice(base, LinkModel.from_config(base), 0, 0,
+                          base.span_ps(), _DriftWalk(base), SimDiagnostics())
+    drawn = sig.size + idl.size - want_diag.clicks_dropped_out_of_span
+    kept = sum(b[1].size + b[3].size for b in want)
+    assert kept < drawn     # twins were merged
+
+
+def test_filter_memory_is_bounded():
+    # 50 ns dead time on clicks 500 ns apart on average: ~10 % of them
+    # take the sequential rule, one Python step each
+    n, dead = 10**6, 50_000
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.exponential(500_000.0, n).astype(np.int64))
+    key = packed_keys(times, rng.random(n) < 0.1)
+    tracemalloc.start()
+    try:
+        t, _, _ = _filter_clicks(key, dead, -dead)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n - t.size > 0.05 * n
+    assert peak <= 4 * n + (1 << 20)
+
+
+@pytest.mark.parametrize("dead_ps", [1.0e19, 1.0e30])
+def test_huge_dead_time_keeps_the_first_click(dead_ps):
+    # a detector starts ready, however long it then stays dead
+    base = lossy_config(acquisition_time_s=0.01)
+    held = replace(base, detector_signal=replace(base.detector_signal,
+                                                 dead_time_ps=dead_ps))
+    free_sig, free_idl, _ = run_simulation(base)
+    sig, idl, diag = run_simulation(held)
+    assert free_sig.times_ps.size > 1
+    assert sig.times_ps.tolist() == free_sig.times_ps[:1].tolist()
+    assert diag.photon_clicks_signal + diag.dark_clicks_signal == 1
+    assert np.array_equal(idl.times_ps, free_idl.times_ps)
 
 
 def test_drift_offset_displaces_one_channel_exactly():

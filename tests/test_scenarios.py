@@ -710,6 +710,15 @@ def test_sweep_emissions(tmp_path):
     assert len(lines) == 2 + len(rep_m.mu_table)
 
 
+def test_emit_refuses_json_for_retained_histograms(tmp_path):
+    rep = run_scenario(tiny_ideal(n_points=4, acq=0.005,
+                                  emit_histograms=True))
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match="histograms"):
+        emit_outputs(rep, out, fmt="json")
+    assert not out.exists()
+
+
 def test_emit_rejects_unknown_format(tmp_path):
     rep = run_scenario(preset("mu-sweep"))
     with pytest.raises(ValidationError, match="fmt"):
