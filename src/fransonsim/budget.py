@@ -5,7 +5,10 @@ Every quantity here has a Monte Carlo counterpart.  Both read the
 link (rates, survival, timing widths, interference term) from one
 LinkModel, and the rate/visibility tests keep them consistent, so the
 budget can be trusted for fast what-if scans and the simulation for
-everything the closed forms cannot capture.
+everything the closed forms cannot capture.  Each link quantity is
+derived once: an arm's loss is LinkModel's loss_db (the ledger only
+labels its terms for display), and every share of a delay peak inside
+a window is one CoincidencePeakModel.mass integral.
 
 Counting conventions used throughout:
 
@@ -47,20 +50,8 @@ class LedgerEntry:
     loss_db: float
 
 
-@dataclass(frozen=True)
-class LossLedger:
-    """Ordered dB contributions of one arm; totals are exact sums."""
-
-    arm: str
-    entries: Tuple[LedgerEntry, ...]
-
-    @property
-    def total_db(self) -> float:
-        return math.fsum(e.loss_db for e in self.entries)
-
-
-def _arm_ledger(arm: str, channel: ChannelSpec,
-                analyzer: AnalyzerSpec) -> LossLedger:
+def _arm_ledger(channel: ChannelSpec,
+                analyzer: AnalyzerSpec) -> Tuple[LedgerEntry, ...]:
     entries = []
     if channel.pre_fiber_loss_db > 0.0:
         entries.append(LedgerEntry("source coupling + filters",
@@ -73,18 +64,19 @@ def _arm_ledger(arm: str, channel: ChannelSpec,
     if analyzer.insertion_loss_db > 0.0:
         entries.append(LedgerEntry("analyzer insertion",
                                    analyzer.insertion_loss_db))
-    return LossLedger(arm=arm, entries=tuple(entries))
+    return tuple(entries)
 
 
-def build_ledger(config: SimulationConfig) -> Dict[str, LossLedger]:
-    """Per-arm optical loss ledgers, a breakdown for display (detector
-    efficiency is not a dB entry; LinkModel multiplies it in as
-    q = T * eta)."""
+def build_ledger(config: SimulationConfig
+                 ) -> Dict[str, Tuple[LedgerEntry, ...]]:
+    """Per-arm labelled optical loss entries, for display only: an
+    arm's total is its LinkModel loss_db, the sum the rates and the
+    engine use (detector efficiency is not a dB entry; LinkModel
+    multiplies it in as q = T * eta)."""
     return {
-        "signal": _arm_ledger("signal", config.channel_signal,
+        "signal": _arm_ledger(config.channel_signal,
                               config.analyzer_signal),
-        "idler": _arm_ledger("idler", config.channel_idler,
-                             config.analyzer_idler),
+        "idler": _arm_ledger(config.channel_idler, config.analyzer_idler),
     }
 
 
@@ -92,23 +84,16 @@ def build_ledger(config: SimulationConfig) -> Dict[str, LossLedger]:
 # Coincidence-peak shape
 # ---------------------------------------------------------------------------
 
-def _gauss_mass(center: float, sigma: float, lo: float, hi: float) -> float:
-    """Mass of N(center, sigma^2) inside [lo, hi]."""
-    if sigma <= 0.0:
-        return 1.0 if lo <= center <= hi else 0.0
-    a = (lo - center) / (sigma * _SQRT2)
-    b = (hi - center) / (sigma * _SQRT2)
-    return 0.5 * (math.erf(b) - math.erf(a))
-
-
 @dataclass(frozen=True)
 class CoincidencePeakModel:
-    """Gaussian model of the start-stop delay peaks.
+    """Gaussian model of the three start-stop delay peaks.
 
     Each photon's arrival spreads by its broadened duration plus the
     detector jitter; the delay (stop - start) adds both channels in
     quadrature, plus the time-averaged variance of any slow random
-    walk.  A constant drift offset displaces all three peaks
+    walk.  The central peak sits at center_ps, the early and late side
+    peaks at center_ps -/+ analyzer_delay_ps, all with that one
+    width.  A constant drift offset displaces all three peaks
     together: +offset when the idler (stop) channel drifts, -offset
     for the signal.
     """
@@ -117,32 +102,22 @@ class CoincidencePeakModel:
     center_ps: float
     analyzer_delay_ps: float
 
-    def capture_fraction(self, window_ps: float) -> float:
-        """Central-peak mass inside the window centered at delay 0."""
-        if not (window_ps > 0.0):
-            raise ValidationError("window_ps must be > 0")
-        return _gauss_mass(self.center_ps, self.sigma_delta_ps,
-                           -window_ps / 2.0, window_ps / 2.0)
-
-    def side_leak_fractions(self, window_ps: float) -> Tuple[float, float]:
-        """Mass of each displaced side peak (at center -/+ delay)
-        leaking into the central window."""
-        if not (window_ps > 0.0):
-            raise ValidationError("window_ps must be > 0")
-        lo, hi = -window_ps / 2.0, window_ps / 2.0
-        tau = self.analyzer_delay_ps
-        return (_gauss_mass(self.center_ps - tau, self.sigma_delta_ps,
-                            lo, hi),
-                _gauss_mass(self.center_ps + tau, self.sigma_delta_ps,
-                            lo, hi))
-
-    def side_capture_fractions(self, window_ps: float) -> Tuple[float, float]:
-        """Mass of each side peak inside windows centered on -/+ delay."""
-        tau = self.analyzer_delay_ps
-        return (_gauss_mass(self.center_ps - tau, self.sigma_delta_ps,
-                            -tau - window_ps / 2.0, -tau + window_ps / 2.0),
-                _gauss_mass(self.center_ps + tau, self.sigma_delta_ps,
-                            tau - window_ps / 2.0, tau + window_ps / 2.0))
+    def mass(self, peak: int, window_center_ps: float,
+             window_ps: float) -> float:
+        """Mass of the central (peak=0), early (-1) or late (+1) peak
+        inside the window of width window_ps centred at
+        window_center_ps."""
+        if not (math.isfinite(window_ps) and window_ps > 0.0):
+            raise ValidationError(
+                f"window_ps must be finite and > 0, got {window_ps!r}")
+        center = self.center_ps + peak * self.analyzer_delay_ps
+        lo = window_center_ps - window_ps / 2.0
+        hi = window_center_ps + window_ps / 2.0
+        if self.sigma_delta_ps <= 0.0:
+            return 1.0 if lo <= center <= hi else 0.0
+        a = (lo - center) / (self.sigma_delta_ps * _SQRT2)
+        b = (hi - center) / (self.sigma_delta_ps * _SQRT2)
+        return 0.5 * (math.erf(b) - math.erf(a))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +256,6 @@ def _predict_rates(config: SimulationConfig, link: LinkModel,
     rate = link.pair_rate_hz
     q_s, q_i = link.signal.q, link.idler.q
     w = config.tia.window_ps if window_ps is None else window_ps
-    if not (w > 0.0):
-        raise ValidationError("window_ps must be > 0")
 
     photon_singles_s = rate * q_s / 2.0
     photon_singles_i = rate * q_i / 2.0
@@ -290,11 +263,11 @@ def _predict_rates(config: SimulationConfig, link: LinkModel,
     singles_i = photon_singles_i + config.detector_idler.dark_rate_hz
 
     both = rate * q_s * q_i
-    capture = link.peak.capture_fraction(w)
+    capture = link.peak.mass(0, 0.0, w)
     central_max = both * (1.0 + link.contrast_total) / 8.0 * capture
     central_now = both * (1.0 + link.x) / 8.0 * capture
-    leak_l, leak_r = link.peak.side_leak_fractions(w)
-    side_leak = both * (leak_l + leak_r) / 16.0
+    leak = link.peak.mass(-1, 0.0, w) + link.peak.mass(+1, 0.0, w)
+    side_leak = both * leak / 16.0
 
     parts = {
         "photon-photon": accidental_rate(photon_singles_s,

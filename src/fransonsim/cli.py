@@ -28,7 +28,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
-from .budget import WindowScore, bell_verdict, build_ledger, \
+from .budget import LinkModel, WindowScore, bell_verdict, build_ledger, \
     optimize_window, predict_rates, predict_visibility
 from .errors import FitDegenerate, FitNotConverged, FransonError, \
     ParseError, ValidationError
@@ -228,12 +228,12 @@ def _cmd_budget(args) -> int:
     vis = predict_visibility(cfg)
     verdict = bell_verdict(cfg)
 
-    ledgers = build_ledger(cfg)
+    ledger, link = build_ledger(cfg), LinkModel.from_config(cfg)
     print(f"loss ledger ({rates.loss_note})")
-    for arm, ledger in ledgers.items():
-        parts = ", ".join(f"{e.label} {e.loss_db:g} dB"
-                          for e in ledger.entries)
-        print(f"  {arm}: total {ledger.total_db:g} dB  ({parts})")
+    for arm, entries in ledger.items():
+        parts = ", ".join(f"{e.label} {e.loss_db:g} dB" for e in entries)
+        print(f"  {arm}: total {getattr(link, arm).loss_db:g} dB  "
+              f"({parts})")
     print(f"generated pairs      {rates.generated_pair_rate_hz:.4g} Hz")
     print(f"singles              signal {rates.singles_signal_hz:.1f} Hz, "
           f"idler {rates.singles_idler_hz:.1f} Hz")
@@ -250,8 +250,10 @@ def _cmd_budget(args) -> int:
         doc = {
             "name": name,
             "config_hash": config_hash(cfg),
-            "ledger": {arm: dataclasses.asdict(led)
-                       for arm, led in ledgers.items()},
+            "ledger": {arm: {"arm": arm,
+                             "entries": [dataclasses.asdict(e)
+                                         for e in entries]}
+                       for arm, entries in ledger.items()},
             "rates": dataclasses.asdict(rates),
             "visibility": dataclasses.asdict(vis),
             "bell": dataclasses.asdict(verdict),

@@ -6,13 +6,14 @@ The chain being simulated, per arm:
     -> unbalanced MZI (insertion loss, short/long split, phase)
     -> detector (efficiency, Gaussian jitter, darks, dead time)
 
-Interference is handled by *joint-outcome sampling*: the analytic
-four-outcome law of ``franson_bin_probabilities`` fixes the joint
-(port, short/long) distribution of a coincident pair, and single
-surviving photons follow its phase-free marginal (uniform port and
-branch).  Per-photon independent path choices cannot reproduce
-two-photon fringes without also creating single-photon fringes, so
-they are never used.
+Interference enters through the coincident pairs alone: how many
+signal clicks have an idler partner, and whether a partner sits in
+the central or a side delay peak, follow the interference term x
+that ``budget.LinkModel`` derives.  Partner-less clicks are drawn as
+plain Poisson processes whose rates keep the singles phase-free (see
+*Sampling law*).  Per-photon independent path choices cannot
+reproduce two-photon fringes without also creating single-photon
+fringes, so they are never used.
 
 Reproducibility model
 ---------------------

@@ -153,15 +153,15 @@ class HistogramAccumulator:
     """Delay histogram over time-ordered click buckets.
 
     Feed buckets in order with their upper time edge; the result does
-    not depend on where the bucket edges fall.  A start is binned only
-    once all stops inside its window can have arrived, so bucket
-    boundaries never split or duplicate pairs.
+    not depend on where the bucket edges fall.  Each pair is binned
+    when its later click arrives, so bucket boundaries never split or
+    duplicate pairs, and finalize() is a read: more buckets may follow.
     """
 
     def __init__(self, bin_ps, range_ps):
         self.bin_ps, self.range_ps = _normalize_binning(bin_ps, range_ps)
         self._counts = np.zeros(2 * self.range_ps // self.bin_ps, np.int64)
-        self._pending = self._stop_tail = np.empty(0, dtype=np.int64)
+        self._start_tail = self._stop_tail = np.empty(0, dtype=np.int64)
         self._n_starts = self._n_stops = 0
         self._last_hi = -2 ** 63   # no bucket yet: no click precedes it
 
@@ -195,22 +195,21 @@ class HistogramAccumulator:
         self._last_hi = hi
         self._n_starts += int(starts.size)
         self._n_stops += int(stops.size)
-        if self._pending.size:
-            starts = np.concatenate([self._pending, starts])
+        # the earlier starts in range meet the bucket's stops; the
+        # bucket's starts meet its stops and the earlier stops in range
+        self._bin_into(self._start_tail, stops)
         if self._stop_tail.size:
             stops = np.concatenate([self._stop_tail, stops])
-        # starts with start + range <= bucket_hi_ps are ready: a prefix
-        n_ready = int(starts.searchsorted(hi - self.range_ps, side="right"))
-        self._bin_into(starts[:n_ready], stops)
-        # copies: the bucket's arrays must not outlive it
-        self._pending = starts[n_ready:].copy()
-        # keep stops any pending or future start could still pair with
-        keep = int(stops.searchsorted(hi - 2 * self.range_ps))
-        self._stop_tail = stops[keep:].copy()
+        self._bin_into(starts, stops)
+        if self._start_tail.size:
+            starts = np.concatenate([self._start_tail, starts])
+        # keep the clicks a later bucket's clicks can still pair with,
+        # as copies: the bucket's arrays must not outlive it
+        edge = hi - self.range_ps
+        self._start_tail = starts[int(starts.searchsorted(edge)):].copy()
+        self._stop_tail = stops[int(stops.searchsorted(edge)):].copy()
 
     def finalize(self) -> DelayHistogram:
-        self._bin_into(self._pending, self._stop_tail)
-        self._pending = np.empty(0, dtype=np.int64)
         return DelayHistogram(bin_ps=self.bin_ps, range_ps=self.range_ps,
                               counts=self._counts.copy(),
                               n_starts=self._n_starts,

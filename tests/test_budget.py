@@ -22,7 +22,8 @@ from fransonsim.tia import build_histogram, count_in_window
 from fransonsim.budget import (LinkModel, bell_verdict, build_ledger,
                                optimize_window, predict_rates,
                                predict_visibility)
-from fransonsim.scenarios import preset
+from fransonsim.cli import main
+from fransonsim.scenarios import preset, save_config
 
 PAIR_JITTER = 65.0 / math.sqrt(2.0)   # per detector; 65 ps at pair level
 CAL_CONTRAST = 0.9756419240289781     # per analyzer; 0.9518772 total
@@ -52,20 +53,31 @@ def paper_link(fiber_km, window_ps, contrast=1.0, **kw):
 # ledger
 # ---------------------------------------------------------------------------
 
-def test_ledger_totals_are_exact_sums():
+def test_ledger_totals_are_exact_sums(tmp_path, capsys):
     cfg = paper_link(50.0, 100.0)
     led = build_ledger(cfg)
     link = LinkModel.from_config(cfg)
     for arm in ("signal", "idler"):
-        entries = led[arm].entries
+        entries = led[arm]
         assert [e.label.split(" ")[0] for e in entries] == \
             ["source", "fiber", "analyzer"]
-        assert led[arm].total_db == math.fsum(e.loss_db for e in entries)
-        assert abs(led[arm].total_db - 25.0) < 1e-12
+        assert sum(e.loss_db for e in entries) == getattr(link, arm).loss_db
+        assert abs(getattr(link, arm).loss_db - 25.0) < 1e-12
         assert abs(getattr(link, arm).transmission - 10.0 ** -2.5) < 1e-15
-    b2b = build_ledger(paper_link(0.0, 60.0))
-    assert abs(b2b["signal"].total_db - 15.0) < 1e-12
-    assert len(b2b["signal"].entries) == 2   # no fiber line at 0 km
+    b2b = paper_link(0.0, 60.0)
+    assert abs(LinkModel.from_config(b2b).signal.loss_db - 15.0) < 1e-12
+    assert len(build_ledger(b2b)["signal"]) == 2   # no fiber line at 0 km
+
+    # at 5.005 km an exact (fsum) total of the entries would differ
+    # from the plain sum in the last bit; budget prints the link's
+    base = preset("paper-100km").config
+    short = replace(base, channel_signal=replace(base.channel_signal,
+                                                 fiber_length_km=5.005))
+    loss = LinkModel.from_config(short).signal.loss_db
+    assert sum(e.loss_db for e in build_ledger(short)["signal"]) == loss
+    save_config(short, tmp_path / "short.json")
+    assert main(["budget", str(tmp_path / "short.json")]) == 0
+    assert f"  signal: total {loss:g} dB  (" in capsys.readouterr().out
 
 
 def test_rates_and_engine_share_one_transmission():
@@ -136,13 +148,46 @@ def test_peak_widths():
 def test_capture_is_monotone_and_bounded():
     peak = LinkModel.from_config(paper_link(0.0, 60.0)).peak
     widths = np.arange(10.0, 200.0, 10.0)
-    caps = [peak.capture_fraction(w) for w in widths]
+    caps = [peak.mass(0, 0.0, w) for w in widths]
     assert all(0.0 < c <= 1.0 for c in caps)
     assert all(b > a for a, b in zip(caps, caps[1:]))
     # centered peaks: side windows capture exactly like the central one
-    side_l, side_r = peak.side_capture_fractions(60.0)
-    assert abs(side_l - peak.capture_fraction(60.0)) < 1e-15
+    tau = peak.analyzer_delay_ps
+    side_l, side_r = peak.mass(-1, -tau, 60.0), peak.mass(+1, tau, 60.0)
+    assert abs(side_l - peak.mass(0, 0.0, 60.0)) < 1e-15
     assert abs(side_r - side_l) < 1e-15
+
+
+def test_peak_mass_is_one_gaussian_integral():
+    base = paper_link(50.0, 100.0)
+    peak = LinkModel.from_config(base).peak
+    tau = peak.analyzer_delay_ps
+    # each peak integrates to ~1 over a wide window on its center
+    for k in (-1, 0, +1):
+        assert abs(peak.mass(k, k * tau, 1.0e4) - 1.0) < 1e-12
+    # a centred peak is symmetric about its center
+    assert abs(peak.mass(0, -20.0, 30.0) - peak.mass(0, 20.0, 30.0)) < 1e-15
+    assert abs(peak.mass(+1, tau - 20.0, 30.0)
+               - peak.mass(-1, -tau + 20.0, 30.0)) < 1e-15
+    # a drift offset moves all three peaks by it
+    drifted = LinkModel.from_config(replace(
+        base, drift=TimingDriftSpec(enabled=True, channel="idler",
+                                    offset_ps=40.0))).peak
+    for k in (-1, 0, +1):
+        assert abs(drifted.mass(k, k * tau + 40.0, 60.0)
+                   - peak.mass(k, k * tau, 60.0)) < 1e-15
+    assert drifted.mass(0, 0.0, 60.0) < peak.mass(0, 0.0, 60.0)
+
+
+@pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -1.0],
+                         ids=["inf", "nan", "zero", "negative"])
+def test_closed_form_refuses_bad_windows(window):
+    # an infinite window used to give an infinite accidental rate and
+    # then V = 0, S = 0 with no error
+    cfg = paper_link(50.0, 100.0)
+    for predict in (predict_rates, predict_visibility, bell_verdict):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            predict(cfg, window)
 
 
 def test_drift_offset_and_walk_reduce_capture():
@@ -152,7 +197,7 @@ def test_drift_offset_and_walk_reduce_capture():
         base, drift=TimingDriftSpec(enabled=True, channel="idler",
                                     offset_ps=40.0))).peak
     assert offset.center_ps == 40.0
-    assert offset.capture_fraction(100.0) < centered.capture_fraction(100.0)
+    assert offset.mass(0, 0.0, 100.0) < centered.mass(0, 0.0, 100.0)
     signal_side = LinkModel.from_config(replace(
         base, drift=TimingDriftSpec(enabled=True, channel="signal",
                                     offset_ps=40.0))).peak
@@ -163,7 +208,7 @@ def test_drift_offset_and_walk_reduce_capture():
                                     walk_interval_ps=1e9),
         acquisition_time_s=100.0)).peak
     assert walked.sigma_delta_ps > centered.sigma_delta_ps
-    assert walked.capture_fraction(100.0) < centered.capture_fraction(100.0)
+    assert walked.mass(0, 0.0, 100.0) < centered.mass(0, 0.0, 100.0)
 
 
 def test_side_leakage_stays_below_three_percent_of_central():
@@ -328,9 +373,8 @@ def test_predictions_match_simulation():
 
     for sign in (-1.0, +1.0):
         side = count_in_window(hist, sign * 100.0, 60.0)
-        cap_l, cap_r = LinkModel.from_config(cfg).peak \
-            .side_capture_fractions(60.0)
-        cap = cap_l if sign < 0 else cap_r
+        cap = LinkModel.from_config(cfg).peak.mass(int(sign),
+                                                   sign * 100.0, 60.0)
         want_side = (rates.both_rate_hz / 16.0 * cap
                      + rates.accidental_in_window_hz) * t
         assert abs(side - want_side) < 5.0 * math.sqrt(want_side)

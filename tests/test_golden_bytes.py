@@ -1,7 +1,7 @@
-"""Frozen bytes of engine-only outputs.
+"""Frozen bytes of engine-only and closed-form outputs.
 
-Each case runs the CLI on a small seeded config and compares the
-sha256 of files that the engine and the click writer alone decide:
+Each engine case runs the CLI on a small seeded config and compares
+the sha256 of files that the engine and the click writer alone decide:
 
 * both click files of ``simulate --dump-clicks`` on a 0.2 s
   back-to-back link with 2e4 Hz darks and a 50 ns dead time on each
@@ -20,6 +20,24 @@ refactors the engine must leave them as they are.  A change that
 deliberately changes the drawn numbers (a new sampling law, a new RNG
 stream layout) re-freezes them and says so in its change log, as the
 frozen values of ``tests/test_acceptance.py`` are.
+
+Each closed-form case runs a command that draws no clicks and compares
+the sha256 of every file it writes (and, for ``budget``, of its
+stdout):
+
+* ``budget --preset paper-100km --out-dir``;
+* ``budget`` on that preset with 5.005 km of signal fiber, where an
+  exact (``fsum``) and a plain sum of the arm's dB terms differ in the
+  last bit;
+* ``fringe --preset window-sweep`` and ``fringe --preset mu-sweep``:
+  the report JSON and the table CSV of each;
+* ``optimize-window --preset window-sweep --grid 40:20:160 --objective
+  rate_weighted --out-dir``.
+
+None of these goes through LAPACK; their floats come from
+``math.erf``, ``math.cos`` and plain arithmetic.  They were frozen on
+CPython 3.11.7, x86-64 Linux (glibc 2.36).  A change that only
+refactors the closed form must leave them as they are.
 """
 
 import hashlib
@@ -85,3 +103,66 @@ def test_fringe_scan_table_is_frozen(tmp_path):
     assert _sha256(tmp_path / "back-to-back_scan.csv") == (
         "d143d578caf38a2538393af81cef92b1"
         "b678740bcffb978a3a89145972737c5f")
+
+
+def _stdout_sha256(out):
+    # the "wrote <path>" lines name the temporary directory
+    return hashlib.sha256("".join(
+        line for line in out.splitlines(keepends=True)
+        if not line.startswith("wrote ")).encode()).hexdigest()
+
+
+def _km100_short_signal_fiber():
+    cfg = preset("paper-100km").config
+    return replace(cfg, channel_signal=replace(cfg.channel_signal,
+                                               fiber_length_km=5.005))
+
+
+@pytest.mark.parametrize("make, json_digest, stdout_digest", [
+    (None, "87bad9852e219cff9682e41d760a87d3"
+     "c4df6df9ce023c771216eb00436f8c2e",
+     "14db3000a71dc6734957db7fe8e64e96"
+     "f4a61fb560832f3927e2ab7758044fb3"),
+    (_km100_short_signal_fiber,
+     "3edb2d7239ca8d2ce59d7b2b549ba6ee"
+     "9af5aaa68026819e132ef64b05d97224",
+     "e4ba8af91f83fbb21f2bbc458e5f5013"
+     "e80fbf407f231a90c53721406d2134ef"),
+], ids=["paper-100km", "signal-fiber-5.005km"])
+def test_budget_outputs_are_frozen(make, json_digest, stdout_digest,
+                                   tmp_path, capsys):
+    if make is None:
+        name, source = "paper-100km", ["--preset", "paper-100km"]
+    else:
+        name = "short"
+        save_config(make(), tmp_path / f"{name}.json")
+        source = [str(tmp_path / f"{name}.json")]
+    assert main(["budget", *source, "--out-dir", str(tmp_path)]) == 0
+    assert _stdout_sha256(capsys.readouterr().out) == stdout_digest
+    assert _sha256(tmp_path / f"{name}_budget.json") == json_digest
+
+
+@pytest.mark.parametrize("args, digests", [
+    (["fringe", "--preset", "window-sweep"], {
+        "window-sweep_report.json": "75b19e506356f3600d644323f2355f2e"
+                                    "3d6adab7d409611e1287adb7f8038b76",
+        "window-sweep_windows.csv": "1939ab80236d51f59d75d1667bf35a28"
+                                    "927bfcc22511dfceac1c4b6b48607d58",
+    }),
+    (["fringe", "--preset", "mu-sweep"], {
+        "mu-sweep_report.json": "adb2b0aaaaf656b7e6c51f486aaefc6e"
+                                "ffefefe5d6f197bf979dbe0873216d48",
+        "mu-sweep_mu.csv": "33f8676b53460aaa810adea600a80655"
+                           "2d70b1f24e34b5ec10dc9d22e14e89b0",
+    }),
+    (["optimize-window", "--preset", "window-sweep", "--grid", "40:20:160",
+      "--objective", "rate_weighted"], {
+        "window-sweep_windows.csv": "2a6cb566278ec1cf9a2988f56c782127"
+                                    "49c638afa6fa3b77c21cc50492ae9fb3",
+    }),
+], ids=["window-sweep", "mu-sweep", "optimize-window"])
+def test_closed_form_tables_are_frozen(args, digests, tmp_path):
+    assert main([*args, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+    for file, digest in digests.items():
+        assert _sha256(tmp_path / file) == digest

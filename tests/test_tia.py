@@ -212,22 +212,40 @@ def test_window_count_is_monotone_in_width():
 # streaming accumulator
 # ---------------------------------------------------------------------------
 
-def test_accumulator_matches_batch_on_synthetic_buckets():
+@pytest.mark.parametrize("finalize_each", [False, True],
+                         ids=["finalize-once", "finalize-after-every-bucket"])
+def test_accumulator_matches_batch_on_synthetic_buckets(finalize_each):
     # bucket width comparable to the histogram range stresses the
-    # pending-start and stop-tail carry logic
+    # start-tail and stop-tail carry logic
     rng = np.random.default_rng(23)
     starts = np.sort(rng.integers(0, 1000, 600)).astype(np.int64)
     stops = np.sort(rng.integers(0, 1000, 600)).astype(np.int64)
     acc = HistogramAccumulator(5, 80)
-    for hi in (100, 250, 400, 1001):
-        lo = 0 if hi == 100 else {250: 100, 400: 250, 1001: 400}[hi]
+    for lo, hi in ((0, 100), (100, 250), (250, 400), (400, 1001)):
         acc.add_bucket(starts[(starts >= lo) & (starts < hi)],
                        stops[(stops >= lo) & (stops < hi)], hi)
+        if finalize_each:
+            # a snapshot holds exactly the pairs of the clicks so far
+            snapshot = acc.finalize()
+            so_far = build_histogram(starts[starts < hi], stops[stops < hi],
+                                     5, 80)
+            assert np.array_equal(snapshot.counts, so_far.counts)
     streamed = acc.finalize()
     batch = build_histogram(starts, stops, 5, 80)
     assert np.array_equal(streamed.counts, batch.counts)
     assert streamed.n_starts == batch.n_starts
     assert streamed.n_stops == batch.n_stops
+
+
+def test_accumulator_keeps_pairs_fed_after_finalize():
+    # finalize() used to bin and drop the starts still waiting for
+    # their stops, so a stop of a later bucket found no start
+    acc, none = HistogramAccumulator(10, 100), np.empty(0, np.int64)
+    acc.add_bucket([950], none, 1000)
+    assert acc.finalize().total_pairs == 0
+    acc.add_bucket(none, [1010], 2000)
+    assert acc.finalize().total_pairs == 1 == \
+        build_histogram([950], [1010], 10, 100).total_pairs
 
 
 def test_accumulator_matches_batch_on_simulation_buckets():
