@@ -3,12 +3,12 @@ predicted visibility and Bell margin, and coincidence-window choice.
 
 Every quantity here has a Monte Carlo counterpart.  Both read the
 link (rates, survival, timing widths, interference term) from one
-LinkModel, and the rate/visibility tests keep them consistent, so the
-budget can be trusted for fast what-if scans and the simulation for
-everything the closed forms cannot capture.  Each link quantity is
-derived once: an arm's loss is LinkModel's loss_db (the ledger only
-labels its terms for display), and every share of a delay peak inside
-a window is one CoincidencePeakModel.mass integral.
+LinkModel per config, SimulationConfig.link; tests keep the two
+consistent, so the budget can be trusted for fast what-if scans and
+the simulation for everything the closed forms cannot capture.  Each
+link quantity is derived once: an arm's loss is LinkModel's loss_db
+(the ledger only labels its terms for display), and every share of a
+delay peak inside a window is one CoincidencePeakModel.mass integral.
 
 Counting conventions used throughout:
 
@@ -139,7 +139,7 @@ class ArmLink:
 @dataclass(frozen=True)
 class LinkModel:
     """Every link quantity the rates, the peak shape and the Monte
-    Carlo engine read, derived once from a config."""
+    Carlo engine read, derived once per config as its .link."""
 
     pair_rate_hz: float             # generated at the source output
     signal: ArmLink
@@ -170,7 +170,7 @@ class LinkModel:
         idler = arm(config.channel_idler, config.analyzer_idler,
                     config.detector_idler)
 
-        rate = src.pair_rate_hz
+        rate = src.mean_pairs_per_window / (src.window_base_ps * 1e-12)
         if src.mu_measured_after_losses:
             # mu was quoted downstream of the pre-fiber losses
             rate /= (db_to_linear(config.channel_signal.pre_fiber_loss_db)
@@ -248,11 +248,7 @@ def _loss_note(link: LinkModel) -> str:
 
 def predict_rates(config: SimulationConfig,
                   window_ps: Optional[float] = None) -> RatePrediction:
-    return _predict_rates(config, LinkModel.from_config(config), window_ps)
-
-
-def _predict_rates(config: SimulationConfig, link: LinkModel,
-                   window_ps: Optional[float]) -> RatePrediction:
+    link = config.link
     rate = link.pair_rate_hz
     q_s, q_i = link.signal.q, link.idler.q
     w = config.tia.window_ps if window_ps is None else window_ps
@@ -325,9 +321,8 @@ def predict_visibility(config: SimulationConfig,
     with no side correction — that is what fitting this package's own
     simulated histograms yields.
     """
-    link = LinkModel.from_config(config)
-    rates = _predict_rates(config, link, window_ps)
-    c_tot = link.contrast_total
+    rates = predict_rates(config, window_ps)
+    c_tot = config.link.contrast_total
     mean_central = rates.both_rate_hz * rates.capture_fraction / 8.0
     background = rates.accidental_in_window_hz
     if include_side_leak:
@@ -403,23 +398,15 @@ def optimize_window(config: SimulationConfig,
                 f"twice the analyzer delay ({2.0 * tau4:g} ps) to keep "
                 "the side peaks out")
     entries: List[WindowScore] = []
-    best: Optional[WindowScore] = None
     for w in grid:
-        rates = predict_rates(config, w)
-        vis = predict_visibility(config, w)
-        s, _ = chsh_from_visibility(vis.visibility)
-        if objective == "s_value":
-            score = s
-        else:
-            score = vis.visibility ** 2 * rates.central_max_in_window_hz
-        entry = WindowScore(window_ps=w, visibility=vis.visibility,
-                            s_value=s,
-                            central_max_in_window_hz=
-                            rates.central_max_in_window_hz,
-                            score=score)
-        entries.append(entry)
-        if best is None or entry.score > best.score:
-            best = entry
+        rate = predict_rates(config, w).central_max_in_window_hz
+        v = predict_visibility(config, w).visibility
+        s, _ = chsh_from_visibility(v)
+        entries.append(WindowScore(
+            window_ps=w, visibility=v, s_value=s,
+            central_max_in_window_hz=rate,
+            score=s if objective == "s_value" else v ** 2 * rate))
+    best = max(entries, key=lambda e: e.score)   # the first of a tie
     return WindowOptimization(objective=objective,
                               best_window_ps=best.window_ps,
                               entries=tuple(entries))

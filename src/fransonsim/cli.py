@@ -28,7 +28,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
-from .budget import LinkModel, WindowScore, bell_verdict, build_ledger, \
+from .budget import WindowScore, bell_verdict, build_ledger, \
     optimize_window, predict_rates, predict_visibility
 from .errors import FitDegenerate, FitNotConverged, FransonError, \
     ParseError, ValidationError
@@ -166,7 +166,15 @@ def _cmd_fringe(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, config=replace(
             scenario.config, master_seed=args.seed))
-    if scenario.plan is not None:
+    if scenario.plan is None:
+        for flag, value in (("--points", args.points),
+                            ("--acquisition-s", args.acquisition_s),
+                            ("--histograms", args.histograms or None)):
+            if value is not None:
+                raise ValidationError(
+                    f"{flag} applies to a fringe scan; scenario "
+                    f"{scenario.name!r} is a closed-form {scenario.mode}")
+    else:
         plan = scenario.plan
         if args.points is not None:
             if plan.abscissa != "phase":
@@ -228,11 +236,11 @@ def _cmd_budget(args) -> int:
     vis = predict_visibility(cfg)
     verdict = bell_verdict(cfg)
 
-    ledger, link = build_ledger(cfg), LinkModel.from_config(cfg)
+    ledger = build_ledger(cfg)
     print(f"loss ledger ({rates.loss_note})")
     for arm, entries in ledger.items():
         parts = ", ".join(f"{e.label} {e.loss_db:g} dB" for e in entries)
-        print(f"  {arm}: total {getattr(link, arm).loss_db:g} dB  "
+        print(f"  {arm}: total {getattr(cfg.link, arm).loss_db:g} dB  "
               f"({parts})")
     print(f"generated pairs      {rates.generated_pair_rate_hz:.4g} Hz")
     print(f"singles              signal {rates.singles_signal_hz:.1f} Hz, "
@@ -332,7 +340,9 @@ def _cmd_optimize_window(args) -> int:
     cfg, scenario = _resolve_config(args)
     grid = _parse_grid(args.grid) if args.grid else \
         getattr(scenario, "window_grid_ps", None) or DEFAULT_WINDOW_GRID_PS
-    result = optimize_window(cfg, grid, objective=args.objective)
+    objective = args.objective or \
+        getattr(scenario, "window_objective", None) or "s_value"
+    result = optimize_window(cfg, grid, objective=objective)
     print(f"{'window_ps':>10} {'V':>8} {'S':>8} {'rate_hz':>12} "
           f"{'score':>12}")
     for e in result.entries:
@@ -426,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="start:step:stop or comma-separated windows (ps)")
     p.add_argument("--objective", choices=("s_value", "rate_weighted"),
-                   default="s_value")
+                   help="window score (default: the scenario's "
+                        "window_objective, else s_value)")
     p.set_defaults(func=_cmd_optimize_window)
     return parser
 

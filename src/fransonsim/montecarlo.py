@@ -9,7 +9,7 @@ The chain being simulated, per arm:
 Interference enters through the coincident pairs alone: how many
 signal clicks have an idler partner, and whether a partner sits in
 the central or a side delay peak, follow the interference term x
-that ``budget.LinkModel`` derives.  Partner-less clicks are drawn as
+of ``SimulationConfig.link``.  Partner-less clicks are drawn as
 plain Poisson processes whose rates keep the singles phase-free (see
 *Sampling law*).  Per-photon independent path choices cannot
 reproduce two-photon fringes without also creating single-photon
@@ -55,7 +55,7 @@ singles included, up to picosecond-scale edge effects at the ends of
 the span.  Signal clicks read no idler or phase parameter.  The
 pairs that no click shows are drawn as counts alone, for
 SimDiagnostics.  q, R, x and every timing width come from
-budget.LinkModel, the derivation the closed forms share.
+SimulationConfig.link, the derivation the closed forms share.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
@@ -97,6 +97,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -238,6 +239,12 @@ class SimulationConfig:
 
     def span_ps(self) -> int:
         return int(round(self.acquisition_time_s * 1e12))
+
+    @cached_property
+    def link(self) -> LinkModel:
+        """budget.LinkModel of this config, derived on first read.  Not
+        a field: asdict, hashing and config files never see it."""
+        return LinkModel.from_config(self)
 
 
 @dataclass
@@ -412,19 +419,19 @@ class _DriftWalk:
         arrivals += self.offset
 
 
-def slice_pairs(link: LinkModel, span_ps: int) -> float:
-    """Expected detectable pairs in one generation slice of a run of
-    span_ps (a run shorter than a slice is its only slice).  A slice
-    draws only the photon clicks, at most half of these pairs per
-    channel, so a guard on this stays a conservative bound on the
-    clicks per slice."""
+def slice_pairs(config: SimulationConfig) -> float:
+    """Expected detectable pairs, by config.link, in one generation
+    slice of config's run (a run shorter than a slice is its only
+    slice).  A slice draws only the photon clicks, at most half of
+    these per channel: a guard on this bounds the clicks per slice."""
+    link = config.link
     q_s, q_i = link.signal.q, link.idler.q
-    dt_s = min(span_ps, SLICE_PS) * 1e-12
+    dt_s = min(config.span_ps(), SLICE_PS) * 1e-12
     return link.pair_rate_hz * dt_s * (q_s + q_i * (1.0 - q_s))
 
 
-def _require_slice_budget(link: LinkModel, span_ps: int) -> None:
-    expected = slice_pairs(link, span_ps)
+def _require_slice_budget(config: SimulationConfig) -> None:
+    expected = slice_pairs(config)
     if expected > _MAX_EVENTS_PER_SLICE:
         raise ValidationError(
             f"~{expected:.3g} detectable pairs per generation slice "
@@ -450,16 +457,18 @@ def _pack_keys(label: str, times: np.ndarray, n_photons: int,
     return key
 
 
-def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
-               lo: int, hi: int, drift: _DriftWalk, diag: SimDiagnostics,
+def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
+               drift: _DriftWalk, diag: SimDiagnostics,
                ) -> Tuple[np.ndarray, np.ndarray]:
     """All click candidates whose generating process lives in
     [lo, hi), per channel as one sorted int64 array of packed keys
-    (t << 1) | is_dark: returns (sig_keys, idl_keys).
+    (t << 1) | is_dark: returns (sig_keys, idl_keys).  Rates, survival,
+    x and timing widths are config.link's.
 
     Each channel's clicks are built in one float buffer that ends as
     its key array: idler partners first, then the channel's
     partner-less photon clicks, then its darks."""
+    link = config.link
     dt_s = (hi - lo) * 1e-12
     rate = link.pair_rate_hz
     q_s, q_i, x = link.signal.q, link.idler.q, link.x
@@ -559,8 +568,7 @@ def iter_click_buckets(config: SimulationConfig,
     if diag is None:
         diag = SimDiagnostics()
     span = config.span_ps()
-    link = LinkModel.from_config(config)
-    _require_slice_budget(link, span)
+    _require_slice_budget(config)
     n_slices = max(1, -(-span // SLICE_PS))
     drift = _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
@@ -619,7 +627,7 @@ def iter_click_buckets(config: SimulationConfig,
 
     for k in range(n_slices):
         lo, hi = k * SLICE_PS, min(span, (k + 1) * SLICE_PS)
-        pools.append(list(_gen_slice(config, link, k, lo, hi, drift, diag)))
+        pools.append(list(_gen_slice(config, k, lo, hi, drift, diag)))
         if k > 0:
             yield cut(k - 1)
     yield cut(n_slices - 1)

@@ -97,7 +97,8 @@ class SourceSpec:
     and refers to pairs generated at the source output, before any
     loss.  Set ``mu_measured_after_losses`` if the figure was
     instead measured downstream of the per-arm pre-fiber losses; the
-    generated rate is then scaled back up by those transmissions.
+    generated rate (budget.LinkModel.pair_rate_hz) is then scaled back
+    up by those transmissions.
     """
 
     pump_coherence_fwhm_ps: float = 4.0e6     # tau1, 4 us
@@ -122,11 +123,6 @@ class SourceSpec:
                 "pump coherence must dwarf the photon duration "
                 f"(need pump_coherence_fwhm_ps > 100*photon_fwhm_ps, got "
                 f"{self.pump_coherence_fwhm_ps} vs {self.photon_fwhm_ps})")
-
-    @property
-    def pair_rate_hz(self) -> float:
-        """Generated pair rate for a CW source: mu per base window."""
-        return self.mean_pairs_per_window / (self.window_base_ps * 1e-12)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .budget import (LinkModel, RatePrediction, WindowOptimization,
-                     WindowScore, predict_rates, predict_visibility,
-                     optimize_window)
+from .budget import (RatePrediction, WindowOptimization, WindowScore,
+                     predict_rates, predict_visibility, optimize_window)
 from .errors import FitDegenerate, FitNotConverged, ParseError, \
     ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
@@ -557,8 +556,7 @@ def _steady_allocator() -> None:
 def _pool_workers(point_config: SimulationConfig, n_points: int) -> int:
     """Fringe points run at once: the usable CPUs, capped at n_points
     and, past two, at _POOL_PAIRS_PER_SLICE."""
-    pairs = slice_pairs(LinkModel.from_config(point_config),
-                        point_config.span_ps())
+    pairs = slice_pairs(point_config)
     by_memory = max(2, int(_POOL_PAIRS_PER_SLICE // max(pairs, 1.0)))
     return max(1, min(_usable_cpus(), n_points, by_memory))
 

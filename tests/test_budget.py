@@ -6,6 +6,8 @@ frozen here as oracles; the budget-vs-simulation consistency test
 closes the loop against the event-level engine.
 """
 
+import dataclasses
+import json
 import math
 from dataclasses import replace
 
@@ -23,7 +25,8 @@ from fransonsim.budget import (LinkModel, bell_verdict, build_ledger,
                                optimize_window, predict_rates,
                                predict_visibility)
 from fransonsim.cli import main
-from fransonsim.scenarios import preset, save_config
+from fransonsim.scenarios import config_hash, load_config, preset, \
+    save_config
 
 PAIR_JITTER = 65.0 / math.sqrt(2.0)   # per detector; 65 ps at pair level
 CAL_CONTRAST = 0.9756419240289781     # per analyzer; 0.9518772 total
@@ -273,6 +276,65 @@ def test_bell_verdict_chain():
                * verdict.visibility) < 1e-12
     dull = paper_link(50.0, 100.0, contrast=0.8)
     assert not bell_verdict(dull).violates
+
+
+# ---------------------------------------------------------------------------
+# one link per config
+# ---------------------------------------------------------------------------
+
+def _count_links(monkeypatch):
+    """Configs LinkModel.from_config is called on from now on."""
+    calls = []
+    original = LinkModel.from_config
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+    monkeypatch.setattr(LinkModel, "from_config", counted)
+    return calls
+
+
+def test_optimize_window_derives_the_link_once(monkeypatch):
+    cfg = paper_link(50.0, 100.0, contrast=CAL_CONTRAST)
+    calls = _count_links(monkeypatch)
+    optimize_window(cfg, [60, 80, 100, 120, 140])
+    assert calls == [cfg]
+
+
+def test_closed_forms_share_one_link(monkeypatch):
+    cfg = paper_link(50.0, 100.0, contrast=CAL_CONTRAST)
+    calls = _count_links(monkeypatch)
+    predict_rates(cfg)
+    predict_visibility(cfg)
+    predict_visibility(cfg, include_side_leak=True)
+    bell_verdict(cfg)
+    assert calls == [cfg]
+    assert cfg.link is cfg.link
+
+
+def test_replaced_config_derives_its_own_link():
+    cfg = paper_link(50.0, 100.0)
+    assert cfg.link.signal.loss_db == pytest.approx(25.0)
+    longer = replace(cfg, channel_signal=replace(cfg.channel_signal,
+                                                 fiber_length_km=60.0))
+    assert longer.link.signal.loss_db == pytest.approx(27.0)
+    assert longer.link.idler == cfg.link.idler
+
+
+def test_link_is_not_a_config_field(tmp_path):
+    cfg = paper_link(50.0, 100.0)
+    before = config_hash(cfg)
+    assert cfg.link.pair_rate_hz > 0.0
+    assert "link" not in dataclasses.asdict(cfg)
+    assert config_hash(cfg) == before
+    assert cfg == paper_link(50.0, 100.0)
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    doc = json.loads(path.read_text())
+    doc["link"] = {}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"config\.link: unknown key"):
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,21 @@ def test_fringe_runs_sweep_scenarios(tmp_path, capsys):
     assert (tmp_path / "window-sweep_windows.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["mu-sweep", "window-sweep"])
+@pytest.mark.parametrize("flags", [("--points", "4"),
+                                   ("--acquisition-s", "3"),
+                                   ("--histograms",)])
+def test_fringe_refuses_plan_flags_on_closed_form_scenarios(
+        tmp_path, capsys, name, flags):
+    # a sweep has no plan for them to change: refuse, write nothing
+    out = tmp_path / "out"
+    assert run_cli("fringe", "--preset", name, *flags,
+                   "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and name in err
+    assert not out.exists()
+
+
 def test_fringe_histograms_need_csv(quick_scenario, tmp_path, capsys):
     # the JSON report carries no histograms: refuse before any point runs
     out = tmp_path / "out"
@@ -273,6 +288,21 @@ def test_optimize_window_csv_matches_scenario_output(tmp_path):
     emit_outputs(run_scenario(preset("window-sweep")), scenario_dir)
     name = "window-sweep_windows.csv"
     assert (cli_dir / name).read_bytes() == (scenario_dir / name).read_bytes()
+
+
+def test_optimize_window_follows_the_scenario_objective(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    save_config(replace(preset("window-sweep"),
+                        window_objective="rate_weighted"), path)
+    best = re.compile(r"best window by (\S+): (\S+) ps")
+    assert run_cli("fringe", str(path), "--out-dir", str(tmp_path)) == 0
+    by_fringe = best.search(capsys.readouterr().out).groups()
+    assert run_cli("optimize-window", str(path)) == 0
+    by_command = best.search(capsys.readouterr().out).groups()
+    assert by_command == by_fringe == ("rate_weighted", "140")
+    assert run_cli("optimize-window", str(path),
+                   "--objective", "s_value") == 0
+    assert "best window by s_value: 100 ps" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("grid", [

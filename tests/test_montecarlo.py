@@ -409,9 +409,8 @@ def _whole_run_reference(cfg):
     [0, span], then the per-click dead-time loop over the whole run."""
     span = cfg.span_ps()
     n_slices = max(1, -(-span // SLICE_PS))
-    link, drift, diag = LinkModel.from_config(cfg), _DriftWalk(cfg), \
-        SimDiagnostics()
-    slices = [_gen_slice(cfg, link, k, k * SLICE_PS,
+    drift, diag = _DriftWalk(cfg), SimDiagnostics()
+    slices = [_gen_slice(cfg, k, k * SLICE_PS,
                          min(span, (k + 1) * SLICE_PS), drift, diag)
               for k in range(n_slices)]
     streams = {}
@@ -579,8 +578,8 @@ def test_dead_time_below_a_picosecond_is_the_digitizer_floor():
             assert g[0] == w[0]
             for a, b in zip(g[1:], w[1:]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    sig, idl = _gen_slice(base, LinkModel.from_config(base), 0, 0,
-                          base.span_ps(), _DriftWalk(base), SimDiagnostics())
+    sig, idl = _gen_slice(base, 0, 0, base.span_ps(), _DriftWalk(base),
+                          SimDiagnostics())
     drawn = sig.size + idl.size - want_diag.clicks_dropped_out_of_span
     kept = sum(b[1].size + b[3].size for b in want)
     assert kept < drawn     # twins were merged

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fransonsim.errors import ValidationError
+from fransonsim.montecarlo import SimulationConfig
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
                                 CoincidenceWindowSpec, DEFAULT_BETA2,
                                 DetectorSpec, SourceSpec, accidental_rate,
@@ -265,8 +266,9 @@ def test_wrap_phase_range(phi):
 # ---------------------------------------------------------------------------
 
 def test_source_spec_defaults_valid():
-    s = SourceSpec()
-    assert s.pair_rate_hz == pytest.approx(0.05 / 60e-12)
+    SourceSpec()
+    rate = SimulationConfig().link.pair_rate_hz
+    assert rate == pytest.approx(0.05 / 60e-12)
 
 
 def test_source_spec_rejects_short_coherence():
