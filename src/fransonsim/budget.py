@@ -2,7 +2,7 @@
 predicted visibility and Bell margin, and coincidence-window choice.
 
 Every quantity here has a Monte Carlo counterpart.  Both read the
-link (rates, survival, timing widths, interference term) from one
+link (rates, survival, timing widths, peak weights) from one
 LinkModel per config, SimulationConfig.link; tests keep the two
 consistent, so the budget can be trusted for fast what-if scans and
 the simulation for everything the closed forms cannot capture.  Each
@@ -17,8 +17,8 @@ Counting conventions used throughout:
 * only the monitored analyzer port is instrumented, so singles carry
   a factor 1/2 (the phase-free marginal), while the both-detectable
   pair rate R*q_s*q_i carries no port factor of its own — the port
-  bookkeeping of joint outcomes lives in the 1/8 and 1/16 peak
-  weights;
+  bookkeeping of joint outcomes lives in the per-pair peak weights
+  that LinkModel carries from physics.franson_bin_probabilities;
 * accidental coincidences follow the flat-background product
   singles_a * singles_b * window.
 """
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, accidental_rate,
                       chsh_from_visibility, db_to_linear, dispersion_broaden,
-                      sigma_from_fwhm)
+                      franson_bin_probabilities, sigma_from_fwhm)
 
 if TYPE_CHECKING:   # montecarlo imports LinkModel from here
     from .montecarlo import SimulationConfig
@@ -145,7 +145,8 @@ class LinkModel:
     signal: ArmLink
     idler: ArmLink
     contrast_total: float           # product of the analyzer contrasts
-    x: float                        # contrast_total * cos(summed phase)
+    weights: Tuple[float, float, float]  # per pair: central, early, late
+    central_max_weight: float       # central weight at the fringe maximum
     peak: CoincidencePeakModel
 
     @classmethod
@@ -178,9 +179,6 @@ class LinkModel:
 
         c_tot = (config.analyzer_signal.contrast
                  * config.analyzer_idler.contrast)
-        theta = (config.analyzer_signal.effective_phase_rad()
-                 + config.analyzer_idler.effective_phase_rad()
-                 + src.pump_phase_offset_rad)
 
         var = signal.sigma_arrival_ps ** 2 + idler.sigma_arrival_ps ** 2
         center = 0.0
@@ -198,8 +196,12 @@ class LinkModel:
             sigma_delta_ps=math.sqrt(var), center_ps=center,
             analyzer_delay_ps=config.analyzer_signal.delay_ps)
         return cls(pair_rate_hz=rate, signal=signal, idler=idler,
-                   contrast_total=c_tot, x=c_tot * math.cos(theta),
-                   peak=peak)
+                   contrast_total=c_tot, weights=franson_bin_probabilities(
+                       config.analyzer_signal.effective_phase_rad(),
+                       config.analyzer_idler.effective_phase_rad(),
+                       src.pump_phase_offset_rad, c_tot),
+                   central_max_weight=franson_bin_probabilities(
+                       0.0, 0.0, 0.0, c_tot)[0], peak=peak)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ def predict_rates(config: SimulationConfig,
                   window_ps: Optional[float] = None) -> RatePrediction:
     link = config.link
     rate = link.pair_rate_hz
-    q_s, q_i = link.signal.q, link.idler.q
+    q_s, q_i, (w_c, w_e, w_l) = link.signal.q, link.idler.q, link.weights
     w = config.tia.window_ps if window_ps is None else window_ps
 
     photon_singles_s = rate * q_s / 2.0
@@ -260,10 +262,10 @@ def predict_rates(config: SimulationConfig,
 
     both = rate * q_s * q_i
     capture = link.peak.mass(0, 0.0, w)
-    central_max = both * (1.0 + link.contrast_total) / 8.0 * capture
-    central_now = both * (1.0 + link.x) / 8.0 * capture
-    leak = link.peak.mass(-1, 0.0, w) + link.peak.mass(+1, 0.0, w)
-    side_leak = both * leak / 16.0
+    central_max = both * link.central_max_weight * capture
+    central_now = both * w_c * capture
+    side_leak = both * (w_e * link.peak.mass(-1, 0.0, w)
+                        + w_l * link.peak.mass(+1, 0.0, w))
 
     parts = {
         "photon-photon": accidental_rate(photon_singles_s,
@@ -311,7 +313,7 @@ def predict_visibility(config: SimulationConfig,
     """Fitted-fringe visibility a scan of this link would measure.
 
     The windowed rate vs summed phase is
-    mean*(1 + c*cos) + leak + accidentals with mean = both*capture/8;
+    mean*(1 + c*cos) + leak + accidentals, mean its phase average;
     the phase-flat accidental background always dilutes the fringe.
 
     Side-peak leakage is just as phase-flat, but an analysis that
@@ -321,16 +323,21 @@ def predict_visibility(config: SimulationConfig,
     with no side correction — that is what fitting this package's own
     simulated histograms yields.
     """
-    rates = predict_rates(config, window_ps)
-    c_tot = config.link.contrast_total
-    mean_central = rates.both_rate_hz * rates.capture_fraction / 8.0
+    return _visibility(config.link, predict_rates(config, window_ps),
+                       include_side_leak)
+
+
+def _visibility(link: LinkModel, rates: RatePrediction,
+                include_side_leak: bool) -> VisibilityPrediction:
+    _, w_e, w_l = link.weights  # w_e + w_l: central weight's phase mean
+    mean_central = rates.both_rate_hz * rates.capture_fraction * (w_e + w_l)
     background = rates.accidental_in_window_hz
     if include_side_leak:
         background += rates.side_leak_in_window_hz
     total = mean_central + background
-    v = c_tot * mean_central / total if total > 0.0 else 0.0
-    return VisibilityPrediction(v, c_tot, mean_central, background,
-                                rates.capture_fraction)
+    v = link.contrast_total * mean_central / total if total > 0.0 else 0.0
+    return VisibilityPrediction(v, link.contrast_total, mean_central,
+                                background, rates.capture_fraction)
 
 
 @dataclass(frozen=True)
@@ -399,8 +406,9 @@ def optimize_window(config: SimulationConfig,
                 "the side peaks out")
     entries: List[WindowScore] = []
     for w in grid:
-        rate = predict_rates(config, w).central_max_in_window_hz
-        v = predict_visibility(config, w).visibility
+        rates = predict_rates(config, w)
+        rate = rates.central_max_in_window_hz
+        v = _visibility(config.link, rates, False).visibility
         s, _ = chsh_from_visibility(v)
         entries.append(WindowScore(
             window_ps=w, visibility=v, s_value=s,

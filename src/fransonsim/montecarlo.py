@@ -8,7 +8,7 @@ The chain being simulated, per arm:
 
 Interference enters through the coincident pairs alone: how many
 signal clicks have an idler partner, and whether a partner sits in
-the central or a side delay peak, follow the interference term x
+the central or a side delay peak, follow the per-pair peak weights
 of ``SimulationConfig.link``.  Partner-less clicks are drawn as
 plain Poisson processes whose rates keep the singles phase-free (see
 *Sampling law*).  Per-photon independent path choices cannot
@@ -41,21 +41,22 @@ the same process.  Per slice the engine therefore draws:
 
 * signal photon clicks: Poisson at R*q_s/2, as uniform times;
 * idler partners, thinned from the signal clicks: a
-  Binomial(n_sig, q_i*(2+x)/4) count of signal clicks, picked
-  without replacement.  Each partner sits at a relative delay of 0
-  with probability (1+x)/(2+x), else -tau or +tau with equal odds,
-  plus one Normal(0, sigma) draw, sigma^2 the summed arrival spreads
+  Binomial(n_sig, 2*q_i*w) count of signal clicks, picked without
+  replacement, w the sum of the per-pair central, early and late
+  peak weights w_c, w_e, w_l.  Each partner sits at a relative delay
+  of 0, -tau or +tau in the ratio w_c : w_e : w_l, plus one
+  Normal(0, sigma) draw, sigma^2 the summed arrival spreads
   (dispersed photon and jitter) of both arms;
-* partner-less idler photon clicks: Poisson at
-  R*q_i*(1/2 - q_s*(2+x)/8), as uniform times;
+* partner-less idler photon clicks: Poisson at R*q_i*(1/2 - q_s*w),
+  as uniform times;
 
 then drift and dark counts per channel.  This is the joint law of
 the literal per-pair link (its oracle lives in the tests), phase-free
 singles included, up to picosecond-scale edge effects at the ends of
 the span.  Signal clicks read no idler or phase parameter.  The
 pairs that no click shows are drawn as counts alone, for
-SimDiagnostics.  q, R, x and every timing width come from
-SimulationConfig.link, the derivation the closed forms share.
+SimDiagnostics.  q, R, the peak weights and every timing width come
+from SimulationConfig.link, the derivation the closed forms share.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
@@ -430,15 +431,6 @@ def slice_pairs(config: SimulationConfig) -> float:
     return link.pair_rate_hz * dt_s * (q_s + q_i * (1.0 - q_s))
 
 
-def _require_slice_budget(config: SimulationConfig) -> None:
-    expected = slice_pairs(config)
-    if expected > _MAX_EVENTS_PER_SLICE:
-        raise ValidationError(
-            f"~{expected:.3g} detectable pairs per generation slice "
-            "exceeds the engine budget; lower mu, add loss, or shorten "
-            "the acquisition")
-
-
 def _pack_keys(label: str, times: np.ndarray, n_photons: int,
                lo: int, hi: int) -> np.ndarray:
     """Round times (photons, then darks) in place into sorted int64
@@ -463,7 +455,7 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     """All click candidates whose generating process lives in
     [lo, hi), per channel as one sorted int64 array of packed keys
     (t << 1) | is_dark: returns (sig_keys, idl_keys).  Rates, survival,
-    x and timing widths are config.link's.
+    peak weights and timing widths are config.link's.
 
     Each channel's clicks are built in one float buffer that ends as
     its key array: idler partners first, then the channel's
@@ -471,7 +463,8 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     link = config.link
     dt_s = (hi - lo) * 1e-12
     rate = link.pair_rate_hz
-    q_s, q_i, x = link.signal.q, link.idler.q, link.x
+    q_s, q_i, (w_c, w_e, w_l) = link.signal.q, link.idler.q, link.weights
+    w_pair = w_c + (w_e + w_l)
     tau = config.analyzer_signal.delay_ps
     seed = config.master_seed
     drift.advance(slice_idx, lo, hi)
@@ -499,24 +492,23 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     sig, n_sig = channel(_ST_SIGNAL, rate * q_s / 2.0, _ST_SIGNAL_DARKS,
                          config.detector_signal.dark_rate_hz, 0)
 
-    # idler partners, thinned from the signal photon clicks: the idler
-    # reaches its monitored port with probability (2 + x)/4, on the
-    # same path as the signal with probability (1 + x)/(2 + x), else
-    # one delay earlier or later with equal odds
+    # idler partners, thinned from the signal photon clicks: given a
+    # signal click, a surviving idler clicks with probability 2*w_pair,
+    # in the central, early or late peak in the ratio w_c : w_e : w_l
     rng = _stream(seed, _ST_IDLER_COND, slice_idx)
-    p_b = q_i * (2.0 + x) / 4.0
+    p_b = q_i * 2.0 * w_pair
     n_b = int(rng.binomial(n_sig, p_b))
     idl, n_idl = channel(_ST_IDLER_ONLY,
-                         rate * q_i * (0.5 - q_s * (2.0 + x) / 8.0),
+                         rate * q_i * (0.5 - q_s * w_pair),
                          _ST_IDLER_DARKS, config.detector_idler.dark_rate_hz,
                          n_b)
     pair = idl[:n_b]
     pair[:] = sig[rng.choice(n_sig, n_b, replace=False, shuffle=False)]
-    p_same = (1.0 + x) / (2.0 + x)
+    p_same, p_early = w_c / w_pair, (w_c + w_e) / w_pair
     for c in _chunks(n_b):
         u = rng.random(c.stop - c.start)
         pair[c] += np.where(u < p_same, 0.0,
-                            np.where(u < (1.0 + p_same) / 2.0, -tau, tau))
+                            np.where(u < p_early, -tau, tau))
     _add_normal(rng, math.hypot(link.signal.sigma_arrival_ps,
                                 link.idler.sigma_arrival_ps), pair)
 
@@ -568,7 +560,12 @@ def iter_click_buckets(config: SimulationConfig,
     if diag is None:
         diag = SimDiagnostics()
     span = config.span_ps()
-    _require_slice_budget(config)
+    expected = slice_pairs(config)
+    if expected > _MAX_EVENTS_PER_SLICE:
+        raise ValidationError(
+            f"~{expected:.3g} detectable pairs per generation slice "
+            "exceeds the engine budget; lower mu, add loss, or shorten "
+            "the acquisition")
     n_slices = max(1, -(-span // SLICE_PS))
     drift = _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys

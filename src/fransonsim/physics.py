@@ -263,7 +263,8 @@ def franson_bin_probabilities(theta_s: float, theta_i: float,
         p_central    = (1/8) (1 + contrast * cos Theta)
         p_side_early = p_side_late = 1/16
 
-    Returns (p_central, p_side_early, p_side_late).
+    Returns (p_central, p_side_early, p_side_late), the peak weights
+    LinkModel carries for the closed-form rates and the engine alike.
     """
     for name, val in (("theta_s", theta_s), ("theta_i", theta_i),
                       ("pump_phase", pump_phase)):
@@ -349,14 +350,6 @@ def accidental_rate(singles_a_hz: float, singles_b_hz: float,
     if singles_a_hz < 0.0 or singles_b_hz < 0.0 or window_ps < 0.0:
         raise ValidationError("accidental_rate inputs must be >= 0")
     return (singles_a_hz * singles_b_hz * window_ps) / 1e12
-
-
-def dark_prob(rate_hz: float, window_ps: float) -> float:
-    """Per-window click probability of a Poissonian background:
-    rate * window (e.g. 100 Hz over 100 ps -> 1e-8)."""
-    if rate_hz < 0.0 or window_ps < 0.0:
-        raise ValidationError("dark_prob inputs must be >= 0")
-    return (rate_hz * window_ps) / 1e12
 
 
 def temp_to_phase(temp_c: float, spec: AnalyzerSpec) -> float:

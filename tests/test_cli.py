@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fransonsim
+from fransonsim.errors import ValidationError
 from fransonsim.montecarlo import derive_seed
 from fransonsim.scenarios import (ScanPlan, emit_outputs, phase_grid, preset,
                                   run_scenario, save_config)
@@ -237,6 +238,22 @@ def test_fringe_refuses_plan_flags_on_closed_form_scenarios(
                    "--out-dir", str(out)) == 2
     err = capsys.readouterr().err
     assert flags[0] in err and name in err
+    assert not out.exists()
+
+
+def test_closed_form_scenario_refuses_emit_histograms(tmp_path, capsys):
+    # a sweep has no histograms: the field is refused like the flag,
+    # not accepted and then ignored
+    with pytest.raises(ValidationError, match="emit_histograms"):
+        replace(preset("window-sweep"), emit_histograms=True)
+    path = tmp_path / "sweep.json"
+    save_config(preset("window-sweep"), path)
+    body = json.loads(path.read_text())
+    body["emit_histograms"] = True
+    path.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert run_cli("fringe", str(path), "--out-dir", str(out)) == 2
+    assert "emit_histograms" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fransonsim import montecarlo, tia
-from fransonsim.budget import LinkModel
+from fransonsim.budget import LinkModel, predict_rates
 from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec, DetectorSpec,
                                 SourceSpec, dispersion_broaden,
@@ -377,6 +377,23 @@ def test_fringe_extremes_and_side_peaks():
         assert abs(late - want) < 5.0 * math.sqrt(want)
 
 
+def test_rates_and_engine_read_the_link_peak_weights():
+    # a link whose side weights are zero: the closed form and the
+    # engine both read config.link.weights, so both lose the side peaks
+    cfg = lossless_config(master_seed=78, acquisition_time_s=0.1)
+    w_c, _, _ = cfg.link.weights
+    vars(cfg)["link"] = replace(cfg.link, weights=(w_c, 0.0, 0.0))
+    assert predict_rates(cfg).side_leak_in_window_hz == 0.0
+
+    sig, idl, diag = run_simulation(cfg)
+    pairs = diag.pairs_both_detectable
+    assert window_counts(sig.times_ps, idl.times_ps, 0, 20) \
+        > 0.25 * pairs - 5.0 * math.sqrt(0.25 * pairs)
+    # accidentals only (~3 expected; ~10^4 at the true side weights)
+    for center in (-100, 100):
+        assert window_counts(sig.times_ps, idl.times_ps, center, 20) < 30
+
+
 def test_singles_rate_is_half_detected_rate():
     cfg = lossless_config(master_seed=13, acquisition_time_s=0.2)
     sig, idl, diag = run_simulation(cfg)
@@ -680,7 +697,13 @@ def _per_pair_clicks(cfg, rng):
     pairs where both photons survived)."""
     tau = cfg.analyzer_signal.delay_ps
     link = LinkModel.from_config(cfg)
-    q_s, q_i, x = link.signal.q, link.idler.q, link.x
+    q_s, q_i = link.signal.q, link.idler.q
+    # the interference term from the config itself, not from the
+    # link's peak weights that the engine reads
+    x = (cfg.analyzer_signal.contrast * cfg.analyzer_idler.contrast
+         * math.cos(cfg.analyzer_signal.effective_phase_rad()
+                    + cfg.analyzer_idler.effective_phase_rad()
+                    + cfg.source.pump_phase_offset_rad))
     joint, probs = [], []
     for s_port in (1, -1):
         for i_port in (1, -1):

@@ -14,7 +14,7 @@ from fransonsim.montecarlo import SimulationConfig
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
                                 CoincidenceWindowSpec, DEFAULT_BETA2,
                                 DetectorSpec, SourceSpec, accidental_rate,
-                                chsh_from_visibility, dark_prob, db_to_linear,
+                                chsh_from_visibility, db_to_linear,
                                 dispersion_broaden, franson_bin_probabilities,
                                 solve_beta2, temp_to_phase, wrap_phase)
 
@@ -214,7 +214,9 @@ def test_chsh_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_dark_prob_per_window_exact():
-    assert dark_prob(100.0, 100.0) == 1.0e-8
+    # a 100 Hz background clicks in a 100 ps window with probability
+    # rate * window: its accidental rate against a 1 Hz stream, exact
+    assert accidental_rate(100.0, 1.0, 100.0) == 1.0e-8
 
 
 def test_accidental_rate_reference_points():
