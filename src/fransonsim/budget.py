@@ -306,8 +306,7 @@ class VisibilityPrediction:
     capture_fraction: float
 
 
-def predict_visibility(config: SimulationConfig,
-                       window_ps: Optional[float] = None,
+def predict_visibility(config: SimulationConfig, *,
                        include_side_leak: bool = False
                        ) -> VisibilityPrediction:
     """Fitted-fringe visibility a scan of this link would measure.
@@ -323,7 +322,7 @@ def predict_visibility(config: SimulationConfig,
     with no side correction — that is what fitting this package's own
     simulated histograms yields.
     """
-    return _visibility(config.link, predict_rates(config, window_ps),
+    return _visibility(config.link, predict_rates(config),
                        include_side_leak)
 
 
@@ -348,9 +347,8 @@ class BellVerdict:
     margin: float  # s_value - 2
 
 
-def bell_verdict(config: SimulationConfig,
-                 window_ps: Optional[float] = None) -> BellVerdict:
-    v = predict_visibility(config, window_ps).visibility
+def bell_verdict(config: SimulationConfig) -> BellVerdict:
+    v = predict_visibility(config).visibility
     s, violates = chsh_from_visibility(v)
     return BellVerdict(visibility=v, s_value=s, violates=violates,
                        margin=s - 2.0)

@@ -91,7 +91,9 @@ does not grow with the acquisition time:
   Measured with tracemalloc: 25 MB for a back-to-back point of 7 s
   (2.6 M clicks in its one slice), with or without a 50 ns dead time,
   8.5 MB for a 100 km point of 30 s or of 300 s (0.37 M clicks per
-  slice).
+  slice): ~10-24 bytes per click.  Before drawing, a run refuses more
+  expected clicks per slice (slice_clicks: the closed form's singles,
+  darks included) than _MAX_CLICKS_PER_SLICE.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budget import LinkModel
+from .budget import LinkModel, predict_rates
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec)
@@ -118,8 +120,9 @@ SLICE_PS = 10_000_000_000_000  # 10 s
 # spreads + drift.  Anything further than this is a config error.
 _MAX_SPILL_PS = SLICE_PS // 4
 
-# Per-slice event budget (memory guard, ~GB scale if exceeded).
-_MAX_EVENTS_PER_SLICE = 1.2e8
+# Per-slice click budget, darks included (memory guard): ~0.6-1.4 GB
+# at the ~10-24 bytes per click of *Memory model*.
+_MAX_CLICKS_PER_SLICE = 6.0e7
 
 # Elements per step of the in-place passes over a slice (draws added
 # to arrivals, rounding into keys, the click filter): bounds every
@@ -420,15 +423,13 @@ class _DriftWalk:
         arrivals += self.offset
 
 
-def slice_pairs(config: SimulationConfig) -> float:
-    """Expected detectable pairs, by config.link, in one generation
-    slice of config's run (a run shorter than a slice is its only
-    slice).  A slice draws only the photon clicks, at most half of
-    these per channel: a guard on this bounds the clicks per slice."""
-    link = config.link
-    q_s, q_i = link.signal.q, link.idler.q
+def slice_clicks(config: SimulationConfig) -> float:
+    """Expected clicks, photons and darks of both channels, in one
+    generation slice of config's run (a run shorter than a slice is
+    its only slice): predict_rates' singles, which a slice draws."""
+    rates = predict_rates(config)
     dt_s = min(config.span_ps(), SLICE_PS) * 1e-12
-    return link.pair_rate_hz * dt_s * (q_s + q_i * (1.0 - q_s))
+    return (rates.singles_signal_hz + rates.singles_idler_hz) * dt_s
 
 
 def _pack_keys(label: str, times: np.ndarray, n_photons: int,
@@ -560,12 +561,12 @@ def iter_click_buckets(config: SimulationConfig,
     if diag is None:
         diag = SimDiagnostics()
     span = config.span_ps()
-    expected = slice_pairs(config)
-    if expected > _MAX_EVENTS_PER_SLICE:
+    expected = slice_clicks(config)
+    if expected > _MAX_CLICKS_PER_SLICE:
         raise ValidationError(
-            f"~{expected:.3g} detectable pairs per generation slice "
-            "exceeds the engine budget; lower mu, add loss, or shorten "
-            "the acquisition")
+            f"~{expected:.3g} clicks per generation slice, darks included,"
+            " exceed the engine budget; lower mu or the dark rates, add "
+            "loss, or shorten the acquisition")
     n_slices = max(1, -(-span // SLICE_PS))
     drift = _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys

@@ -36,7 +36,7 @@ from .errors import FitDegenerate, FitNotConverged, ParseError, \
     ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
                          TimingDriftSpec, derive_seed, iter_click_buckets,
-                         slice_pairs)
+                         slice_clicks)
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
 from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
@@ -469,14 +469,20 @@ def measure_point(config: SimulationConfig, setting: float,
     diag = SimDiagnostics()
     acc = HistogramAccumulator(config.tia.histogram_bin_ps,
                                _histogram_range_ps(config))
+    w = config.tia.window_ps
+    delay = config.analyzer_signal.delay_ps
+    # the closed form integrates exactly w: bin edges must bound it
+    if any(math.fmod(c + h, acc.bin_ps) for c in (-delay, 0.0, delay)
+           for h in (-w / 2.0, w / 2.0)):
+        raise ValidationError(
+            f"window_ps={w:g} centred at 0 and +-{delay:g} ps must start "
+            f"and end on the {acc.bin_ps} ps histogram bin grid")
     for bucket in iter_click_buckets(config, diag):
         acc.add_bucket(bucket[1], bucket[3], bucket[0])
         if buckets is not None:
             buckets.append(bucket)
         del bucket   # its clicks go before the next slice is drawn
     hist = acc.finalize()
-    w = config.tia.window_ps
-    delay = config.analyzer_signal.delay_ps
     return FringePointResult(
         setting=setting,
         point_seed=config.master_seed,
@@ -511,14 +517,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Expected detectable pairs per generation slice, summed over the
-# running points, up to which more than two fringe points run at once.
-# A running point holds about two slices of clicks, measured at 5-12
-# bytes per expected pair per slice (tracemalloc: back-to-back 7 s and
-# 60 s, 100 km 30 s and 300 s), so a pool past two points stays under
-# ~250 MB.  Two points at once hold no more than one point did
-# when points ran one after another (up to four slices).
-_POOL_PAIRS_PER_SLICE = 2.0e7
+# Expected clicks per generation slice (montecarlo.slice_clicks, darks
+# included), summed over the running points, up to which more than two
+# fringe points run at once.  A running point holds about two slices
+# of clicks, measured at ~10-24 bytes per expected click per slice
+# (tracemalloc: back-to-back 7 s and 60 s, 100 km 30 s and 300 s), so
+# a pool past two points stays under ~250 MB.  Two points at once hold
+# no more than one point did when points ran one after another (up to
+# four slices).
+_POOL_CLICKS_PER_SLICE = 1.0e7
 
 
 # glibc malloc thresholds while fringe points run on the pool: blocks
@@ -557,9 +564,9 @@ def _steady_allocator() -> None:
 
 def _pool_workers(point_config: SimulationConfig, n_points: int) -> int:
     """Fringe points run at once: the usable CPUs, capped at n_points
-    and, past two, at _POOL_PAIRS_PER_SLICE."""
-    pairs = slice_pairs(point_config)
-    by_memory = max(2, int(_POOL_PAIRS_PER_SLICE // max(pairs, 1.0)))
+    and, past two, at _POOL_CLICKS_PER_SLICE."""
+    clicks = slice_clicks(point_config)
+    by_memory = max(2, int(_POOL_CLICKS_PER_SLICE // max(clicks, 1.0)))
     return max(1, min(_usable_cpus(), n_points, by_memory))
 
 
@@ -676,14 +683,6 @@ def run_scenario(scenario: Scenario,
 
 def _native(obj):
     """Recursively convert report pieces to plain JSON-ready values."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _native(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -186,11 +186,12 @@ def test_peak_mass_is_one_gaussian_integral():
                          ids=["inf", "nan", "zero", "negative"])
 def test_closed_form_refuses_bad_windows(window):
     # an infinite window used to give an infinite accidental rate and
-    # then V = 0, S = 0 with no error
-    cfg = paper_link(50.0, 100.0)
-    for predict in (predict_rates, predict_visibility, bell_verdict):
-        with pytest.raises(ValidationError, match="finite and > 0"):
-            predict(cfg, window)
+    # then V = 0, S = 0 with no error.  predict_visibility and
+    # bell_verdict read the config's window, which the spec refuses
+    with pytest.raises(ValidationError, match="finite and > 0"):
+        predict_rates(paper_link(50.0, 100.0), window)
+    with pytest.raises(ValidationError):
+        CoincidenceWindowSpec(window_ps=window)
 
 
 def test_drift_offset_and_walk_reduce_capture():

@@ -398,6 +398,15 @@ def test_simulate_oversized_histogram_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_window_off_the_bin_grid_exits_2(tmp_path, capsys):
+    p = tmp_path / "narrow.json"
+    p.write_text('{"tia": {"window_ps": 50.0, "histogram_bin_ps": 10.0}}')
+    assert run_cli("simulate", str(p), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "10 ps histogram bin grid" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag,value", [("--bin-ps", "inf"),
                                         ("--range-ps", "nan"),
                                         ("--window-ps", "nan")])

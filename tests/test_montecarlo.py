@@ -34,6 +34,7 @@ from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
                                    _filter_clicks, _gen_slice)
+from fransonsim.scenarios import preset
 
 
 def lossless_config(**kw):
@@ -915,6 +916,24 @@ def test_engine_budget_guard():
         acquisition_time_s=10.0)
     with pytest.raises(ValidationError):
         run_simulation(cfg)
+
+
+def test_engine_budget_counts_dark_clicks(monkeypatch):
+    # 1 MHz of signal darks: ~1.0e6 clicks in the 1 s slice, ~28 times
+    # the link's photon clicks.  The guard reads the closed form's
+    # singles, darks included, and refuses before any click is drawn.
+    cfg = replace(preset("paper-100km").config, acquisition_time_s=1.0)
+    dark = replace(cfg, detector_signal=replace(cfg.detector_signal,
+                                                dark_rate_hz=1.0e6))
+    rates = predict_rates(dark)
+    assert montecarlo.slice_clicks(dark) == \
+        rates.singles_signal_hz + rates.singles_idler_hz
+    assert montecarlo.slice_clicks(cfg) < 1.0e5 < rates.singles_signal_hz
+    monkeypatch.setattr(montecarlo, "_MAX_CLICKS_PER_SLICE", 1.0e5)
+    monkeypatch.setattr(montecarlo, "_gen_slice", mock.Mock(
+        side_effect=AssertionError("a slice was drawn")))
+    with pytest.raises(ValidationError, match="darks included"):
+        next(iter_click_buckets(dark))
 
 
 def test_drift_spec_validation():

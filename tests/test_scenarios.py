@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -27,6 +28,9 @@ from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   emit_outputs, load_config,
                                   measure_point, phase_grid, preset,
                                   run_scenario, save_config)
+from fransonsim.tia import build_histogram, count_in_window
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 # back-to-back target divided by the unit-contrast prediction, square
 # root shared between the two analyzers (frozen; matches test_budget)
@@ -554,19 +558,48 @@ def test_point_error_propagates_from_the_pool(cpus, monkeypatch):
 def test_pool_workers_are_capped_at_cpus_points_and_memory(monkeypatch):
     monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
     cfg = preset("back-to-back").config
-    b2b = replace(cfg, acquisition_time_s=30.0)   # ~7.4e6 pairs per slice
-    small = replace(cfg, acquisition_time_s=0.1)  # ~7.4e4
+    b2b = replace(cfg, acquisition_time_s=30.0)   # ~3.7e6 clicks per slice
+    small = replace(cfg, acquisition_time_s=0.1)  # ~3.7e4
     assert scenarios._pool_workers(small, 16) == 16
     assert scenarios._pool_workers(small, 3) == 3
     assert scenarios._pool_workers(b2b, 16) == 2
-    # past two points, the pool's pairs per slice stay in the budget
-    monkeypatch.setattr(scenarios, "_POOL_PAIRS_PER_SLICE", 3.0e5)
+    # past two points, the pool's clicks per slice stay in the budget
+    monkeypatch.setattr(scenarios, "_POOL_CLICKS_PER_SLICE", 1.5e5)
     assert scenarios._pool_workers(small, 16) == 4
-    monkeypatch.setattr(scenarios, "_POOL_PAIRS_PER_SLICE", 1.0e5)
+    monkeypatch.setattr(scenarios, "_POOL_CLICKS_PER_SLICE", 0.5e5)
     assert scenarios._pool_workers(small, 16) == 2
     monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
     assert scenarios._pool_workers(small, 16) == 1
     assert scenarios._pool_workers(b2b, 1) == 1
+
+
+def test_pool_workers_count_dark_clicks(monkeypatch):
+    # 1 MHz of signal darks: ~1.0e6 clicks per 1 s slice against the
+    # link's ~3.7e4, which bounds the pool at 9 points
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
+    cfg = replace(preset("paper-100km").config, acquisition_time_s=1.0)
+    dark = replace(cfg, detector_signal=replace(cfg.detector_signal,
+                                                dark_rate_hz=1.0e6))
+    assert scenarios._pool_workers(cfg, 16) == 16
+    assert scenarios._pool_workers(dark, 16) == 9
+
+
+@pytest.mark.parametrize("name, tiny, workers", [
+    ("b2b-scan", False, 3), ("b2b-scan", True, 8),
+    ("km100-deadtime-scan", False, 8), ("km100-deadtime-scan", True, 8),
+])
+def test_benchmark_pool_sizes_on_a_large_host(monkeypatch, name, tiny,
+                                              workers):
+    # the benchmark's peak_rss_mb follows the pool size: pin it at 64
+    # usable CPUs for each Monte Carlo workload's point config
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
+    scenario = workloads.WORKLOADS[name].build(seed=1, tiny=tiny)
+    plan = scenario.plan
+    point = replace(scenario.config,
+                    acquisition_time_s=plan.acquisition_s_per_point)
+    assert scenarios._pool_workers(point, len(plan.settings)) == workers
 
 
 def km100_link_point():
@@ -600,6 +633,56 @@ def test_one_point_holds_about_two_slices(config, cap_mb):
         tracemalloc.stop()
     assert point.singles_signal + point.singles_idler > 1_000_000
     assert peak <= cap_mb * 1e6
+
+
+def test_point_window_must_lie_on_the_bin_grid():
+    # with 10 ps bins, the bin centres inside a 50 ps window span 60 ps
+    # of delay, while the closed form integrates 50 ps
+    cfg = replace(preset("back-to-back", master_seed=3).config,
+                  acquisition_time_s=0.01)
+    narrow = replace(cfg, tia=replace(cfg.tia, window_ps=50.0))
+    with pytest.raises(ValidationError, match="bin grid"):
+        measure_point(narrow, 0.0)
+    off_delay = replace(cfg, **{arm: replace(getattr(cfg, arm),
+                                             delay_ps=105.0)
+                                for arm in ("analyzer_signal",
+                                            "analyzer_idler")})
+    with pytest.raises(ValidationError, match="bin grid"):
+        measure_point(off_delay, 0.0)
+    # 5 ps bins bound it: the point counts the delays in [-25, 25) ps,
+    # as 1 ps bins of the same clicks do
+    ideal = replace(preset("ideal", master_seed=3).config,
+                    acquisition_time_s=0.02,
+                    tia=replace(narrow.tia, histogram_bin_ps=5.0))
+    buckets = []
+    point = measure_point(ideal, 0.0, buckets)
+    fine = build_histogram(np.concatenate([b[1] for b in buckets]),
+                           np.concatenate([b[3] for b in buckets]), 1, 150)
+    assert point.counts_central == count_in_window(fine, 0.0, 50.0) > 0
+
+
+def test_report_document_holds_plain_json_values():
+    plain = (dict, list, str, int, float, bool, type(None))
+
+    def walk(node, path):
+        assert type(node) in plain, (path, type(node))
+        if isinstance(node, dict):
+            for k, v in node.items():
+                assert type(k) is str, path
+                walk(v, f"{path}.{k}")
+        elif isinstance(node, list):
+            for k, v in enumerate(node):
+                walk(v, f"{path}[{k}]")
+
+    starved = run_scenario(tiny_ideal(n_points=5, acq=2e-7))
+    assert starved.fit_degenerate
+    assert starved.estimate.sigma_visibility == math.inf
+    for report in (run_scenario(tiny_ideal(n_points=6, acq=0.01)), starved,
+                   run_scenario(preset("window-sweep")),
+                   run_scenario(preset("mu-sweep"))):
+        doc = scenarios._report_document(report)
+        walk(doc, report.mode)
+        json.dumps(doc, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
