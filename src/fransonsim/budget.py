@@ -113,8 +113,6 @@ class CoincidencePeakModel:
         center = self.center_ps + peak * self.analyzer_delay_ps
         lo = window_center_ps - window_ps / 2.0
         hi = window_center_ps + window_ps / 2.0
-        if self.sigma_delta_ps <= 0.0:
-            return 1.0 if lo <= center <= hi else 0.0
         a = (lo - center) / (self.sigma_delta_ps * _SQRT2)
         b = (hi - center) / (self.sigma_delta_ps * _SQRT2)
         return 0.5 * (math.erf(b) - math.erf(a))
@@ -192,8 +190,13 @@ class LinkModel:
                 steps = config.acquisition_time_s * 1e12 \
                     / drift.walk_interval_ps
                 var += drift.walk_step_ps ** 2 * steps / 2.0
+        sigmas = (signal.sigma_arrival_ps, idler.sigma_arrival_ps,
+                  math.sqrt(var))
+        if not all(0.0 < v < math.inf for v in sigmas):
+            raise ValidationError("timing spreads must be finite and > 0, got "
+                                  f"signal, idler, pair sigmas {sigmas} ps")
         peak = CoincidencePeakModel(
-            sigma_delta_ps=math.sqrt(var), center_ps=center,
+            sigma_delta_ps=sigmas[2], center_ps=center,
             analyzer_delay_ps=config.analyzer_signal.delay_ps)
         return cls(pair_rate_hz=rate, signal=signal, idler=idler,
                    contrast_total=c_tot, weights=franson_bin_probabilities(

@@ -38,8 +38,8 @@ from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, ScanPlan,
                         Scenario, config_hash, emit_outputs, load_config,
                         measure_point, phase_grid, preset, run_scenario,
                         write_csv, write_json)
-from .tia import _check_window, _normalize_binning, build_histogram, \
-    count_in_window
+from .tia import _normalize_binning, build_histogram, count_in_window, \
+    window_bins
 
 _EXIT_OK = 0
 _EXIT_INVALID = 2
@@ -278,9 +278,9 @@ def _cmd_budget(args) -> int:
 
 def _cmd_histogram(args) -> int:
     # flags first: a bad one must not cost a parse of both click files
-    bin_ps, _ = _normalize_binning(args.bin_ps, args.range_ps)
+    bin_ps, range_ps = _normalize_binning(args.bin_ps, args.range_ps)
     if args.window_ps is not None:
-        _check_window(args.window_ps, bin_ps)
+        window_bins(bin_ps, range_ps, 0.0, args.window_ps)
     starts, meta_a = read_click_stream(args.clicks_a)
     stops, meta_b = read_click_stream(args.clicks_b)
     hash_a = meta_a.get("config_hash", "")

@@ -299,6 +299,8 @@ def dispersion_broaden(fwhm_in_ps: float, beta2_ps2_per_km: float,
     if not (length_km >= 0.0):
         raise ValidationError(f"length_km must be >= 0, got {length_km!r}")
     t0 = fwhm_in_ps / FWHM_TO_INV_E
+    if t0 * t0 == 0.0:   # T0^2 underflows: any dispersion is unbounded
+        return fwhm_in_ps if beta2_ps2_per_km * length_km == 0.0 else math.inf
     x = beta2_ps2_per_km * length_km / (t0 * t0)
     return fwhm_in_ps * math.sqrt(1.0 + x * x)
 

@@ -40,7 +40,7 @@ from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
 from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
-                  VisibilityEstimate, count_in_window, fit_fringe)
+                  VisibilityEstimate, count_in_window, fit_fringe, window_bins)
 
 # Stock link parameters shared by the shipped presets: 50 km of 0.2 dB/km
 # fiber per arm behind 10 dB of pre-fiber coupling loss, 5 dB analyzers,
@@ -452,12 +452,6 @@ class RunReport:
     wall_clock_s: float = 0.0
 
 
-def _histogram_range_ps(config: SimulationConfig) -> float:
-    # side peaks sit at +/- the analyzer delay; keep a full window of
-    # margin beyond them so count_in_window never clips
-    return config.analyzer_signal.delay_ps + config.tia.window_ps
-
-
 def measure_point(config: SimulationConfig, setting: float,
                   buckets: Optional[List[Bucket]] = None,
                   ) -> FringePointResult:
@@ -467,16 +461,12 @@ def measure_point(config: SimulationConfig, setting: float,
     list, the engine's click buckets are appended to it as they pass,
     so a caller can export the clicks of this same run."""
     diag = SimDiagnostics()
-    acc = HistogramAccumulator(config.tia.histogram_bin_ps,
-                               _histogram_range_ps(config))
-    w = config.tia.window_ps
-    delay = config.analyzer_signal.delay_ps
-    # the closed form integrates exactly w: bin edges must bound it
-    if any(math.fmod(c + h, acc.bin_ps) for c in (-delay, 0.0, delay)
-           for h in (-w / 2.0, w / 2.0)):
-        raise ValidationError(
-            f"window_ps={w:g} centred at 0 and +-{delay:g} ps must start "
-            f"and end on the {acc.bin_ps} ps histogram bin grid")
+    # side peaks sit at +/- the analyzer delay: a full window of margin
+    # beyond them keeps their windows inside the histogram's range
+    delay, w = config.analyzer_signal.delay_ps, config.tia.window_ps
+    acc = HistogramAccumulator(config.tia.histogram_bin_ps, delay + w)
+    for c in (0.0, -delay, delay):   # refuse a window before any click
+        window_bins(acc.bin_ps, acc.range_ps, c, w)
     for bucket in iter_click_buckets(config, diag):
         acc.add_bucket(bucket[1], bucket[3], bucket[0])
         if buckets is not None:

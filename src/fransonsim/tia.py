@@ -7,8 +7,9 @@ Conventions:
 * a histogram covers the half-open interval [-range_ps, +range_ps)
   with bins of integer width, so bin assignment is exact integer
   arithmetic and no pair is ever split or double counted;
-* windowed counts include every bin whose *center* falls inside the
-  closed window [center - w/2, center + w/2];
+* a windowed count sums the whole bins of the half-open window
+  [center - w/2, center + w/2), the interval the closed form integrates,
+  so its edges must lie on the bin grid inside the range (window_bins);
 * counts are Poisson-weighted in fits, with sigma = sqrt(max(n, 1));
 * the fringe fit is numpy alone: a linear solve on a frequency grid,
   then a Levenberg-Marquardt polish with the analytic Jacobian, which
@@ -42,8 +43,8 @@ _MAX_BINS = 1 << 20
 
 @dataclass
 class DelayHistogram:
-    """Binned start-stop delays.  counts[i] covers
-    [-range_ps + i*bin_ps, -range_ps + (i+1)*bin_ps)."""
+    """Binned start-stop delays.  counts[i] covers [-range_ps + i*bin_ps,
+    -range_ps + (i+1)*bin_ps); a window counts whole bins (window_bins)."""
 
     bin_ps: int
     range_ps: int
@@ -216,28 +217,32 @@ class HistogramAccumulator:
                               n_stops=self._n_stops)
 
 
-def _check_window(window_ps, bin_ps: int) -> None:
-    """A coincidence window must be finite and at least one bin wide."""
-    if not math.isfinite(window_ps):
-        raise ValidationError(
-            f"window_ps must be finite, got {window_ps!r}")
+def window_bins(bin_ps: int, range_ps: int, center_ps: float,
+                window_ps: float) -> slice:
+    """The bins of the delay window [center - w/2, center + w/2).
+    ValidationError unless it is finite, at least one bin wide, starts
+    and ends on the bin grid and lies inside [-range_ps, +range_ps]."""
+    for name, v in (("center_ps", center_ps), ("window_ps", window_ps)):
+        if not math.isfinite(v):
+            raise ValidationError(f"{name} must be finite, got {v!r}")
     if window_ps < bin_ps:
         raise ValidationError(
             f"window_ps={window_ps!r} is narrower than one {bin_ps} ps bin")
+    lo, hi = center_ps - window_ps / 2.0, center_ps + window_ps / 2.0
+    if math.fmod(lo, bin_ps) or math.fmod(hi, bin_ps) \
+            or lo < -range_ps or hi > range_ps:
+        raise ValidationError(
+            f"window_ps={window_ps:g} centred at {center_ps:g} ps must start "
+            f"and end on the {bin_ps} ps histogram bin grid within "
+            f"+-{range_ps} ps")
+    return slice(int(lo + range_ps) // bin_ps, int(hi + range_ps) // bin_ps)
 
 
 def count_in_window(hist: DelayHistogram, center_ps: float,
                     window_ps: float) -> int:
-    """Total counts of bins whose centers lie inside the closed window
-    [center - w/2, center + w/2]."""
-    if not math.isfinite(center_ps):
-        raise ValidationError(
-            f"center_ps must be finite, got {center_ps!r}")
-    _check_window(window_ps, hist.bin_ps)
-    centers = hist.centers()
-    mask = (centers >= center_ps - window_ps / 2.0) \
-        & (centers <= center_ps + window_ps / 2.0)
-    return int(hist.counts[mask].sum())
+    """Total counts of the bins of window_bins' window."""
+    return int(hist.counts[window_bins(hist.bin_ps, hist.range_ps,
+                                       center_ps, window_ps)].sum())
 
 
 # ---------------------------------------------------------------------------

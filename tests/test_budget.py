@@ -441,3 +441,23 @@ def test_predictions_match_simulation():
         want_side = (rates.both_rate_hz / 16.0 * cap
                      + rates.accidental_in_window_hz) * t
         assert abs(side - want_side) < 5.0 * math.sqrt(want_side)
+
+
+@pytest.mark.parametrize("fwhm_ps, fiber_km, walk_step_ps", [
+    (1e-200, 0.0, 0.0),    # the pair spread underflows to 0
+    (1e-150, 1.0, 0.0),    # dispersion makes both arm spreads infinite
+    (4.0, 0.0, 1e154),     # a finite walk whose variance overflows
+])
+def test_link_refuses_a_timing_spread_that_is_zero_or_infinite(
+        fwhm_ps, fiber_km, walk_step_ps):
+    cfg = preset("ideal").config
+    channels = {arm: replace(getattr(cfg, arm), fiber_length_km=fiber_km)
+                for arm in ("channel_signal", "channel_idler")}
+    cfg = replace(cfg, source=replace(cfg.source, photon_fwhm_ps=fwhm_ps),
+                  drift=TimingDriftSpec(enabled=walk_step_ps > 0.0,
+                                        walk_step_ps=walk_step_ps),
+                  **channels)
+    with pytest.raises(ValidationError, match="timing spreads must be"):
+        LinkModel.from_config(cfg)
+    with pytest.raises(ValidationError, match="timing spreads must be"):
+        run_simulation(cfg)

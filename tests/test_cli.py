@@ -407,6 +407,27 @@ def test_simulate_window_off_the_bin_grid_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fwhm_ps, fiber_km", [(1e-200, 0.0),
+                                               (1e-150, 1.0)])
+def test_unresolvable_timing_spread_exits_2(tmp_path, capsys, fwhm_ps,
+                                            fiber_km):
+    # a zero pair spread at 1e-200 ps, an infinite one after dispersion
+    # at 1e-150 ps: both must be refused before any click is drawn
+    cfg = preset("ideal").config
+    channels = {arm: replace(getattr(cfg, arm), fiber_length_km=fiber_km)
+                for arm in ("channel_signal", "channel_idler")}
+    path = tmp_path / "sharp.json"
+    save_config(replace(cfg, source=replace(cfg.source,
+                                            photon_fwhm_ps=fwhm_ps),
+                        **channels), path)
+    for command in (("budget", str(path)),
+                    ("simulate", str(path), "--out-dir", str(tmp_path))):
+        assert run_cli(*command) == 2
+        err = capsys.readouterr().err
+        assert "timing spreads must be finite and > 0" in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag,value", [("--bin-ps", "inf"),
                                         ("--range-ps", "nan"),
                                         ("--window-ps", "nan")])
@@ -428,6 +449,8 @@ def test_histogram_non_finite_flag_exits_2(small_config, tmp_path, capsys,
     (("--window-ps", "nan"), "window_ps must be finite"),
     (("--bin-ps", "20", "--window-ps", "10"), "narrower than one 20 ps bin"),
     (("--range-ps", "1e30"), "bins, more than the 1048576 allowed"),
+    (("--window-ps", "50"), "10 ps histogram bin grid"),
+    (("--range-ps", "300", "--window-ps", "1000"), "within +-300 ps"),
 ])
 def test_histogram_checks_flags_before_reading_clicks(tmp_path, capsys,
                                                       flags, message):

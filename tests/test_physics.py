@@ -158,6 +158,14 @@ def test_dispersion_excess_linear_in_length():
         pytest.approx(2.0 * excess(50.0), rel=0.01)
 
 
+def test_dispersion_of_an_underflowed_duration():
+    # T0^2 underflows to 0 here: no ZeroDivisionError, and no fiber
+    # leaves the width alone while any dispersion makes it unbounded
+    assert dispersion_broaden(1e-200, DEFAULT_BETA2, 0.0) == 1e-200
+    assert dispersion_broaden(1e-200, 0.0, 50.0) == 1e-200
+    assert dispersion_broaden(1e-200, DEFAULT_BETA2, 1.0) == math.inf
+
+
 def test_dispersion_sign_flip_invariant():
     assert dispersion_broaden(4.0, -DEFAULT_BETA2, 50.0) == \
         dispersion_broaden(4.0, DEFAULT_BETA2, 50.0)

@@ -602,6 +602,26 @@ def test_benchmark_pool_sizes_on_a_large_host(monkeypatch, name, tiny,
     assert scenarios._pool_workers(point, len(plan.settings)) == workers
 
 
+@pytest.mark.parametrize("name", ["b2b-scan", "km100-deadtime-scan",
+                                  "clicks-roundtrip", "closed-form-map"])
+def test_benchmark_tiny_operations_pass_their_checks(monkeypatch, tmp_path,
+                                                     name):
+    # a change the benchmark would report as a failed or irreproducible
+    # operation fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    state = workload.build(seed=1, tiny=True)
+    digests = []
+    for k in range(2):
+        out_dir = tmp_path / f"op{k}"
+        out_dir.mkdir()
+        failures, _, digest = workload.check(
+            state, workload.run(state, str(out_dir)))
+        assert failures == []
+        digests.append(digest)
+    assert digests[0] == digests[1]
+
+
 def km100_link_point():
     """30 s of the 100 km preset with 50 ns dead time, detector
     efficiency raised and mu lowered 30-fold: the preset's singles,

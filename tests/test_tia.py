@@ -180,22 +180,37 @@ def test_histogram_rejects_clicks_at_its_edge():
 # count_in_window
 # ---------------------------------------------------------------------------
 
-def test_window_count_uses_closed_center_interval():
+def test_window_count_sums_whole_bins():
     hist = build_histogram(np.array([0], dtype=np.int64),
                            np.array([-95, -5, 5, 95], dtype=np.int64),
                            10, 100)
-    # centers sit at -95 ... +95; counts: bins 0, 9, 10, 19
-    assert count_in_window(hist, 0.0, 10.0) == 2   # centers +-5 included
-    assert count_in_window(hist, 0.0, 30.0) == 2
+    # one count each in bins 0, 9, 10 and 19
+    assert count_in_window(hist, 0.0, 20.0) == 2   # [-10, 10)
+    assert count_in_window(hist, 0.0, 40.0) == 2
     assert count_in_window(hist, 0.0, 200.0) == 4
-    assert count_in_window(hist, -95.0, 10.0) == 1
-    with pytest.raises(ValidationError):
+    assert count_in_window(hist, -95.0, 10.0) == 1   # [-100, -90)
+    assert count_in_window(hist, 5.0, 10.0) == 1     # [0, 10)
+    with pytest.raises(ValidationError, match="narrower than one 10 ps bin"):
         count_in_window(hist, 0.0, 5.0)
     # a nan window compares false both ways and would count nothing
-    for center, window in ((0.0, math.nan), (math.nan, 10.0),
+    for center, window in ((0.0, math.nan), (math.nan, 20.0),
                            (0.0, math.inf)):
         with pytest.raises(ValidationError, match="finite"):
             count_in_window(hist, center, window)
+
+
+@pytest.mark.parametrize("center, window", [
+    (0.0, 45.0), (0.0, 50.0), (0.0, 70.0),   # edges off the grid
+    (0.0, 220.0), (-100.0, 20.0), (100.0, 20.0),   # reaching past +-100
+])
+def test_window_count_refuses_windows_it_cannot_count_whole(center, window):
+    # with 10 ps bins a 50 ps window's bin centres span 60 ps of delay,
+    # and a window past the range would silently lose its outer part
+    hist = build_histogram(np.array([0], dtype=np.int64),
+                           np.arange(-100, 100, 5, dtype=np.int64), 10, 100)
+    with pytest.raises(ValidationError,
+                       match="10 ps histogram bin grid within \\+-100 ps"):
+        count_in_window(hist, center, window)
 
 
 def test_window_count_is_monotone_in_width():
@@ -203,9 +218,35 @@ def test_window_count_is_monotone_in_width():
     starts = np.sort(rng.integers(0, 100_000, 800)).astype(np.int64)
     stops = np.sort(rng.integers(0, 100_000, 800)).astype(np.int64)
     hist = build_histogram(starts, stops, 10, 500)
-    counts = [count_in_window(hist, 0.0, w) for w in range(10, 1001, 10)]
+    counts = [count_in_window(hist, 0.0, w) for w in range(20, 1001, 20)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] == hist.total_pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(bin_ps=st.integers(1, 37), range_ps=st.integers(1, 400),
+       edges=st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_on_grid_window_counts_what_the_bin_centre_rule_counted(
+        bin_ps, range_ps, edges, seed):
+    b, r = tia._normalize_binning(bin_ps, max(range_ps, bin_ps))
+    n = 2 * r // b
+    i, j = sorted(e % (n + 1) for e in edges)
+    j += i == j   # at least one bin wide
+    if j > n:
+        i, j = n - 1, n
+    lo, hi = -r + i * b, -r + j * b
+    center, window = (lo + hi) / 2.0, float(hi - lo)
+    counts = np.random.default_rng(seed).integers(0, 1000, n)
+    hist = tia.DelayHistogram(bin_ps=b, range_ps=r, counts=counts)
+    # the rule this one replaced: every bin whose centre lies in the
+    # closed window [center - w/2, center + w/2]
+    centres = -r + b * np.arange(n) + b / 2.0
+    inside = (centres >= center - window / 2.0) \
+        & (centres <= center + window / 2.0)
+    want = int(counts[inside].sum())
+    assert tia.window_bins(b, r, center, window) == slice(i, j)
+    assert count_in_window(hist, center, window) == want
 
 
 # ---------------------------------------------------------------------------
