@@ -189,7 +189,10 @@ class LinkModel:
                 # the acquisition: step^2 * (T / interval) / 2
                 steps = config.acquisition_time_s * 1e12 \
                     / drift.walk_interval_ps
-                var += drift.walk_step_ps ** 2 * steps / 2.0
+                try:
+                    var += drift.walk_step_ps ** 2 * steps / 2.0
+                except OverflowError:   # float ** raises past 1.8e308
+                    var = math.inf
         sigmas = (signal.sigma_arrival_ps, idler.sigma_arrival_ps,
                   math.sqrt(var))
         if not all(0.0 < v < math.inf for v in sigmas):

@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import math
 import os
-import re
 import sys
 from dataclasses import replace
 from typing import List, Optional, Tuple, Union
@@ -35,9 +34,9 @@ from .errors import FitDegenerate, FitNotConverged, FransonError, \
 from .montecarlo import SimulationConfig, read_click_stream, \
     streams_from_buckets, write_click_stream
 from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, ScanPlan,
-                        Scenario, config_hash, emit_outputs, load_config,
-                        measure_point, phase_grid, preset, run_scenario,
-                        write_csv, write_json)
+                        Scenario, _sanitize_name, config_hash, emit_outputs,
+                        load_config, measure_point, phase_grid, preset,
+                        run_scenario, write_csv, write_json)
 from .tia import _normalize_binning, build_histogram, count_in_window, \
     window_bins
 
@@ -47,11 +46,6 @@ _EXIT_DEGENERATE = 3
 
 # windows an optimize-window --grid start:step:stop may span
 _MAX_GRID_WINDOWS = 10_000
-
-
-def _sanitize_name(stem: str) -> str:
-    name = re.sub(r"[^A-Za-z0-9._-]+", "-", stem).strip("-.")
-    return name if name else "run"
 
 
 def _resolve(args, kind: str) -> Union[SimulationConfig, Scenario]:

@@ -22,7 +22,8 @@ Every (stage, slice) pair owns an independent child RNG stream,
 derived from the master seed, so
 
 * identical configs give bit-identical click streams,
-* slices can be generated in any order (results are order-free), and
+* slices are drawn in order, and only a drift walk carries over (slice
+  k's walk starts from slice k-1's last value), and
 * the signal stream never consumes idler-stage randomness: changing
   idler-side parameters cannot perturb signal clicks.
 
@@ -377,50 +378,41 @@ def _filter_clicks(key: np.ndarray, dead_ps: int, carry: int
 # ---------------------------------------------------------------------------
 
 class _DriftWalk:
-    """Evaluates offset + random walk at arrival times, slice by
-    slice, with deterministic per-slice increments."""
+    """config.drift read at arrival times.  ``walk`` holds the walk
+    over the current slice: its value before the slice's first step
+    (the previous slice's last value), then after each step; ``first``
+    is the interval t // walk_interval_ps that walk[0] covers.  Each
+    slice draws its steps from its own stream."""
 
     def __init__(self, config: SimulationConfig):
-        d = config.drift
-        self.active = d.enabled
-        self.channel = d.channel
-        self.offset = d.offset_ps
-        self.step = d.walk_step_ps
-        self.itv = int(d.walk_interval_ps)
+        self.drift = config.drift
         self.seed = config.master_seed
-        self._carry = 0.0            # walk value before this slice's steps
-        self._values = np.empty(0)   # cumulative values of slice steps
-        self._m_start = 0
+        self.walk = np.zeros(1)
+        self.first = 0
 
     def advance(self, slice_idx: int, lo: int, hi: int) -> None:
-        if not (self.active and self.step > 0.0):
-            return
-        m_start = lo // self.itv + 1
-        m_end = (hi - 1) // self.itv  # inclusive
-        n = max(0, m_end - m_start + 1)
-        rng = _stream(self.seed, _ST_DRIFT, slice_idx)
-        inc = rng.normal(0.0, self.step, n)
-        if self._values.size:
-            self._carry = float(self._values[-1])
-        self._values = self._carry + np.cumsum(inc)
-        self._m_start = m_start
+        d = self.drift
+        if d.enabled and d.walk_step_ps > 0.0:
+            itv = int(d.walk_interval_ps)
+            self.first = lo // itv
+            steps = _stream(self.seed, _ST_DRIFT, slice_idx).normal(
+                0.0, d.walk_step_ps, max(0, (hi - 1) // itv - self.first))
+            start = self.walk[-1]
+            self.walk = np.concatenate(([start], start + np.cumsum(steps)))
 
     def apply(self, channel: str, arrivals: np.ndarray) -> None:
         """Shift a channel's photon arrivals in place: the walk is
-        read at each arrival before it is shifted (a click leaving its
-        slice keeps the slice's last value), then the offset."""
-        if not self.active or channel != self.channel:
+        read at each arrival before it is shifted (an arrival outside
+        the slice reads the walk's nearer end), then the offset."""
+        d = self.drift
+        if not d.enabled or channel != d.channel:
             return
-        if self.step > 0.0:
-            last = self._values.size - 1
+        if d.walk_step_ps > 0.0:
+            itv, last = int(d.walk_interval_ps), self.walk.size - 1
             for c in _chunks(arrivals.size):
-                pos = (arrivals[c].astype(np.int64) // self.itv) \
-                    - self._m_start
-                vals = np.where(pos < 0, self._carry,
-                                self._values[np.clip(pos, 0, last)]
-                                if last >= 0 else self._carry)
-                arrivals[c] += vals
-        arrivals += self.offset
+                k = arrivals[c].astype(np.int64) // itv - self.first
+                arrivals[c] += self.walk[np.clip(k, 0, last)]
+        arrivals += d.offset_ps
 
 
 def slice_clicks(config: SimulationConfig) -> float:

@@ -65,7 +65,14 @@ PRESET_NAMES = ("paper-100km", "back-to-back", "ideal", "window-sweep",
 #: gives one.
 DEFAULT_WINDOW_GRID_PS = tuple(float(w) for w in range(60, 150, 10))
 
-_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# A run name becomes a file name; _sanitize_name turns any file stem
+# into a name of this form.
+_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9._-]*")
+
+
+def _sanitize_name(stem: str) -> str:
+    name = re.sub(r"[^A-Za-z0-9._-]+", "-", stem).strip("-.")
+    return name if name else "run"
 
 
 def phase_grid(n_points: int) -> Tuple[float, ...]:
@@ -428,8 +435,10 @@ class MuScanRow:
 
 @dataclass
 class RunReport:
-    """Everything one scenario run produced.  wall_clock_s is
-    diagnostic only and never written to output files."""
+    """Everything one scenario run produced.  The predicted block is
+    the closed form of the config each fringe point runs, at the
+    plan's acquisition time; config_hash is the scenario config's.
+    wall_clock_s is diagnostic only and never written to files."""
 
     scenario_name: str
     config_hash: str
@@ -495,7 +504,6 @@ def _run_fringe_point(config: SimulationConfig, plan: ScanPlan,
     else:
         analyzer = replace(analyzer, phase_rad=None, temperature_c=setting)
     cfg = replace(config, **{f"analyzer_{plan.scanned}": analyzer},
-                  acquisition_time_s=plan.acquisition_s_per_point,
                   master_seed=derive_seed(config.master_seed, index))
     return measure_point(cfg, setting)
 
@@ -563,17 +571,17 @@ def _pool_workers(point_config: SimulationConfig, n_points: int) -> int:
 def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
                        progress: Optional[Callable[[int, int], None]],
                        ) -> List[FringePointResult]:
-    """Every point of plan, in point order.  The points run on a
-    thread pool of _pool_workers threads (numpy releases the GIL in
-    the draws, sorts and searches that dominate a point); progress
-    counts points as they complete.  An exception in a point is
-    raised here, and points not yet started are cancelled."""
+    """Every point of plan, in point order: config (the scenario's at
+    plan.acquisition_s_per_point) with the point's setting and seed.
+    The points run on a thread pool of _pool_workers threads (numpy
+    releases the GIL in the draws, sorts and searches that dominate a
+    point); progress counts points as they complete.  An exception in
+    a point is raised here, and points not yet started are cancelled."""
     # imported here: the pool's import costs start-up of every process
     from concurrent.futures import ThreadPoolExecutor, as_completed
     _steady_allocator()
     n = len(plan.settings)
-    workers = _pool_workers(replace(
-        config, acquisition_time_s=plan.acquisition_s_per_point), n)
+    workers = _pool_workers(config, n)
     results: List[Optional[FringePointResult]] = [None] * n
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_fringe_point, config, plan, k): k
@@ -600,13 +608,15 @@ def run_scenario(scenario: Scenario,
     pool (see _pool_workers); each running point holds about two
     generation slices of clicks."""
     t_start = time.perf_counter()
-    cfg = scenario.config
+    plan = scenario.plan     # a fringe point runs cfg at its setting and seed
+    cfg = scenario.config if plan is None else replace(
+        scenario.config, acquisition_time_s=plan.acquisition_s_per_point)
     rates = predict_rates(cfg)
     v_corr = predict_visibility(cfg).visibility
     v_raw = predict_visibility(cfg, include_side_leak=True).visibility
     report = RunReport(
         scenario_name=scenario.name,
-        config_hash=config_hash(cfg),
+        config_hash=config_hash(scenario.config),
         master_seed=cfg.master_seed,
         mode=scenario.mode,
         predicted_rates=rates,
@@ -614,9 +624,7 @@ def run_scenario(scenario: Scenario,
         predicted_visibility_raw=v_raw,
     )
 
-    if scenario.mode == "fringe":
-        plan = scenario.plan
-        assert plan is not None
+    if plan is not None:
         points = _run_fringe_points(cfg, plan, progress)
         report.abscissa = plan.abscissa
         report.acquisition_s_per_point = plan.acquisition_s_per_point

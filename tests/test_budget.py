@@ -447,6 +447,7 @@ def test_predictions_match_simulation():
     (1e-200, 0.0, 0.0),    # the pair spread underflows to 0
     (1e-150, 1.0, 0.0),    # dispersion makes both arm spreads infinite
     (4.0, 0.0, 1e154),     # a finite walk whose variance overflows
+    (4.0, 0.0, 1e200),     # a walk whose squared step overflows
 ])
 def test_link_refuses_a_timing_spread_that_is_zero_or_infinite(
         fwhm_ps, fiber_km, walk_step_ps):
@@ -459,5 +460,7 @@ def test_link_refuses_a_timing_spread_that_is_zero_or_infinite(
                   **channels)
     with pytest.raises(ValidationError, match="timing spreads must be"):
         LinkModel.from_config(cfg)
+    with pytest.raises(ValidationError, match="timing spreads must be"):
+        predict_rates(cfg)
     with pytest.raises(ValidationError, match="timing spreads must be"):
         run_simulation(cfg)

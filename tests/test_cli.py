@@ -12,7 +12,7 @@ import pytest
 
 import fransonsim
 from fransonsim.errors import ValidationError
-from fransonsim.montecarlo import derive_seed
+from fransonsim.montecarlo import TimingDriftSpec, derive_seed
 from fransonsim.scenarios import (ScanPlan, emit_outputs, phase_grid, preset,
                                   run_scenario, save_config)
 from fransonsim.cli import main
@@ -204,6 +204,24 @@ def test_fringe_bare_config_gets_default_plan(small_config, tmp_path):
     doc = json.loads((out / "small_report.json").read_text())
     assert len(doc["points"]) == 5
     assert doc["acquisition_s_per_point"] == 0.01
+
+
+@pytest.mark.parametrize("stem, name", [("_cfg", "_cfg"),
+                                        ("my cfg", "my-cfg"), ("-x", "x")])
+def test_fringe_and_simulate_name_a_config_file_alike(small_config, tmp_path,
+                                                      stem, name):
+    # one name rule: a bare config runs under the name its file stem
+    # gives, whatever the command
+    path = tmp_path / f"{stem}.json"
+    path.write_bytes(Path(small_config).read_bytes())
+    for command, flags, report in (
+            ("simulate", (), "_sim_report.json"),
+            ("fringe", ("--points", "5"), "_report.json")):
+        out = tmp_path / command
+        assert run_cli(command, str(path), "--out-dir", str(out),
+                       *flags) == 0
+        assert (out / f"{name}{report}").is_file()
+        assert all(p.name.startswith(f"{name}_") for p in out.iterdir())
 
 
 def test_fringe_degenerate_fit_exits_3(tmp_path, capsys):
@@ -407,18 +425,22 @@ def test_simulate_window_off_the_bin_grid_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("fwhm_ps, fiber_km", [(1e-200, 0.0),
-                                               (1e-150, 1.0)])
+@pytest.mark.parametrize("fwhm_ps, fiber_km, walk_step_ps", [
+    (1e-200, 0.0, 0.0), (1e-150, 1.0, 0.0), (4.0, 0.0, 1e200),
+], ids=["1e-200-0.0", "1e-150-1.0", "walk-1e200"])
 def test_unresolvable_timing_spread_exits_2(tmp_path, capsys, fwhm_ps,
-                                            fiber_km):
+                                            fiber_km, walk_step_ps):
     # a zero pair spread at 1e-200 ps, an infinite one after dispersion
-    # at 1e-150 ps: both must be refused before any click is drawn
+    # at 1e-150 ps, a walk whose squared step overflows: all must be
+    # refused before any click is drawn
     cfg = preset("ideal").config
     channels = {arm: replace(getattr(cfg, arm), fiber_length_km=fiber_km)
                 for arm in ("channel_signal", "channel_idler")}
     path = tmp_path / "sharp.json"
     save_config(replace(cfg, source=replace(cfg.source,
                                             photon_fwhm_ps=fwhm_ps),
+                        drift=TimingDriftSpec(enabled=walk_step_ps > 0.0,
+                                              walk_step_ps=walk_step_ps),
                         **channels), path)
     for command in (("budget", str(path)),
                     ("simulate", str(path), "--out-dir", str(tmp_path))):

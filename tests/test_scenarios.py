@@ -21,7 +21,7 @@ from fransonsim.physics import chsh_from_visibility
 from fransonsim import scenarios
 from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    derive_seed)
-from fransonsim.budget import predict_visibility
+from fransonsim.budget import predict_rates, predict_visibility
 from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   PRESET_NAMES, ScanPlan, Scenario,
                                   calibrate_contrast, config_hash,
@@ -481,6 +481,47 @@ def test_scanned_idler_moves_the_fringe():
     # same physics either way: the fringe depends on the phase sum
     assert r_idl.estimate.visibility == pytest.approx(
         r_sig.estimate.visibility, abs=0.01)
+
+
+def closed_form(config):
+    return (predict_rates(config), predict_visibility(config).visibility,
+            predict_visibility(config, include_side_leak=True).visibility)
+
+
+def test_fringe_prediction_is_the_closed_form_of_the_points_config():
+    # a drift walk spreads with the acquisition time, so the predicted
+    # block reads the time the points run, not the config's own 1 s
+    still = tiny_ideal(n_points=5, acq=0.01, seed=5)
+    walk = TimingDriftSpec(enabled=True, channel="idler", walk_step_ps=1.0,
+                           walk_interval_ps=1e6)
+    walked = replace(still, config=replace(still.config, drift=walk))
+    for scenario in (still, walked):
+        report = run_scenario(scenario)
+        point = replace(scenario.config, acquisition_time_s=0.01)
+        assert (report.predicted_rates, report.predicted_visibility,
+                report.predicted_visibility_raw) == closed_form(point)
+        assert report.config_hash == config_hash(scenario.config)
+    assert closed_form(still.config) == closed_form(
+        replace(still.config, acquisition_time_s=0.01))
+    assert closed_form(walked.config)[1] < closed_form(point)[1]
+
+
+def test_walked_scan_fit_agrees_with_its_prediction():
+    # back-to-back, 8 points of 7 s, a 1 ps per ms idler walk: over the
+    # points' 7 s the walk spreads the peak by ~59 ps and takes the raw
+    # visibility from 0.830 to 0.588; over the config's 1 s, to 0.788
+    scenario = preset("back-to-back", master_seed=11)
+    walk = TimingDriftSpec(enabled=True, channel="idler", walk_step_ps=1.0,
+                           walk_interval_ps=1e9)
+    scenario = replace(scenario,
+                       config=replace(scenario.config, drift=walk),
+                       plan=ScanPlan(settings=phase_grid(8),
+                                     acquisition_s_per_point=7.0))
+    report = run_scenario(scenario)
+    est = report.estimate
+    pull = (est.visibility - report.predicted_visibility_raw) \
+        / est.sigma_visibility
+    assert abs(pull) < 3.0
 
 
 # ---------------------------------------------------------------------------
