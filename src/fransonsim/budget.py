@@ -174,6 +174,10 @@ class LinkModel:
             # mu was quoted downstream of the pre-fiber losses
             rate /= (db_to_linear(config.channel_signal.pre_fiber_loss_db)
                      * db_to_linear(config.channel_idler.pre_fiber_loss_db))
+        if not math.isfinite(rate):
+            raise ValidationError(
+                f"source.mean_pairs_per_window {src.mean_pairs_per_window:g}"
+                f" gives a pair rate beyond float range ({rate} Hz)")
 
         c_tot = (config.analyzer_signal.contrast
                  * config.analyzer_idler.contrast)
@@ -364,6 +368,10 @@ def bell_verdict(config: SimulationConfig) -> BellVerdict:
 # Window optimization
 # ---------------------------------------------------------------------------
 
+# the scores optimize_window can rank a window grid by
+WINDOW_OBJECTIVES = ("s_value", "rate_weighted")
+
+
 @dataclass(frozen=True)
 class WindowScore:
     window_ps: float
@@ -394,10 +402,9 @@ def optimize_window(config: SimulationConfig,
     least twice the analyzer delay would swallow the side peaks and
     are rejected.
     """
-    if objective not in ("s_value", "rate_weighted"):
+    if objective not in WINDOW_OBJECTIVES:
         raise ValidationError(
-            f"unknown objective {objective!r}; use 's_value' or "
-            "'rate_weighted'")
+            f"unknown objective {objective!r}; use one of {WINDOW_OBJECTIVES}")
     grid = sorted(float(w) for w in window_grid_ps)
     if not grid:
         raise ValidationError("empty window grid")

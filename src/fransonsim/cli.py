@@ -12,9 +12,8 @@ Subcommands
                                click-stream files
     optimize-window <config>   score a coincidence-window grid
 
-Common flags: --preset, --seed, --out-dir, --points, --acquisition-s,
---format {csv,json}.  Exit codes: 0 success, 2 validation/parse failure,
-3 degenerate fringe fit.
+Common flags: --preset, --seed, --out-dir, --points, --acquisition-s.
+Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe fit.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
-from .budget import WindowScore, bell_verdict, build_ledger, \
-    optimize_window, predict_rates, predict_visibility
+from .budget import WINDOW_OBJECTIVES, WindowScore, bell_verdict, \
+    build_ledger, optimize_window, predict_rates, predict_visibility
 from .errors import FitDegenerate, FitNotConverged, FransonError, \
     ParseError, ValidationError
 from .montecarlo import SimulationConfig, read_click_stream, \
@@ -105,7 +104,6 @@ def _cmd_simulate(args) -> int:
             write_click_stream(stream, p, seed=cfg.master_seed,
                                config_hash=chash)
             print(f"wrote {p}")
-    hist = point.histogram
 
     t = cfg.acquisition_time_s
     central = point.counts_central
@@ -125,17 +123,11 @@ def _cmd_simulate(args) -> int:
             "pairs_generated": point.pairs_generated,
         },
         "predicted": dataclasses.asdict(rates),
-        "loss_note": rates.loss_note,
     }
+    hist_path = os.path.join(out, f"{name}_hist.csv")
+    _hist_csv(hist_path, point.histogram, stamp)
+    print(f"wrote {hist_path}")
     report_path = os.path.join(out, f"{name}_sim_report.json")
-    if args.format == "csv":
-        hist_path = os.path.join(out, f"{name}_hist.csv")
-        _hist_csv(hist_path, hist, stamp)
-        print(f"wrote {hist_path}")
-    else:
-        doc["histogram"] = {"bin_ps": hist.bin_ps,
-                            "range_ps": hist.range_ps,
-                            "counts": [int(v) for v in hist.counts]}
     write_json(doc, report_path)
     print(f"wrote {report_path}")
     print(f"singles  signal {doc['measured']['singles_signal_hz']:.1f} Hz, "
@@ -181,16 +173,12 @@ def _cmd_fringe(args) -> int:
         scenario = replace(scenario, plan=plan)
     if args.histograms:
         scenario = replace(scenario, emit_histograms=True)
-    if scenario.emit_histograms and args.format == "json":
-        raise ValidationError(
-            "--histograms (or the scenario's emit_histograms) writes CSV: "
-            "it cannot be combined with --format json")
 
     def progress(done: int, total: int) -> None:
         print(f"  point {done}/{total}", file=sys.stderr, flush=True)
 
     report = run_scenario(scenario, progress=progress)
-    written = emit_outputs(report, args.out_dir, fmt=args.format)
+    written = emit_outputs(report, args.out_dir)
     for p in written:
         print(f"wrote {p}")
     print(f"scenario {report.scenario_name}  config {report.config_hash}  "
@@ -360,7 +348,7 @@ def _cmd_optimize_window(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, seed=True, out_dir=True, fmt=False) -> None:
+def _add_common(sub, *, seed=True, out_dir=True) -> None:
     sub.add_argument("--preset", choices=PRESET_NAMES,
                      help="use a built-in scenario instead of a file")
     if seed:
@@ -369,11 +357,6 @@ def _add_common(sub, *, seed=True, out_dir=True, fmt=False) -> None:
     if out_dir:
         sub.add_argument("--out-dir", default=None,
                          help="directory for output files")
-    if fmt:
-        sub.add_argument("--format", choices=("csv", "json"),
-                         default="csv",
-                         help="delimited text alongside JSON (csv, "
-                              "default) or JSON only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate",
                         help="one acquisition at the configured phases")
     p.add_argument("config", nargs="?", help="config JSON file")
-    _add_common(p, fmt=True)
+    _add_common(p)
     p.add_argument("--acquisition-s", type=float, default=None,
                    help="override acquisition time")
     p.add_argument("--dump-clicks", action="store_true",
@@ -397,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fringe", help="run a fringe-scan scenario")
     p.add_argument("scenario", nargs="?",
                    help="scenario (or bare config) JSON file")
-    _add_common(p, fmt=True)
+    _add_common(p)
     p.add_argument("--points", type=int, default=None,
                    help="rebuild the phase grid with this many points")
     p.add_argument("--acquisition-s", type=float, default=None,
@@ -429,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--grid", default=None,
                    help="start:step:stop or comma-separated windows (ps)")
-    p.add_argument("--objective", choices=("s_value", "rate_weighted"),
+    p.add_argument("--objective", choices=WINDOW_OBJECTIVES,
                    help="window score (default: the scenario's "
                         "window_objective, else s_value)")
     p.set_defaults(func=_cmd_optimize_window)

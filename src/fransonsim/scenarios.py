@@ -30,8 +30,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .budget import (RatePrediction, WindowOptimization, WindowScore,
-                     predict_rates, predict_visibility, optimize_window)
+from .budget import (WINDOW_OBJECTIVES, RatePrediction, WindowOptimization,
+                     WindowScore, predict_rates, predict_visibility,
+                     optimize_window)
 from .errors import FitDegenerate, FitNotConverged, ParseError, \
     ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
@@ -150,9 +151,9 @@ class Scenario:
             object.__setattr__(self, attr, grid)
         if self.emit_histograms and self.plan is None:
             raise ValidationError("emit_histograms needs a fringe scan plan")
-        if self.window_objective not in ("s_value", "rate_weighted"):
+        if self.window_objective not in WINDOW_OBJECTIVES:
             raise ValidationError(
-                f"window_objective must be 's_value' or 'rate_weighted', "
+                f"window_objective must be one of {WINDOW_OBJECTIVES}, "
                 f"got {self.window_objective!r}")
         if self.plan is not None:
             analyzer = getattr(self.config, f"analyzer_{self.plan.scanned}")
@@ -370,11 +371,24 @@ def save_config(obj: Union[SimulationConfig, Scenario], path) -> None:
     write_json(dataclasses.asdict(obj), path)
 
 
+def _native(obj):
+    """obj with tuples as lists and each non-finite float as the string
+    "inf", "-inf" or "nan", which strict JSON can hold."""
+    if isinstance(obj, dict):
+        return {k: _native(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_native(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
 def write_json(doc, path) -> None:
     """The one JSON layout of every file written: indented, keys
-    sorted, trailing newline."""
+    sorted, trailing newline, non-finite floats as strings (_native)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_native(doc), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -679,17 +693,6 @@ def run_scenario(scenario: Scenario,
 # Output emission
 # ---------------------------------------------------------------------------
 
-def _native(obj):
-    """Recursively convert report pieces to plain JSON-ready values."""
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # "inf"/"nan" as strings: report stays valid JSON
-    return obj
-
-
 def _report_document(report: RunReport) -> Dict[str, object]:
     doc: Dict[str, object] = {
         "scenario_name": report.scenario_name,
@@ -730,26 +733,15 @@ def _report_document(report: RunReport) -> Dict[str, object]:
     else:
         doc["mu_sweep"] = [dataclasses.asdict(r)
                            for r in (report.mu_table or [])]
-    return _native(doc)
+    return doc
 
 
-def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
-                 ) -> List[str]:
-    """Write the report files into out_dir and return their paths.
-
-    Always writes {name}_report.json; fmt="csv" adds the delimited
-    companions (scan / window / mu tables, histograms when retained).
-    A report with retained histograms refuses fmt="json", which has no
-    place for them, before any file is written.
+def emit_outputs(report: RunReport, out_dir) -> List[str]:
+    """Write the report files into out_dir and return their paths:
+    {name}_report.json and its CSV companions (scan / window / mu
+    table, plus the histograms when retained).
     Bytes are a pure function of the report content — wall-clock time
     never enters any file."""
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"fmt must be 'csv' or 'json', got {fmt!r}")
-    if fmt == "json" and any(p.histogram is not None
-                             for p in report.points or []):
-        raise ValidationError(
-            "retained histograms are written as CSV: fmt='json' would "
-            "drop them")
     os.makedirs(out_dir, exist_ok=True)
     base = report.scenario_name
     written: List[str] = []
@@ -760,9 +752,6 @@ def emit_outputs(report: RunReport, out_dir, fmt: str = "csv",
     path = target("_report.json")
     write_json(_report_document(report), path)
     written.append(path)
-
-    if fmt != "csv":
-        return written
 
     stamp = f"config_hash={report.config_hash}"
     if report.mode == "fringe":

@@ -464,3 +464,22 @@ def test_link_refuses_a_timing_spread_that_is_zero_or_infinite(
         predict_rates(cfg)
     with pytest.raises(ValidationError, match="timing spreads must be"):
         run_simulation(cfg)
+
+
+@pytest.mark.parametrize("mu, after_losses, pre_fiber_loss_db", [
+    (1e300, False, 10.0),   # mu / window_base_ps overflows
+    (1e200, True, 1000.0),  # the after-loss correction overflows
+])
+def test_link_refuses_a_pair_rate_that_overflows(mu, after_losses,
+                                                 pre_fiber_loss_db):
+    cfg = preset("paper-100km").config
+    cfg = replace(cfg, source=replace(cfg.source, mean_pairs_per_window=mu,
+                                      mu_measured_after_losses=after_losses),
+                  **{arm: replace(getattr(cfg, arm),
+                                  pre_fiber_loss_db=pre_fiber_loss_db)
+                     for arm in ("channel_signal", "channel_idler")})
+    match = "mean_pairs_per_window .* pair rate"
+    with pytest.raises(ValidationError, match=match):
+        predict_rates(cfg)
+    with pytest.raises(ValidationError, match=match):
+        run_simulation(cfg)

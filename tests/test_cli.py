@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from fransonsim.errors import ValidationError
 from fransonsim.montecarlo import TimingDriftSpec, derive_seed
 from fransonsim.scenarios import (ScanPlan, emit_outputs, phase_grid, preset,
                                   run_scenario, save_config)
-from fransonsim.cli import main
+from fransonsim.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -68,6 +69,35 @@ def test_budget_writes_report(tmp_path, capsys):
     assert len(doc["config_hash"]) == 12
 
 
+def _mu_config(tmp_path, mu):
+    cfg = preset("paper-100km").config
+    path = tmp_path / "pumped.json"
+    save_config(replace(cfg, source=replace(cfg.source,
+                                            mean_pairs_per_window=mu)), path)
+    return str(path)
+
+
+def test_budget_writes_non_finite_values_as_strings(tmp_path):
+    # a finite pair rate whose accidentals overflow: the file stays
+    # strict JSON and holds the value as "inf"
+    def refuse(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    path = _mu_config(tmp_path, 1e200)
+    assert run_cli("budget", path, "--out-dir", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "pumped_budget.json").read_text(),
+                     parse_constant=refuse)
+    assert doc["rates"]["accidental_in_window_hz"] == "inf"
+
+
+def test_budget_overflowing_pair_rate_exits_2(tmp_path, capsys):
+    path = _mu_config(tmp_path, 1e300)
+    assert run_cli("budget", path) == 2
+    err = capsys.readouterr().err
+    assert "mean_pairs_per_window" in err and "pair rate" in err
+    assert "Traceback" not in err
+
+
 def test_budget_requires_one_source(small_config, capsys):
     assert run_cli("budget") == 2
     assert run_cli("budget", small_config, "--preset", "ideal") == 2
@@ -85,6 +115,8 @@ def test_simulate_writes_histogram_and_report(small_config, tmp_path,
     doc = json.loads((out / "small_sim_report.json").read_text())
     assert doc["measured"]["central_window_counts"] > 0
     assert doc["master_seed"] == 7
+    # each value once: the loss note lives in the prediction only
+    assert "loss_note" not in doc and "loss_note" in doc["predicted"]
     hist_lines = (out / "small_hist.csv").read_text().splitlines()
     assert hist_lines[0].startswith("# config_hash=")
     assert hist_lines[1] == "center_ps,counts"
@@ -151,21 +183,6 @@ def test_simulate_matches_fringe_point(tmp_path):
     assert measured["singles_signal_hz"] == point.singles_signal / acq
     assert measured["singles_idler_hz"] == point.singles_idler / acq
     assert measured["pairs_generated"] == point.pairs_generated
-
-
-def test_simulate_json_format_embeds_histogram(small_config, tmp_path):
-    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
-    assert run_cli("simulate", small_config, "--out-dir", str(csv_dir)) == 0
-    assert run_cli("simulate", small_config, "--out-dir", str(json_dir),
-                   "--format", "json") == 0
-    assert not (json_dir / "small_hist.csv").exists()
-    doc = json.loads((json_dir / "small_sim_report.json").read_text())
-    hist = doc.pop("histogram")
-    assert len(hist["counts"]) == 2 * hist["range_ps"] // hist["bin_ps"]
-    rows = (csv_dir / "small_hist.csv").read_text().splitlines()[2:]
-    assert hist["counts"] == [int(r.split(",")[1]) for r in rows]
-    assert doc == json.loads(
-        (csv_dir / "small_sim_report.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +290,6 @@ def test_closed_form_scenario_refuses_emit_histograms(tmp_path, capsys):
     assert run_cli("fringe", str(path), "--out-dir", str(out)) == 2
     assert "emit_histograms" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_fringe_histograms_need_csv(quick_scenario, tmp_path, capsys):
-    # the JSON report carries no histograms: refuse before any point runs
-    out = tmp_path / "out"
-    assert run_cli("fringe", quick_scenario, "--out-dir", str(out),
-                   "--histograms", "--format", "json") == 2
-    err = capsys.readouterr().err
-    assert "--histograms" in err and "--format json" in err
-    s = replace(preset("ideal"), name="keep", emit_histograms=True)
-    path = tmp_path / "keep.json"
-    save_config(s, path)
-    assert run_cli("fringe", str(path), "--out-dir", str(out),
-                   "--format", "json") == 2
-    assert "emit_histograms" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_fringe_json_format_writes_report_only(quick_scenario, tmp_path):
-    out = tmp_path / "out"
-    assert run_cli("fringe", quick_scenario, "--out-dir", str(out),
-                   "--format", "json") == 0
-    assert (out / "quick_report.json").exists()
-    assert not (out / "quick_scan.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +527,36 @@ def test_unknown_preset_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("transmogrify") == 2
+
+
+def test_format_flag_is_usage_error(tmp_path):
+    # every run writes its JSON report and CSV companions: no --format
+    for command in ("fringe", "simulate"):
+        assert run_cli(command, "--preset", "ideal", "--format", "json",
+                       "--out-dir", str(tmp_path)) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def _readme_cli_commands():
+    """Each ``fransonsim ...`` command of README's CLI quick start, its
+    backslash continuations joined, split into argv."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start \(CLI\)\s+```sh\n(.*?)```", readme,
+                      re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("fransonsim ")]
+
+
+def test_readme_cli_examples_parse():
+    # parsing reads no file: a documented flag that was removed or
+    # renamed fails here
+    commands = _readme_cli_commands()
+    assert len(commands) >= 6
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_unwritable_out_dir_names_path(small_config, tmp_path, capsys):
