@@ -7,8 +7,9 @@ LinkModel per config, SimulationConfig.link; tests keep the two
 consistent, so the budget can be trusted for fast what-if scans and
 the simulation for everything the closed forms cannot capture.  Each
 link quantity is derived once: an arm's loss is LinkModel's loss_db
-(the ledger only labels its terms for display), and every share of a
-delay peak inside a window is one CoincidencePeakModel.mass integral.
+(the ledger only labels its terms for display), every share of a
+delay peak inside a window is one CoincidencePeakModel.mass integral,
+and the rates at a config's own window are SimulationConfig.rates.
 
 Counting conventions used throughout:
 
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, accidental_rate,
                       chsh_from_visibility, db_to_linear, dispersion_broaden,
-                      franson_bin_probabilities, sigma_from_fwhm)
+                      franson_peak_law, sigma_from_fwhm)
 
 if TYPE_CHECKING:   # montecarlo imports LinkModel from here
     from .montecarlo import SimulationConfig
@@ -129,6 +130,7 @@ class ArmLink:
     loss_db: float                  # optics: pre-fiber, fiber, analyzer
     transmission: float             # 10 ** (-loss_db / 10)
     q: float                        # transmission * quantum efficiency
+    photon_hz: float                # pair rate * q / 2: monitored port
     sigma_arrival_ps: float         # a click about its emission time:
                                     # dispersed photon and detector
                                     # jitter in quadrature
@@ -150,25 +152,6 @@ class LinkModel:
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "LinkModel":
         src = config.source
-
-        def arm(channel, analyzer, detector):
-            loss_db = (channel.pre_fiber_loss_db + channel.fiber_loss_db
-                       + analyzer.insertion_loss_db)
-            t = db_to_linear(loss_db)
-            fwhm = dispersion_broaden(src.photon_fwhm_ps,
-                                      channel.beta2_ps2_per_km,
-                                      channel.fiber_length_km)
-            return ArmLink(loss_db=loss_db, transmission=t,
-                           q=t * detector.quantum_efficiency,
-                           sigma_arrival_ps=math.hypot(
-                               sigma_from_fwhm(fwhm),
-                               sigma_from_fwhm(detector.jitter_fwhm_ps)))
-
-        signal = arm(config.channel_signal, config.analyzer_signal,
-                     config.detector_signal)
-        idler = arm(config.channel_idler, config.analyzer_idler,
-                    config.detector_idler)
-
         rate = src.mean_pairs_per_window / (src.window_base_ps * 1e-12)
         if src.mu_measured_after_losses:
             # mu was quoted downstream of the pre-fiber losses
@@ -178,6 +161,25 @@ class LinkModel:
             raise ValidationError(
                 f"source.mean_pairs_per_window {src.mean_pairs_per_window:g}"
                 f" gives a pair rate beyond float range ({rate} Hz)")
+
+        def arm(channel, analyzer, detector):
+            loss_db = (channel.pre_fiber_loss_db + channel.fiber_loss_db
+                       + analyzer.insertion_loss_db)
+            t = db_to_linear(loss_db)
+            q = t * detector.quantum_efficiency
+            fwhm = dispersion_broaden(src.photon_fwhm_ps,
+                                      channel.beta2_ps2_per_km,
+                                      channel.fiber_length_km)
+            return ArmLink(loss_db=loss_db, transmission=t, q=q,
+                           photon_hz=rate * q / 2.0,
+                           sigma_arrival_ps=math.hypot(
+                               sigma_from_fwhm(fwhm),
+                               sigma_from_fwhm(detector.jitter_fwhm_ps)))
+
+        signal = arm(config.channel_signal, config.analyzer_signal,
+                     config.detector_signal)
+        idler = arm(config.channel_idler, config.analyzer_idler,
+                    config.detector_idler)
 
         c_tot = (config.analyzer_signal.contrast
                  * config.analyzer_idler.contrast)
@@ -206,12 +208,12 @@ class LinkModel:
             sigma_delta_ps=sigmas[2], center_ps=center,
             analyzer_delay_ps=config.analyzer_signal.delay_ps)
         return cls(pair_rate_hz=rate, signal=signal, idler=idler,
-                   contrast_total=c_tot, weights=franson_bin_probabilities(
-                       config.analyzer_signal.effective_phase_rad(),
-                       config.analyzer_idler.effective_phase_rad(),
-                       src.pump_phase_offset_rad, c_tot),
-                   central_max_weight=franson_bin_probabilities(
-                       0.0, 0.0, 0.0, c_tot)[0], peak=peak)
+                   contrast_total=c_tot, weights=franson_peak_law(
+                       config.analyzer_signal.effective_phase_rad()
+                       + config.analyzer_idler.effective_phase_rad()
+                       + src.pump_phase_offset_rad, c_tot),
+                   central_max_weight=franson_peak_law(0.0, c_tot)[0],
+                   peak=peak)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +241,12 @@ class RatePrediction:
     side_leak_in_window_hz: float
     loss_note: str
 
+    @classmethod
+    def from_config(cls, config: SimulationConfig) -> "RatePrediction":
+        """The rates at config's own window: SimulationConfig.rates."""
+        return _at_window(config, config.tia.window_ps,
+                          _loss_note(config.link))
+
     @property
     def total_central_window_hz(self) -> float:
         """Everything a counter on the central window sees at the
@@ -258,49 +266,46 @@ def _loss_note(link: LinkModel) -> str:
             "it as per-arm double-counts it.")
 
 
-def predict_rates(config: SimulationConfig,
-                  window_ps: Optional[float] = None) -> RatePrediction:
+def _at_window(config: SimulationConfig, w: float,
+               loss_note: str) -> RatePrediction:
+    """The closed form at window w, from config.link and a loss note."""
     link = config.link
-    rate = link.pair_rate_hz
-    q_s, q_i, (w_c, w_e, w_l) = link.signal.q, link.idler.q, link.weights
-    w = config.tia.window_ps if window_ps is None else window_ps
-
-    photon_singles_s = rate * q_s / 2.0
-    photon_singles_i = rate * q_i / 2.0
-    singles_s = photon_singles_s + config.detector_signal.dark_rate_hz
-    singles_i = photon_singles_i + config.detector_idler.dark_rate_hz
-
-    both = rate * q_s * q_i
-    capture = link.peak.mass(0, 0.0, w)
-    central_max = both * link.central_max_weight * capture
-    central_now = both * w_c * capture
-    side_leak = both * (w_e * link.peak.mass(-1, 0.0, w)
-                        + w_l * link.peak.mass(+1, 0.0, w))
-
+    peak, (w_c, w_e, w_l) = link.peak, link.weights
+    ph_s, ph_i = link.signal.photon_hz, link.idler.photon_hz
+    dark_s = config.detector_signal.dark_rate_hz
+    dark_i = config.detector_idler.dark_rate_hz
+    both = link.pair_rate_hz * link.signal.q * link.idler.q
+    capture = peak.mass(0, 0.0, w)
     parts = {
-        "photon-photon": accidental_rate(photon_singles_s,
-                                         photon_singles_i, w),
-        "photon-dark": accidental_rate(
-            photon_singles_s, config.detector_idler.dark_rate_hz, w),
-        "dark-photon": accidental_rate(
-            config.detector_signal.dark_rate_hz, photon_singles_i, w),
-        "dark-dark": accidental_rate(config.detector_signal.dark_rate_hz,
-                                     config.detector_idler.dark_rate_hz, w),
+        "photon-photon": accidental_rate(ph_s, ph_i, w),
+        "photon-dark": accidental_rate(ph_s, dark_i, w),
+        "dark-photon": accidental_rate(dark_s, ph_i, w),
+        "dark-dark": accidental_rate(dark_s, dark_i, w),
     }
     return RatePrediction(
-        generated_pair_rate_hz=rate,
+        generated_pair_rate_hz=link.pair_rate_hz,
         transmission_signal=link.signal.transmission,
         transmission_idler=link.idler.transmission,
-        q_signal=q_s, q_idler=q_i,
-        singles_signal_hz=singles_s, singles_idler_hz=singles_i,
+        q_signal=link.signal.q, q_idler=link.idler.q,
+        singles_signal_hz=ph_s + dark_s, singles_idler_hz=ph_i + dark_i,
         both_rate_hz=both, window_ps=w, capture_fraction=capture,
-        central_max_in_window_hz=central_max,
-        central_at_config_phase_hz=central_now,
+        central_max_in_window_hz=both * link.central_max_weight * capture,
+        central_at_config_phase_hz=both * w_c * capture,
         accidental_in_window_hz=math.fsum(parts.values()),
         accidental_parts_hz=parts,
-        side_leak_in_window_hz=side_leak,
-        loss_note=_loss_note(link),
-    )
+        side_leak_in_window_hz=both * (w_e * peak.mass(-1, 0.0, w)
+                                       + w_l * peak.mass(+1, 0.0, w)),
+        loss_note=loss_note)
+
+
+def predict_rates(config: SimulationConfig,
+                  window_ps: Optional[float] = None) -> RatePrediction:
+    """The closed form at window_ps, by default the config's own window,
+    where it is config.rates, derived once and shared by every reader."""
+    rates = config.rates
+    if window_ps is None or window_ps == rates.window_ps:
+        return rates
+    return _at_window(config, window_ps, rates.loss_note)
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,8 @@ def _cmd_budget(args) -> int:
         print(f"  {arm}: total {getattr(cfg.link, arm).loss_db:g} dB  "
               f"({parts})")
     print(f"generated pairs      {rates.generated_pair_rate_hz:.4g} Hz")
-    print(f"singles              signal {rates.singles_signal_hz:.1f} Hz, "
-          f"idler {rates.singles_idler_hz:.1f} Hz")
+    print(f"singles              signal {rates.singles_signal_hz:.4g} Hz, "
+          f"idler {rates.singles_idler_hz:.4g} Hz")
     print(f"both-detectable rate {rates.both_rate_hz:.4g} Hz")
     print(f"central window max   {rates.central_max_in_window_hz:.4g} Hz "
           f"(window {rates.window_ps:g} ps, "

@@ -106,7 +106,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budget import LinkModel, predict_rates
+from .budget import LinkModel, RatePrediction, predict_rates
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec)
@@ -250,6 +250,11 @@ class SimulationConfig:
         """budget.LinkModel of this config, derived on first read.  Not
         a field: asdict, hashing and config files never see it."""
         return LinkModel.from_config(self)
+
+    @cached_property
+    def rates(self) -> RatePrediction:
+        """budget.RatePrediction at tia.window_ps; derived like .link."""
+        return RatePrediction.from_config(self)
 
 
 @dataclass
@@ -482,7 +487,7 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
             uniform_times(dark, buf[n_ph:])
         return buf, n_ph
 
-    sig, n_sig = channel(_ST_SIGNAL, rate * q_s / 2.0, _ST_SIGNAL_DARKS,
+    sig, n_sig = channel(_ST_SIGNAL, link.signal.photon_hz, _ST_SIGNAL_DARKS,
                          config.detector_signal.dark_rate_hz, 0)
 
     # idler partners, thinned from the signal photon clicks: given a
@@ -512,7 +517,7 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
 
     # diagnostics: the pairs no click shows, as counts alone
     rng = _stream(seed, _ST_REMAINDER, slice_idx)
-    n_su = int(rng.poisson(rate * q_s / 2.0 * dt_s))   # unmonitored port
+    n_su = int(rng.poisson(link.signal.photon_hz * dt_s))  # unmonitored port
     n_both = (n_b + int(rng.binomial(n_sig - n_b, (q_i - p_b) / (1.0 - p_b)))
               + int(rng.binomial(n_su, q_i)))
     n_io = int(rng.poisson(rate * q_i * (1.0 - q_s) * dt_s))

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
@@ -21,12 +23,13 @@ from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
 from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    run_simulation)
 from fransonsim.tia import build_histogram, count_in_window
-from fransonsim.budget import (LinkModel, bell_verdict, build_ledger,
-                               optimize_window, predict_rates,
+from fransonsim.budget import (LinkModel, RatePrediction, bell_verdict,
+                               build_ledger, optimize_window, predict_rates,
                                predict_visibility)
 from fransonsim.cli import main
-from fransonsim.scenarios import config_hash, load_config, preset, \
-    save_config
+from fransonsim.scenarios import (ScanPlan, config_hash, emit_outputs,
+                                  load_config, phase_grid, preset,
+                                  run_scenario, save_config)
 
 PAIR_JITTER = 65.0 / math.sqrt(2.0)   # per detector; 65 ps at pair level
 CAL_CONTRAST = 0.9756419240289781     # per analyzer; 0.9518772 total
@@ -320,6 +323,119 @@ def test_replaced_config_derives_its_own_link():
                                                  fiber_length_km=60.0))
     assert longer.link.signal.loss_db == pytest.approx(27.0)
     assert longer.link.idler == cfg.link.idler
+
+
+def _count_rates(monkeypatch):
+    """Configs RatePrediction.from_config is called on from now on."""
+    calls = []
+    original = RatePrediction.from_config
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+    monkeypatch.setattr(RatePrediction, "from_config", counted)
+    return calls
+
+
+def _bits(rates):
+    # repr round-trips a float exactly, so equal reprs are equal bits
+    return repr(dataclasses.asdict(rates))
+
+
+def test_closed_forms_share_one_rate_prediction(monkeypatch):
+    cfg = paper_link(50.0, 100.0, contrast=CAL_CONTRAST)
+    calls = _count_rates(monkeypatch)
+    assert predict_rates(cfg) is predict_rates(cfg) is cfg.rates
+    predict_visibility(cfg)
+    predict_visibility(cfg, include_side_leak=True)
+    bell_verdict(cfg)
+    assert predict_rates(cfg, cfg.tia.window_ps) is cfg.rates
+    assert calls == [cfg]
+
+
+def test_mu_sweep_derives_rates_once_per_mu(monkeypatch):
+    scenario = preset("mu-sweep")
+    calls = _count_rates(monkeypatch)
+    run_scenario(scenario)
+    assert calls[0] == scenario.config
+    assert [c.source.mean_pairs_per_window for c in calls[1:]] \
+        == list(scenario.mu_grid)
+
+
+def test_budget_cli_derives_rates_once(monkeypatch, tmp_path, capsys):
+    cfg = preset("paper-100km").config
+    save_config(cfg, tmp_path / "link.json")
+    calls = _count_rates(monkeypatch)
+    assert main(["budget", str(tmp_path / "link.json"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == [cfg]
+
+
+def test_no_reader_writes_the_shared_rates(monkeypatch, tmp_path, capsys):
+    # every reader of a config's one RatePrediction: scenarios and their
+    # files, the budget and simulate commands
+    original = RatePrediction.from_config
+    calls = _count_rates(monkeypatch)
+    fringe = replace(preset("ideal"), plan=ScanPlan(
+        settings=phase_grid(6), acquisition_s_per_point=0.01))
+    for scenario in (fringe, preset("mu-sweep"), preset("window-sweep")):
+        emit_outputs(run_scenario(scenario), str(tmp_path))
+    small = replace(preset("ideal").config, acquisition_time_s=0.01)
+    save_config(small, tmp_path / "small.json")
+    for command in ("budget", "simulate"):
+        assert main([command, str(tmp_path / "small.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) > 10
+    for cfg in calls:
+        assert _bits(cfg.rates) == _bits(original(cfg))
+
+
+def test_replaced_config_derives_its_own_rates():
+    cfg = paper_link(50.0, 100.0)
+    longer = replace(cfg, channel_signal=replace(cfg.channel_signal,
+                                                 fiber_length_km=60.0))
+    assert longer.rates is not cfg.rates
+    assert longer.rates.q_signal < cfg.rates.q_signal
+    assert longer.rates.q_idler == cfg.rates.q_idler
+
+
+_WINDOW_CONFIGS = (
+    paper_link(50.0, 100.0, contrast=CAL_CONTRAST),
+    paper_link(0.0, 60.0, detector_idler=DetectorSpec(
+        quantum_efficiency=0.2, dark_rate_hz=5e3)),
+    paper_link(20.0, 140.0, drift=TimingDriftSpec(
+        enabled=True, channel="signal", offset_ps=30.0, walk_step_ps=2.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, len(_WINDOW_CONFIGS) - 1),
+       window=st.one_of(st.sampled_from([60.0, 100.0, 140.0]),
+                        st.floats(10.0, 1e6)))
+def test_rates_at_a_window_are_a_config_at_that_window(k, window):
+    cfg = _WINDOW_CONFIGS[k]
+    assert predict_rates(cfg).window_ps == cfg.tia.window_ps
+    at_window = replace(cfg, tia=replace(cfg.tia, window_ps=window))
+    assert _bits(predict_rates(cfg, window)) \
+        == _bits(predict_rates(at_window)) \
+        == _bits(RatePrediction.from_config(at_window))
+    assert predict_rates(cfg, window).window_ps == window
+
+
+def test_rates_is_not_a_config_field(tmp_path):
+    cfg = paper_link(50.0, 100.0)
+    before = config_hash(cfg)
+    assert cfg.rates.singles_signal_hz > 0.0
+    assert "rates" not in dataclasses.asdict(cfg)
+    assert config_hash(cfg) == before
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    doc = json.loads(path.read_text())
+    assert "rates" not in doc
+    doc["rates"] = {}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"config\.rates: unknown key"):
+        load_config(path)
 
 
 def test_link_is_not_a_config_field(tmp_path):

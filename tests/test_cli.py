@@ -90,6 +90,16 @@ def test_budget_writes_non_finite_values_as_strings(tmp_path):
     assert doc["rates"]["accidental_in_window_hz"] == "inf"
 
 
+def test_budget_prints_huge_singles_in_short_lines(tmp_path, capsys):
+    # singles of ~1e205 Hz: every rate prints in 4 significant digits
+    assert run_cli("budget", _mu_config(tmp_path, 1e200)) == 0
+    ledger, *lines = capsys.readouterr().out.splitlines()
+    assert ledger.startswith("loss ledger (")   # the loss note, any mu
+    assert max(len(line) for line in lines) <= 200
+    assert any(line.startswith("singles ") and "e+205 Hz" in line
+               for line in lines)
+
+
 def test_budget_overflowing_pair_rate_exits_2(tmp_path, capsys):
     path = _mu_config(tmp_path, 1e300)
     assert run_cli("budget", path) == 2

@@ -121,13 +121,13 @@ def _km100_short_signal_fiber():
 @pytest.mark.parametrize("make, json_digest, stdout_digest", [
     (None, "87bad9852e219cff9682e41d760a87d3"
      "c4df6df9ce023c771216eb00436f8c2e",
-     "14db3000a71dc6734957db7fe8e64e96"
-     "f4a61fb560832f3927e2ab7758044fb3"),
+     "0138205000df9abed71abcc20b6fd250"
+     "e2bdda4e4863b36f4d45cbba68bf11f6"),
     (_km100_short_signal_fiber,
      "3edb2d7239ca8d2ce59d7b2b549ba6ee"
      "9af5aaa68026819e132ef64b05d97224",
-     "e4ba8af91f83fbb21f2bbc458e5f5013"
-     "e80fbf407f231a90c53721406d2134ef"),
+     "9a944f57c766b06a91ab6e201d6319c0"
+     "b1f870dd9ee1d9f77884e373a96ca386"),
 ], ids=["paper-100km", "signal-fiber-5.005km"])
 def test_budget_outputs_are_frozen(make, json_digest, stdout_digest,
                                    tmp_path, capsys):
