@@ -3,13 +3,14 @@ predicted visibility and Bell margin, and coincidence-window choice.
 
 Every quantity here has a Monte Carlo counterpart.  Both read the
 link (rates, survival, timing widths, peak weights) from one
-LinkModel per config, SimulationConfig.link; tests keep the two
-consistent, so the budget can be trusted for fast what-if scans and
-the simulation for everything the closed forms cannot capture.  Each
-link quantity is derived once: an arm's loss is LinkModel's loss_db
-(the ledger only labels its terms for display), every share of a
-delay peak inside a window is one CoincidencePeakModel.mass integral,
-and the rates at a config's own window are SimulationConfig.rates.
+LinkModel, SimulationConfig.link; tests keep the two consistent, so
+the budget can be trusted for fast what-if scans and the simulation
+for everything the closed forms cannot capture.  Each link quantity
+is derived once per link (configs differing only in window or seed
+share it): an arm's loss is LinkModel's loss_db, a delay peak's share
+of a window one CoincidencePeakModel.mass integral, the rates at a
+config's own window SimulationConfig.rates, and another window adds
+only its window terms.
 
 Counting conventions used throughout:
 
@@ -131,6 +132,7 @@ class ArmLink:
     transmission: float             # 10 ** (-loss_db / 10)
     q: float                        # transmission * quantum efficiency
     photon_hz: float                # pair rate * q / 2: monitored port
+    dark_hz: float                  # detector dark counts
     sigma_arrival_ps: float         # a click about its emission time:
                                     # dispersed photon and detector
                                     # jitter in quadrature
@@ -139,9 +141,10 @@ class ArmLink:
 @dataclass(frozen=True)
 class LinkModel:
     """Every link quantity the rates, the peak shape and the Monte
-    Carlo engine read, derived once per config as its .link."""
+    Carlo engine read, derived once per link as SimulationConfig.link."""
 
     pair_rate_hz: float             # generated at the source output
+    both_hz: float                  # pair rate * q_s * q_i (any port)
     signal: ArmLink
     idler: ArmLink
     contrast_total: float           # product of the analyzer contrasts
@@ -172,6 +175,7 @@ class LinkModel:
                                       channel.fiber_length_km)
             return ArmLink(loss_db=loss_db, transmission=t, q=q,
                            photon_hz=rate * q / 2.0,
+                           dark_hz=detector.dark_rate_hz,
                            sigma_arrival_ps=math.hypot(
                                sigma_from_fwhm(fwhm),
                                sigma_from_fwhm(detector.jitter_fwhm_ps)))
@@ -207,7 +211,8 @@ class LinkModel:
         peak = CoincidencePeakModel(
             sigma_delta_ps=sigmas[2], center_ps=center,
             analyzer_delay_ps=config.analyzer_signal.delay_ps)
-        return cls(pair_rate_hz=rate, signal=signal, idler=idler,
+        return cls(pair_rate_hz=rate, both_hz=rate * signal.q * idler.q,
+                   signal=signal, idler=idler,
                    contrast_total=c_tot, weights=franson_peak_law(
                        config.analyzer_signal.effective_phase_rad()
                        + config.analyzer_idler.effective_phase_rad()
@@ -244,7 +249,7 @@ class RatePrediction:
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "RatePrediction":
         """The rates at config's own window: SimulationConfig.rates."""
-        return _at_window(config, config.tia.window_ps,
+        return _at_window(config.link, config.tia.window_ps,
                           _loss_note(config.link))
 
     @property
@@ -266,33 +271,36 @@ def _loss_note(link: LinkModel) -> str:
             "it as per-arm double-counts it.")
 
 
-def _at_window(config: SimulationConfig, w: float,
-               loss_note: str) -> RatePrediction:
-    """The closed form at window w, from config.link and a loss note."""
-    link = config.link
-    peak, (w_c, w_e, w_l) = link.peak, link.weights
-    ph_s, ph_i = link.signal.photon_hz, link.idler.photon_hz
-    dark_s = config.detector_signal.dark_rate_hz
-    dark_i = config.detector_idler.dark_rate_hz
-    both = link.pair_rate_hz * link.signal.q * link.idler.q
-    capture = peak.mass(0, 0.0, w)
+def _window_terms(link: LinkModel, w: float) -> tuple:
+    """The closed form's terms at window w: (capture, central rate at
+    the fringe maximum, accidental parts, their sum)."""
+    sig, idl = link.signal, link.idler
+    capture = link.peak.mass(0, 0.0, w)
     parts = {
-        "photon-photon": accidental_rate(ph_s, ph_i, w),
-        "photon-dark": accidental_rate(ph_s, dark_i, w),
-        "dark-photon": accidental_rate(dark_s, ph_i, w),
-        "dark-dark": accidental_rate(dark_s, dark_i, w),
+        "photon-photon": accidental_rate(sig.photon_hz, idl.photon_hz, w),
+        "photon-dark": accidental_rate(sig.photon_hz, idl.dark_hz, w),
+        "dark-photon": accidental_rate(sig.dark_hz, idl.photon_hz, w),
+        "dark-dark": accidental_rate(sig.dark_hz, idl.dark_hz, w),
     }
+    return (capture, link.both_hz * link.central_max_weight * capture,
+            parts, math.fsum(parts.values()))
+
+
+def _at_window(link: LinkModel, w: float, loss_note: str) -> RatePrediction:
+    """The closed form at window w, from the link and a loss note."""
+    peak, (w_c, w_e, w_l), both = link.peak, link.weights, link.both_hz
+    capture, central_max, parts, accidental = _window_terms(link, w)
     return RatePrediction(
         generated_pair_rate_hz=link.pair_rate_hz,
         transmission_signal=link.signal.transmission,
         transmission_idler=link.idler.transmission,
         q_signal=link.signal.q, q_idler=link.idler.q,
-        singles_signal_hz=ph_s + dark_s, singles_idler_hz=ph_i + dark_i,
+        singles_signal_hz=link.signal.photon_hz + link.signal.dark_hz,
+        singles_idler_hz=link.idler.photon_hz + link.idler.dark_hz,
         both_rate_hz=both, window_ps=w, capture_fraction=capture,
-        central_max_in_window_hz=both * link.central_max_weight * capture,
+        central_max_in_window_hz=central_max,
         central_at_config_phase_hz=both * w_c * capture,
-        accidental_in_window_hz=math.fsum(parts.values()),
-        accidental_parts_hz=parts,
+        accidental_in_window_hz=accidental, accidental_parts_hz=parts,
         side_leak_in_window_hz=both * (w_e * peak.mass(-1, 0.0, w)
                                        + w_l * peak.mass(+1, 0.0, w)),
         loss_note=loss_note)
@@ -305,7 +313,7 @@ def predict_rates(config: SimulationConfig,
     rates = config.rates
     if window_ps is None or window_ps == rates.window_ps:
         return rates
-    return _at_window(config, window_ps, rates.loss_note)
+    return _at_window(config.link, window_ps, rates.loss_note)
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +345,23 @@ def predict_visibility(config: SimulationConfig, *,
     with no side correction — that is what fitting this package's own
     simulated histograms yields.
     """
-    return _visibility(config.link, predict_rates(config),
-                       include_side_leak)
-
-
-def _visibility(link: LinkModel, rates: RatePrediction,
-                include_side_leak: bool) -> VisibilityPrediction:
-    _, w_e, w_l = link.weights  # w_e + w_l: central weight's phase mean
-    mean_central = rates.both_rate_hz * rates.capture_fraction * (w_e + w_l)
+    rates, link = predict_rates(config), config.link
     background = rates.accidental_in_window_hz
     if include_side_leak:
         background += rates.side_leak_in_window_hz
-    total = mean_central + background
-    v = link.contrast_total * mean_central / total if total > 0.0 else 0.0
+    mean_central, v = _fringe(link, rates.capture_fraction, background)
     return VisibilityPrediction(v, link.contrast_total, mean_central,
                                 background, rates.capture_fraction)
+
+
+def _fringe(link: LinkModel, capture: float,
+            background_hz: float) -> Tuple[float, float]:
+    """(phase-mean windowed central rate, visibility) over background."""
+    _, w_e, w_l = link.weights  # w_e + w_l: central weight's phase mean
+    mean_central = link.both_hz * capture * (w_e + w_l)
+    total = mean_central + background_hz
+    return mean_central, (link.contrast_total * mean_central / total
+                          if total > 0.0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -422,9 +432,8 @@ def optimize_window(config: SimulationConfig,
                 "the side peaks out")
     entries: List[WindowScore] = []
     for w in grid:
-        rates = predict_rates(config, w)
-        rate = rates.central_max_in_window_hz
-        v = _visibility(config.link, rates, False).visibility
+        capture, rate, _, accidental = _window_terms(config.link, w)
+        v = _fringe(config.link, capture, accidental)[1]
         s, _ = chsh_from_visibility(v)
         entries.append(WindowScore(
             window_ps=w, visibility=v, s_value=s,

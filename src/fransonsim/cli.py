@@ -23,6 +23,7 @@ import dataclasses
 import math
 import os
 import sys
+import textwrap
 from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
@@ -219,11 +220,12 @@ def _cmd_budget(args) -> int:
     verdict = bell_verdict(cfg)
 
     ledger = build_ledger(cfg)
-    print(f"loss ledger ({rates.loss_note})")
+    print("loss ledger")
     for arm, entries in ledger.items():
         parts = ", ".join(f"{e.label} {e.loss_db:g} dB" for e in entries)
         print(f"  {arm}: total {getattr(cfg.link, arm).loss_db:g} dB  "
               f"({parts})")
+    print(textwrap.indent(textwrap.fill(rates.loss_note, 98), "  "))
     print(f"generated pairs      {rates.generated_pair_rate_hz:.4g} Hz")
     print(f"singles              signal {rates.singles_signal_hz:.4g} Hz, "
           f"idler {rates.singles_idler_hz:.4g} Hz")

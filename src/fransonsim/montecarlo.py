@@ -134,6 +134,8 @@ _DRAW_CHUNK = 1 << 16
 # (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
 Bucket = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+_LAST_LINK: list = [((), (), None)]     # see SimulationConfig.link
+
 # Stage ids for per-(stage, slice) RNG streams.
 _ST_SIGNAL = 0        # signal photon clicks
 _ST_IDLER_COND = 1    # idler partners of signal clicks
@@ -247,9 +249,20 @@ class SimulationConfig:
 
     @cached_property
     def link(self) -> LinkModel:
-        """budget.LinkModel of this config, derived on first read.  Not
-        a field: asdict, hashing and config files never see it."""
-        return LinkModel.from_config(self)
+        """budget.LinkModel of this config, derived on first read unless
+        the last one derived read these very specs and acquisition time,
+        as configs replaced in tia or master_seed alone do.  _LAST_LINK
+        holds it as (key, specs, link), the specs keeping the key's ids
+        live, and is replaced whole, so threads share it.  Not a field:
+        asdict, hashing and config files never see it."""
+        specs = (self.source, self.channel_signal, self.channel_idler,
+                 self.analyzer_signal, self.analyzer_idler,
+                 self.detector_signal, self.detector_idler, self.drift)
+        key = (*map(id, specs), self.acquisition_time_s)
+        last = _LAST_LINK[0]
+        if last[0] != key:
+            last = _LAST_LINK[0] = (key, specs, LinkModel.from_config(self))
+        return last[2]
 
     @cached_property
     def rates(self) -> RatePrediction:
@@ -360,15 +373,18 @@ def _filter_clicks(key: np.ndarray, dead_ps: int, carry: int
     for c in _chunks(t.size):
         keep = np.empty(c.stop - c.start, dtype=bool)
         keep[0] = int(t[c.start]) - before >= dead
-        np.greater_equal(np.diff(t[c]), dead, out=keep[1:])
-        for j in np.flatnonzero(~keep).tolist():
-            i = c.start + j
-            if i != prev + 1:                   # its predecessor was kept
-                last = int(t[i - 1]) if j else before
-            if int(t[i]) - last >= dead:
-                keep[j] = True
-                last = int(t[i])
-            prev = i
+        if dead == 1:   # no close click is kept: drop repeats alone
+            np.not_equal(t[c][1:], t[c][:-1], out=keep[1:])
+        else:
+            np.greater_equal(np.diff(t[c]), dead, out=keep[1:])
+            for j in np.flatnonzero(~keep).tolist():
+                i = c.start + j
+                if i != prev + 1:               # its predecessor was kept
+                    last = int(t[i - 1]) if j else before
+                if int(t[i]) - last >= dead:
+                    keep[j] = True
+                    last = int(t[i])
+                prev = i
         before = int(t[c.stop - 1])
         k = int(np.count_nonzero(keep))
         if n < c.start or k < keep.size:      # else it stays where it is
@@ -488,7 +504,7 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
         return buf, n_ph
 
     sig, n_sig = channel(_ST_SIGNAL, link.signal.photon_hz, _ST_SIGNAL_DARKS,
-                         config.detector_signal.dark_rate_hz, 0)
+                         link.signal.dark_hz, 0)
 
     # idler partners, thinned from the signal photon clicks: given a
     # signal click, a surviving idler clicks with probability 2*w_pair,
@@ -498,8 +514,7 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     n_b = int(rng.binomial(n_sig, p_b))
     idl, n_idl = channel(_ST_IDLER_ONLY,
                          rate * q_i * (0.5 - q_s * w_pair),
-                         _ST_IDLER_DARKS, config.detector_idler.dark_rate_hz,
-                         n_b)
+                         _ST_IDLER_DARKS, link.idler.dark_hz, n_b)
     pair = idl[:n_b]
     pair[:] = sig[rng.choice(n_sig, n_b, replace=False, shuffle=False)]
     p_same, p_early = w_c / w_pair, (w_c + w_e) / w_pair

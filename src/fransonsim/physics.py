@@ -191,6 +191,10 @@ class AnalyzerSpec:
             raise ValidationError(
                 "temperature drive requires a finite phase_per_kelvin_rad")
         _require_finite(self)
+        if self.temperature_c is not None and not math.isfinite(
+                (self.temperature_c - self.reference_temp_c)
+                * self.phase_per_kelvin_rad):
+            raise ValidationError("temperature_c gives a non-finite phase")
 
     def effective_phase_rad(self) -> float:
         """Analyzer phase in [0, 2*pi), from whichever knob is set."""

@@ -9,6 +9,8 @@ closes the loop against the event-level engine.
 import dataclasses
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,13 +21,15 @@ from hypothesis import strategies as st
 from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
                                 CoincidenceWindowSpec, DetectorSpec,
-                                SourceSpec, accidental_rate)
+                                SourceSpec, accidental_rate,
+                                chsh_from_visibility)
 from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    run_simulation)
 from fransonsim.tia import build_histogram, count_in_window
-from fransonsim.budget import (LinkModel, RatePrediction, bell_verdict,
-                               build_ledger, optimize_window, predict_rates,
-                               predict_visibility)
+from fransonsim import scenarios
+from fransonsim.budget import (LinkModel, RatePrediction, WindowScore,
+                               bell_verdict, build_ledger, optimize_window,
+                               predict_rates, predict_visibility)
 from fransonsim.cli import main
 from fransonsim.scenarios import (ScanPlan, config_hash, emit_outputs,
                                   load_config, phase_grid, preset,
@@ -283,7 +287,7 @@ def test_bell_verdict_chain():
 
 
 # ---------------------------------------------------------------------------
-# one link per config
+# one link per link
 # ---------------------------------------------------------------------------
 
 def _count_links(monkeypatch):
@@ -323,6 +327,99 @@ def test_replaced_config_derives_its_own_link():
                                                  fiber_length_km=60.0))
     assert longer.link.signal.loss_db == pytest.approx(27.0)
     assert longer.link.idler == cfg.link.idler
+
+
+def test_a_design_grid_derives_one_link_per_length_and_mu(monkeypatch):
+    # shaped like perfbench's closed-form-map: the windows of a
+    # (length, mu) cell share the link optimize_window derived
+    base = preset("paper-100km").config
+    windows = [60.0, 100.0, 140.0]
+    calls = _count_links(monkeypatch)
+    for km in (10.0, 50.0):
+        cfg_km = replace(
+            base, channel_signal=replace(base.channel_signal,
+                                         fiber_length_km=km),
+            channel_idler=replace(base.channel_idler, fiber_length_km=km))
+        for mu in (1e-3, 1e-2):
+            cfg_mu = replace(cfg_km, source=replace(
+                base.source, mean_pairs_per_window=mu))
+            optimize_window(cfg_mu, windows, "rate_weighted")
+            for w in windows:
+                cfg = replace(cfg_mu, tia=replace(base.tia, window_ps=w))
+                predict_rates(cfg)
+                predict_visibility(cfg, include_side_leak=True)
+                bell_verdict(cfg)
+    assert len(calls) == 4
+
+
+def test_window_and_seed_replacements_share_the_link():
+    cfg = paper_link(50.0, 100.0, contrast=CAL_CONTRAST)
+    link = cfg.link
+    assert replace(cfg, tia=replace(cfg.tia, window_ps=60.0)).link is link
+    assert replace(cfg, master_seed=7).link is link
+    assert replace(cfg, acquisition_time_s=1.0).link is link
+    assert replace(cfg, acquisition_time_s=2.0).link is not link
+
+
+@pytest.mark.parametrize("name", [
+    "source", "channel_signal", "channel_idler", "analyzer_signal",
+    "analyzer_idler", "detector_signal", "detector_idler", "drift"])
+def test_an_equal_new_spec_derives_its_own_link(monkeypatch, name):
+    cfg = _WINDOW_CONFIGS[2]        # a drift walk: every spec is read
+    link = cfg.link
+    calls = _count_links(monkeypatch)
+    other = replace(cfg, **{name: replace(getattr(cfg, name))})
+    assert getattr(other, name) == getattr(cfg, name)
+    assert other.link is not link
+    assert calls == [other]
+    assert _bits(other.link) == _bits(link) \
+        == _bits(LinkModel.from_config(cfg))
+
+
+def test_pooled_fringe_points_read_their_own_links(monkeypatch):
+    points = []
+    original = scenarios.measure_point
+
+    def recorded(config, setting):
+        points.append(config)
+        return original(config, setting)
+    monkeypatch.setattr(scenarios, "measure_point", recorded)
+    monkeypatch.setattr(scenarios, "_pool_workers", lambda config, n: 3)
+    run_scenario(replace(preset("ideal"), plan=ScanPlan(
+        settings=phase_grid(6), acquisition_s_per_point=0.01)))
+    assert len(points) == 6
+    for cfg in points:
+        assert _bits(cfg.link) == _bits(LinkModel.from_config(cfg))
+
+
+def test_threads_sharing_the_last_link_read_their_own_links():
+    # more threads than cores, switching often: no config may take
+    # another config's link.  The property's body is called directly:
+    # some Pythons' cached_property serialises it behind one lock.
+    bases = [paper_link(km, 100.0) for km in (0.0, 20.0, 50.0, 80.0)]
+    want = [_bits(LinkModel.from_config(b)) for b in bases]
+    wrong = []
+
+    def work(k):
+        for i in range(150):
+            j = (k + i) % len(bases)
+            cfg = replace(bases[j], tia=CoincidenceWindowSpec(
+                window_ps=60.0 + i % 7))
+            if _bits(SimulationConfig.link.func(cfg)) != want[j]:
+                wrong.append((k, i))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _count_rates(monkeypatch):
@@ -420,6 +517,27 @@ def test_rates_at_a_window_are_a_config_at_that_window(k, window):
         == _bits(predict_rates(at_window)) \
         == _bits(RatePrediction.from_config(at_window))
     assert predict_rates(cfg, window).window_ps == window
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, len(_WINDOW_CONFIGS) - 1),
+       grid=st.lists(st.floats(10.0, 199.0), min_size=1, max_size=6),
+       objective=st.sampled_from(["s_value", "rate_weighted"]))
+def test_window_scores_are_the_rates_at_each_window(k, grid, objective):
+    # the oracle: the full closed form of the config at each window
+    cfg = _WINDOW_CONFIGS[k]
+    want = []
+    for w in sorted(grid):
+        at_window = replace(cfg, tia=replace(cfg.tia, window_ps=w))
+        v = predict_visibility(at_window).visibility
+        s, _ = chsh_from_visibility(v)
+        rate = predict_rates(cfg, w).central_max_in_window_hz
+        want.append(WindowScore(
+            window_ps=w, visibility=v, s_value=s,
+            central_max_in_window_hz=rate,
+            score=s if objective == "s_value" else v ** 2 * rate))
+    got = optimize_window(cfg, grid, objective).entries
+    assert repr(got) == repr(tuple(want))
 
 
 def test_rates_is_not_a_config_field(tmp_path):

@@ -93,9 +93,14 @@ def test_budget_writes_non_finite_values_as_strings(tmp_path):
 def test_budget_prints_huge_singles_in_short_lines(tmp_path, capsys):
     # singles of ~1e205 Hz: every rate prints in 4 significant digits
     assert run_cli("budget", _mu_config(tmp_path, 1e200)) == 0
-    ledger, *lines = capsys.readouterr().out.splitlines()
-    assert ledger.startswith("loss ledger (")   # the loss note, any mu
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "loss ledger"
     assert max(len(line) for line in lines) <= 200
+    # after the two arm lines, the loss note in lines of <= 100
+    note = [line for line in lines[3:] if line.startswith("  ")]
+    assert note[0].startswith("  per-arm optical losses")
+    assert note[-1].endswith("double-counts it.")
+    assert max(len(line) for line in note) <= 100
     assert any(line.startswith("singles ") and "e+205 Hz" in line
                for line in lines)
 
@@ -106,6 +111,19 @@ def test_budget_overflowing_pair_rate_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mean_pairs_per_window" in err and "pair rate" in err
     assert "Traceback" not in err
+
+
+def test_budget_overflowing_temperature_phase_exits_2(tmp_path, capsys):
+    cfg = preset("paper-100km").config
+    path = tmp_path / "hot.json"
+    save_config(cfg, path)
+    doc = json.loads(path.read_text())
+    doc["analyzer_signal"].update(phase_rad=None, temperature_c=1e300,
+                                  phase_per_kelvin_rad=1e10)
+    path.write_text(json.dumps(doc))
+    assert run_cli("budget", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "non-finite phase" in err and "Traceback" not in err
 
 
 def test_budget_requires_one_source(small_config, capsys):

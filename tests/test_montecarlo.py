@@ -316,6 +316,37 @@ def test_click_filter_matches_merge_then_per_click_loop(
     assert last == want_last
 
 
+@settings(max_examples=300, deadline=None)
+@given(times=st.lists(st.integers(0, 400), max_size=200),
+       repeats=st.lists(st.integers(0, 199), max_size=60),
+       carry_back=st.integers(1, 50), dead_ps=st.sampled_from([0, 1]),
+       chunk=st.sampled_from([1, 2, 7, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+@example(times=[3, 3, 3, 4], repeats=[0, 3], carry_back=1, dead_ps=0,
+         chunk=2, seed=0)
+def test_dedupe_fast_path_is_the_sequential_rule_at_one_ps(
+        times, repeats, carry_back, dead_ps, chunk, seed):
+    # at a dead time of at most 1 ps a click is kept iff it differs
+    # from its predecessor; the reference is the per-click rule at 1 ps
+    # on the sorted keys, photon before dark within a picosecond
+    rng = np.random.default_rng(seed)
+    t = 10**12 + np.asarray(times, dtype=np.int64)
+    d = rng.random(t.size) < 0.4
+    # planted duplicates: repeated clicks, and photon/dark ties
+    again = [i for i in repeats if i < t.size]
+    t = np.concatenate([t, t[again], t[again]])
+    d = np.concatenate([d, d[again], ~d[again]])
+    key = packed_keys(t, d)
+    carry = int(key[0] >> 1) - carry_back if key.size else -2**62
+    want_t, want_d, want_last = _dead_time_loop(key >> 1, (key & 1) == 1,
+                                                1, carry)
+    with mock.patch.object(montecarlo, "_DRAW_CHUNK", chunk):
+        got_t, got_d, got_last = _filter_clicks(key.copy(), dead_ps, carry)
+    assert np.array_equal(got_t, want_t)
+    assert np.array_equal(got_d, want_d)
+    assert got_last == want_last
+
+
 # ---------------------------------------------------------------------------
 # engine invariants
 # ---------------------------------------------------------------------------

@@ -321,6 +321,18 @@ def test_analyzer_effective_phase_from_temperature():
     assert spec.effective_phase_rad() == pytest.approx(1.6, abs=1e-12)
 
 
+@pytest.mark.parametrize("temp, ref, coeff", [
+    (1e300, 22.5, 1e10),        # the product overflows
+    (1.7e308, -1.7e308, 1.0),   # the difference overflows
+    (1.7e308, -1.7e308, 0.0),   # inf * 0 is nan
+])
+def test_analyzer_rejects_a_temperature_phase_that_overflows(
+        temp, ref, coeff):
+    with pytest.raises(ValidationError, match="non-finite phase"):
+        AnalyzerSpec(phase_rad=None, temperature_c=temp,
+                     phase_per_kelvin_rad=coeff, reference_temp_c=ref)
+
+
 def test_analyzer_rejects_bad_contrast():
     with pytest.raises(ValidationError):
         AnalyzerSpec(contrast=1.01)
