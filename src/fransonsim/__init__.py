@@ -9,8 +9,8 @@ The package namespace holds the names README.md documents; everything
 else is imported from its module.
 """
 
-from .errors import (FitDegenerate, FitNotConverged, FransonError,
-                     ParseError, ValidationError)
+from .errors import (FitDegenerate, FransonError, ParseError,
+                     ValidationError)
 from .physics import (chsh_from_visibility, dispersion_broaden,
                       franson_bin_probabilities, solve_beta2)
 from .montecarlo import (SimulationConfig, iter_click_buckets,
@@ -25,8 +25,8 @@ from .scenarios import (ScanPlan, Scenario, load_config, measure_point,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FitDegenerate", "FitNotConverged", "FransonError",
-    "HistogramAccumulator", "LinkModel", "ParseError", "ScanPlan",
+    "FitDegenerate", "FransonError", "HistogramAccumulator",
+    "LinkModel", "ParseError", "ScanPlan",
     "Scenario", "SimulationConfig", "ValidationError", "build_histogram",
     "chsh_from_visibility", "dispersion_broaden", "fit_fringe",
     "franson_bin_probabilities", "iter_click_buckets", "load_config",

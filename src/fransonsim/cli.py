@@ -29,8 +29,8 @@ from typing import List, Optional, Tuple, Union
 
 from .budget import WINDOW_OBJECTIVES, WindowScore, bell_verdict, \
     build_ledger, optimize_window, predict_rates, predict_visibility
-from .errors import FitDegenerate, FitNotConverged, FransonError, \
-    ParseError, ValidationError
+from .errors import FitDegenerate, FransonError, ParseError, \
+    ValidationError
 from .montecarlo import SimulationConfig, read_click_stream, \
     streams_from_buckets, write_click_stream
 from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, ScanPlan,
@@ -222,9 +222,9 @@ def _cmd_budget(args) -> int:
     ledger = build_ledger(cfg)
     print("loss ledger")
     for arm, entries in ledger.items():
-        parts = ", ".join(f"{e.label} {e.loss_db:g} dB" for e in entries)
-        print(f"  {arm}: total {getattr(cfg.link, arm).loss_db:g} dB  "
-              f"({parts})")
+        print(f"  {arm}: total {getattr(cfg.link, arm).loss_db:g} dB")
+        for e in entries:
+            print(f"    {e.label} {e.loss_db:g} dB")
     print(textwrap.indent(textwrap.fill(rates.loss_note, 98), "  "))
     print(f"generated pairs      {rates.generated_pair_rate_hz:.4g} Hz")
     print(f"singles              signal {rates.singles_signal_hz:.4g} Hz, "
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-    except (FitDegenerate, FitNotConverged) as exc:
+    except FitDegenerate as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE
     except FransonError as exc:

@@ -28,7 +28,3 @@ class FitDegenerate(FransonError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-
-
-class FitNotConverged(FransonError):
-    """The fringe fit exhausted its iteration budget."""

@@ -191,10 +191,8 @@ class AnalyzerSpec:
             raise ValidationError(
                 "temperature drive requires a finite phase_per_kelvin_rad")
         _require_finite(self)
-        if self.temperature_c is not None and not math.isfinite(
-                (self.temperature_c - self.reference_temp_c)
-                * self.phase_per_kelvin_rad):
-            raise ValidationError("temperature_c gives a non-finite phase")
+        if self.temperature_c is not None:   # refuses a non-finite phase
+            temp_to_phase(self.temperature_c, self)
 
     def effective_phase_rad(self) -> float:
         """Analyzer phase in [0, 2*pi), from whichever knob is set."""
@@ -370,4 +368,8 @@ def temp_to_phase(temp_c: float, spec: AnalyzerSpec) -> float:
     coeff = spec.phase_per_kelvin_rad
     if coeff is None or not math.isfinite(coeff):
         raise ValidationError("phase_per_kelvin_rad must be set and finite")
-    return wrap_phase((temp_c - spec.reference_temp_c) * coeff)
+    phase = (temp_c - spec.reference_temp_c) * coeff
+    if not math.isfinite(phase):
+        raise ValidationError(
+            f"temperature_c={temp_c!r} gives a non-finite phase")
+    return wrap_phase(phase)

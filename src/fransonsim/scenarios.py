@@ -33,15 +33,15 @@ import numpy as np
 from .budget import (WINDOW_OBJECTIVES, RatePrediction, WindowOptimization,
                      WindowScore, predict_rates, predict_visibility,
                      optimize_window)
-from .errors import FitDegenerate, FitNotConverged, ParseError, \
-    ValidationError
+from .errors import FitDegenerate, ParseError, ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
                          TimingDriftSpec, derive_seed, iter_click_buckets,
                          slice_clicks)
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
-from .tia import (DelayHistogram, FringeScan, HistogramAccumulator,
-                  VisibilityEstimate, count_in_window, fit_fringe, window_bins)
+from .tia import (MIN_FIT_POINTS, DelayHistogram, FringeScan,
+                  HistogramAccumulator, VisibilityEstimate, count_in_window,
+                  fit_fringe, window_bins)
 
 # Stock link parameters shared by the shipped presets: 50 km of 0.2 dB/km
 # fiber per arm behind 10 dB of pre-fiber coupling loss, 5 dB analyzers,
@@ -163,10 +163,10 @@ class Scenario:
                     f"phase scan over analyzer_{self.plan.scanned} needs a "
                     f"phase-driven analyzer (phase_rad set)")
             if self.plan.abscissa == "temperature" \
-                    and analyzer.phase_per_kelvin_rad is None:
+                    and not analyzer.phase_per_kelvin_rad:
                 raise ValidationError(
                     f"temperature scan over analyzer_{self.plan.scanned} "
-                    f"needs phase_per_kelvin_rad on that analyzer")
+                    f"needs a non-zero phase_per_kelvin_rad on that analyzer")
 
     @property
     def mode(self) -> str:
@@ -647,15 +647,20 @@ def run_scenario(scenario: Scenario,
             for p in points:
                 p.histogram = None
         report.points = points
+        # radians of summed phase per setting unit; a phase that falls
+        # with temperature fits as the mirrored fringe: the same V, the
+        # phase offset negated
+        coeff = getattr(cfg, f"analyzer_{plan.scanned}").phase_per_kelvin_rad
         report.scan = FringeScan(
             settings=np.array([p.setting for p in points]),
             counts=np.array([p.counts_central for p in points]),
             acquisition_s=plan.acquisition_s_per_point,
+            frequency=1.0 if plan.abscissa == "phase" else abs(float(coeff)),
         )
-        if len(points) >= 5:  # the 4-parameter fit needs headroom
+        if len(points) >= MIN_FIT_POINTS:
             try:
                 report.estimate = fit_fringe(report.scan)
-            except (FitDegenerate, FitNotConverged) as exc:
+            except FitDegenerate as exc:
                 report.fit_degenerate = True
                 report.estimate = getattr(exc, "estimate", None)
         else:

@@ -11,9 +11,8 @@ Conventions:
   [center - w/2, center + w/2), the interval the closed form integrates,
   so its edges must lie on the bin grid inside the range (window_bins);
 * counts are Poisson-weighted in fits, with sigma = sqrt(max(n, 1));
-* the fringe fit is numpy alone: a linear solve on a frequency grid,
-  then a Levenberg-Marquardt polish with the analytic Jacobian, which
-  also gives the covariance.
+* the fringe fit is one weighted linear solve at the scan's known
+  fringe frequency.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import FitDegenerate, FitNotConverged, ValidationError
+from .errors import FitDegenerate, ValidationError
 
 _PAIR_CHUNK = 1 << 16   # starts, pairs or neighbours handled at once
-_MIN_FREQ = 1e-12       # lower bound on the fitted fringe frequency
-_FIT_TOL = 1e-14        # gradient, chi^2 and step tolerance of the polish
-_FIT_MAX_NFEV = 500     # model evaluations before FitNotConverged
-_NYQUIST_TOL = 1e-3     # relative distance of a fit "at" the Nyquist limit
+# Fewest scan points fit_fringe takes: its three parameters plus one
+# degree of freedom, so chi^2 can check the fringe period.
+MIN_FIT_POINTS = 4
 # Largest delay histogram, in bins (8 MiB of counts): ~10^4 times the 40
 # bins the presets need and the 60 of `fransonsim histogram`'s defaults,
 # yet it refuses a 1e9 ps range at 1 ps bins, which would take 16 GB.
@@ -251,12 +249,13 @@ def count_in_window(hist: DelayHistogram, center_ps: float,
 
 @dataclass
 class FringeScan:
-    """Coincidence counts versus analyzer setting (phase in rad, or
-    any unit proportional to phase — the fit recovers the scale)."""
+    """Coincidence counts versus analyzer setting.  frequency is the
+    radians of summed phase per setting unit: 1 for settings in rad."""
 
     settings: np.ndarray
     counts: np.ndarray
     acquisition_s: float
+    frequency: float = 1.0
 
     def __post_init__(self):
         self.settings = np.asarray(self.settings, dtype=np.float64)
@@ -265,10 +264,16 @@ class FringeScan:
             raise ValidationError("settings must be a non-empty 1-d array")
         if self.counts.shape != self.settings.shape:
             raise ValidationError("counts must match settings in shape")
+        for name, v in (("settings", self.settings), ("counts", self.counts)):
+            if not np.isfinite(v).all():
+                raise ValidationError(f"{name} must be finite")
         if np.any(self.counts < 0):
             raise ValidationError("counts must be non-negative")
-        if not (self.acquisition_s > 0.0):
-            raise ValidationError("acquisition_s must be > 0")
+        for name in ("acquisition_s", "frequency"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValidationError(f"{name} must be finite and > 0, "
+                                      f"got {v!r}")
 
 
 @dataclass
@@ -289,124 +294,39 @@ class VisibilityEstimate:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _linear_fringe_solve(x, rates, weights, freq):
+def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
+    """Weighted sinusoid fit at the scan's frequency f:
+    rate = a0 + a1 cos(f x) + a2 sin(f x), one linear least-squares
+    solve.  Visibility is hypot(a1, a2)/a0, clamped to [0, 1]; its
+    sigma comes from the covariance (D^T W D)^-1 through the delta
+    method.
+
+    ValidationError for fewer than MIN_FIT_POINTS points or settings
+    that leave (a0, a1, a2) unidentified; FitDegenerate (estimate
+    attached) when no significant modulation exists.
+    """
+    x, freq = scan.settings, scan.frequency
+    if x.size < MIN_FIT_POINTS:
+        raise ValidationError(f"need at least {MIN_FIT_POINTS} scan points "
+                              f"to fit, got {x.size}")
+    rates = scan.counts / scan.acquisition_s
+    weights = scan.acquisition_s / np.sqrt(np.maximum(scan.counts, 1.0))
     design = np.column_stack([np.ones_like(x),
                               np.cos(freq * x), np.sin(freq * x)])
     wd = design * weights[:, None]
-    wr = rates * weights
-    coef, *_ = np.linalg.lstsq(wd, wr, rcond=None)
-    resid = (design @ coef - rates) * weights
-    return coef, float(resid @ resid)
-
-
-def _fringe_residuals(p, x, rates, weights):
-    """Weighted residuals of rate = a0 + a1 cos(f x) + a2 sin(f x) and
-    their analytic Jacobian in (a0, a1, a2, f)."""
-    a0, a1, a2, f = p
-    c, s = np.cos(f * x), np.sin(f * x)
-    resid = (a0 + a1 * c + a2 * s - rates) * weights
-    jac = np.column_stack([weights, weights * c, weights * s,
-                           weights * x * (a2 * c - a1 * s)])
-    return resid, jac
-
-
-def _polish_fringe(p, x, rates, weights):
-    """Levenberg-Marquardt on the weighted chi^2 from start p, with
-    f >= _MIN_FREQ.  Stops on a gradient below _FIT_TOL, on a relative
-    chi^2 drop below _FIT_TOL from a step the local model predicted
-    well, or on a step below _FIT_TOL of |p|.  Returns (p, resid, jac)
-    at the optimum; FitNotConverged after _FIT_MAX_NFEV model
-    evaluations, as where the chi^2 keeps falling while f slides to 0."""
-    resid, jac = _fringe_residuals(p, x, rates, weights)
-    cost = float(resid @ resid)
-    scale = np.zeros(4)
-    damping, growth = 1e-3, 2.0
-    for _ in range(_FIT_MAX_NFEV - 1):
-        hess, grad = jac.T @ jac, jac.T @ resid
-        if np.max(np.abs(grad)) < _FIT_TOL:
-            break
-        # Marquardt's diagonal scaling; like MINPACK it never shrinks
-        scale = np.maximum(scale, np.diag(hess))
-        floor = np.where(scale > 0.0, scale, 1.0)
-        step = np.linalg.solve(hess + damping * np.diag(floor), -grad)
-        trial = p + step
-        trial[3] = max(trial[3], _MIN_FREQ)
-        step = trial - p
-        resid_t, jac_t = _fringe_residuals(trial, x, rates, weights)
-        cost_t = float(resid_t @ resid_t)
-        predicted = -float(2.0 * grad @ step + step @ hess @ step)
-        gain = (cost - cost_t) / predicted if predicted > 0.0 else 0.0
-        small_step = math.sqrt(step @ step) \
-            < _FIT_TOL * (_FIT_TOL + math.sqrt(p @ p))
-        if math.isfinite(cost_t) and cost_t < cost:
-            small_drop = cost - cost_t < _FIT_TOL * cost and gain > 0.25
-            p, resid, jac, cost = trial, resid_t, jac_t, cost_t
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            growth = 2.0
-            if small_drop or small_step:
-                break
-        else:
-            if small_step:
-                break
-            damping *= growth
-            growth *= 2.0
-    else:
-        raise FitNotConverged(
-            f"fringe fit stalled after {_FIT_MAX_NFEV} evaluations")
-    return p, resid, jac
-
-
-def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
-    """Weighted sinusoid fit: rate = a0 + a1 cos(k x) + a2 sin(k x).
-
-    The frequency k is scanned on a log grid (strictly below the Nyquist
-    limit of the setting spacing) for the linear sub-problem, then
-    polished together with the amplitudes by Levenberg-Marquardt.
-    Visibility is hypot(a1, a2)/a0, clamped to [0, 1]; its sigma comes
-    from the weighted-fit covariance pinv(J^T J) of the analytic
-    Jacobian through the delta method.
-
-    Raises FitDegenerate (estimate attached) when no significant
-    modulation exists or the fit ends at the Nyquist limit (where the
-    sine amplitude is not identified), FitNotConverged if the polish
-    stalls.
-    """
-    x = scan.settings
-    if x.size < 5:
+    coef, _, rank, _ = np.linalg.lstsq(wd, rates * weights, rcond=None)
+    if rank < 3:
         raise ValidationError(
-            f"need at least 5 scan points to fit, got {x.size}")
-    rates = scan.counts / scan.acquisition_s
-    sigma = np.sqrt(np.maximum(scan.counts, 1.0)) / scan.acquisition_s
-    weights = 1.0 / sigma
-
-    gaps = np.diff(np.sort(x))
-    gaps = gaps[gaps > 0.0]
-    if gaps.size == 0:
-        raise ValidationError("settings must not all coincide")
-    spacing = float(np.median(gaps))
-    nyquist = math.pi / spacing
-    grid = np.geomspace(0.05, max(nyquist, 0.06), 64)
-    grid = np.unique(np.append(grid, min(1.0, nyquist)))
-    # at the Nyquist frequency the sine column vanishes and a2 is not
-    # identified: start strictly below it
-    grid = grid[grid < nyquist]
-    if grid.size == 0:   # settings spaced wider than 2 pi / 0.05
-        grid = np.geomspace(0.05 * nyquist, nyquist, 64, endpoint=False)
-
-    best = min((_linear_fringe_solve(x, rates, weights, f) + (f,)
-                for f in grid), key=lambda t: t[1])
-    coef0, _, f0 = best
-
-    p, resid, jac = _polish_fringe(np.append(coef0, f0), x, rates, weights)
-    a0, a1, a2, freq = (float(v) for v in p)
-    cov = np.linalg.pinv(jac.T @ jac)
+            "settings give fewer than three distinct fringe phases: "
+            "the fringe is not identified")
+    a0, a1, a2 = (float(v) for v in coef)
+    resid = (design @ coef - rates) * weights
+    cov = np.linalg.inv(wd.T @ wd)
     amp = math.hypot(a1, a2)
-    chi2 = float(resid @ resid)
-    dof = int(x.size - 4)
 
     if amp > 0.0:
         g_amp = np.array([a1 / amp, a2 / amp])
-        sigma_amp = float(np.sqrt(g_amp @ cov[1:3, 1:3] @ g_amp))
+        sigma_amp = float(np.sqrt(g_amp @ cov[1:, 1:] @ g_amp))
     else:
         sigma_amp = float(np.sqrt(max(cov[1, 1], cov[2, 2])))
 
@@ -415,21 +335,14 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
             visibility=v, sigma_visibility=sv, amplitude_hz=amp,
             mean_level_hz=a0,
             phase_offset_rad=math.atan2(-a2, a1) % (2.0 * math.pi),
-            frequency=freq, chi2=chi2, dof=dof)
+            frequency=freq, chi2=float(resid @ resid), dof=x.size - 3)
 
     if a0 <= 0.0 or amp < 2.0 * sigma_amp:
         raise FitDegenerate(
             "no statistically significant fringe modulation "
             f"(amplitude {amp:.3g} +- {sigma_amp:.3g})",
             estimate=build(0.0, math.inf))
-    if abs(freq - nyquist) <= _NYQUIST_TOL * nyquist:
-        raise FitDegenerate(
-            f"fringe frequency {freq:.6g} at the Nyquist limit "
-            f"{nyquist:.6g} of the settings: the sine amplitude is not "
-            "identified", estimate=build(0.0, math.inf))
 
     g = np.array([-amp / a0 ** 2, a1 / (amp * a0), a2 / (amp * a0)])
-    var_v = float(g @ cov[:3, :3] @ g)
-    v = amp / a0
-    return build(min(v, 1.0), math.sqrt(max(var_v, 0.0)))
-
+    var_v = float(g @ cov @ g)
+    return build(min(amp / a0, 1.0), math.sqrt(max(var_v, 0.0)))

@@ -12,9 +12,12 @@ link statistics and dominate the runtime (~15 s together on two
 cores).  Their master seeds are frozen alongside the measured values:
 
 * 100 km preset, 600 s/point, master seed 2
-      -> fitted V = 0.80642 +/- 0.02306
+      -> fitted V = 0.80330 +/- 0.02479
 * back-to-back preset, 60 s/point, master seed 1
-      -> fitted V = 0.84674 +/- 0.00843
+      -> fitted V = 0.84583 +/- 0.00823
+
+Both are fitted at the fringe frequency the plan implies (1 rad per
+rad of phase setting).
 
 The 20-trial visibility-ordering batch in check 7 runs on lossless
 variants (all attenuation and detector-efficiency factors removed;

@@ -87,7 +87,7 @@ def test_ledger_totals_are_exact_sums(tmp_path, capsys):
     assert sum(e.loss_db for e in build_ledger(short)["signal"]) == loss
     save_config(short, tmp_path / "short.json")
     assert main(["budget", str(tmp_path / "short.json")]) == 0
-    assert f"  signal: total {loss:g} dB  (" in capsys.readouterr().out
+    assert f"\n  signal: total {loss:g} dB\n" in capsys.readouterr().out
 
 
 def test_rates_and_engine_share_one_transmission():

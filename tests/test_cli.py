@@ -95,12 +95,16 @@ def test_budget_prints_huge_singles_in_short_lines(tmp_path, capsys):
     assert run_cli("budget", _mu_config(tmp_path, 1e200)) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "loss ledger"
-    assert max(len(line) for line in lines) <= 200
-    # after the two arm lines, the loss note in lines of <= 100
-    note = [line for line in lines[3:] if line.startswith("  ")]
-    assert note[0].startswith("  per-arm optical losses")
-    assert note[-1].endswith("double-counts it.")
-    assert max(len(line) for line in note) <= 100
+    assert max(len(line) for line in lines) <= 100
+    # each arm's total with its ledger entries indented under it, then
+    # the loss note
+    k = next(k for k, line in enumerate(lines)
+             if line.startswith("  per-arm optical losses"))
+    totals = [line for line in lines[1:k] if not line.startswith("    ")]
+    assert [t.split(": total ")[0] for t in totals] == ["  signal", "  idler"]
+    assert len(lines[1:k]) > len(totals)
+    assert all(line.endswith(" dB") for line in lines[1:k])
+    assert any(line.endswith("double-counts it.") for line in lines[k:])
     assert any(line.startswith("singles ") and "e+205 Hz" in line
                for line in lines)
 

@@ -1,8 +1,8 @@
 """Runtime dependencies: the package runs on numpy alone.
 
-scipy is a test-only oracle for the fringe fit (test_tia.py).  Importing
-scipy.optimize at run time would cost every process ~0.5 s of start-up
-and ~45 MB of resident memory.
+No test needs scipy either: the fringe fit is one numpy linear solve.
+Importing scipy.optimize at run time would cost every process ~0.5 s of
+start-up and ~45 MB of resident memory, so a guard keeps it out.
 """
 
 import ast

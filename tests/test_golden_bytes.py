@@ -121,13 +121,13 @@ def _km100_short_signal_fiber():
 @pytest.mark.parametrize("make, json_digest, stdout_digest", [
     (None, "87bad9852e219cff9682e41d760a87d3"
      "c4df6df9ce023c771216eb00436f8c2e",
-     "bdb0683a63a826a10d8e9ee240d90b56"
-     "d6b387c96e1b4cf56e9725e3f965fd07"),
+     "f63d448451bae66ce373c5e3e8020557"
+     "42428e5e834c0a588be3be5e39def2a9"),
     (_km100_short_signal_fiber,
      "3edb2d7239ca8d2ce59d7b2b549ba6ee"
      "9af5aaa68026819e132ef64b05d97224",
-     "3417a98500ceab4911cd993ac9d14923"
-     "06e82d587052bd74aec055b067ada3e0"),
+     "d8aadd32e5e3bd49bceffbafd33c09cc"
+     "014a7420b0c7979d1dec9a370c1205e7"),
 ], ids=["paper-100km", "signal-fiber-5.005km"])
 def test_budget_outputs_are_frozen(make, json_digest, stdout_digest,
                                    tmp_path, capsys):

@@ -264,6 +264,15 @@ def test_temp_to_phase_zero_coefficient():
         assert temp_to_phase(t, spec) == 0.0
 
 
+@pytest.mark.parametrize("temp_c", [1e300, math.nan])
+def test_temp_to_phase_refuses_a_non_finite_phase(temp_c):
+    spec = AnalyzerSpec(phase_rad=None, temperature_c=20.0,
+                        phase_per_kelvin_rad=1e10)
+    with pytest.raises(ValidationError,
+                       match=r"^temperature_c=.* gives a non-finite phase"):
+        temp_to_phase(temp_c, spec)
+
+
 @given(st.floats(-1e3, 1e3))
 @settings(max_examples=200, deadline=None)
 def test_wrap_phase_range(phi):

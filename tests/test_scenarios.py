@@ -28,7 +28,8 @@ from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   emit_outputs, load_config,
                                   measure_point, phase_grid, preset,
                                   run_scenario, save_config)
-from fransonsim.tia import build_histogram, count_in_window
+from fransonsim.tia import (FringeScan, build_histogram, count_in_window,
+                            fit_fringe)
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -122,6 +123,11 @@ def test_temperature_scan_needs_coefficient():
                  phase_per_kelvin_rad=0.4)
     cfg2 = replace(cfg, analyzer_signal=an, analyzer_idler=an)
     Scenario(name="t", config=cfg2, plan=plan)  # valid now
+    # a zero coefficient holds every point at one phase: nothing to fit
+    flat = replace(an, phase_per_kelvin_rad=0.0)
+    with pytest.raises(ValidationError, match="non-zero phase_per_kelvin"):
+        Scenario(name="t", config=replace(cfg, analyzer_signal=flat),
+                 plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +219,27 @@ def temperature_scan():
                    plan=ScanPlan(settings=(21.0, 22.25, 23.5),
                                  acquisition_s_per_point=1.0,
                                  abscissa="temperature"))
+
+
+@pytest.mark.parametrize("coeff", [0.8, -0.8])
+def test_temperature_scan_fits_at_its_calibration(coeff):
+    s = temperature_scan()
+    an = replace(s.config.analyzer_signal, phase_per_kelvin_rad=coeff)
+    s = replace(s, config=replace(s.config, analyzer_signal=an),
+                plan=replace(s.plan, acquisition_s_per_point=2.0,
+                             settings=tuple(19.0 + k for k in range(8))))
+    report = run_scenario(s)
+    est = report.estimate
+    assert not report.fit_degenerate
+    assert est.frequency == 0.8
+    # the same counts as a phase scan, at 1 rad per rad, give the same V
+    phases = coeff * (report.scan.settings - an.reference_temp_c)
+    at_phase = fit_fringe(FringeScan(settings=phases,
+                                     counts=report.scan.counts,
+                                     acquisition_s=report.scan.acquisition_s))
+    assert at_phase.frequency == 1.0
+    assert est.visibility == pytest.approx(at_phase.visibility,
+                                           rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES + ("temperature-scan",))
@@ -412,7 +439,7 @@ def test_ideal_fringe_recovers_unit_visibility(ideal_report):
     assert not ideal_report.fit_degenerate
     assert est.visibility == pytest.approx(
         1.0, abs=max(4 * est.sigma_visibility, 1e-3))
-    assert est.frequency == pytest.approx(1.0, rel=0.05)
+    assert est.frequency == 1.0
 
 
 def test_report_verdict_matches_bell_arithmetic(ideal_report):

@@ -1,9 +1,8 @@
 """Histogram and fringe-analysis tests.
 
 Histogram arithmetic is checked exactly against brute-force pairing;
-fit behavior against analytically constructed scans, a frozen-seed
-Poisson coverage study and, where scipy is installed, the scipy
-least_squares fit that fit_fringe replaced.
+fit behavior against analytically constructed scans, on which the
+linear fit is exact, and a frozen-seed Poisson coverage study.
 """
 
 import math
@@ -13,13 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fransonsim.errors import FitDegenerate, FitNotConverged, ValidationError
+from fransonsim.errors import FitDegenerate, ValidationError
 from fransonsim.physics import ChannelSpec, DetectorSpec, SourceSpec
 from fransonsim.montecarlo import (SimulationConfig, iter_click_buckets,
                                    run_simulation)
 from fransonsim.tia import (FringeScan, HistogramAccumulator,
-                            VisibilityEstimate, build_histogram,
-                            count_in_window, fit_fringe)
+                            build_histogram, count_in_window, fit_fringe)
 from fransonsim import tia
 from fransonsim.tia import _pair_deltas
 
@@ -394,17 +392,29 @@ def test_accumulator_order_check_spans_chunk_boundaries(chunk, monkeypatch):
 def scan_from_law(mean, v, phi0, n=12, acq=2.0, freq=1.0):
     x = np.linspace(0.0, 2.0 * math.pi / freq, n, endpoint=False)
     rate = mean * (1.0 + v * np.cos(freq * x + phi0))
-    return FringeScan(settings=x, counts=rate * acq, acquisition_s=acq)
+    return FringeScan(settings=x, counts=rate * acq, acquisition_s=acq,
+                      frequency=freq)
 
 
 def test_fit_recovers_noiseless_fringe():
     est = fit_fringe(scan_from_law(1000.0, 0.8, 0.7))
     assert abs(est.visibility - 0.8) < 1e-6
     assert abs(est.phase_offset_rad - 0.7) < 1e-6
-    assert abs(est.frequency - 1.0) < 1e-6
+    assert est.frequency == 1.0
     assert abs(est.mean_level_hz - 1000.0) < 1e-3
     assert est.chi2 < 1e-10
-    assert est.dof == 8
+    assert est.dof == 9
+
+
+@pytest.mark.parametrize("freq", [1.0, 0.8])
+@pytest.mark.parametrize("n", [4, 7, 16])
+def test_fit_is_exact_on_noiseless_counts(freq, n):
+    # the fit is one linear solve: exact (V, phi) up to rounding
+    est = fit_fringe(scan_from_law(640.0, 0.73, 2.1, n=n, freq=freq))
+    assert est.visibility == pytest.approx(0.73, rel=1e-12, abs=0.0)
+    assert est.phase_offset_rad == pytest.approx(2.1, rel=1e-12, abs=0.0)
+    assert est.frequency == freq
+    assert est.dof == n - 3
 
 
 @pytest.mark.parametrize("phi0", [0.5, 2.9, 4.4])
@@ -414,20 +424,11 @@ def test_fit_recovers_phase_offset(phi0):
 
 
 def test_fit_recovers_non_unit_frequency():
-    # settings in arbitrary units (e.g. kelvin) at 0.35 rad per unit
+    # settings in arbitrary units (e.g. kelvin), fitted at 0.35 rad per unit
     est = fit_fringe(scan_from_law(800.0, 0.7, 1.2, n=20, freq=0.35))
-    assert abs(est.frequency - 0.35) < 1e-6
+    assert est.frequency == 0.35
     assert abs(est.visibility - 0.7) < 1e-6
-
-
-@pytest.mark.parametrize("n", [6, 8])
-def test_fit_below_a_nyquist_limit_under_the_default_grid(n):
-    # settings ~100 units apart put the Nyquist limit below the grid's
-    # 0.05 floor: the start grid then spans the range below the limit
-    # instead of aliases above it
-    est = fit_fringe(scan_from_law(800.0, 0.7, 1.2, n=n, freq=0.01))
-    assert abs(est.frequency - 0.01) < 1e-9
-    assert abs(est.visibility - 0.7) < 1e-6
+    assert abs(est.phase_offset_rad - 1.2) < 1e-6
 
 
 def test_fit_flat_scan_is_degenerate_with_estimate():
@@ -467,214 +468,50 @@ def test_fit_sigma_covers_truth():
 
 
 def test_fit_rejects_underdetermined_scans():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError):
-        fit_fringe(FringeScan(settings=x, counts=np.ones(4),
+    x = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match="at least 4 scan points"):
+        fit_fringe(FringeScan(settings=x, counts=np.ones(3),
                               acquisition_s=1.0))
     with pytest.raises(ValidationError):
         FringeScan(settings=np.zeros(6), counts=np.ones(5),
                    acquisition_s=1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="three distinct"):
         fit_fringe(FringeScan(settings=np.zeros(6), counts=np.ones(6),
                               acquisition_s=1.0))
+    # phases 0 and pi alone leave the sine amplitude unidentified, in
+    # radians or in settings of half a period each
+    k = np.arange(5.0)
+    counts = 500.0 * (1.0 + 0.6 * np.cos(k * math.pi + 0.4))
+    for x, freq in ((k * math.pi, 1.0), (k, math.pi)):
+        with pytest.raises(ValidationError, match="three distinct"):
+            fit_fringe(FringeScan(settings=x, counts=counts,
+                                  acquisition_s=1.0, frequency=freq))
 
 
-# ---------------------------------------------------------------------------
-# fringe fit against the scipy least_squares reference
-# ---------------------------------------------------------------------------
-
-def _reference_linear_fringe_solve(x, rates, weights, freq):
-    design = np.column_stack([np.ones_like(x),
-                              np.cos(freq * x), np.sin(freq * x)])
-    wd = design * weights[:, None]
-    wr = rates * weights
-    coef, *_ = np.linalg.lstsq(wd, wr, rcond=None)
-    resid = (design @ coef - rates) * weights
-    return coef, float(resid @ resid)
-
-
-def reference_fit_fringe(scan: FringeScan) -> VisibilityEstimate:
-    """The scipy-based fit that fit_fringe replaced, unchanged apart from
-    names.  Its Jacobian (and so sigma) is a finite difference."""
-    least_squares = pytest.importorskip("scipy.optimize").least_squares
-    x = scan.settings
-    if x.size < 5:
-        raise ValidationError(
-            f"need at least 5 scan points to fit, got {x.size}")
-    rates = scan.counts / scan.acquisition_s
-    sigma = np.sqrt(np.maximum(scan.counts, 1.0)) / scan.acquisition_s
-    weights = 1.0 / sigma
-
-    gaps = np.diff(np.sort(x))
-    gaps = gaps[gaps > 0.0]
-    if gaps.size == 0:
-        raise ValidationError("settings must not all coincide")
-    spacing = float(np.median(gaps))
-    nyquist = math.pi / spacing
-    grid = np.geomspace(0.05, max(nyquist, 0.06), 64)
-    grid = np.unique(np.append(grid, min(1.0, nyquist)))
-
-    best = min((_reference_linear_fringe_solve(x, rates, weights, f) + (f,)
-                for f in grid), key=lambda t: t[1])
-    coef0, _, f0 = best
-
-    def residuals(p):
-        a0, a1, a2, f = p
-        model = a0 + a1 * np.cos(f * x) + a2 * np.sin(f * x)
-        return (model - rates) * weights
-
-    res = least_squares(residuals, np.append(coef0, f0),
-                        bounds=([-np.inf, -np.inf, -np.inf, 1e-12],
-                                [np.inf, np.inf, np.inf, np.inf]),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=500)
-    if res.status <= 0:
-        raise FitNotConverged(f"fringe fit stalled: {res.message}")
-    a0, a1, a2, freq = res.x
-    jtj = res.jac.T @ res.jac
-    cov = np.linalg.pinv(jtj)
-    amp = math.hypot(a1, a2)
-    chi2 = float(res.fun @ res.fun)
-    dof = int(x.size - 4)
-
-    if amp > 0.0:
-        g_amp = np.array([a1 / amp, a2 / amp])
-        sigma_amp = float(np.sqrt(g_amp @ cov[1:3, 1:3] @ g_amp))
+@pytest.mark.parametrize("field, value", [
+    ("settings", math.nan), ("settings", math.inf),
+    ("counts", math.nan), ("counts", math.inf),
+    ("acquisition_s", math.nan), ("acquisition_s", math.inf),
+    ("frequency", math.nan), ("frequency", math.inf),
+    ("frequency", 0.0), ("frequency", -1.0),
+])
+def test_scan_refuses_non_finite_input(field, value):
+    args = dict(settings=np.linspace(0.0, 6.0, 8), counts=np.full(8, 100.0),
+                acquisition_s=1.0)
+    if field in ("settings", "counts"):
+        args[field][3] = value
     else:
-        sigma_amp = float(np.sqrt(max(cov[1, 1], cov[2, 2])))
-
-    def build(v, sv):
-        return VisibilityEstimate(
-            visibility=v, sigma_visibility=sv, amplitude_hz=amp,
-            mean_level_hz=a0,
-            phase_offset_rad=math.atan2(-a2, a1) % (2.0 * math.pi),
-            frequency=freq, chi2=chi2, dof=dof)
-
-    if a0 <= 0.0 or amp < 2.0 * sigma_amp:
-        raise FitDegenerate(
-            "no statistically significant fringe modulation "
-            f"(amplitude {amp:.3g} +- {sigma_amp:.3g})",
-            estimate=build(0.0, math.inf))
-
-    g = np.array([-amp / a0 ** 2, a1 / (amp * a0), a2 / (amp * a0)])
-    var_v = float(g @ cov[:3, :3] @ g)
-    v = amp / a0
-    return build(min(v, 1.0), math.sqrt(max(var_v, 0.0)))
+        args[field] = value
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        FringeScan(**args)
 
 
-def _outcome(fit, scan):
-    """(estimate, degenerate); a degenerate fit's attached estimate."""
-    try:
-        return fit(scan), False
-    except FitDegenerate as exc:
-        return exc.estimate, True
-
-
-def _oracle_scans(seed, n_scans, v_low, v_high):
-    """Poisson scans of 8-20 points at 100-10 000 mean counts per point."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_scans):
-        n = int(rng.integers(8, 21))
-        x = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        mean = 10.0 ** rng.uniform(2.0, 4.0)
-        law = mean * (1.0 + rng.uniform(v_low, v_high)
-                      * np.cos(x + rng.uniform(0.0, 2.0 * math.pi)))
-        yield FringeScan(settings=x, counts=rng.poisson(law).astype(float),
-                         acquisition_s=float(rng.uniform(0.5, 20.0)))
-
-
-def _assert_matches(ours, ref):
-    assert ours[1] == ref[1]            # the same FitDegenerate verdict
-    if not ref[1]:
-        ours, ref = ours[0], ref[0]
-        assert abs(ours.visibility - ref.visibility) \
-            <= 1e-7 * ref.visibility
-        # the reference's sigma carries its finite-difference Jacobian
-        assert abs(ours.sigma_visibility - ref.sigma_visibility) \
-            <= 1e-5 * ref.sigma_visibility
-
-
-def test_fit_matches_scipy_reference_on_poisson_scans():
-    for scan in _oracle_scans(2024, 60, 0.3, 0.95):
-        ours = _outcome(fit_fringe, scan)
-        _assert_matches(ours, _outcome(reference_fit_fringe, scan))
-        assert not ours[1]
-
-
-def _identified(est, scan):
-    """False where a fit left the grid's frequency range or its fringe
-    outgrew every measured rate: it ran down a valley without a minimum
-    (f -> 0 with a0, a1 -> inf, or a2 -> inf at the Nyquist limit).
-    Also False within 1 % of the Nyquist limit, where the sine column
-    all but vanishes and a2 is not identified."""
-    nyquist = scan.settings.size / 2.0   # settings span one period
-    return (0.05 <= est.frequency <= 0.99 * nyquist
-            and est.amplitude_hz <= scan.counts.max() / scan.acquisition_s)
-
-
-def test_fit_degenerate_verdict_matches_scipy_reference():
-    # weak modulation straddles the amp < 2 sigma_amp rule.  Where the
-    # reference ran away it stopped at an arbitrary point; the polish
-    # runs on to FitNotConverged there, as the reference does on
-    # noiseless data (next test).
-    verdicts = []
-    for scan in _oracle_scans(2025, 80, 0.0, 0.05):
-        try:
-            ref = _outcome(reference_fit_fringe, scan)
-        except FitNotConverged:
-            continue
-        if not _identified(ref[0], scan):
-            continue
-        ours = _outcome(fit_fringe, scan)
-        assert ours[1] == ref[1]
-        if not ref[1]:   # V is poorly resolved: compare it to its sigma
-            assert abs(ours[0].visibility - ref[0].visibility) \
-                <= 1e-4 * ref[0].sigma_visibility
-        verdicts.append(ours[1])
-    assert len(verdicts) >= 60
-    assert 0 < sum(verdicts) < len(verdicts)
-
-
-def test_fit_at_the_nyquist_limit_is_degenerate():
-    # the start grid stays strictly below the Nyquist frequency, where
-    # the sine column vanishes and a2 is not identified: this weak
-    # fringe used to start there and pass with sigma_amp from the pinv
-    # cut-off applied to rounding noise
-    weak = list(_oracle_scans(4, 80, 0.0, 0.05))[75]
-    with pytest.raises(FitDegenerate, match="no statistically"):
-        fit_fringe(weak)
-    # a polish that still runs to the limit (a2 growing without bound
-    # as sin(f x) vanishes) is degenerate too, estimate attached
-    runaway = list(_oracle_scans(28, 80, 0.0, 0.05))[55]
-    with pytest.raises(FitDegenerate, match="Nyquist") as err:
-        fit_fringe(runaway)
-    est = err.value.estimate
-    assert est.frequency == pytest.approx(runaway.settings.size / 2.0,
-                                          rel=1e-3)
-    assert est.visibility == 0.0 and math.isinf(est.sigma_visibility)
-    assert _outcome(reference_fit_fringe, weak)[1]
-
-
-@pytest.mark.parametrize("curvature", [-0.05, 0.05])
-def test_fit_without_a_minimum_does_not_converge(curvature):
-    # a parabola is fitted ever better as f -> 0 with a0, a1 -> inf
-    x = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
-    scan = FringeScan(settings=x, acquisition_s=1.0, counts=1000.0 * (
-        1.0 + curvature * ((x - math.pi) / math.pi) ** 2))
-    with pytest.raises(FitNotConverged):
-        fit_fringe(scan)
-    with pytest.raises(FitNotConverged):
-        reference_fit_fringe(scan)
-
-
-def test_fit_clamp_at_unit_visibility_matches_scipy_reference():
+def test_fit_clamps_at_unit_visibility():
     # counts stay positive at V = 1.02: no setting falls on the trough
     x = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     scan = FringeScan(settings=x, acquisition_s=1.0,
                       counts=1000.0 * (1.0 + 1.02 * np.cos(x + math.pi / 8)))
-    ours = _outcome(fit_fringe, scan)
-    _assert_matches(ours, _outcome(reference_fit_fringe, scan))
-    est = ours[0]
+    est = fit_fringe(scan)
     assert est.visibility == 1.0
     assert est.amplitude_hz / est.mean_level_hz == pytest.approx(1.02)
     assert 0.0 < est.sigma_visibility < 0.01
-
