@@ -13,7 +13,8 @@ Subcommands
     optimize-window <config>   score a coincidence-window grid
 
 Common flags: --preset, --seed, --out-dir, --points, --acquisition-s.
-Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe fit.
+Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe fit,
+1 any other failure (an unwritable output directory, another FransonError).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import re
-import sys
 import time
 import typing
 from dataclasses import dataclass, replace
@@ -40,8 +39,9 @@ from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
 from .tia import (MIN_FIT_POINTS, DelayHistogram, FringeScan,
-                  HistogramAccumulator, VisibilityEstimate, count_in_window,
-                  fit_fringe, window_bins)
+                  HistogramAccumulator, VisibilityEstimate,
+                  check_fringe_phases, count_in_window, fit_fringe,
+                  window_bins)
 
 # Stock link parameters shared by the shipped presets: 50 km of 0.2 dB/km
 # fiber per arm behind 10 dB of pre-fiber coupling loss, 5 dB analyzers,
@@ -167,6 +167,22 @@ class Scenario:
                 raise ValidationError(
                     f"temperature scan over analyzer_{self.plan.scanned} "
                     f"needs a non-zero phase_per_kelvin_rad on that analyzer")
+            if len(self.plan.settings) >= MIN_FIT_POINTS:   # else not fitted
+                check_fringe_phases(self.plan.settings, self.fringe_frequency)
+
+    @property
+    def fringe_frequency(self) -> Optional[float]:
+        """Radians of summed phase per setting unit of the fringe scan:
+        1 for a phase scan, the scanned analyzer's |phase_per_kelvin_rad|
+        for a temperature scan (a phase that falls with temperature fits
+        as the mirrored fringe: the same V, the phase offset negated);
+        None without a scan."""
+        if self.plan is None:
+            return None
+        if self.plan.abscissa == "phase":
+            return 1.0
+        analyzer = getattr(self.config, f"analyzer_{self.plan.scanned}")
+        return abs(float(analyzer.phase_per_kelvin_rad))
 
     @property
     def mode(self) -> str:
@@ -540,40 +556,6 @@ def _usable_cpus() -> int:
 _POOL_CLICKS_PER_SLICE = 1.0e7
 
 
-# glibc malloc thresholds while fringe points run on the pool: blocks
-# from _MMAP_THRESHOLD_B up are mapped, and an arena gives back free
-# memory past _TRIM_THRESHOLD_B at its top (see _steady_allocator).
-_MMAP_THRESHOLD_B = 2 << 20
-_TRIM_THRESHOLD_B = 4 << 20
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc malloc.h
-_allocator_set = False
-
-
-def _steady_allocator() -> None:
-    """Fix glibc's mmap and trim thresholds, once per process.
-
-    glibc raises its mmap threshold to the size of each mapped block
-    that is freed (up to 32 MB), and its trim threshold to twice that.
-    With points on two threads, which slice arrays come from the
-    threads' arenas, and how much freed memory those arenas keep, then
-    follows the order in which the threads free them: the peak RSS of
-    the same back-to-back scan ranged over 107-135 MB from one process
-    to the next.  Fixed, it repeats within ~1 MB, for ~3 % more CPU in
-    page faults.  A no-op where libc is not glibc."""
-    global _allocator_set
-    if _allocator_set or not sys.platform.startswith("linux"):
-        return
-    import ctypes
-    try:
-        libc = ctypes.CDLL(None)
-    except OSError:
-        return
-    if hasattr(libc, "gnu_get_libc_version"):
-        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_B)
-        libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_B)
-    _allocator_set = True
-
-
 def _pool_workers(point_config: SimulationConfig, n_points: int) -> int:
     """Fringe points run at once: the usable CPUs, capped at n_points
     and, past two, at _POOL_CLICKS_PER_SLICE."""
@@ -593,7 +575,6 @@ def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
     a point is raised here, and points not yet started are cancelled."""
     # imported here: the pool's import costs start-up of every process
     from concurrent.futures import ThreadPoolExecutor, as_completed
-    _steady_allocator()
     n = len(plan.settings)
     workers = _pool_workers(config, n)
     results: List[Optional[FringePointResult]] = [None] * n
@@ -647,15 +628,11 @@ def run_scenario(scenario: Scenario,
             for p in points:
                 p.histogram = None
         report.points = points
-        # radians of summed phase per setting unit; a phase that falls
-        # with temperature fits as the mirrored fringe: the same V, the
-        # phase offset negated
-        coeff = getattr(cfg, f"analyzer_{plan.scanned}").phase_per_kelvin_rad
         report.scan = FringeScan(
             settings=np.array([p.setting for p in points]),
             counts=np.array([p.counts_central for p in points]),
             acquisition_s=plan.acquisition_s_per_point,
-            frequency=1.0 if plan.abscissa == "phase" else abs(float(coeff)),
+            frequency=scenario.fringe_frequency,
         )
         if len(points) >= MIN_FIT_POINTS:
             try:

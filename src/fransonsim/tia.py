@@ -29,6 +29,12 @@ _PAIR_CHUNK = 1 << 16   # starts, pairs or neighbours handled at once
 # Fewest scan points fit_fringe takes: its three parameters plus one
 # degree of freedom, so chi^2 can check the fringe period.
 MIN_FIT_POINTS = 4
+# Two fringe phases f*x are one when they differ, mod 2 pi, by at most
+# PHASE_RTOL * max(1, max |f*x|) rad.  f*x carries a rounding error of a
+# few ulp of |f*x| (sin(k pi) of a large argument is ~1e-15, not 0), and
+# phases within ~1e-7 rad leave the fit's cosine column equal to its
+# constant one to rounding (1 - cos d = d^2 / 2).
+PHASE_RTOL = 1e-6
 # Largest delay histogram, in bins (8 MiB of counts): ~10^4 times the 40
 # bins the presets need and the 60 of `fransonsim histogram`'s defaults,
 # yet it refuses a 1e9 ps range at 1 ps bins, which would take 16 GB.
@@ -294,6 +300,24 @@ class VisibilityEstimate:
 # Fitting
 # ---------------------------------------------------------------------------
 
+def check_fringe_phases(settings: np.ndarray, frequency: float) -> None:
+    """ValidationError unless settings give at least three distinct
+    fringe phases frequency*settings mod 2 pi (to PHASE_RTOL), the
+    fewest that identify the offset, cosine and sine of a fringe."""
+    phase = np.asarray(settings, dtype=np.float64) * frequency
+    tol = PHASE_RTOL * max(1.0, float(np.abs(phase).max()))
+    wrapped = np.sort(np.remainder(phase, 2.0 * math.pi))
+    # the gap after each phase, the last one's across 2 pi to the first:
+    # each group of phases within tol of the next ends at a wide gap
+    gaps = np.diff(wrapped, append=wrapped[0] + 2.0 * math.pi)
+    distinct = wrapped[gaps > tol]
+    if distinct.size < 3:
+        raise ValidationError(
+            "settings give fewer than three distinct fringe phases (phase "
+            "mod 2pi: " + ", ".join(f"{p:.4f}" for p in distinct)
+            + " rad): the fringe is not identified")
+
+
 def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     """Weighted sinusoid fit at the scan's frequency f:
     rate = a0 + a1 cos(f x) + a2 sin(f x), one linear least-squares
@@ -302,23 +326,21 @@ def fit_fringe(scan: FringeScan) -> VisibilityEstimate:
     method.
 
     ValidationError for fewer than MIN_FIT_POINTS points or settings
-    that leave (a0, a1, a2) unidentified; FitDegenerate (estimate
-    attached) when no significant modulation exists.
+    that leave (a0, a1, a2) unidentified (check_fringe_phases);
+    FitDegenerate (estimate attached) when no significant modulation
+    exists.
     """
     x, freq = scan.settings, scan.frequency
     if x.size < MIN_FIT_POINTS:
         raise ValidationError(f"need at least {MIN_FIT_POINTS} scan points "
                               f"to fit, got {x.size}")
+    check_fringe_phases(x, freq)
     rates = scan.counts / scan.acquisition_s
     weights = scan.acquisition_s / np.sqrt(np.maximum(scan.counts, 1.0))
     design = np.column_stack([np.ones_like(x),
                               np.cos(freq * x), np.sin(freq * x)])
     wd = design * weights[:, None]
-    coef, _, rank, _ = np.linalg.lstsq(wd, rates * weights, rcond=None)
-    if rank < 3:
-        raise ValidationError(
-            "settings give fewer than three distinct fringe phases: "
-            "the fringe is not identified")
+    coef = np.linalg.lstsq(wd, rates * weights, rcond=None)[0]
     a0, a1, a2 = (float(v) for v in coef)
     resid = (design @ coef - rates) * weights
     cov = np.linalg.inv(wd.T @ wd)

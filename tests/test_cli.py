@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flags, exit codes, outputs."""
 
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fransonsim
+from fransonsim import scenarios
 from fransonsim.errors import ValidationError
 from fransonsim.montecarlo import TimingDriftSpec, derive_seed
 from fransonsim.scenarios import (ScanPlan, emit_outputs, phase_grid, preset,
@@ -271,6 +273,33 @@ def test_fringe_and_simulate_name_a_config_file_alike(small_config, tmp_path,
                        *flags) == 0
         assert (out / f"{name}{report}").is_file()
         assert all(p.name.startswith(f"{name}_") for p in out.iterdir())
+
+
+def test_fringe_refuses_two_phases_before_any_point(tmp_path, capsys,
+                                                    monkeypatch):
+    # temperatures 20..25 C at pi rad per kelvin: fringe phases 0 and pi
+    s = preset("ideal")
+    an = replace(s.config.analyzer_signal, phase_rad=None,
+                 temperature_c=20.0, phase_per_kelvin_rad=math.pi)
+    s = replace(s, config=replace(s.config, analyzer_signal=an),
+                plan=ScanPlan(settings=(20.0, 20.5, 21.0, 21.5, 22.0, 22.5),
+                              acquisition_s_per_point=0.05,
+                              abscissa="temperature"))
+    path = tmp_path / "two-phase.json"
+    save_config(s, path)
+    # Scenario refuses the two-phase plan, so it goes into the file itself
+    doc = json.loads(path.read_text())
+    doc["plan"]["settings"] = [20.0 + k for k in range(6)]
+    path.write_text(json.dumps(doc))
+    ran = []
+    monkeypatch.setattr(scenarios, "_run_fringe_point",
+                        lambda *args: ran.append(args))
+    assert run_cli("fringe", str(path), "--out-dir", str(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert ran == []
+    assert "point " not in err and "V =" not in out and "VIOLAT" not in out
+    assert "three distinct fringe phases" in err
+    assert "0.0000, 3.1416 rad" in err
 
 
 def test_fringe_degenerate_fit_exits_3(tmp_path, capsys):

@@ -3,6 +3,10 @@
 No test needs scipy either: the fringe fit is one numpy linear solve.
 Importing scipy.optimize at run time would cost every process ~0.5 s of
 start-up and ~45 MB of resident memory, so a guard keeps it out.
+
+No module imports a foreign-function interface (ctypes, cffi): a library
+must not change process-wide state of the program that imports it, such
+as the C allocator's settings, and through one it can.
 """
 
 import ast
@@ -48,8 +52,13 @@ def test_fringe_fit_budget_and_cli_leave_scipy_unimported():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def _third_party_imports():
-    stdlib = set(sys.stdlib_module_names)
+# foreign-function interfaces no module may import (module docstring)
+FOREIGN = {"ctypes", "cffi"}
+
+
+def _imports():
+    """Top-level names of every module the package imports, inside
+    functions too."""
     names = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -59,12 +68,13 @@ def _third_party_imports():
                 tops = [node.module.split(".")[0]]
             else:
                 continue
-            names.update(t for t in tops
-                         if t not in stdlib and t != "fransonsim")
+            names.update(tops)
     return names
 
 
 def test_imports_match_declared_dependencies():
+    imported = _imports()
+    assert not imported & FOREIGN
     tomllib = pytest.importorskip("tomllib")
     if not PYPROJECT.is_file():
         pytest.skip("fransonsim is not imported from a source checkout")
@@ -72,4 +82,5 @@ def test_imports_match_declared_dependencies():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in declared}
     assert names == {"numpy"}
-    assert _third_party_imports() == names
+    assert {n for n in imported if n not in sys.stdlib_module_names
+            and n != "fransonsim"} == names

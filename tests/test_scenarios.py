@@ -130,6 +130,24 @@ def test_temperature_scan_needs_coefficient():
                  plan=plan)
 
 
+def test_scenario_refuses_an_unfittable_plan():
+    s = preset("ideal")
+    # phases 0 and pi only: refused when built, before any point runs
+    two = ScanPlan(settings=(0.0, math.pi, 2.0 * math.pi, 3.0 * math.pi,
+                             0.0, math.pi), acquisition_s_per_point=0.05)
+    with pytest.raises(ValidationError, match="three distinct"):
+        replace(s, plan=two)
+    # the same phases as temperatures at pi rad per kelvin
+    an = replace(s.config.analyzer_signal, phase_rad=None,
+                 temperature_c=20.0, phase_per_kelvin_rad=math.pi)
+    warm = ScanPlan(settings=tuple(20.0 + k for k in range(6)),
+                    acquisition_s_per_point=0.05, abscissa="temperature")
+    with pytest.raises(ValidationError, match="three distinct"):
+        replace(s, config=replace(s.config, analyzer_signal=an), plan=warm)
+    # fewer than MIN_FIT_POINTS settings are not fitted: accepted
+    replace(s, plan=replace(two, settings=(0.0, math.pi, 2.0 * math.pi)))
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fransonsim.errors import FitDegenerate, ValidationError
 from fransonsim.physics import ChannelSpec, DetectorSpec, SourceSpec
 from fransonsim.montecarlo import (SimulationConfig, iter_click_buckets,
                                    run_simulation)
+from fransonsim.scenarios import phase_grid
 from fransonsim.tia import (FringeScan, HistogramAccumulator,
                             build_histogram, count_in_window, fit_fringe)
 from fransonsim import tia
@@ -486,6 +487,34 @@ def test_fit_rejects_underdetermined_scans():
         with pytest.raises(ValidationError, match="three distinct"):
             fit_fringe(FringeScan(settings=x, counts=counts,
                                   acquisition_s=1.0, frequency=freq))
+
+
+# the two-phase scans of test_fit_rejects_underdetermined_scans, six
+# points each: k pi at f = 1, and k or 10 + k at f = pi
+_TWO_PHASES = [(np.arange(6.0) * math.pi, 1.0), (np.arange(6.0), math.pi),
+               (10.0 + np.arange(6.0), math.pi)]
+
+
+@pytest.mark.parametrize("periods", [0, 1, 10, 1000])
+def test_fit_verdict_holds_under_whole_period_shifts(periods):
+    # rounding in f x must not decide whether repeated phases count as
+    # distinct: sin(20 pi) is ~1e-15, not 0
+    counts = 500.0 * (1.0 + 0.6 * np.cos(np.arange(6.0) * math.pi + 0.4))
+    for x, freq in _TWO_PHASES:
+        shifted = x + periods * 2.0 * math.pi / freq
+        with pytest.raises(ValidationError, match="three distinct"):
+            fit_fringe(FringeScan(settings=shifted, counts=counts,
+                                  acquisition_s=1.0, frequency=freq))
+    grid = np.array(phase_grid(8))
+    counts = np.random.default_rng(8).poisson(
+        400.0 * (1.0 + 0.7 * np.cos(grid + 0.3))).astype(float)
+    v_ref = fit_fringe(FringeScan(settings=grid, counts=counts,
+                                  acquisition_s=1.0)).visibility
+    for freq in (1.0, math.pi):
+        shifted = (grid + periods * 2.0 * math.pi) / freq
+        est = fit_fringe(FringeScan(settings=shifted, counts=counts,
+                                    acquisition_s=1.0, frequency=freq))
+        assert est.visibility == pytest.approx(v_ref, rel=1e-9)
 
 
 @pytest.mark.parametrize("field, value", [
