@@ -8,9 +8,9 @@ the budget can be trusted for fast what-if scans and the simulation
 for everything the closed forms cannot capture.  Each link quantity
 is derived once per link (configs differing only in window or seed
 share it): an arm's loss is LinkModel's loss_db, a delay peak's share
-of a window one CoincidencePeakModel.mass integral, the rates at a
-config's own window SimulationConfig.rates, and another window adds
-only its window terms.
+of a window one CoincidencePeakModel.mass integral, and the closed
+form at a window, its rates and visibilities, one derivation per
+(link, window) that the link keeps (LinkModel.at_window).
 
 Counting conventions used throughout:
 
@@ -28,8 +28,9 @@ Counting conventions used throughout:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, accidental_rate,
@@ -40,6 +41,11 @@ if TYPE_CHECKING:   # montecarlo imports LinkModel from here
     from .montecarlo import SimulationConfig
 
 _SQRT2 = math.sqrt(2.0)
+
+# Windows whose closed form a link keeps (LinkModel.at_window): well above
+# the 8-9 of a preset or design grid; a 10^4-window grid stays bounded.
+WINDOWS_PER_LINK = 64
+_STORE_WINDOW = threading.Lock()    # keeps a link's count to the bound
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +226,33 @@ class LinkModel:
                    central_max_weight=franson_peak_law(0.0, c_tot)[0],
                    peak=peak)
 
+    def __post_init__(self):
+        # not fields, so asdict, repr, == and hashing never see them: how
+        # to read a quoted link loss, and the closed form per window
+        s, i = self.signal.loss_db, self.idler.loss_db
+        object.__setattr__(self, "_loss_note", (
+            f"per-arm optical losses: signal {s:g} dB, idler {i:g} dB; "
+            f"two-photon (summed) loss {s + i:g} dB. A single quoted "
+            "link figure must be read as the summed two-photon loss "
+            "and split across the arms before building specs; reading "
+            "it as per-arm double-counts it."))
+        object.__setattr__(self, "_windows", {})
+
+    def at_window(self, window_ps: float) -> tuple:
+        """(RatePrediction, VisibilityPrediction without and with the side
+        leak) at window_ps, derived once per (link, window) kept: up to
+        WINDOWS_PER_LINK, all dropped when a new one finds them full.  Keyed
+        by type too (100 never answers for 100.0); immutable, stored whole."""
+        key = (type(window_ps), window_ps)
+        entry = self._windows.get(key)
+        if entry is None:
+            entry = _derive_window(self, window_ps)
+            with _STORE_WINDOW:
+                if len(self._windows) >= WINDOWS_PER_LINK:
+                    self._windows.clear()
+                entry = self._windows.setdefault(key, entry)
+        return entry
+
 
 # ---------------------------------------------------------------------------
 # Rates
@@ -227,7 +260,7 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class RatePrediction:
-    """Closed-form rate summary for one configuration."""
+    """Closed-form rate summary of one link at one window."""
 
     generated_pair_rate_hz: float
     transmission_signal: float
@@ -246,12 +279,6 @@ class RatePrediction:
     side_leak_in_window_hz: float
     loss_note: str
 
-    @classmethod
-    def from_config(cls, config: SimulationConfig) -> "RatePrediction":
-        """The rates at config's own window: SimulationConfig.rates."""
-        return _at_window(config.link, config.tia.window_ps,
-                          _loss_note(config.link))
-
     @property
     def total_central_window_hz(self) -> float:
         """Everything a counter on the central window sees at the
@@ -261,59 +288,56 @@ class RatePrediction:
                 + self.accidental_in_window_hz)
 
 
-def _loss_note(link: LinkModel) -> str:
-    """How to compare this budget against a quoted link-loss figure."""
-    s, i = link.signal.loss_db, link.idler.loss_db
-    return (f"per-arm optical losses: signal {s:g} dB, idler {i:g} dB; "
-            f"two-photon (summed) loss {s + i:g} dB. A single quoted "
-            "link figure must be read as the summed two-photon loss "
-            "and split across the arms before building specs; reading "
-            "it as per-arm double-counts it.")
+class _ReadOnlyDict(dict):
+    """accidental_parts_hz: every reader of a link shares its entries."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a RatePrediction's accidental parts are read-only")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _refuse
+    __reduce__ = lambda self: (type(self), (dict(self),))  # copy, pickle
 
 
-def _window_terms(link: LinkModel, w: float) -> tuple:
-    """The closed form's terms at window w: (capture, central rate at
-    the fringe maximum, accidental parts, their sum)."""
-    sig, idl = link.signal, link.idler
-    capture = link.peak.mass(0, 0.0, w)
-    parts = {
+def _derive_window(link: LinkModel, w: float) -> tuple:
+    """LinkModel.at_window(w), derived."""
+    sig, idl, peak = link.signal, link.idler, link.peak
+    (w_c, w_e, w_l), both = link.weights, link.both_hz
+    capture = peak.mass(0, 0.0, w)
+    parts = _ReadOnlyDict({
         "photon-photon": accidental_rate(sig.photon_hz, idl.photon_hz, w),
         "photon-dark": accidental_rate(sig.photon_hz, idl.dark_hz, w),
         "dark-photon": accidental_rate(sig.dark_hz, idl.photon_hz, w),
         "dark-dark": accidental_rate(sig.dark_hz, idl.dark_hz, w),
-    }
-    return (capture, link.both_hz * link.central_max_weight * capture,
-            parts, math.fsum(parts.values()))
-
-
-def _at_window(link: LinkModel, w: float, loss_note: str) -> RatePrediction:
-    """The closed form at window w, from the link and a loss note."""
-    peak, (w_c, w_e, w_l), both = link.peak, link.weights, link.both_hz
-    capture, central_max, parts, accidental = _window_terms(link, w)
-    return RatePrediction(
+    })
+    accidental = math.fsum(parts.values())
+    leak = both * (w_e * peak.mass(-1, 0.0, w) + w_l * peak.mass(+1, 0.0, w))
+    rates = RatePrediction(
         generated_pair_rate_hz=link.pair_rate_hz,
-        transmission_signal=link.signal.transmission,
-        transmission_idler=link.idler.transmission,
-        q_signal=link.signal.q, q_idler=link.idler.q,
-        singles_signal_hz=link.signal.photon_hz + link.signal.dark_hz,
-        singles_idler_hz=link.idler.photon_hz + link.idler.dark_hz,
+        transmission_signal=sig.transmission,
+        transmission_idler=idl.transmission,
+        q_signal=sig.q, q_idler=idl.q,
+        singles_signal_hz=sig.photon_hz + sig.dark_hz,
+        singles_idler_hz=idl.photon_hz + idl.dark_hz,
         both_rate_hz=both, window_ps=w, capture_fraction=capture,
-        central_max_in_window_hz=central_max,
+        central_max_in_window_hz=both * link.central_max_weight * capture,
         central_at_config_phase_hz=both * w_c * capture,
         accidental_in_window_hz=accidental, accidental_parts_hz=parts,
-        side_leak_in_window_hz=both * (w_e * peak.mass(-1, 0.0, w)
-                                       + w_l * peak.mass(+1, 0.0, w)),
-        loss_note=loss_note)
+        side_leak_in_window_hz=leak, loss_note=link._loss_note)
+    mean_central = both * capture * (w_e + w_l)  # w_c's phase mean
+
+    def fringe(background):
+        total = mean_central + background
+        return VisibilityPrediction(
+            link.contrast_total * mean_central / total if total > 0.0
+            else 0.0, link.contrast_total, mean_central, background, capture)
+    return rates, fringe(accidental), fringe(accidental + leak)
 
 
 def predict_rates(config: SimulationConfig,
                   window_ps: Optional[float] = None) -> RatePrediction:
-    """The closed form at window_ps, by default the config's own window,
-    where it is config.rates, derived once and shared by every reader."""
-    rates = config.rates
-    if window_ps is None or window_ps == rates.window_ps:
-        return rates
-    return _at_window(config.link, window_ps, rates.loss_note)
+    """The closed form at window_ps, by default the config's own window."""
+    return config.link.at_window(
+        config.tia.window_ps if window_ps is None else window_ps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +369,8 @@ def predict_visibility(config: SimulationConfig, *,
     with no side correction — that is what fitting this package's own
     simulated histograms yields.
     """
-    rates, link = predict_rates(config), config.link
-    background = rates.accidental_in_window_hz
-    if include_side_leak:
-        background += rates.side_leak_in_window_hz
-    mean_central, v = _fringe(link, rates.capture_fraction, background)
-    return VisibilityPrediction(v, link.contrast_total, mean_central,
-                                background, rates.capture_fraction)
-
-
-def _fringe(link: LinkModel, capture: float,
-            background_hz: float) -> Tuple[float, float]:
-    """(phase-mean windowed central rate, visibility) over background."""
-    _, w_e, w_l = link.weights  # w_e + w_l: central weight's phase mean
-    mean_central = link.both_hz * capture * (w_e + w_l)
-    total = mean_central + background_hz
-    return mean_central, (link.contrast_total * mean_central / total
-                          if total > 0.0 else 0.0)
+    return config.link.at_window(config.tia.window_ps)[
+        2 if include_side_leak else 1]
 
 
 @dataclass(frozen=True)
@@ -430,10 +439,10 @@ def optimize_window(config: SimulationConfig,
                 f"window {w} ps invalid: must be positive and below "
                 f"twice the analyzer delay ({2.0 * tau4:g} ps) to keep "
                 "the side peaks out")
-    entries: List[WindowScore] = []
+    link, entries = config.link, []
     for w in grid:
-        capture, rate, _, accidental = _window_terms(config.link, w)
-        v = _fringe(config.link, capture, accidental)[1]
+        rates, fringe, _ = link.at_window(w)
+        rate, v = rates.central_max_in_window_hz, fringe.visibility
         s, _ = chsh_from_visibility(v)
         entries.append(WindowScore(
             window_ps=w, visibility=v, s_value=s,

@@ -106,7 +106,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budget import LinkModel, RatePrediction, predict_rates
+from .budget import LinkModel, predict_rates
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec)
@@ -263,11 +263,6 @@ class SimulationConfig:
         if last[0] != key:
             last = _LAST_LINK[0] = (key, specs, LinkModel.from_config(self))
         return last[2]
-
-    @cached_property
-    def rates(self) -> RatePrediction:
-        """budget.RatePrediction at tia.window_ps; derived like .link."""
-        return RatePrediction.from_config(self)
 
 
 @dataclass

@@ -606,17 +606,15 @@ def run_scenario(scenario: Scenario,
     plan = scenario.plan     # a fringe point runs cfg at its setting and seed
     cfg = scenario.config if plan is None else replace(
         scenario.config, acquisition_time_s=plan.acquisition_s_per_point)
-    rates = predict_rates(cfg)
-    v_corr = predict_visibility(cfg).visibility
-    v_raw = predict_visibility(cfg, include_side_leak=True).visibility
     report = RunReport(
         scenario_name=scenario.name,
         config_hash=config_hash(scenario.config),
         master_seed=cfg.master_seed,
         mode=scenario.mode,
-        predicted_rates=rates,
-        predicted_visibility=v_corr,
-        predicted_visibility_raw=v_raw,
+        predicted_rates=predict_rates(cfg),
+        predicted_visibility=predict_visibility(cfg).visibility,
+        predicted_visibility_raw=predict_visibility(
+            cfg, include_side_leak=True).visibility,
     )
 
     if plan is not None:
@@ -650,22 +648,17 @@ def run_scenario(scenario: Scenario,
         report.window_table = optimize_window(
             cfg, scenario.window_grid_ps, scenario.window_objective)
     else:
-        rows = []
+        report.mu_table = []
         for mu in scenario.mu_grid:
             cfg_mu = replace(cfg, source=replace(
                 cfg.source, mean_pairs_per_window=mu))
-            pred = predict_visibility(cfg_mu)
-            s, violates = chsh_from_visibility(pred.visibility)
-            r = predict_rates(cfg_mu)
-            rows.append(MuScanRow(
-                mean_pairs_per_window=mu,
-                visibility=pred.visibility,
-                s_value=s,
+            v, r = predict_visibility(cfg_mu).visibility, predict_rates(cfg_mu)
+            s, violates = chsh_from_visibility(v)
+            report.mu_table.append(MuScanRow(
+                mean_pairs_per_window=mu, visibility=v, s_value=s,
                 violates=violates,
                 central_max_in_window_hz=r.central_max_in_window_hz,
-                accidental_in_window_hz=r.accidental_in_window_hz,
-            ))
-        report.mu_table = rows
+                accidental_in_window_hz=r.accidental_in_window_hz))
 
     report.wall_clock_s = time.perf_counter() - t_start
     return report

@@ -29,12 +29,13 @@ _PAIR_CHUNK = 1 << 16   # starts, pairs or neighbours handled at once
 # Fewest scan points fit_fringe takes: its three parameters plus one
 # degree of freedom, so chi^2 can check the fringe period.
 MIN_FIT_POINTS = 4
-# Two fringe phases f*x are one when they differ, mod 2 pi, by at most
-# PHASE_RTOL * max(1, max |f*x|) rad.  f*x carries a rounding error of a
-# few ulp of |f*x| (sin(k pi) of a large argument is ~1e-15, not 0), and
-# phases within ~1e-7 rad leave the fit's cosine column equal to its
-# constant one to rounding (1 - cos d = d^2 / 2).
-PHASE_RTOL = 1e-6
+# Least ratio of the smallest to the largest singular value of the fit
+# design [1, cos f x, sin f x], unweighted and with centred cosine and
+# sine columns, that a scan may have.  The fit's own design has half to
+# all of that ratio, and its covariance (D^T W D)^-1 loses eps / ratio^2
+# (~1e-7 here).  Three phase groups d apart (ratio ~d^2 / 4) keep no digit
+# of sigma near d = 3e-4 rad; two phases leave the ratio at rounding.
+DESIGN_RTOL = 1e-4
 # Largest delay histogram, in bins (8 MiB of counts): ~10^4 times the 40
 # bins the presets need and the 60 of `fransonsim histogram`'s defaults,
 # yet it refuses a 1e9 ps range at 1 ps bins, which would take 16 GB.
@@ -301,21 +302,23 @@ class VisibilityEstimate:
 # ---------------------------------------------------------------------------
 
 def check_fringe_phases(settings: np.ndarray, frequency: float) -> None:
-    """ValidationError unless settings give at least three distinct
-    fringe phases frequency*settings mod 2 pi (to PHASE_RTOL), the
-    fewest that identify the offset, cosine and sine of a fringe."""
+    """ValidationError unless settings x give three fringe phases f x mod
+    2 pi (f: frequency) apart enough to identify a fringe (DESIGN_RTOL)."""
     phase = np.asarray(settings, dtype=np.float64) * frequency
-    tol = PHASE_RTOL * max(1.0, float(np.abs(phase).max()))
-    wrapped = np.sort(np.remainder(phase, 2.0 * math.pi))
-    # the gap after each phase, the last one's across 2 pi to the first:
-    # each group of phases within tol of the next ends at a wide gap
-    gaps = np.diff(wrapped, append=wrapped[0] + 2.0 * math.pi)
-    distinct = wrapped[gaps > tol]
-    if distinct.size < 3:
+    c, s = (v - v.mean() for v in (np.cos(phase), np.sin(phase)))
+    # the centred design's singular values are sqrt(n) and sqrt(n * the
+    # eigenvalues of the covariance of (c, s)), which never exceed 1
+    a, b, d = np.mean(c * c), np.mean(c * s), np.mean(s * s)
+    ratio = math.sqrt(max((a + d) / 2.0 - math.hypot((a - d) / 2.0, b), 0.0))
+    if not ratio > DESIGN_RTOL:
+        # the phases as shown, 2 pi folded onto 0
+        shown = np.unique(np.round(np.remainder(phase, 2.0 * math.pi), 4)
+                          % round(2.0 * math.pi, 4))
         raise ValidationError(
-            "settings give fewer than three distinct fringe phases (phase "
-            "mod 2pi: " + ", ".join(f"{p:.4f}" for p in distinct)
-            + " rad): the fringe is not identified")
+            "settings give no three distinct fringe phases far enough apart"
+            " to identify the fringe (phase mod 2pi: " + ", ".join(
+                f"{p:.4f}" for p in shown) + " rad; design singular value "
+            f"ratio {ratio:.3g}, not above DESIGN_RTOL {DESIGN_RTOL:g})")
 
 
 def fit_fringe(scan: FringeScan) -> VisibilityEstimate:

@@ -6,6 +6,7 @@ frozen here as oracles; the budget-vs-simulation consistency test
 closes the loop against the event-level engine.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -15,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fransonsim.errors import ValidationError
@@ -27,7 +28,8 @@ from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    run_simulation)
 from fransonsim.tia import build_histogram, count_in_window
 from fransonsim import scenarios
-from fransonsim.budget import (LinkModel, RatePrediction, WindowScore,
+from fransonsim import budget
+from fransonsim.budget import (LinkModel, WindowScore,
                                bell_verdict, build_ledger, optimize_window,
                                predict_rates, predict_visibility)
 from fransonsim.cli import main
@@ -422,16 +424,20 @@ def test_threads_sharing_the_last_link_read_their_own_links():
     assert wrong == []
 
 
-def _count_rates(monkeypatch):
-    """Configs RatePrediction.from_config is called on from now on."""
+def _count_windows(monkeypatch):
+    """(link, window) pairs the closed form is derived at from now on."""
     calls = []
-    original = RatePrediction.from_config
+    original = budget._derive_window
 
-    def counted(config):
-        calls.append(config)
-        return original(config)
-    monkeypatch.setattr(RatePrediction, "from_config", counted)
+    def counted(link, window_ps):
+        calls.append((link, window_ps))
+        return original(link, window_ps)
+    monkeypatch.setattr(budget, "_derive_window", counted)
     return calls
+
+
+def _distinct(calls):
+    return {(id(link), type(w), w) for link, w in calls}
 
 
 def _bits(rates):
@@ -440,39 +446,62 @@ def _bits(rates):
 
 
 def test_closed_forms_share_one_rate_prediction(monkeypatch):
-    cfg = paper_link(50.0, 100.0, contrast=CAL_CONTRAST)
-    calls = _count_rates(monkeypatch)
-    assert predict_rates(cfg) is predict_rates(cfg) is cfg.rates
-    predict_visibility(cfg)
-    predict_visibility(cfg, include_side_leak=True)
-    bell_verdict(cfg)
-    assert predict_rates(cfg, cfg.tia.window_ps) is cfg.rates
-    assert calls == [cfg]
+    # shaped like perfbench's closed-form-map: lengths x mu x windows,
+    # and optimize_window over the same windows per (length, mu)
+    base = preset("paper-100km").config
+    windows = [60.0, 100.0, 140.0]
+    calls = _count_windows(monkeypatch)
+    links = []
+    for km in (10.0, 50.0):
+        cfg_km = replace(
+            base, channel_signal=replace(base.channel_signal,
+                                         fiber_length_km=km),
+            channel_idler=replace(base.channel_idler, fiber_length_km=km))
+        for mu in (1e-3, 1e-2):
+            cfg_mu = replace(cfg_km, source=replace(
+                base.source, mean_pairs_per_window=mu))
+            optimize_window(cfg_mu, windows, "rate_weighted")
+            for w in windows:
+                cfg = replace(cfg_mu, tia=replace(base.tia, window_ps=w))
+                assert predict_rates(cfg) is predict_rates(cfg) \
+                    is predict_rates(cfg_mu, w)
+                predict_visibility(cfg)
+                predict_visibility(cfg, include_side_leak=True)
+                bell_verdict(cfg)
+                links.append(cfg.link)
+    assert len({id(link) for link in links}) == 4
+    assert len(calls) == len(_distinct(calls)) == 4 * len(windows)
 
 
 def test_mu_sweep_derives_rates_once_per_mu(monkeypatch):
     scenario = preset("mu-sweep")
-    calls = _count_rates(monkeypatch)
+    calls = _count_windows(monkeypatch)
     run_scenario(scenario)
-    assert calls[0] == scenario.config
-    assert [c.source.mean_pairs_per_window for c in calls[1:]] \
-        == list(scenario.mu_grid)
+    assert len(calls) == len(_distinct(calls)) == 1 + len(scenario.mu_grid)
+    assert {w for _, w in calls} == {scenario.config.tia.window_ps}
+    config = scenario.config
+    assert _bits(calls[0][0]) == _bits(LinkModel.from_config(config))
+    per_mu = calls[0][0].pair_rate_hz / config.source.mean_pairs_per_window
+    assert [link.pair_rate_hz / per_mu for link, _ in calls[1:]] \
+        == pytest.approx(list(scenario.mu_grid), rel=1e-12)
 
 
 def test_budget_cli_derives_rates_once(monkeypatch, tmp_path, capsys):
     cfg = preset("paper-100km").config
     save_config(cfg, tmp_path / "link.json")
-    calls = _count_rates(monkeypatch)
+    calls = _count_windows(monkeypatch)
     assert main(["budget", str(tmp_path / "link.json"),
                  "--out-dir", str(tmp_path)]) == 0
-    assert calls == [cfg]
+    assert [(_bits(link), w) for link, w in calls] \
+        == [(_bits(cfg.link), cfg.tia.window_ps)]
 
 
 def test_no_reader_writes_the_shared_rates(monkeypatch, tmp_path, capsys):
-    # every reader of a config's one RatePrediction: scenarios and their
-    # files, the budget and simulate commands
-    original = RatePrediction.from_config
-    calls = _count_rates(monkeypatch)
+    # every reader of a link's closed form: scenarios and their files,
+    # the budget and simulate commands; afterwards each entry a link
+    # keeps still equals a fresh derivation
+    original = budget._derive_window
+    calls = _count_windows(monkeypatch)
     fringe = replace(preset("ideal"), plan=ScanPlan(
         settings=phase_grid(6), acquisition_s_per_point=0.01))
     for scenario in (fringe, preset("mu-sweep"), preset("window-sweep")):
@@ -483,17 +512,32 @@ def test_no_reader_writes_the_shared_rates(monkeypatch, tmp_path, capsys):
         assert main([command, str(tmp_path / "small.json"),
                      "--out-dir", str(tmp_path)]) == 0
     assert len(calls) > 10
-    for cfg in calls:
-        assert _bits(cfg.rates) == _bits(original(cfg))
+    for link, w in list(calls):
+        kept, fresh = link._windows[type(w), w], original(link, w)
+        assert list(map(_bits, kept)) == list(map(_bits, fresh))
+    parts = calls[0][0].at_window(calls[0][1])[0].accidental_parts_hz
+    for write in (lambda: parts.__setitem__("dark-dark", 0.0),
+                  lambda: parts.__delitem__("dark-dark"), parts.clear,
+                  lambda: parts.update({}), lambda: parts.pop("dark-dark"),
+                  parts.popitem, lambda: parts.setdefault("x", 0.0),
+                  lambda: parts.__ior__({})):
+        with pytest.raises(TypeError, match="read-only"):
+            write()
+    assert copy.deepcopy(parts) == parts
 
 
 def test_replaced_config_derives_its_own_rates():
     cfg = paper_link(50.0, 100.0)
     longer = replace(cfg, channel_signal=replace(cfg.channel_signal,
                                                  fiber_length_km=60.0))
-    assert longer.rates is not cfg.rates
-    assert longer.rates.q_signal < cfg.rates.q_signal
-    assert longer.rates.q_idler == cfg.rates.q_idler
+    assert predict_rates(longer) is not predict_rates(cfg)
+    assert predict_rates(longer).q_signal < predict_rates(cfg).q_signal
+    assert predict_rates(longer).q_idler == predict_rates(cfg).q_idler
+    # a window or seed replacement reads the link's own entry
+    narrow = replace(cfg, tia=replace(cfg.tia, window_ps=60.0), master_seed=3)
+    assert predict_rates(narrow) is predict_rates(cfg, 60.0)
+    assert predict_visibility(narrow, include_side_leak=True) \
+        is cfg.link.at_window(60.0)[2]
 
 
 _WINDOW_CONFIGS = (
@@ -515,7 +559,7 @@ def test_rates_at_a_window_are_a_config_at_that_window(k, window):
     at_window = replace(cfg, tia=replace(cfg.tia, window_ps=window))
     assert _bits(predict_rates(cfg, window)) \
         == _bits(predict_rates(at_window)) \
-        == _bits(RatePrediction.from_config(at_window))
+        == _bits(budget._derive_window(at_window.link, window)[0])
     assert predict_rates(cfg, window).window_ps == window
 
 
@@ -541,11 +585,18 @@ def test_window_scores_are_the_rates_at_each_window(k, grid, objective):
 
 
 def test_rates_is_not_a_config_field(tmp_path):
+    # nor is a link's closed form a LinkModel field: using it leaves
+    # the link's asdict, repr, == and hash as they were
     cfg = paper_link(50.0, 100.0)
-    before = config_hash(cfg)
-    assert cfg.rates.singles_signal_hz > 0.0
+    fresh = LinkModel.from_config(cfg)
+    before = (dataclasses.asdict(fresh), repr(fresh), hash(fresh))
+    for w in (60.0, 100, 100.0, 140.0):
+        fresh.at_window(w)
+    assert len(fresh._windows) == 4
+    assert (dataclasses.asdict(fresh), repr(fresh), hash(fresh)) == before
+    assert fresh == LinkModel.from_config(cfg)
+    assert not hasattr(cfg, "rates")
     assert "rates" not in dataclasses.asdict(cfg)
-    assert config_hash(cfg) == before
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     doc = json.loads(path.read_text())
@@ -554,6 +605,86 @@ def test_rates_is_not_a_config_field(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match=r"config\.rates: unknown key"):
         load_config(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, len(_WINDOW_CONFIGS) - 1),
+       windows=st.lists(st.one_of(
+           st.sampled_from([60, 60.0, 100, 100.0, 140, 140.0]),
+           st.integers(10, 10 ** 6), st.floats(10.0, 1e6)),
+           min_size=1, max_size=12))
+@example(k=0, windows=[100, 100.0, True])
+def test_every_kept_window_is_a_fresh_derivation(k, windows):
+    # a fresh link per example; each window read twice in turn, so the
+    # second read of one is a hit: 100 must never answer for 100.0
+    link = LinkModel.from_config(_WINDOW_CONFIGS[k])
+    for w in windows + windows:
+        rates = link.at_window(w)[0]
+        fresh = budget._derive_window(link, w)
+        assert type(rates.window_ps) is type(w)
+        assert _bits(rates) == _bits(fresh[0])
+        assert json.dumps(dataclasses.asdict(rates)) \
+            == json.dumps(dataclasses.asdict(fresh[0]))
+        assert repr(link.at_window(w)[1:]) == repr(fresh[1:])
+
+
+def test_a_link_keeps_at_most_windows_per_link(monkeypatch):
+    link = LinkModel.from_config(paper_link(50.0, 100.0))
+    calls = _count_windows(monkeypatch)
+    n = budget.WINDOWS_PER_LINK
+    windows = [10.0 + k for k in range(4 * n + 3)]
+    for w in windows:
+        assert link.at_window(w)[0].window_ps == w
+        assert 0 < len(link._windows) <= n
+    assert len(calls) == len(windows)
+    # a full link drops what it keeps and starts over with the new window,
+    # so the windows read last stay kept: a long grid leaves none behind
+    assert set(link._windows) == {(float, w) for w in windows[-3:]}
+    for w in windows[-3:] * 2 + [12.0, 12.0]:
+        link.at_window(w)
+    assert len(calls) == len(windows) + 1
+
+
+def test_threads_sharing_a_link_read_their_own_windows():
+    # more threads than cores, switching often, reading the four base
+    # configs' links at more windows than a link keeps, in turn with
+    # window-only replacements that go through the last-link slot:
+    # each read must be the closed form of its own link and window,
+    # and no link may keep more than the bound
+    bases = [paper_link(km, 100.0) for km in (0.0, 20.0, 50.0, 80.0)]
+    windows = [60.0 + k for k in range(budget.WINDOWS_PER_LINK + 16)]
+    want = [{w: _bits(budget._derive_window(
+        LinkModel.from_config(b), w)[0]) for w in windows} for b in bases]
+    links = [b.link for b in bases]
+    wrong = []
+
+    def work(t):
+        picks = np.random.default_rng(t).integers(len(windows), size=300)
+        for i, pick in enumerate(picks):
+            j, w = (t + i) % len(bases), windows[pick]
+            if i % 2:
+                rates = predict_rates(bases[j], w)
+            else:
+                rates = predict_rates(replace(
+                    bases[j], tia=CoincidenceWindowSpec(window_ps=w)))
+            if _bits(rates) != want[j][w] \
+                    or len(links[j]._windows) > budget.WINDOWS_PER_LINK:
+                wrong.append((t, i))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert all(0 < len(link._windows) <= budget.WINDOWS_PER_LINK
+               for link in links)
 
 
 def test_link_is_not_a_config_field(tmp_path):

@@ -6,6 +6,7 @@ linear fit is exact, and a frozen-seed Poisson coverage study.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fransonsim.errors import FitDegenerate, ValidationError
 from fransonsim.physics import ChannelSpec, DetectorSpec, SourceSpec
 from fransonsim.montecarlo import (SimulationConfig, iter_click_buckets,
                                    run_simulation)
-from fransonsim.scenarios import phase_grid
+from fransonsim.scenarios import ScanPlan, phase_grid, preset
 from fransonsim.tia import (FringeScan, HistogramAccumulator,
                             build_histogram, count_in_window, fit_fringe)
 from fransonsim import tia
@@ -515,6 +516,56 @@ def test_fit_verdict_holds_under_whole_period_shifts(periods):
         est = fit_fringe(FringeScan(settings=shifted, counts=counts,
                                     acquisition_s=1.0, frequency=freq))
         assert est.visibility == pytest.approx(v_ref, rel=1e-9)
+
+
+def _clustered(offset, d):
+    """Six settings in three phase groups d rad apart at f = 1."""
+    return offset + d * np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+
+
+# at d = 1e-5 these counts raised LinAlgError from the covariance, gave
+# V = 0.99999999578 +- 0.0, and took the square root of a negative
+# variance: three distinct phases, too close to identify a fringe
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("offset, counts", [
+    (0.8724909448748407, (793, 220, 774, 233, 799, 200)),
+    (3.0510460534636357, (816, 217, 762, 216, 816, 229)),
+    (0.0, (776, 224, 776, 224, 776, 224)),
+])
+def test_fit_refuses_phases_too_close_to_identify(offset, counts):
+    x = _clustered(offset, 1e-5)
+    with pytest.raises(ValidationError, match="three distinct"):
+        fit_fringe(FringeScan(settings=x, counts=np.array(counts, float),
+                              acquisition_s=1.0))
+    with pytest.raises(ValidationError, match="three distinct"):
+        replace(preset("ideal"), plan=ScanPlan(
+            settings=tuple(x), acquisition_s_per_point=0.05))
+
+
+@pytest.mark.filterwarnings("error")
+def test_clustered_phases_are_refused_degenerate_or_a_finite_sigma():
+    rng = np.random.default_rng(25)
+    outcomes = []
+    for d in (1e-5, 1e-4, 1e-3, 0.03, 0.3):
+        for k in range(80):
+            x = _clustered(rng.uniform(0.0, 2.0 * math.pi), d)
+            # counts alternating between points, or the fringe of x
+            phase = np.arange(6.0) * math.pi if k % 2 else x
+            counts = rng.poisson(500.0 * (1.0 + 0.6 * np.cos(
+                phase + rng.uniform(0.0, 2.0 * math.pi)))).astype(float)
+            try:
+                est = fit_fringe(FringeScan(settings=x, counts=counts,
+                                            acquisition_s=1.0))
+            except ValidationError:
+                outcomes.append((d, "refused"))
+            except FitDegenerate:
+                outcomes.append((d, "degenerate"))
+            else:
+                assert math.isfinite(est.sigma_visibility), (d, x, counts)
+                assert est.sigma_visibility > 0.0, (d, x, counts)
+                outcomes.append((d, "fitted"))
+    assert {o for _, o in outcomes} == {"refused", "degenerate", "fitted"}
+    assert all(o == "refused" for d, o in outcomes if d <= 1e-3)
 
 
 @pytest.mark.parametrize("field, value", [
