@@ -9,8 +9,8 @@ for everything the closed forms cannot capture.  Each link quantity
 is derived once per link (configs differing only in window or seed
 share it): an arm's loss is LinkModel's loss_db, a delay peak's share
 of a window one CoincidencePeakModel.mass integral, and the closed
-form at a window, its rates and visibilities, one derivation per
-(link, window) that the link keeps (LinkModel.at_window).
+form at a window, its rates, visibilities and Bell verdict, one
+derivation per (link, window) that the link keeps (LinkModel.at_window).
 
 Counting conventions used throughout:
 
@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, accidental_rate,
                       chsh_from_visibility, db_to_linear, dispersion_broaden,
-                      franson_peak_law, sigma_from_fwhm)
+                      franson_bin_probabilities, sigma_from_fwhm)
 
 if TYPE_CHECKING:   # montecarlo imports LinkModel from here
     from .montecarlo import SimulationConfig
@@ -193,6 +193,10 @@ class LinkModel:
 
         c_tot = (config.analyzer_signal.contrast
                  * config.analyzer_idler.contrast)
+        weights = franson_bin_probabilities(
+            config.analyzer_signal.effective_phase_rad(),
+            config.analyzer_idler.effective_phase_rad(),
+            src.pump_phase_offset_rad, c_tot)
 
         var = signal.sigma_arrival_ps ** 2 + idler.sigma_arrival_ps ** 2
         center = 0.0
@@ -219,11 +223,9 @@ class LinkModel:
             analyzer_delay_ps=config.analyzer_signal.delay_ps)
         return cls(pair_rate_hz=rate, both_hz=rate * signal.q * idler.q,
                    signal=signal, idler=idler,
-                   contrast_total=c_tot, weights=franson_peak_law(
-                       config.analyzer_signal.effective_phase_rad()
-                       + config.analyzer_idler.effective_phase_rad()
-                       + src.pump_phase_offset_rad, c_tot),
-                   central_max_weight=franson_peak_law(0.0, c_tot)[0],
+                   contrast_total=c_tot, weights=weights,
+                   central_max_weight=franson_bin_probabilities(
+                       0.0, 0.0, 0.0, c_tot)[0],
                    peak=peak)
 
     def __post_init__(self):
@@ -240,9 +242,9 @@ class LinkModel:
 
     def at_window(self, window_ps: float) -> tuple:
         """(RatePrediction, VisibilityPrediction without and with the side
-        leak) at window_ps, derived once per (link, window) kept: up to
-        WINDOWS_PER_LINK, all dropped when a new one finds them full.  Keyed
-        by type too (100 never answers for 100.0); immutable, stored whole."""
+        leak, BellVerdict) at window_ps, derived once per (link, window)
+        kept: up to WINDOWS_PER_LINK, all dropped when a new one finds them
+        full.  Keyed by type too (100 never answers for 100.0); immutable."""
         key = (type(window_ps), window_ps)
         entry = self._windows.get(key)
         if entry is None:
@@ -330,14 +332,15 @@ def _derive_window(link: LinkModel, w: float) -> tuple:
         return VisibilityPrediction(
             link.contrast_total * mean_central / total if total > 0.0
             else 0.0, link.contrast_total, mean_central, background, capture)
-    return rates, fringe(accidental), fringe(accidental + leak)
+    corrected = fringe(accidental)
+    s, violates = chsh_from_visibility(corrected.visibility)
+    return rates, corrected, fringe(accidental + leak), BellVerdict(
+        corrected.visibility, s, violates, s - 2.0)
 
 
-def predict_rates(config: SimulationConfig,
-                  window_ps: Optional[float] = None) -> RatePrediction:
-    """The closed form at window_ps, by default the config's own window."""
-    return config.link.at_window(
-        config.tia.window_ps if window_ps is None else window_ps)[0]
+def predict_rates(config: SimulationConfig) -> RatePrediction:
+    """The closed form at the config's window."""
+    return config.link.at_window(config.tia.window_ps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +385,8 @@ class BellVerdict:
 
 
 def bell_verdict(config: SimulationConfig) -> BellVerdict:
-    v = predict_visibility(config).visibility
-    s, violates = chsh_from_visibility(v)
-    return BellVerdict(visibility=v, s_value=s, violates=violates,
-                       margin=s - 2.0)
+    """CHSH S of predict_visibility's (side-corrected) V."""
+    return config.link.at_window(config.tia.window_ps)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +442,9 @@ def optimize_window(config: SimulationConfig,
                 "the side peaks out")
     link, entries = config.link, []
     for w in grid:
-        rates, fringe, _ = link.at_window(w)
-        rate, v = rates.central_max_in_window_hz, fringe.visibility
-        s, _ = chsh_from_visibility(v)
+        rates, _, _, verdict = link.at_window(w)
+        rate, v, s = (rates.central_max_in_window_hz, verdict.visibility,
+                      verdict.s_value)
         entries.append(WindowScore(
             window_ps=w, visibility=v, s_value=s,
             central_max_in_window_hz=rate,

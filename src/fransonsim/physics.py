@@ -274,12 +274,7 @@ def franson_bin_probabilities(theta_s: float, theta_i: float,
             raise ValidationError(f"{name} must be finite, got {val!r}")
     if not (0.0 <= contrast <= 1.0):
         raise ValidationError(f"contrast must lie in [0, 1], got {contrast!r}")
-    return franson_peak_law(theta_s + theta_i + pump_phase, contrast)
-
-
-def franson_peak_law(theta: float, contrast: float
-                     ) -> Tuple[float, float, float]:
-    """franson_bin_probabilities at summed phase theta, unchecked."""
+    theta = theta_s + theta_i + pump_phase
     p_central = (1.0 + contrast * math.cos(theta)) / 8.0
     # cos can overshoot past +/-1 by an ulp; keep probabilities legal
     p_central = min(max(p_central, 0.0), 0.25)

@@ -30,8 +30,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .budget import (WINDOW_OBJECTIVES, RatePrediction, WindowOptimization,
-                     WindowScore, predict_rates, predict_visibility,
-                     optimize_window)
+                     WindowScore, bell_verdict, predict_rates,
+                     predict_visibility, optimize_window)
 from .errors import FitDegenerate, ParseError, ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
                          TimingDriftSpec, derive_seed, iter_click_buckets,
@@ -652,11 +652,10 @@ def run_scenario(scenario: Scenario,
         for mu in scenario.mu_grid:
             cfg_mu = replace(cfg, source=replace(
                 cfg.source, mean_pairs_per_window=mu))
-            v, r = predict_visibility(cfg_mu).visibility, predict_rates(cfg_mu)
-            s, violates = chsh_from_visibility(v)
+            verdict, r = bell_verdict(cfg_mu), predict_rates(cfg_mu)
             report.mu_table.append(MuScanRow(
-                mean_pairs_per_window=mu, visibility=v, s_value=s,
-                violates=violates,
+                mean_pairs_per_window=mu, visibility=verdict.visibility,
+                s_value=verdict.s_value, violates=verdict.violates,
                 central_max_in_window_hz=r.central_max_in_window_hz,
                 accidental_in_window_hz=r.accidental_in_window_hz))
 

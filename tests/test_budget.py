@@ -23,19 +23,20 @@ from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec,
                                 CoincidenceWindowSpec, DetectorSpec,
                                 SourceSpec, accidental_rate,
-                                chsh_from_visibility)
+                                chsh_from_visibility,
+                                franson_bin_probabilities)
 from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    run_simulation)
 from fransonsim.tia import build_histogram, count_in_window
 from fransonsim import scenarios
 from fransonsim import budget
-from fransonsim.budget import (LinkModel, WindowScore,
+from fransonsim.budget import (BellVerdict, LinkModel, WindowScore,
                                bell_verdict, build_ledger, optimize_window,
                                predict_rates, predict_visibility)
 from fransonsim.cli import main
-from fransonsim.scenarios import (ScanPlan, config_hash, emit_outputs,
-                                  load_config, phase_grid, preset,
-                                  run_scenario, save_config)
+from fransonsim.scenarios import (PRESET_NAMES, ScanPlan, config_hash,
+                                  emit_outputs, load_config, phase_grid,
+                                  preset, run_scenario, save_config)
 
 PAIR_JITTER = 65.0 / math.sqrt(2.0)   # per detector; 65 ps at pair level
 CAL_CONTRAST = 0.9756419240289781     # per analyzer; 0.9518772 total
@@ -195,10 +196,11 @@ def test_peak_mass_is_one_gaussian_integral():
                          ids=["inf", "nan", "zero", "negative"])
 def test_closed_form_refuses_bad_windows(window):
     # an infinite window used to give an infinite accidental rate and
-    # then V = 0, S = 0 with no error.  predict_visibility and
-    # bell_verdict read the config's window, which the spec refuses
+    # then V = 0, S = 0 with no error.  The closed-form readers read the
+    # config's window, which the spec refuses; a link asked directly
+    # refuses it too
     with pytest.raises(ValidationError, match="finite and > 0"):
-        predict_rates(paper_link(50.0, 100.0), window)
+        paper_link(50.0, 100.0).link.at_window(window)
     with pytest.raises(ValidationError):
         CoincidenceWindowSpec(window_ps=window)
 
@@ -286,6 +288,54 @@ def test_bell_verdict_chain():
                * verdict.visibility) < 1e-12
     dull = paper_link(50.0, 100.0, contrast=0.8)
     assert not bell_verdict(dull).violates
+
+
+_PRESET_CONFIGS = tuple(preset(name).config for name in PRESET_NAMES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, len(_PRESET_CONFIGS) - 1),
+       km=st.floats(0.0, 150.0), mu=st.floats(1e-4, 0.3),
+       dark_hz=st.floats(0.0, 1e4),
+       window=st.one_of(st.integers(10, 400), st.floats(10.0, 400.0)))
+def test_bell_verdict_is_chsh_of_the_corrected_visibility(
+        k, km, mu, dark_hz, window):
+    # the verdict the window entry carries, against one rebuilt from
+    # the public laws: every field, bit for bit
+    base = _PRESET_CONFIGS[k]
+    cfg = replace(
+        base, source=replace(base.source, mean_pairs_per_window=mu),
+        channel_signal=replace(base.channel_signal, fiber_length_km=km),
+        channel_idler=replace(base.channel_idler, fiber_length_km=km),
+        detector_idler=replace(base.detector_idler, dark_rate_hz=dark_hz),
+        tia=replace(base.tia, window_ps=window))
+    v = predict_visibility(cfg).visibility
+    s, violates = chsh_from_visibility(v)
+    assert _bits(bell_verdict(cfg)) == _bits(BellVerdict(
+        visibility=v, s_value=s, violates=violates, margin=s - 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(phases=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       contrasts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_link_weights_are_the_franson_law(phases, contrasts):
+    phase_s, phase_i, pump = phases
+    base = paper_link(50.0, 100.0)
+    cfg = replace(
+        base, source=replace(base.source, pump_phase_offset_rad=pump),
+        analyzer_signal=AnalyzerSpec(phase_rad=phase_s,
+                                     contrast=contrasts[0]),
+        analyzer_idler=AnalyzerSpec(phase_rad=phase_i,
+                                    contrast=contrasts[1]))
+    link = cfg.link
+    c = contrasts[0] * contrasts[1]
+    assert link.contrast_total == c
+    assert repr(link.weights) == repr(franson_bin_probabilities(
+        cfg.analyzer_signal.effective_phase_rad(),
+        cfg.analyzer_idler.effective_phase_rad(), pump, c))
+    assert repr(link.central_max_weight) \
+        == repr(franson_bin_probabilities(0.0, 0.0, 0.0, c)[0])
+    assert link.weights[0] <= link.central_max_weight
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +514,7 @@ def test_closed_forms_share_one_rate_prediction(monkeypatch):
             for w in windows:
                 cfg = replace(cfg_mu, tia=replace(base.tia, window_ps=w))
                 assert predict_rates(cfg) is predict_rates(cfg) \
-                    is predict_rates(cfg_mu, w)
+                    is cfg_mu.link.at_window(w)[0]
                 predict_visibility(cfg)
                 predict_visibility(cfg, include_side_leak=True)
                 bell_verdict(cfg)
@@ -535,7 +585,7 @@ def test_replaced_config_derives_its_own_rates():
     assert predict_rates(longer).q_idler == predict_rates(cfg).q_idler
     # a window or seed replacement reads the link's own entry
     narrow = replace(cfg, tia=replace(cfg.tia, window_ps=60.0), master_seed=3)
-    assert predict_rates(narrow) is predict_rates(cfg, 60.0)
+    assert predict_rates(narrow) is cfg.link.at_window(60.0)[0]
     assert predict_visibility(narrow, include_side_leak=True) \
         is cfg.link.at_window(60.0)[2]
 
@@ -557,10 +607,10 @@ def test_rates_at_a_window_are_a_config_at_that_window(k, window):
     cfg = _WINDOW_CONFIGS[k]
     assert predict_rates(cfg).window_ps == cfg.tia.window_ps
     at_window = replace(cfg, tia=replace(cfg.tia, window_ps=window))
-    assert _bits(predict_rates(cfg, window)) \
+    assert _bits(cfg.link.at_window(window)[0]) \
         == _bits(predict_rates(at_window)) \
         == _bits(budget._derive_window(at_window.link, window)[0])
-    assert predict_rates(cfg, window).window_ps == window
+    assert cfg.link.at_window(window)[0].window_ps == window
 
 
 @settings(max_examples=200, deadline=None)
@@ -570,18 +620,21 @@ def test_rates_at_a_window_are_a_config_at_that_window(k, window):
 def test_window_scores_are_the_rates_at_each_window(k, grid, objective):
     # the oracle: the full closed form of the config at each window
     cfg = _WINDOW_CONFIGS[k]
-    want = []
+    want, verdicts = [], []
     for w in sorted(grid):
         at_window = replace(cfg, tia=replace(cfg.tia, window_ps=w))
         v = predict_visibility(at_window).visibility
         s, _ = chsh_from_visibility(v)
-        rate = predict_rates(cfg, w).central_max_in_window_hz
+        rate = predict_rates(at_window).central_max_in_window_hz
         want.append(WindowScore(
             window_ps=w, visibility=v, s_value=s,
             central_max_in_window_hz=rate,
             score=s if objective == "s_value" else v ** 2 * rate))
+        verdicts.append(bell_verdict(at_window))
     got = optimize_window(cfg, grid, objective).entries
     assert repr(got) == repr(tuple(want))
+    assert [repr((e.visibility, e.s_value)) for e in got] \
+        == [repr((b.visibility, b.s_value)) for b in verdicts]
 
 
 def test_rates_is_not_a_config_field(tmp_path):
@@ -663,7 +716,7 @@ def test_threads_sharing_a_link_read_their_own_windows():
         for i, pick in enumerate(picks):
             j, w = (t + i) % len(bases), windows[pick]
             if i % 2:
-                rates = predict_rates(bases[j], w)
+                rates = bases[j].link.at_window(w)[0]
             else:
                 rates = predict_rates(replace(
                     bases[j], tia=CoincidenceWindowSpec(window_ps=w)))

@@ -21,7 +21,7 @@ from fransonsim.physics import chsh_from_visibility
 from fransonsim import scenarios
 from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    derive_seed)
-from fransonsim.budget import predict_rates, predict_visibility
+from fransonsim.budget import bell_verdict, predict_rates, predict_visibility
 from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   PRESET_NAMES, ScanPlan, Scenario,
                                   calibrate_contrast, config_hash,
@@ -817,6 +817,23 @@ def test_mu_sweep_report():
         CALIBRATION_TARGET_VISIBILITY, abs=1e-12)
     rates = [r.central_max_in_window_hz for r in rows]
     assert all(a < b for a, b in zip(rates, rates[1:]))
+
+
+def test_mu_sweep_rows_are_the_closed_form_at_each_mu():
+    scenario = preset("mu-sweep")
+    rows = run_scenario(scenario).mu_table
+    assert [r.mean_pairs_per_window for r in rows] == list(scenario.mu_grid)
+    for row in rows:
+        cfg = replace(scenario.config, source=replace(
+            scenario.config.source,
+            mean_pairs_per_window=row.mean_pairs_per_window))
+        verdict, rates = bell_verdict(cfg), predict_rates(cfg)
+        assert repr((row.visibility, row.s_value, row.violates,
+                     row.central_max_in_window_hz,
+                     row.accidental_in_window_hz)) \
+            == repr((verdict.visibility, verdict.s_value, verdict.violates,
+                     rates.central_max_in_window_hz,
+                     rates.accidental_in_window_hz))
 
 
 # ---------------------------------------------------------------------------
