@@ -17,9 +17,12 @@ fringes, so they are never used.
 
 Reproducibility model
 ---------------------
-The acquisition span is cut into fixed 10-second generation slices.
-Every (stage, slice) pair owns an independent child RNG stream,
-derived from the master seed, so
+The acquisition span is cut into generation slices of one width per
+config, slice_ps: the widest 10 s / 2**k whose expected clicks (the
+closed form's singles, darks included) stay within 2**19.  The width
+reads the config's rates alone, never the host, so it is part of the
+sampling definition.  Every (stage, slice) pair owns an independent
+child RNG stream, derived from the master seed, so
 
 * identical configs give bit-identical click streams,
 * slices are drawn in order, and only a drift walk carries over (slice
@@ -62,15 +65,19 @@ from SimulationConfig.link, the derivation the closed forms share.
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
 Each slice packs its clicks per channel into int64 keys
-(t << 1) | is_dark and sorts them once, when it is generated.  A
-streaming bucket is then a searchsorted cut of the (at most three)
-slices whose clicks can reach it; when more than one contributes, a
-stable sort merges the sorted pieces in linear time.
+(t << 1) | is_dark and sorts them once, when it is generated.  No
+click may land more than a quarter of the slice width outside its
+slice (ValidationError otherwise), so a streaming bucket is a
+searchsorted cut of at most three slices: its own and its two
+neighbours.  When more than one contributes, a stable sort merges the
+sorted pieces in linear time.
 
 Memory model
 ------------
 A run's working set is a small multiple of one slice's clicks, and
-does not grow with the acquisition time:
+slice_ps keeps those within _SLICE_CLICKS (2**19, ~0.52 M) expected
+clicks, so it does not grow with the acquisition time or the click
+rate:
 
 * a slice builds each channel's clicks in one float64 buffer that
   becomes its int64 key array in place (8 bytes per click): uniform
@@ -89,12 +96,14 @@ does not grow with the acquisition time:
 * a consumer that drops each bucket before asking for the next (as
   scenarios.measure_point does) therefore holds about two slices of
   clicks: the one being drawn and the rest of the one before it.
-  Measured with tracemalloc: 25 MB for a back-to-back point of 7 s
-  (2.6 M clicks in its one slice), with or without a 50 ns dead time,
-  8.5 MB for a 100 km point of 30 s or of 300 s (0.37 M clicks per
-  slice): ~10-24 bytes per click.  Before drawing, a run refuses more
-  expected clicks per slice (slice_clicks: the closed form's singles,
-  darks included) than _MAX_CLICKS_PER_SLICE.
+  Measured with tracemalloc: 10.0-10.7 MB for a back-to-back point of
+  7 s or of 60 s (0.46 M clicks per 1.25 s slice), 8.5 MB for a 100 km
+  point of 30 s or of 300 s (0.37 M clicks per 10 s slice): ~10-24
+  bytes per click.  Before drawing, a run refuses more expected
+  clicks (the closed form's singles, darks included) in its first
+  10 s, or in all of a shorter run, than _MAX_CLICK_RATE_HZ gives in
+  10 s; only a run shorter than 10 s can therefore hold more than
+  _SLICE_CLICKS in its (narrowest) slice, up to 6e7.
 """
 
 from __future__ import annotations
@@ -112,18 +121,34 @@ from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec)
 from .tia import check_ascending
 
-# Fixed generation-slice width.  Part of the sampling definition:
-# changing it would change every drawn number, so it is a constant,
-# not a knob.
+# Widest generation slice.  A run's slices are SLICE_PS / 2**k wide,
+# the widest that keeps its expected clicks within _SLICE_CLICKS (see
+# slice_ps).  The rule reads only the config's closed-form rates and is
+# part of the sampling definition: changing SLICE_PS, _SLICE_CLICKS or
+# _MIN_SLICE_PS would change the drawn numbers of every run longer than
+# one slice, so they are constants, not knobs.
 SLICE_PS = 10_000_000_000_000  # 10 s
 
-# Clicks may leave their generation slice by analyzer delay + timing
-# spreads + drift.  Anything further than this is a config error.
-_MAX_SPILL_PS = SLICE_PS // 4
+# Expected clicks per slice, darks included, that a slice may hold
+# (memory model: ~10-24 bytes per click, ~two slices held at a time).
+_SLICE_CLICKS = 2 ** 19
 
-# Per-slice click budget, darks included (memory guard): ~0.6-1.4 GB
-# at the ~10-24 bytes per click of *Memory model*.
-_MAX_CLICKS_PER_SLICE = 6.0e7
+# Engine budget as a rate, darks included: a run refuses more expected
+# clicks in its first SLICE_PS (all of a shorter run) than this rate
+# gives in SLICE_PS, 6e7 clicks (~0.6-1.4 GB in one widest slice).
+_MAX_CLICK_RATE_HZ = 6.0e6
+
+# Narrowest slice: the widest width at which _MAX_CLICK_RATE_HZ stays
+# within _SLICE_CLICKS (~4.7e5 clicks).  Only a run shorter than
+# SLICE_PS may draw faster, and then holds more clicks per slice.
+_MIN_SLICE_PS = SLICE_PS >> 7
+
+# Clicks may leave their generation slice by analyzer delay + timing
+# spreads + drift, by at most a quarter of the slice width, so that a
+# bucket draws on its own slice and its two neighbours only.  Anything
+# further is a config error.  This is the widest slice's quarter, the
+# most any run may spill.
+_MAX_SPILL_PS = SLICE_PS // 4
 
 # Elements per step of the in-place passes over a slice (draws added
 # to arrivals, rounding into keys, the click filter): bounds every
@@ -431,30 +456,50 @@ class _DriftWalk:
         arrivals += d.offset_ps
 
 
+def _click_rate_hz(config: SimulationConfig) -> float:
+    """Expected clicks per second, photons and darks of both channels:
+    predict_rates' singles, which a slice draws."""
+    rates = predict_rates(config)
+    return rates.singles_signal_hz + rates.singles_idler_hz
+
+
+def slice_ps(config: SimulationConfig) -> int:
+    """Generation-slice width of config's runs: the widest
+    SLICE_PS / 2**k, down to _MIN_SLICE_PS, whose expected clicks stay
+    within _SLICE_CLICKS.  It reads the closed-form rates alone, so
+    every point of a scan (phase, window and seed aside) shares it."""
+    rate_per_ps = _click_rate_hz(config) * 1e-12
+    width = SLICE_PS
+    while width > _MIN_SLICE_PS and rate_per_ps * width > _SLICE_CLICKS:
+        width //= 2
+    return width
+
+
 def slice_clicks(config: SimulationConfig) -> float:
     """Expected clicks, photons and darks of both channels, in one
     generation slice of config's run (a run shorter than a slice is
-    its only slice): predict_rates' singles, which a slice draws."""
-    rates = predict_rates(config)
-    dt_s = min(config.span_ps(), SLICE_PS) * 1e-12
-    return (rates.singles_signal_hz + rates.singles_idler_hz) * dt_s
+    its only slice)."""
+    return _click_rate_hz(config) * min(config.span_ps(),
+                                        slice_ps(config)) * 1e-12
 
 
 def _pack_keys(label: str, times: np.ndarray, n_photons: int,
-               lo: int, hi: int) -> np.ndarray:
+               lo: int, hi: int, spill: int) -> np.ndarray:
     """Round times (photons, then darks) in place into sorted int64
-    packed keys (t << 1) | is_dark, in the same storage."""
+    packed keys (t << 1) | is_dark, in the same storage; refuse a
+    click more than spill ps outside [lo, hi)."""
     key = times.view(np.int64)
     for c in _chunks(times.size):
         key[c] = np.rint(times[c])
     key <<= 1
     key[n_photons:] |= 1
     key.sort()
-    if key.size and (int(key[0] >> 1) < lo - _MAX_SPILL_PS
-                     or int(key[-1] >> 1) >= hi + _MAX_SPILL_PS):
+    if key.size and (int(key[0] >> 1) < lo - spill
+                     or int(key[-1] >> 1) >= hi + spill):
         raise ValidationError(
-            f"{label} clicks spilled more than {_MAX_SPILL_PS} ps "
-            "out of their generation slice (drift too large?)")
+            f"{label} clicks spilled more than {spill} ps, a quarter of "
+            f"the {4 * spill} ps generation slice, out of it (drift too "
+            "large?)")
     return key
 
 
@@ -464,7 +509,8 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
     """All click candidates whose generating process lives in
     [lo, hi), per channel as one sorted int64 array of packed keys
     (t << 1) | is_dark: returns (sig_keys, idl_keys).  Rates, survival,
-    peak weights and timing widths are config.link's.
+    peak weights and timing widths are config.link's; no click may
+    spill more than a quarter of slice_ps(config) out of [lo, hi).
 
     Each channel's clicks are built in one float buffer that ends as
     its key array: idler partners first, then the channel's
@@ -522,8 +568,9 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
 
     drift.apply("signal", sig[:n_sig])
     drift.apply("idler", idl[:n_idl])
-    sig_keys = _pack_keys("signal", sig, n_sig, lo, hi)
-    idl_keys = _pack_keys("idler", idl, n_idl, lo, hi)
+    spill = slice_ps(config) // 4
+    sig_keys = _pack_keys("signal", sig, n_sig, lo, hi, spill)
+    idl_keys = _pack_keys("idler", idl, n_idl, lo, hi, spill)
 
     # diagnostics: the pairs no click shows, as counts alone
     rng = _stream(seed, _ST_REMAINDER, slice_idx)
@@ -548,33 +595,38 @@ def iter_click_buckets(config: SimulationConfig,
     t < upper_edge_ps, and later buckets hold no earlier clicks — ready
     for streaming consumers.
 
-    Buckets partition the acquisition on SLICE_PS boundaries (the
-    last one keeps its closed upper edge at the span).  Each slice is
-    sorted once, when generated; a bucket is the searchsorted cut of
-    the slices whose clicks can reach it (its own and the two
-    neighbours), merged when more than one contributes.  Each
-    channel's dead time carries its last kept click from bucket to
-    bucket, so the buckets together hold the clicks that one pass of
-    the per-click dead-time rule over the whole run keeps.  A detector
-    starts ready: its first click at t >= 0 is kept, however long its
-    dead time.
+    Buckets partition the acquisition on the boundaries of its
+    generation slices, slice_ps(config) wide (the last one keeps its
+    closed upper edge at the span).  Each slice is sorted once, when
+    generated; a bucket is the searchsorted cut of the slices whose
+    clicks can reach it (its own and the two neighbours: no click may
+    spill more than a quarter of the width out of its slice), merged
+    when more than one contributes.  Each channel's dead time carries
+    its last kept click from bucket to bucket, so the buckets together
+    hold the clicks that one pass of the per-click dead-time rule over
+    the whole run keeps.  A detector starts ready: its first click at
+    t >= 0 is kept, however long its dead time.
 
     Only the unconsumed part of each slice is kept once a bucket is
     cut: the newest slice as a view, an older slice's spill tail as a
     copy.  A bucket's arrays may share storage with the slice it came
     from; a consumer that drops each bucket before asking for the
-    next holds about two slices of clicks at a time.
+    next holds about two slices of clicks at a time.  Before any
+    slice is drawn, a run whose expected clicks exceed the engine
+    budget (_MAX_CLICK_RATE_HZ) is refused with ValidationError.
     """
     if diag is None:
         diag = SimDiagnostics()
     span = config.span_ps()
-    expected = slice_clicks(config)
-    if expected > _MAX_CLICKS_PER_SLICE:
+    rate = _click_rate_hz(config)
+    if rate * min(span, SLICE_PS) > _MAX_CLICK_RATE_HZ * SLICE_PS:
         raise ValidationError(
-            f"~{expected:.3g} clicks per generation slice, darks included,"
-            " exceed the engine budget; lower mu or the dark rates, add "
+            f"~{rate:.3g} clicks/s, darks included, exceed the engine "
+            f"budget of {_MAX_CLICK_RATE_HZ:.3g}/s over "
+            f"{SLICE_PS * 1e-12:g} s; lower mu or the dark rates, add "
             "loss, or shorten the acquisition")
-    n_slices = max(1, -(-span // SLICE_PS))
+    width = slice_ps(config)
+    n_slices = max(1, -(-span // width))
     drift = _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
     dead_s = int(round(config.detector_signal.dead_time_ps))
@@ -586,8 +638,8 @@ def iter_click_buckets(config: SimulationConfig,
     def cut(b: int) -> Bucket:
         # last bucket takes a closed upper edge so t == span survives
         last = b == n_slices - 1
-        bhi = span + 1 if last else (b + 1) * SLICE_PS
-        cuts = (max(b * SLICE_PS, 0) << 1, bhi << 1)
+        bhi = span + 1 if last else (b + 1) * width
+        cuts = (max(b * width, 0) << 1, bhi << 1)
         out: List[np.ndarray] = []
         for ch, channel, dead in ((0, "signal", dead_s),
                                   (1, "idler", dead_i)):
@@ -631,7 +683,7 @@ def iter_click_buckets(config: SimulationConfig,
         return (bhi, out[0], out[1], out[2], out[3])
 
     for k in range(n_slices):
-        lo, hi = k * SLICE_PS, min(span, (k + 1) * SLICE_PS)
+        lo, hi = k * width, min(span, (k + 1) * width)
         pools.append(list(_gen_slice(config, k, lo, hi, drift, diag)))
         if k > 0:
             yield cut(k - 1)

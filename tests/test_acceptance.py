@@ -14,7 +14,7 @@ cores).  Their master seeds are frozen alongside the measured values:
 * 100 km preset, 600 s/point, master seed 2
       -> fitted V = 0.80330 +/- 0.02479
 * back-to-back preset, 60 s/point, master seed 1
-      -> fitted V = 0.84583 +/- 0.00823
+      -> fitted V = 0.82445 +/- 0.00852
 
 Both are fitted at the fringe frequency the plan implies (1 rad per
 rad of phase setting).

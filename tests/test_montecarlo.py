@@ -33,7 +33,7 @@ from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    read_click_stream, run_simulation,
                                    write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
-                                   _filter_clicks, _gen_slice)
+                                   _filter_clicks, _gen_slice, slice_ps)
 from fransonsim.scenarios import preset
 
 
@@ -456,11 +456,11 @@ def _whole_run_reference(cfg):
     """Oracle for the bucket path: every slice's packed keys unpacked
     and merged at once with the lexsort reference, clipped to
     [0, span], then the per-click dead-time loop over the whole run."""
-    span = cfg.span_ps()
-    n_slices = max(1, -(-span // SLICE_PS))
+    span, width = cfg.span_ps(), slice_ps(cfg)
+    n_slices = max(1, -(-span // width))
     drift, diag = _DriftWalk(cfg), SimDiagnostics()
-    slices = [_gen_slice(cfg, k, k * SLICE_PS,
-                         min(span, (k + 1) * SLICE_PS), drift, diag)
+    slices = [_gen_slice(cfg, k, k * width, min(span, (k + 1) * width),
+                         drift, diag)
               for k in range(n_slices)]
     streams = {}
     for col, ch, det in ((0, "signal", cfg.detector_signal),
@@ -500,18 +500,27 @@ def _with_dead_time(cfg, signal_ps, idler_ps):
     lossy_config(acquisition_time_s=20.1, master_seed=12,
                  drift=TimingDriftSpec(enabled=True, channel="signal",
                                        offset_ps=2.0e11)),
-], ids=["darks-dead-time", "idler-walk", "signal-early", "signal-late"])
+    # back-to-back: 1.25 s slices, 50 ns dead time, an idler walk and an
+    # idler offset of almost a quarter slice back, so that every bucket
+    # merges its own slice with the next one's spill
+    replace(_with_dead_time(preset("back-to-back", master_seed=23).config,
+                            5.0e4, 5.0e4),
+            acquisition_time_s=3.4,
+            drift=TimingDriftSpec(enabled=True, channel="idler",
+                                  offset_ps=-3.0e11, walk_step_ps=5.0)),
+], ids=["darks-dead-time", "idler-walk", "signal-early", "signal-late",
+        "narrow-slices-idler-back"])
 def test_buckets_match_whole_run_reference(cfg):
     diag = SimDiagnostics()
     buckets = list(iter_click_buckets(cfg, diag))
-    span = cfg.span_ps()
-    assert len(buckets) == -(-span // SLICE_PS)
+    span, width = cfg.span_ps(), slice_ps(cfg)
+    assert len(buckets) == -(-span // width)
     for b, (hi, ts, ds, ti, di) in enumerate(buckets):
         assert hi == (span + 1 if b == len(buckets) - 1
-                      else (b + 1) * SLICE_PS)
+                      else (b + 1) * width)
         for t, d in ((ts, ds), (ti, di)):
             assert t.dtype == np.int64 and d.dtype == bool
-            assert t.size == 0 or (t[0] >= b * SLICE_PS and t[-1] < hi)
+            assert t.size == 0 or (t[0] >= b * width and t[-1] < hi)
     want, want_diag = _whole_run_reference(cfg)
     for col, ch in ((1, "signal"), (3, "idler")):
         t = np.concatenate([b[col] for b in buckets])
@@ -950,21 +959,130 @@ def test_engine_budget_guard():
 
 
 def test_engine_budget_counts_dark_clicks(monkeypatch):
-    # 1 MHz of signal darks: ~1.0e6 clicks in the 1 s slice, ~28 times
-    # the link's photon clicks.  The guard reads the closed form's
-    # singles, darks included, and refuses before any click is drawn.
+    # 1 MHz of signal darks: ~1.0e6 clicks/s, ~28 times the link's
+    # photon clicks, which narrow the slice from 10 s to 0.3125 s.  The
+    # guard reads the closed form's singles, darks included, and
+    # refuses before any click is drawn.
     cfg = replace(preset("paper-100km").config, acquisition_time_s=1.0)
     dark = replace(cfg, detector_signal=replace(cfg.detector_signal,
                                                 dark_rate_hz=1.0e6))
     rates = predict_rates(dark)
-    assert montecarlo.slice_clicks(dark) == \
-        rates.singles_signal_hz + rates.singles_idler_hz
+    assert slice_ps(dark) == SLICE_PS // 32
+    assert montecarlo.slice_clicks(dark) == pytest.approx(
+        (rates.singles_signal_hz + rates.singles_idler_hz) * 0.3125,
+        rel=1e-12)
     assert montecarlo.slice_clicks(cfg) < 1.0e5 < rates.singles_signal_hz
-    monkeypatch.setattr(montecarlo, "_MAX_CLICKS_PER_SLICE", 1.0e5)
+    # 1e5 clicks in a 10 s slice: the link's 1 s fits, the darks' not
+    monkeypatch.setattr(montecarlo, "_MAX_CLICK_RATE_HZ", 1.0e4)
     monkeypatch.setattr(montecarlo, "_gen_slice", mock.Mock(
         side_effect=AssertionError("a slice was drawn")))
     with pytest.raises(ValidationError, match="darks included"):
         next(iter_click_buckets(dark))
+
+
+class _Drawn(Exception):
+    pass
+
+
+def test_engine_budget_is_a_rate_over_the_widest_slice(monkeypatch):
+    # 6e6 clicks/s over 10 s is the 6e7 clicks per slice of fixed 10 s
+    # slices, so the budget refuses the runs it refused then: a run
+    # shorter than 10 s may draw faster.  The narrowest width is the
+    # widest that keeps the budget's rate within a slice's clicks.
+    at_budget = montecarlo._MAX_CLICK_RATE_HZ * 1e-12 \
+        * montecarlo._MIN_SLICE_PS
+    assert at_budget <= montecarlo._SLICE_CLICKS < 2 * at_budget
+    assert montecarlo._MIN_SLICE_PS == SLICE_PS >> 7
+    monkeypatch.setattr(montecarlo, "_gen_slice",
+                        mock.Mock(side_effect=_Drawn))
+    # lossless at 4.2e-4 pairs per window: ~7e6 clicks/s
+    fast = lossless_config(source=SourceSpec(photon_fwhm_ps=0.5,
+                                             mean_pairs_per_window=4.2e-4))
+    rates = predict_rates(fast)
+    assert 6.5e6 < rates.singles_signal_hz + rates.singles_idler_hz < 7.5e6
+    assert slice_ps(fast) == montecarlo._MIN_SLICE_PS
+    for seconds, refused in ((10.0, True), (20.0, True), (8.0, False)):
+        run = iter_click_buckets(replace(fast, acquisition_time_s=seconds))
+        with pytest.raises(ValidationError if refused else _Drawn):
+            next(run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["back-to-back", "paper-100km", "ideal"]),
+       mu_scale=st.floats(1e-2, 1e2), dark_hz=st.floats(0.0, 1e6),
+       km=st.floats(0.0, 100.0), phase=st.floats(-math.pi, math.pi),
+       window_ps=st.sampled_from([60.0, 100.0, 200.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="ideal", mu_scale=100.0, dark_hz=0.0, km=0.0, phase=0.0,
+         window_ps=100.0, seed=0)    # past the narrowest width's clicks
+def test_slice_width_is_the_widest_within_the_click_budget(
+        name, mu_scale, dark_hz, km, phase, window_ps, seed):
+    base = preset(name).config
+    cfg = replace(
+        base,
+        source=replace(base.source, mean_pairs_per_window=(
+            base.source.mean_pairs_per_window * mu_scale)),
+        detector_signal=replace(base.detector_signal, dark_rate_hz=dark_hz),
+        **{arm: replace(getattr(base, arm), fiber_length_km=km)
+           for arm in ("channel_signal", "channel_idler")})
+    rates = predict_rates(cfg)
+    per_ps = (rates.singles_signal_hz + rates.singles_idler_hz) * 1e-12
+    width = slice_ps(cfg)
+    k = (SLICE_PS // width).bit_length() - 1
+    assert width << k == SLICE_PS and 0 <= k <= 7
+    at_cap = width == montecarlo._MIN_SLICE_PS
+    assert per_ps * width <= montecarlo._SLICE_CLICKS or at_cap
+    assert k == 0 or per_ps * 2 * width > montecarlo._SLICE_CLICKS
+    if per_ps <= montecarlo._MAX_CLICK_RATE_HZ * 1e-12:
+        assert per_ps * width <= montecarlo._SLICE_CLICKS
+    # a scan's points differ from its config in phase, window and seed
+    # alone, so every point of a scan shares one width
+    point = replace(cfg, analyzer_signal=replace(cfg.analyzer_signal,
+                                                 phase_rad=phase),
+                    tia=replace(cfg.tia, window_ps=window_ps),
+                    master_seed=seed)
+    assert slice_ps(point) == width
+
+
+def test_no_click_spills_past_the_next_bucket(monkeypatch):
+    # back-to-back: 1.25 s slices, so a click may land at most a
+    # quarter slice outside its own and a bucket merges at most three
+    # slices.  With the idler pulled back by almost that much, every
+    # drawn click ends in a bucket, in clicks_dropped_out_of_span or
+    # among the same-picosecond repeats (no dead time) that the filter
+    # removes.
+    cfg = replace(preset("back-to-back", master_seed=19).config,
+                  acquisition_time_s=3.0)
+    width, span = slice_ps(cfg), cfg.span_ps()
+    assert width == SLICE_PS // 8
+
+    def idler_offset(ps):
+        return replace(cfg, drift=TimingDriftSpec(
+            enabled=True, channel="idler", offset_ps=ps))
+
+    drawn = []
+    gen = montecarlo._gen_slice
+
+    def spy(*args):
+        drawn.append(gen(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(montecarlo, "_gen_slice", spy)
+    diag = SimDiagnostics()
+    buckets = list(iter_click_buckets(idler_offset(-0.24 * width), diag))
+    assert len(drawn) == len(buckets) == 3
+    outside = 0
+    for col in (0, 1):
+        t = np.concatenate([keys[col] for keys in drawn]) >> 1
+        inside = t[(t >= 0) & (t <= span)]
+        outside += t.size - inside.size
+        kept = sum(b[1 + 2 * col].size for b in buckets)
+        assert kept == np.unique(inside).size
+    assert diag.clicks_dropped_out_of_span == outside > 0
+    # an idler pulled back by more than a slice would land two buckets
+    # back, after that bucket was cut: it is refused instead
+    with pytest.raises(ValidationError, match="idler clicks spilled"):
+        list(iter_click_buckets(idler_offset(-1.5 * width)))
 
 
 def test_drift_spec_validation():
