@@ -10,7 +10,7 @@ is derived once per link (configs differing only in window or seed
 share it): an arm's loss is LinkModel's loss_db, a delay peak's share
 of a window one CoincidencePeakModel.mass integral, and the closed
 form at a window, its rates, visibilities and Bell verdict, one
-derivation per (link, window) that the link keeps (LinkModel.at_window).
+derivation per (link, window) kept in a bounded cache (LinkModel.at_window).
 
 Counting conventions used throughout:
 
@@ -27,8 +27,8 @@ Counting conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
@@ -42,10 +42,10 @@ if TYPE_CHECKING:   # montecarlo imports LinkModel from here
 
 _SQRT2 = math.sqrt(2.0)
 
-# Windows whose closed form a link keeps (LinkModel.at_window): well above
-# the 8-9 of a preset or design grid; a 10^4-window grid stays bounded.
-WINDOWS_PER_LINK = 64
-_STORE_WINDOW = threading.Lock()    # keeps a link's count to the bound
+# (link, window) closed forms kept, least recently read dropped first
+# (LinkModel.at_window): several times the 8-9 windows a design grid's
+# (length, mu) cell reads; a 10^4-window grid stays bounded.
+WINDOWS_KEPT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +144,12 @@ class ArmLink:
                                     # jitter in quadrature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkModel:
     """Every link quantity the rates, the peak shape and the Monte
-    Carlo engine read, derived once per link as SimulationConfig.link."""
+    Carlo engine read, derived once per link as SimulationConfig.link.
+    == and hash are identity, which the window cache keys on: hashing
+    the nested records by value costs more than a cached read."""
 
     pair_rate_hz: float             # generated at the source output
     both_hz: float                  # pair rate * q_s * q_i (any port)
@@ -157,6 +159,7 @@ class LinkModel:
     weights: Tuple[float, float, float]  # per pair: central, early, late
     central_max_weight: float       # central weight at the fringe maximum
     peak: CoincidencePeakModel
+    loss_note: str                  # how to read a quoted link loss
 
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "LinkModel":
@@ -221,39 +224,24 @@ class LinkModel:
         peak = CoincidencePeakModel(
             sigma_delta_ps=sigmas[2], center_ps=center,
             analyzer_delay_ps=config.analyzer_signal.delay_ps)
+        s, i = signal.loss_db, idler.loss_db
         return cls(pair_rate_hz=rate, both_hz=rate * signal.q * idler.q,
                    signal=signal, idler=idler,
                    contrast_total=c_tot, weights=weights,
                    central_max_weight=franson_bin_probabilities(
                        0.0, 0.0, 0.0, c_tot)[0],
-                   peak=peak)
-
-    def __post_init__(self):
-        # not fields, so asdict, repr, == and hashing never see them: how
-        # to read a quoted link loss, and the closed form per window
-        s, i = self.signal.loss_db, self.idler.loss_db
-        object.__setattr__(self, "_loss_note", (
-            f"per-arm optical losses: signal {s:g} dB, idler {i:g} dB; "
-            f"two-photon (summed) loss {s + i:g} dB. A single quoted "
-            "link figure must be read as the summed two-photon loss "
-            "and split across the arms before building specs; reading "
-            "it as per-arm double-counts it."))
-        object.__setattr__(self, "_windows", {})
+                   peak=peak, loss_note=(
+                       f"per-arm optical losses: signal {s:g} dB, idler "
+                       f"{i:g} dB; two-photon (summed) loss {s + i:g} dB. "
+                       "A single quoted link figure must be read as the "
+                       "summed two-photon loss and split across the arms "
+                       "before building specs; reading it as per-arm "
+                       "double-counts it."))
 
     def at_window(self, window_ps: float) -> tuple:
         """(RatePrediction, VisibilityPrediction without and with the side
-        leak, BellVerdict) at window_ps, derived once per (link, window)
-        kept: up to WINDOWS_PER_LINK, all dropped when a new one finds them
-        full.  Keyed by type too (100 never answers for 100.0); immutable."""
-        key = (type(window_ps), window_ps)
-        entry = self._windows.get(key)
-        if entry is None:
-            entry = _derive_window(self, window_ps)
-            with _STORE_WINDOW:
-                if len(self._windows) >= WINDOWS_PER_LINK:
-                    self._windows.clear()
-                entry = self._windows.setdefault(key, entry)
-        return entry
+        leak, BellVerdict) at window_ps: see _at_window."""
+        return _at_window(self, window_ps)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +312,7 @@ def _derive_window(link: LinkModel, w: float) -> tuple:
         central_max_in_window_hz=both * link.central_max_weight * capture,
         central_at_config_phase_hz=both * w_c * capture,
         accidental_in_window_hz=accidental, accidental_parts_hz=parts,
-        side_leak_in_window_hz=leak, loss_note=link._loss_note)
+        side_leak_in_window_hz=leak, loss_note=link.loss_note)
     mean_central = both * capture * (w_e + w_l)  # w_c's phase mean
 
     def fringe(background):
@@ -338,9 +326,16 @@ def _derive_window(link: LinkModel, w: float) -> tuple:
         corrected.visibility, s, violates, s - 2.0)
 
 
+@functools.lru_cache(maxsize=WINDOWS_KEPT, typed=True)
+def _at_window(link: LinkModel, window_ps: float) -> tuple:
+    """_derive_window, kept for the WINDOWS_KEPT (link, window) pairs read
+    last.  Typed, so 100 never answers for 100.0; entries are immutable."""
+    return _derive_window(link, window_ps)
+
+
 def predict_rates(config: SimulationConfig) -> RatePrediction:
     """The closed form at the config's window."""
-    return config.link.at_window(config.tia.window_ps)[0]
+    return _at_window(config.link, config.tia.window_ps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +367,7 @@ def predict_visibility(config: SimulationConfig, *,
     with no side correction — that is what fitting this package's own
     simulated histograms yields.
     """
-    return config.link.at_window(config.tia.window_ps)[
+    return _at_window(config.link, config.tia.window_ps)[
         2 if include_side_leak else 1]
 
 
@@ -386,7 +381,7 @@ class BellVerdict:
 
 def bell_verdict(config: SimulationConfig) -> BellVerdict:
     """CHSH S of predict_visibility's (side-corrected) V."""
-    return config.link.at_window(config.tia.window_ps)[3]
+    return _at_window(config.link, config.tia.window_ps)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +437,7 @@ def optimize_window(config: SimulationConfig,
                 "the side peaks out")
     link, entries = config.link, []
     for w in grid:
-        rates, _, _, verdict = link.at_window(w)
+        rates, _, _, verdict = _at_window(link, w)
         rate, v, s = (rates.central_max_in_window_hz, verdict.visibility,
                       verdict.s_value)
         entries.append(WindowScore(

@@ -110,7 +110,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,14 +271,18 @@ class SimulationConfig:
     def span_ps(self) -> int:
         return int(round(self.acquisition_time_s * 1e12))
 
-    @cached_property
+    @property
     def link(self) -> LinkModel:
         """budget.LinkModel of this config, derived on first read unless
         the last one derived read these very specs and acquisition time,
         as configs replaced in tia or master_seed alone do.  _LAST_LINK
         holds it as (key, specs, link), the specs keeping the key's ids
-        live, and is replaced whole, so threads share it.  Not a field:
-        asdict, hashing and config files never see it."""
+        live, and is replaced whole, so threads share it.  Kept in the
+        instance's __dict__, not a field: asdict, hashing and config
+        files never see it."""
+        link = self.__dict__.get("link")
+        if link is not None:
+            return link
         specs = (self.source, self.channel_signal, self.channel_idler,
                  self.analyzer_signal, self.analyzer_idler,
                  self.detector_signal, self.detector_idler, self.drift)
@@ -287,7 +290,7 @@ class SimulationConfig:
         last = _LAST_LINK[0]
         if last[0] != key:
             last = _LAST_LINK[0] = (key, specs, LinkModel.from_config(self))
-        return last[2]
+        return self.__dict__.setdefault("link", last[2])
 
 
 @dataclass

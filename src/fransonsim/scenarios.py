@@ -550,9 +550,7 @@ def _usable_cpus() -> int:
 # fringe points run at once.  A running point holds about two slices
 # of clicks, measured at ~10-24 bytes per expected click per slice
 # (tracemalloc: back-to-back 7 s and 60 s, 100 km 30 s and 300 s), so
-# a pool past two points stays under ~250 MB.  Two points at once hold
-# no more than one point did when points ran one after another (up to
-# four slices).
+# a pool past two points stays under ~250 MB.
 _POOL_CLICKS_PER_SLICE = 1.0e7
 
 

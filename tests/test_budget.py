@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 import sys
 import threading
 from dataclasses import replace
@@ -446,8 +447,7 @@ def test_pooled_fringe_points_read_their_own_links(monkeypatch):
 
 def test_threads_sharing_the_last_link_read_their_own_links():
     # more threads than cores, switching often: no config may take
-    # another config's link.  The property's body is called directly:
-    # some Pythons' cached_property serialises it behind one lock.
+    # another config's link
     bases = [paper_link(km, 100.0) for km in (0.0, 20.0, 50.0, 80.0)]
     want = [_bits(LinkModel.from_config(b)) for b in bases]
     wrong = []
@@ -457,7 +457,7 @@ def test_threads_sharing_the_last_link_read_their_own_links():
             j = (k + i) % len(bases)
             cfg = replace(bases[j], tia=CoincidenceWindowSpec(
                 window_ps=60.0 + i % 7))
-            if _bits(SimulationConfig.link.func(cfg)) != want[j]:
+            if _bits(cfg.link) != want[j]:
                 wrong.append((k, i))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
@@ -548,9 +548,10 @@ def test_budget_cli_derives_rates_once(monkeypatch, tmp_path, capsys):
 
 def test_no_reader_writes_the_shared_rates(monkeypatch, tmp_path, capsys):
     # every reader of a link's closed form: scenarios and their files,
-    # the budget and simulate commands; afterwards each entry a link
-    # keeps still equals a fresh derivation
+    # the budget and simulate commands; afterwards each kept entry
+    # still equals a fresh derivation
     original = budget._derive_window
+    budget._at_window.cache_clear()
     calls = _count_windows(monkeypatch)
     fringe = replace(preset("ideal"), plan=ScanPlan(
         settings=phase_grid(6), acquisition_s_per_point=0.01))
@@ -561,10 +562,12 @@ def test_no_reader_writes_the_shared_rates(monkeypatch, tmp_path, capsys):
     for command in ("budget", "simulate"):
         assert main([command, str(tmp_path / "small.json"),
                      "--out-dir", str(tmp_path)]) == 0
-    assert len(calls) > 10
+    assert 10 < len(calls) <= budget.WINDOWS_KEPT
+    misses = budget._at_window.cache_info().misses
     for link, w in list(calls):
-        kept, fresh = link._windows[type(w), w], original(link, w)
+        kept, fresh = link.at_window(w), original(link, w)
         assert list(map(_bits, kept)) == list(map(_bits, fresh))
+    assert budget._at_window.cache_info().misses == misses
     parts = calls[0][0].at_window(calls[0][1])[0].accidental_parts_hz
     for write in (lambda: parts.__setitem__("dark-dark", 0.0),
                   lambda: parts.__delitem__("dark-dark"), parts.clear,
@@ -643,11 +646,14 @@ def test_rates_is_not_a_config_field(tmp_path):
     cfg = paper_link(50.0, 100.0)
     fresh = LinkModel.from_config(cfg)
     before = (dataclasses.asdict(fresh), repr(fresh), hash(fresh))
+    budget._at_window.cache_clear()
     for w in (60.0, 100, 100.0, 140.0):
         fresh.at_window(w)
-    assert len(fresh._windows) == 4
+    assert budget._at_window.cache_info().currsize == 4
     assert (dataclasses.asdict(fresh), repr(fresh), hash(fresh)) == before
-    assert fresh == LinkModel.from_config(cfg)
+    assert _bits(fresh) == _bits(LinkModel.from_config(cfg))
+    # a link is == only to itself: the cache keys on its identity
+    assert fresh == fresh != LinkModel.from_config(cfg)
     assert not hasattr(cfg, "rates")
     assert "rates" not in dataclasses.asdict(cfg)
     path = tmp_path / "cfg.json"
@@ -681,34 +687,51 @@ def test_every_kept_window_is_a_fresh_derivation(k, windows):
         assert repr(link.at_window(w)[1:]) == repr(fresh[1:])
 
 
-def test_a_link_keeps_at_most_windows_per_link(monkeypatch):
-    link = LinkModel.from_config(paper_link(50.0, 100.0))
+def test_the_window_cache_keeps_at_most_windows_kept(monkeypatch):
+    cfg = paper_link(50.0, 100.0)
+    link = LinkModel.from_config(cfg)
+    original = budget._derive_window
+    budget._at_window.cache_clear()
     calls = _count_windows(monkeypatch)
-    n = budget.WINDOWS_PER_LINK
+    n = budget.WINDOWS_KEPT
+    assert budget._at_window.cache_info().maxsize == n
     windows = [10.0 + k for k in range(4 * n + 3)]
     for w in windows:
         assert link.at_window(w)[0].window_ps == w
-        assert 0 < len(link._windows) <= n
+        assert 0 < budget._at_window.cache_info().currsize <= n
     assert len(calls) == len(windows)
-    # a full link drops what it keeps and starts over with the new window,
-    # so the windows read last stay kept: a long grid leaves none behind
-    assert set(link._windows) == {(float, w) for w in windows[-3:]}
-    for w in windows[-3:] * 2 + [12.0, 12.0]:
+    # the least recently read window is dropped first, so the n read
+    # last stay kept, each still a fresh derivation: a long grid leaves
+    # only its tail behind
+    for w in windows[-n:]:
+        assert list(map(_bits, link.at_window(w))) \
+            == list(map(_bits, original(link, w)))
+    assert len(calls) == len(windows)
+    for w in windows[:1] * 2:
         link.at_window(w)
     assert len(calls) == len(windows) + 1
+    # so does a grid as long as optimize-window --grid takes
+    grid = np.linspace(1.0, 199.0, 10_000)
+    optimize_window(cfg, grid)
+    assert budget._at_window.cache_info().currsize == n
+    misses = budget._at_window.cache_info().misses
+    for w in map(float, grid[-n:]):
+        assert list(map(_bits, cfg.link.at_window(w))) \
+            == list(map(_bits, original(cfg.link, w)))
+    assert budget._at_window.cache_info().misses == misses
 
 
 def test_threads_sharing_a_link_read_their_own_windows():
     # more threads than cores, switching often, reading the four base
-    # configs' links at more windows than a link keeps, in turn with
+    # configs' links at more windows than the cache keeps, in turn with
     # window-only replacements that go through the last-link slot:
     # each read must be the closed form of its own link and window,
-    # and no link may keep more than the bound
+    # and the cache may never keep more than the bound
     bases = [paper_link(km, 100.0) for km in (0.0, 20.0, 50.0, 80.0)]
-    windows = [60.0 + k for k in range(budget.WINDOWS_PER_LINK + 16)]
+    windows = [60.0 + k for k in range(budget.WINDOWS_KEPT + 16)]
     want = [{w: _bits(budget._derive_window(
         LinkModel.from_config(b), w)[0]) for w in windows} for b in bases]
-    links = [b.link for b in bases]
+    cache_info = budget._at_window.cache_info
     wrong = []
 
     def work(t):
@@ -721,7 +744,7 @@ def test_threads_sharing_a_link_read_their_own_windows():
                 rates = predict_rates(replace(
                     bases[j], tia=CoincidenceWindowSpec(window_ps=w)))
             if _bits(rates) != want[j][w] \
-                    or len(links[j]._windows) > budget.WINDOWS_PER_LINK:
+                    or cache_info().currsize > budget.WINDOWS_KEPT:
                 wrong.append((t, i))
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
@@ -736,8 +759,19 @@ def test_threads_sharing_a_link_read_their_own_windows():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert all(0 < len(link._windows) <= budget.WINDOWS_PER_LINK
-               for link in links)
+    assert 0 < cache_info().currsize <= budget.WINDOWS_KEPT
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_config_read_for_its_link_survives_copy_and_pickle(clone):
+    cfg = paper_link(50.0, 100.0)
+    assert cfg.link.pair_rate_hz > 0.0
+    other = clone(cfg)
+    assert other == cfg
+    assert _bits(other.link) == _bits(LinkModel.from_config(cfg))
+    assert _bits(predict_rates(other)) == _bits(predict_rates(cfg))
 
 
 def test_link_is_not_a_config_field(tmp_path):

@@ -779,12 +779,10 @@ def km100_link_point():
 
 
 @pytest.mark.parametrize("config, cap_mb", [
-    # six 1.25 s slices: ~2.6 M clicks, ~0.46 M per slice
-    (replace(preset("back-to-back", master_seed=3).config,
-             acquisition_time_s=7.0), 40.0),
-    # three slices, merged buckets, dead time: ~1.1 M clicks
+    # three slices, merged buckets, dead time: ~1.1 M clicks; back-to-back
+    # points: test_back_to_back_point_memory_does_not_grow_with_time
     (km100_link_point(), 16.0),
-], ids=["back-to-back-7s", "km100-link-30s"])
+], ids=["km100-link-30s"])
 def test_one_point_holds_about_two_slices(config, cap_mb):
     tracemalloc.start()
     try:
