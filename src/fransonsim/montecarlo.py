@@ -91,14 +91,14 @@ rate:
   kept: the newest slice as a view, an older slice's spill tail as a
   copy.  A bucket's key range is its own, so it is unpacked and
   filtered (the detector's dead time, at least the digitizer's 1 ps)
-  in place, _DRAW_CHUNK clicks at a time: past its dark labels (1 byte
-  per click), no temporary grows with the bucket;
+  in place, _DRAW_CHUNK clicks at a time, its darks counted as it
+  goes: no temporary grows with the bucket;
 * a consumer that drops each bucket before asking for the next (as
   scenarios.measure_point does) therefore holds about two slices of
   clicks: the one being drawn and the rest of the one before it.
-  Measured with tracemalloc: 10.0-10.7 MB for a back-to-back point of
-  7 s or of 60 s (0.46 M clicks per 1.25 s slice), 8.5 MB for a 100 km
-  point of 30 s or of 300 s (0.37 M clicks per 10 s slice): ~10-24
+  Measured with tracemalloc: 9.6-10.3 MB for a back-to-back point of
+  7 s or of 60 s (0.46 M clicks per 1.25 s slice), 8.1 MB for a 100 km
+  point of 30 s or of 300 s (0.37 M clicks per 10 s slice): ~10-22
   bytes per click.  Before drawing, a run refuses more expected
   clicks (the closed form's singles, darks included) in its first
   10 s, or in all of a shorter run, than _MAX_CLICK_RATE_HZ gives in
@@ -129,7 +129,7 @@ from .tia import check_ascending
 SLICE_PS = 10_000_000_000_000  # 10 s
 
 # Expected clicks per slice, darks included, that a slice may hold
-# (memory model: ~10-24 bytes per click, ~two slices held at a time).
+# (memory model: ~10-22 bytes per click, ~two slices held at a time).
 _SLICE_CLICKS = 2 ** 19
 
 # Engine budget as a rate, darks included: a run refuses more expected
@@ -155,8 +155,9 @@ _MAX_SPILL_PS = SLICE_PS // 4
 # so it is not part of the sampling definition.
 _DRAW_CHUNK = 1 << 16
 
-# (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
-Bucket = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# (upper_edge_ps, sig_times, sig_darks, idl_times, idl_darks): each
+# channel's kept clicks and how many of them are darks
+Bucket = Tuple[int, np.ndarray, int, np.ndarray, int]
 
 _LAST_LINK: list = [((), (), None)]     # see SimulationConfig.link
 
@@ -366,11 +367,11 @@ def _add_normal(rng: np.random.Generator, sigma: float,
 # ---------------------------------------------------------------------------
 
 def _filter_clicks(key: np.ndarray, dead_ps: int, carry: int
-                   ) -> Tuple[np.ndarray, np.ndarray, int]:
+                   ) -> Tuple[np.ndarray, int, int]:
     """Unpack one channel's sorted packed keys (t << 1) | is_dark and
     apply the detector's non-paralyzable dead time: returns (times,
-    is_dark, last kept time).  carry is the last kept click of an
-    earlier bucket (or a start value), so it lies strictly below the
+    dark clicks kept, last kept time).  carry is the last kept click of
+    an earlier bucket (or a start value), so it lies strictly below the
     first click.
 
     The dead time is at least 1 ps: the digitizer stamps integer
@@ -382,39 +383,39 @@ def _filter_clicks(key: np.ndarray, dead_ps: int, carry: int
     run of them starting from the kept click just before it.
 
     Works in place, _DRAW_CHUNK clicks at a time: key's storage becomes
-    the times and kept clicks move down over dropped ones, so no
-    temporary grows with the bucket."""
+    the times, kept clicks move down over dropped ones and only their
+    dark count is kept, so no temporary grows with the bucket."""
     # clicks lie in [0, 2**62): a longer dead time acts the same
     dead = min(max(dead_ps, 1), 2 ** 62)
-    d = np.empty(key.size, dtype=bool)
-    np.bitwise_and(key, 1, out=d, casting="unsafe")
     t = key
-    t >>= 1
     # n: clicks kept so far; before: the click before this chunk;
     # prev: the index of the last close click
-    n, last, before, prev = 0, carry, carry, -2
+    n, n_dark, last, before, prev = 0, 0, carry, carry, -2
     for c in _chunks(t.size):
-        keep = np.empty(c.stop - c.start, dtype=bool)
-        keep[0] = int(t[c.start]) - before >= dead
+        tc = t[c]
+        dark = (tc & 1).astype(bool)
+        tc >>= 1
+        keep = np.empty(tc.size, dtype=bool)
+        keep[0] = int(tc[0]) - before >= dead
         if dead == 1:   # no close click is kept: drop repeats alone
-            np.not_equal(t[c][1:], t[c][:-1], out=keep[1:])
+            np.not_equal(tc[1:], tc[:-1], out=keep[1:])
         else:
-            np.greater_equal(np.diff(t[c]), dead, out=keep[1:])
+            np.greater_equal(np.diff(tc), dead, out=keep[1:])
             for j in np.flatnonzero(~keep).tolist():
                 i = c.start + j
                 if i != prev + 1:               # its predecessor was kept
-                    last = int(t[i - 1]) if j else before
-                if int(t[i]) - last >= dead:
+                    last = int(tc[j - 1]) if j else before
+                if int(tc[j]) - last >= dead:
                     keep[j] = True
-                    last = int(t[i])
+                    last = int(tc[j])
                 prev = i
-        before = int(t[c.stop - 1])
+        before = int(tc[-1])
+        n_dark += int(np.count_nonzero(dark & keep))
         k = int(np.count_nonzero(keep))
         if n < c.start or k < keep.size:      # else it stays where it is
-            t[n:n + k] = t[c][keep]
-            d[n:n + k] = d[c][keep]
+            t[n:n + k] = tc[keep]
         n += k
-    return t[:n], d[:n], int(t[n - 1]) if n else carry
+    return t[:n], n_dark, int(t[n - 1]) if n else carry
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +593,10 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
 def iter_click_buckets(config: SimulationConfig,
                        diag: Optional[SimDiagnostics] = None,
                        ) -> Iterator[Bucket]:
-    """Yield (upper_edge_ps, sig_times, sig_dark, idl_times, idl_dark)
+    """Yield (upper_edge_ps, sig_times, sig_darks, idl_times, idl_darks)
     per time bucket, in time order, dead-time filtered (one click per
-    picosecond at least).  Every click of the bucket satisfies
+    picosecond at least); sig_darks and idl_darks count the dark clicks
+    among each channel's times.  Every click of the bucket satisfies
     t < upper_edge_ps, and later buckets hold no earlier clicks — ready
     for streaming consumers.
 
@@ -635,7 +637,7 @@ def iter_click_buckets(config: SimulationConfig,
     dead_s = int(round(config.detector_signal.dead_time_ps))
     dead_i = int(round(config.detector_idler.dead_time_ps))
     # a detector starts ready: any first click at t >= 0 is kept
-    carry = {"signal": -max(dead_s, 1), "idler": -max(dead_i, 1)}
+    carry = [-max(dead_s, 1), -max(dead_i, 1)]
     empty = np.empty(0, np.int64)
 
     def cut(b: int) -> Bucket:
@@ -643,9 +645,8 @@ def iter_click_buckets(config: SimulationConfig,
         last = b == n_slices - 1
         bhi = span + 1 if last else (b + 1) * width
         cuts = (max(b * width, 0) << 1, bhi << 1)
-        out: List[np.ndarray] = []
-        for ch, channel, dead in ((0, "signal", dead_s),
-                                  (1, "idler", dead_i)):
+        out: list = []
+        for ch, dead in enumerate((dead_s, dead_i)):
             pieces = []
             for n, pool in enumerate(pools, 1):
                 key = pool[ch]
@@ -672,18 +673,15 @@ def iter_click_buckets(config: SimulationConfig,
                 key = pieces[0] if pieces else empty
             del pieces   # a merged bucket needs its slices no more
             # the bucket's key range is its own: filter it in place
-            tt, dd, carry[channel] = _filter_clicks(key, dead,
-                                                    carry[channel])
-            n_dark = int(np.count_nonzero(dd))
-            if channel == "signal":
-                diag.photon_clicks_signal += dd.size - n_dark
-                diag.dark_clicks_signal += n_dark
-            else:
-                diag.photon_clicks_idler += dd.size - n_dark
-                diag.dark_clicks_idler += n_dark
-            out.extend((tt, dd))
+            tt, n_dark, carry[ch] = _filter_clicks(key, dead, carry[ch])
+            out.extend((tt, n_dark))
+        sig, sig_darks, idl, idl_darks = out
+        diag.photon_clicks_signal += sig.size - sig_darks
+        diag.dark_clicks_signal += sig_darks
+        diag.photon_clicks_idler += idl.size - idl_darks
+        diag.dark_clicks_idler += idl_darks
         pools[:] = [p for p in pools if p[0].size or p[1].size]
-        return (bhi, out[0], out[1], out[2], out[3])
+        return (bhi, sig, sig_darks, idl, idl_darks)
 
     for k in range(n_slices):
         lo, hi = k * width, min(span, (k + 1) * width)
@@ -702,10 +700,9 @@ def streams_from_buckets(config: SimulationConfig,
 
     def assemble(channel, col):
         t = np.concatenate([b[col] for b in buckets])
-        d = np.concatenate([b[col + 1] for b in buckets])
+        dark = sum(b[col + 1] for b in buckets)
         stream = ClickStream(channel=channel, times_ps=t, span_ps=span,
-                             true_count=int((~d).sum()),
-                             dark_count=int(d.sum()))
+                             true_count=t.size - dark, dark_count=dark)
         stream.assert_valid()
         return stream
 

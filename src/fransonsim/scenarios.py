@@ -548,7 +548,7 @@ def _usable_cpus() -> int:
 # Expected clicks per generation slice (montecarlo.slice_clicks, darks
 # included), summed over the running points, up to which more than two
 # fringe points run at once.  A running point holds about two slices
-# of clicks, measured at ~10-24 bytes per expected click per slice
+# of clicks, measured at ~10-22 bytes per expected click per slice
 # (tracemalloc: back-to-back 7 s and 60 s, 100 km 30 s and 300 s), so
 # a pool past two points stays under ~250 MB.
 _POOL_CLICKS_PER_SLICE = 1.0e7
