@@ -4,13 +4,19 @@ Subcommands
     simulate <config>          one acquisition at the configured phases:
                                click streams -> delay histogram -> rates,
                                compared against the closed-form prediction
-    fringe <scenario>          full scan pipeline: per-point simulation,
-                               fringe fit, Bell verdict, output files
+    fringe <scenario>          run a scenario: a fringe scan (per-point
+                               simulation, fringe fit, Bell verdict), a
+                               window or mu sweep, or a budget
     budget <config>            loss ledger, rate and visibility prediction
     histogram <clicks-a> <clicks-b>
                                rebuild a delay histogram from exported
                                click-stream files
     optimize-window <config>   score a coincidence-window grid
+
+scenarios writes every file but the click files: a report with
+emit_outputs (simulate's is a one-point report; budget and
+optimize-window run closed-form scenarios), histogram's table with
+write_histograms.  Here: argument parsing, stdout and exit codes.
 
 Common flags: --preset, --seed, --out-dir, --points, --acquisition-s.
 Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe fit,
@@ -20,7 +26,6 @@ Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe fit,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -28,16 +33,15 @@ import textwrap
 from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
-from .budget import WINDOW_OBJECTIVES, WindowScore, bell_verdict, \
-    build_ledger, optimize_window, predict_rates, predict_visibility
-from .errors import FitDegenerate, FransonError, ParseError, \
-    ValidationError
+from .budget import WINDOW_OBJECTIVES
+from .errors import FransonError, ParseError, ValidationError
 from .montecarlo import SimulationConfig, read_click_stream, \
     streams_from_buckets, write_click_stream
-from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, ScanPlan,
-                        Scenario, _sanitize_name, config_hash, emit_outputs,
-                        load_config, measure_point, phase_grid, preset,
-                        run_scenario, write_csv, write_json)
+from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, RunReport,
+                        ScanPlan, Scenario, _sanitize_name, emit_outputs,
+                        load_config, measure_point, phase_grid,
+                        point_report, preset, run_scenario,
+                        write_histograms)
 from .tia import _normalize_binning, build_histogram, count_in_window, \
     window_bins
 
@@ -50,25 +54,27 @@ _MAX_GRID_WINDOWS = 10_000
 
 
 def _resolve(args, kind: str) -> Union[SimulationConfig, Scenario]:
-    """Exactly one source: a positional file or --preset."""
+    """Exactly one source: a positional file or --preset; --seed
+    applied."""
     path = getattr(args, kind, None)
     if (path is None) == (args.preset is None):
         raise ValidationError(
             f"give either a {kind} file or --preset, not both/neither")
-    if args.preset is not None:
-        return preset(args.preset)
-    return load_config(path)
+    obj = load_config(path) if args.preset is None else preset(args.preset)
+    if args.seed is None:
+        return obj
+    if isinstance(obj, Scenario):
+        return replace(obj, config=replace(obj.config, master_seed=args.seed))
+    return replace(obj, master_seed=args.seed)
 
 
 def _resolve_config(args) -> Tuple[SimulationConfig, Optional[Scenario]]:
     """The config of the config file or --preset (a scenario's own
-    config), with --seed applied, and the scenario if it was one."""
+    config) and the scenario if it was one."""
     obj = _resolve(args, "config")
-    scenario = obj if isinstance(obj, Scenario) else None
-    cfg = obj if scenario is None else scenario.config
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    return cfg, scenario
+    if isinstance(obj, Scenario):
+        return obj.config, obj
+    return obj, None
 
 
 def _run_name(args, kind: str) -> str:
@@ -78,9 +84,9 @@ def _run_name(args, kind: str) -> str:
     return _sanitize_name(stem)
 
 
-def _hist_csv(path, hist, stamp: str) -> None:
-    write_csv(path, stamp, ("center_ps", "counts"),
-              zip(hist.centers().tolist(), hist.counts.tolist()))
+def _emit(report: RunReport, out_dir) -> None:
+    for path in emit_outputs(report, out_dir):
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,52 +97,27 @@ def _cmd_simulate(args) -> int:
     cfg, _ = _resolve_config(args)
     if args.acquisition_s is not None:
         cfg = replace(cfg, acquisition_time_s=args.acquisition_s)
-    name = _run_name(args, "config")
-    chash = config_hash(cfg)
-    stamp = f"config_hash={chash}"
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-
+    os.makedirs(args.out_dir, exist_ok=True)    # before the point runs
     buckets = [] if args.dump_clicks else None
     point = measure_point(cfg, cfg.analyzer_signal.effective_phase_rad(),
                           buckets)
+    report = point_report(_run_name(args, "config"), cfg, point)
     if buckets is not None:
         for stream in streams_from_buckets(cfg, buckets):
-            p = os.path.join(out, f"{name}_{stream.channel}_clicks.txt")
+            p = os.path.join(args.out_dir, f"{report.scenario_name}_"
+                             f"{stream.channel}_clicks.txt")
             write_click_stream(stream, p, seed=cfg.master_seed,
-                               config_hash=chash)
+                               config_hash=report.config_hash)
             print(f"wrote {p}")
+    _emit(report, args.out_dir)
 
-    t = cfg.acquisition_time_s
-    central = point.counts_central
-    rates = predict_rates(cfg)
-    doc = {
-        "name": name,
-        "config_hash": chash,
-        "master_seed": cfg.master_seed,
-        "acquisition_time_s": t,
-        "measured": {
-            "singles_signal_hz": point.singles_signal / t,
-            "singles_idler_hz": point.singles_idler / t,
-            "central_window_counts": central,
-            "central_window_hz": central / t,
-            "side_early_counts": point.counts_side_early,
-            "side_late_counts": point.counts_side_late,
-            "pairs_generated": point.pairs_generated,
-        },
-        "predicted": dataclasses.asdict(rates),
-    }
-    hist_path = os.path.join(out, f"{name}_hist.csv")
-    _hist_csv(hist_path, point.histogram, stamp)
-    print(f"wrote {hist_path}")
-    report_path = os.path.join(out, f"{name}_sim_report.json")
-    write_json(doc, report_path)
-    print(f"wrote {report_path}")
-    print(f"singles  signal {doc['measured']['singles_signal_hz']:.1f} Hz, "
-          f"idler {doc['measured']['singles_idler_hz']:.1f} Hz")
+    t, central = cfg.acquisition_time_s, point.counts_central
+    print(f"singles  signal {point.singles_signal / t:.1f} Hz, "
+          f"idler {point.singles_idler / t:.1f} Hz")
     print(f"central window: {central} counts in {t:g} s "
           f"({central / t:.4g} Hz; predicted "
-          f"{rates.total_central_window_hz:.4g} Hz at configured phases)")
+          f"{report.predicted_rates.total_central_window_hz:.4g} Hz at "
+          f"configured phases)")
     return _EXIT_OK
 
 
@@ -151,9 +132,6 @@ def _cmd_fringe(args) -> int:
                         acquisition_s_per_point=scenario.acquisition_time_s)
         scenario = Scenario(name=_run_name(args, "scenario"),
                             config=scenario, plan=plan)
-    if args.seed is not None:
-        scenario = replace(scenario, config=replace(
-            scenario.config, master_seed=args.seed))
     if scenario.plan is None:
         for flag, value in (("--points", args.points),
                             ("--acquisition-s", args.acquisition_s),
@@ -180,9 +158,7 @@ def _cmd_fringe(args) -> int:
         print(f"  point {done}/{total}", file=sys.stderr, flush=True)
 
     report = run_scenario(scenario, progress=progress)
-    written = emit_outputs(report, args.out_dir)
-    for p in written:
-        print(f"wrote {p}")
+    _emit(report, args.out_dir)
     print(f"scenario {report.scenario_name}  config {report.config_hash}  "
           f"seed {report.master_seed}")
     print(f"wall clock {report.wall_clock_s:.2f} s, "
@@ -202,10 +178,12 @@ def _cmd_fringe(args) -> int:
         table = report.window_table
         print(f"best window by {table.objective}: "
               f"{table.best_window_ps:g} ps")
-    else:
+    elif report.mode == "mu-sweep":
         for row in report.mu_table:
             print(f"  mu={row.mean_pairs_per_window:g}  "
                   f"V={row.visibility:.4f}  S={row.s_value:.4f}")
+    else:
+        _print_budget(report, scenario.config)
     return _EXIT_OK
 
 
@@ -213,16 +191,10 @@ def _cmd_fringe(args) -> int:
 # budget
 # ---------------------------------------------------------------------------
 
-def _cmd_budget(args) -> int:
-    cfg, _ = _resolve_config(args)
-    name = _run_name(args, "config")
-    rates = predict_rates(cfg)
-    vis = predict_visibility(cfg)
-    verdict = bell_verdict(cfg)
-
-    ledger = build_ledger(cfg)
+def _print_budget(report: RunReport, cfg: SimulationConfig) -> None:
+    rates = report.predicted_rates
     print("loss ledger")
-    for arm, entries in ledger.items():
+    for arm, entries in report.ledger.items():
         print(f"  {arm}: total {getattr(cfg.link, arm).loss_db:g} dB")
         for e in entries:
             print(f"    {e.label} {e.loss_db:g} dB")
@@ -235,25 +207,18 @@ def _cmd_budget(args) -> int:
           f"(window {rates.window_ps:g} ps, "
           f"capture {rates.capture_fraction:.4f})")
     print(f"accidentals          {rates.accidental_in_window_hz:.4g} Hz")
-    print(f"predicted V          {vis.visibility:.4f}  "
-          f"S = {verdict.s_value:.4f}  "
-          f"{'VIOLATES' if verdict.violates else 'no violation'}")
+    print(f"predicted V          {report.predicted_visibility:.4f}  "
+          f"S = {report.s_value:.4f}  "
+          f"{'VIOLATES' if report.violates else 'no violation'}")
+
+
+def _cmd_budget(args) -> int:
+    cfg, _ = _resolve_config(args)
+    report = run_scenario(Scenario(name=_run_name(args, "config"),
+                                   config=cfg))
+    _print_budget(report, cfg)
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        doc = {
-            "name": name,
-            "config_hash": config_hash(cfg),
-            "ledger": {arm: {"arm": arm,
-                             "entries": [dataclasses.asdict(e)
-                                         for e in entries]}
-                       for arm, entries in ledger.items()},
-            "rates": dataclasses.asdict(rates),
-            "visibility": dataclasses.asdict(vis),
-            "bell": dataclasses.asdict(verdict),
-        }
-        path = os.path.join(args.out_dir, f"{name}_budget.json")
-        write_json(doc, path)
-        print(f"wrote {path}")
+        _emit(report, args.out_dir)
     return _EXIT_OK
 
 
@@ -281,10 +246,8 @@ def _cmd_histogram(args) -> int:
         central = count_in_window(hist, 0.0, args.window_ps)
         print(f"window {args.window_ps:g} ps at 0: {central} counts")
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        stamp = f"config_hash={hash_a or hash_b}"
-        path = os.path.join(args.out_dir, "histogram_hist.csv")
-        _hist_csv(path, hist, stamp)
+        path = write_histograms(args.out_dir, "histogram", hash_a or hash_b,
+                                [(None, hist)])
         print(f"wrote {path}")
     return _EXIT_OK
 
@@ -323,11 +286,14 @@ def _parse_grid(text: str) -> List[float]:
 
 def _cmd_optimize_window(args) -> int:
     cfg, scenario = _resolve_config(args)
-    grid = _parse_grid(args.grid) if args.grid else \
+    grid = _parse_grid(args.grid) if args.grid is not None else \
         getattr(scenario, "window_grid_ps", None) or DEFAULT_WINDOW_GRID_PS
     objective = args.objective or \
         getattr(scenario, "window_objective", None) or "s_value"
-    result = optimize_window(cfg, grid, objective=objective)
+    report = run_scenario(Scenario(
+        name=_run_name(args, "config"), config=cfg, window_grid_ps=grid,
+        window_objective=objective))
+    result = report.window_table
     print(f"{'window_ps':>10} {'V':>8} {'S':>8} {'rate_hz':>12} "
           f"{'score':>12}")
     for e in result.entries:
@@ -337,13 +303,7 @@ def _cmd_optimize_window(args) -> int:
     print(f"best window by {result.objective}: "
           f"{result.best_window_ps:g} ps")
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        name = _run_name(args, "config")
-        path = os.path.join(args.out_dir, f"{name}_windows.csv")
-        write_csv(path, f"config_hash={config_hash(cfg)}",
-                  [f.name for f in dataclasses.fields(WindowScore)],
-                  map(dataclasses.astuple, result.entries))
-        print(f"wrote {path}")
+        _emit(report, args.out_dir)
     return _EXIT_OK
 
 
@@ -351,15 +311,13 @@ def _cmd_optimize_window(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, seed=True, out_dir=True) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("--preset", choices=PRESET_NAMES,
                      help="use a built-in scenario instead of a file")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the master seed")
-    if out_dir:
-        sub.add_argument("--out-dir", default=None,
-                         help="directory for output files")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="override the master seed")
+    sub.add_argument("--out-dir", default=None,
+                     help="directory for output files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,9 +388,6 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-    except FitDegenerate as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERATE
     except FransonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
 """Scenario presets and the simulate -> histogram -> fit -> verdict pipeline.
 
-A Scenario bundles a full SimulationConfig with a measurement plan:
-either a fringe scan (a list of analyzer settings, each simulated
-with its own derived seed), a coincidence-window sweep, or a pump-rate
-sweep (the last two are closed-form, no Monte Carlo).  run_scenario
-executes the plan and returns a RunReport; emit_outputs writes the
+A Scenario bundles a full SimulationConfig with at most one plan: a
+fringe scan (a list of analyzer settings, each simulated with its own
+derived seed), a coincidence-window sweep, a pump-rate sweep, or none,
+the budget at the config's window (the last three are closed-form, no
+Monte Carlo).  run_scenario executes it and returns a RunReport, as
+point_report does for one measure_point run; emit_outputs writes the
 report and its delimited-text companions with deterministic bytes, so
 identical scenario + seed reproduce identical files.  Wall-clock time
 is kept on the report object but never written into output files.
@@ -25,12 +26,13 @@ import re
 import time
 import typing
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .budget import (WINDOW_OBJECTIVES, RatePrediction, WindowOptimization,
-                     WindowScore, bell_verdict, predict_rates,
+from .budget import (WINDOW_OBJECTIVES, LedgerEntry, RatePrediction,
+                     VisibilityPrediction, WindowOptimization, WindowScore,
+                     bell_verdict, build_ledger, predict_rates,
                      predict_visibility, optimize_window)
 from .errors import FitDegenerate, ParseError, ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
@@ -119,8 +121,9 @@ class ScanPlan:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named run: a config plus exactly one measurement plan
-    (fringe scan, window sweep, or pump-rate sweep)."""
+    """One named run: a config plus at most one measurement plan (fringe
+    scan, window sweep, or pump-rate sweep); with none, the run is the
+    budget, the closed form at the config's own window."""
 
     name: str
     config: SimulationConfig
@@ -135,11 +138,11 @@ class Scenario:
             raise ValidationError(
                 f"scenario name {self.name!r} must match "
                 f"{_NAME_RE.pattern} (it becomes a file name)")
-        modes = [self.plan is not None, self.window_grid_ps is not None,
-                 self.mu_grid is not None]
-        if sum(modes) != 1:
+        if sum(x is not None for x in (self.plan, self.window_grid_ps,
+                                       self.mu_grid)) > 1:
             raise ValidationError(
-                "exactly one of plan / window_grid_ps / mu_grid must be set")
+                "set exactly one of plan / window_grid_ps / mu_grid, or "
+                "none for the budget at the config's own window")
         for attr in ("window_grid_ps", "mu_grid"):
             grid = getattr(self, attr)
             if grid is None:
@@ -190,7 +193,7 @@ class Scenario:
             return "fringe"
         if self.window_grid_ps is not None:
             return "window-sweep"
-        return "mu-sweep"
+        return "budget" if self.mu_grid is None else "mu-sweep"
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +471,36 @@ class RunReport:
     """Everything one scenario run produced.  The predicted block is
     the closed form of the config each fringe point runs, at the
     plan's acquisition time; config_hash is the scenario config's.
-    wall_clock_s is diagnostic only and never written to files."""
+    fit_degenerate is None where no fit was attempted (a sweep, a
+    budget, a one-point report).  s_value and violates are the CHSH
+    verdict of the fitted V, or of the predicted V in a budget, which
+    also keeps the ledger.  wall_clock_s is diagnostic only and never
+    written to files."""
 
     scenario_name: str
     config_hash: str
     master_seed: int
     mode: str
     predicted_rates: RatePrediction
-    predicted_visibility: float
+    visibility_prediction: VisibilityPrediction     # side-corrected
     predicted_visibility_raw: float
     abscissa: Optional[str] = None
     acquisition_s_per_point: Optional[float] = None
     points: Optional[List[FringePointResult]] = None
     scan: Optional[FringeScan] = None
     estimate: Optional[VisibilityEstimate] = None
-    fit_degenerate: bool = False
+    fit_degenerate: Optional[bool] = None
     s_value: Optional[float] = None
     violates: Optional[bool] = None
     window_table: Optional[WindowOptimization] = None
     mu_table: Optional[List[MuScanRow]] = None
+    ledger: Optional[Dict[str, Tuple[LedgerEntry, ...]]] = None
     events_generated: int = 0
     wall_clock_s: float = 0.0
+
+    @property
+    def predicted_visibility(self) -> float:
+        return self.visibility_prediction.visibility
 
 
 def measure_point(config: SimulationConfig, setting: float,
@@ -589,6 +601,48 @@ def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
     return results
 
 
+def _new_report(name: str, hashed: SimulationConfig, cfg: SimulationConfig,
+                mode: str) -> RunReport:
+    """A report of mode: config_hash of hashed, the rest of cfg."""
+    return RunReport(
+        scenario_name=name,
+        config_hash=config_hash(hashed),
+        master_seed=cfg.master_seed,
+        mode=mode,
+        predicted_rates=predict_rates(cfg),
+        visibility_prediction=predict_visibility(cfg),
+        predicted_visibility_raw=predict_visibility(
+            cfg, include_side_leak=True).visibility,
+    )
+
+
+def _add_points(report: RunReport, points: List[FringePointResult],
+                abscissa: str, acquisition_s: float,
+                frequency: float) -> None:
+    """Put points and their scan on a fringe report."""
+    report.abscissa = abscissa
+    report.acquisition_s_per_point = acquisition_s
+    report.events_generated = sum(p.pairs_generated for p in points)
+    report.points = points
+    report.scan = FringeScan(
+        settings=np.array([p.setting for p in points]),
+        counts=np.array([p.counts_central for p in points]),
+        acquisition_s=acquisition_s,
+        frequency=frequency,
+    )
+
+
+def point_report(name: str, config: SimulationConfig,
+                 point: FringePointResult) -> RunReport:
+    """The report of point, measured on config at its own phase setting
+    (fransonsim simulate), as a one-point phase scan with no fit
+    attempted.  No Scenario validates it, so any config a point runs on
+    reports, a temperature-driven analyzer included."""
+    report = _new_report(name, config, config, "fringe")
+    _add_points(report, [point], "phase", config.acquisition_time_s, 1.0)
+    return report
+
+
 def run_scenario(scenario: Scenario,
                  progress: Optional[Callable[[int, int], None]] = None,
                  ) -> RunReport:
@@ -604,40 +658,22 @@ def run_scenario(scenario: Scenario,
     plan = scenario.plan     # a fringe point runs cfg at its setting and seed
     cfg = scenario.config if plan is None else replace(
         scenario.config, acquisition_time_s=plan.acquisition_s_per_point)
-    report = RunReport(
-        scenario_name=scenario.name,
-        config_hash=config_hash(scenario.config),
-        master_seed=cfg.master_seed,
-        mode=scenario.mode,
-        predicted_rates=predict_rates(cfg),
-        predicted_visibility=predict_visibility(cfg).visibility,
-        predicted_visibility_raw=predict_visibility(
-            cfg, include_side_leak=True).visibility,
-    )
+    report = _new_report(scenario.name, scenario.config, cfg, scenario.mode)
 
     if plan is not None:
         points = _run_fringe_points(cfg, plan, progress)
-        report.abscissa = plan.abscissa
-        report.acquisition_s_per_point = plan.acquisition_s_per_point
-        report.events_generated = sum(p.pairs_generated for p in points)
         if not scenario.emit_histograms:
             for p in points:
                 p.histogram = None
-        report.points = points
-        report.scan = FringeScan(
-            settings=np.array([p.setting for p in points]),
-            counts=np.array([p.counts_central for p in points]),
-            acquisition_s=plan.acquisition_s_per_point,
-            frequency=scenario.fringe_frequency,
-        )
-        if len(points) >= MIN_FIT_POINTS:
+        _add_points(report, points, plan.abscissa,
+                    plan.acquisition_s_per_point, scenario.fringe_frequency)
+        report.fit_degenerate = len(points) < MIN_FIT_POINTS
+        if not report.fit_degenerate:
             try:
                 report.estimate = fit_fringe(report.scan)
             except FitDegenerate as exc:
                 report.fit_degenerate = True
                 report.estimate = getattr(exc, "estimate", None)
-        else:
-            report.fit_degenerate = True
         if report.estimate is not None:
             s, violates = chsh_from_visibility(report.estimate.visibility)
             report.s_value = float(s)
@@ -645,7 +681,7 @@ def run_scenario(scenario: Scenario,
     elif scenario.mode == "window-sweep":
         report.window_table = optimize_window(
             cfg, scenario.window_grid_ps, scenario.window_objective)
-    else:
+    elif scenario.mode == "mu-sweep":
         report.mu_table = []
         for mu in scenario.mu_grid:
             cfg_mu = replace(cfg, source=replace(
@@ -656,6 +692,10 @@ def run_scenario(scenario: Scenario,
                 s_value=verdict.s_value, violates=verdict.violates,
                 central_max_in_window_hz=r.central_max_in_window_hz,
                 accidental_in_window_hz=r.accidental_in_window_hz))
+    else:
+        verdict = bell_verdict(cfg)
+        report.ledger = build_ledger(cfg)
+        report.s_value, report.violates = verdict.s_value, verdict.violates
 
     report.wall_clock_s = time.perf_counter() - t_start
     return report
@@ -688,12 +728,6 @@ def _report_document(report: RunReport) -> Dict[str, object]:
         doc["fit_degenerate"] = report.fit_degenerate
         if report.estimate is not None:
             doc["fit"] = dataclasses.asdict(report.estimate)
-            doc["bell"] = {
-                "s_value": report.s_value,
-                "violates": report.violates,
-                "margin": None if report.s_value is None
-                else report.s_value - 2.0,
-            }
     elif report.mode == "window-sweep":
         table = report.window_table
         assert table is not None
@@ -702,16 +736,45 @@ def _report_document(report: RunReport) -> Dict[str, object]:
             "best_window_ps": table.best_window_ps,
             "entries": [dataclasses.asdict(e) for e in table.entries],
         }
-    else:
+    elif report.mode == "mu-sweep":
         doc["mu_sweep"] = [dataclasses.asdict(r)
                            for r in (report.mu_table or [])]
+    else:
+        doc["ledger"] = {arm: [dataclasses.asdict(e) for e in entries]
+                         for arm, entries in report.ledger.items()}
+        # the prediction's V, background (the accidentals) and capture
+        # fraction are in predicted already
+        vis = report.visibility_prediction
+        doc["visibility_terms"] = {"contrast_total": vis.contrast_total,
+                                   "mean_central_hz": vis.mean_central_hz}
+    if report.s_value is not None:      # a fitted fringe or a budget
+        doc["bell"] = {"s_value": report.s_value,
+                       "violates": report.violates,
+                       "margin": report.s_value - 2.0}
     return doc
+
+
+def write_histograms(out_dir, name: str, config_hash: str,
+                     histograms: Sequence[tuple]) -> str:
+    """Write {name}_hist.csv into out_dir and return its path: a line
+    (point, setting, center_ps, counts) per bin of each (setting,
+    histogram), the point its index; a None histogram writes no line."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{name}_hist.csv")
+    write_csv(path, f"config_hash={config_hash}",
+              ("point", "setting", "center_ps", "counts"),
+              ((k, setting, c, n)
+               for k, (setting, hist) in enumerate(histograms)
+               if hist is not None
+               for c, n in zip(hist.centers().tolist(),
+                               hist.counts.tolist())))
+    return path
 
 
 def emit_outputs(report: RunReport, out_dir) -> List[str]:
     """Write the report files into out_dir and return their paths:
-    {name}_report.json and its CSV companions (scan / window / mu
-    table, plus the histograms when retained).
+    {name}_report.json first, then its CSV companions (scan / window /
+    mu table, plus the histograms when retained; a budget has none).
     Bytes are a pure function of the report content — wall-clock time
     never enters any file."""
     os.makedirs(out_dir, exist_ok=True)
@@ -736,20 +799,16 @@ def emit_outputs(report: RunReport, out_dir) -> List[str]:
                     p.singles_idler) for p in points))
         written.append(path)
         if any(p.histogram is not None for p in points):
-            path = target("_hist.csv")
-            write_csv(path, stamp, ("point", "setting", "center_ps", "counts"),
-                      ((k, p.setting, c, n)
-                       for k, p in enumerate(points) if p.histogram is not None
-                       for c, n in zip(p.histogram.centers().tolist(),
-                                       p.histogram.counts.tolist())))
-            written.append(path)
+            written.append(write_histograms(
+                out_dir, base, report.config_hash,
+                [(p.setting, p.histogram) for p in points]))
     elif report.mode == "window-sweep":
         path = target("_windows.csv")
         write_csv(path, stamp,
                   [f.name for f in dataclasses.fields(WindowScore)],
                   map(dataclasses.astuple, report.window_table.entries))
         written.append(path)
-    else:
+    elif report.mode == "mu-sweep":
         path = target("_mu.csv")
         write_csv(path, stamp, [f.name for f in dataclasses.fields(MuScanRow)],
                   map(dataclasses.astuple, report.mu_table))

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flags, exit codes, outputs."""
 
+import ast
 import json
 import math
 import re
@@ -7,17 +8,19 @@ import shlex
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import fransonsim
 from fransonsim import scenarios
+from fransonsim.budget import bell_verdict, build_ledger, predict_visibility
 from fransonsim.errors import ValidationError
 from fransonsim.montecarlo import TimingDriftSpec, derive_seed
-from fransonsim.scenarios import (ScanPlan, emit_outputs, phase_grid, preset,
-                                  run_scenario, save_config)
+from fransonsim.scenarios import (ScanPlan, Scenario, emit_outputs,
+                                  phase_grid, preset, run_scenario,
+                                  save_config)
 from fransonsim.cli import build_parser, main
 
 
@@ -66,9 +69,29 @@ def test_budget_preset(capsys):
 def test_budget_writes_report(tmp_path, capsys):
     assert run_cli("budget", "--preset", "ideal",
                    "--out-dir", str(tmp_path)) == 0
-    doc = json.loads((tmp_path / "ideal_budget.json").read_text())
+    doc = json.loads((tmp_path / "ideal_report.json").read_text())
+    assert doc["mode"] == "budget"
     assert doc["bell"]["violates"] is True
     assert len(doc["config_hash"]) == 12
+    # the ledger, the whole side-corrected prediction and the verdict,
+    # each value once: the prediction's V, background and capture
+    # fraction are read from the predicted block
+    cfg = preset("ideal").config
+    verdict = bell_verdict(cfg)
+    assert doc["ledger"] == {arm: [{"label": e.label, "loss_db": e.loss_db}
+                                   for e in entries]
+                             for arm, entries in build_ledger(cfg).items()}
+    predicted, rates = doc["predicted"], doc["predicted"]["rates"]
+    assert set(doc["visibility_terms"]) == {"contrast_total",
+                                            "mean_central_hz"}
+    assert asdict(predict_visibility(cfg)) == dict(
+        doc["visibility_terms"], visibility=predicted["visibility"],
+        background_hz=rates["accidental_in_window_hz"],
+        capture_fraction=rates["capture_fraction"])
+    assert predicted["visibility"] == verdict.visibility
+    assert doc["bell"] == {"s_value": verdict.s_value,
+                           "violates": verdict.violates,
+                           "margin": verdict.margin}
 
 
 def _mu_config(tmp_path, mu):
@@ -87,9 +110,9 @@ def test_budget_writes_non_finite_values_as_strings(tmp_path):
 
     path = _mu_config(tmp_path, 1e200)
     assert run_cli("budget", path, "--out-dir", str(tmp_path)) == 0
-    doc = json.loads((tmp_path / "pumped_budget.json").read_text(),
+    doc = json.loads((tmp_path / "pumped_report.json").read_text(),
                      parse_constant=refuse)
-    assert doc["rates"]["accidental_in_window_hz"] == "inf"
+    assert doc["predicted"]["rates"]["accidental_in_window_hz"] == "inf"
 
 
 def test_budget_prints_huge_singles_in_short_lines(tmp_path, capsys):
@@ -146,17 +169,22 @@ def test_simulate_writes_histogram_and_report(small_config, tmp_path,
                                               capsys):
     out = tmp_path / "out"
     assert run_cli("simulate", small_config, "--out-dir", str(out)) == 0
-    doc = json.loads((out / "small_sim_report.json").read_text())
-    assert doc["measured"]["central_window_counts"] > 0
-    assert doc["master_seed"] == 7
+    doc = json.loads((out / "small_report.json").read_text())
+    (point,) = doc["points"]
+    assert point["counts_central"] > 0
+    assert doc["master_seed"] == point["point_seed"] == 7
+    # one point: no fit attempted, so neither a fit nor a degenerate one
+    assert doc["mode"] == "fringe" and doc["fit_degenerate"] is None
+    assert "fit" not in doc and "bell" not in doc
     # each value once: the loss note lives in the prediction only
-    assert "loss_note" not in doc and "loss_note" in doc["predicted"]
+    assert "loss_note" not in doc and "loss_note" in doc["predicted"]["rates"]
     hist_lines = (out / "small_hist.csv").read_text().splitlines()
-    assert hist_lines[0].startswith("# config_hash=")
-    assert hist_lines[1] == "center_ps,counts"
+    assert hist_lines[0] == f"# config_hash={doc['config_hash']}"
+    assert hist_lines[1] == "point,setting,center_ps,counts"
+    assert all(line.startswith("0,0.0,") for line in hist_lines[2:])
     # measured central rate should sit near the closed-form prediction
-    measured = doc["measured"]["central_window_hz"]
-    predicted = doc["predicted"]["central_at_config_phase_hz"]
+    measured = point["counts_central"] / doc["acquisition_s_per_point"]
+    predicted = doc["predicted"]["rates"]["central_at_config_phase_hz"]
     assert measured == pytest.approx(predicted, rel=0.1)
 
 
@@ -164,20 +192,18 @@ def test_simulate_is_deterministic(small_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("simulate", small_config, "--out-dir", str(a)) == 0
     assert run_cli("simulate", small_config, "--out-dir", str(b)) == 0
-    assert (a / "small_sim_report.json").read_bytes() == \
-        (b / "small_sim_report.json").read_bytes()
-    assert (a / "small_hist.csv").read_bytes() == \
-        (b / "small_hist.csv").read_bytes()
+    for name in ("small_report.json", "small_scan.csv", "small_hist.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_simulate_seed_changes_counts(small_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli("simulate", small_config, "--out-dir", str(a))
     run_cli("simulate", small_config, "--seed", "8", "--out-dir", str(b))
-    da = json.loads((a / "small_sim_report.json").read_text())
-    db = json.loads((b / "small_sim_report.json").read_text())
-    assert da["measured"]["central_window_counts"] != \
-        db["measured"]["central_window_counts"]
+    da = json.loads((a / "small_report.json").read_text())
+    db = json.loads((b / "small_report.json").read_text())
+    assert da["points"][0]["counts_central"] != \
+        db["points"][0]["counts_central"]
     assert db["master_seed"] == 8
 
 
@@ -186,15 +212,20 @@ def test_dump_clicks_round_trip_through_histogram(small_config, tmp_path,
     out = tmp_path / "out"
     assert run_cli("simulate", small_config, "--out-dir", str(out),
                    "--dump-clicks") == 0
-    report = json.loads((out / "small_sim_report.json").read_text())
+    report = json.loads((out / "small_report.json").read_text())
     capsys.readouterr()
     assert run_cli("histogram", str(out / "small_signal_clicks.txt"),
                    str(out / "small_idler_clicks.txt"),
                    "--window-ps", "60", "--out-dir", str(out)) == 0
     text = capsys.readouterr().out
-    central = report["measured"]["central_window_counts"]
+    central = report["points"][0]["counts_central"]
     assert f"window 60 ps at 0: {central} counts" in text
-    assert (out / "histogram_hist.csv").exists()
+    # the fringe histogram table: point 0, no setting
+    lines = (out / "histogram_hist.csv").read_text().splitlines()
+    assert lines[0] == f"# config_hash={report['config_hash']}"
+    assert lines[1] == "point,setting,center_ps,counts"
+    assert len(lines) > 2 and all(line.startswith("0,,")
+                                  for line in lines[2:])
 
 
 def test_simulate_matches_fringe_point(tmp_path):
@@ -209,14 +240,30 @@ def test_simulate_matches_fringe_point(tmp_path):
                    "--seed", str(derive_seed(master, 0)),
                    "--acquisition-s", str(acq),
                    "--out-dir", str(tmp_path)) == 0
-    measured = json.loads(
-        (tmp_path / "ideal_sim_report.json").read_text())["measured"]
-    assert measured["central_window_counts"] == point.counts_central > 0
-    assert measured["side_early_counts"] == point.counts_side_early
-    assert measured["side_late_counts"] == point.counts_side_late
-    assert measured["singles_signal_hz"] == point.singles_signal / acq
-    assert measured["singles_idler_hz"] == point.singles_idler / acq
+    doc = json.loads((tmp_path / "ideal_report.json").read_text())
+    (measured,) = doc["points"]
+    assert measured["counts_central"] == point.counts_central > 0
+    assert measured["counts_side_early"] == point.counts_side_early
+    assert measured["counts_side_late"] == point.counts_side_late
+    assert measured["singles_signal"] == point.singles_signal
+    assert measured["singles_idler"] == point.singles_idler
     assert measured["pairs_generated"] == point.pairs_generated
+    assert measured["setting"] == point.setting
+    assert doc["acquisition_s_per_point"] == acq
+
+
+@pytest.mark.parametrize("per_kelvin", [0.5, 0.0])
+def test_simulate_runs_a_temperature_driven_analyzer(tmp_path, per_kelvin):
+    # no Scenario is built for the one point: a temperature ScanPlan
+    # would refuse the zero coefficient
+    cfg = replace(preset("ideal").config, acquisition_time_s=0.05)
+    analyzer = replace(cfg.analyzer_signal, phase_rad=None,
+                       temperature_c=21.0, phase_per_kelvin_rad=per_kelvin)
+    path = tmp_path / "warm.json"
+    save_config(replace(cfg, analyzer_signal=analyzer), path)
+    assert run_cli("simulate", str(path), "--out-dir", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "warm_report.json").read_text())
+    assert doc["points"][0]["setting"] == analyzer.effective_phase_rad()
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +312,11 @@ def test_fringe_and_simulate_name_a_config_file_alike(small_config, tmp_path,
     # gives, whatever the command
     path = tmp_path / f"{stem}.json"
     path.write_bytes(Path(small_config).read_bytes())
-    for command, flags, report in (
-            ("simulate", (), "_sim_report.json"),
-            ("fringe", ("--points", "5"), "_report.json")):
+    for command, flags in (("simulate", ()), ("fringe", ("--points", "5"))):
         out = tmp_path / command
         assert run_cli(command, str(path), "--out-dir", str(out),
                        *flags) == 0
-        assert (out / f"{name}{report}").is_file()
+        assert (out / f"{name}_report.json").is_file()
         assert all(p.name.startswith(f"{name}_") for p in out.iterdir())
 
 
@@ -353,6 +398,20 @@ def test_closed_form_scenario_refuses_emit_histograms(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fringe_runs_a_planless_scenario_as_the_budget(tmp_path, capsys):
+    # no plan and no grid is the budget of the scenario's config: the
+    # report fransonsim budget writes, and its ledger on stdout
+    path = tmp_path / "planless.json"
+    save_config(Scenario(name="ideal", config=preset("ideal").config), path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("fringe", str(path), "--out-dir", str(a)) == 0
+    assert "loss ledger" in capsys.readouterr().out
+    assert run_cli("budget", "--preset", "ideal", "--out-dir", str(b)) == 0
+    assert sorted(p.name for p in a.iterdir()) == ["ideal_report.json"]
+    assert (a / "ideal_report.json").read_bytes() == \
+        (b / "ideal_report.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # optimize-window
 # ---------------------------------------------------------------------------
@@ -375,8 +434,9 @@ def test_optimize_window_csv_matches_scenario_output(tmp_path):
     assert run_cli("optimize-window", "--preset", "window-sweep",
                    "--out-dir", str(cli_dir)) == 0
     emit_outputs(run_scenario(preset("window-sweep")), scenario_dir)
-    name = "window-sweep_windows.csv"
-    assert (cli_dir / name).read_bytes() == (scenario_dir / name).read_bytes()
+    for name in ("window-sweep_report.json", "window-sweep_windows.csv"):
+        assert (cli_dir / name).read_bytes() == \
+            (scenario_dir / name).read_bytes()
 
 
 def test_optimize_window_follows_the_scenario_objective(tmp_path, capsys):
@@ -395,7 +455,7 @@ def test_optimize_window_follows_the_scenario_objective(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", [
-    "banana", "100:10:60", "a:10:140", "60:x:140", "60,abc",
+    "", " , ", "banana", "100:10:60", "a:10:140", "60:x:140", "60,abc",
     "60:1e-7:140", "0:1e-300:1e300", "60:10:inf", "60:nan:140",
     "nan,100", "60:10", "60:0:140", "60:-10:140"])
 def test_optimize_window_bad_grid(grid, capsys):
@@ -412,25 +472,55 @@ def test_optimize_window_bad_grid(grid, capsys):
 
 def test_every_written_file_ends_lines_in_newline_only(
         quick_scenario, small_config, tmp_path, capsys):
-    sim = tmp_path / "run3"     # the simulate run's output directory
-    runs = [("fringe", quick_scenario, "--histograms"),
-            ("fringe", "--preset", "window-sweep"),
-            ("fringe", "--preset", "mu-sweep"),
-            ("simulate", small_config, "--dump-clicks"),
-            ("histogram", str(sim / "small_signal_clicks.txt"),
-             str(sim / "small_idler_clicks.txt")),
-            ("optimize-window", "--preset", "window-sweep"),
-            ("budget", "--preset", "ideal")]
-    for k, argv in enumerate(runs):
-        assert run_cli(*argv, "--out-dir", str(tmp_path / f"run{k}")) == 0
-    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
-    names = {p.name for p in files}
-    assert {"quick_scan.csv", "quick_hist.csv", "window-sweep_windows.csv",
-            "mu-sweep_mu.csv", "small_hist.csv", "small_idler_clicks.txt",
-            "histogram_hist.csv", "ideal_budget.json"} <= names
-    for path in files:
-        data = path.read_bytes()
-        assert b"\r" not in data and data.endswith(b"\n"), path.name
+    # each command writes exactly these files into its own directory
+    sim = tmp_path / "run4"     # the simulate --dump-clicks directory
+    runs = [
+        (("fringe", quick_scenario, "--histograms"),
+         {"quick_report.json", "quick_scan.csv", "quick_hist.csv"}),
+        (("fringe", "--preset", "window-sweep"),
+         {"window-sweep_report.json", "window-sweep_windows.csv"}),
+        (("fringe", "--preset", "mu-sweep"),
+         {"mu-sweep_report.json", "mu-sweep_mu.csv"}),
+        (("simulate", small_config),
+         {"small_report.json", "small_scan.csv", "small_hist.csv"}),
+        (("simulate", small_config, "--dump-clicks"),
+         {"small_report.json", "small_scan.csv", "small_hist.csv",
+          "small_signal_clicks.txt", "small_idler_clicks.txt"}),
+        (("histogram", str(sim / "small_signal_clicks.txt"),
+          str(sim / "small_idler_clicks.txt")), {"histogram_hist.csv"}),
+        (("optimize-window", "--preset", "window-sweep"),
+         {"window-sweep_report.json", "window-sweep_windows.csv"}),
+        (("budget", "--preset", "ideal"), {"ideal_report.json"}),
+    ]
+    for k, (argv, names) in enumerate(runs):
+        out = tmp_path / f"run{k}"
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        assert {p.name for p in out.iterdir()} == names, argv
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path.name
+
+
+def test_only_scenarios_calls_the_file_writers():
+    # one report path: write_json and write_csv are called by
+    # emit_outputs, save_config and write_histograms alone
+    package = Path(fransonsim.__file__).parent
+    callers = set()
+    for module in sorted(package.glob("*.py")):
+        for top in ast.parse(module.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in ("write_json", "write_csv"):
+                        callers.add((module.stem,
+                                     getattr(top, "name", "<module>")))
+    assert callers == {("scenarios", "emit_outputs"),
+                       ("scenarios", "save_config"),
+                       ("scenarios", "write_histograms")}
+    cli_source = (package / "cli.py").read_text()
+    assert "write_json" not in cli_source and "write_csv" not in cli_source
 
 
 # ---------------------------------------------------------------------------

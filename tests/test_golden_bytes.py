@@ -36,7 +36,18 @@ stdout):
 * ``fringe --preset window-sweep`` and ``fringe --preset mu-sweep``:
   the report JSON and the table CSV of each;
 * ``optimize-window --preset window-sweep --grid 40:20:160 --objective
-  rate_weighted --out-dir``.
+  rate_weighted --out-dir``: the report JSON and the window table.
+
+The ``budget`` JSON digests and the ``optimize-window`` report were
+re-pinned when both commands came to run a closed-form ``Scenario``
+through ``run_scenario`` and ``emit_outputs``: ``budget`` now writes
+``{name}_report.json`` (the common report header and predicted block,
+plus the ledger, the terms of the side-corrected visibility prediction
+that the predicted block does not already hold, and the Bell verdict)
+where it wrote ``{name}_budget.json``, and ``optimize-window`` writes
+the window-sweep report beside its table, which was new.  The
+``budget`` stdout digests and the ``optimize-window`` table digest
+did not move.
 
 None of these goes through LAPACK; their floats come from
 ``math.erf``, ``math.cos`` and plain arithmetic.  They were frozen on
@@ -142,13 +153,13 @@ def _km100_short_signal_fiber():
 
 
 @pytest.mark.parametrize("make, json_digest, stdout_digest", [
-    (None, "87bad9852e219cff9682e41d760a87d3"
-     "c4df6df9ce023c771216eb00436f8c2e",
+    (None, "2e9c4f2d476a3a8eb0c4c72ea9870a08"
+     "2f94a9e342afcf7609856b68afcf1655",
      "f63d448451bae66ce373c5e3e8020557"
      "42428e5e834c0a588be3be5e39def2a9"),
     (_km100_short_signal_fiber,
-     "3edb2d7239ca8d2ce59d7b2b549ba6ee"
-     "9af5aaa68026819e132ef64b05d97224",
+     "3b000ad894c1f6ec7ab6d5ff5ae36661"
+     "4ed92bc1b1f12ab712382b5bf4919e2a",
      "d8aadd32e5e3bd49bceffbafd33c09cc"
      "014a7420b0c7979d1dec9a370c1205e7"),
 ], ids=["paper-100km", "signal-fiber-5.005km"])
@@ -162,7 +173,7 @@ def test_budget_outputs_are_frozen(make, json_digest, stdout_digest,
         source = [str(tmp_path / f"{name}.json")]
     assert main(["budget", *source, "--out-dir", str(tmp_path)]) == 0
     assert _stdout_sha256(capsys.readouterr().out) == stdout_digest
-    assert _sha256(tmp_path / f"{name}_budget.json") == json_digest
+    assert _sha256(tmp_path / f"{name}_report.json") == json_digest
 
 
 @pytest.mark.parametrize("args, digests", [
@@ -180,6 +191,8 @@ def test_budget_outputs_are_frozen(make, json_digest, stdout_digest,
     }),
     (["optimize-window", "--preset", "window-sweep", "--grid", "40:20:160",
       "--objective", "rate_weighted"], {
+        "window-sweep_report.json": "4e8e41b9b24c0a5cdb57fa22d51a336b"
+                                    "be1a11dba4c00bffa7a7b2bab9d94817",
         "window-sweep_windows.csv": "2a6cb566278ec1cf9a2988f56c782127"
                                     "49c638afa6fa3b77c21cc50492ae9fb3",
     }),

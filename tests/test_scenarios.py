@@ -95,8 +95,7 @@ def test_scan_plan_validation():
 def test_scenario_needs_exactly_one_mode():
     cfg = preset("ideal").config
     plan = ScanPlan(settings=(0.0,), acquisition_s_per_point=1.0)
-    with pytest.raises(ValidationError, match="exactly one"):
-        Scenario(name="x", config=cfg)
+    assert Scenario(name="x", config=cfg).mode == "budget"
     with pytest.raises(ValidationError, match="exactly one"):
         Scenario(name="x", config=cfg, plan=plan, mu_grid=(0.1,))
     assert Scenario(name="x", config=cfg, plan=plan).mode == "fringe"
