@@ -10,7 +10,7 @@ is derived once per link (configs differing only in window or seed
 share it): an arm's loss is LinkModel's loss_db, a delay peak's share
 of a window one CoincidencePeakModel.mass integral, and the closed
 form at a window, its rates, visibilities and Bell verdict, one
-derivation per (link, window) kept in a bounded cache (LinkModel.at_window).
+derivation per (link, window) kept in a bounded cache (_at_window).
 
 Counting conventions used throughout:
 
@@ -43,7 +43,7 @@ if TYPE_CHECKING:   # montecarlo imports LinkModel from here
 _SQRT2 = math.sqrt(2.0)
 
 # (link, window) closed forms kept, least recently read dropped first
-# (LinkModel.at_window): several times the 8-9 windows a design grid's
+# (_at_window): several times the 8-9 windows a design grid's
 # (length, mu) cell reads; a 10^4-window grid stays bounded.
 WINDOWS_KEPT = 64
 
@@ -238,11 +238,6 @@ class LinkModel:
                        "before building specs; reading it as per-arm "
                        "double-counts it."))
 
-    def at_window(self, window_ps: float) -> tuple:
-        """(RatePrediction, VisibilityPrediction without and with the side
-        leak, BellVerdict) at window_ps: see _at_window."""
-        return _at_window(self, window_ps)
-
 
 # ---------------------------------------------------------------------------
 # Rates
@@ -289,7 +284,8 @@ class _ReadOnlyDict(dict):
 
 
 def _derive_window(link: LinkModel, w: float) -> tuple:
-    """LinkModel.at_window(w), derived."""
+    """(RatePrediction, VisibilityPrediction without and with the side
+    leak, BellVerdict) of link at window w."""
     sig, idl, peak = link.signal, link.idler, link.peak
     (w_c, w_e, w_l), both = link.weights, link.both_hz
     capture = peak.mass(0, 0.0, w)

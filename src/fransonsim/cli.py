@@ -5,18 +5,20 @@ Subcommands
                                click streams -> delay histogram -> rates,
                                compared against the closed-form prediction
     fringe <scenario>          run a scenario: a fringe scan (per-point
-                               simulation, fringe fit, Bell verdict), a
-                               window or mu sweep, or a budget
+                               simulation, fringe fit, Bell verdict), or a
+                               window or mu sweep
     budget <config>            loss ledger, rate and visibility prediction
+                               (of a bare config or a scenario's config)
     histogram <clicks-a> <clicks-b>
                                rebuild a delay histogram from exported
                                click-stream files
     optimize-window <config>   score a coincidence-window grid
 
 scenarios writes every file but the click files: a report with
-emit_outputs (simulate's is a one-point report; budget and
-optimize-window run closed-form scenarios), histogram's table with
-write_histograms.  Here: argument parsing, stdout and exit codes.
+emit_outputs (simulate's is a one-point report, budget's a
+budget_report; optimize-window runs a window-sweep scenario),
+histogram's table with write_histograms.  Here: argument parsing,
+stdout and exit codes.
 
 Common flags: --preset, --seed, --out-dir, --points, --acquisition-s.
 Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe fit,
@@ -31,16 +33,16 @@ import os
 import sys
 import textwrap
 from dataclasses import replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Union
 
-from .budget import WINDOW_OBJECTIVES
+from .budget import WINDOW_OBJECTIVES, WindowOptimization, build_ledger
 from .errors import FransonError, ParseError, ValidationError
 from .montecarlo import SimulationConfig, read_click_stream, \
     streams_from_buckets, write_click_stream
 from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, RunReport,
-                        ScanPlan, Scenario, _sanitize_name, emit_outputs,
-                        load_config, measure_point, phase_grid,
-                        point_report, preset, run_scenario,
+                        ScanPlan, Scenario, _sanitize_name, budget_report,
+                        emit_outputs, load_config, measure_point,
+                        phase_grid, point_report, preset, run_scenario,
                         write_histograms)
 from .tia import _normalize_binning, build_histogram, count_in_window, \
     window_bins
@@ -53,28 +55,23 @@ _EXIT_DEGENERATE = 3
 _MAX_GRID_WINDOWS = 10_000
 
 
-def _resolve(args, kind: str) -> Union[SimulationConfig, Scenario]:
-    """Exactly one source: a positional file or --preset; --seed
-    applied."""
+def _resolve(args, kind: str, config_only: bool = False,
+             ) -> Union[SimulationConfig, Scenario]:
+    """Exactly one source, a positional file or --preset, with --seed
+    applied; config_only gives its config alone, a scenario's too."""
     path = getattr(args, kind, None)
     if (path is None) == (args.preset is None):
         raise ValidationError(
             f"give either a {kind} file or --preset, not both/neither")
-    obj = load_config(path) if args.preset is None else preset(args.preset)
+    obj = load_config(path, config_only) if args.preset is None \
+        else preset(args.preset)
+    if config_only and isinstance(obj, Scenario):
+        obj = obj.config
     if args.seed is None:
         return obj
     if isinstance(obj, Scenario):
         return replace(obj, config=replace(obj.config, master_seed=args.seed))
     return replace(obj, master_seed=args.seed)
-
-
-def _resolve_config(args) -> Tuple[SimulationConfig, Optional[Scenario]]:
-    """The config of the config file or --preset (a scenario's own
-    config) and the scenario if it was one."""
-    obj = _resolve(args, "config")
-    if isinstance(obj, Scenario):
-        return obj.config, obj
-    return obj, None
 
 
 def _run_name(args, kind: str) -> str:
@@ -94,7 +91,7 @@ def _emit(report: RunReport, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    cfg, _ = _resolve_config(args)
+    cfg = _resolve(args, "config", config_only=True)
     if args.acquisition_s is not None:
         cfg = replace(cfg, acquisition_time_s=args.acquisition_s)
     os.makedirs(args.out_dir, exist_ok=True)    # before the point runs
@@ -160,7 +157,7 @@ def _cmd_fringe(args) -> int:
     report = run_scenario(scenario, progress=progress)
     _emit(report, args.out_dir)
     print(f"scenario {report.scenario_name}  config {report.config_hash}  "
-          f"seed {report.master_seed}")
+          f"seed {report.config.master_seed}")
     print(f"wall clock {report.wall_clock_s:.2f} s, "
           f"{report.events_generated} pairs generated")
     if report.mode == "fringe":
@@ -175,15 +172,11 @@ def _cmd_fringe(args) -> int:
         print(f"predicted V (raw windowed fit): "
               f"{report.predicted_visibility_raw:.4f}")
     elif report.mode == "window-sweep":
-        table = report.window_table
-        print(f"best window by {table.objective}: "
-              f"{table.best_window_ps:g} ps")
-    elif report.mode == "mu-sweep":
+        _print_window_table(report.window_table)
+    else:
         for row in report.mu_table:
             print(f"  mu={row.mean_pairs_per_window:g}  "
                   f"V={row.visibility:.4f}  S={row.s_value:.4f}")
-    else:
-        _print_budget(report, scenario.config)
     return _EXIT_OK
 
 
@@ -191,10 +184,10 @@ def _cmd_fringe(args) -> int:
 # budget
 # ---------------------------------------------------------------------------
 
-def _print_budget(report: RunReport, cfg: SimulationConfig) -> None:
-    rates = report.predicted_rates
+def _print_budget(report: RunReport) -> None:
+    cfg, rates = report.config, report.predicted_rates
     print("loss ledger")
-    for arm, entries in report.ledger.items():
+    for arm, entries in build_ledger(cfg).items():
         print(f"  {arm}: total {getattr(cfg.link, arm).loss_db:g} dB")
         for e in entries:
             print(f"    {e.label} {e.loss_db:g} dB")
@@ -213,10 +206,9 @@ def _print_budget(report: RunReport, cfg: SimulationConfig) -> None:
 
 
 def _cmd_budget(args) -> int:
-    cfg, _ = _resolve_config(args)
-    report = run_scenario(Scenario(name=_run_name(args, "config"),
-                                   config=cfg))
-    _print_budget(report, cfg)
+    cfg = _resolve(args, "config", config_only=True)
+    report = budget_report(_run_name(args, "config"), cfg)
+    _print_budget(report)
     if args.out_dir is not None:
         _emit(report, args.out_dir)
     return _EXIT_OK
@@ -284,8 +276,19 @@ def _parse_grid(text: str) -> List[float]:
     return [round(start + k * step, 9) for k in range(int(span) + 1)]
 
 
+def _print_window_table(table: WindowOptimization) -> None:
+    print(f"{'window_ps':>10} {'V':>8} {'S':>8} {'rate_hz':>12} "
+          f"{'score':>12}")
+    for e in table.entries:
+        mark = " <- best" if e.window_ps == table.best_window_ps else ""
+        print(f"{e.window_ps:>10g} {e.visibility:>8.4f} {e.s_value:>8.4f} "
+              f"{e.central_max_in_window_hz:>12.4g} {e.score:>12.6g}{mark}")
+    print(f"best window by {table.objective}: {table.best_window_ps:g} ps")
+
+
 def _cmd_optimize_window(args) -> int:
-    cfg, scenario = _resolve_config(args)
+    scenario = _resolve(args, "config")
+    cfg = scenario.config if isinstance(scenario, Scenario) else scenario
     grid = _parse_grid(args.grid) if args.grid is not None else \
         getattr(scenario, "window_grid_ps", None) or DEFAULT_WINDOW_GRID_PS
     objective = args.objective or \
@@ -293,15 +296,7 @@ def _cmd_optimize_window(args) -> int:
     report = run_scenario(Scenario(
         name=_run_name(args, "config"), config=cfg, window_grid_ps=grid,
         window_objective=objective))
-    result = report.window_table
-    print(f"{'window_ps':>10} {'V':>8} {'S':>8} {'rate_hz':>12} "
-          f"{'score':>12}")
-    for e in result.entries:
-        mark = " <- best" if e.window_ps == result.best_window_ps else ""
-        print(f"{e.window_ps:>10g} {e.visibility:>8.4f} {e.s_value:>8.4f} "
-              f"{e.central_max_in_window_hz:>12.4g} {e.score:>12.6g}{mark}")
-    print(f"best window by {result.objective}: "
-          f"{result.best_window_ps:g} ps")
+    _print_window_table(report.window_table)
     if args.out_dir is not None:
         _emit(report, args.out_dir)
     return _EXIT_OK

@@ -1,14 +1,15 @@
 """Scenario presets and the simulate -> histogram -> fit -> verdict pipeline.
 
-A Scenario bundles a full SimulationConfig with at most one plan: a
+A Scenario bundles a full SimulationConfig with exactly one plan: a
 fringe scan (a list of analyzer settings, each simulated with its own
-derived seed), a coincidence-window sweep, a pump-rate sweep, or none,
-the budget at the config's window (the last three are closed-form, no
-Monte Carlo).  run_scenario executes it and returns a RunReport, as
-point_report does for one measure_point run; emit_outputs writes the
-report and its delimited-text companions with deterministic bytes, so
-identical scenario + seed reproduce identical files.  Wall-clock time
-is kept on the report object but never written into output files.
+derived seed), a coincidence-window sweep, or a pump-rate sweep (the
+last two are closed-form, no Monte Carlo).  run_scenario executes it
+and returns a RunReport, as point_report does for one measure_point
+run and budget_report for the closed form at a config's own window;
+emit_outputs writes the report and its delimited-text companions with
+deterministic bytes, so identical scenario + seed reproduce identical
+files.  Wall-clock time is kept on the report object but never written
+into output files.
 
 Config files are strict JSON mirroring the dataclass fields (units in
 the key names); unknown keys, missing required keys and non-finite
@@ -30,9 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .budget import (WINDOW_OBJECTIVES, LedgerEntry, RatePrediction,
-                     VisibilityPrediction, WindowOptimization, WindowScore,
-                     bell_verdict, build_ledger, predict_rates,
+from .budget import (WINDOW_OBJECTIVES, RatePrediction, WindowOptimization,
+                     WindowScore, bell_verdict, build_ledger, predict_rates,
                      predict_visibility, optimize_window)
 from .errors import FitDegenerate, ParseError, ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
@@ -121,9 +121,8 @@ class ScanPlan:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named run: a config plus at most one measurement plan (fringe
-    scan, window sweep, or pump-rate sweep); with none, the run is the
-    budget, the closed form at the config's own window."""
+    """One named run: a config plus exactly one measurement plan
+    (fringe scan, window sweep, or pump-rate sweep)."""
 
     name: str
     config: SimulationConfig
@@ -139,10 +138,10 @@ class Scenario:
                 f"scenario name {self.name!r} must match "
                 f"{_NAME_RE.pattern} (it becomes a file name)")
         if sum(x is not None for x in (self.plan, self.window_grid_ps,
-                                       self.mu_grid)) > 1:
+                                       self.mu_grid)) != 1:
             raise ValidationError(
-                "set exactly one of plan / window_grid_ps / mu_grid, or "
-                "none for the budget at the config's own window")
+                "exactly one of plan / window_grid_ps / mu_grid must be "
+                "set (fransonsim budget reads a file that sets none)")
         for attr in ("window_grid_ps", "mu_grid"):
             grid = getattr(self, attr)
             if grid is None:
@@ -191,9 +190,8 @@ class Scenario:
     def mode(self) -> str:
         if self.plan is not None:
             return "fringe"
-        if self.window_grid_ps is not None:
-            return "window-sweep"
-        return "budget" if self.mu_grid is None else "mu-sweep"
+        return "window-sweep" if self.window_grid_ps is not None \
+            else "mu-sweep"
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +337,16 @@ def _build(cls, data, path: str):
                      for i, v in enumerate(data))
     if not dataclasses.is_dataclass(cls):
         return _coerce_scalar(data, cls, path)
+    kwargs = _fields(cls, data, path)
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _fields(cls, data, path: str) -> Dict[str, object]:
+    """The keyword arguments of dataclass cls read from its JSON object
+    data: one per key, every key known, every required key present."""
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
     hints = typing.get_type_hints(cls)
@@ -352,18 +360,17 @@ def _build(cls, data, path: str):
         if f.name not in data and f.default is dataclasses.MISSING \
                 and f.default_factory is dataclasses.MISSING:
             raise ValidationError(f"{path}.{f.name}: required key missing")
-    try:
-        return cls(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return kwargs
 
 
-def load_config(path) -> Union[SimulationConfig, Scenario]:
+def load_config(path, config_only=False) -> Union[SimulationConfig, Scenario]:
     """Parse a strict-JSON config or scenario file.
 
     A top-level "config" key marks a scenario document; anything else
     is read as a bare simulation config.  Unknown keys anywhere are
-    rejected with their dotted path; syntax errors carry line:column."""
+    rejected with their dotted path; syntax errors carry line:column.
+    config_only reads a scenario document's config alone, its other keys
+    checked but not made a Scenario, so it may set no plan (a budget)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -376,9 +383,11 @@ def load_config(path) -> Union[SimulationConfig, Scenario]:
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be an object")
-    if "config" in data:
-        return _build(Scenario, data, "scenario")
-    return _build(SimulationConfig, data, "config")
+    if "config" not in data:
+        return _build(SimulationConfig, data, "config")
+    if config_only:
+        return _fields(Scenario, data, "scenario")["config"]
+    return _build(Scenario, data, "scenario")
 
 
 def save_config(obj: Union[SimulationConfig, Scenario], path) -> None:
@@ -468,39 +477,63 @@ class MuScanRow:
 
 @dataclass
 class RunReport:
-    """Everything one scenario run produced.  The predicted block is
-    the closed form of the config each fringe point runs, at the
-    plan's acquisition time; config_hash is the scenario config's.
+    """Everything one run produced.  config is the config its predicted
+    block describes (the scenario's at the plan's acquisition time, or a
+    one-point report's or a budget's own), and every closed-form value
+    is read from it; config_hash is the scenario config's.
     fit_degenerate is None where no fit was attempted (a sweep, a
-    budget, a one-point report).  s_value and violates are the CHSH
-    verdict of the fitted V, or of the predicted V in a budget, which
-    also keeps the ledger.  wall_clock_s is diagnostic only and never
-    written to files."""
+    budget, a one-point report).  wall_clock_s is diagnostic only and
+    never written to files."""
 
     scenario_name: str
     config_hash: str
-    master_seed: int
     mode: str
-    predicted_rates: RatePrediction
-    visibility_prediction: VisibilityPrediction     # side-corrected
-    predicted_visibility_raw: float
+    config: SimulationConfig
     abscissa: Optional[str] = None
-    acquisition_s_per_point: Optional[float] = None
     points: Optional[List[FringePointResult]] = None
-    scan: Optional[FringeScan] = None
     estimate: Optional[VisibilityEstimate] = None
     fit_degenerate: Optional[bool] = None
-    s_value: Optional[float] = None
-    violates: Optional[bool] = None
     window_table: Optional[WindowOptimization] = None
     mu_table: Optional[List[MuScanRow]] = None
-    ledger: Optional[Dict[str, Tuple[LedgerEntry, ...]]] = None
-    events_generated: int = 0
     wall_clock_s: float = 0.0
 
     @property
+    def acquisition_s_per_point(self) -> float:
+        return self.config.acquisition_time_s
+
+    @property
+    def events_generated(self) -> int:
+        return sum(p.pairs_generated for p in self.points or ())
+
+    @property
+    def predicted_rates(self) -> RatePrediction:
+        return predict_rates(self.config)
+
+    @property
     def predicted_visibility(self) -> float:
-        return self.visibility_prediction.visibility
+        """Side-corrected."""
+        return predict_visibility(self.config).visibility
+
+    @property
+    def predicted_visibility_raw(self) -> float:
+        return predict_visibility(self.config,
+                                  include_side_leak=True).visibility
+
+    @property
+    def s_value(self) -> Optional[float]:
+        return self._chsh()[0]
+
+    @property
+    def violates(self) -> Optional[bool]:
+        return self._chsh()[1]
+
+    def _chsh(self) -> Tuple[Optional[float], Optional[bool]]:
+        """CHSH (S, violates) of the fit's V or a budget's predicted V."""
+        if self.estimate is not None:
+            return chsh_from_visibility(self.estimate.visibility)
+        if self.mode == "budget":
+            return chsh_from_visibility(self.predicted_visibility)
+        return None, None
 
 
 def measure_point(config: SimulationConfig, setting: float,
@@ -601,46 +634,22 @@ def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
     return results
 
 
-def _new_report(name: str, hashed: SimulationConfig, cfg: SimulationConfig,
-                mode: str) -> RunReport:
-    """A report of mode: config_hash of hashed, the rest of cfg."""
-    return RunReport(
-        scenario_name=name,
-        config_hash=config_hash(hashed),
-        master_seed=cfg.master_seed,
-        mode=mode,
-        predicted_rates=predict_rates(cfg),
-        visibility_prediction=predict_visibility(cfg),
-        predicted_visibility_raw=predict_visibility(
-            cfg, include_side_leak=True).visibility,
-    )
-
-
-def _add_points(report: RunReport, points: List[FringePointResult],
-                abscissa: str, acquisition_s: float,
-                frequency: float) -> None:
-    """Put points and their scan on a fringe report."""
-    report.abscissa = abscissa
-    report.acquisition_s_per_point = acquisition_s
-    report.events_generated = sum(p.pairs_generated for p in points)
-    report.points = points
-    report.scan = FringeScan(
-        settings=np.array([p.setting for p in points]),
-        counts=np.array([p.counts_central for p in points]),
-        acquisition_s=acquisition_s,
-        frequency=frequency,
-    )
-
-
 def point_report(name: str, config: SimulationConfig,
                  point: FringePointResult) -> RunReport:
     """The report of point, measured on config at its own phase setting
     (fransonsim simulate), as a one-point phase scan with no fit
     attempted.  No Scenario validates it, so any config a point runs on
     reports, a temperature-driven analyzer included."""
-    report = _new_report(name, config, config, "fringe")
-    _add_points(report, [point], "phase", config.acquisition_time_s, 1.0)
-    return report
+    return RunReport(scenario_name=name, config_hash=config_hash(config),
+                     mode="fringe", config=config, abscissa="phase",
+                     points=[point])
+
+
+def budget_report(name: str, config: SimulationConfig) -> RunReport:
+    """The budget of config (fransonsim budget): the closed form at its
+    own window, with the loss ledger and the predicted Bell verdict."""
+    return RunReport(scenario_name=name, config_hash=config_hash(config),
+                     mode="budget", config=config)
 
 
 def run_scenario(scenario: Scenario,
@@ -655,33 +664,35 @@ def run_scenario(scenario: Scenario,
     pool (see _pool_workers); each running point holds about two
     generation slices of clicks."""
     t_start = time.perf_counter()
-    plan = scenario.plan     # a fringe point runs cfg at its setting and seed
-    cfg = scenario.config if plan is None else replace(
-        scenario.config, acquisition_time_s=plan.acquisition_s_per_point)
-    report = _new_report(scenario.name, scenario.config, cfg, scenario.mode)
+    plan, cfg = scenario.plan, scenario.config
+    if plan is not None:    # a fringe point runs cfg at its setting and seed
+        cfg = replace(cfg, acquisition_time_s=plan.acquisition_s_per_point)
+    report = RunReport(scenario_name=scenario.name,
+                       config_hash=config_hash(scenario.config),
+                       mode=scenario.mode, config=cfg)
 
     if plan is not None:
         points = _run_fringe_points(cfg, plan, progress)
         if not scenario.emit_histograms:
             for p in points:
                 p.histogram = None
-        _add_points(report, points, plan.abscissa,
-                    plan.acquisition_s_per_point, scenario.fringe_frequency)
+        report.abscissa, report.points = plan.abscissa, points
         report.fit_degenerate = len(points) < MIN_FIT_POINTS
         if not report.fit_degenerate:
+            scan = FringeScan(
+                settings=np.array([p.setting for p in points]),
+                counts=np.array([p.counts_central for p in points]),
+                acquisition_s=plan.acquisition_s_per_point,
+                frequency=scenario.fringe_frequency)
             try:
-                report.estimate = fit_fringe(report.scan)
+                report.estimate = fit_fringe(scan)
             except FitDegenerate as exc:
                 report.fit_degenerate = True
                 report.estimate = getattr(exc, "estimate", None)
-        if report.estimate is not None:
-            s, violates = chsh_from_visibility(report.estimate.visibility)
-            report.s_value = float(s)
-            report.violates = bool(violates)
     elif scenario.mode == "window-sweep":
         report.window_table = optimize_window(
             cfg, scenario.window_grid_ps, scenario.window_objective)
-    elif scenario.mode == "mu-sweep":
+    else:
         report.mu_table = []
         for mu in scenario.mu_grid:
             cfg_mu = replace(cfg, source=replace(
@@ -692,10 +703,6 @@ def run_scenario(scenario: Scenario,
                 s_value=verdict.s_value, violates=verdict.violates,
                 central_max_in_window_hz=r.central_max_in_window_hz,
                 accidental_in_window_hz=r.accidental_in_window_hz))
-    else:
-        verdict = bell_verdict(cfg)
-        report.ledger = build_ledger(cfg)
-        report.s_value, report.violates = verdict.s_value, verdict.violates
 
     report.wall_clock_s = time.perf_counter() - t_start
     return report
@@ -709,7 +716,7 @@ def _report_document(report: RunReport) -> Dict[str, object]:
     doc: Dict[str, object] = {
         "scenario_name": report.scenario_name,
         "config_hash": report.config_hash,
-        "master_seed": report.master_seed,
+        "master_seed": report.config.master_seed,
         "mode": report.mode,
         "events_generated": report.events_generated,
         "predicted": {
@@ -741,10 +748,11 @@ def _report_document(report: RunReport) -> Dict[str, object]:
                            for r in (report.mu_table or [])]
     else:
         doc["ledger"] = {arm: [dataclasses.asdict(e) for e in entries]
-                         for arm, entries in report.ledger.items()}
+                         for arm, entries in build_ledger(
+                             report.config).items()}
         # the prediction's V, background (the accidentals) and capture
         # fraction are in predicted already
-        vis = report.visibility_prediction
+        vis = predict_visibility(report.config)
         doc["visibility_terms"] = {"contrast_total": vis.contrast_total,
                                    "mean_central_hz": vis.mean_central_hz}
     if report.s_value is not None:      # a fitted fringe or a budget

@@ -201,7 +201,7 @@ def test_closed_form_refuses_bad_windows(window):
     # config's window, which the spec refuses; a link asked directly
     # refuses it too
     with pytest.raises(ValidationError, match="finite and > 0"):
-        paper_link(50.0, 100.0).link.at_window(window)
+        budget._at_window(paper_link(50.0, 100.0).link, window)
     with pytest.raises(ValidationError):
         CoincidenceWindowSpec(window_ps=window)
 
@@ -514,7 +514,7 @@ def test_closed_forms_share_one_rate_prediction(monkeypatch):
             for w in windows:
                 cfg = replace(cfg_mu, tia=replace(base.tia, window_ps=w))
                 assert predict_rates(cfg) is predict_rates(cfg) \
-                    is cfg_mu.link.at_window(w)[0]
+                    is budget._at_window(cfg_mu.link, w)[0]
                 predict_visibility(cfg)
                 predict_visibility(cfg, include_side_leak=True)
                 bell_verdict(cfg)
@@ -527,12 +527,14 @@ def test_mu_sweep_derives_rates_once_per_mu(monkeypatch):
     scenario = preset("mu-sweep")
     calls = _count_windows(monkeypatch)
     run_scenario(scenario)
-    assert len(calls) == len(_distinct(calls)) == 1 + len(scenario.mu_grid)
+    # the report reads its own predicted block only when asked, so the
+    # base config's window is not derived here
+    assert len(calls) == len(_distinct(calls)) == len(scenario.mu_grid)
     assert {w for _, w in calls} == {scenario.config.tia.window_ps}
     config = scenario.config
-    assert _bits(calls[0][0]) == _bits(LinkModel.from_config(config))
-    per_mu = calls[0][0].pair_rate_hz / config.source.mean_pairs_per_window
-    assert [link.pair_rate_hz / per_mu for link, _ in calls[1:]] \
+    per_mu = LinkModel.from_config(config).pair_rate_hz \
+        / config.source.mean_pairs_per_window
+    assert [link.pair_rate_hz / per_mu for link, _ in calls] \
         == pytest.approx(list(scenario.mu_grid), rel=1e-12)
 
 
@@ -565,10 +567,10 @@ def test_no_reader_writes_the_shared_rates(monkeypatch, tmp_path, capsys):
     assert 10 < len(calls) <= budget.WINDOWS_KEPT
     misses = budget._at_window.cache_info().misses
     for link, w in list(calls):
-        kept, fresh = link.at_window(w), original(link, w)
+        kept, fresh = budget._at_window(link, w), original(link, w)
         assert list(map(_bits, kept)) == list(map(_bits, fresh))
     assert budget._at_window.cache_info().misses == misses
-    parts = calls[0][0].at_window(calls[0][1])[0].accidental_parts_hz
+    parts = budget._at_window(calls[0][0], calls[0][1])[0].accidental_parts_hz
     for write in (lambda: parts.__setitem__("dark-dark", 0.0),
                   lambda: parts.__delitem__("dark-dark"), parts.clear,
                   lambda: parts.update({}), lambda: parts.pop("dark-dark"),
@@ -588,9 +590,9 @@ def test_replaced_config_derives_its_own_rates():
     assert predict_rates(longer).q_idler == predict_rates(cfg).q_idler
     # a window or seed replacement reads the link's own entry
     narrow = replace(cfg, tia=replace(cfg.tia, window_ps=60.0), master_seed=3)
-    assert predict_rates(narrow) is cfg.link.at_window(60.0)[0]
+    assert predict_rates(narrow) is budget._at_window(cfg.link, 60.0)[0]
     assert predict_visibility(narrow, include_side_leak=True) \
-        is cfg.link.at_window(60.0)[2]
+        is budget._at_window(cfg.link, 60.0)[2]
 
 
 _WINDOW_CONFIGS = (
@@ -610,10 +612,10 @@ def test_rates_at_a_window_are_a_config_at_that_window(k, window):
     cfg = _WINDOW_CONFIGS[k]
     assert predict_rates(cfg).window_ps == cfg.tia.window_ps
     at_window = replace(cfg, tia=replace(cfg.tia, window_ps=window))
-    assert _bits(cfg.link.at_window(window)[0]) \
+    assert _bits(budget._at_window(cfg.link, window)[0]) \
         == _bits(predict_rates(at_window)) \
         == _bits(budget._derive_window(at_window.link, window)[0])
-    assert cfg.link.at_window(window)[0].window_ps == window
+    assert budget._at_window(cfg.link, window)[0].window_ps == window
 
 
 @settings(max_examples=200, deadline=None)
@@ -648,7 +650,7 @@ def test_rates_is_not_a_config_field(tmp_path):
     before = (dataclasses.asdict(fresh), repr(fresh), hash(fresh))
     budget._at_window.cache_clear()
     for w in (60.0, 100, 100.0, 140.0):
-        fresh.at_window(w)
+        budget._at_window(fresh, w)
     assert budget._at_window.cache_info().currsize == 4
     assert (dataclasses.asdict(fresh), repr(fresh), hash(fresh)) == before
     assert _bits(fresh) == _bits(LinkModel.from_config(cfg))
@@ -678,13 +680,13 @@ def test_every_kept_window_is_a_fresh_derivation(k, windows):
     # second read of one is a hit: 100 must never answer for 100.0
     link = LinkModel.from_config(_WINDOW_CONFIGS[k])
     for w in windows + windows:
-        rates = link.at_window(w)[0]
+        rates = budget._at_window(link, w)[0]
         fresh = budget._derive_window(link, w)
         assert type(rates.window_ps) is type(w)
         assert _bits(rates) == _bits(fresh[0])
         assert json.dumps(dataclasses.asdict(rates)) \
             == json.dumps(dataclasses.asdict(fresh[0]))
-        assert repr(link.at_window(w)[1:]) == repr(fresh[1:])
+        assert repr(budget._at_window(link, w)[1:]) == repr(fresh[1:])
 
 
 def test_the_window_cache_keeps_at_most_windows_kept(monkeypatch):
@@ -697,18 +699,18 @@ def test_the_window_cache_keeps_at_most_windows_kept(monkeypatch):
     assert budget._at_window.cache_info().maxsize == n
     windows = [10.0 + k for k in range(4 * n + 3)]
     for w in windows:
-        assert link.at_window(w)[0].window_ps == w
+        assert budget._at_window(link, w)[0].window_ps == w
         assert 0 < budget._at_window.cache_info().currsize <= n
     assert len(calls) == len(windows)
     # the least recently read window is dropped first, so the n read
     # last stay kept, each still a fresh derivation: a long grid leaves
     # only its tail behind
     for w in windows[-n:]:
-        assert list(map(_bits, link.at_window(w))) \
+        assert list(map(_bits, budget._at_window(link, w))) \
             == list(map(_bits, original(link, w)))
     assert len(calls) == len(windows)
     for w in windows[:1] * 2:
-        link.at_window(w)
+        budget._at_window(link, w)
     assert len(calls) == len(windows) + 1
     # so does a grid as long as optimize-window --grid takes
     grid = np.linspace(1.0, 199.0, 10_000)
@@ -716,7 +718,7 @@ def test_the_window_cache_keeps_at_most_windows_kept(monkeypatch):
     assert budget._at_window.cache_info().currsize == n
     misses = budget._at_window.cache_info().misses
     for w in map(float, grid[-n:]):
-        assert list(map(_bits, cfg.link.at_window(w))) \
+        assert list(map(_bits, budget._at_window(cfg.link, w))) \
             == list(map(_bits, original(cfg.link, w)))
     assert budget._at_window.cache_info().misses == misses
 
@@ -739,7 +741,7 @@ def test_threads_sharing_a_link_read_their_own_windows():
         for i, pick in enumerate(picks):
             j, w = (t + i) % len(bases), windows[pick]
             if i % 2:
-                rates = bases[j].link.at_window(w)[0]
+                rates = budget._at_window(bases[j].link, w)[0]
             else:
                 rates = predict_rates(replace(
                     bases[j], tia=CoincidenceWindowSpec(window_ps=w)))

@@ -398,14 +398,17 @@ def test_closed_form_scenario_refuses_emit_histograms(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fringe_runs_a_planless_scenario_as_the_budget(tmp_path, capsys):
-    # no plan and no grid is the budget of the scenario's config: the
-    # report fransonsim budget writes, and its ledger on stdout
-    path = tmp_path / "planless.json"
-    save_config(Scenario(name="ideal", config=preset("ideal").config), path)
+def test_fringe_refuses_a_planless_scenario(tmp_path, capsys):
+    # no plan and no grid is no Scenario: fringe refuses the file before
+    # it writes anything, and budget reads the file's config
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"name": "ideal",
+                                "config": asdict(preset("ideal").config)}))
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("fringe", str(path), "--out-dir", str(a)) == 0
-    assert "loss ledger" in capsys.readouterr().out
+    assert run_cli("fringe", str(path), "--out-dir", str(a)) == 2
+    assert "exactly one" in capsys.readouterr().err
+    assert not a.exists()
+    assert run_cli("budget", str(path), "--out-dir", str(a)) == 0
     assert run_cli("budget", "--preset", "ideal", "--out-dir", str(b)) == 0
     assert sorted(p.name for p in a.iterdir()) == ["ideal_report.json"]
     assert (a / "ideal_report.json").read_bytes() == \
@@ -421,6 +424,21 @@ def test_optimize_window_table(capsys):
                    "--grid", "60:10:140") == 0
     out = capsys.readouterr().out
     assert "best window by s_value: 100 ps" in out
+
+
+def test_fringe_prints_the_optimize_window_table(tmp_path, capsys):
+    # a window-sweep report prints one way: fringe adds its two header
+    # lines to the table optimize-window prints
+    assert run_cli("fringe", "--preset", "window-sweep",
+                   "--out-dir", str(tmp_path)) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines(True)
+             if not line.startswith("wrote ")]
+    assert run_cli("optimize-window", "--preset", "window-sweep") == 0
+    table = capsys.readouterr().out
+    assert lines[0].startswith("scenario window-sweep  config ")
+    assert lines[1].startswith("wall clock ")
+    assert "".join(lines[2:]) == table
+    assert table.count("\n") == 2 + len(scenarios.DEFAULT_WINDOW_GRID_PS)
 
 
 def test_optimize_window_comma_grid(capsys):

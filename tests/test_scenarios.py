@@ -25,9 +25,10 @@ from fransonsim.budget import bell_verdict, predict_rates, predict_visibility
 from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   PRESET_NAMES, ScanPlan, Scenario,
                                   calibrate_contrast, config_hash,
-                                  emit_outputs, load_config,
-                                  measure_point, phase_grid, preset,
-                                  run_scenario, save_config)
+                                  budget_report, emit_outputs,
+                                  load_config, measure_point, phase_grid,
+                                  point_report, preset, run_scenario,
+                                  save_config)
 from fransonsim.tia import (FringeScan, build_histogram, count_in_window,
                             fit_fringe)
 
@@ -95,7 +96,8 @@ def test_scan_plan_validation():
 def test_scenario_needs_exactly_one_mode():
     cfg = preset("ideal").config
     plan = ScanPlan(settings=(0.0,), acquisition_s_per_point=1.0)
-    assert Scenario(name="x", config=cfg).mode == "budget"
+    with pytest.raises(ValidationError, match="exactly one"):
+        Scenario(name="x", config=cfg)
     with pytest.raises(ValidationError, match="exactly one"):
         Scenario(name="x", config=cfg, plan=plan, mu_grid=(0.1,))
     assert Scenario(name="x", config=cfg, plan=plan).mode == "fringe"
@@ -250,10 +252,12 @@ def test_temperature_scan_fits_at_its_calibration(coeff):
     assert not report.fit_degenerate
     assert est.frequency == 0.8
     # the same counts as a phase scan, at 1 rad per rad, give the same V
-    phases = coeff * (report.scan.settings - an.reference_temp_c)
-    at_phase = fit_fringe(FringeScan(settings=phases,
-                                     counts=report.scan.counts,
-                                     acquisition_s=report.scan.acquisition_s))
+    settings = np.array([p.setting for p in report.points])
+    phases = coeff * (settings - an.reference_temp_c)
+    at_phase = fit_fringe(FringeScan(
+        settings=phases, counts=np.array([p.counts_central
+                                          for p in report.points]),
+        acquisition_s=report.acquisition_s_per_point))
     assert at_phase.frequency == 1.0
     assert est.visibility == pytest.approx(at_phase.visibility,
                                            rel=1e-12, abs=0.0)
@@ -267,6 +271,20 @@ def test_scenario_round_trip(tmp_path, name):
     loaded = load_config(p)
     assert isinstance(loaded, Scenario)
     assert loaded == s
+
+
+def test_config_only_reads_a_planless_scenario_file(tmp_path):
+    # the budget's reading: the config alone, the other keys checked
+    cfg = preset("ideal").config
+    doc = {"name": "x", "config": dataclasses.asdict(cfg)}
+    p = tmp_path / "planless.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="exactly one"):
+        load_config(p)
+    assert load_config(p, config_only=True) == cfg
+    p.write_text(json.dumps(dict(doc, plna=None)))
+    with pytest.raises(ValidationError, match=r"scenario\.plna: unknown"):
+        load_config(p, config_only=True)
 
 
 def test_round_trip_preserves_floats_exactly(tmp_path):
@@ -466,7 +484,7 @@ def test_report_verdict_matches_bell_arithmetic(ideal_report):
 
 
 def test_per_point_seeds_are_derived(ideal_report):
-    master = ideal_report.master_seed
+    master = ideal_report.config.master_seed
     for k, p in enumerate(ideal_report.points):
         assert p.point_seed == derive_seed(master, k)
     seeds = [p.point_seed for p in ideal_report.points]
@@ -507,7 +525,7 @@ def test_short_scan_collects_data_without_fit():
     rep = run_scenario(tiny_ideal(n_points=3, acq=0.005))
     assert rep.fit_degenerate
     assert rep.estimate is None
-    assert rep.scan is not None and rep.scan.counts.size == 3
+    assert len(rep.points) == 3
 
 
 def test_starved_scan_reports_degenerate_fit():
@@ -548,6 +566,52 @@ def test_fringe_prediction_is_the_closed_form_of_the_points_config():
     assert closed_form(still.config) == closed_form(
         replace(still.config, acquisition_time_s=0.01))
     assert closed_form(walked.config)[1] < closed_form(point)[1]
+
+
+def _five_reports():
+    """One report of each kind: a fringe scan, simulate's one-point
+    report, a budget, a window sweep and a mu sweep."""
+    scan = tiny_ideal(n_points=4, acq=0.01, seed=5)
+    point = replace(scan.config, acquisition_time_s=0.01)
+    link = preset("paper-100km", master_seed=6).config
+    return {
+        "fringe": (lambda: run_scenario(scan), point),
+        "one-point": (lambda: point_report("one", point, measure_point(
+            point, point.analyzer_signal.effective_phase_rad())), point),
+        "budget": (lambda: budget_report("link", link), link),
+        "window-sweep": (lambda: run_scenario(preset("window-sweep", 7)),
+                         preset("window-sweep", 7).config),
+        "mu-sweep": (lambda: run_scenario(preset("mu-sweep", 8)),
+                     preset("mu-sweep", 8).config),
+    }
+
+
+@pytest.mark.parametrize("kind", ["fringe", "one-point", "budget",
+                                  "window-sweep", "mu-sweep"])
+def test_every_report_reads_its_closed_form_from_its_config(kind, tmp_path):
+    run, config = _five_reports()[kind]
+    report = run()
+    assert report.config == config
+    assert (report.predicted_rates, report.predicted_visibility,
+            report.predicted_visibility_raw) == closed_form(report.config)
+    doc = json.loads(Path(emit_outputs(report, tmp_path)[0]).read_text())
+    assert doc["master_seed"] == config.master_seed
+    assert doc["predicted"] == {
+        "rates": dataclasses.asdict(predict_rates(config)),
+        "visibility": predict_visibility(config).visibility,
+        "visibility_raw_windowed": predict_visibility(
+            config, include_side_leak=True).visibility}
+    assert report.acquisition_s_per_point == config.acquisition_time_s
+    if report.mode == "fringe":
+        assert doc["acquisition_s_per_point"] == config.acquisition_time_s
+    else:
+        assert "acquisition_s_per_point" not in doc
+    # none of the values the config fixes is stored on the report
+    stored = {f.name for f in dataclasses.fields(scenarios.RunReport)}
+    assert not stored & {"master_seed", "predicted_rates",
+                         "visibility_prediction", "predicted_visibility_raw",
+                         "ledger", "acquisition_s_per_point", "scan",
+                         "events_generated", "s_value", "violates"}
 
 
 def _drawn_walk(config):
@@ -616,7 +680,8 @@ def test_walked_scan_fit_agrees_with_its_prediction():
     expected, counts = np.array(expected), np.array(counts)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 26.12
-    given_walks = fit_fringe(FringeScan(report.scan.settings, expected, 7.0))
+    given_walks = fit_fringe(FringeScan(
+        np.array([p.setting for p in report.points]), expected, 7.0))
     est = report.estimate
     pull = (est.visibility - given_walks.visibility) / est.sigma_visibility
     assert abs(pull) < 3.0
@@ -960,10 +1025,10 @@ def test_emitted_scan_reads_back(tmp_path):
     assert lines[0] == f"# config_hash={rep.config_hash}"
     assert lines[1] == "setting,counts,acquisition_s,singles_a,singles_b"
     rows = list(csv.DictReader(lines[1:]))
-    assert np.array_equal([float(r["counts"]) for r in rows],
-                          rep.scan.counts)
-    assert np.array_equal([float(r["setting"]) for r in rows],
-                          rep.scan.settings)
+    assert [float(r["counts"]) for r in rows] == \
+        [p.counts_central for p in rep.points]
+    assert [float(r["setting"]) for r in rows] == \
+        [p.setting for p in rep.points]
     assert all(float(r["acquisition_s"]) == 0.01 for r in rows)
     assert [int(r["singles_a"]) for r in rows] == \
         [p.singles_signal for p in rep.points]
