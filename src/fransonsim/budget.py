@@ -404,6 +404,24 @@ class WindowOptimization:
     entries: Tuple[WindowScore, ...]
 
 
+def check_window_grid(config: SimulationConfig,
+                      window_grid_ps: Sequence[float]) -> Tuple[float, ...]:
+    """window_grid_ps as floats, in its order: refused unless it is
+    non-empty and every window is positive and below twice config's
+    analyzer delay (a wider window swallows the side peaks)."""
+    grid = tuple(float(w) for w in window_grid_ps)
+    if not grid:
+        raise ValidationError("window_grid_ps must not be empty")
+    tau4 = config.analyzer_signal.delay_ps
+    for w in grid:
+        if not (0.0 < w < 2.0 * tau4):
+            raise ValidationError(
+                f"window_grid_ps holds {w} ps: a window must be positive "
+                f"and below twice the analyzer delay ({2.0 * tau4:g} ps) "
+                "to keep the side peaks out")
+    return grid
+
+
 def optimize_window(config: SimulationConfig,
                     window_grid_ps: Sequence[float],
                     objective: str = "s_value") -> WindowOptimization:
@@ -421,16 +439,7 @@ def optimize_window(config: SimulationConfig,
     if objective not in WINDOW_OBJECTIVES:
         raise ValidationError(
             f"unknown objective {objective!r}; use one of {WINDOW_OBJECTIVES}")
-    grid = sorted(float(w) for w in window_grid_ps)
-    if not grid:
-        raise ValidationError("empty window grid")
-    tau4 = config.analyzer_signal.delay_ps
-    for w in grid:
-        if not (0.0 < w < 2.0 * tau4):
-            raise ValidationError(
-                f"window {w} ps invalid: must be positive and below "
-                f"twice the analyzer delay ({2.0 * tau4:g} ps) to keep "
-                "the side peaks out")
+    grid = sorted(check_window_grid(config, window_grid_ps))
     link, entries = config.link, []
     for w in grid:
         rates, _, _, verdict = _at_window(link, w)

@@ -75,9 +75,12 @@ sorted pieces in linear time.
 Memory model
 ------------
 A run's working set is a small multiple of one slice's clicks, and
-slice_ps keeps those within _SLICE_CLICKS (2**19, ~0.52 M) expected
-clicks, so it does not grow with the acquisition time or the click
-rate:
+one bound keeps those within _SLICE_CLICKS (2**19, ~0.52 M) expected
+clicks, darks included: slice_ps picks the widest width within it, and
+iter_click_buckets refuses, before drawing, a run whose one slice still
+expects more (only a config above 2**19 clicks per 78.125 ms, ~6.7e6
+clicks/s, that runs longer than 2**19 / rate).  The working set grows
+neither with the acquisition time nor with the click rate:
 
 * a slice builds each channel's clicks in one float64 buffer that
   becomes its int64 key array in place (8 bytes per click): uniform
@@ -98,12 +101,9 @@ rate:
   clicks: the one being drawn and the rest of the one before it.
   Measured with tracemalloc: 9.6-10.3 MB for a back-to-back point of
   7 s or of 60 s (0.46 M clicks per 1.25 s slice), 8.1 MB for a 100 km
-  point of 30 s or of 300 s (0.37 M clicks per 10 s slice): ~10-22
-  bytes per click.  Before drawing, a run refuses more expected
-  clicks (the closed form's singles, darks included) in its first
-  10 s, or in all of a shorter run, than _MAX_CLICK_RATE_HZ gives in
-  10 s; only a run shorter than 10 s can therefore hold more than
-  _SLICE_CLICKS in its (narrowest) slice, up to 6e7.
+  point of 30 s or of 300 s (0.37 M clicks per 10 s slice), 12.3 MB
+  for a lossless 6.5e6 clicks/s point of 0.5 s (0.51 M clicks per
+  78 ms slice): ~10-25 bytes per click.
 """
 
 from __future__ import annotations
@@ -128,18 +128,13 @@ from .tia import check_ascending
 # one slice, so they are constants, not knobs.
 SLICE_PS = 10_000_000_000_000  # 10 s
 
-# Expected clicks per slice, darks included, that a slice may hold
-# (memory model: ~10-22 bytes per click, ~two slices held at a time).
+# Expected clicks per slice, darks included, that a slice may hold: the
+# engine's one load bound (memory model: ~10-25 bytes per click, ~two
+# slices held at a time).
 _SLICE_CLICKS = 2 ** 19
 
-# Engine budget as a rate, darks included: a run refuses more expected
-# clicks in its first SLICE_PS (all of a shorter run) than this rate
-# gives in SLICE_PS, 6e7 clicks (~0.6-1.4 GB in one widest slice).
-_MAX_CLICK_RATE_HZ = 6.0e6
-
-# Narrowest slice: the widest width at which _MAX_CLICK_RATE_HZ stays
-# within _SLICE_CLICKS (~4.7e5 clicks).  Only a run shorter than
-# SLICE_PS may draw faster, and then holds more clicks per slice.
+# Narrowest slice, 78.125 ms: a config above _SLICE_CLICKS in it
+# (~6.7e6 clicks/s) runs only while its one slice stays within.
 _MIN_SLICE_PS = SLICE_PS >> 7
 
 # Clicks may leave their generation slice by analyzer delay + timing
@@ -470,21 +465,15 @@ def _click_rate_hz(config: SimulationConfig) -> float:
 def slice_ps(config: SimulationConfig) -> int:
     """Generation-slice width of config's runs: the widest
     SLICE_PS / 2**k, down to _MIN_SLICE_PS, whose expected clicks stay
-    within _SLICE_CLICKS.  It reads the closed-form rates alone, so
-    every point of a scan (phase, window and seed aside) shares it."""
+    within _SLICE_CLICKS (where even _MIN_SLICE_PS does not, only a
+    run short enough to stay within runs).  It reads the closed-form
+    rates alone, so every point of a scan (phase, window and seed
+    aside) shares it."""
     rate_per_ps = _click_rate_hz(config) * 1e-12
     width = SLICE_PS
     while width > _MIN_SLICE_PS and rate_per_ps * width > _SLICE_CLICKS:
         width //= 2
     return width
-
-
-def slice_clicks(config: SimulationConfig) -> float:
-    """Expected clicks, photons and darks of both channels, in one
-    generation slice of config's run (a run shorter than a slice is
-    its only slice)."""
-    return _click_rate_hz(config) * min(config.span_ps(),
-                                        slice_ps(config)) * 1e-12
 
 
 def _pack_keys(label: str, times: np.ndarray, n_photons: int,
@@ -508,13 +497,14 @@ def _pack_keys(label: str, times: np.ndarray, n_photons: int,
 
 
 def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
-               drift: _DriftWalk, diag: SimDiagnostics,
+               width: int, drift: _DriftWalk, diag: SimDiagnostics,
                ) -> Tuple[np.ndarray, np.ndarray]:
     """All click candidates whose generating process lives in
     [lo, hi), per channel as one sorted int64 array of packed keys
     (t << 1) | is_dark: returns (sig_keys, idl_keys).  Rates, survival,
     peak weights and timing widths are config.link's; no click may
-    spill more than a quarter of slice_ps(config) out of [lo, hi).
+    spill more than a quarter of width, the run's slice_ps(config), out
+    of [lo, hi).
 
     Each channel's clicks are built in one float buffer that ends as
     its key array: idler partners first, then the channel's
@@ -572,7 +562,7 @@ def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
 
     drift.apply("signal", sig[:n_sig])
     drift.apply("idler", idl[:n_idl])
-    spill = slice_ps(config) // 4
+    spill = width // 4
     sig_keys = _pack_keys("signal", sig, n_sig, lo, hi, spill)
     idl_keys = _pack_keys("idler", idl, n_idl, lo, hi, spill)
 
@@ -617,20 +607,22 @@ def iter_click_buckets(config: SimulationConfig,
     copy.  A bucket's arrays may share storage with the slice it came
     from; a consumer that drops each bucket before asking for the
     next holds about two slices of clicks at a time.  Before any
-    slice is drawn, a run whose expected clicks exceed the engine
-    budget (_MAX_CLICK_RATE_HZ) is refused with ValidationError.
+    slice is drawn, a run whose one slice (all of a run shorter than
+    slice_ps) expects more than _SLICE_CLICKS clicks, darks included,
+    is refused with ValidationError.
     """
     if diag is None:
         diag = SimDiagnostics()
-    span = config.span_ps()
+    span, width = config.span_ps(), slice_ps(config)
     rate = _click_rate_hz(config)
-    if rate * min(span, SLICE_PS) > _MAX_CLICK_RATE_HZ * SLICE_PS:
+    clicks = rate * min(span, width) * 1e-12
+    if clicks > _SLICE_CLICKS:
         raise ValidationError(
-            f"~{rate:.3g} clicks/s, darks included, exceed the engine "
-            f"budget of {_MAX_CLICK_RATE_HZ:.3g}/s over "
-            f"{SLICE_PS * 1e-12:g} s; lower mu or the dark rates, add "
-            "loss, or shorten the acquisition")
-    width = slice_ps(config)
+            f"~{clicks:.3g} expected clicks, darks included, in one "
+            f"generation slice ({rate:.3g}/s over "
+            f"{min(span, width) * 1e-12:g} s) exceed the engine's bound "
+            "of 2**19 per slice; lower mu or the dark rates, add loss, "
+            f"or shorten the acquisition below {_SLICE_CLICKS / rate:.3g} s")
     n_slices = max(1, -(-span // width))
     drift = _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
@@ -685,7 +677,8 @@ def iter_click_buckets(config: SimulationConfig,
 
     for k in range(n_slices):
         lo, hi = k * width, min(span, (k + 1) * width)
-        pools.append(list(_gen_slice(config, k, lo, hi, drift, diag)))
+        pools.append(list(_gen_slice(config, k, lo, hi, width, drift,
+                                     diag)))
         if k > 0:
             yield cut(k - 1)
     yield cut(n_slices - 1)

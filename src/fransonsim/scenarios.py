@@ -32,12 +32,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .budget import (WINDOW_OBJECTIVES, RatePrediction, WindowOptimization,
-                     WindowScore, bell_verdict, build_ledger, predict_rates,
-                     predict_visibility, optimize_window)
+                     WindowScore, bell_verdict, build_ledger,
+                     check_window_grid, predict_rates, predict_visibility,
+                     optimize_window)
 from .errors import FitDegenerate, ParseError, ValidationError
 from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
-                         TimingDriftSpec, derive_seed, iter_click_buckets,
-                         slice_clicks)
+                         TimingDriftSpec, derive_seed, iter_click_buckets)
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
 from .tia import (MIN_FIT_POINTS, DelayHistogram, FringeScan,
@@ -142,15 +142,15 @@ class Scenario:
             raise ValidationError(
                 "exactly one of plan / window_grid_ps / mu_grid must be "
                 "set (fransonsim budget reads a file that sets none)")
-        for attr in ("window_grid_ps", "mu_grid"):
-            grid = getattr(self, attr)
-            if grid is None:
-                continue
-            grid = tuple(float(g) for g in grid)
+        if self.window_grid_ps is not None:
+            object.__setattr__(self, "window_grid_ps", check_window_grid(
+                self.config, self.window_grid_ps))
+        if self.mu_grid is not None:
+            grid = tuple(float(g) for g in self.mu_grid)
             if not grid or not all(math.isfinite(g) and g > 0 for g in grid):
                 raise ValidationError(
-                    f"{attr} must be a non-empty tuple of positive values")
-            object.__setattr__(self, attr, grid)
+                    "mu_grid must be a non-empty tuple of positive values")
+            object.__setattr__(self, "mu_grid", grid)
         if self.emit_histograms and self.plan is None:
             raise ValidationError("emit_histograms needs a fringe scan plan")
         if self.window_objective not in WINDOW_OBJECTIVES:
@@ -532,7 +532,8 @@ class RunReport:
         if self.estimate is not None:
             return chsh_from_visibility(self.estimate.visibility)
         if self.mode == "budget":
-            return chsh_from_visibility(self.predicted_visibility)
+            verdict = bell_verdict(self.config)
+            return verdict.s_value, verdict.violates
         return None, None
 
 
@@ -590,21 +591,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Expected clicks per generation slice (montecarlo.slice_clicks, darks
-# included), summed over the running points, up to which more than two
-# fringe points run at once.  A running point holds about two slices
-# of clicks, measured at ~10-22 bytes per expected click per slice
-# (tracemalloc: back-to-back 7 s and 60 s, 100 km 30 s and 300 s), so
-# a pool past two points stays under ~250 MB.
-_POOL_CLICKS_PER_SLICE = 1.0e7
-
-
 def _pool_workers(point_config: SimulationConfig, n_points: int) -> int:
-    """Fringe points run at once: the usable CPUs, capped at n_points
-    and, past two, at _POOL_CLICKS_PER_SLICE."""
-    clicks = slice_clicks(point_config)
-    by_memory = max(2, int(_POOL_CLICKS_PER_SLICE // max(clicks, 1.0)))
-    return max(1, min(_usable_cpus(), n_points, by_memory))
+    """Fringe points of point_config run at once: the usable CPUs,
+    capped at n_points.  The config sets no cap: iter_click_buckets
+    refuses a run of more than montecarlo._SLICE_CLICKS expected clicks
+    per slice, so every running point holds about two bounded slices."""
+    return max(1, min(_usable_cpus(), n_points))
 
 
 def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,

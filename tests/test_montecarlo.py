@@ -34,7 +34,7 @@ from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
                                    _filter_clicks, _gen_slice, slice_ps)
-from fransonsim.scenarios import preset
+from fransonsim.scenarios import measure_point, preset
 
 
 def lossless_config(**kw):
@@ -462,7 +462,7 @@ def _whole_run_reference(cfg):
     n_slices = max(1, -(-span // width))
     drift, diag = _DriftWalk(cfg), SimDiagnostics()
     slices = [_gen_slice(cfg, k, k * width, min(span, (k + 1) * width),
-                         drift, diag)
+                         width, drift, diag)
               for k in range(n_slices)]
     streams = {}
     for col, ch, det in ((0, "signal", cfg.detector_signal),
@@ -619,9 +619,10 @@ def test_dead_time_across_bucket_edges():
 
 def test_dead_time_below_a_picosecond_is_the_digitizer_floor():
     # keeping the first click of each picosecond is a 1 ps dead time;
-    # darks at 2e8 Hz make same-picosecond twins certain
+    # darks at 2e8 Hz for 1 ms, ~2e5 per channel, make same-picosecond
+    # twins certain (n**2 / 2T: ~20 per channel)
     dark = replace(lossy_config().detector_signal, dark_rate_hz=2.0e8)
-    base = lossy_config(acquisition_time_s=0.005, detector_signal=dark,
+    base = lossy_config(acquisition_time_s=0.001, detector_signal=dark,
                         detector_idler=dark)
     runs = []
     for dead_ps in (0.0, 0.4, 1.0):
@@ -636,8 +637,8 @@ def test_dead_time_below_a_picosecond_is_the_digitizer_floor():
             assert g[0] == w[0] and g[2::2] == w[2::2]   # dark counts
             for a, b in zip(g[1::2], w[1::2]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    sig, idl = _gen_slice(base, 0, 0, base.span_ps(), _DriftWalk(base),
-                          SimDiagnostics())
+    sig, idl = _gen_slice(base, 0, 0, base.span_ps(), slice_ps(base),
+                          _DriftWalk(base), SimDiagnostics())
     drawn = sig.size + idl.size - want_diag.clicks_dropped_out_of_span
     kept = sum(b[1].size + b[3].size for b in want)
     assert kept < drawn     # twins were merged
@@ -962,53 +963,82 @@ def test_engine_budget_guard():
         run_simulation(cfg)
 
 
-def test_engine_budget_counts_dark_clicks(monkeypatch):
-    # 1 MHz of signal darks: ~1.0e6 clicks/s, ~28 times the link's
-    # photon clicks, which narrow the slice from 10 s to 0.3125 s.  The
-    # guard reads the closed form's singles, darks included, and
-    # refuses before any click is drawn.
-    cfg = replace(preset("paper-100km").config, acquisition_time_s=1.0)
-    dark = replace(cfg, detector_signal=replace(cfg.detector_signal,
-                                                dark_rate_hz=1.0e6))
-    rates = predict_rates(dark)
-    assert slice_ps(dark) == SLICE_PS // 32
-    assert montecarlo.slice_clicks(dark) == pytest.approx(
-        (rates.singles_signal_hz + rates.singles_idler_hz) * 0.3125,
-        rel=1e-12)
-    assert montecarlo.slice_clicks(cfg) < 1.0e5 < rates.singles_signal_hz
-    # 1e5 clicks in a 10 s slice: the link's 1 s fits, the darks' not
-    monkeypatch.setattr(montecarlo, "_MAX_CLICK_RATE_HZ", 1.0e4)
-    monkeypatch.setattr(montecarlo, "_gen_slice", mock.Mock(
-        side_effect=AssertionError("a slice was drawn")))
-    with pytest.raises(ValidationError, match="darks included"):
-        next(iter_click_buckets(dark))
-
-
 class _Drawn(Exception):
     pass
 
 
-def test_engine_budget_is_a_rate_over_the_widest_slice(monkeypatch):
-    # 6e6 clicks/s over 10 s is the 6e7 clicks per slice of fixed 10 s
-    # slices, so the budget refuses the runs it refused then: a run
-    # shorter than 10 s may draw faster.  The narrowest width is the
-    # widest that keeps the budget's rate within a slice's clicks.
-    at_budget = montecarlo._MAX_CLICK_RATE_HZ * 1e-12 \
-        * montecarlo._MIN_SLICE_PS
-    assert at_budget <= montecarlo._SLICE_CLICKS < 2 * at_budget
-    assert montecarlo._MIN_SLICE_PS == SLICE_PS >> 7
+def test_engine_budget_counts_dark_clicks(monkeypatch):
+    # 1e7 Hz of signal darks: ~7.8e5 clicks in the narrowest slice,
+    # past the bound, where the link's own ~3.7e4 clicks/s fit a 10 s
+    # slice.  The bound reads the closed form's singles, darks
+    # included, and refuses before any click is drawn.
+    cfg = replace(preset("paper-100km").config, acquisition_time_s=1.0)
+    dark = replace(cfg, detector_signal=replace(cfg.detector_signal,
+                                                dark_rate_hz=1.0e7))
+    photons = predict_rates(cfg)
+    assert (photons.singles_signal_hz + photons.singles_idler_hz) \
+        * cfg.acquisition_time_s < montecarlo._SLICE_CLICKS / 10
+    assert slice_ps(dark) == montecarlo._MIN_SLICE_PS
     monkeypatch.setattr(montecarlo, "_gen_slice",
                         mock.Mock(side_effect=_Drawn))
-    # lossless at 4.2e-4 pairs per window: ~7e6 clicks/s
-    fast = lossless_config(source=SourceSpec(photon_fwhm_ps=0.5,
-                                             mean_pairs_per_window=4.2e-4))
-    rates = predict_rates(fast)
-    assert 6.5e6 < rates.singles_signal_hz + rates.singles_idler_hz < 7.5e6
-    assert slice_ps(fast) == montecarlo._MIN_SLICE_PS
-    for seconds, refused in ((10.0, True), (20.0, True), (8.0, False)):
-        run = iter_click_buckets(replace(fast, acquisition_time_s=seconds))
+    with pytest.raises(_Drawn):
+        next(iter_click_buckets(cfg))
+    with pytest.raises(ValidationError, match="darks included"):
+        next(iter_click_buckets(dark))
+
+
+def test_engine_bound_is_expected_clicks_per_slice(monkeypatch):
+    # 2**19 clicks in the narrowest, 78.125 ms slice: ~6.7e6 clicks/s.
+    # A faster config runs only while its one slice stays within
+    # 2**19 clicks; a slower one runs at any length.
+    assert montecarlo._MIN_SLICE_PS == SLICE_PS >> 7
+    assert montecarlo._SLICE_CLICKS / (montecarlo._MIN_SLICE_PS * 1e-12) \
+        == pytest.approx(6.71e6, rel=1e-3)
+    monkeypatch.setattr(montecarlo, "_gen_slice",
+                        mock.Mock(side_effect=_Drawn))
+
+    def lossless_at(mu, clicks_hz):
+        cfg = lossless_config(source=SourceSpec(
+            photon_fwhm_ps=0.5, mean_pairs_per_window=mu))
+        rates = predict_rates(cfg)
+        assert rates.singles_signal_hz + rates.singles_idler_hz \
+            == pytest.approx(clicks_hz, rel=1e-9)
+        assert slice_ps(cfg) == montecarlo._MIN_SLICE_PS
+        return cfg
+    fast = lossless_at(4.2e-4, 7.0e6)
+    below = lossless_at(3.9e-4, 6.5e6)
+    for cfg, seconds, refused in ((fast, 8.0, True), (fast, 10.0, True),
+                                  (fast, 20.0, True), (fast, 0.05, False),
+                                  (below, 10.0, False)):
+        run = iter_click_buckets(replace(cfg, acquisition_time_s=seconds))
         with pytest.raises(ValidationError if refused else _Drawn):
             next(run)
+    assert montecarlo._gen_slice.call_count == 2   # the accepted runs
+
+
+def test_densest_accepted_point_holds_bounded_memory(monkeypatch):
+    # a lossless back-to-back point just below the bound's rate, 6.5e6
+    # clicks/s for 0.5 s: seven 78 ms slices of ~5.1e5 expected clicks.
+    # Its measure_point peak is about two slices of clicks.
+    cfg = lossless_config(source=SourceSpec(photon_fwhm_ps=0.5,
+                                            mean_pairs_per_window=3.9e-4))
+    tracemalloc.start()
+    try:
+        point = measure_point(cfg, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert point.singles_signal + point.singles_idler > 3.0e6
+    assert peak <= 16 * 2 ** 20
+    # the presets' mu = 0.05 on the same link: 8.3e8 clicks/s, 1.7e7
+    # in one 20 ms run, refused before any slice is drawn
+    stock = lossless_config(
+        source=SourceSpec(photon_fwhm_ps=0.5, mean_pairs_per_window=0.05),
+        acquisition_time_s=0.02)
+    monkeypatch.setattr(montecarlo, "_gen_slice",
+                        mock.Mock(side_effect=_Drawn))
+    with pytest.raises(ValidationError, match=r"bound of 2\*\*19"):
+        measure_point(stock, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1037,8 +1067,14 @@ def test_slice_width_is_the_widest_within_the_click_budget(
     at_cap = width == montecarlo._MIN_SLICE_PS
     assert per_ps * width <= montecarlo._SLICE_CLICKS or at_cap
     assert k == 0 or per_ps * 2 * width > montecarlo._SLICE_CLICKS
-    if per_ps <= montecarlo._MAX_CLICK_RATE_HZ * 1e-12:
-        assert per_ps * width <= montecarlo._SLICE_CLICKS
+    # the engine runs cfg exactly when its one slice (all of a shorter
+    # run) stays within the bound, and refuses before drawing
+    clicks = (rates.singles_signal_hz + rates.singles_idler_hz) \
+        * min(cfg.span_ps(), width) * 1e-12
+    refused = clicks > montecarlo._SLICE_CLICKS
+    with mock.patch.object(montecarlo, "_gen_slice", side_effect=_Drawn), \
+            pytest.raises(ValidationError if refused else _Drawn):
+        next(iter_click_buckets(cfg))
     # a scan's points differ from its config in phase, window and seed
     # alone, so every point of a scan shares one width
     point = replace(cfg, analyzer_signal=replace(cfg.analyzer_signal,

@@ -21,7 +21,8 @@ from fransonsim.physics import chsh_from_visibility
 from fransonsim import montecarlo, scenarios
 from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    derive_seed)
-from fransonsim.budget import bell_verdict, predict_rates, predict_visibility
+from fransonsim.budget import (bell_verdict, optimize_window, predict_rates,
+                              predict_visibility)
 from fransonsim.scenarios import (CALIBRATION_TARGET_VISIBILITY,
                                   PRESET_NAMES, ScanPlan, Scenario,
                                   calibrate_contrast, config_hash,
@@ -104,6 +105,18 @@ def test_scenario_needs_exactly_one_mode():
     assert Scenario(name="x", config=cfg,
                     window_grid_ps=(60.0,)).mode == "window-sweep"
     assert Scenario(name="x", config=cfg, mu_grid=(0.1,)).mode == "mu-sweep"
+
+
+def test_scenario_and_optimize_window_share_one_window_grid_rule():
+    # a 250 ps window on the 100 ps analyzer delay swallows the side
+    # peaks: refused at construction, as optimize_window refuses it
+    cfg = preset("window-sweep").config
+    assert cfg.analyzer_signal.delay_ps == 100.0
+    for grid in ((60.0, 250.0), (), (0.0, 60.0), (60.0, math.nan)):
+        with pytest.raises(ValidationError, match="window_grid_ps"):
+            Scenario(name="x", config=cfg, window_grid_ps=grid)
+        with pytest.raises(ValidationError, match="window_grid_ps"):
+            optimize_window(cfg, grid)
 
 
 def test_scenario_name_is_filename_safe():
@@ -759,34 +772,17 @@ def test_point_error_propagates_from_the_pool(cpus, monkeypatch):
     assert len(started) < 8          # points not yet started are cancelled
 
 
-def test_pool_workers_are_capped_at_cpus_points_and_memory(monkeypatch):
+def test_pool_workers_are_capped_at_cpus_and_points(monkeypatch):
     monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
     cfg = preset("back-to-back").config
     b2b = replace(cfg, acquisition_time_s=30.0)   # ~4.6e5 per 1.25 s slice
     small = replace(cfg, acquisition_time_s=0.1)  # ~3.7e4 in its one slice
     assert scenarios._pool_workers(small, 16) == 16
     assert scenarios._pool_workers(small, 3) == 3
-    assert scenarios._pool_workers(b2b, 64) == 21
-    # past two points, the pool's clicks per slice stay in the budget
-    monkeypatch.setattr(scenarios, "_POOL_CLICKS_PER_SLICE", 1.5e5)
-    assert scenarios._pool_workers(small, 16) == 4
-    monkeypatch.setattr(scenarios, "_POOL_CLICKS_PER_SLICE", 0.5e5)
-    assert scenarios._pool_workers(small, 16) == 2
+    assert scenarios._pool_workers(b2b, 64) == 64
     monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
     assert scenarios._pool_workers(small, 16) == 1
     assert scenarios._pool_workers(b2b, 1) == 1
-
-
-def test_pool_workers_count_dark_clicks(monkeypatch):
-    # 1 MHz of signal darks: ~3.2e5 clicks per 0.3125 s slice against
-    # the link's ~3.7e4 in its one 1 s slice, which bounds the pool at
-    # 30 points
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
-    cfg = replace(preset("paper-100km").config, acquisition_time_s=1.0)
-    dark = replace(cfg, detector_signal=replace(cfg.detector_signal,
-                                                dark_rate_hz=1.0e6))
-    assert scenarios._pool_workers(cfg, 64) == 64
-    assert scenarios._pool_workers(dark, 64) == 30
 
 
 @pytest.mark.parametrize("name, tiny, workers", [
