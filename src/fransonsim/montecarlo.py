@@ -729,6 +729,16 @@ _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _DIGITS4 = np.stack(
     np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4,
                 indexing="ij"), axis=-1).reshape(-1, 4).view(np.uint32).ravel()
+# "0000" as a little-endian four-byte unit: subtracted from four digits
+# read as "<u4", it leaves each digit's value in its own byte
+_ZEROS4 = 0x30303030
+
+
+def _column(text, offset: int, rows: int, width: int, dtype) -> np.ndarray:
+    """One item of dtype per fixed-width text line: rows lines of width
+    bytes from byte offset on, the item at the same place in each."""
+    return np.ndarray((rows,), dtype, buffer=text, offset=offset,
+                      strides=(width,))
 
 
 def _format_rows(values: np.ndarray, digits: int, scratch,
@@ -738,12 +748,7 @@ def _format_rows(values: np.ndarray, digits: int, scratch,
     _DIGITS4 from the right, then one at a time."""
     m, width = values.size, digits + 1
     out = text[:m * width]
-
-    def column(offset: int, dtype) -> np.ndarray:
-        return np.ndarray((m,), dtype, buffer=out, offset=offset,
-                          strides=(width,))
-
-    column(digits, np.uint8)[...] = ord("\n")
+    _column(out, digits, m, width, np.uint8)[...] = ord("\n")
     q, quotient, rem = (a[:m] for a in scratch)
     q[...] = values
     end = digits
@@ -754,9 +759,9 @@ def _format_rows(values: np.ndarray, digits: int, scratch,
         np.subtract(q, rem, out=rem)
         end -= step
         if step == 4:
-            np.take(_DIGITS4, rem, out=column(end, np.uint32))
+            np.take(_DIGITS4, rem, out=_column(out, end, m, width, np.uint32))
         else:
-            np.add(rem, ord("0"), out=column(end, np.uint8),
+            np.add(rem, ord("0"), out=_column(out, end, m, width, np.uint8),
                    casting="unsafe")
         q, quotient = quotient, q
     return out
@@ -800,12 +805,12 @@ def write_click_stream(stream: ClickStream, path, seed: Optional[int] = None,
                     start = end
 
 
-def _line_error(path, lines: bytes, first_line: int
+def _line_error(path, lines: bytes | memoryview, first_line: int
                 ) -> Optional[ValidationError]:
     """The error for the first malformed line of `lines` (each ending
     in a newline, the first being line `first_line` of the file), or
     None when every line holds a plain decimal int64."""
-    for k, line in enumerate(lines.split(b"\n")[:-1]):
+    for k, line in enumerate(bytes(lines).split(b"\n")[:-1]):
         if not line:
             problem = "empty line"
         elif not line.isdigit():
@@ -821,35 +826,109 @@ def _line_error(path, lines: bytes, first_line: int
     return None
 
 
-def _parse_lines(path, lines: bytes, first_line: int) -> np.ndarray:
-    """int64 values of newline-terminated body lines, parsed in C by
-    np.fromstring.  Cheap byte tests pass every well-formed block; a
-    block that fails one, or whose parse comes out short or holds the
-    int64 maximum (where fromstring saturates), goes to _line_error
-    for the exact line and reason."""
-    b = np.frombuffer(lines, np.uint8)
-    newline = b == ord("\n")
-    n = int(np.count_nonzero(newline))
-    suspect = (int(b.max()) > ord("9")
-               or np.count_nonzero(b < ord("0")) != n
-               # empty line or leading zero ("0" alone is only valid
-               # as the first line, so any such line is checked)
-               or b[0] <= ord("0")
-               or bool(np.any(newline[:-1] & (b[1:] <= ord("0")))))
-    del newline
-    if suspect:
-        err = _line_error(path, lines, first_line)
-        if err is not None:
-            raise err
-    values = np.fromstring(lines, np.int64, sep="\n")
-    if values.size != n or np.any(values == _INT64_MAX):
-        err = _line_error(path, lines, first_line)
-        if err is not None:
-            raise err
-        if values.size != n:
-            raise ValidationError(f"{path}: unreadable body near line "
-                                  f"{first_line}")
-    return values
+def _parse_run(text: np.ndarray, start: int, rows: int, digits: int,
+               out: np.ndarray) -> None:
+    """Parse `rows` lines of `digits` digits each, the first at byte
+    `start` of text, into the uint64 array out, four digits per "<u4"
+    pass.  The digits % 4 leading digits are the line's first four
+    bytes shifted up to end the unit; lines of fewer than four digits
+    are read one digit at a time."""
+    width, lead = digits + 1, digits % 4
+    if digits < 4:
+        out[...] = _column(text, start, rows, width, np.uint8)
+        for k in range(1, digits):
+            out *= 10
+            out += _column(text, start + k, rows, width, np.uint8)
+        out -= ord("0") * (10 ** digits - 1) // 9    # "0", "00" or "000"
+        return
+    quads = -(-digits // 4)
+    q = np.empty((quads, rows), np.uint32)
+    if lead:
+        shift = 32 - 8 * lead
+        np.left_shift(_column(text, start, rows, width, "<u4"), shift,
+                      out=q[0])
+        q[0] -= _ZEROS4 << shift & 0xFFFFFFFF
+    for k in range(lead > 0, quads):
+        np.subtract(_column(text, start + digits - 4 * (quads - k), rows,
+                            width, "<u4"), _ZEROS4, out=q[k])
+    # digit values b0..b3, b0 in the low byte: 10*b0 + b1 and 10*b2 + b3
+    # in bytes 0 and 2, then 1000*b0 + 100*b1 + 10*b2 + b3
+    q *= 10 << 8 | 1
+    q >>= 8
+    q &= 0x00FF00FF
+    q *= 100 << 16 | 1
+    q >>= 16
+    # a lone first quad when their count is odd; the rest pair into
+    # eight digits, which a uint32 still holds
+    odd = quads % 2
+    q[odd::2] *= 10_000
+    q[odd::2] += q[odd + 1::2]
+    out[...] = q[0]
+    for part in q[2 - odd::2]:
+        out *= 10 ** 8
+        out += part
+
+
+def _body_error(path, lines: memoryview, first_line: int,
+                width: int) -> ValidationError:
+    """The first fault of body lines that _parse_lines refused: the
+    first malformed line up to the first line narrower than the one
+    before it, or else that narrower line."""
+    ends = np.flatnonzero(np.frombuffer(lines, np.uint8) == ord("\n"))
+    drop = np.diff(np.diff(ends, prepend=-1), prepend=width) < 0
+    cut = int(ends[drop.argmax()]) + 1 if drop.any() else len(lines)
+    return _line_error(path, lines[:cut], first_line) or ValidationError(
+        f"{path}: click timestamps must be strictly increasing")
+
+
+def _parse_lines(path, lines: memoryview, first_line: int, width: int,
+                 out: np.ndarray) -> Tuple[int, int]:
+    """Parse newline-terminated body lines, the first being line
+    `first_line` of the file, into the int64 array out; `width` is the
+    length, newline included, of the line before them (0 for none).
+    Returns the number of lines and the width of the last.
+
+    A valid line is never narrower than the one before it (no leading
+    zeros, ascending values), so the lines are at most 19 runs of one
+    width.  Each run is found by one strided pass over the newlines its
+    width predicts; two byte tests then prove the runs are the lines
+    and hold digits only, and _parse_run parses each straight into out.
+    A block with a line narrower than the one before it, an empty line,
+    a line of 20 digits or more or a non-digit byte goes to _body_error;
+    a run with a leading zero or a value beyond int64 goes to
+    _line_error.  Either names the first bad line."""
+    text = np.frombuffer(lines, np.uint8)
+    runs, start, last = [], 0, width
+    while start < text.size:
+        # the next line's width; no newline in 21 bytes reads as empty
+        w = int(np.argmax(text[start:start + 21] == ord("\n"))) + 1
+        if w < max(last, 2) or w > 20:       # narrower, empty, > 19 digits
+            break
+        # the run ends at the first line not ending where w says
+        miss = _column(text, start + w - 1, (text.size - start) // w, w,
+                       np.uint8) != ord("\n")
+        rows = int(miss.argmax()) if miss.any() else miss.size
+        runs.append((start, rows, w))
+        start += rows * w
+        last = w
+    n = sum(rows for _, rows, _ in runs)
+    # the runs' newlines are the only bytes below "0" and none is above
+    # "9": every line is as wide as its run says, and all else is digits
+    if (start < text.size or int(text.max()) > ord("9")
+            or np.count_nonzero(text < ord("0")) != n):
+        raise _body_error(path, lines, first_line, width)
+    if n > out.size:
+        raise ValidationError(f"{path}: file changed while being read")
+    filled = 0
+    for start, rows, w in runs:
+        digits = w - 1
+        values = out[filled:filled + rows].view(np.uint64)
+        _parse_run(text, start, rows, digits, values)
+        if (digits > 1 and values.min() < 10 ** (digits - 1)  # leading 0
+                or digits == 19 and values.max() > _INT64_MAX):
+            raise _line_error(path, lines, first_line)
+        filled += rows
+    return n, last
 
 
 def _header_int(path, meta: Dict[str, str], key: str,
@@ -878,9 +957,16 @@ def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
     [0, span_ps]; the last line may lack its ``\\n``.  Anything else
     (blank, whitespace, ``#`` or CRLF lines in the body, non-ASCII
     bytes, values beyond int64) raises ValidationError naming the file
-    and, in the body, the line.  The body is read in blocks of
-    _READ_BLOCK_BYTES: past the returned array (8 B per row) the
-    reader holds a few blocks at a time.
+    and, in the body, the line.  A line with fewer digits than the line
+    before it cannot ascend: it is refused where it is read, so a file
+    with several faults may name it before a later malformed line.
+
+    The body is read in blocks of _READ_BLOCK_BYTES, twice: once to
+    count the rows and allocate the result, then to parse each block's
+    runs of equally wide lines as fixed-width grids, four digits per
+    pass, straight into the result (see _parse_lines).  Past the
+    returned array (8 B per row) the reader holds a few blocks at a
+    time.
     """
     meta: Dict[str, str] = {}
     with open(path, "rb") as fh:
@@ -903,36 +989,42 @@ def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
 
         # first pass: count the rows, so the result is allocated once
         body = fh.tell()
-        rows, last = 0, b"\n"
-        for block in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
+        # a cut line carried over (19 digits at most), a block and the
+        # newline a last line may lack
+        buf = bytearray(_READ_BLOCK_BYTES + 20)
+        view = memoryview(buf)
+        rows, last = 0, ord("\n")
+        while got := fh.readinto(view[:_READ_BLOCK_BYTES]):
             rows += int(np.count_nonzero(
-                np.frombuffer(block, np.uint8) == ord("\n")))
-            last = block[-1:]
-        rows += last != b"\n"           # a last line without its \n
+                np.frombuffer(view[:got], np.uint8) == ord("\n")))
+            last = buf[got - 1]
+        rows += last != ord("\n")      # a last line without its \n
         times = np.empty(rows, np.int64)
 
         # second pass: parse whole lines, carrying a cut one over
         fh.seek(body)
-        filled, carry = 0, b""
+        filled, kept, width = 0, 0, 0
         line_no += 1                    # the next line to parse
         while True:
-            data = fh.read(_READ_BLOCK_BYTES)
-            block = carry + data
-            if not data:                # the last line may lack its \n
-                if not block:
+            got = fh.readinto(view[kept:kept + _READ_BLOCK_BYTES])
+            size = kept + got
+            if not got:                 # the last line may lack its \n
+                if not kept:
                     break
-                block += b"\n"
-            cut = block.rfind(b"\n") + 1
-            block, carry = block[:cut], block[cut:]
-            if block:
-                values = _parse_lines(path, block, line_no)
-                if filled + values.size <= rows:
-                    times[filled:filled + values.size] = values
-                filled += values.size
-                line_no += values.size
-            if len(carry) > 19:         # no int64 needs 20 digits
+                buf[size] = ord("\n")
+                size += 1
+            cut = buf.rfind(b"\n", 0, size) + 1
+            if cut:
+                n, width = _parse_lines(path, view[:cut], line_no, width,
+                                        times[filled:])
+                filled += n
+                line_no += n
+            kept = size - cut
+            carry = bytes(view[cut:size])   # a copy: it moves within buf
+            if kept > 19:               # no int64 needs 20 digits
                 raise _line_error(path, carry + b"\n", line_no)
-            if not data:
+            buf[:kept] = carry
+            if not got:
                 break
     if filled != rows:
         raise ValidationError(f"{path}: file changed while being read")

@@ -591,11 +591,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_workers(point_config: SimulationConfig, n_points: int) -> int:
-    """Fringe points of point_config run at once: the usable CPUs,
-    capped at n_points.  The config sets no cap: iter_click_buckets
-    refuses a run of more than montecarlo._SLICE_CLICKS expected clicks
-    per slice, so every running point holds about two bounded slices."""
+def _pool_workers(n_points: int) -> int:
+    """Fringe points run at once: the usable CPUs, capped at n_points.
+    No config sets a cap: iter_click_buckets refuses a run of more than
+    montecarlo._SLICE_CLICKS expected clicks per slice, so every running
+    point holds about two bounded slices."""
     return max(1, min(_usable_cpus(), n_points))
 
 
@@ -611,7 +611,7 @@ def _run_fringe_points(config: SimulationConfig, plan: ScanPlan,
     # imported here: the pool's import costs start-up of every process
     from concurrent.futures import ThreadPoolExecutor, as_completed
     n = len(plan.settings)
-    workers = _pool_workers(config, n)
+    workers = _pool_workers(n)
     results: List[Optional[FringePointResult]] = [None] * n
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_fringe_point, config, plan, k): k

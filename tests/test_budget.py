@@ -437,7 +437,7 @@ def test_pooled_fringe_points_read_their_own_links(monkeypatch):
         points.append(config)
         return original(config, setting)
     monkeypatch.setattr(scenarios, "measure_point", recorded)
-    monkeypatch.setattr(scenarios, "_pool_workers", lambda config, n: 3)
+    monkeypatch.setattr(scenarios, "_pool_workers", lambda n: 3)
     run_scenario(replace(preset("ideal"), plan=ScanPlan(
         settings=phase_grid(6), acquisition_s_per_point=0.01)))
     assert len(points) == 6

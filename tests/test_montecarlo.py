@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fransonsim import montecarlo, tia
@@ -1264,6 +1264,9 @@ HEADER = (b"# fransonsim clicks v1\n# channel: idler\n# span_ps: 100\n"
     pytest.param(b"1\n" + b"7" * 5000 + b"\n", "line 9: 7{20,40} is beyond int64",
                  id="5000-digit-line"),
     (b"3\n2\n", "idler.clicks: click timestamps must be strictly"),
+    # a line narrower than the one before it is named before a later
+    # malformed line
+    (b"10\n9\nx\n", "idler.clicks: click timestamps must be strictly"),
     (b"1\n101\n", r"idler.clicks: clicks outside \[0, span\]"),
 ])
 def test_reader_names_the_bad_line(tmp_path, monkeypatch, body, message):
@@ -1277,6 +1280,128 @@ def test_reader_names_the_bad_line(tmp_path, monkeypatch, body, message):
         else:
             with pytest.raises(ValidationError, match=message):
                 read_click_stream(path)
+
+
+STRICT = "click timestamps must be strictly increasing"
+# HEADER with the widest span, so any int64 body is within it
+WIDE_HEADER = HEADER.replace(b"span_ps: 100", b"span_ps: %d" % INT64_MAX)
+
+
+def first_body_fault(lines):
+    """What the reader must name for body lines (the first being line
+    HEADER_LINES + 1): None for a valid body, else (line, reason) of
+    the first malformed line or, with line None, of the first line
+    narrower than the one before it or the first step back."""
+    width = 0
+    for k, line in enumerate(lines, HEADER_LINES + 1):
+        if not line:
+            return k, "empty line"
+        if not line.isdigit():
+            return k, "is not a non-negative decimal integer"
+        if line[0] == ord("0") and len(line) > 1:
+            return k, "has a leading zero"
+        if len(line) > 19 or int(line) > INT64_MAX:
+            return k, "is beyond int64"
+        if len(line) < width:
+            return None, STRICT
+        width = len(line)
+    values = [int(line) for line in lines]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        return None, STRICT
+    return None
+
+
+def mutate(lines, kind, at, char):
+    """lines with at most one fault of the given kind, placed by at."""
+    lines = list(lines)
+    k = at % len(lines)
+    line = lines[k]
+    if kind == "byte":
+        i = at % len(line)
+        lines[k] = line[:i] + char + line[i + 1:]
+    elif kind == "cr":
+        lines[k] = line + b"\r"
+    elif kind == "empty":
+        lines.insert(k, b"")
+    elif kind == "zero":
+        lines[k] = b"0" + line
+    elif kind == "long":                # 20 digits and more
+        lines[k] = line + b"0" * (20 - len(line) + at % 25)
+    elif kind == "beyond":
+        lines[k] = b"%d" % (INT64_MAX + 1)
+    elif kind == "narrower":
+        wide = [j for j in range(1, len(lines)) if len(lines[j - 1]) > 1]
+        if wide:
+            j = wide[at % len(wide)]
+            lines[j] = lines[j - 1][:-1]
+    return lines
+
+
+def digit_width_values(digits):
+    return st.integers(10 ** (digits - 1) if digits > 1 else 0,
+                       min(10 ** digits - 1, INT64_MAX))
+
+
+# ascending values of every digit width, int64's maximum among them
+ASCENDING_VALUES = st.lists(
+    st.one_of(st.integers(1, 19).flatmap(digit_width_values),
+              st.integers(INT64_MAX - 3, INT64_MAX)),
+    min_size=1, max_size=40).map(lambda v: sorted(set(v)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=ASCENDING_VALUES,
+       kind=st.sampled_from([None, "byte", "cr", "empty", "zero", "long",
+                             "beyond", "narrower"]),
+       at=st.integers(0, 1000),
+       char=st.binary(min_size=1, max_size=1).filter(
+           lambda c: not c.isdigit() and c != b"\n"),
+       newline=st.booleans(),
+       block=st.sampled_from([1, 3, 7, 64, montecarlo._READ_BLOCK_BYTES]))
+@example(values=DIGIT_EDGES, kind="beyond", at=len(DIGIT_EDGES) - 1,
+         char=b"x", newline=True, block=montecarlo._READ_BLOCK_BYTES)
+@example(values=DIGIT_EDGES, kind=None, at=0, char=b"x", newline=False,
+         block=7)
+def test_reader_matches_a_line_by_line_reference(tmp_path_factory, values,
+                                                 kind, at, char, newline,
+                                                 block):
+    lines = mutate([b"%d" % v for v in values], kind, at, char)
+    assume(not lines[0].startswith(b"#"))   # that would be a header line
+    body = b"".join(line + b"\n" for line in lines)
+    if not newline and lines[-1]:       # the last line may lack its \n
+        body = body[:-1]
+    path = tmp_path_factory.mktemp("clicks") / "idler.clicks"
+    path.write_bytes(WIDE_HEADER + body)
+    fault = first_body_fault(lines)
+    with mock.patch.object(montecarlo, "_READ_BLOCK_BYTES", block):
+        if fault is None:
+            back = read_click_stream(path)[0].times_ps
+            assert back.tolist() == [int(line) for line in lines]
+        else:
+            line, reason = fault
+            where = "" if line is None else f"line {line}: .*"
+            with pytest.raises(ValidationError,
+                               match=f"idler.clicks: {where}{reason}"):
+                read_click_stream(path)
+
+
+@pytest.mark.parametrize("block", [3, montecarlo._READ_BLOCK_BYTES])
+def test_a_narrower_line_is_refused_where_it_is_seen(tmp_path, monkeypatch,
+                                                     block):
+    # 1.25 MB of 10, 9, 10, 9, ...: every other line is narrower than
+    # the one before it, so a parser walking runs of equal width would
+    # walk one run per line; the first narrower line is refused, within
+    # a block or (3-byte blocks) as the first line of the next
+    path = tmp_path / "idler.clicks"
+    path.write_bytes(WIDE_HEADER + b"10\n9\n" * (1 << 18))
+    columns = []
+    column = montecarlo._column
+    monkeypatch.setattr(montecarlo, "_column",
+                        lambda *args: columns.append(args) or column(*args))
+    monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
+    with pytest.raises(ValidationError, match="idler.clicks: " + STRICT):
+        read_click_stream(path)
+    assert len(columns) <= 3, len(columns)
 
 
 @pytest.mark.parametrize("header,message", [

@@ -774,15 +774,12 @@ def test_point_error_propagates_from_the_pool(cpus, monkeypatch):
 
 def test_pool_workers_are_capped_at_cpus_and_points(monkeypatch):
     monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
-    cfg = preset("back-to-back").config
-    b2b = replace(cfg, acquisition_time_s=30.0)   # ~4.6e5 per 1.25 s slice
-    small = replace(cfg, acquisition_time_s=0.1)  # ~3.7e4 in its one slice
-    assert scenarios._pool_workers(small, 16) == 16
-    assert scenarios._pool_workers(small, 3) == 3
-    assert scenarios._pool_workers(b2b, 64) == 64
+    assert scenarios._pool_workers(16) == 16
+    assert scenarios._pool_workers(3) == 3
+    assert scenarios._pool_workers(64) == 64
     monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
-    assert scenarios._pool_workers(small, 16) == 1
-    assert scenarios._pool_workers(b2b, 1) == 1
+    assert scenarios._pool_workers(16) == 1
+    assert scenarios._pool_workers(1) == 1
 
 
 @pytest.mark.parametrize("name, tiny, workers", [
@@ -792,15 +789,12 @@ def test_pool_workers_are_capped_at_cpus_and_points(monkeypatch):
 def test_benchmark_pool_sizes_on_a_large_host(monkeypatch, name, tiny,
                                               workers):
     # the benchmark's peak_rss_mb follows the pool size: pin it at 64
-    # usable CPUs for each Monte Carlo workload's point config
+    # usable CPUs for each Monte Carlo workload's scan
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 64)
     scenario = workloads.WORKLOADS[name].build(seed=1, tiny=tiny)
-    plan = scenario.plan
-    point = replace(scenario.config,
-                    acquisition_time_s=plan.acquisition_s_per_point)
-    assert scenarios._pool_workers(point, len(plan.settings)) == workers
+    assert scenarios._pool_workers(len(scenario.plan.settings)) == workers
 
 
 @pytest.mark.parametrize("name", ["b2b-scan", "km100-deadtime-scan",
