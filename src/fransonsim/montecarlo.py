@@ -104,11 +104,16 @@ neither with the acquisition time nor with the click rate:
   point of 30 s or of 300 s (0.37 M clicks per 10 s slice), 12.3 MB
   for a lossless 6.5e6 clicks/s point of 0.5 s (0.51 M clicks per
   78 ms slice): ~10-25 bytes per click.
+
+A click file is written _WRITE_CHUNK_ROWS rows at a time, and read
+once, _READ_BLOCK_BYTES at a time, into a result (8 bytes per click)
+that its header's true_count + dark_count sizes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -291,18 +296,24 @@ class SimulationConfig:
 
 @dataclass
 class ClickStream:
-    """Sorted detector clicks for one channel over the acquisition."""
+    """Sorted detector clicks for one channel, dark_count of them darks."""
 
     channel: str
     times_ps: np.ndarray          # int64, strictly increasing
     span_ps: int
-    true_count: int = 0
     dark_count: int = 0
+
+    @property
+    def true_count(self) -> int:      # the photon clicks
+        return self.times_ps.size - self.dark_count
 
     def assert_valid(self) -> None:
         t = self.times_ps
         if t.dtype != np.int64:
             raise ValidationError("click timestamps must be int64 ps")
+        if not 0 <= self.dark_count <= t.size:
+            raise ValidationError(f"dark_count {self.dark_count} lies "
+                                  f"outside [0, {t.size}], the clicks")
         if t.size:
             if t[0] < 0 or t[-1] > self.span_ps:
                 raise ValidationError(
@@ -313,17 +324,14 @@ class ClickStream:
 
 @dataclass
 class SimDiagnostics:
-    """Per-run bookkeeping: generated pairs, per-stage survivors,
-    click provenance."""
+    """Per-run bookkeeping that no bucket shows: generated pairs,
+    per-stage survivors and the clicks drawn outside [0, span] (the
+    kept clicks and darks are the buckets' sizes and dark counts)."""
 
     pairs_generated: int = 0
     pairs_signal_detectable: int = 0
     pairs_idler_only_detectable: int = 0
     pairs_both_detectable: int = 0
-    photon_clicks_signal: int = 0
-    photon_clicks_idler: int = 0
-    dark_clicks_signal: int = 0
-    dark_clicks_idler: int = 0
     clicks_dropped_out_of_span: int = 0
 
 
@@ -667,13 +675,8 @@ def iter_click_buckets(config: SimulationConfig,
             # the bucket's key range is its own: filter it in place
             tt, n_dark, carry[ch] = _filter_clicks(key, dead, carry[ch])
             out.extend((tt, n_dark))
-        sig, sig_darks, idl, idl_darks = out
-        diag.photon_clicks_signal += sig.size - sig_darks
-        diag.dark_clicks_signal += sig_darks
-        diag.photon_clicks_idler += idl.size - idl_darks
-        diag.dark_clicks_idler += idl_darks
         pools[:] = [p for p in pools if p[0].size or p[1].size]
-        return (bhi, sig, sig_darks, idl, idl_darks)
+        return (bhi, *out)
 
     for k in range(n_slices):
         lo, hi = k * width, min(span, (k + 1) * width)
@@ -695,7 +698,7 @@ def streams_from_buckets(config: SimulationConfig,
         t = np.concatenate([b[col] for b in buckets])
         dark = sum(b[col + 1] for b in buckets)
         stream = ClickStream(channel=channel, times_ps=t, span_ps=span,
-                             true_count=t.size - dark, dark_count=dark)
+                             dark_count=dark)
         stream.assert_valid()
         return stream
 
@@ -716,6 +719,9 @@ def run_simulation(config: SimulationConfig,
 # ---------------------------------------------------------------------------
 
 _EXPORT_MAGIC = "# fransonsim clicks v1"
+# the header's keys, in the order they are written
+_HEADER_KEYS = ("channel", "span_ps", "seed", "config_hash", "true_count",
+                "dark_count")
 _INT64_MAX = np.iinfo(np.int64).max
 # rows formatted per write: bounds the writer's scratch (44 B per row)
 _WRITE_CHUNK_ROWS = 65_536
@@ -780,19 +786,16 @@ def write_click_stream(stream: ClickStream, path, seed: Optional[int] = None,
     time, so the writer's memory does not grow with the stream.
     """
     stream.assert_valid()
-    header = (f"{_EXPORT_MAGIC}\n"
-              f"# channel: {stream.channel}\n"
-              f"# span_ps: {stream.span_ps}\n"
-              f"# seed: {'' if seed is None else seed}\n"
-              f"# config_hash: {config_hash}\n"
-              f"# true_count: {stream.true_count}\n"
-              f"# dark_count: {stream.dark_count}\n").encode("ascii")
+    values = (stream.channel, stream.span_ps, "" if seed is None else seed,
+              config_hash, stream.true_count, stream.dark_count)
+    header = f"{_EXPORT_MAGIC}\n" + "".join(
+        f"# {key}: {value}\n" for key, value in zip(_HEADER_KEYS, values))
     times = stream.times_ps
     rows = min(times.size, _WRITE_CHUNK_ROWS)
     scratch = [np.empty(rows, np.int64) for _ in range(3)]
     text = np.empty(rows * 20, np.uint8)   # 19 digits + newline at most
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(header.encode("ascii"))
         for lo in range(0, times.size, _WRITE_CHUNK_ROWS):
             chunk = times[lo:lo + _WRITE_CHUNK_ROWS]
             # ascending, so each digit count is one run of rows
@@ -886,7 +889,8 @@ def _parse_lines(path, lines: memoryview, first_line: int, width: int,
     """Parse newline-terminated body lines, the first being line
     `first_line` of the file, into the int64 array out; `width` is the
     length, newline included, of the line before them (0 for none).
-    Returns the number of lines and the width of the last.
+    Returns the number of lines and the width of the last.  More lines
+    than out holds are counted, not parsed.
 
     A valid line is never narrower than the one before it (no leading
     zeros, ascending values), so the lines are at most 19 runs of one
@@ -918,7 +922,7 @@ def _parse_lines(path, lines: memoryview, first_line: int, width: int,
             or np.count_nonzero(text < ord("0")) != n):
         raise _body_error(path, lines, first_line, width)
     if n > out.size:
-        raise ValidationError(f"{path}: file changed while being read")
+        return n, last
     filled = 0
     for start, rows, w in runs:
         digits = w - 1
@@ -931,13 +935,10 @@ def _parse_lines(path, lines: memoryview, first_line: int, width: int,
     return n, last
 
 
-def _header_int(path, meta: Dict[str, str], key: str,
-                default: Optional[int] = None) -> int:
+def _header_int(path, meta: Dict[str, str], key: str) -> int:
     text = meta.get(key)
     if text is None:
-        if default is None:
-            raise ValidationError(f"{path}: no '# {key}:' header line")
-        return default
+        raise ValidationError(f"{path}: no '# {key}:' header line")
     if not (text.isdigit() and len(text) <= 19 and int(text) <= _INT64_MAX):
         raise ValidationError(f"{path}: header {key}: {text[:40]!r} is "
                               f"not a non-negative int64")
@@ -949,24 +950,27 @@ def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
     and the header as a dict of strings.
 
     The first line must be ``# fransonsim clicks v1``; the ``#`` lines
-    after it are the header, of which ``span_ps`` is required and
-    ``span_ps``, ``true_count`` and ``dark_count`` must be plain
-    decimal non-negative int64s.  Every later line is body: one non-negative int64 in
-    plain decimal (ASCII digits, no sign, no leading zero) per
-    ``\\n``-terminated line, strictly ascending and within
-    [0, span_ps]; the last line may lack its ``\\n``.  Anything else
-    (blank, whitespace, ``#`` or CRLF lines in the body, non-ASCII
-    bytes, values beyond int64) raises ValidationError naming the file
-    and, in the body, the line.  A line with fewer digits than the line
-    before it cannot ascend: it is refused where it is read, so a file
-    with several faults may name it before a later malformed line.
+    after it are the header, ``# key: value`` lines with each of the
+    writer's six keys at most once, of which ``span_ps``,
+    ``true_count`` and ``dark_count`` are required plain decimal
+    non-negative int64s.  The body is true_count + dark_count lines,
+    each one non-negative int64 in plain decimal (ASCII digits, no
+    sign, no leading zero) ending in ``\\n``, strictly ascending and
+    within [0, span_ps]; the last line may lack its ``\\n``.  Anything
+    else (another ``#`` line in the header; blank, whitespace, ``#`` or
+    CRLF lines in the body, non-ASCII bytes, values beyond int64, a
+    line count other than the header's) raises ValidationError naming
+    the file and, for a malformed line, the line.  A line with fewer
+    digits than the line before it cannot ascend: it is refused where
+    it is read, so a file with several faults may name it before a
+    later malformed line.
 
-    The body is read in blocks of _READ_BLOCK_BYTES, twice: once to
-    count the rows and allocate the result, then to parse each block's
-    runs of equally wide lines as fixed-width grids, four digits per
-    pass, straight into the result (see _parse_lines).  Past the
-    returned array (8 B per row) the reader holds a few blocks at a
-    time.
+    The header's count, checked against the body's bytes (two per line
+    at least), sizes the result before the body is read, once, in
+    blocks of _READ_BLOCK_BYTES: each block's runs of equally wide
+    lines are parsed as fixed-width grids, four digits per pass,
+    straight into the result (see _parse_lines).  Past the returned
+    array (8 B per row) the reader holds a few blocks at a time.
     """
     meta: Dict[str, str] = {}
     with open(path, "rb") as fh:
@@ -981,28 +985,29 @@ def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
             except UnicodeDecodeError:
                 raise ValidationError(f"{path}: line {line_no}: header "
                                       f"is not ASCII") from None
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
+            key, colon, value = line[1:].partition(":")
+            key = key.strip()
+            if not colon or key not in _HEADER_KEYS or key in meta:
+                raise ValidationError(
+                    f"{path}: line {line_no}: {line.rstrip()[:40]!r} is not "
+                    f"a header line ('# key: value', the keys "
+                    f"{', '.join(_HEADER_KEYS)} once each)")
+            meta[key] = value.strip()
         span_ps = _header_int(path, meta, "span_ps")
-        true_count = _header_int(path, meta, "true_count", 0)
-        dark_count = _header_int(path, meta, "dark_count", 0)
+        dark_count = _header_int(path, meta, "dark_count")
+        rows = _header_int(path, meta, "true_count") + dark_count
+        counts = (f"{path}: the header counts {rows} clicks (true_count + "
+                  f"dark_count)")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 2 * rows - 1 > size:         # a digit and a newline per line
+            raise ValidationError(f"{counts}, more than its {size}-byte "
+                                  f"body can hold")
+        times = np.empty(rows, np.int64)
 
-        # first pass: count the rows, so the result is allocated once
-        body = fh.tell()
         # a cut line carried over (19 digits at most), a block and the
         # newline a last line may lack
         buf = bytearray(_READ_BLOCK_BYTES + 20)
         view = memoryview(buf)
-        rows, last = 0, ord("\n")
-        while got := fh.readinto(view[:_READ_BLOCK_BYTES]):
-            rows += int(np.count_nonzero(
-                np.frombuffer(view[:got], np.uint8) == ord("\n")))
-            last = buf[got - 1]
-        rows += last != ord("\n")      # a last line without its \n
-        times = np.empty(rows, np.int64)
-
-        # second pass: parse whole lines, carrying a cut one over
-        fh.seek(body)
         filled, kept, width = 0, 0, 0
         line_no += 1                    # the next line to parse
         while True:
@@ -1027,10 +1032,9 @@ def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
             if not got:
                 break
     if filled != rows:
-        raise ValidationError(f"{path}: file changed while being read")
+        raise ValidationError(f"{counts}, but the body has {filled} lines")
     stream = ClickStream(channel=meta.get("channel", "?"), times_ps=times,
-                         span_ps=span_ps, true_count=true_count,
-                         dark_count=dark_count)
+                         span_ps=span_ps, dark_count=dark_count)
     try:
         stream.assert_valid()
     except ValidationError as exc:

@@ -542,9 +542,10 @@ def measure_point(config: SimulationConfig, setting: float,
                   ) -> FringePointResult:
     """One acquisition of config, streamed through the delay histogram
     and reduced to its central and side-peak window counts and its
-    singles.  The point seed is config.master_seed.  If buckets is a
-    list, the engine's click buckets are appended to it as they pass,
-    so a caller can export the clicks of this same run."""
+    singles, the sizes of the buckets the histogram took.  The point
+    seed is config.master_seed.  If buckets is a list, the engine's
+    click buckets are appended to it as they pass, so a caller can
+    export the clicks of this same run."""
     diag = SimDiagnostics()
     # side peaks sit at +/- the analyzer delay: a full window of margin
     # beyond them keeps their windows inside the histogram's range
@@ -564,8 +565,8 @@ def measure_point(config: SimulationConfig, setting: float,
         counts_central=count_in_window(hist, 0.0, w),
         counts_side_early=count_in_window(hist, -delay, w),
         counts_side_late=count_in_window(hist, +delay, w),
-        singles_signal=diag.photon_clicks_signal + diag.dark_clicks_signal,
-        singles_idler=diag.photon_clicks_idler + diag.dark_clicks_idler,
+        singles_signal=hist.n_starts,
+        singles_idler=hist.n_stops,
         pairs_generated=diag.pairs_generated,
         histogram=hist,
     )

@@ -453,8 +453,7 @@ def test_acceptance_10_property_suites():
                         diag.pairs_idler_only_detectable
                         + diag.pairs_both_detectable)
                  and diag.pairs_signal_detectable <= diag.pairs_generated
-                 and diag.photon_clicks_signal
-                 <= diag.pairs_signal_detectable
+                 and sig_a.true_count <= diag.pairs_signal_detectable
                  and diag.pairs_generated > 0)
 
     # Monotonicity: raising the pair rate only dilutes visibility.

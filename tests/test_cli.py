@@ -663,6 +663,12 @@ GOOD_CLICKS = (b"# fransonsim clicks v1\n# channel: signal\n# span_ps: 1000\n"
     (GOOD_CLICKS + b"99999999999999999999\n", "line 11: 9999.* beyond int64"),
     (GOOD_CLICKS + b"\n40\n", "line 11: empty line"),
     (GOOD_CLICKS.replace(b"\n30\n", b"\n30\r\n"), "line 10: '30\\\\r' is not"),
+    (GOOD_CLICKS[:-3], "header counts 3 clicks .* the body has 2 lines"),
+    (GOOD_CLICKS + b"40\n", "header counts 3 clicks .* the body has 4 lines"),
+    (GOOD_CLICKS.replace(b"# true_count: 3\n", b""), "no '# true_count:'"),
+    (GOOD_CLICKS.replace(b"# dark_count: 0\n", b""), "no '# dark_count:'"),
+    (GOOD_CLICKS.replace(b"# seed: 1", b"# note"),
+     "line 4: '# note' is not a header line"),
 ])
 def test_histogram_malformed_click_file_exits_2(tmp_path, capsys, text,
                                                 message):

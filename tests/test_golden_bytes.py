@@ -13,8 +13,8 @@ the sha256 of files that the engine and the click writer alone decide:
   point (counts and singles per point).
 
 On the first link, the click files' ``true_count`` and ``dark_count``
-headers must also equal the run's ``SimDiagnostics`` and the engine
-buckets' dark counts.
+headers must also equal what the engine's buckets hold: their sizes
+less their dark counts, and their dark counts.
 
 The report JSON is left out on purpose: the fringe fit's floats go
 through LAPACK, whose last bits may differ between CPUs.
@@ -61,8 +61,8 @@ from dataclasses import replace
 import pytest
 
 from fransonsim.cli import main
-from fransonsim.montecarlo import (SimDiagnostics, TimingDriftSpec,
-                                   iter_click_buckets, read_click_stream)
+from fransonsim.montecarlo import (TimingDriftSpec, iter_click_buckets,
+                                   read_click_stream)
 from fransonsim.scenarios import preset, save_config
 
 
@@ -112,22 +112,23 @@ def test_dumped_click_files_are_frozen(name, make, digests, tmp_path):
         assert _sha256(tmp_path / f"{name}_{channel}_clicks.txt") == digest
 
 
-def test_dumped_click_counts_match_the_diagnostics(tmp_path):
-    # the buckets' dark counts, the run's SimDiagnostics and the click
-    # files' true_count and dark_count headers count the same clicks
+def test_dumped_click_counts_match_the_buckets(tmp_path):
+    # the buckets' sizes and dark counts and the click files' true_count
+    # and dark_count headers count the same clicks
     cfg = _b2b_dead_darks()
-    diag = SimDiagnostics()
-    buckets = list(iter_click_buckets(cfg, diag))
+    buckets = list(iter_click_buckets(cfg))
     save_config(cfg, tmp_path / "b2b.json")
     assert main(["simulate", str(tmp_path / "b2b.json"), "--out-dir",
                  str(tmp_path), "--dump-clicks"]) == 0
     for col, channel in ((1, "signal"), (3, "idler")):
-        photons = getattr(diag, f"photon_clicks_{channel}")
-        darks = getattr(diag, f"dark_clicks_{channel}")
-        assert sum(b[col + 1] for b in buckets) == darks > 0
-        assert sum(b[col].size - b[col + 1] for b in buckets) == photons > 0
-        stream, _ = read_click_stream(tmp_path / f"b2b_{channel}_clicks.txt")
+        darks = sum(b[col + 1] for b in buckets)
+        photons = sum(b[col].size for b in buckets) - darks
+        assert photons > 0 and darks > 0
+        stream, meta = read_click_stream(
+            tmp_path / f"b2b_{channel}_clicks.txt")
         assert (stream.true_count, stream.dark_count) == (photons, darks)
+        assert (meta["true_count"], meta["dark_count"]) == (str(photons),
+                                                            str(darks))
 
 
 def test_fringe_scan_table_is_frozen(tmp_path):

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fransonsim import montecarlo, tia
@@ -31,7 +31,7 @@ from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    SimulationConfig, TimingDriftSpec,
                                    derive_seed, iter_click_buckets,
                                    read_click_stream, run_simulation,
-                                   write_click_stream)
+                                   streams_from_buckets, write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
                                    _filter_clicks, _gen_slice, slice_ps)
 from fransonsim.scenarios import measure_point, preset
@@ -158,10 +158,10 @@ def test_joint_outcome_zero_contrast_is_phase_flat():
 def test_detect_dark_rate():
     dark = DetectorSpec(quantum_efficiency=0.02, dark_rate_hz=1000.0,
                         jitter_fwhm_ps=30.0)
-    _, _, diag = run_simulation(lossy_config(detector_signal=dark,
-                                             detector_idler=dark))
-    for n in (diag.dark_clicks_signal, diag.dark_clicks_idler):
-        assert abs(n - 1000) < 4.0 * math.sqrt(1000)
+    sig, idl, _ = run_simulation(lossy_config(detector_signal=dark,
+                                              detector_idler=dark))
+    for stream in (sig, idl):
+        assert abs(stream.dark_count - 1000) < 4.0 * math.sqrt(1000)
 
 
 def test_detect_dead_time_exact():
@@ -474,8 +474,6 @@ def _whole_run_reference(cfg):
         t, d = _lexsort_merge(t[inside], d[inside])
         t, d, _ = _dead_time_loop(t, d, int(round(det.dead_time_ps)),
                                   -2 ** 62)
-        setattr(diag, f"photon_clicks_{ch}", int((~d).sum()))
-        setattr(diag, f"dark_clicks_{ch}", int(d.sum()))
         streams[ch] = (t, d)
     return streams, diag
 
@@ -601,13 +599,11 @@ def test_dead_time_across_bucket_edges():
         pos = np.searchsorted(t, dropped)
         assert np.all(pos > 0)
         assert np.all(dropped - t[pos - 1] < dead[ch])
-        # counters match the buckets' dark counts
-        photons = getattr(dead_diag, f"photon_clicks_{ch}")
-        darks = getattr(dead_diag, f"dark_clicks_{ch}")
+        # the dead time keeps no more photons and no more darks
         n_dark = sum(b[col + 1] for b in held)
-        assert (photons, darks) == (t.size - n_dark, n_dark)
-        assert photons <= getattr(free_diag, f"photon_clicks_{ch}")
-        assert darks <= getattr(free_diag, f"dark_clicks_{ch}")
+        free_dark = sum(b[col + 1] for b in free)
+        assert n_dark <= free_dark
+        assert t.size - n_dark <= t_free.size - free_dark
         # clicks dropped because of a kept click in the previous bucket
         for edge in edges:
             last_kept = t[t < edge][-1]
@@ -672,10 +668,9 @@ def test_huge_dead_time_keeps_the_first_click(dead_ps):
     held = replace(base, detector_signal=replace(base.detector_signal,
                                                  dead_time_ps=dead_ps))
     free_sig, free_idl, _ = run_simulation(base)
-    sig, idl, diag = run_simulation(held)
+    sig, idl, _ = run_simulation(held)
     assert free_sig.times_ps.size > 1
     assert sig.times_ps.tolist() == free_sig.times_ps[:1].tolist()
-    assert diag.photon_clicks_signal + diag.dark_clicks_signal == 1
     assert np.array_equal(idl.times_ps, free_idl.times_ps)
 
 
@@ -1163,8 +1158,7 @@ def test_click_file_body_matches_savetxt(tmp_path, rows):
     times = np.cumsum(np.random.default_rng(rows).integers(
         1, 10**7, rows)).astype(np.int64)
     span = int(times[-1]) if rows else 0
-    stream = ClickStream(channel="idler", times_ps=times, span_ps=span,
-                         true_count=rows)
+    stream = ClickStream(channel="idler", times_ps=times, span_ps=span)
     path = tmp_path / "idler.clicks"
     write_click_stream(stream, path, seed=3)
     lines = path.read_bytes().split(b"\n", 7)
@@ -1244,6 +1238,16 @@ HEADER = (b"# fransonsim clicks v1\n# channel: idler\n# span_ps: 100\n"
           b"# seed: \n# config_hash: \n# true_count: 3\n# dark_count: 0\n")
 
 
+def counted(header, lines):
+    """header with its true_count set to the number of body lines."""
+    return header.replace(b"true_count: 3", b"true_count: %d" % lines)
+
+
+def body_lines(body):
+    """The lines of a click-file body; its last may lack its newline."""
+    return body.count(b"\n") + (body[-1:] not in (b"", b"\n"))
+
+
 @pytest.mark.parametrize("body,message", [
     (b"1\n2\n3", None),                 # last line without its newline
     (b"0\n2\n3\n", None),
@@ -1271,7 +1275,7 @@ HEADER = (b"# fransonsim clicks v1\n# channel: idler\n# span_ps: 100\n"
 ])
 def test_reader_names_the_bad_line(tmp_path, monkeypatch, body, message):
     path = tmp_path / "idler.clicks"
-    path.write_bytes(HEADER + body)
+    path.write_bytes(counted(HEADER, body_lines(body)) + body)
     for block in (3, montecarlo._READ_BLOCK_BYTES):
         monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
         if message is None:
@@ -1291,7 +1295,11 @@ def first_body_fault(lines):
     """What the reader must name for body lines (the first being line
     HEADER_LINES + 1): None for a valid body, else (line, reason) of
     the first malformed line or, with line None, of the first line
-    narrower than the one before it or the first step back."""
+    narrower than the one before it or the first step back.  A first
+    line starting with "#" is read as one more header line, which no
+    key of the writer's makes valid."""
+    if lines[0].startswith(b"#"):
+        return HEADER_LINES + 1, "is not a header line"
     width = 0
     for k, line in enumerate(lines, HEADER_LINES + 1):
         if not line:
@@ -1362,16 +1370,17 @@ ASCENDING_VALUES = st.lists(
          char=b"x", newline=True, block=montecarlo._READ_BLOCK_BYTES)
 @example(values=DIGIT_EDGES, kind=None, at=0, char=b"x", newline=False,
          block=7)
+@example(values=[5, 17], kind="byte", at=0, char=b"#", newline=True,
+         block=7)                       # a first body line of "#"
 def test_reader_matches_a_line_by_line_reference(tmp_path_factory, values,
                                                  kind, at, char, newline,
                                                  block):
     lines = mutate([b"%d" % v for v in values], kind, at, char)
-    assume(not lines[0].startswith(b"#"))   # that would be a header line
     body = b"".join(line + b"\n" for line in lines)
     if not newline and lines[-1]:       # the last line may lack its \n
         body = body[:-1]
     path = tmp_path_factory.mktemp("clicks") / "idler.clicks"
-    path.write_bytes(WIDE_HEADER + body)
+    path.write_bytes(counted(WIDE_HEADER, len(lines)) + body)
     fault = first_body_fault(lines)
     with mock.patch.object(montecarlo, "_READ_BLOCK_BYTES", block):
         if fault is None:
@@ -1414,13 +1423,97 @@ def test_a_narrower_line_is_refused_where_it_is_seen(tmp_path, monkeypatch,
     (b"# span_ps: 10\n# true_count: many\n", "header true_count: 'many'"),
     (b"# span_ps: 10\n# dark_count: -1\n", "header dark_count: '-1'"),
     (b"# span_ps: 10\n# channel: \xe9\n", "line 3: header is not ASCII"),
+    (b"# span_ps: 10\n# note: 1\n", "line 3: '# note: 1' is not a header "),
+    (b"# span_ps: 10\n#seed 1\n", "line 3: '#seed 1' is not a header line"),
+    (b"# span_ps: 10\n# span_ps: 10\n", "line 3: '# span_ps: 10' is not a "),
+    (b"# span_ps: 10\n# true_count: 1\n# dark_count: \n",
+     "header dark_count: '' is not"),
 ])
 def test_reader_names_a_bad_header(tmp_path, header, message):
+    # a count header the case leaves out reads as the body's one click
+    for line in (b"# true_count: 1\n", b"# dark_count: 0\n"):
+        if line.split(b":")[0] not in header:
+            header += line
     path = tmp_path / "bad.clicks"
     path.write_bytes(b"# fransonsim clicks v1\n" + header + b"1\n")
     with pytest.raises(ValidationError, match="bad.clicks: " + message):
         read_click_stream(path)
 
+
+
+COUNTED = HEADER + b"10\n20\n30\n"       # true_count 3, dark_count 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, montecarlo._READ_BLOCK_BYTES])
+@pytest.mark.parametrize("text,message", [
+    (COUNTED[:-3], "the header counts 3 clicks .*the body has 2 lines"),
+    (COUNTED + b"40\n", "the header counts 3 clicks .*the body has 4 lines"),
+    (COUNTED.replace(b"# true_count: 3\n", b""), "no '# true_count:'"),
+    (COUNTED.replace(b"# dark_count: 0\n", b""), "no '# dark_count:'"),
+    # more clicks than 9 bytes of body can hold: refused before the
+    # reader allocates 8 bytes for each
+    (COUNTED.replace(b"true_count: 3", b"true_count: %d" % INT64_MAX),
+     "the header counts 9223372036854775807 clicks .*more than its 9-byte "
+     "body"),
+], ids=["one-row-fewer", "one-row-more", "no-true_count", "no-dark_count",
+        "count-beyond-the-body"])
+def test_reader_refuses_a_body_its_count_headers_contradict(
+        tmp_path, monkeypatch, text, message, block):
+    path = tmp_path / "idler.clicks"
+    path.write_bytes(text)
+    monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
+    with pytest.raises(ValidationError, match="idler.clicks: " + message):
+        read_click_stream(path)
+
+
+def test_dark_count_must_lie_within_the_clicks():
+    times = np.arange(3, dtype=np.int64)
+    for dark in (-1, 4):
+        stream = ClickStream("idler", times, span_ps=3, dark_count=dark)
+        with pytest.raises(ValidationError, match=f"dark_count {dark} "):
+            stream.assert_valid()
+    assert ClickStream("idler", times, span_ps=3,
+                       dark_count=3).true_count == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(1e-6, 1e-4), dark_hz=st.floats(0.0, 1e4),
+       dead_ps=st.floats(0.0, 1e5), offset_ps=st.floats(-1e4, 1e4),
+       walk_ps=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_a_runs_click_counts_agree_everywhere(tmp_path_factory, mu, dark_hz,
+                                              dead_ps, offset_ps, walk_ps,
+                                              seed):
+    # the buckets are the one record of a run's clicks: the streams,
+    # measure_point's singles and the click files' count headers, as
+    # written and as read back, all read their sizes and dark counts
+    detector = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=dark_hz,
+                            jitter_fwhm_ps=0.0, dead_time_ps=dead_ps)
+    cfg = lossless_config(
+        source=SourceSpec(photon_fwhm_ps=0.5, mean_pairs_per_window=mu),
+        detector_signal=detector, detector_idler=detector,
+        drift=TimingDriftSpec(enabled=True, channel="idler",
+                              offset_ps=offset_ps, walk_step_ps=walk_ps),
+        acquisition_time_s=0.01, master_seed=seed)
+    buckets = []
+    point = measure_point(cfg, 0.0, buckets)
+    streams = streams_from_buckets(cfg, buckets)
+    singles = (point.singles_signal, point.singles_idler)
+    tmp = tmp_path_factory.mktemp("clicks")
+    for col, stream, n_singles in zip((1, 3), streams, singles):
+        clicks = sum(b[col].size for b in buckets)
+        darks = sum(b[col + 1] for b in buckets)
+        assert stream.times_ps.size == n_singles == clicks
+        assert (stream.true_count, stream.dark_count) == (clicks - darks,
+                                                          darks)
+        path = tmp / f"{stream.channel}.clicks"
+        write_click_stream(stream, path)
+        written = dict(line[2:].split(": ", 1) for line in
+                       path.read_text().split("\n")[1:HEADER_LINES])
+        back, meta = read_click_stream(path)
+        for header in (written, meta):
+            assert (header["true_count"], header["dark_count"]) == (
+                str(clicks - darks), str(darks))
+        assert (back.true_count, back.dark_count) == (clicks - darks, darks)
 
 def test_click_file_memory_is_bounded(tmp_path):
     """The writer's peak does not grow with the rows; the reader's is

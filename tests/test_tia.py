@@ -127,6 +127,55 @@ def test_pair_expansion_is_bounded_on_a_dense_stream(monkeypatch):
                           brute_histogram(starts, stops, 10, 100))
 
 
+
+def _sparse_clicks(rng):
+    # starts 1 ns apart, each with one stop in its window and one out
+    starts = 1000 * np.arange(200) + rng.integers(0, 100, 200)
+    near = starts + rng.integers(-90, 90, 200)
+    return starts, np.sort(np.concatenate([near, starts + 500]))
+
+
+def _dense_clicks(rng):
+    return (np.sort(rng.integers(0, 3000, 200)),
+            np.sort(rng.integers(0, 3000, 400)))
+
+
+def _one_wide_window(rng):
+    # the sparse clicks and one start at 1 us whose window alone holds
+    # 150 stops, almost ten times the chunk
+    starts, stops = _sparse_clicks(rng)
+    crowd = 10**6 + np.arange(-75, 75)
+    return (np.append(starts, 10**6),
+            np.sort(np.concatenate([stops, crowd])))
+
+
+@pytest.mark.parametrize("clicks", [_sparse_clicks, _dense_clicks,
+                                    _one_wide_window],
+                         ids=["sparse", "dense", "one-wide-window"])
+def test_pair_deltas_work_is_linear_in_pairs_and_starts(monkeypatch,
+                                                        clicks):
+    # The time bound beside the memory bound, in yielded arrays (each
+    # one vectorized step of at most c pairs): at most
+    # 3 * pairs / c + ceil(starts / c).  Within a chunk of c starts, two
+    # neighbouring runs hold more than c pairs together (or the first
+    # would have taken the second's first start), so the runs number
+    # fewer than 2 * pairs / c + 1; a start whose window alone holds
+    # n > c stops yields ceil(n / c) < n / c + 1 arrays, its one run and
+    # n / c more.
+    c, range_ps = 16, 100
+    starts, stops = (t.astype(np.int64)
+                     for t in clicks(np.random.default_rng(12)))
+    monkeypatch.setattr(tia, "_PAIR_CHUNK", c)
+    parts = list(_pair_deltas(starts, stops, range_ps))
+    pairs = sum(p.size for p in parts)
+    assert pairs == _two_search_pair_deltas(starts, stops, range_ps).size
+    assert len(parts) <= 3 * pairs / c + math.ceil(starts.size / c), \
+        (len(parts), pairs)
+    hist = build_histogram(starts, stops, 10, range_ps)
+    assert hist.total_pairs == pairs
+    assert np.array_equal(hist.counts,
+                          brute_histogram(starts, stops, 10, range_ps))
+
 def test_histogram_edges_are_exact():
     starts = np.array([1000], dtype=np.int64)
     stops = np.array([899, 900, 1000, 1099, 1100], dtype=np.int64)
