@@ -102,7 +102,7 @@ def _cmd_simulate(args) -> int:
     if buckets is not None:
         for stream in streams_from_buckets(cfg, buckets):
             p = os.path.join(args.out_dir, f"{report.scenario_name}_"
-                             f"{stream.channel}_clicks.txt")
+                             f"{stream.channel}_clicks.bin")
             write_click_stream(stream, p, seed=cfg.master_seed,
                                config_hash=report.config_hash)
             print(f"wrote {p}")
@@ -219,7 +219,7 @@ def _cmd_budget(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_histogram(args) -> int:
-    # flags first: a bad one must not cost a parse of both click files
+    # flags first: a bad one must not cost a read of both click files
     bin_ps, range_ps = _normalize_binning(args.bin_ps, args.range_ps)
     if args.window_ps is not None:
         window_bins(bin_ps, range_ps, 0.0, args.window_ps)

@@ -105,15 +105,18 @@ neither with the acquisition time nor with the click rate:
   for a lossless 6.5e6 clicks/s point of 0.5 s (0.51 M clicks per
   78 ms slice): ~10-25 bytes per click.
 
-A click file is written _WRITE_CHUNK_ROWS rows at a time, and read
-once, _READ_BLOCK_BYTES at a time, into a result (8 bytes per click)
-that its header's true_count + dark_count sizes.
+A click file is a fixed _HEADER_BYTES-byte text header over a body of
+little-endian int64 picoseconds, one per click.  The writer writes the
+stream's own array; the reader checks the header and that the body
+holds exactly its true_count + dark_count clicks before it allocates
+the result (8 bytes per click), then reads the body into it at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -715,326 +718,98 @@ def run_simulation(config: SimulationConfig,
 
 
 # ---------------------------------------------------------------------------
-# Click-stream text export
+# Click files
 # ---------------------------------------------------------------------------
 
-_EXPORT_MAGIC = "# fransonsim clicks v1"
+_EXPORT_MAGIC = "# fransonsim clicks v2"
 # the header's keys, in the order they are written
 _HEADER_KEYS = ("channel", "span_ps", "seed", "config_hash", "true_count",
                 "dark_count")
-_INT64_MAX = np.iinfo(np.int64).max
-# rows formatted per write: bounds the writer's scratch (44 B per row)
-_WRITE_CHUNK_ROWS = 65_536
-# body bytes parsed per step of the reader: bounds its temporaries
-_READ_BLOCK_BYTES = 1 << 18
-# 10**1 .. 10**18: in an ascending chunk, the rows below each power end
-# one run of equal digit counts
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-# "0000" .. "9999" as four-byte units, copied whole into the text, so
-# no byte order is assumed
-_DIGITS4 = np.stack(
-    np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4,
-                indexing="ij"), axis=-1).reshape(-1, 4).view(np.uint32).ravel()
-# "0000" as a little-endian four-byte unit: subtracted from four digits
-# read as "<u4", it leaves each digit's value in its own byte
-_ZEROS4 = 0x30303030
-
-
-def _column(text, offset: int, rows: int, width: int, dtype) -> np.ndarray:
-    """One item of dtype per fixed-width text line: rows lines of width
-    bytes from byte offset on, the item at the same place in each."""
-    return np.ndarray((rows,), dtype, buffer=text, offset=offset,
-                      strides=(width,))
-
-
-def _format_rows(values: np.ndarray, digits: int, scratch,
-                 text: np.ndarray) -> np.ndarray:
-    """Decimal text of non-negative values that all have `digits`
-    digits, one per line, as a view of text: four digits per pass via
-    _DIGITS4 from the right, then one at a time."""
-    m, width = values.size, digits + 1
-    out = text[:m * width]
-    _column(out, digits, m, width, np.uint8)[...] = ord("\n")
-    q, quotient, rem = (a[:m] for a in scratch)
-    q[...] = values
-    end = digits
-    while end:
-        base, step = (10_000, 4) if end >= 4 else (10, 1)
-        np.floor_divide(q, base, out=quotient)
-        np.multiply(quotient, base, out=rem)
-        np.subtract(q, rem, out=rem)
-        end -= step
-        if step == 4:
-            np.take(_DIGITS4, rem, out=_column(out, end, m, width, np.uint32))
-        else:
-            np.add(rem, ord("0"), out=_column(out, end, m, width, np.uint8),
-                   casting="unsafe")
-        q, quotient = quotient, q
-    return out
+_HEADER_BYTES = 256     # the text header's size: the body starts here
 
 
 def write_click_stream(stream: ClickStream, path, seed: Optional[int] = None,
                        config_hash: str = "") -> None:
-    """Write one channel's clicks as a text file.
-
-    Format (ASCII, every line ends in ``\\n``): the line
-    ``# fransonsim clicks v1``, then ``# key: value`` header lines for
-    channel, span_ps, seed, config_hash, true_count and dark_count,
-    then the body: one timestamp in integer picoseconds per line, in
-    plain decimal (digits only, no sign, no leading zero), strictly
-    ascending.  The body is formatted _WRITE_CHUNK_ROWS rows at a
-    time, so the writer's memory does not grow with the stream.
-    """
+    """Write one channel's clicks as a click file (v2): a _HEADER_BYTES
+    ASCII header, ``# fransonsim clicks v2`` and a ``# key: value`` line
+    per _HEADER_KEYS padded with spaces to a last ``\\n``, then the
+    clicks (strictly ascending ps) as little-endian int64s."""
     stream.assert_valid()
     values = (stream.channel, stream.span_ps, "" if seed is None else seed,
               config_hash, stream.true_count, stream.dark_count)
-    header = f"{_EXPORT_MAGIC}\n" + "".join(
+    header = (f"{_EXPORT_MAGIC}\n" + "".join(
         f"# {key}: {value}\n" for key, value in zip(_HEADER_KEYS, values))
-    times = stream.times_ps
-    rows = min(times.size, _WRITE_CHUNK_ROWS)
-    scratch = [np.empty(rows, np.int64) for _ in range(3)]
-    text = np.empty(rows * 20, np.uint8)   # 19 digits + newline at most
+              ).encode("ascii")
+    if len(header) >= _HEADER_BYTES:      # the padding ends in a newline
+        raise ValidationError(f"{path}: the header takes {len(header)} "
+                              f"bytes, more than its {_HEADER_BYTES - 1}")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for lo in range(0, times.size, _WRITE_CHUNK_ROWS):
-            chunk = times[lo:lo + _WRITE_CHUNK_ROWS]
-            # ascending, so each digit count is one run of rows
-            ends = np.searchsorted(chunk, _POW10).tolist() + [chunk.size]
-            start = 0
-            for digits, end in enumerate(ends, 1):
-                if end > start:
-                    fh.write(_format_rows(chunk[start:end], digits,
-                                          scratch, text))
-                    start = end
-
-
-def _line_error(path, lines: bytes | memoryview, first_line: int
-                ) -> Optional[ValidationError]:
-    """The error for the first malformed line of `lines` (each ending
-    in a newline, the first being line `first_line` of the file), or
-    None when every line holds a plain decimal int64."""
-    for k, line in enumerate(bytes(lines).split(b"\n")[:-1]):
-        if not line:
-            problem = "empty line"
-        elif not line.isdigit():
-            text = repr(line[:40])[1:]          # b'...' without the b
-            problem = f"{text} is not a non-negative decimal integer"
-        elif line[0] == ord("0") and len(line) > 1:
-            problem = f"{line[:40].decode()!r} has a leading zero"
-        elif len(line) > 19 or int(line) > _INT64_MAX:
-            problem = f"{line[:40].decode()} is beyond int64"
-        else:
-            continue
-        return ValidationError(f"{path}: line {first_line + k}: {problem}")
-    return None
-
-
-def _parse_run(text: np.ndarray, start: int, rows: int, digits: int,
-               out: np.ndarray) -> None:
-    """Parse `rows` lines of `digits` digits each, the first at byte
-    `start` of text, into the uint64 array out, four digits per "<u4"
-    pass.  The digits % 4 leading digits are the line's first four
-    bytes shifted up to end the unit; lines of fewer than four digits
-    are read one digit at a time."""
-    width, lead = digits + 1, digits % 4
-    if digits < 4:
-        out[...] = _column(text, start, rows, width, np.uint8)
-        for k in range(1, digits):
-            out *= 10
-            out += _column(text, start + k, rows, width, np.uint8)
-        out -= ord("0") * (10 ** digits - 1) // 9    # "0", "00" or "000"
-        return
-    quads = -(-digits // 4)
-    q = np.empty((quads, rows), np.uint32)
-    if lead:
-        shift = 32 - 8 * lead
-        np.left_shift(_column(text, start, rows, width, "<u4"), shift,
-                      out=q[0])
-        q[0] -= _ZEROS4 << shift & 0xFFFFFFFF
-    for k in range(lead > 0, quads):
-        np.subtract(_column(text, start + digits - 4 * (quads - k), rows,
-                            width, "<u4"), _ZEROS4, out=q[k])
-    # digit values b0..b3, b0 in the low byte: 10*b0 + b1 and 10*b2 + b3
-    # in bytes 0 and 2, then 1000*b0 + 100*b1 + 10*b2 + b3
-    q *= 10 << 8 | 1
-    q >>= 8
-    q &= 0x00FF00FF
-    q *= 100 << 16 | 1
-    q >>= 16
-    # a lone first quad when their count is odd; the rest pair into
-    # eight digits, which a uint32 still holds
-    odd = quads % 2
-    q[odd::2] *= 10_000
-    q[odd::2] += q[odd + 1::2]
-    out[...] = q[0]
-    for part in q[2 - odd::2]:
-        out *= 10 ** 8
-        out += part
-
-
-def _body_error(path, lines: memoryview, first_line: int,
-                width: int) -> ValidationError:
-    """The first fault of body lines that _parse_lines refused: the
-    first malformed line up to the first line narrower than the one
-    before it, or else that narrower line."""
-    ends = np.flatnonzero(np.frombuffer(lines, np.uint8) == ord("\n"))
-    drop = np.diff(np.diff(ends, prepend=-1), prepend=width) < 0
-    cut = int(ends[drop.argmax()]) + 1 if drop.any() else len(lines)
-    return _line_error(path, lines[:cut], first_line) or ValidationError(
-        f"{path}: click timestamps must be strictly increasing")
-
-
-def _parse_lines(path, lines: memoryview, first_line: int, width: int,
-                 out: np.ndarray) -> Tuple[int, int]:
-    """Parse newline-terminated body lines, the first being line
-    `first_line` of the file, into the int64 array out; `width` is the
-    length, newline included, of the line before them (0 for none).
-    Returns the number of lines and the width of the last.  More lines
-    than out holds are counted, not parsed.
-
-    A valid line is never narrower than the one before it (no leading
-    zeros, ascending values), so the lines are at most 19 runs of one
-    width.  Each run is found by one strided pass over the newlines its
-    width predicts; two byte tests then prove the runs are the lines
-    and hold digits only, and _parse_run parses each straight into out.
-    A block with a line narrower than the one before it, an empty line,
-    a line of 20 digits or more or a non-digit byte goes to _body_error;
-    a run with a leading zero or a value beyond int64 goes to
-    _line_error.  Either names the first bad line."""
-    text = np.frombuffer(lines, np.uint8)
-    runs, start, last = [], 0, width
-    while start < text.size:
-        # the next line's width; no newline in 21 bytes reads as empty
-        w = int(np.argmax(text[start:start + 21] == ord("\n"))) + 1
-        if w < max(last, 2) or w > 20:       # narrower, empty, > 19 digits
-            break
-        # the run ends at the first line not ending where w says
-        miss = _column(text, start + w - 1, (text.size - start) // w, w,
-                       np.uint8) != ord("\n")
-        rows = int(miss.argmax()) if miss.any() else miss.size
-        runs.append((start, rows, w))
-        start += rows * w
-        last = w
-    n = sum(rows for _, rows, _ in runs)
-    # the runs' newlines are the only bytes below "0" and none is above
-    # "9": every line is as wide as its run says, and all else is digits
-    if (start < text.size or int(text.max()) > ord("9")
-            or np.count_nonzero(text < ord("0")) != n):
-        raise _body_error(path, lines, first_line, width)
-    if n > out.size:
-        return n, last
-    filled = 0
-    for start, rows, w in runs:
-        digits = w - 1
-        values = out[filled:filled + rows].view(np.uint64)
-        _parse_run(text, start, rows, digits, values)
-        if (digits > 1 and values.min() < 10 ** (digits - 1)  # leading 0
-                or digits == 19 and values.max() > _INT64_MAX):
-            raise _line_error(path, lines, first_line)
-        filled += rows
-    return n, last
+        fh.write(header.ljust(_HEADER_BYTES - 1) + b"\n")
+        stream.times_ps.astype("<i8", copy=False).tofile(fh)
 
 
 def _header_int(path, meta: Dict[str, str], key: str) -> int:
     text = meta.get(key)
     if text is None:
         raise ValidationError(f"{path}: no '# {key}:' header line")
-    if not (text.isdigit() and len(text) <= 19 and int(text) <= _INT64_MAX):
+    if not (text.isdigit() and len(text) <= 19 and int(text) < 2 ** 63):
         raise ValidationError(f"{path}: header {key}: {text[:40]!r} is "
                               f"not a non-negative int64")
     return int(text)
 
 
 def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
-    """Read a file written by write_click_stream; returns the stream
-    and the header as a dict of strings.
-
-    The first line must be ``# fransonsim clicks v1``; the ``#`` lines
-    after it are the header, ``# key: value`` lines with each of the
-    writer's six keys at most once, of which ``span_ps``,
-    ``true_count`` and ``dark_count`` are required plain decimal
-    non-negative int64s.  The body is true_count + dark_count lines,
-    each one non-negative int64 in plain decimal (ASCII digits, no
-    sign, no leading zero) ending in ``\\n``, strictly ascending and
-    within [0, span_ps]; the last line may lack its ``\\n``.  Anything
-    else (another ``#`` line in the header; blank, whitespace, ``#`` or
-    CRLF lines in the body, non-ASCII bytes, values beyond int64, a
-    line count other than the header's) raises ValidationError naming
-    the file and, for a malformed line, the line.  A line with fewer
-    digits than the line before it cannot ascend: it is refused where
-    it is read, so a file with several faults may name it before a
-    later malformed line.
-
-    The header's count, checked against the body's bytes (two per line
-    at least), sizes the result before the body is read, once, in
-    blocks of _READ_BLOCK_BYTES: each block's runs of equally wide
-    lines are parsed as fixed-width grids, four digits per pass,
-    straight into the result (see _parse_lines).  Past the returned
-    array (8 B per row) the reader holds a few blocks at a time.
-    """
-    meta: Dict[str, str] = {}
+    """Read a file written by write_click_stream: the stream and the
+    header as a dict of strings.  A fault raises ValidationError naming
+    the file: a v1 file, a pipe (its body cannot be sized before it is
+    read), or a body not 8 bytes per click of the header's count, before
+    the result is allocated."""
     with open(path, "rb") as fh:
-        first = fh.readline(len(_EXPORT_MAGIC) + 1)
-        if first.rstrip(b"\n") != _EXPORT_MAGIC.encode():
-            raise ValidationError(f"{path}: not a fransonsim click file")
-        line_no = 1
-        while fh.peek(1)[:1] == b"#":
-            line_no += 1
-            try:
-                line = fh.readline().decode("ascii")
-            except UnicodeDecodeError:
-                raise ValidationError(f"{path}: line {line_no}: header "
-                                      f"is not ASCII") from None
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ValidationError(f"{path}: not a regular file; a click "
+                                  f"file cannot be read from a pipe")
+        raw = fh.read(_HEADER_BYTES)
+        first = raw.partition(b"\n")[0]
+        if first != _EXPORT_MAGIC.encode():
+            prefix = b"# fransonsim clicks "
+            version = first[len(prefix):][:20].decode("ascii", "replace")
+            raise ValidationError(f"{path}: " + (
+                f"click file version {version!r}; only v2 is read"
+                if first.startswith(prefix)
+                else "not a fransonsim click file"))
+        if len(raw) < _HEADER_BYTES or raw[-1:] != b"\n":
+            raise ValidationError(f"{path}: the header is not "
+                                  f"{_HEADER_BYTES} bytes ending in \\n")
+        try:
+            _, *lines, padding, _ = raw.decode("ascii").split("\n")
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: header is not ASCII") from None
+        meta: Dict[str, str] = {}
+        if padding.strip(" "):          # text in the padding: refused
+            lines.append(padding)
+        for line in lines:
             key, colon, value = line[1:].partition(":")
-            key = key.strip()
-            if not colon or key not in _HEADER_KEYS or key in meta:
+            if (line[:1] != "#" or not colon or key.strip() in meta
+                    or key.strip() not in _HEADER_KEYS):
                 raise ValidationError(
-                    f"{path}: line {line_no}: {line.rstrip()[:40]!r} is not "
-                    f"a header line ('# key: value', the keys "
-                    f"{', '.join(_HEADER_KEYS)} once each)")
-            meta[key] = value.strip()
+                    f"{path}: {line.strip()[:40]!r} is not a header line "
+                    f"('# key: value', each key of {_HEADER_KEYS} once)")
+            meta[key.strip()] = value.strip()
         span_ps = _header_int(path, meta, "span_ps")
         dark_count = _header_int(path, meta, "dark_count")
         rows = _header_int(path, meta, "true_count") + dark_count
-        counts = (f"{path}: the header counts {rows} clicks (true_count + "
-                  f"dark_count)")
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if 2 * rows - 1 > size:         # a digit and a newline per line
-            raise ValidationError(f"{counts}, more than its {size}-byte "
-                                  f"body can hold")
-        times = np.empty(rows, np.int64)
-
-        # a cut line carried over (19 digits at most), a block and the
-        # newline a last line may lack
-        buf = bytearray(_READ_BLOCK_BYTES + 20)
-        view = memoryview(buf)
-        filled, kept, width = 0, 0, 0
-        line_no += 1                    # the next line to parse
-        while True:
-            got = fh.readinto(view[kept:kept + _READ_BLOCK_BYTES])
-            size = kept + got
-            if not got:                 # the last line may lack its \n
-                if not kept:
-                    break
-                buf[size] = ord("\n")
-                size += 1
-            cut = buf.rfind(b"\n", 0, size) + 1
-            if cut:
-                n, width = _parse_lines(path, view[:cut], line_no, width,
-                                        times[filled:])
-                filled += n
-                line_no += n
-            kept = size - cut
-            carry = bytes(view[cut:size])   # a copy: it moves within buf
-            if kept > 19:               # no int64 needs 20 digits
-                raise _line_error(path, carry + b"\n", line_no)
-            buf[:kept] = carry
-            if not got:
-                break
-    if filled != rows:
-        raise ValidationError(f"{counts}, but the body has {filled} lines")
-    stream = ClickStream(channel=meta.get("channel", "?"), times_ps=times,
-                         span_ps=span_ps, dark_count=dark_count)
+        size = info.st_size - _HEADER_BYTES
+        if size != 8 * rows:
+            raise ValidationError(
+                f"{path}: the header counts {rows} clicks (true_count + "
+                f"dark_count), {8 * rows} bytes, but the body has {size}")
+        times = np.empty(rows, "<i8")
+        if fh.readinto(times) != size:
+            raise ValidationError(f"{path}: the body changed while read")
+    stream = ClickStream(meta.get("channel", "?"),
+                         times.astype(np.int64, copy=False), span_ps,
+                         dark_count)
     try:
         stream.assert_valid()
     except ValidationError as exc:

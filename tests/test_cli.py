@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -22,6 +23,8 @@ from fransonsim.scenarios import (ScanPlan, Scenario, emit_outputs,
                                   phase_grid, preset, run_scenario,
                                   save_config)
 from fransonsim.cli import build_parser, main
+
+from clickfiles import GOOD, REFUSALS
 
 
 def run_cli(*argv):
@@ -214,8 +217,8 @@ def test_dump_clicks_round_trip_through_histogram(small_config, tmp_path,
                    "--dump-clicks") == 0
     report = json.loads((out / "small_report.json").read_text())
     capsys.readouterr()
-    assert run_cli("histogram", str(out / "small_signal_clicks.txt"),
-                   str(out / "small_idler_clicks.txt"),
+    assert run_cli("histogram", str(out / "small_signal_clicks.bin"),
+                   str(out / "small_idler_clicks.bin"),
                    "--window-ps", "60", "--out-dir", str(out)) == 0
     text = capsys.readouterr().out
     central = report["points"][0]["counts_central"]
@@ -503,9 +506,9 @@ def test_every_written_file_ends_lines_in_newline_only(
          {"small_report.json", "small_scan.csv", "small_hist.csv"}),
         (("simulate", small_config, "--dump-clicks"),
          {"small_report.json", "small_scan.csv", "small_hist.csv",
-          "small_signal_clicks.txt", "small_idler_clicks.txt"}),
-        (("histogram", str(sim / "small_signal_clicks.txt"),
-          str(sim / "small_idler_clicks.txt")), {"histogram_hist.csv"}),
+          "small_signal_clicks.bin", "small_idler_clicks.bin"}),
+        (("histogram", str(sim / "small_signal_clicks.bin"),
+          str(sim / "small_idler_clicks.bin")), {"histogram_hist.csv"}),
         (("optimize-window", "--preset", "window-sweep"),
          {"window-sweep_report.json", "window-sweep_windows.csv"}),
         (("budget", "--preset", "ideal"), {"ideal_report.json"}),
@@ -517,6 +520,10 @@ def test_every_written_file_ends_lines_in_newline_only(
     for path in tmp_path.rglob("*"):
         if path.is_file():
             data = path.read_bytes()
+            # a click file's body is binary int64s: only its text
+            # header, 256 bytes, has lines
+            if path.name.endswith("_clicks.bin"):
+                data = data[:256]
             assert b"\r" not in data and data.endswith(b"\n"), path.name
 
 
@@ -621,8 +628,8 @@ def test_histogram_non_finite_flag_exits_2(small_config, tmp_path, capsys,
     assert run_cli("simulate", small_config, "--out-dir", str(out),
                    "--dump-clicks") == 0
     capsys.readouterr()
-    assert run_cli("histogram", str(out / "small_signal_clicks.txt"),
-                   str(out / "small_idler_clicks.txt"), flag, value) == 2
+    assert run_cli("histogram", str(out / "small_signal_clicks.bin"),
+                   str(out / "small_idler_clicks.bin"), flag, value) == 2
     assert "must be finite" in capsys.readouterr().err
 
 
@@ -639,56 +646,37 @@ def test_histogram_non_finite_flag_exits_2(small_config, tmp_path, capsys,
 def test_histogram_checks_flags_before_reading_clicks(tmp_path, capsys,
                                                       flags, message):
     # the click files do not exist: a read would exit 1, not 2
-    assert run_cli("histogram", str(tmp_path / "a.txt"),
-                   str(tmp_path / "b.txt"), *flags) == 2
+    assert run_cli("histogram", str(tmp_path / "a.bin"),
+                   str(tmp_path / "b.bin"), *flags) == 2
     assert message in capsys.readouterr().err
 
 
-GOOD_CLICKS = (b"# fransonsim clicks v1\n# channel: signal\n# span_ps: 1000\n"
-               b"# seed: 1\n# config_hash: \n# true_count: 3\n"
-               b"# dark_count: 0\n10\n20\n30\n")
-
-
-@pytest.mark.parametrize("text,message", [
-    (GOOD_CLICKS + b"foo\n", "line 11: 'foo' is not"),
-    (GOOD_CLICKS.replace(b"# span_ps: 1000\n", b""), "no '# span_ps:'"),
-    (GOOD_CLICKS + b"40 41\n", "line 11: '40 41' is not"),
-    (GOOD_CLICKS + b"4\xc2\xb5\n", "line 11: "),
-    (GOOD_CLICKS.replace(b"signal", b"sign\xe4l"), "line 2: header is not"),
-    (GOOD_CLICKS.replace(b"span_ps: 1000", b"span_ps: 1k"), "span_ps: '1k'"),
-    (GOOD_CLICKS.replace(b"true_count: 3", b"true_count: 3.0"),
-     "true_count: '3.0'"),
-    (GOOD_CLICKS.replace(b"dark_count: 0", b"dark_count: none"),
-     "dark_count: 'none'"),
-    (GOOD_CLICKS + b"99999999999999999999\n", "line 11: 9999.* beyond int64"),
-    (GOOD_CLICKS + b"\n40\n", "line 11: empty line"),
-    (GOOD_CLICKS.replace(b"\n30\n", b"\n30\r\n"), "line 10: '30\\\\r' is not"),
-    (GOOD_CLICKS[:-3], "header counts 3 clicks .* the body has 2 lines"),
-    (GOOD_CLICKS + b"40\n", "header counts 3 clicks .* the body has 4 lines"),
-    (GOOD_CLICKS.replace(b"# true_count: 3\n", b""), "no '# true_count:'"),
-    (GOOD_CLICKS.replace(b"# dark_count: 0\n", b""), "no '# dark_count:'"),
-    (GOOD_CLICKS.replace(b"# seed: 1", b"# note"),
-     "line 4: '# note' is not a header line"),
-])
-def test_histogram_malformed_click_file_exits_2(tmp_path, capsys, text,
+@pytest.mark.parametrize("data,message", REFUSALS)
+def test_histogram_malformed_click_file_exits_2(tmp_path, capsys, data,
                                                 message):
-    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-    good.write_bytes(GOOD_CLICKS)
-    bad.write_bytes(text)
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    good.write_bytes(GOOD)
+    bad.write_bytes(data)
     assert run_cli("histogram", str(good), str(bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
     assert re.search(message, err), err
 
 
-def test_histogram_reads_a_last_line_without_newline(tmp_path, capsys):
-    good, cut = tmp_path / "good.txt", tmp_path / "cut.txt"
-    good.write_bytes(GOOD_CLICKS)
-    cut.write_bytes(GOOD_CLICKS[:-1])
-    assert run_cli("histogram", str(good), str(good)) == 0
-    want = capsys.readouterr().out
-    assert run_cli("histogram", str(good), str(cut)) == 0
-    assert capsys.readouterr().out == want
+def test_histogram_of_a_pipe_exits_2_and_names_it(tmp_path, capsys):
+    # as `fransonsim histogram good.bin <(cat b.bin)` passes it
+    good = tmp_path / "good.bin"
+    good.write_bytes(GOOD)
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, GOOD)
+        pipe = f"/dev/fd/{read_fd}"
+        assert run_cli("histogram", str(good), pipe) == 2
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pipe}: not a regular file"), err
 
 
 def test_missing_file_exits_2(capsys):

@@ -25,6 +25,12 @@ deliberately changes the drawn numbers (a new sampling law, a new RNG
 stream layout) re-freezes them and says so in its change log, as the
 frozen values of ``tests/test_acceptance.py`` are.
 
+The four click-file digests were re-pinned when click files became
+v2, a 256-byte text header over little-endian int64 timestamps, in
+place of one decimal line per click.  No drawn number moved: each
+v2 file reads back to the same timestamps and counts as the v1 file
+did, and the scan-table digest did not move.
+
 Each closed-form case runs a command that draws no clicks and compares
 the sha256 of every file it writes (and, for ``budget``, of its
 stdout):
@@ -91,16 +97,16 @@ def _km100_idler_walk():
 
 @pytest.mark.parametrize("name, make, digests", [
     ("b2b", _b2b_dead_darks, {
-        "signal": "33032ac442b70a38a030583e5eb20553"
-                  "bee8de1b12702c595f416640a9a0059b",
-        "idler": "320182e8b1059ea60b85e5eedde5516f"
-                 "f794af3159e1ba42b74ed9629445110f",
+        "signal": "46ab0b6788ce602cd6f81e1f08f26b40"
+                  "67f6e79be0a537690f60683bfb26c48a",
+        "idler": "d4751ac2f72552752a8273c2314baac4"
+                 "77e2762f887548bff5092f1534f33fbe",
     }),
     ("km100", _km100_idler_walk, {
-        "signal": "a7a1b3962ecc440761560e100df3a121"
-                  "311baa36d4c5ad6ad262172418acbe3b",
-        "idler": "73d9fe899288eb34c28f9c08ba1210d4"
-                 "dbb7e7be4d6c9328ba0b244da7cf5792",
+        "signal": "658729af50fb180a957c40dfcce30f56"
+                  "b2b41037b901e2a4321046c53708eb51",
+        "idler": "f56758006fc3b01ffc8e97ff5ff2d3b4"
+                 "81cdae71bcc4206633465e1c77f75f0a",
     }),
 ], ids=["b2b-dead-darks", "km100-idler-walk"])
 def test_dumped_click_files_are_frozen(name, make, digests, tmp_path):
@@ -109,7 +115,7 @@ def test_dumped_click_files_are_frozen(name, make, digests, tmp_path):
     assert main(["simulate", str(config), "--out-dir", str(tmp_path),
                  "--dump-clicks"]) == 0
     for channel, digest in digests.items():
-        assert _sha256(tmp_path / f"{name}_{channel}_clicks.txt") == digest
+        assert _sha256(tmp_path / f"{name}_{channel}_clicks.bin") == digest
 
 
 def test_dumped_click_counts_match_the_buckets(tmp_path):
@@ -125,7 +131,7 @@ def test_dumped_click_counts_match_the_buckets(tmp_path):
         photons = sum(b[col].size for b in buckets) - darks
         assert photons > 0 and darks > 0
         stream, meta = read_click_stream(
-            tmp_path / f"b2b_{channel}_clicks.txt")
+            tmp_path / f"b2b_{channel}_clicks.bin")
         assert (stream.true_count, stream.dark_count) == (photons, darks)
         assert (meta["true_count"], meta["dark_count"]) == (str(photons),
                                                             str(darks))

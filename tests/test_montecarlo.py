@@ -10,8 +10,9 @@ loop, on a carry strictly below the first click, as it is between
 buckets.
 """
 
-import io
 import math
+import os
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -32,9 +33,12 @@ from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    derive_seed, iter_click_buckets,
                                    read_click_stream, run_simulation,
                                    streams_from_buckets, write_click_stream)
-from fransonsim.montecarlo import (SLICE_PS, _WRITE_CHUNK_ROWS, _DriftWalk,
-                                   _filter_clicks, _gen_slice, slice_ps)
+from fransonsim.montecarlo import (SLICE_PS, _DriftWalk, _filter_clicks,
+                                   _gen_slice, slice_ps)
 from fransonsim.scenarios import measure_point, preset
+
+from clickfiles import (GOOD, HEADER_BYTES, INT64_MAX, REFUSALS,
+                        click_file)
 
 
 def lossless_config(**kw):
@@ -1153,19 +1157,19 @@ def test_click_stream_round_trip(tmp_path):
     assert meta["config_hash"] == "cafe01"
 
 
-@pytest.mark.parametrize("rows", [0, 1, 2 * _WRITE_CHUNK_ROWS + 1])
-def test_click_file_body_matches_savetxt(tmp_path, rows):
+@pytest.mark.parametrize("rows", [0, 1, 100_001])
+def test_click_file_body_is_the_clicks_as_little_endian_int64(tmp_path,
+                                                              rows):
     times = np.cumsum(np.random.default_rng(rows).integers(
         1, 10**7, rows)).astype(np.int64)
     span = int(times[-1]) if rows else 0
     stream = ClickStream(channel="idler", times_ps=times, span_ps=span)
     path = tmp_path / "idler.clicks"
     write_click_stream(stream, path, seed=3)
-    lines = path.read_bytes().split(b"\n", 7)
-    assert all(line.startswith(b"#") for line in lines[:7])
-    body = io.BytesIO()
-    np.savetxt(body, times, fmt="%d")
-    assert lines[7] == body.getvalue()
+    data = path.read_bytes()
+    assert data[:HEADER_BYTES] == click_file(
+        (), channel="idler", span_ps=span, seed=3, true_count=rows)
+    assert data[HEADER_BYTES:] == times.astype("<i8").tobytes()
 
 
 def test_click_stream_rejects_foreign_file(tmp_path):
@@ -1175,295 +1179,76 @@ def test_click_stream_rejects_foreign_file(tmp_path):
         read_click_stream(p)
 
 
-INT64_MAX = np.iinfo(np.int64).max
-# every digit-count edge: 0, 9, 10, 99, 100, ..., 10**18 - 1, 10**18
-DIGIT_EDGES = sorted({0} | {10**k - 1 for k in range(1, 19)}
-                     | {10**k for k in range(1, 19)} | {INT64_MAX})
-HEADER_LINES = 7
-
-
-def reference_body(times) -> bytes:
-    return "".join(f"{v}\n" for v in np.asarray(times).tolist()).encode()
-
-
-def write_body(path, times) -> bytes:
-    """Write times as a click file; return the bytes after its header."""
-    times = np.asarray(times, dtype=np.int64)
-    stream = ClickStream(channel="signal", times_ps=times,
-                         span_ps=int(times[-1]) if times.size else 0)
-    write_click_stream(stream, path)
-    return path.read_bytes().split(b"\n", HEADER_LINES)[HEADER_LINES]
-
-
-def test_click_file_round_trips_every_digit_width(tmp_path):
-    path = tmp_path / "edges.clicks"
-    assert write_body(path, DIGIT_EDGES) == reference_body(DIGIT_EDGES)
-    assert read_click_stream(path)[0].times_ps.tolist() == DIGIT_EDGES
-
-
 @settings(max_examples=150, deadline=None)
-@given(values=st.lists(st.integers(0, INT64_MAX), max_size=60),
-       chunk=st.sampled_from([1, 3, _WRITE_CHUNK_ROWS]),
-       block=st.sampled_from([1, 7, 64, montecarlo._READ_BLOCK_BYTES]))
-def test_click_file_round_trip_property(tmp_path_factory, values, chunk,
-                                        block):
-    times = np.array(sorted(set(values)), dtype=np.int64)
+@given(values=st.sets(st.integers(0, INT64_MAX), max_size=60),
+       dark=st.integers(0, 60), config_hash=st.text("0123456789abcdef",
+                                                     max_size=12))
+@example(values=set(), dark=0, config_hash="")
+@example(values={0, INT64_MAX}, dark=1, config_hash="cafe01")
+def test_click_file_round_trip_property(tmp_path_factory, values, dark,
+                                        config_hash):
+    times = np.array(sorted(values), dtype=np.int64)
+    stream = ClickStream(channel="idler", times_ps=times,
+                         span_ps=int(times[-1]) if times.size else 0,
+                         dark_count=min(dark, times.size))
     path = tmp_path_factory.mktemp("clicks") / "c.clicks"
-    with mock.patch.object(montecarlo, "_WRITE_CHUNK_ROWS", chunk), \
-            mock.patch.object(montecarlo, "_READ_BLOCK_BYTES", block):
-        assert write_body(path, times) == reference_body(times)
-        back = read_click_stream(path)[0].times_ps
-    assert back.dtype == np.int64 and np.array_equal(back, times)
+    write_click_stream(stream, path, seed=5, config_hash=config_hash)
+    assert path.stat().st_size == HEADER_BYTES + 8 * times.size
+    back, meta = read_click_stream(path)
+    assert back.times_ps.dtype == np.int64
+    assert np.array_equal(back.times_ps, times)
+    assert (back.channel, back.span_ps, back.dark_count) == (
+        stream.channel, stream.span_ps, stream.dark_count)
+    assert meta == {"channel": "idler", "span_ps": str(stream.span_ps),
+                    "seed": "5", "config_hash": config_hash,
+                    "true_count": str(stream.true_count),
+                    "dark_count": str(stream.dark_count)}
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_reader_blocks_split_lines_anywhere(tmp_path, monkeypatch, block):
-    sig, _, _ = run_simulation(lossy_config(acquisition_time_s=0.05))
+def test_reader_reads_a_hand_made_file(tmp_path):
     path = tmp_path / "signal.clicks"
-    write_click_stream(sig, path)
-    edges = tmp_path / "edges.clicks"
-    write_body(edges, DIGIT_EDGES)
-    monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
-    assert np.array_equal(read_click_stream(path)[0].times_ps, sig.times_ps)
-    assert read_click_stream(edges)[0].times_ps.tolist() == DIGIT_EDGES
-    # a bad line is named by its line in the file, across block edges
-    lines = path.read_bytes().split(b"\n")
-    lines[HEADER_LINES + 40] = b"12x"
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(ValidationError, match=f"line {HEADER_LINES + 41}:"):
-        read_click_stream(path)
+    path.write_bytes(GOOD)
+    stream, meta = read_click_stream(path)
+    assert stream.times_ps.tolist() == [10, 20, 30]
+    assert (stream.channel, stream.span_ps, stream.true_count,
+            stream.dark_count) == ("signal", 1000, 3, 0)
+    assert meta["seed"] == "1" and meta["config_hash"] == ""
 
 
-HEADER = (b"# fransonsim clicks v1\n# channel: idler\n# span_ps: 100\n"
-          b"# seed: \n# config_hash: \n# true_count: 3\n# dark_count: 0\n")
-
-
-def counted(header, lines):
-    """header with its true_count set to the number of body lines."""
-    return header.replace(b"true_count: 3", b"true_count: %d" % lines)
-
-
-def body_lines(body):
-    """The lines of a click-file body; its last may lack its newline."""
-    return body.count(b"\n") + (body[-1:] not in (b"", b"\n"))
-
-
-@pytest.mark.parametrize("body,message", [
-    (b"1\n2\n3", None),                 # last line without its newline
-    (b"0\n2\n3\n", None),
-    (b"", None),
-    (b"1\nfoo\n3\n", "line 9: 'foo' is not a non-negative decimal"),
-    (b"1 2\n3\n", "line 8: '1 2' is not"),
-    (b"1\n2\r\n3\n", r"line 9: '2\\r' is not"),
-    (b"1\n 2\n3\n", "line 9: ' 2' is not"),
-    (b"1\n2\n# note\n3\n", "line 10: '# note' is not"),
-    (b"1\n-2\n3\n", "line 9: '-2' is not"),
-    (b"1\n\n3\n", "line 9: empty line"),
-    (b"\n1\n", "line 8: empty line"),
-    (b"1\n2\n\n", "line 10: empty line"),
-    (b"1\n02\n3\n", "line 9: '02' has a leading zero"),
-    (b"1\n\xc2\xb5\n", r"line 9: '\\xc2\\xb5' is not"),
-    (b"1\n9223372036854775808\n", "line 9: 9223372036854775808 is beyond"),
-    (b"1\n" + b"7" * 40, "line 9: 7777777777.* is beyond int64"),
-    pytest.param(b"1\n" + b"7" * 5000 + b"\n", "line 9: 7{20,40} is beyond int64",
-                 id="5000-digit-line"),
-    (b"3\n2\n", "idler.clicks: click timestamps must be strictly"),
-    # a line narrower than the one before it is named before a later
-    # malformed line
-    (b"10\n9\nx\n", "idler.clicks: click timestamps must be strictly"),
-    (b"1\n101\n", r"idler.clicks: clicks outside \[0, span\]"),
-])
-def test_reader_names_the_bad_line(tmp_path, monkeypatch, body, message):
-    path = tmp_path / "idler.clicks"
-    path.write_bytes(counted(HEADER, body_lines(body)) + body)
-    for block in (3, montecarlo._READ_BLOCK_BYTES):
-        monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
-        if message is None:
-            want = [int(v) for v in body.split()]
-            assert read_click_stream(path)[0].times_ps.tolist() == want
-        else:
-            with pytest.raises(ValidationError, match=message):
-                read_click_stream(path)
-
-
-STRICT = "click timestamps must be strictly increasing"
-# HEADER with the widest span, so any int64 body is within it
-WIDE_HEADER = HEADER.replace(b"span_ps: 100", b"span_ps: %d" % INT64_MAX)
-
-
-def first_body_fault(lines):
-    """What the reader must name for body lines (the first being line
-    HEADER_LINES + 1): None for a valid body, else (line, reason) of
-    the first malformed line or, with line None, of the first line
-    narrower than the one before it or the first step back.  A first
-    line starting with "#" is read as one more header line, which no
-    key of the writer's makes valid."""
-    if lines[0].startswith(b"#"):
-        return HEADER_LINES + 1, "is not a header line"
-    width = 0
-    for k, line in enumerate(lines, HEADER_LINES + 1):
-        if not line:
-            return k, "empty line"
-        if not line.isdigit():
-            return k, "is not a non-negative decimal integer"
-        if line[0] == ord("0") and len(line) > 1:
-            return k, "has a leading zero"
-        if len(line) > 19 or int(line) > INT64_MAX:
-            return k, "is beyond int64"
-        if len(line) < width:
-            return None, STRICT
-        width = len(line)
-    values = [int(line) for line in lines]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        return None, STRICT
-    return None
-
-
-def mutate(lines, kind, at, char):
-    """lines with at most one fault of the given kind, placed by at."""
-    lines = list(lines)
-    k = at % len(lines)
-    line = lines[k]
-    if kind == "byte":
-        i = at % len(line)
-        lines[k] = line[:i] + char + line[i + 1:]
-    elif kind == "cr":
-        lines[k] = line + b"\r"
-    elif kind == "empty":
-        lines.insert(k, b"")
-    elif kind == "zero":
-        lines[k] = b"0" + line
-    elif kind == "long":                # 20 digits and more
-        lines[k] = line + b"0" * (20 - len(line) + at % 25)
-    elif kind == "beyond":
-        lines[k] = b"%d" % (INT64_MAX + 1)
-    elif kind == "narrower":
-        wide = [j for j in range(1, len(lines)) if len(lines[j - 1]) > 1]
-        if wide:
-            j = wide[at % len(wide)]
-            lines[j] = lines[j - 1][:-1]
-    return lines
-
-
-def digit_width_values(digits):
-    return st.integers(10 ** (digits - 1) if digits > 1 else 0,
-                       min(10 ** digits - 1, INT64_MAX))
-
-
-# ascending values of every digit width, int64's maximum among them
-ASCENDING_VALUES = st.lists(
-    st.one_of(st.integers(1, 19).flatmap(digit_width_values),
-              st.integers(INT64_MAX - 3, INT64_MAX)),
-    min_size=1, max_size=40).map(lambda v: sorted(set(v)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=ASCENDING_VALUES,
-       kind=st.sampled_from([None, "byte", "cr", "empty", "zero", "long",
-                             "beyond", "narrower"]),
-       at=st.integers(0, 1000),
-       char=st.binary(min_size=1, max_size=1).filter(
-           lambda c: not c.isdigit() and c != b"\n"),
-       newline=st.booleans(),
-       block=st.sampled_from([1, 3, 7, 64, montecarlo._READ_BLOCK_BYTES]))
-@example(values=DIGIT_EDGES, kind="beyond", at=len(DIGIT_EDGES) - 1,
-         char=b"x", newline=True, block=montecarlo._READ_BLOCK_BYTES)
-@example(values=DIGIT_EDGES, kind=None, at=0, char=b"x", newline=False,
-         block=7)
-@example(values=[5, 17], kind="byte", at=0, char=b"#", newline=True,
-         block=7)                       # a first body line of "#"
-def test_reader_matches_a_line_by_line_reference(tmp_path_factory, values,
-                                                 kind, at, char, newline,
-                                                 block):
-    lines = mutate([b"%d" % v for v in values], kind, at, char)
-    body = b"".join(line + b"\n" for line in lines)
-    if not newline and lines[-1]:       # the last line may lack its \n
-        body = body[:-1]
-    path = tmp_path_factory.mktemp("clicks") / "idler.clicks"
-    path.write_bytes(counted(WIDE_HEADER, len(lines)) + body)
-    fault = first_body_fault(lines)
-    with mock.patch.object(montecarlo, "_READ_BLOCK_BYTES", block):
-        if fault is None:
-            back = read_click_stream(path)[0].times_ps
-            assert back.tolist() == [int(line) for line in lines]
-        else:
-            line, reason = fault
-            where = "" if line is None else f"line {line}: .*"
-            with pytest.raises(ValidationError,
-                               match=f"idler.clicks: {where}{reason}"):
-                read_click_stream(path)
-
-
-@pytest.mark.parametrize("block", [3, montecarlo._READ_BLOCK_BYTES])
-def test_a_narrower_line_is_refused_where_it_is_seen(tmp_path, monkeypatch,
-                                                     block):
-    # 1.25 MB of 10, 9, 10, 9, ...: every other line is narrower than
-    # the one before it, so a parser walking runs of equal width would
-    # walk one run per line; the first narrower line is refused, within
-    # a block or (3-byte blocks) as the first line of the next
-    path = tmp_path / "idler.clicks"
-    path.write_bytes(WIDE_HEADER + b"10\n9\n" * (1 << 18))
-    columns = []
-    column = montecarlo._column
-    monkeypatch.setattr(montecarlo, "_column",
-                        lambda *args: columns.append(args) or column(*args))
-    monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
-    with pytest.raises(ValidationError, match="idler.clicks: " + STRICT):
-        read_click_stream(path)
-    assert len(columns) <= 3, len(columns)
-
-
-@pytest.mark.parametrize("header,message", [
-    (b"# channel: idler\n", "no '# span_ps:' header line"),
-    (b"# span_ps: 1e3\n", "header span_ps: '1e3' is not a non-negative"),
-    (b"# span_ps: 9223372036854775808\n",
-     "header span_ps: '9223372036854775808' is not a non-negative int64"),
-    pytest.param(b"# span_ps: " + b"9" * 5000 + b"\n",
-                 "header span_ps: '9{40}' is not", id="5000-digit-span"),
-    (b"# span_ps: 10\n# true_count: many\n", "header true_count: 'many'"),
-    (b"# span_ps: 10\n# dark_count: -1\n", "header dark_count: '-1'"),
-    (b"# span_ps: 10\n# channel: \xe9\n", "line 3: header is not ASCII"),
-    (b"# span_ps: 10\n# note: 1\n", "line 3: '# note: 1' is not a header "),
-    (b"# span_ps: 10\n#seed 1\n", "line 3: '#seed 1' is not a header line"),
-    (b"# span_ps: 10\n# span_ps: 10\n", "line 3: '# span_ps: 10' is not a "),
-    (b"# span_ps: 10\n# true_count: 1\n# dark_count: \n",
-     "header dark_count: '' is not"),
-])
-def test_reader_names_a_bad_header(tmp_path, header, message):
-    # a count header the case leaves out reads as the body's one click
-    for line in (b"# true_count: 1\n", b"# dark_count: 0\n"):
-        if line.split(b":")[0] not in header:
-            header += line
+@pytest.mark.parametrize("data,message", REFUSALS)
+def test_reader_refuses_a_faulty_file_and_names_it(tmp_path, data, message):
     path = tmp_path / "bad.clicks"
-    path.write_bytes(b"# fransonsim clicks v1\n" + header + b"1\n")
-    with pytest.raises(ValidationError, match="bad.clicks: " + message):
+    path.write_bytes(data)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{path}: ") + message):
         read_click_stream(path)
 
 
+def test_reader_refuses_a_pipe_and_names_it():
+    # a pipe's size is unknown until it is read, so its header's count
+    # cannot be checked before the result is allocated
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, GOOD)
+        path = f"/dev/fd/{read_fd}"
+        with pytest.raises(ValidationError,
+                           match=f"{path}: not a regular file"):
+            read_click_stream(path)
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
 
-COUNTED = HEADER + b"10\n20\n30\n"       # true_count 3, dark_count 0
 
-
-@pytest.mark.parametrize("block", [1, 7, 64, montecarlo._READ_BLOCK_BYTES])
-@pytest.mark.parametrize("text,message", [
-    (COUNTED[:-3], "the header counts 3 clicks .*the body has 2 lines"),
-    (COUNTED + b"40\n", "the header counts 3 clicks .*the body has 4 lines"),
-    (COUNTED.replace(b"# true_count: 3\n", b""), "no '# true_count:'"),
-    (COUNTED.replace(b"# dark_count: 0\n", b""), "no '# dark_count:'"),
-    # more clicks than 9 bytes of body can hold: refused before the
-    # reader allocates 8 bytes for each
-    (COUNTED.replace(b"true_count: 3", b"true_count: %d" % INT64_MAX),
-     "the header counts 9223372036854775807 clicks .*more than its 9-byte "
-     "body"),
-], ids=["one-row-fewer", "one-row-more", "no-true_count", "no-dark_count",
-        "count-beyond-the-body"])
-def test_reader_refuses_a_body_its_count_headers_contradict(
-        tmp_path, monkeypatch, text, message, block):
-    path = tmp_path / "idler.clicks"
-    path.write_bytes(text)
-    monkeypatch.setattr(montecarlo, "_READ_BLOCK_BYTES", block)
-    with pytest.raises(ValidationError, match="idler.clicks: " + message):
-        read_click_stream(path)
+def test_writer_refuses_a_header_over_256_bytes(tmp_path):
+    stream = ClickStream("signal", np.arange(3, dtype=np.int64), span_ps=3)
+    path = tmp_path / "long.clicks"
+    write_click_stream(stream, path, config_hash="f" * 144)  # 255 bytes
+    assert read_click_stream(path)[1]["config_hash"] == "f" * 144
+    path.unlink()
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{path}: the header takes 256 bytes, more than its 255")):
+        write_click_stream(stream, path, config_hash="f" * 145)
+    assert not path.exists()
 
 
 def test_dark_count_must_lie_within_the_clicks():
@@ -1507,8 +1292,9 @@ def test_a_runs_click_counts_agree_everywhere(tmp_path_factory, mu, dark_hz,
                                                           darks)
         path = tmp / f"{stream.channel}.clicks"
         write_click_stream(stream, path)
+        header = path.read_bytes()[:HEADER_BYTES].decode("ascii")
         written = dict(line[2:].split(": ", 1) for line in
-                       path.read_text().split("\n")[1:HEADER_LINES])
+                       header.split("\n")[1:7])
         back, meta = read_click_stream(path)
         for header in (written, meta):
             assert (header["true_count"], header["dark_count"]) == (
