@@ -93,7 +93,16 @@ REFUSALS = [pytest.param(data, message, id=name) for name, data, message in [
     ("header-cut", GOOD[:100], "the header is not 256 bytes ending in \\\\n"),
     ("header-without-newline", GOOD[:255] + b" " + GOOD[256:],
      "the header is not 256 bytes ending in \\\\n"),
+    # a header line running past byte 256 leaves no newline there
+    ("header-overflow", click_file(config_hash="f" * 300),
+     "the header is not 256 bytes ending in \\\\n"),
+    # the counts' sum is a Python int: in int64 it would wrap to -2
+    ("counts-sum-beyond-int64",
+     click_file(true_count=INT64_MAX, dark_count=INT64_MAX),
+     _count(2 * INT64_MAX, 24)),
     ("v1-text", V1_TEXT, "click file version 'v1'; only v2 is read"),
+    ("v3", b"# fransonsim clicks v3\n" + GOOD[len(MAGIC):],
+     "click file version 'v3'; only v2 is read"),
     ("foreign", b"1 2 3\n", "not a fransonsim click file"),
     ("empty", b"", "not a fransonsim click file"),
 ]]

@@ -1239,6 +1239,31 @@ def test_reader_refuses_a_pipe_and_names_it():
         os.close(write_fd)
 
 
+def test_reader_refuses_a_device_and_names_it():
+    # /dev/null opens and reads as empty, but it is no regular file
+    with pytest.raises(ValidationError,
+                       match="/dev/null: not a regular file"):
+        read_click_stream("/dev/null")
+
+
+@pytest.mark.parametrize("name", ["idler_clicks.bin", "idler_clicks.txt",
+                                  "idler", "link"])
+def test_reader_goes_by_the_bytes_not_the_file_name(tmp_path, name):
+    # the benchmark writes its click files as *_clicks.txt
+    stream = ClickStream("idler", np.array([5, 7], np.int64), span_ps=9,
+                         dark_count=1)
+    path = tmp_path / name
+    if name == "link":
+        write_click_stream(stream, tmp_path / "target.bin", seed=2)
+        path.symlink_to(tmp_path / "target.bin")
+    else:
+        write_click_stream(stream, path, seed=2)
+    back, meta = read_click_stream(path)
+    assert back.times_ps.tolist() == [5, 7]
+    assert (back.channel, back.span_ps, back.dark_count) == ("idler", 9, 1)
+    assert meta["seed"] == "2"
+
+
 def test_writer_refuses_a_header_over_256_bytes(tmp_path):
     stream = ClickStream("signal", np.arange(3, dtype=np.int64), span_ps=3)
     path = tmp_path / "long.clicks"
