@@ -28,6 +28,7 @@ Exit codes: 0 success, 2 validation/parse failure, 3 degenerate fringe fit,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -37,11 +38,10 @@ from typing import List, Union
 
 from .budget import WINDOW_OBJECTIVES, WindowOptimization, build_ledger
 from .errors import FransonError, ParseError, ValidationError
-from .montecarlo import SimulationConfig, read_click_stream, \
-    streams_from_buckets, write_click_stream
+from .montecarlo import SimulationConfig, click_writer, read_click_stream
 from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, RunReport,
                         ScanPlan, Scenario, _sanitize_name, budget_report,
-                        emit_outputs, load_config, measure_point,
+                        config_hash, emit_outputs, load_config, measure_point,
                         phase_grid, point_report, preset, run_scenario,
                         write_histograms)
 from .tia import _normalize_binning, build_histogram, count_in_window, \
@@ -95,17 +95,18 @@ def _cmd_simulate(args) -> int:
     if args.acquisition_s is not None:
         cfg = replace(cfg, acquisition_time_s=args.acquisition_s)
     os.makedirs(args.out_dir, exist_ok=True)    # before the point runs
-    buckets = [] if args.dump_clicks else None
-    point = measure_point(cfg, cfg.analyzer_signal.effective_phase_rad(),
-                          buckets)
-    report = point_report(_run_name(args, "config"), cfg, point)
-    if buckets is not None:
-        for stream in streams_from_buckets(cfg, buckets):
-            p = os.path.join(args.out_dir, f"{report.scenario_name}_"
-                             f"{stream.channel}_clicks.bin")
-            write_click_stream(stream, p, seed=cfg.master_seed,
-                               config_hash=report.config_hash)
-            print(f"wrote {p}")
+    name = _run_name(args, "config")
+    paths = {ch: os.path.join(args.out_dir, f"{name}_{ch}_clicks.bin")
+             for ch in ("signal", "idler") if args.dump_clicks}
+    with contextlib.ExitStack() as stack:   # closes or removes each file
+        writers = [stack.enter_context(click_writer(
+            path, ch, cfg.span_ps(), cfg.master_seed, config_hash(cfg)))
+            for ch, path in paths.items()]
+        point = measure_point(cfg, cfg.analyzer_signal.effective_phase_rad(),
+                              writers)
+    for path in paths.values():
+        print(f"wrote {path}")
+    report = point_report(name, cfg, point)
     _emit(report, args.out_dir)
 
     t, central = cfg.acquisition_time_s, point.counts_central
@@ -330,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acquisition-s", type=float, default=None,
                    help="override acquisition time")
     p.add_argument("--dump-clicks", action="store_true",
-                   help="also export both click streams as text")
+                   help="also record both channels' clicks as binary "
+                        "click files")
     p.set_defaults(func=_cmd_simulate, out_dir=".")
 
     p = subs.add_parser("fringe", help="run a fringe-scan scenario")
@@ -387,8 +389,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: {exc.filename or ''}: {exc.strerror or exc}",
-              file=sys.stderr)
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

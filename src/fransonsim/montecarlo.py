@@ -97,8 +97,8 @@ neither with the acquisition time nor with the click rate:
   in place, _DRAW_CHUNK clicks at a time, its darks counted as it
   goes: no temporary grows with the bucket;
 * a consumer that drops each bucket before asking for the next (as
-  scenarios.measure_point does) therefore holds about two slices of
-  clicks: the one being drawn and the rest of the one before it.
+  scenarios.measure_point does, dumping clicks or not) holds about two
+  slices of clicks: the one being drawn and the rest of the one before.
   Measured with tracemalloc: 9.6-10.3 MB for a back-to-back point of
   7 s or of 60 s (0.46 M clicks per 1.25 s slice), 8.1 MB for a 100 km
   point of 30 s or of 300 s (0.37 M clicks per 10 s slice), 12.3 MB
@@ -106,19 +106,20 @@ neither with the acquisition time nor with the click rate:
   78 ms slice): ~10-25 bytes per click.
 
 A click file is a fixed _HEADER_BYTES-byte text header over a body of
-little-endian int64 picoseconds, one per click.  The writer writes the
-stream's own array; the reader checks the header and that the body
-holds exactly its true_count + dark_count clicks before it allocates
-the result (8 bytes per click), then reads the body into it at once.
+little-endian int64 picoseconds, one per click.  click_writer appends
+the buckets as they pass and writes the header last; the reader checks
+that the body holds the header's true_count + dark_count clicks before
+it allocates the result (8 bytes per click), then reads it at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import stat
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -690,31 +691,17 @@ def iter_click_buckets(config: SimulationConfig,
     yield cut(n_slices - 1)
 
 
-def streams_from_buckets(config: SimulationConfig,
-                         buckets: Sequence[Bucket],
-                         ) -> Tuple[ClickStream, ClickStream]:
-    """Both channels' click streams from every bucket that
-    iter_click_buckets yielded for config, in order."""
-    span = config.span_ps()
-
-    def assemble(channel, col):
-        t = np.concatenate([b[col] for b in buckets])
-        dark = sum(b[col + 1] for b in buckets)
-        stream = ClickStream(channel=channel, times_ps=t, span_ps=span,
-                             dark_count=dark)
-        stream.assert_valid()
-        return stream
-
-    return assemble("signal", 1), assemble("idler", 3)
-
-
 def run_simulation(config: SimulationConfig,
                    ) -> Tuple[ClickStream, ClickStream, SimDiagnostics]:
     """Materialize both click streams for the whole acquisition."""
     diag = SimDiagnostics()
     buckets = list(iter_click_buckets(config, diag))
-    sig, idl = streams_from_buckets(config, buckets)
-    return sig, idl, diag
+    streams = [ClickStream(channel, np.concatenate([b[col] for b in buckets]),
+                           config.span_ps(), sum(b[col + 1] for b in buckets))
+               for channel, col in (("signal", 1), ("idler", 3))]
+    for stream in streams:
+        stream.assert_valid()
+    return streams[0], streams[1], diag
 
 
 # ---------------------------------------------------------------------------
@@ -728,63 +715,105 @@ _HEADER_KEYS = ("channel", "span_ps", "seed", "config_hash", "true_count",
 _HEADER_BYTES = 256     # the text header's size: the body starts here
 
 
+@contextlib.contextmanager
+def _named(path) -> Iterator[None]:
+    """A ValidationError or OSError raised inside names the file."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from None
+
+
+@contextlib.contextmanager
+def click_writer(path, channel: str, span_ps: int, seed: Optional[int] = None,
+                 config_hash: str = "") -> Iterator[Callable[..., None]]:
+    """Write one channel's clicks as a click file (v2) as a run yields
+    them: a _HEADER_BYTES ASCII header, ``# fransonsim clicks v2`` and a
+    ``# key: value`` line per _HEADER_KEYS padded with spaces to a last
+    ``\\n``, over the clicks (strictly ascending ps) as little-endian
+    int64s.  Yields append(times, dark_count), which checks a chunk
+    against the clicks before it and writes it.  The header is blank, so
+    refused, until a clean exit writes it; an exception removes the file."""
+    clicks, darks, last = 0, 0, -1
+
+    def append(times: np.ndarray, dark_count: int = 0) -> None:
+        nonlocal clicks, darks, last
+        with _named(path):
+            ClickStream(channel, times, span_ps, dark_count).assert_valid()
+            if times.size and times[0] <= last:
+                raise ValidationError("click timestamps must be strictly "
+                                      "increasing across appends")
+            times.astype("<i8", copy=False).tofile(fh)
+        clicks, darks = clicks + times.size, darks + dark_count
+        last = int(times[-1]) if times.size else last
+
+    with open(path, "wb") as fh:
+        try:
+            fh.write(b" " * (_HEADER_BYTES - 1) + b"\n")
+            yield append
+            values = (channel, span_ps, "" if seed is None else seed,
+                      config_hash, clicks - darks, darks)
+            header = (f"{_EXPORT_MAGIC}\n" + "".join(
+                f"# {key}: {value}\n" for key, value in
+                zip(_HEADER_KEYS, values))).encode("ascii")
+            if len(header) >= _HEADER_BYTES:  # the padding ends in a newline
+                raise ValidationError(f"{path}: the header takes "
+                                      f"{len(header)} bytes, more than its "
+                                      f"{_HEADER_BYTES - 1}")
+            fh.seek(0)
+            fh.write(header.ljust(_HEADER_BYTES - 1) + b"\n")
+        except BaseException:       # an unfinished file: remove it
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            raise
+
+
 def write_click_stream(stream: ClickStream, path, seed: Optional[int] = None,
                        config_hash: str = "") -> None:
-    """Write one channel's clicks as a click file (v2): a _HEADER_BYTES
-    ASCII header, ``# fransonsim clicks v2`` and a ``# key: value`` line
-    per _HEADER_KEYS padded with spaces to a last ``\\n``, then the
-    clicks (strictly ascending ps) as little-endian int64s."""
-    stream.assert_valid()
-    values = (stream.channel, stream.span_ps, "" if seed is None else seed,
-              config_hash, stream.true_count, stream.dark_count)
-    header = (f"{_EXPORT_MAGIC}\n" + "".join(
-        f"# {key}: {value}\n" for key, value in zip(_HEADER_KEYS, values))
-              ).encode("ascii")
-    if len(header) >= _HEADER_BYTES:      # the padding ends in a newline
-        raise ValidationError(f"{path}: the header takes {len(header)} "
-                              f"bytes, more than its {_HEADER_BYTES - 1}")
-    with open(path, "wb") as fh:
-        fh.write(header.ljust(_HEADER_BYTES - 1) + b"\n")
-        stream.times_ps.astype("<i8", copy=False).tofile(fh)
+    """click_writer's one-append case: stream as a click file."""
+    with click_writer(path, stream.channel, stream.span_ps, seed,
+                      config_hash) as append:
+        append(stream.times_ps, stream.dark_count)
 
 
-def _header_int(path, meta: Dict[str, str], key: str) -> int:
+def _header_int(meta: Dict[str, str], key: str) -> int:
     text = meta.get(key)
     if text is None:
-        raise ValidationError(f"{path}: no '# {key}:' header line")
+        raise ValidationError(f"no '# {key}:' header line")
     if not (text.isdigit() and len(text) <= 19 and int(text) < 2 ** 63):
-        raise ValidationError(f"{path}: header {key}: {text[:40]!r} is "
-                              f"not a non-negative int64")
+        raise ValidationError(f"header {key}: {text[:40]!r} is not a "
+                              f"non-negative int64")
     return int(text)
 
 
 def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
-    """Read a file written by write_click_stream: the stream and the
-    header as a dict of strings.  A fault raises ValidationError naming
-    the file: a v1 file, a pipe (its body cannot be sized before it is
-    read), or a body not 8 bytes per click of the header's count, before
-    the result is allocated."""
-    with open(path, "rb") as fh:
+    """Read a file written by click_writer: the stream and the header as
+    a dict of strings.  A fault raises ValidationError naming the file:
+    a v1 or an unfinished file, a pipe (its body cannot be sized before
+    it is read), or a body not 8 bytes per click of the header's count,
+    before the result is allocated."""
+    with open(path, "rb") as fh, _named(path):
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
-            raise ValidationError(f"{path}: not a regular file; a click "
-                                  f"file cannot be read from a pipe")
+            raise ValidationError("not a regular file; a click file cannot "
+                                  "be read from a pipe")
         raw = fh.read(_HEADER_BYTES)
         first = raw.partition(b"\n")[0]
         if first != _EXPORT_MAGIC.encode():
             prefix = b"# fransonsim clicks "
             version = first[len(prefix):][:20].decode("ascii", "replace")
-            raise ValidationError(f"{path}: " + (
+            raise ValidationError(
                 f"click file version {version!r}; only v2 is read"
-                if first.startswith(prefix)
-                else "not a fransonsim click file"))
+                if first.startswith(prefix) else "not a fransonsim click file")
         if len(raw) < _HEADER_BYTES or raw[-1:] != b"\n":
-            raise ValidationError(f"{path}: the header is not "
-                                  f"{_HEADER_BYTES} bytes ending in \\n")
+            raise ValidationError(f"the header is not {_HEADER_BYTES} bytes "
+                                  f"ending in \\n")
         try:
             _, *lines, padding, _ = raw.decode("ascii").split("\n")
         except UnicodeDecodeError:
-            raise ValidationError(f"{path}: header is not ASCII") from None
+            raise ValidationError("header is not ASCII") from None
         meta: Dict[str, str] = {}
         if padding.strip(" "):          # text in the padding: refused
             lines.append(padding)
@@ -793,25 +822,22 @@ def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
             if (line[:1] != "#" or not colon or key.strip() in meta
                     or key.strip() not in _HEADER_KEYS):
                 raise ValidationError(
-                    f"{path}: {line.strip()[:40]!r} is not a header line "
+                    f"{line.strip()[:40]!r} is not a header line "
                     f"('# key: value', each key of {_HEADER_KEYS} once)")
             meta[key.strip()] = value.strip()
-        span_ps = _header_int(path, meta, "span_ps")
-        dark_count = _header_int(path, meta, "dark_count")
-        rows = _header_int(path, meta, "true_count") + dark_count
+        span_ps = _header_int(meta, "span_ps")
+        dark_count = _header_int(meta, "dark_count")
+        rows = _header_int(meta, "true_count") + dark_count
         size = info.st_size - _HEADER_BYTES
         if size != 8 * rows:
             raise ValidationError(
-                f"{path}: the header counts {rows} clicks (true_count + "
-                f"dark_count), {8 * rows} bytes, but the body has {size}")
+                f"the header counts {rows} clicks (true_count + dark_count), "
+                f"{8 * rows} bytes, but the body has {size}")
         times = np.empty(rows, "<i8")
         if fh.readinto(times) != size:
-            raise ValidationError(f"{path}: the body changed while read")
-    stream = ClickStream(meta.get("channel", "?"),
-                         times.astype(np.int64, copy=False), span_ps,
-                         dark_count)
-    try:
+            raise ValidationError("the body changed while read")
+        stream = ClickStream(meta.get("channel", "?"),
+                             times.astype(np.int64, copy=False), span_ps,
+                             dark_count)
         stream.assert_valid()
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     return stream, meta

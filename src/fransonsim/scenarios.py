@@ -36,7 +36,7 @@ from .budget import (WINDOW_OBJECTIVES, RatePrediction, WindowOptimization,
                      check_window_grid, predict_rates, predict_visibility,
                      optimize_window)
 from .errors import FitDegenerate, ParseError, ValidationError
-from .montecarlo import (Bucket, SimDiagnostics, SimulationConfig,
+from .montecarlo import (SimDiagnostics, SimulationConfig,
                          TimingDriftSpec, derive_seed, iter_click_buckets)
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec, chsh_from_visibility)
@@ -538,14 +538,14 @@ class RunReport:
 
 
 def measure_point(config: SimulationConfig, setting: float,
-                  buckets: Optional[List[Bucket]] = None,
+                  writers: Sequence[Callable[[np.ndarray, int], None]] = (),
                   ) -> FringePointResult:
     """One acquisition of config, streamed through the delay histogram
     and reduced to its central and side-peak window counts and its
     singles, the sizes of the buckets the histogram took.  The point
-    seed is config.master_seed.  If buckets is a list, the engine's
-    click buckets are appended to it as they pass, so a caller can
-    export the clicks of this same run."""
+    seed is config.master_seed.  writers, if given, are the (signal,
+    idler) appends of two montecarlo.click_writer files: each bucket
+    goes to them as it passes, so a caller records this run's clicks."""
     diag = SimDiagnostics()
     # side peaks sit at +/- the analyzer delay: a full window of margin
     # beyond them keeps their windows inside the histogram's range
@@ -555,8 +555,8 @@ def measure_point(config: SimulationConfig, setting: float,
         window_bins(acc.bin_ps, acc.range_ps, c, w)
     for bucket in iter_click_buckets(config, diag):
         acc.add_bucket(bucket[1], bucket[3], bucket[0])
-        if buckets is not None:
-            buckets.append(bucket)
+        for append, col in zip(writers, (1, 3)):
+            append(bucket[col], bucket[col + 1])
         del bucket   # its clicks go before the next slice is drawn
     hist = acc.finalize()
     return FringePointResult(

@@ -4,7 +4,8 @@ command's exit-2 tests.
 
 A click file (v2) is a 256-byte ASCII header, the magic line and the
 writer's six ``# key: value`` lines padded with spaces to a last
-newline, over a body of little-endian int64 picoseconds.
+newline, over a body of little-endian int64 picoseconds.  While a run
+appends to it, its header is blank: spaces up to the last newline.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ MAGIC = b"# fransonsim clicks v2\n"
 FIELDS = {"channel": "signal", "span_ps": "1000", "seed": "1",
           "config_hash": "", "true_count": "3", "dark_count": "0"}
 TIMES = (10, 20, 30)
+BLANK_HEADER = b" " * (HEADER_BYTES - 1) + b"\n"
 
 
 def click_file(times=TIMES, extra=b"", **fields) -> bytes:
@@ -105,4 +107,7 @@ REFUSALS = [pytest.param(data, message, id=name) for name, data, message in [
      "click file version 'v3'; only v2 is read"),
     ("foreign", b"1 2 3\n", "not a fransonsim click file"),
     ("empty", b"", "not a fransonsim click file"),
+    # a run that stopped before it wrote the header over the blank one
+    ("unfinished-dump", BLANK_HEADER + GOOD[HEADER_BYTES:],
+     "not a fransonsim click file"),
 ]]

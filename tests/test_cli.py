@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flags, exit codes, outputs."""
 
 import ast
+import gc
 import json
 import math
 import os
@@ -9,13 +10,14 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import fransonsim
-from fransonsim import scenarios
+from fransonsim import cli, scenarios
 from fransonsim.budget import bell_verdict, build_ledger, predict_visibility
 from fransonsim.errors import ValidationError
 from fransonsim.montecarlo import TimingDriftSpec, derive_seed
@@ -229,6 +231,84 @@ def test_dump_clicks_round_trip_through_histogram(small_config, tmp_path,
     assert lines[1] == "point,setting,center_ps,counts"
     assert len(lines) > 2 and all(line.startswith("0,,")
                                   for line in lines[2:])
+
+
+def test_a_dump_that_fails_leaves_no_click_file_and_no_handle(
+        small_config, tmp_path, monkeypatch, capsys):
+    # the engine fails after its first bucket: each file is closed and,
+    # unfinished, removed.  A file left open would be closed by the
+    # collector, which reports it to sys.unraisablehook.
+    real, unraisable = scenarios.iter_click_buckets, []
+
+    def one_bucket_then_fail(config, diag=None):
+        yield next(real(config, diag))
+        raise ValidationError("the engine stopped")
+
+    monkeypatch.setattr(scenarios, "iter_click_buckets",
+                        one_bucket_then_fail)
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    out = tmp_path / "out"
+    assert run_cli("simulate", small_config, "--out-dir", str(out),
+                   "--dump-clicks") == 2
+    gc.collect()
+    assert "the engine stopped" in capsys.readouterr().err
+    assert not list(out.glob("*_clicks.bin"))
+    assert [u.exc_value for u in unraisable] == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_FSIZE with SIGXFSZ ignored, as on Linux")
+def test_a_failed_click_write_names_its_file(tmp_path):
+    # under a 1 MB file-size limit the 1 s back-to-back idler file
+    # (~2.2 MB) cannot be written: the error names it, and no click
+    # file is left
+    child = ("import resource, signal, sys\n"
+             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+             "resource.setrlimit(resource.RLIMIT_FSIZE, (10**6, 10**6))\n"
+             "from fransonsim.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "simulate", "--preset",
+         "back-to-back", "--acquisition-s", "1", "--dump-clicks",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    idler = tmp_path / "back-to-back_idler_clicks.bin"
+    assert proc.returncode == 1, proc.stderr
+    assert re.fullmatch(f"error: {re.escape(str(idler))}: \\S.*\n",
+                        proc.stderr), proc.stderr
+    assert not list(tmp_path.glob("*_clicks.bin"))
+
+
+def test_an_os_error_without_a_file_name_prints_its_message(
+        small_config, tmp_path, monkeypatch, capsys):
+    def fail(*_):
+        raise OSError("276497 requested and 124968 written")
+
+    monkeypatch.setattr(cli, "measure_point", fail)
+    assert run_cli("simulate", small_config, "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == \
+        "error: 276497 requested and 124968 written\n"
+
+
+def test_dump_memory_stays_flat_with_acquisition_time(tmp_path, capsys):
+    # each bucket goes to the files as it passes: a dump of three times
+    # the acquisition holds no more clicks (kept buckets would add ~15
+    # bytes per click, ~22 MB over these 4 s of back-to-back)
+    def dump(seconds):
+        return run_cli("simulate", "--preset", "back-to-back",
+                       "--acquisition-s", seconds, "--dump-clicks",
+                       "--out-dir", str(tmp_path))
+
+    assert dump("0.1") == 0     # imports and first-call caches
+    peaks = []
+    for seconds in ("2", "6"):
+        tracemalloc.start()
+        try:
+            assert dump(seconds) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4e6, peaks
 
 
 def test_simulate_matches_fringe_point(tmp_path):

@@ -30,15 +30,15 @@ from fransonsim.physics import (AnalyzerSpec, ChannelSpec, DetectorSpec,
                                 sigma_from_fwhm)
 from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
                                    SimulationConfig, TimingDriftSpec,
-                                   derive_seed, iter_click_buckets,
-                                   read_click_stream, run_simulation,
-                                   streams_from_buckets, write_click_stream)
+                                   click_writer, derive_seed,
+                                   iter_click_buckets, read_click_stream,
+                                   run_simulation, write_click_stream)
 from fransonsim.montecarlo import (SLICE_PS, _DriftWalk, _filter_clicks,
                                    _gen_slice, slice_ps)
 from fransonsim.scenarios import measure_point, preset
 
-from clickfiles import (GOOD, HEADER_BYTES, INT64_MAX, REFUSALS,
-                        click_file)
+from clickfiles import (BLANK_HEADER, GOOD, HEADER_BYTES, INT64_MAX,
+                        REFUSALS, click_file)
 
 
 def lossless_config(**kw):
@@ -1293,9 +1293,10 @@ def test_dark_count_must_lie_within_the_clicks():
 def test_a_runs_click_counts_agree_everywhere(tmp_path_factory, mu, dark_hz,
                                               dead_ps, offset_ps, walk_ps,
                                               seed):
-    # the buckets are the one record of a run's clicks: the streams,
-    # measure_point's singles and the click files' count headers, as
-    # written and as read back, all read their sizes and dark counts
+    # the buckets are the one record of a run's clicks: run_simulation's
+    # streams, measure_point's singles and the click files it appends
+    # each bucket to, their count headers as written and as read back
+    # and their bodies, all hold the same clicks
     detector = DetectorSpec(quantum_efficiency=1.0, dark_rate_hz=dark_hz,
                             jitter_fwhm_ps=0.0, dead_time_ps=dead_ps)
     cfg = lossless_config(
@@ -1304,27 +1305,64 @@ def test_a_runs_click_counts_agree_everywhere(tmp_path_factory, mu, dark_hz,
         drift=TimingDriftSpec(enabled=True, channel="idler",
                               offset_ps=offset_ps, walk_step_ps=walk_ps),
         acquisition_time_s=0.01, master_seed=seed)
-    buckets = []
-    point = measure_point(cfg, 0.0, buckets)
-    streams = streams_from_buckets(cfg, buckets)
-    singles = (point.singles_signal, point.singles_idler)
+    streams = run_simulation(cfg)[:2]
     tmp = tmp_path_factory.mktemp("clicks")
-    for col, stream, n_singles in zip((1, 3), streams, singles):
-        clicks = sum(b[col].size for b in buckets)
-        darks = sum(b[col + 1] for b in buckets)
-        assert stream.times_ps.size == n_singles == clicks
-        assert (stream.true_count, stream.dark_count) == (clicks - darks,
-                                                          darks)
-        path = tmp / f"{stream.channel}.clicks"
-        write_click_stream(stream, path)
-        header = path.read_bytes()[:HEADER_BYTES].decode("ascii")
+    paths = [tmp / f"{s.channel}.clicks" for s in streams]
+    with click_writer(paths[0], "signal", cfg.span_ps()) as sig, \
+            click_writer(paths[1], "idler", cfg.span_ps()) as idl:
+        point = measure_point(cfg, 0.0, (sig, idl))
+    singles = (point.singles_signal, point.singles_idler)
+    for stream, path, n_singles in zip(streams, paths, singles):
+        clicks, darks = stream.times_ps.size, stream.dark_count
+        assert clicks == n_singles and 0 <= darks <= clicks
+        data = path.read_bytes()
+        header = data[:HEADER_BYTES].decode("ascii")
         written = dict(line[2:].split(": ", 1) for line in
                        header.split("\n")[1:7])
+        assert data[HEADER_BYTES:] == stream.times_ps.astype("<i8").tobytes()
         back, meta = read_click_stream(path)
         for header in (written, meta):
             assert (header["true_count"], header["dark_count"]) == (
                 str(clicks - darks), str(darks))
         assert (back.true_count, back.dark_count) == (clicks - darks, darks)
+
+
+def test_click_writer_appends_chunks_under_a_blank_header(tmp_path):
+    # a file being written reads as no click file until the clean exit
+    # writes its header; the chunks' clicks and darks add up
+    path = tmp_path / "idler.bin"
+    with click_writer(path, "idler", 100, seed=4, config_hash="ab") as append:
+        for times, dark in (([1, 5], 1), ([], 0), ([6, 9, 100], 2)):
+            append(np.array(times, np.int64), dark)
+            assert path.read_bytes()[:HEADER_BYTES] == BLANK_HEADER
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{path}: not a fransonsim click file")):
+                read_click_stream(path)
+    assert path.read_bytes() == click_file(
+        (1, 5, 6, 9, 100), channel="idler", span_ps=100, seed=4,
+        config_hash="ab", true_count=2, dark_count=3)
+
+
+@pytest.mark.parametrize("first, chunk, dark, message", [
+    ([1, 5], [5, 7], 0, "click timestamps must be strictly increasing "
+     "across appends"),
+    ([1, 5], [4, 7], 0, "click timestamps must be strictly increasing "
+     "across appends"),
+    ([], [3, 2], 0, "click timestamps must be strictly increasing$"),
+    ([], [3, 101], 0, r"clicks outside \[0, span\]: 3..101 span=100"),
+    ([], [-1, 2], 0, r"clicks outside \[0, span\]"),
+    ([1], [3, 4], 3, r"dark_count 3 lies outside \[0, 2\]"),
+])
+def test_click_writer_refuses_a_chunk_and_removes_its_file(
+        tmp_path, first, chunk, dark, message):
+    path = tmp_path / "signal.bin"
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{path}: ") + message):
+        with click_writer(path, "signal", 100) as append:
+            append(np.array(first, np.int64))
+            append(np.array(chunk, np.int64), dark)
+    assert not path.exists()
+
 
 def test_click_file_memory_is_bounded(tmp_path):
     """The writer's peak does not grow with the rows; the reader's is

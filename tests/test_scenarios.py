@@ -883,10 +883,11 @@ def test_point_window_must_lie_on_the_bin_grid():
     ideal = replace(preset("ideal", master_seed=3).config,
                     acquisition_time_s=0.02,
                     tia=replace(narrow.tia, histogram_bin_ps=5.0))
-    buckets = []
-    point = measure_point(ideal, 0.0, buckets)
-    fine = build_histogram(np.concatenate([b[1] for b in buckets]),
-                           np.concatenate([b[3] for b in buckets]), 1, 150)
+    point = measure_point(ideal, 0.0)
+    sig, idl, _ = montecarlo.run_simulation(ideal)   # the same clicks
+    assert (sig.times_ps.size, idl.times_ps.size) == (point.singles_signal,
+                                                      point.singles_idler)
+    fine = build_histogram(sig.times_ps, idl.times_ps, 1, 150)
     assert point.counts_central == count_in_window(fine, 0.0, 50.0) > 0
 
 
