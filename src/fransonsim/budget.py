@@ -11,6 +11,7 @@ share it): an arm's loss is LinkModel's loss_db, a delay peak's share
 of a window one CoincidencePeakModel.mass integral, and the closed
 form at a window, its rates, visibilities and Bell verdict, one
 derivation per (link, window) kept in a bounded cache (_at_window).
+Both memos, that and LinkModel.of's, live here; a config keeps none.
 
 Counting conventions used throughout:
 
@@ -147,9 +148,9 @@ class ArmLink:
 @dataclass(frozen=True, eq=False)
 class LinkModel:
     """Every link quantity the rates, the peak shape and the Monte
-    Carlo engine read, derived once per link as SimulationConfig.link.
-    == and hash are identity, which the window cache keys on: hashing
-    the nested records by value costs more than a cached read."""
+    Carlo engine read, derived once per link by LinkModel.of, never
+    stored in the config.  == and hash are identity, which the window
+    cache keys on: hashing the records by value costs more than a read."""
 
     pair_rate_hz: float             # generated at the source output
     both_hz: float                  # pair rate * q_s * q_i (any port)
@@ -160,6 +161,24 @@ class LinkModel:
     central_max_weight: float       # central weight at the fringe maximum
     peak: CoincidencePeakModel
     loss_note: str                  # how to read a quoted link loss
+
+    @classmethod
+    def of(cls, config: SimulationConfig) -> "LinkModel":
+        """config's link: _LAST_LINK's (config, key, link) when config is
+        its config or holds its very specs and acquisition time (as when
+        only tia or master_seed differ), else a new one.  The held config
+        keeps the key's ids live; the slot is replaced whole for threads."""
+        last = _LAST_LINK[0]
+        if last[0] is config:
+            return last[2]
+        key = (id(config.source), id(config.channel_signal),
+               id(config.channel_idler), id(config.analyzer_signal),
+               id(config.analyzer_idler), id(config.detector_signal),
+               id(config.detector_idler), id(config.drift),
+               config.acquisition_time_s)
+        link = last[2] if last[1] == key else cls.from_config(config)
+        _LAST_LINK[0] = (config, key, link)
+        return link
 
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "LinkModel":
@@ -320,6 +339,9 @@ def _derive_window(link: LinkModel, w: float) -> tuple:
     s, violates = chsh_from_visibility(corrected.visibility)
     return rates, corrected, fringe(accidental + leak), BellVerdict(
         corrected.visibility, s, violates, s - 2.0)
+
+
+_LAST_LINK: list = [(None, (), None)]   # LinkModel.of's last read
 
 
 @functools.lru_cache(maxsize=WINDOWS_KEPT, typed=True)

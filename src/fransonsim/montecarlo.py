@@ -60,7 +60,9 @@ singles included, up to picosecond-scale edge effects at the ends of
 the span.  Signal clicks read no idler or phase parameter.  The
 pairs that no click shows are drawn as counts alone, for
 SimDiagnostics.  q, R, the peak weights and every timing width come
-from SimulationConfig.link, the derivation the closed forms share.
+from SimulationConfig.link, the derivation the closed forms share,
+read once per run.  Its memo lives in budget (LinkModel.of): a config
+stores nothing derived, so copies and pickles carry no link.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
@@ -127,7 +129,7 @@ from .budget import LinkModel, predict_rates
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec)
-from .tia import check_ascending
+from .tia import CLICK_LIMIT_PS, check_ascending
 
 # Widest generation slice.  A run's slices are SLICE_PS / 2**k wide,
 # the widest that keeps its expected clicks within _SLICE_CLICKS (see
@@ -162,8 +164,6 @@ _DRAW_CHUNK = 1 << 16
 # (upper_edge_ps, sig_times, sig_darks, idl_times, idl_darks): each
 # channel's kept clicks and how many of them are darks
 Bucket = Tuple[int, np.ndarray, int, np.ndarray, int]
-
-_LAST_LINK: list = [((), (), None)]     # see SimulationConfig.link
 
 # Stage ids for per-(stage, slice) RNG streams.
 _ST_SIGNAL = 0        # signal photon clicks
@@ -237,7 +237,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not (0.0 < self.acquisition_time_s < math.inf):
             raise ValidationError("acquisition_time_s must be finite and > 0")
-        if self.span_ps() + _MAX_SPILL_PS >= 2 ** 62:
+        if self.span_ps() + _MAX_SPILL_PS >= CLICK_LIMIT_PS:
             raise ValidationError(
                 f"acquisition_time_s={self.acquisition_time_s!r} is too long: "
                 "its clicks packed as (t << 1) | is_dark would overflow int64")
@@ -278,24 +278,8 @@ class SimulationConfig:
 
     @property
     def link(self) -> LinkModel:
-        """budget.LinkModel of this config, derived on first read unless
-        the last one derived read these very specs and acquisition time,
-        as configs replaced in tia or master_seed alone do.  _LAST_LINK
-        holds it as (key, specs, link), the specs keeping the key's ids
-        live, and is replaced whole, so threads share it.  Kept in the
-        instance's __dict__, not a field: asdict, hashing and config
-        files never see it."""
-        link = self.__dict__.get("link")
-        if link is not None:
-            return link
-        specs = (self.source, self.channel_signal, self.channel_idler,
-                 self.analyzer_signal, self.analyzer_idler,
-                 self.detector_signal, self.detector_idler, self.drift)
-        key = (*map(id, specs), self.acquisition_time_s)
-        last = _LAST_LINK[0]
-        if last[0] != key:
-            last = _LAST_LINK[0] = (key, specs, LinkModel.from_config(self))
-        return self.__dict__.setdefault("link", last[2])
+        """budget.LinkModel.of(self): not a field, and not stored here."""
+        return LinkModel.of(self)
 
 
 @dataclass
@@ -315,6 +299,9 @@ class ClickStream:
         t = self.times_ps
         if t.dtype != np.int64:
             raise ValidationError("click timestamps must be int64 ps")
+        if not 0 <= self.span_ps < CLICK_LIMIT_PS:
+            raise ValidationError(f"span_ps {self.span_ps} lies outside [0, "
+                                  "2**62) ps, a delay histogram's clicks")
         if not 0 <= self.dark_count <= t.size:
             raise ValidationError(f"dark_count {self.dark_count} lies "
                                   f"outside [0, {t.size}], the clicks")
@@ -392,8 +379,8 @@ def _filter_clicks(key: np.ndarray, dead_ps: int, carry: int
     Works in place, _DRAW_CHUNK clicks at a time: key's storage becomes
     the times, kept clicks move down over dropped ones and only their
     dark count is kept, so no temporary grows with the bucket."""
-    # clicks lie in [0, 2**62): a longer dead time acts the same
-    dead = min(max(dead_ps, 1), 2 ** 62)
+    # clicks lie in [0, CLICK_LIMIT_PS): a longer dead time acts the same
+    dead = min(max(dead_ps, 1), CLICK_LIMIT_PS)
     t = key
     # n: clicks kept so far; before: the click before this chunk;
     # prev: the index of the last close click
@@ -508,20 +495,19 @@ def _pack_keys(label: str, times: np.ndarray, n_photons: int,
     return key
 
 
-def _gen_slice(config: SimulationConfig, slice_idx: int, lo: int, hi: int,
-               width: int, drift: _DriftWalk, diag: SimDiagnostics,
-               ) -> Tuple[np.ndarray, np.ndarray]:
+def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
+               lo: int, hi: int, width: int, drift: _DriftWalk,
+               diag: SimDiagnostics) -> Tuple[np.ndarray, np.ndarray]:
     """All click candidates whose generating process lives in
     [lo, hi), per channel as one sorted int64 array of packed keys
     (t << 1) | is_dark: returns (sig_keys, idl_keys).  Rates, survival,
-    peak weights and timing widths are config.link's; no click may
-    spill more than a quarter of width, the run's slice_ps(config), out
-    of [lo, hi).
+    peak weights and timing widths are link's, the run's config.link;
+    no click may spill more than a quarter of width, the run's
+    slice_ps(config), out of [lo, hi).
 
     Each channel's clicks are built in one float buffer that ends as
     its key array: idler partners first, then the channel's
     partner-less photon clicks, then its darks."""
-    link = config.link
     dt_s = (hi - lo) * 1e-12
     rate = link.pair_rate_hz
     q_s, q_i, (w_c, w_e, w_l) = link.signal.q, link.idler.q, link.weights
@@ -636,7 +622,7 @@ def iter_click_buckets(config: SimulationConfig,
             "of 2**19 per slice; lower mu or the dark rates, add loss, "
             f"or shorten the acquisition below {_SLICE_CLICKS / rate:.3g} s")
     n_slices = max(1, -(-span // width))
-    drift = _DriftWalk(config)
+    link, drift = config.link, _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
     dead_s = int(round(config.detector_signal.dead_time_ps))
     dead_i = int(round(config.detector_idler.dead_time_ps))
@@ -684,8 +670,8 @@ def iter_click_buckets(config: SimulationConfig,
 
     for k in range(n_slices):
         lo, hi = k * width, min(span, (k + 1) * width)
-        pools.append(list(_gen_slice(config, k, lo, hi, width, drift,
-                                     diag)))
+        pools.append(list(_gen_slice(config, link, k, lo, hi, width,
+                                     drift, diag)))
         if k > 0:
             yield cut(k - 1)
     yield cut(n_slices - 1)
@@ -735,8 +721,21 @@ def click_writer(path, channel: str, span_ps: int, seed: Optional[int] = None,
     ``\\n``, over the clicks (strictly ascending ps) as little-endian
     int64s.  Yields append(times, dark_count), which checks a chunk
     against the clicks before it and writes it.  The header is blank, so
-    refused, until a clean exit writes it; an exception removes the file."""
+    refused, until a clean exit writes it; an exception removes the file.
+    A header too long for 19-digit counts is refused before the open."""
     clicks, darks, last = 0, 0, -1
+
+    def header(true_count: int, dark_count: int) -> bytes:
+        values = (channel, span_ps, "" if seed is None else seed,
+                  config_hash, true_count, dark_count)
+        return (f"{_EXPORT_MAGIC}\n" + "".join(
+            f"# {key}: {value}\n" for key, value in
+            zip(_HEADER_KEYS, values))).encode("ascii")
+
+    widest = len(header(10 ** 19 - 1, 10 ** 19 - 1))
+    if widest >= _HEADER_BYTES:     # the padding ends in a newline
+        raise ValidationError(f"{path}: the header takes up to {widest} "
+                              f"bytes, more than its {_HEADER_BYTES - 1}")
 
     def append(times: np.ndarray, dark_count: int = 0) -> None:
         nonlocal clicks, darks, last
@@ -753,17 +752,9 @@ def click_writer(path, channel: str, span_ps: int, seed: Optional[int] = None,
         try:
             fh.write(b" " * (_HEADER_BYTES - 1) + b"\n")
             yield append
-            values = (channel, span_ps, "" if seed is None else seed,
-                      config_hash, clicks - darks, darks)
-            header = (f"{_EXPORT_MAGIC}\n" + "".join(
-                f"# {key}: {value}\n" for key, value in
-                zip(_HEADER_KEYS, values))).encode("ascii")
-            if len(header) >= _HEADER_BYTES:  # the padding ends in a newline
-                raise ValidationError(f"{path}: the header takes "
-                                      f"{len(header)} bytes, more than its "
-                                      f"{_HEADER_BYTES - 1}")
             fh.seek(0)
-            fh.write(header.ljust(_HEADER_BYTES - 1) + b"\n")
+            fh.write(header(clicks - darks, darks).ljust(_HEADER_BYTES - 1)
+                     + b"\n")
         except BaseException:       # an unfinished file: remove it
             with contextlib.suppress(OSError):
                 os.remove(path)
@@ -792,8 +783,8 @@ def read_click_stream(path) -> Tuple[ClickStream, Dict[str, str]]:
     """Read a file written by click_writer: the stream and the header as
     a dict of strings.  A fault raises ValidationError naming the file:
     a v1 or an unfinished file, a pipe (its body cannot be sized before
-    it is read), or a body not 8 bytes per click of the header's count,
-    before the result is allocated."""
+    it is read), a body not 8 bytes per click of the header's count,
+    before the result is allocated, or a stream assert_valid refuses."""
     with open(path, "rb") as fh, _named(path):
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):

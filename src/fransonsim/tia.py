@@ -26,6 +26,9 @@ import numpy as np
 from .errors import FitDegenerate, ValidationError
 
 _PAIR_CHUNK = 1 << 16   # starts, pairs or neighbours handled at once
+# Every click lies below 2**62 ps (~53 days), so that a click plus a
+# range and the engine's packed key (t << 1) | is_dark fit int64.
+CLICK_LIMIT_PS = 2 ** 62
 # Fewest scan points fit_fringe takes: its three parameters plus one
 # degree of freedom, so chi^2 can check the fringe period.
 MIN_FIT_POINTS = 4
@@ -97,7 +100,7 @@ def _normalize_binning(bin_ps, range_ps) -> Tuple[int, int]:
         raise ValidationError(
             f"range_ps={range_ps!r} at bin_ps={bin_ps!r} needs "
             f"{2 * r // b} bins, more than the {_MAX_BINS} allowed")
-    if r >= 2 ** 62:   # with clicks below 2**62, click + range fits int64
+    if r >= CLICK_LIMIT_PS:     # then click + range fits int64
         raise ValidationError(
             f"range_ps must be below 2**62 ps, got {range_ps!r}")
     return b, r
@@ -147,11 +150,11 @@ def build_histogram(starts, stops, bin_ps, range_ps) -> DelayHistogram:
     All starts and stops participate (no first-match pairing), which
     keeps the estimator linear in rates.  For a three-peak delay
     structure choose range_ps of at least twice the analyzer delay so
-    both side peaks are visible.  The one bucket's edge is 2**62 ps: a
-    click at or past it is a ValidationError.
+    both side peaks are visible.  The one bucket's edge is
+    CLICK_LIMIT_PS, 2**62 ps: a click at or past it is a ValidationError.
     """
     acc = HistogramAccumulator(bin_ps, range_ps)
-    acc.add_bucket(starts, stops, 2 ** 62)   # an edge past every click
+    acc.add_bucket(starts, stops, CLICK_LIMIT_PS)
     return acc.finalize()
 
 

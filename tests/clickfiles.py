@@ -86,6 +86,12 @@ REFUSALS = [pytest.param(data, message, id=name) for name, data, message in [
      "header span_ps: '1e3' is not a non-negative int64"),
     ("span-beyond-int64", click_file(span_ps=INT64_MAX + 1),
      "header span_ps: '9223372036854775808' is not a non-negative int64"),
+    # clicks past the histogram's bucket edge, 2**62 ps, read as valid
+    ("span-past-the-histogram-edge",
+     click_file((10, 20, 2 ** 62 + 5), span_ps=2 ** 62 + 5),
+     "span_ps 4611686018427387909 lies outside \\[0, 2\\*\\*62\\) ps"),
+    ("span-at-the-histogram-edge", click_file(span_ps=2 ** 62),
+     "span_ps 4611686018427387904 lies outside \\[0, 2\\*\\*62\\) ps"),
     ("true_count-not-integer", click_file(true_count="3.0"),
      "header true_count: '3.0' is not"),
     ("dark_count-negative", click_file(dark_count=-1),

@@ -30,7 +30,7 @@ from fransonsim.montecarlo import (SimulationConfig, TimingDriftSpec,
                                    run_simulation)
 from fransonsim.tia import build_histogram, count_in_window
 from fransonsim import scenarios
-from fransonsim import budget
+from fransonsim import budget, montecarlo
 from fransonsim.budget import (BellVerdict, LinkModel, WindowScore,
                                bell_verdict, build_ledger, optimize_window,
                                predict_rates, predict_visibility)
@@ -445,6 +445,28 @@ def test_pooled_fringe_points_read_their_own_links(monkeypatch):
         assert _bits(cfg.link) == _bits(LinkModel.from_config(cfg))
 
 
+def test_each_pooled_run_hands_its_slices_one_link(monkeypatch):
+    # 100 km, 30 s a point: three 10 s slices each, two points at once
+    seen = []
+    gen = montecarlo._gen_slice
+
+    def spy(config, link, *args):
+        seen.append((config, link))
+        return gen(config, link, *args)
+    monkeypatch.setattr(montecarlo, "_gen_slice", spy)
+    monkeypatch.setattr(scenarios, "_pool_workers", lambda n: 2)
+    run_scenario(replace(preset("paper-100km"), plan=ScanPlan(
+        settings=phase_grid(4), acquisition_s_per_point=30.0)))
+    assert len(seen) == 4 * 3
+    links = {}
+    for config, link in seen:
+        assert type(link) is LinkModel
+        assert links.setdefault(id(config), link) is link
+    assert len(links) == 4
+    for config, link in seen:
+        assert _bits(link) == _bits(LinkModel.from_config(config))
+
+
 def test_threads_sharing_the_last_link_read_their_own_links():
     # more threads than cores, switching often: no config may take
     # another config's link
@@ -774,6 +796,16 @@ def test_a_config_read_for_its_link_survives_copy_and_pickle(clone):
     assert other == cfg
     assert _bits(other.link) == _bits(LinkModel.from_config(cfg))
     assert _bits(predict_rates(other)) == _bits(predict_rates(cfg))
+
+
+def test_reading_a_config_stores_nothing_in_it():
+    cfg = replace(preset("paper-100km").config, acquisition_time_s=0.05)
+    keys, pickled = set(vars(cfg)), pickle.dumps(cfg)
+    assert cfg.link.pair_rate_hz > 0.0
+    predict_rates(cfg)
+    scenarios.measure_point(cfg, 0.0)
+    assert set(vars(cfg)) == keys
+    assert pickle.dumps(cfg) == pickled
 
 
 def test_link_is_not_a_config_field(tmp_path):

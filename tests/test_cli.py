@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fransonsim
-from fransonsim import cli, scenarios
+from fransonsim import cli, montecarlo, scenarios
 from fransonsim.budget import bell_verdict, build_ledger, predict_visibility
 from fransonsim.errors import ValidationError
 from fransonsim.montecarlo import TimingDriftSpec, derive_seed
@@ -254,6 +254,25 @@ def test_a_dump_that_fails_leaves_no_click_file_and_no_handle(
     assert "the engine stopped" in capsys.readouterr().err
     assert not list(out.glob("*_clicks.bin"))
     assert [u.exc_value for u in unraisable] == []
+
+
+def test_a_dump_header_that_cannot_fit_is_refused_before_the_run(
+        tmp_path, monkeypatch, capsys):
+    # a 151-digit seed leaves no room in the 256-byte header for
+    # 19-digit counts: refused when the file opens, before any slice
+    drawn = []
+    gen = montecarlo._gen_slice
+    monkeypatch.setattr(montecarlo, "_gen_slice",
+                        lambda *args: drawn.append(args) or gen(*args))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--preset", "back-to-back", "--acquisition-s",
+                   "5", "--seed", str(10 ** 150), "--out-dir", str(out),
+                   "--dump-clicks") == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: .*_clicks\.bin: the header takes up to \d+ "
+                    r"bytes, more than its 255$", err), err
+    assert not list(out.glob("*_clicks.bin"))
+    assert drawn == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -36,9 +36,10 @@ from fransonsim.montecarlo import (ClickStream, SimDiagnostics,
 from fransonsim.montecarlo import (SLICE_PS, _DriftWalk, _filter_clicks,
                                    _gen_slice, slice_ps)
 from fransonsim.scenarios import measure_point, preset
+from fransonsim.tia import CLICK_LIMIT_PS
 
-from clickfiles import (BLANK_HEADER, GOOD, HEADER_BYTES, INT64_MAX,
-                        REFUSALS, click_file)
+from clickfiles import (BLANK_HEADER, GOOD, HEADER_BYTES, REFUSALS,
+                        click_file)
 
 
 def lossless_config(**kw):
@@ -415,12 +416,13 @@ def test_fringe_extremes_and_side_peaks():
         assert abs(late - want) < 5.0 * math.sqrt(want)
 
 
-def test_rates_and_engine_read_the_link_peak_weights():
+def test_rates_and_engine_read_the_link_peak_weights(monkeypatch):
     # a link whose side weights are zero: the closed form and the
     # engine both read config.link.weights, so both lose the side peaks
     cfg = lossless_config(master_seed=78, acquisition_time_s=0.1)
     w_c, _, _ = cfg.link.weights
-    vars(cfg)["link"] = replace(cfg.link, weights=(w_c, 0.0, 0.0))
+    link = replace(cfg.link, weights=(w_c, 0.0, 0.0))
+    monkeypatch.setattr(LinkModel, "of", classmethod(lambda cls, c: link))
     assert predict_rates(cfg).side_leak_in_window_hz == 0.0
 
     sig, idl, diag = run_simulation(cfg)
@@ -465,8 +467,8 @@ def _whole_run_reference(cfg):
     span, width = cfg.span_ps(), slice_ps(cfg)
     n_slices = max(1, -(-span // width))
     drift, diag = _DriftWalk(cfg), SimDiagnostics()
-    slices = [_gen_slice(cfg, k, k * width, min(span, (k + 1) * width),
-                         width, drift, diag)
+    slices = [_gen_slice(cfg, cfg.link, k, k * width,
+                         min(span, (k + 1) * width), width, drift, diag)
               for k in range(n_slices)]
     streams = {}
     for col, ch, det in ((0, "signal", cfg.detector_signal),
@@ -637,8 +639,8 @@ def test_dead_time_below_a_picosecond_is_the_digitizer_floor():
             assert g[0] == w[0] and g[2::2] == w[2::2]   # dark counts
             for a, b in zip(g[1::2], w[1::2]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    sig, idl = _gen_slice(base, 0, 0, base.span_ps(), slice_ps(base),
-                          _DriftWalk(base), SimDiagnostics())
+    sig, idl = _gen_slice(base, base.link, 0, 0, base.span_ps(),
+                          slice_ps(base), _DriftWalk(base), SimDiagnostics())
     drawn = sig.size + idl.size - want_diag.clicks_dropped_out_of_span
     kept = sum(b[1].size + b[3].size for b in want)
     assert kept < drawn     # twins were merged
@@ -1180,11 +1182,11 @@ def test_click_stream_rejects_foreign_file(tmp_path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=st.sets(st.integers(0, INT64_MAX), max_size=60),
+@given(values=st.sets(st.integers(0, CLICK_LIMIT_PS - 1), max_size=60),
        dark=st.integers(0, 60), config_hash=st.text("0123456789abcdef",
                                                      max_size=12))
 @example(values=set(), dark=0, config_hash="")
-@example(values={0, INT64_MAX}, dark=1, config_hash="cafe01")
+@example(values={0, CLICK_LIMIT_PS - 1}, dark=1, config_hash="cafe01")
 def test_click_file_round_trip_property(tmp_path_factory, values, dark,
                                         config_hash):
     times = np.array(sorted(values), dtype=np.int64)
@@ -1267,12 +1269,26 @@ def test_reader_goes_by_the_bytes_not_the_file_name(tmp_path, name):
 def test_writer_refuses_a_header_over_256_bytes(tmp_path):
     stream = ClickStream("signal", np.arange(3, dtype=np.int64), span_ps=3)
     path = tmp_path / "long.clicks"
-    write_click_stream(stream, path, config_hash="f" * 144)  # 255 bytes
-    assert read_click_stream(path)[1]["config_hash"] == "f" * 144
+    # the header must fit with 19-digit counts, whatever the run counts
+    write_click_stream(stream, path, config_hash="f" * 108)  # 255 bytes
+    assert read_click_stream(path)[1]["config_hash"] == "f" * 108
     path.unlink()
     with pytest.raises(ValidationError, match=re.escape(
-            f"{path}: the header takes 256 bytes, more than its 255")):
-        write_click_stream(stream, path, config_hash="f" * 145)
+            f"{path}: the header takes up to 256 bytes, more than its 255")):
+        write_click_stream(stream, path, config_hash="f" * 109)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("times,span", [
+    ((5, CLICK_LIMIT_PS + 5), CLICK_LIMIT_PS + 5), ((), CLICK_LIMIT_PS),
+    ((), -5)])
+def test_writer_refuses_a_span_the_reader_refuses(tmp_path, times, span):
+    # a delay histogram takes clicks in [0, 2**62) ps alone
+    path = tmp_path / "far.bin"
+    stream = ClickStream("signal", np.array(times, np.int64), span_ps=span)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{path}: span_ps {span} lies outside [0, 2**62) ps")):
+        write_click_stream(stream, path)
     assert not path.exists()
 
 
