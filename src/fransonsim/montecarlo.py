@@ -19,9 +19,9 @@ Reproducibility model
 ---------------------
 The acquisition span is cut into generation slices of one width per
 config, slice_ps: the widest 10 s / 2**k whose expected clicks (the
-closed form's singles, darks included) stay within 2**19.  The width
-reads the config's rates alone, never the host, so it is part of the
-sampling definition.  Every (stage, slice) pair owns an independent
+singles of SimulationConfig.link, darks included) stay within 2**19.
+The width reads the link's rates alone, never the host, so it is part
+of the sampling definition.  Every (stage, slice) pair owns an independent
 child RNG stream, derived from the master seed, so
 
 * identical configs give bit-identical click streams,
@@ -66,19 +66,21 @@ stores nothing derived, so copies and pickles carry no link.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
-Each slice packs its clicks per channel into int64 keys
-(t << 1) | is_dark and sorts them once, when it is generated.  No
-click may land more than a quarter of the slice width outside its
-slice (ValidationError otherwise), so a streaming bucket is a
-searchsorted cut of at most three slices: its own and its two
+Arrival times are float64 until then, exact only below 2**53 ps: a span
+of ~9004 s or more is refused.  Each slice packs its clicks per channel
+into int64 keys (t << 1) | is_dark and sorts them once, when it is
+generated.  No click may land more than a quarter of the slice width
+outside its slice (ValidationError otherwise), so a streaming bucket is
+a searchsorted cut of at most three slices: its own and its two
 neighbours.  When more than one contributes, a stable sort merges the
 sorted pieces in linear time.
 
 Memory model
 ------------
-A run's working set is a small multiple of one slice's clicks, and
-one bound keeps those within _SLICE_CLICKS (2**19, ~0.52 M) expected
-clicks, darks included: slice_ps picks the widest width within it, and
+A run's working set is a small multiple of one slice's clicks, and one
+bound keeps those within _SLICE_CLICKS (2**19, ~0.52 M) expected clicks,
+darks included, and a drift walk's table within as many steps
+(_MIN_WALK_PS): slice_ps picks the widest width within it, and
 iter_click_buckets refuses, before drawing, a run whose one slice still
 expects more (only a config above 2**19 clicks per 78.125 ms, ~6.7e6
 clicks/s, that runs longer than 2**19 / rate).  The working set grows
@@ -125,7 +127,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .budget import LinkModel, predict_rates
+from .budget import LinkModel
 from .errors import ValidationError
 from .physics import (AnalyzerSpec, ChannelSpec, CoincidenceWindowSpec,
                       DetectorSpec, SourceSpec)
@@ -133,7 +135,7 @@ from .tia import CLICK_LIMIT_PS, check_ascending
 
 # Widest generation slice.  A run's slices are SLICE_PS / 2**k wide,
 # the widest that keeps its expected clicks within _SLICE_CLICKS (see
-# slice_ps).  The rule reads only the config's closed-form rates and is
+# slice_ps).  The rule reads only the singles of config.link and is
 # part of the sampling definition: changing SLICE_PS, _SLICE_CLICKS or
 # _MIN_SLICE_PS would change the drawn numbers of every run longer than
 # one slice, so they are constants, not knobs.
@@ -141,8 +143,10 @@ SLICE_PS = 10_000_000_000_000  # 10 s
 
 # Expected clicks per slice, darks included, that a slice may hold: the
 # engine's one load bound (memory model: ~10-25 bytes per click, ~two
-# slices held at a time).
+# slices held at a time).  A drift walk on an interval of at least
+# _MIN_WALK_PS steps at most as many times per slice.
 _SLICE_CLICKS = 2 ** 19
+_MIN_WALK_PS = -(-SLICE_PS // _SLICE_CLICKS)    # ~19.07 us
 
 # Narrowest slice, 78.125 ms: a config above _SLICE_CLICKS in it
 # (~6.7e6 clicks/s) runs only while its one slice stays within.
@@ -190,6 +194,8 @@ class TimingDriftSpec:
     undrifted arrival time — it models fiber-delay drift on
     millisecond and slower scales, static over a photon's flight.
     Dark counts are detector-local and are not displaced.
+    ``walk_interval_ps`` is an integer >= _MIN_WALK_PS, SLICE_PS / 2**19
+    rounded up (~19.07 us): a slice takes at most 2**19 walk steps.
     """
 
     enabled: bool = False
@@ -207,13 +213,11 @@ class TimingDriftSpec:
             raise ValidationError("offset_ps must be finite")
         if not (0.0 <= self.walk_step_ps < math.inf):
             raise ValidationError("walk_step_ps must be finite and >= 0")
-        if not (1.0e6 <= self.walk_interval_ps < math.inf):
-            # the walk is a *slow* drift; tiny intervals would also
-            # blow up the per-slice step count
+        itv = self.walk_interval_ps
+        if not (_MIN_WALK_PS <= itv < math.inf and itv == int(itv)):
             raise ValidationError(
-                "walk_interval_ps must be finite and >= 1e6 (1 us)")
-        if float(self.walk_interval_ps) != int(self.walk_interval_ps):
-            raise ValidationError("walk_interval_ps must be integer-valued")
+                f"walk_interval_ps must be an integer >= {_MIN_WALK_PS} ps "
+                "(~19.07 us): a slice takes at most 2**19 walk steps")
 
 
 @dataclass(frozen=True)
@@ -237,10 +241,11 @@ class SimulationConfig:
     def __post_init__(self):
         if not (0.0 < self.acquisition_time_s < math.inf):
             raise ValidationError("acquisition_time_s must be finite and > 0")
-        if self.span_ps() + _MAX_SPILL_PS >= CLICK_LIMIT_PS:
+        if self.span_ps() + _MAX_SPILL_PS >= 2 ** 53:   # keys fit int64 too
             raise ValidationError(
                 f"acquisition_time_s={self.acquisition_time_s!r} is too long: "
-                "its clicks packed as (t << 1) | is_dark would overflow int64")
+                "float64 arrival times, spill included, lose picoseconds "
+                "from 2**53 ps (~9007 s)")
         if not isinstance(self.master_seed, int) \
                 or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ValidationError("master_seed must be a non-negative int")
@@ -348,14 +353,6 @@ def _chunks(n: int) -> Iterator[slice]:
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def _add_normal(rng: np.random.Generator, sigma: float,
-                arr: np.ndarray) -> None:
-    """arr += Normal(0, sigma) draws, one per element, chunk by chunk."""
-    if sigma > 0.0:
-        for c in _chunks(arr.size):
-            arr[c] += rng.normal(0.0, sigma, c.stop - c.start)
-
-
 # ---------------------------------------------------------------------------
 # Click filter: the detector's dead time, at least the digitizer's 1 ps
 # ---------------------------------------------------------------------------
@@ -454,21 +451,20 @@ class _DriftWalk:
         arrivals += d.offset_ps
 
 
-def _click_rate_hz(config: SimulationConfig) -> float:
-    """Expected clicks per second, photons and darks of both channels:
-    predict_rates' singles, which a slice draws."""
-    rates = predict_rates(config)
-    return rates.singles_signal_hz + rates.singles_idler_hz
+def _click_rate_hz(link: LinkModel) -> float:
+    """Expected clicks/s, the link's singles (photons and darks) summed."""
+    s, i = link.signal, link.idler
+    return (s.photon_hz + s.dark_hz) + (i.photon_hz + i.dark_hz)
 
 
 def slice_ps(config: SimulationConfig) -> int:
     """Generation-slice width of config's runs: the widest
     SLICE_PS / 2**k, down to _MIN_SLICE_PS, whose expected clicks stay
     within _SLICE_CLICKS (where even _MIN_SLICE_PS does not, only a
-    run short enough to stay within runs).  It reads the closed-form
-    rates alone, so every point of a scan (phase, window and seed
-    aside) shares it."""
-    rate_per_ps = _click_rate_hz(config) * 1e-12
+    run short enough to stay within runs).  It reads the singles of
+    config.link alone, photons and darks of both arms, so every point
+    of a scan (phase, window and seed aside) shares it."""
+    rate_per_ps = _click_rate_hz(config.link) * 1e-12
     width = SLICE_PS
     while width > _MIN_SLICE_PS and rate_per_ps * width > _SLICE_CLICKS:
         width //= 2
@@ -555,8 +551,10 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
         u = rng.random(c.stop - c.start)
         pair[c] += np.where(u < p_same, 0.0,
                             np.where(u < p_early, -tau, tau))
-    _add_normal(rng, math.hypot(link.signal.sigma_arrival_ps,
-                                link.idler.sigma_arrival_ps), pair)
+    sigma = math.hypot(link.signal.sigma_arrival_ps,
+                       link.idler.sigma_arrival_ps)
+    for c in _chunks(n_b):
+        pair[c] += rng.normal(0.0, sigma, c.stop - c.start)
 
     drift.apply("signal", sig[:n_sig])
     drift.apply("idler", idl[:n_idl])
@@ -611,8 +609,8 @@ def iter_click_buckets(config: SimulationConfig,
     """
     if diag is None:
         diag = SimDiagnostics()
-    span, width = config.span_ps(), slice_ps(config)
-    rate = _click_rate_hz(config)
+    span, width, link = config.span_ps(), slice_ps(config), config.link
+    rate = _click_rate_hz(link)
     clicks = rate * min(span, width) * 1e-12
     if clicks > _SLICE_CLICKS:
         raise ValidationError(
@@ -622,7 +620,7 @@ def iter_click_buckets(config: SimulationConfig,
             "of 2**19 per slice; lower mu or the dark rates, add loss, "
             f"or shorten the acquisition below {_SLICE_CLICKS / rate:.3g} s")
     n_slices = max(1, -(-span // width))
-    link, drift = config.link, _DriftWalk(config)
+    drift = _DriftWalk(config)
     pools: List[List[np.ndarray]] = []   # unconsumed [sig, idl] keys
     dead_s = int(round(config.detector_signal.dead_time_ps))
     dead_i = int(round(config.detector_idler.dead_time_ps))

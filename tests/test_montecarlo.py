@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fransonsim import montecarlo, tia
+from fransonsim import budget, montecarlo, tia
 from fransonsim.budget import LinkModel, predict_rates
 from fransonsim.errors import ValidationError
 from fransonsim.physics import (AnalyzerSpec, ChannelSpec, DetectorSpec,
@@ -695,7 +695,8 @@ def test_drift_offset_displaces_one_channel_exactly():
 
 def test_drift_walk_is_deterministic_and_one_sided():
     drift = TimingDriftSpec(enabled=True, channel="idler", offset_ps=0.0,
-                            walk_step_ps=5.0, walk_interval_ps=1.0e6)
+                            walk_step_ps=5.0,
+                            walk_interval_ps=montecarlo._MIN_WALK_PS)
     cfg = lossy_config(drift=drift, master_seed=31)
     a_sig, a_idl, _ = run_simulation(cfg)
     b_sig, b_idl, _ = run_simulation(cfg)
@@ -948,12 +949,18 @@ def test_config_rejects_bad_scalars():
 
 
 def test_config_bounds_the_span_packed_keys_can_hold():
-    # span + _MAX_SPILL_PS must stay below 2**62 ps so that (t << 1)
-    # fits int64; validation only, the engine never runs at either
-    limit_s = (2 ** 62 - montecarlo._MAX_SPILL_PS) / 1e12
-    lossy_config(acquisition_time_s=limit_s * (1 - 1e-9))
-    with pytest.raises(ValidationError, match="acquisition_time_s=.*too long"):
-        lossy_config(acquisition_time_s=limit_s * (1 + 1e-9))
+    # span + _MAX_SPILL_PS must stay below 2**53 ps, where float64
+    # arrival times still hold every picosecond (and (t << 1) fits
+    # int64); validation only, the engine never runs at either.  The
+    # nearest acquisition times give spans 2 ps below the limit and at it
+    limit = 2 ** 53 - montecarlo._MAX_SPILL_PS
+    at = limit / 1e12
+    below = math.nextafter(at, 0.0)
+    assert lossy_config(acquisition_time_s=below).span_ps() == limit - 2
+    assert round(at * 1e12) == limit
+    with pytest.raises(ValidationError,
+                       match=r"acquisition_time_s=.*too long: .*2\*\*53 ps"):
+        lossy_config(acquisition_time_s=at)
 
 
 def test_engine_budget_guard():
@@ -966,6 +973,21 @@ def test_engine_budget_guard():
 
 class _Drawn(Exception):
     pass
+
+
+def test_engine_reads_the_link_not_the_window_closed_form(monkeypatch):
+    # slice_ps and the load refusal sum the link's singles; no engine
+    # run derives a window's rates (budget._at_window)
+    spy = mock.Mock(wraps=budget._at_window)
+    monkeypatch.setattr(budget, "_at_window", spy)
+    cfg = lossy_config(acquisition_time_s=0.05, master_seed=41)
+    assert sum(b[1].size + b[3].size for b in iter_click_buckets(cfg)) > 0
+    assert spy.call_count == 0
+    rates = predict_rates(cfg)
+    assert spy.call_count == 1
+    # the same sum, in the same float order, as the closed form's singles
+    assert montecarlo._click_rate_hz(cfg.link) \
+        == rates.singles_signal_hz + rates.singles_idler_hz
 
 
 def test_engine_budget_counts_dark_clicks(monkeypatch):
@@ -1133,6 +1155,13 @@ def test_drift_spec_validation():
         TimingDriftSpec(walk_step_ps=-1.0)
     with pytest.raises(ValidationError):
         TimingDriftSpec(walk_interval_ps=100.0)
+    # the walk floor is the slice rule's: at most 2**19 steps per slice
+    floor = montecarlo._MIN_WALK_PS
+    assert floor == math.ceil(SLICE_PS / montecarlo._SLICE_CLICKS)
+    assert TimingDriftSpec(walk_interval_ps=floor).walk_interval_ps == floor
+    for bad in (1.0e6, floor - 1, floor + 0.5):
+        with pytest.raises(ValidationError, match=f">= {floor} ps"):
+            TimingDriftSpec(walk_interval_ps=bad)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="walk_interval_ps"):
             TimingDriftSpec(walk_interval_ps=bad)

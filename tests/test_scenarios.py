@@ -568,7 +568,7 @@ def test_fringe_prediction_is_the_closed_form_of_the_points_config():
     # block reads the time the points run, not the config's own 1 s
     still = tiny_ideal(n_points=5, acq=0.01, seed=5)
     walk = TimingDriftSpec(enabled=True, channel="idler", walk_step_ps=1.0,
-                           walk_interval_ps=1e6)
+                           walk_interval_ps=2.0e7)
     walked = replace(still, config=replace(still.config, drift=walk))
     for scenario in (still, walked):
         report = run_scenario(scenario)
@@ -836,7 +836,12 @@ def km100_link_point():
     # three slices, merged buckets, dead time: ~1.1 M clicks; back-to-back
     # points: test_back_to_back_point_memory_does_not_grow_with_time
     (km100_link_point(), 16.0),
-], ids=["km100-link-30s"])
+    # an idler walk at the floor adds a 2**19-step table per slice: 19.8
+    # MB measured, where a 1 us walk, which is refused, takes 323 MB
+    (replace(km100_link_point(), drift=TimingDriftSpec(
+        enabled=True, channel="idler", walk_step_ps=1.0,
+        walk_interval_ps=montecarlo._MIN_WALK_PS)), 24.0),
+], ids=["km100-link-30s", "km100-link-30s-walk-at-floor"])
 def test_one_point_holds_about_two_slices(config, cap_mb):
     tracemalloc.start()
     try:
