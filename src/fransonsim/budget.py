@@ -140,6 +140,7 @@ class ArmLink:
     q: float                        # transmission * quantum efficiency
     photon_hz: float                # pair rate * q / 2: monitored port
     dark_hz: float                  # detector dark counts
+    singles_hz: float               # photon_hz + dark_hz: the arm's clicks
     sigma_arrival_ps: float         # a click about its emission time:
                                     # dispersed photon and detector
                                     # jitter in quadrature
@@ -201,9 +202,10 @@ class LinkModel:
             fwhm = dispersion_broaden(src.photon_fwhm_ps,
                                       channel.beta2_ps2_per_km,
                                       channel.fiber_length_km)
+            photon_hz, dark_hz = rate * q / 2.0, detector.dark_rate_hz
             return ArmLink(loss_db=loss_db, transmission=t, q=q,
-                           photon_hz=rate * q / 2.0,
-                           dark_hz=detector.dark_rate_hz,
+                           photon_hz=photon_hz, dark_hz=dark_hz,
+                           singles_hz=photon_hz + dark_hz,
                            sigma_arrival_ps=math.hypot(
                                sigma_from_fwhm(fwhm),
                                sigma_from_fwhm(detector.jitter_fwhm_ps)))
@@ -321,8 +323,7 @@ def _derive_window(link: LinkModel, w: float) -> tuple:
         transmission_signal=sig.transmission,
         transmission_idler=idl.transmission,
         q_signal=sig.q, q_idler=idl.q,
-        singles_signal_hz=sig.photon_hz + sig.dark_hz,
-        singles_idler_hz=idl.photon_hz + idl.dark_hz,
+        singles_signal_hz=sig.singles_hz, singles_idler_hz=idl.singles_hz,
         both_rate_hz=both, window_ps=w, capture_fraction=capture,
         central_max_in_window_hz=both * link.central_max_weight * capture,
         central_at_config_phase_hz=both * w_c * capture,

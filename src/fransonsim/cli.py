@@ -44,7 +44,7 @@ from .scenarios import (DEFAULT_WINDOW_GRID_PS, PRESET_NAMES, RunReport,
                         config_hash, emit_outputs, load_config, measure_point,
                         phase_grid, point_report, preset, run_scenario,
                         write_histograms)
-from .tia import _normalize_binning, build_histogram, count_in_window, \
+from .tia import CLICK_LIMIT_PS, HistogramAccumulator, count_in_window, \
     window_bins
 
 _EXIT_OK = 0
@@ -221,18 +221,17 @@ def _cmd_budget(args) -> int:
 
 def _cmd_histogram(args) -> int:
     # flags first: a bad one must not cost a read of both click files
-    bin_ps, range_ps = _normalize_binning(args.bin_ps, args.range_ps)
+    acc = HistogramAccumulator(args.bin_ps, args.range_ps)
     if args.window_ps is not None:
-        window_bins(bin_ps, range_ps, 0.0, args.window_ps)
+        window_bins(acc.bin_ps, acc.range_ps, 0.0, args.window_ps)
     starts, meta_a = read_click_stream(args.clicks_a)
     stops, meta_b = read_click_stream(args.clicks_b)
-    hash_a = meta_a.get("config_hash", "")
-    hash_b = meta_b.get("config_hash", "")
+    hash_a, hash_b = (m.get("config_hash", "") for m in (meta_a, meta_b))
     if hash_a and hash_b and hash_a != hash_b:
         print(f"warning: click files carry different config hashes "
               f"({hash_a} vs {hash_b})", file=sys.stderr)
-    hist = build_histogram(starts.times_ps, stops.times_ps,
-                           args.bin_ps, args.range_ps)
+    acc.add_bucket(starts.times_ps, stops.times_ps, CLICK_LIMIT_PS)
+    hist = acc.finalize()
     print(f"{hist.total_pairs} pairs within +/-{hist.range_ps} ps "
           f"({hist.n_starts} starts, {hist.n_stops} stops)")
     if args.window_ps is not None:

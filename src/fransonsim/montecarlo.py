@@ -66,14 +66,15 @@ stores nothing derived, so copies and pickles carry no link.
 
 Timestamps are integer picoseconds end to end (exact sorting and
 bit-stable merges); sub-ps structure is rounded at click assembly.
-Arrival times are float64 until then, exact only below 2**53 ps: a span
-of ~9004 s or more is refused.  Each slice packs its clicks per channel
-into int64 keys (t << 1) | is_dark and sorts them once, when it is
-generated.  No click may land more than a quarter of the slice width
-outside its slice (ValidationError otherwise), so a streaming bucket is
-a searchsorted cut of at most three slices: its own and its two
-neighbours.  When more than one contributes, a stable sort merges the
-sorted pieces in linear time.
+Until then a slice holds float64 offsets from its own start (at most
+10 s: an ulp of at most 0.002 ps), so a span, spill included, need
+only stay below CLICK_LIMIT_PS (2**62 ps).  Each slice packs its
+clicks per channel into int64 keys ((start + t) << 1) | is_dark and
+sorts them once, when it is generated.  No click may land more than a
+quarter of the slice width outside its slice (ValidationError
+otherwise), so a streaming bucket is a searchsorted cut of at most
+three slices, its own and its two neighbours, merged by a stable sort
+in linear time when more than one contributes.
 
 Memory model
 ------------
@@ -241,11 +242,12 @@ class SimulationConfig:
     def __post_init__(self):
         if not (0.0 < self.acquisition_time_s < math.inf):
             raise ValidationError("acquisition_time_s must be finite and > 0")
-        if self.span_ps() + _MAX_SPILL_PS >= 2 ** 53:   # keys fit int64 too
+        # span_ps() + spill >= limit, exact near 2**62 (ulp 512), inf-safe
+        if self.acquisition_time_s * 1e12 + _MAX_SPILL_PS >= CLICK_LIMIT_PS:
             raise ValidationError(
                 f"acquisition_time_s={self.acquisition_time_s!r} is too long: "
-                "float64 arrival times, spill included, lose picoseconds "
-                "from 2**53 ps (~9007 s)")
+                "clicks, spill included, must lie below 2**62 ps (~53 days), "
+                "where a packed click key still fits int64")
         if not isinstance(self.master_seed, int) \
                 or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ValidationError("master_seed must be a non-negative int")
@@ -433,52 +435,53 @@ class _DriftWalk:
             self.first = lo // itv
             steps = _stream(self.seed, _ST_DRIFT, slice_idx).normal(
                 0.0, d.walk_step_ps, max(0, (hi - 1) // itv - self.first))
-            start = self.walk[-1]
-            self.walk = np.concatenate(([start], start + np.cumsum(steps)))
+            start, self.walk = self.walk[-1], None   # free the old table
+            self.walk = walk = np.full(steps.size + 1, start)
+            np.cumsum(steps, out=walk[1:])
+            walk[1:] += start
 
-    def apply(self, channel: str, arrivals: np.ndarray) -> None:
-        """Shift a channel's photon arrivals in place: the walk is
-        read at each arrival before it is shifted (an arrival outside
-        the slice reads the walk's nearer end), then the offset."""
+    def apply(self, channel: str, arrivals: np.ndarray, lo: int) -> None:
+        """Shift a channel's arrivals t, offsets from the slice start
+        lo, in place: by the walk at lo + t (outside the slice, at the
+        walk's nearer end), then by the offset."""
         d = self.drift
         if not d.enabled or channel != d.channel:
             return
         if d.walk_step_ps > 0.0:
             itv, last = int(d.walk_interval_ps), self.walk.size - 1
             for c in _chunks(arrivals.size):
-                k = arrivals[c].astype(np.int64) // itv - self.first
+                k = (arrivals[c].astype(np.int64) + lo) // itv - self.first
                 arrivals[c] += self.walk[np.clip(k, 0, last)]
         arrivals += d.offset_ps
 
 
-def _click_rate_hz(link: LinkModel) -> float:
-    """Expected clicks/s, the link's singles (photons and darks) summed."""
-    s, i = link.signal, link.idler
-    return (s.photon_hz + s.dark_hz) + (i.photon_hz + i.dark_hz)
-
-
-def slice_ps(config: SimulationConfig) -> int:
-    """Generation-slice width of config's runs: the widest
-    SLICE_PS / 2**k, down to _MIN_SLICE_PS, whose expected clicks stay
-    within _SLICE_CLICKS (where even _MIN_SLICE_PS does not, only a
-    run short enough to stay within runs).  It reads the singles of
-    config.link alone, photons and darks of both arms, so every point
-    of a scan (phase, window and seed aside) shares it."""
-    rate_per_ps = _click_rate_hz(config.link) * 1e-12
+def _slice_width(rate_hz: float) -> int:
+    """The widest SLICE_PS / 2**k, down to _MIN_SLICE_PS, whose expected
+    clicks at rate_hz stay within _SLICE_CLICKS (where even _MIN_SLICE_PS
+    does not, only a run short enough to stay within runs)."""
     width = SLICE_PS
-    while width > _MIN_SLICE_PS and rate_per_ps * width > _SLICE_CLICKS:
+    while width > _MIN_SLICE_PS and rate_hz * 1e-12 * width > _SLICE_CLICKS:
         width //= 2
     return width
 
 
+def slice_ps(config: SimulationConfig) -> int:
+    """Generation-slice width of config's runs: _slice_width of the
+    singles of config.link alone, photons and darks of both arms, so
+    every point of a scan (phase, window and seed aside) shares it."""
+    link = config.link
+    return _slice_width(link.signal.singles_hz + link.idler.singles_hz)
+
+
 def _pack_keys(label: str, times: np.ndarray, n_photons: int,
                lo: int, hi: int, spill: int) -> np.ndarray:
-    """Round times (photons, then darks) in place into sorted int64
-    packed keys (t << 1) | is_dark, in the same storage; refuse a
-    click more than spill ps outside [lo, hi)."""
+    """Round times, offsets from lo (photons, then darks), in place into
+    sorted int64 packed keys ((lo + t) << 1) | is_dark, in the same
+    storage; refuse a click more than spill ps outside [lo, hi)."""
     key = times.view(np.int64)
     for c in _chunks(times.size):
         key[c] = np.rint(times[c])
+    key += lo
     key <<= 1
     key[n_photons:] |= 1
     key.sort()
@@ -501,9 +504,9 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
     no click may spill more than a quarter of width, the run's
     slice_ps(config), out of [lo, hi).
 
-    Each channel's clicks are built in one float buffer that ends as
-    its key array: idler partners first, then the channel's
-    partner-less photon clicks, then its darks."""
+    Each channel's clicks are built in one float buffer of offsets
+    from lo that ends as its key array: idler partners first, then the
+    channel's partner-less photon clicks, then its darks."""
     dt_s = (hi - lo) * 1e-12
     rate = link.pair_rate_hz
     q_s, q_i, (w_c, w_e, w_l) = link.signal.q, link.idler.q, link.weights
@@ -512,14 +515,9 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
     seed = config.master_seed
     drift.advance(slice_idx, lo, hi)
 
-    def uniform_times(rng: np.random.Generator, out: np.ndarray) -> None:
-        rng.random(out=out)
-        out *= hi - lo
-        out += lo
-
     def channel(stage: int, photon_hz: float, dark_stage: int,
                 dark_hz: float, head: int) -> Tuple[np.ndarray, int]:
-        # Poisson photon clicks and darks, uniform on [lo, hi), after
+        # Poisson photon clicks and darks, uniform on [0, hi - lo), after
         # `head` slots left for partners; returns (buffer, n_photons)
         rng = _stream(seed, stage, slice_idx)
         n_ph = head + int(rng.poisson(photon_hz * dt_s))
@@ -527,9 +525,10 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
             else None
         n_dark = int(dark.poisson(dark_hz * dt_s)) if dark else 0
         buf = np.empty(n_ph + n_dark)
-        uniform_times(rng, buf[head:n_ph])
+        rng.random(out=buf[head:n_ph])
         if dark:
-            uniform_times(dark, buf[n_ph:])
+            dark.random(out=buf[n_ph:])
+        buf[head:] *= hi - lo
         return buf, n_ph
 
     sig, n_sig = channel(_ST_SIGNAL, link.signal.photon_hz, _ST_SIGNAL_DARKS,
@@ -556,8 +555,8 @@ def _gen_slice(config: SimulationConfig, link: LinkModel, slice_idx: int,
     for c in _chunks(n_b):
         pair[c] += rng.normal(0.0, sigma, c.stop - c.start)
 
-    drift.apply("signal", sig[:n_sig])
-    drift.apply("idler", idl[:n_idl])
+    drift.apply("signal", sig[:n_sig], lo)
+    drift.apply("idler", idl[:n_idl], lo)
     spill = width // 4
     sig_keys = _pack_keys("signal", sig, n_sig, lo, hi, spill)
     idl_keys = _pack_keys("idler", idl, n_idl, lo, hi, spill)
@@ -607,10 +606,10 @@ def iter_click_buckets(config: SimulationConfig,
     slice_ps) expects more than _SLICE_CLICKS clicks, darks included,
     is refused with ValidationError.
     """
-    if diag is None:
-        diag = SimDiagnostics()
-    span, width, link = config.span_ps(), slice_ps(config), config.link
-    rate = _click_rate_hz(link)
+    diag = SimDiagnostics() if diag is None else diag
+    span, link = config.span_ps(), config.link
+    rate = link.signal.singles_hz + link.idler.singles_hz
+    width = _slice_width(rate)
     clicks = rate * min(span, width) * 1e-12
     if clicks > _SLICE_CLICKS:
         raise ValidationError(

@@ -231,6 +231,18 @@ def test_dump_clicks_round_trip_through_histogram(small_config, tmp_path,
     assert lines[1] == "point,setting,center_ps,counts"
     assert len(lines) > 2 and all(line.startswith("0,,")
                                   for line in lines[2:])
+    # files of two configs (here two seeds) still pair, with a warning
+    other = tmp_path / "other"
+    assert run_cli("simulate", small_config, "--seed", "8", "--out-dir",
+                   str(other), "--dump-clicks") == 0
+    hash_b = json.loads((other / "small_report.json").read_text())[
+        "config_hash"]
+    capsys.readouterr()
+    assert run_cli("histogram", str(out / "small_signal_clicks.bin"),
+                   str(other / "small_idler_clicks.bin")) == 0
+    assert capsys.readouterr().err == (
+        f"warning: click files carry different config hashes "
+        f"({report['config_hash']} vs {hash_b})\n")
 
 
 def test_a_dump_that_fails_leaves_no_click_file_and_no_handle(
@@ -404,6 +416,24 @@ def test_fringe_bare_config_gets_default_plan(small_config, tmp_path):
     doc = json.loads((out / "small_report.json").read_text())
     assert len(doc["points"]) == 5
     assert doc["acquisition_s_per_point"] == 0.01
+
+
+def test_fringe_points_refused_on_a_temperature_scan(tmp_path, capsys):
+    # --points rebuilds a phase grid, which a temperature scan has not
+    s = preset("back-to-back")
+    an = replace(s.config.analyzer_signal, phase_rad=None,
+                 temperature_c=22.5, phase_per_kelvin_rad=0.8)
+    path = tmp_path / "warm.json"
+    save_config(replace(s, name="warm",
+                        config=replace(s.config, analyzer_signal=an),
+                        plan=ScanPlan(settings=(21.0, 22.25, 23.5),
+                                      acquisition_s_per_point=0.01,
+                                      abscissa="temperature")), path)
+    out = tmp_path / "out"
+    assert run_cli("fringe", str(path), "--points", "5",
+                   "--out-dir", str(out)) == 2
+    assert "this scenario scans temperature" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stem, name", [("_cfg", "_cfg"),

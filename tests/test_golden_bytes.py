@@ -31,6 +31,15 @@ place of one decimal line per click.  No drawn number moved: each
 v2 file reads back to the same timestamps and counts as the v1 file
 did, and the scan-table digest did not move.
 
+The two ``km100-idler-walk`` click files were re-pinned when each
+slice came to draw its arrival times as float64 offsets from its own
+start and add the start as an int64 when it rounds them, in place of
+absolute float64 times.  The sampling law did not move: slice 0
+starts at 0 and drew the same numbers (every single-slice digest held),
+and slice 1's draws moved by float rounding alone.  Both files keep
+their counts and dark counts; 17 signal and 46 idler clicks of the
+second slice moved by 1 ps.
+
 Each closed-form case runs a command that draws no clicks and compares
 the sha256 of every file it writes (and, for ``budget``, of its
 stdout):
@@ -103,10 +112,10 @@ def _km100_idler_walk():
                  "77e2762f887548bff5092f1534f33fbe",
     }),
     ("km100", _km100_idler_walk, {
-        "signal": "658729af50fb180a957c40dfcce30f56"
-                  "b2b41037b901e2a4321046c53708eb51",
-        "idler": "f56758006fc3b01ffc8e97ff5ff2d3b4"
-                 "81cdae71bcc4206633465e1c77f75f0a",
+        "signal": "ca35104484794f528c2b6dba0776021b"
+                  "a1b18a689603cd89b27781296affaa46",
+        "idler": "f6c8b122249b8557f5c63f05e7fca776"
+                 "0cf0095160937058e3fe232861019416",
     }),
 ], ids=["b2b-dead-darks", "km100-idler-walk"])
 def test_dumped_click_files_are_frozen(name, make, digests, tmp_path):

@@ -949,18 +949,39 @@ def test_config_rejects_bad_scalars():
 
 
 def test_config_bounds_the_span_packed_keys_can_hold():
-    # span + _MAX_SPILL_PS must stay below 2**53 ps, where float64
-    # arrival times still hold every picosecond (and (t << 1) fits
-    # int64); validation only, the engine never runs at either.  The
-    # nearest acquisition times give spans 2 ps below the limit and at it
-    limit = 2 ** 53 - montecarlo._MAX_SPILL_PS
+    # span + _MAX_SPILL_PS must stay below CLICK_LIMIT_PS, 2**62 ps, so
+    # that a click's packed key (t << 1) | is_dark fits int64;
+    # validation only, the engine never runs at either.  The nearest
+    # acquisition times give spans 1024 ps below the limit and at it
+    limit = CLICK_LIMIT_PS - montecarlo._MAX_SPILL_PS
     at = limit / 1e12
     below = math.nextafter(at, 0.0)
-    assert lossy_config(acquisition_time_s=below).span_ps() == limit - 2
+    assert lossy_config(acquisition_time_s=below).span_ps() == limit - 1024
     assert round(at * 1e12) == limit
-    with pytest.raises(ValidationError,
-                       match=r"acquisition_time_s=.*too long: .*2\*\*53 ps"):
-        lossy_config(acquisition_time_s=at)
+    # a float span past the limit is refused before it is rounded, even
+    # where rounding it would overflow
+    for bad in (at, 5.0e6, 1.0e300):
+        with pytest.raises(ValidationError, match=r"acquisition_time_s="
+                           r".*too long: .*2\*\*62 ps"):
+            lossy_config(acquisition_time_s=bad)
+    # long acquisitions, 10 000 s and 3 h, validate: each
+    # slice draws its arrival times as offsets from its own start
+    for seconds in (1.0e4, 3 * 3600.0):
+        assert lossy_config(acquisition_time_s=seconds).span_ps() \
+            == round(seconds) * 10 ** 12
+
+
+def test_a_slice_far_from_zero_keeps_every_picosecond():
+    # float64 holds integers only to a multiple of 4 from 2**54: a slice
+    # at 2**54 ps must still draw clicks on every residue mod 4, since
+    # it rounds offsets from its own start and adds the start as int64
+    cfg = lossy_config(acquisition_time_s=1.0, master_seed=5)
+    width, lo = slice_ps(cfg), 2 ** 54
+    keys = _gen_slice(cfg, cfg.link, 0, lo, lo + width, width,
+                      _DriftWalk(cfg), SimDiagnostics())
+    t = np.concatenate(keys) >> 1
+    assert t.size > 1000 and t.min() >= lo - width // 4
+    assert set(np.unique(t % 4).tolist()) == {0, 1, 2, 3}
 
 
 def test_engine_budget_guard():
@@ -985,9 +1006,12 @@ def test_engine_reads_the_link_not_the_window_closed_form(monkeypatch):
     assert spy.call_count == 0
     rates = predict_rates(cfg)
     assert spy.call_count == 1
-    # the same sum, in the same float order, as the closed form's singles
-    assert montecarlo._click_rate_hz(cfg.link) \
-        == rates.singles_signal_hz + rates.singles_idler_hz
+    # the closed form's singles are the link's, each the same sum in
+    # the same float order, photons then darks
+    link = cfg.link
+    for arm, singles in ((link.signal, rates.singles_signal_hz),
+                         (link.idler, rates.singles_idler_hz)):
+        assert arm.singles_hz == singles == arm.photon_hz + arm.dark_hz
 
 
 def test_engine_budget_counts_dark_clicks(monkeypatch):
@@ -1162,7 +1186,9 @@ def test_drift_spec_validation():
     for bad in (1.0e6, floor - 1, floor + 0.5):
         with pytest.raises(ValidationError, match=f">= {floor} ps"):
             TimingDriftSpec(walk_interval_ps=bad)
-    for bad in (math.inf, math.nan):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="offset_ps must be finite"):
+            TimingDriftSpec(offset_ps=bad)
         with pytest.raises(ValidationError, match="walk_interval_ps"):
             TimingDriftSpec(walk_interval_ps=bad)
         with pytest.raises(ValidationError, match="walk_step_ps"):
@@ -1319,6 +1345,13 @@ def test_writer_refuses_a_span_the_reader_refuses(tmp_path, times, span):
             f"{path}: span_ps {span} lies outside [0, 2**62) ps")):
         write_click_stream(stream, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int32])
+def test_click_times_must_be_int64(dtype):
+    stream = ClickStream("signal", np.arange(3, dtype=dtype), span_ps=3)
+    with pytest.raises(ValidationError, match="must be int64 ps"):
+        stream.assert_valid()
 
 
 def test_dark_count_must_lie_within_the_clicks():

@@ -142,6 +142,22 @@ def test_temperature_scan_needs_coefficient():
     with pytest.raises(ValidationError, match="non-zero phase_per_kelvin"):
         Scenario(name="t", config=replace(cfg, analyzer_signal=flat),
                  plan=plan)
+    # and a phase scan needs a phase-driven analyzer
+    with pytest.raises(ValidationError, match="phase-driven analyzer"):
+        Scenario(name="t", config=cfg2, plan=replace(plan, abscissa="phase"))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(mu_grid=(0.1, 0.0)), "mu_grid must be a non-empty"),
+    (dict(mu_grid=(-0.1,)), "mu_grid must be a non-empty"),
+    (dict(mu_grid=(math.nan,)), "mu_grid must be a non-empty"),
+    (dict(mu_grid=()), "mu_grid must be a non-empty"),
+    (dict(window_grid_ps=(60.0,), window_objective="visibility"),
+     "window_objective must be one of"),
+])
+def test_scenario_refuses_a_bad_sweep(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        Scenario(name="x", config=preset("ideal").config, **fields)
 
 
 def test_scenario_refuses_an_unfittable_plan():
@@ -836,11 +852,11 @@ def km100_link_point():
     # three slices, merged buckets, dead time: ~1.1 M clicks; back-to-back
     # points: test_back_to_back_point_memory_does_not_grow_with_time
     (km100_link_point(), 16.0),
-    # an idler walk at the floor adds a 2**19-step table per slice: 19.8
+    # an idler walk at the floor adds a 2**19-step table per slice: 13.0
     # MB measured, where a 1 us walk, which is refused, takes 323 MB
     (replace(km100_link_point(), drift=TimingDriftSpec(
         enabled=True, channel="idler", walk_step_ps=1.0,
-        walk_interval_ps=montecarlo._MIN_WALK_PS)), 24.0),
+        walk_interval_ps=montecarlo._MIN_WALK_PS)), 16.0),
 ], ids=["km100-link-30s", "km100-link-30s-walk-at-floor"])
 def test_one_point_holds_about_two_slices(config, cap_mb):
     tracemalloc.start()

@@ -635,6 +635,15 @@ def test_scan_refuses_non_finite_input(field, value):
         FringeScan(**args)
 
 
+@pytest.mark.parametrize("x, counts, message", [
+    ((), (), "settings must be a non-empty 1-d array"),
+    ((0.0, 1.0, 2.0), (5.0, -1.0, 5.0), "counts must be non-negative"),
+])
+def test_scan_refuses_an_empty_or_negative_scan(x, counts, message):
+    with pytest.raises(ValidationError, match=message):
+        FringeScan(settings=x, counts=counts, acquisition_s=1.0)
+
+
 def test_fit_clamps_at_unit_visibility():
     # counts stay positive at V = 1.02: no setting falls on the trough
     x = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
